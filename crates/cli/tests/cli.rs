@@ -143,9 +143,9 @@ fn second_stdin_read_is_a_clear_error() {
 fn timeout_exits_3_within_twice_the_deadline() {
     use std::time::{Duration, Instant};
     // A CFI instance over a cubic circulant: hard enough that the
-    // unbudgeted debug-build run takes seconds, so a 300 ms deadline is
-    // guaranteed to fire mid-search.
-    let base = dvicl_data::bench_graphs::cubic_circulant(200);
+    // unbudgeted run takes about 3 s in release and longer in debug, so
+    // a 300 ms deadline fires mid-search under either profile.
+    let base = dvicl_data::bench_graphs::cubic_circulant(400);
     let hard = dvicl_data::bench_graphs::cfi(&base, false);
     let path = std::env::temp_dir().join(format!("dvicl-hard-{}.g6", std::process::id()));
     std::fs::write(&path, dvicl_graph::graph6::to_graph6(&hard)).unwrap();

@@ -81,14 +81,15 @@ pub enum Counter {
     PoolSteals,
     /// Refinement calls dispatched to the dense bitset kernel
     /// (`refine::Refiner`). Zero under `--kernel general`; equal to the
-    /// refinement-call count under `--kernel bitset`.
+    /// refinement-call count under `--kernel auto` or `--kernel bitset`.
     RefineKernelDense,
     /// Cell splits whose splitter-neighbor counts came from
     /// word-parallel `popcount(adjacency row & splitter mask)` instead
     /// of an adjacency-list scatter (`refine::BitsetKernel`).
     RefineSplitsPopcount,
-    /// Cell splits realized by the degree-bucket radix (counting) sort
-    /// instead of a comparison sort (`refine::BitsetKernel`).
+    /// Popcount-path cell splits realized by the degree-bucket radix
+    /// (counting) sort instead of a comparison sort
+    /// (`refine::BitsetKernel`).
     RadixSplits,
 }
 

@@ -3,33 +3,35 @@
 //!
 //! [`Partition`] owns the worklist discipline (pop splitter → split
 //! affected cells → enqueue fragments) and the *rewrite* half of every
-//! split ([`Partition::rewrite_split`]: Hopcroft's largest-fragment
+//! split ([`Partition::split_touched`]: Hopcroft's largest-fragment
 //! rule, span rewriting, singleton tracking, the trace hash). A
 //! [`RefineKernel`] owns only the *counting and ordering* half: given a
-//! splitter cell, produce for each affected cell its members as
-//! `(neighbor-count, vertex)` pairs sorted ascending. Because both
-//! kernels feed the same rewrite path with identically-ordered members,
-//! their partitions, traces and downstream canonical certificates are
-//! byte-identical by construction — the parity suites in
-//! `crates/refine/tests/kernel_parity.rs` pin this.
+//! splitter cell, produce for each affected cell its members (all of
+//! them, or only the touched ones) as `(neighbor-count, vertex)` pairs
+//! sorted ascending. Both kernels feed the same rewrite path, so they
+//! emit the same fragment stream `(start, len, count)` with the same
+//! member sets, and their partitions, traces and downstream canonical
+//! certificates are byte-identical by construction — the parity suites
+//! in `crates/refine/tests/kernel_parity.rs` pin this.
 //!
 //! Two kernels exist:
 //!
 //! * [`GeneralKernel`] — the original sorting-based kernel: scatter
 //!   neighbor counts over the splitter's adjacency lists, group touched
-//!   vertices by cell, comparison-sort each affected cell by
-//!   `(count, vertex)`. Allocates its scratch per splitter, exactly as
-//!   the pre-kernel refiner did, so it doubles as the measurement
-//!   baseline.
-//! * [`BitsetKernel`] — the dense kernel: persistent scratch buffers, a
-//!   u64-word *cell-membership bitmask* whose set-bit order enumerates
-//!   cell members in ascending vertex id, and a degree-bucket radix
-//!   (counting) split in place of the comparison sort. For graphs small
-//!   enough that adjacency rows fit in a few words each
+//!   vertices by cell, comparison-sort each *whole* affected cell by
+//!   `(count, vertex)`. Allocates its scratch per splitter and costs
+//!   O(|cell|) per split, so it doubles as the measurement baseline and
+//!   the parity oracle.
+//! * [`BitsetKernel`] — the default kernel: persistent scratch buffers,
+//!   an O(touched) per-cell uniformity filter, and splits that sort and
+//!   rewrite only a cell's touched members (O(touched · log touched)).
+//!   For graphs small enough that adjacency rows fit in a few words each
 //!   ([`POPCOUNT_MAX_N`]), it additionally builds u64-word adjacency
 //!   bitset rows and counts splitter neighbors with `popcount(row &
 //!   splitter_mask)` instead of scattering — the word-parallel path
-//!   that pays off on the dense local subgraphs `CombineCL` labels.
+//!   that pays off on the dense local subgraphs `CombineCL` labels —
+//!   splitting those cells with a degree-bucket radix sort over a
+//!   cell-membership bitmask.
 //!
 //! [`KernelKind`] is the dispatch knob threaded from the CLI and bench
 //! binaries through `canon::Config` and `core::Session` down to
@@ -43,9 +45,7 @@ use dvicl_obs::{self as obs, Counter};
 /// carried by `canon::Config`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// Pick per graph: the bitset kernel at or below [`AUTO_DENSE_MAX`]
-    /// vertices (where its setup cost amortizes — the leaf subgraphs of
-    /// the divide recursion), the general kernel above.
+    /// The default: the bitset kernel, at every graph size.
     #[default]
     Auto,
     /// Always the sorting-based [`GeneralKernel`].
@@ -74,26 +74,14 @@ impl KernelKind {
         }
     }
 
-    /// Whether this kind resolves to the dense kernel on an `n`-vertex
-    /// graph.
-    pub fn is_dense_for(self, n: usize) -> bool {
+    /// Whether this kind resolves to the bitset kernel.
+    pub fn is_dense(self) -> bool {
         match self {
-            KernelKind::Auto => n <= AUTO_DENSE_MAX,
+            KernelKind::Auto | KernelKind::Bitset => true,
             KernelKind::General => false,
-            KernelKind::Bitset => true,
         }
     }
 }
-
-/// `Auto` resolves to the bitset kernel at or below this vertex count.
-///
-/// The dense kernel's per-refinement setup is O(n/64) words of mask
-/// scratch plus, under [`POPCOUNT_MAX_N`], an O(n·n/64) adjacency-row
-/// build; 4096 keeps cell masks at ≤64 words, so the mask walk that
-/// replaces per-cell sorting stays cheap on every affected cell
-/// (DESIGN.md §15 records the dispatch rationale, EXPERIMENTS.md the
-/// measured crossover).
-pub const AUTO_DENSE_MAX: usize = 4096;
 
 /// The bitset kernel builds full adjacency bitset rows — and counts
 /// splitter neighbors by `popcount` — at or below this vertex count.
@@ -102,14 +90,14 @@ pub const AUTO_DENSE_MAX: usize = 4096;
 /// cheaper than the scatter passes it replaces.
 pub const POPCOUNT_MAX_N: usize = 256;
 
-/// Cells shorter than this are split with a comparison sort even inside
-/// the dense kernel: the radix path's O(n/64)-word mask walk only
+/// Cells shorter than this are split with a comparison sort even on the
+/// popcount path: the radix split's O(n/64)-word mask walk only
 /// amortizes once the sort it replaces is superlinear in practice.
 const RADIX_MIN_LEN: usize = 32;
 
 /// The per-splitter strategy behind [`crate::Refiner`]: how to count
 /// splitter-neighbors and order cell members. Implementations must feed
-/// [`Partition::rewrite_split`] members sorted ascending by
+/// `Partition::split_touched` members sorted ascending by
 /// `(count, vertex)` — that contract is what makes kernels
 /// interchangeable without disturbing traces or certificates.
 pub trait RefineKernel {
@@ -120,7 +108,7 @@ pub trait RefineKernel {
 
     /// Uses the cell at start `s` as a splitter: counts each vertex's
     /// neighbors in that cell and splits every affected cell via
-    /// [`Partition::rewrite_split`]. Returns the updated trace.
+    /// `Partition::split_touched`. Returns the updated trace.
     fn split_by(&mut self, p: &mut Partition, g: &Graph, s: u32, trace: u64) -> u64;
 }
 
@@ -174,7 +162,7 @@ impl RefineKernel for GeneralKernel {
                 .map(|&v| (p.cnt[v as usize], v))
                 .collect();
             members.sort_unstable();
-            trace = p.rewrite_split(c, &members, trace);
+            trace = p.split_touched(c, &members, trace);
         }
         // Clear counts.
         for &w in &touched {
@@ -184,20 +172,10 @@ impl RefineKernel for GeneralKernel {
     }
 }
 
-/// Where [`BitsetKernel::split_cell`] reads a member's splitter-neighbor
-/// count from.
-#[derive(Clone, Copy)]
-enum CountSource {
-    /// `Partition::cnt`, filled by a scatter pass.
-    Scatter,
-    /// `popcount(adjacency row & splitter mask)`.
-    Popcount,
-}
-
-/// The dense kernel: persistent scratch, cell-membership bitmasks for
-/// ascending-vertex enumeration, degree-bucket radix splits, and — on
-/// graphs of at most [`POPCOUNT_MAX_N`] vertices — u64-word adjacency
-/// bitset rows with popcount-counted splits.
+/// The dense kernel: persistent scratch, an O(touched) uniformity
+/// filter and touched-only splits on the scatter path, and — on graphs
+/// of at most [`POPCOUNT_MAX_N`] vertices — u64-word adjacency bitset
+/// rows with popcount-counted, radix-sorted splits.
 #[derive(Default)]
 pub struct BitsetKernel {
     /// Words per n-bit row (`ceil(n / 64)`).
@@ -212,19 +190,22 @@ pub struct BitsetKernel {
     adj: Vec<u64>,
     /// Splitter-membership mask (popcount path only).
     splitter_mask: Vec<u64>,
-    /// Scratch mask of one cell's members; its set-bit walk enumerates
-    /// them in ascending vertex id, which is what keeps the radix
-    /// split's output ordered identically to the general kernel's full
-    /// `(count, vertex)` sort. Always left all-zero between splits.
+    /// Scratch mask of one cell's members (popcount path); its set-bit
+    /// walk enumerates them in ascending vertex id, which keeps the
+    /// radix split's output ordered identically to a full `(count,
+    /// vertex)` sort when the cell's span is not ascending. Always left
+    /// all-zero between splits.
     cell_mask: Vec<u64>,
     /// Vertices with a nonzero scatter count (scatter path).
     touched: Vec<V>,
     /// Affected (or, on the popcount path, all non-singleton) cell
     /// starts, ascending.
     affected: Vec<u32>,
-    /// One cell's `(count, vertex)` pairs in ascending vertex order.
+    /// `(count, vertex)` pairs: one cell's members on the popcount path;
+    /// on the scatter path, the touched members of every splitting cell,
+    /// bucketed by cell in ascending cell order.
     members: Vec<(u32, V)>,
-    /// Radix-ordered copy of `members`.
+    /// Radix-ordered copy of `members` (popcount path).
     sorted: Vec<(u32, V)>,
     /// Count histogram for the radix split.
     hist: Vec<u32>,
@@ -235,6 +216,8 @@ pub struct BitsetKernel {
     /// (`touched < len`, giving a zero-count fragment) or the touched
     /// counts differ — decidable in O(touched) without scanning the
     /// cell, which is what makes repeatedly-grazed hub cells cheap.
+    /// `touched_cnt` doubles as the bucket cursor of a splitting cell
+    /// while its touched members are gathered.
     touched_cnt: Vec<u32>,
     touched_min: Vec<u32>,
     touched_max: Vec<u32>,
@@ -246,52 +229,36 @@ impl BitsetKernel {
         BitsetKernel::default()
     }
 
-    /// A member's splitter-neighbor count under `src`.
+    /// A member's splitter-neighbor count: `popcount(adjacency row &
+    /// splitter mask)`.
     #[inline]
-    fn count_of(&self, p: &Partition, src: CountSource, v: V) -> u32 {
-        match src {
-            CountSource::Scatter => p.cnt[v as usize],
-            CountSource::Popcount => {
-                let row = &self.adj[v as usize * self.words..(v as usize + 1) * self.words];
-                let mut cnt = 0u32;
-                for (a, b) in row.iter().zip(&self.splitter_mask) {
-                    cnt += (a & b).count_ones();
-                }
-                cnt
-            }
+    fn popcount_of(&self, v: V) -> u32 {
+        let row = &self.adj[v as usize * self.words..(v as usize + 1) * self.words];
+        let mut cnt = 0u32;
+        for (a, b) in row.iter().zip(&self.splitter_mask) {
+            cnt += (a & b).count_ones();
         }
+        cnt
     }
 
-    /// Splits the cell `[c, c+len)`, feeding
-    /// [`Partition::rewrite_split`] members ordered ascending by
-    /// `(count, vertex)`. `range` is the count range `(min, max)` when
-    /// the caller already knows it (the scatter path's touched
-    /// aggregates); otherwise one gather pass computes it and exits
-    /// early on uniform cells — which the general kernel fully sorts.
+    /// Splits the cell `[c, c+len)` on popcount counts, feeding
+    /// [`Partition::split_touched`] the whole cell ordered ascending by
+    /// `(count, vertex)`. One gather pass computes the count range and
+    /// exits early on uniform cells.
     ///
     /// Splitting cells go through the degree-bucket radix path (stable
     /// counting sort) when large enough, or a plain comparison sort when
     /// the cell is too small for a histogram to pay, or the counts too
     /// spread for one. The radix path's stability must run over members
-    /// in ascending vertex id to reproduce the general kernel's
-    /// `(count, vertex)` sort: cell spans are almost always already
-    /// ascending (every fragment [`Partition::rewrite_split`] writes
-    /// is), so the gather pass checks for that and sorts straight off
-    /// the span; a non-ascending span (an individualization swap, an
-    /// arbitrary seed coloring) falls back to the cell-membership mask
-    /// walk, whose set-bit order restores ascending ids. Returns the
-    /// updated trace.
-    fn split_cell(
-        &mut self,
-        p: &mut Partition,
-        c: usize,
-        len: usize,
-        src: CountSource,
-        range: Option<(u32, u32)>,
-        trace: u64,
-    ) -> u64 {
+    /// in ascending vertex id to reproduce a `(count, vertex)` sort: the
+    /// gather pass checks whether the span is ascending and, if so,
+    /// sorts straight off it; a non-ascending span (an individualization
+    /// swap, a touched-only split, an arbitrary seed coloring) falls back
+    /// to the cell-membership mask walk, whose set-bit order restores
+    /// ascending ids. Returns the updated trace.
+    fn split_cell(&mut self, p: &mut Partition, c: usize, len: usize, trace: u64) -> u64 {
         // Gather (count, vertex) in span order, tracking the count range
-        // when unknown and whether the span is ascending by vertex id.
+        // and whether the span is ascending by vertex id.
         let mut min_c = u32::MAX;
         let mut max_c = 0u32;
         let mut ascending = true;
@@ -301,21 +268,15 @@ impl BitsetKernel {
             let v = p.lab[i];
             ascending &= i == c || v > prev;
             prev = v;
-            let cv = self.count_of(p, src, v);
+            let cv = self.popcount_of(v);
             min_c = min_c.min(cv);
             max_c = max_c.max(cv);
             self.members.push((cv, v));
         }
-        if let Some((lo, hi)) = range {
-            debug_assert_eq!((lo, hi), (min_c, max_c));
-            (min_c, max_c) = (lo, hi);
-        }
         if min_c == max_c {
             return trace; // uniform counts: no split
         }
-        if matches!(src, CountSource::Popcount) {
-            obs::bump(Counter::RefineSplitsPopcount);
-        }
+        obs::bump(Counter::RefineSplitsPopcount);
         let spread = (max_c - min_c) as usize;
         if len >= RADIX_MIN_LEN && spread <= 4 * len {
             // Degree-bucket radix split: histogram the counts, then
@@ -357,7 +318,7 @@ impl BitsetKernel {
                         // dvicl-lint: allow(narrowing-cast) -- w*64 + bit index < n <= V::MAX
                         let v = ((w << 6) + bits.trailing_zeros() as usize) as V;
                         bits &= bits - 1;
-                        let cv = self.count_of(p, src, v);
+                        let cv = self.popcount_of(v);
                         let slot = self.hist[(cv - min_c) as usize];
                         self.sorted[slot as usize] = (cv, v);
                         self.hist[(cv - min_c) as usize] = slot + 1;
@@ -365,19 +326,13 @@ impl BitsetKernel {
                 }
             }
             obs::bump(Counter::RadixSplits);
-            let sorted = std::mem::take(&mut self.sorted);
-            let trace = p.rewrite_split(c, &sorted, trace);
-            self.sorted = sorted;
-            trace
+            p.split_touched(c, &self.sorted, trace)
         } else {
             // Small cell or counts too spread out for a histogram:
             // comparison sort. Sorting by (count, vertex) lands in the
             // same shared order.
             self.members.sort_unstable();
-            let members = std::mem::take(&mut self.members);
-            let trace = p.rewrite_split(c, &members, trace);
-            self.members = members;
-            trace
+            p.split_touched(c, &self.members, trace)
         }
     }
 
@@ -424,16 +379,18 @@ impl BitsetKernel {
         for i in 0..self.affected.len() {
             let c = self.affected[i] as usize;
             let clen = p.cell_len[c] as usize;
-            trace = self.split_cell(p, c, clen, CountSource::Popcount, None, trace);
+            trace = self.split_cell(p, c, clen, trace);
         }
         trace
     }
 
     /// Scatter-counting splitter pass (same discovery order as the
-    /// general kernel, persistent buffers) with the touched-aggregate
-    /// uniformity test and radix splits. No splitter snapshot is taken:
-    /// the scatter loop finishes before any split moves `lab`, so the
-    /// splitter's span is stable while it is read.
+    /// general kernel, persistent buffers). Work is O(touched) outside
+    /// the per-cell sorts: the touched-aggregate filter drops uniform
+    /// cells without scanning them, and each splitting cell hands only
+    /// its touched members to [`Partition::split_touched`]. No splitter
+    /// snapshot is taken: the scatter loop finishes before any split
+    /// moves `lab`, so the splitter's span is stable while it is read.
     fn split_by_scatter(
         &mut self,
         p: &mut Partition,
@@ -475,29 +432,54 @@ impl BitsetKernel {
             self.touched_max[c] = self.touched_max[c].max(cv);
         }
         self.affected.sort_unstable();
-        for i in 0..self.affected.len() {
-            let c = self.affected[i] as usize;
-            p.in_affected[c] = false;
-            let clen = p.cell_len[c] as usize;
-            let tc = self.touched_cnt[c] as usize;
+        // Keep only the cells that split (`in_affected` stays set on
+        // them), turning each one's touched count into the start of its
+        // bucket in `members`, in ascending cell order.
+        let mut total = 0u32;
+        self.affected.retain(|&c| {
+            let c = c as usize;
+            let tc = self.touched_cnt[c];
             let (lo, hi) = (self.touched_min[c], self.touched_max[c]);
-            self.touched_cnt[c] = 0;
             self.touched_min[c] = u32::MAX;
             self.touched_max[c] = 0;
             // Uniform iff every member was touched and with the same
             // count (untouched members count zero, touched are >= 1) —
             // skip such cells without scanning them, matching the
             // general kernel's uniform no-op exactly.
-            if tc == clen && lo == hi {
-                continue;
+            if tc == p.cell_len[c] && lo == hi {
+                self.touched_cnt[c] = 0;
+                p.in_affected[c] = false;
+                return false;
             }
-            // Untouched members (if any) count zero, below every touched
-            // member's count of at least one.
-            let min_c = if tc < clen { 0 } else { lo };
-            trace = self.split_cell(p, c, clen, CountSource::Scatter, Some((min_c, hi)), trace);
+            self.touched_cnt[c] = total;
+            total += tc;
+            true
+        });
+        // Bucket the touched members of the splitting cells by cell;
+        // afterwards each cell's cursor is the end of its bucket.
+        self.members.clear();
+        self.members.resize(total as usize, (0, 0));
+        for &w in &self.touched {
+            let c = p.cell_start[w as usize] as usize;
+            if p.in_affected[c] {
+                let slot = self.touched_cnt[c];
+                self.members[slot as usize] = (p.cnt[w as usize], w);
+                self.touched_cnt[c] = slot + 1;
+            }
         }
-        for i in 0..self.touched.len() {
-            p.cnt[self.touched[i] as usize] = 0;
+        let mut start = 0usize;
+        for &c in &self.affected {
+            let c = c as usize;
+            let end = self.touched_cnt[c] as usize;
+            self.touched_cnt[c] = 0;
+            p.in_affected[c] = false;
+            let bucket = &mut self.members[start..end];
+            bucket.sort_unstable();
+            trace = p.split_touched(c, bucket, trace);
+            start = end;
+        }
+        for &w in &self.touched {
+            p.cnt[w as usize] = 0;
         }
         trace
     }

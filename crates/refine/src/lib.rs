@@ -15,10 +15,11 @@
 //!
 //! *How* counts are computed is pluggable: a [`RefineKernel`] (see
 //! `kernel.rs`) supplies the per-splitter counting strategy — the
-//! sorting-based [`GeneralKernel`] or the word-parallel [`BitsetKernel`]
-//! — selected per [`Refiner`] by a [`KernelKind`] and resolved per graph
-//! at the dispatch point in this module. Every kernel produces the same
-//! partitions and the same traces; the choice moves wall time only.
+//! sorting-based [`GeneralKernel`] or the default [`BitsetKernel`],
+//! whose splits cost time proportional to the touched members of a cell
+//! — selected per [`Refiner`] by a [`KernelKind`]. Every kernel produces
+//! the same partitions and the same traces; the choice moves wall time
+//! only.
 
 #![warn(missing_docs)]
 
@@ -29,9 +30,7 @@ use dvicl_obs::{self as obs, Counter};
 mod kernel;
 mod partition;
 
-pub use kernel::{
-    BitsetKernel, GeneralKernel, KernelKind, RefineKernel, AUTO_DENSE_MAX, POPCOUNT_MAX_N,
-};
+pub use kernel::{BitsetKernel, GeneralKernel, KernelKind, RefineKernel, POPCOUNT_MAX_N};
 pub use partition::Partition;
 
 /// The output of a refinement: the equitable coloring and the
@@ -64,11 +63,11 @@ pub struct RefineResult {
 /// to the free functions — reset state equals fresh state.
 ///
 /// The `Refiner` is also the *kernel dispatch point*: every entry
-/// resolves its [`KernelKind`] against the graph's size and routes the
-/// run through the sorting-based [`GeneralKernel`] or the dense
-/// [`BitsetKernel`]. Both kernels produce identical colorings, traces
-/// and singleton orders (pinned by the parity suites), so the selection
-/// is free to vary per call without disturbing downstream certificates.
+/// resolves its [`KernelKind`] and routes the run through the
+/// sorting-based [`GeneralKernel`] or the dense [`BitsetKernel`]. Both
+/// kernels produce identical colorings, traces and singleton orders
+/// (pinned by the parity suites), so the selection is free to vary per
+/// call without disturbing downstream certificates.
 #[derive(Default)]
 pub struct Refiner {
     p: Partition,
@@ -104,16 +103,15 @@ impl Refiner {
         self.kernel = kernel;
     }
 
-    /// Resolves the kernel for an `n`-vertex graph and bumps the
-    /// dense-dispatch counter. Field-splitting helper: borrows only the
-    /// kernel state, leaving `self.p` free.
+    /// Resolves the kernel and bumps the dense-dispatch counter.
+    /// Field-splitting helper: borrows only the kernel state, leaving
+    /// `self.p` free.
     fn dispatch<'a>(
         kernel: KernelKind,
         general: &'a mut GeneralKernel,
         bitset: &'a mut BitsetKernel,
-        n: usize,
     ) -> &'a mut dyn RefineKernel {
-        if kernel.is_dense_for(n) {
+        if kernel.is_dense() {
             obs::bump(Counter::RefineKernelDense);
             bitset
         } else {
@@ -133,7 +131,7 @@ impl Refiner {
     pub fn refine(&mut self, g: &Graph, pi: &Coloring) -> RefineResult {
         let _span = dvicl_obs::span("refine.refine");
         let Refiner { p, kernel, general, bitset } = self;
-        let k = Refiner::dispatch(*kernel, general, bitset, g.n());
+        let k = Refiner::dispatch(*kernel, general, bitset);
         p.reset_from_coloring(g.n(), pi);
         let trace = p.refine(g, k);
         RefineResult { trace, ..self.result() }
@@ -143,7 +141,7 @@ impl Refiner {
     pub fn refine_individualized(&mut self, g: &Graph, pi: &Coloring, v: V) -> RefineResult {
         let _span = dvicl_obs::span("refine.individualize");
         let Refiner { p, kernel, general, bitset } = self;
-        let k = Refiner::dispatch(*kernel, general, bitset, g.n());
+        let k = Refiner::dispatch(*kernel, general, bitset);
         p.reset_from_coloring(g.n(), pi);
         let trace = p.individualize_and_refine(g, k, v);
         RefineResult { trace, ..self.result() }
@@ -160,7 +158,7 @@ impl Refiner {
         dvicl_govern::fault::checkpoint("refine.refine")?;
         dvicl_govern::fault::checkpoint("refine.kernel")?;
         let Refiner { p, kernel, general, bitset } = self;
-        let k = Refiner::dispatch(*kernel, general, bitset, g.n());
+        let k = Refiner::dispatch(*kernel, general, bitset);
         p.reset_from_coloring(g.n(), pi);
         let trace = p.try_refine(g, k, budget)?;
         Ok(RefineResult { trace, ..self.result() })
@@ -178,7 +176,7 @@ impl Refiner {
         dvicl_govern::fault::checkpoint("refine.individualize")?;
         dvicl_govern::fault::checkpoint("refine.kernel")?;
         let Refiner { p, kernel, general, bitset } = self;
-        let k = Refiner::dispatch(*kernel, general, bitset, g.n());
+        let k = Refiner::dispatch(*kernel, general, bitset);
         p.reset_from_coloring(g.n(), pi);
         let trace = p.try_individualize_and_refine(g, k, v, budget)?;
         Ok(RefineResult { trace, ..self.result() })

@@ -9,9 +9,12 @@
 //! How a splitter's neighbor counts are computed and how affected cells
 //! are ordered is delegated to a [`RefineKernel`]
 //! (`crates/refine/src/kernel.rs`); the worklist discipline and the
-//! rewrite half of every split ([`Partition::rewrite_split`]) live here,
+//! rewrite half of every split ([`Partition::split_touched`]) live here,
 //! shared by every kernel, so kernels cannot diverge on the parts that
-//! determine traces and certificates.
+//! determine traces and certificates. A split rewrites only the span of
+//! the cell's touched members: the untouched rest stays where it is as
+//! the count-0 fragment, so a splitter costs time proportional to the
+//! members it touches, not to the cells it grazes.
 
 use crate::kernel::RefineKernel;
 use dvicl_govern::{Budget, DviclError};
@@ -283,82 +286,145 @@ impl Partition {
         Ok(trace)
     }
 
-    /// The kernel-shared rewrite half of one cell split: takes the cell
-    /// at start `c` and its `members` as `(splitter-neighbor count,
-    /// vertex)` pairs sorted ascending, and performs the split —
-    /// Hopcroft's largest-fragment worklist exemption, the span/pos/cell
-    /// rewrite, singleton tracking, the per-fragment trace mix and
-    /// fragment enqueueing. Returns the updated trace (unchanged when
-    /// the counts are uniform and nothing splits).
+    /// The kernel-shared rewrite half of one cell split. `touched` lists
+    /// members of the cell at start `c` as `(splitter-neighbor count,
+    /// vertex)` pairs sorted ascending, in one of two forms:
+    ///
+    /// * the whole cell, zero counts included (the general kernel and
+    ///   the bitset kernel's popcount path) — every member is rewritten;
+    /// * only the members with a nonzero count (the bitset kernel's
+    ///   scatter path), while `Partition::cnt` still holds those counts.
+    ///   The untouched rest forms the count-0 fragment, which keeps start
+    ///   `c`: its members keep their `cell_start`, and only the touched
+    ///   tail `[c + untouched, c + len)` is rewritten. Touched members
+    ///   sitting in the head are first swapped with untouched members of
+    ///   the tail, found by `cnt == 0`, so a split costs O(touched), not
+    ///   O(len).
+    ///
+    /// Both forms produce the same fragment stream: Hopcroft's
+    /// largest-fragment worklist exemption, the `(start, len, count)`
+    /// trace mix per fragment, singleton tracking and fragment
+    /// enqueueing, all in ascending-count order. They differ only in
+    /// the vertex order *inside* the count-0 fragment's span, which
+    /// nothing observes (`to_coloring` sorts every cell, and a singleton
+    /// has one order). Returns the updated trace (unchanged when the
+    /// counts are uniform and nothing splits).
     ///
     /// Every [`RefineKernel`] funnels its splits through here, which is
     /// what pins their partitions and traces to each other: a kernel
     /// only chooses *how counts are computed*, never how a split is
     /// realized.
-    // dvicl-lint: allow(budget-reachability) -- O(cell length) rewrite of one cell span; run() meters the worklist that drives it
-    pub(crate) fn rewrite_split(&mut self, c: usize, members: &[(u32, V)], mut trace: u64) -> u64 {
-        let len = members.len();
-        debug_assert_eq!(len, self.cell_len[c] as usize);
-        if members[0].0 == members[len - 1].0 {
+    // dvicl-lint: allow(budget-reachability) -- O(touched) rewrite of one cell span; run() meters the worklist that drives it
+    pub(crate) fn split_touched(&mut self, c: usize, touched: &[(u32, V)], mut trace: u64) -> u64 {
+        let len = self.cell_len[c] as usize;
+        let t = touched.len();
+        debug_assert!(t > 0 && t <= len);
+        let untouched = len - t;
+        debug_assert!(untouched == 0 || touched[0].0 > 0);
+        if untouched == 0 && touched[0].0 == touched[t - 1].0 {
             return trace; // no split
         }
+        let tail = c + untouched;
         // Hopcroft rule: if the split cell is not itself pending as a
         // splitter, the largest fragment can stay off the worklist — the
         // other fragments subsume its splitting power. (If it IS pending,
         // every fragment must be queued to preserve its pending role.)
-        let cell_was_queued = self.in_queue[c];
         let mut largest_start = u32::MAX;
-        if !cell_was_queued {
+        if !self.in_queue[c] {
             let mut largest_len = 0u32;
+            if untouched > 0 {
+                // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
+                (largest_len, largest_start) = (untouched as u32, c as u32);
+            }
             let mut i = 0usize;
-            while i < len {
-                let count = members[i].0;
-                let mut j = i;
-                while j < len && members[j].0 == count {
-                    j += 1;
-                }
+            while i < t {
+                let j = fragment_end(touched, i);
                 // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
                 if (j - i) as u32 > largest_len {
                     // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
                     largest_len = (j - i) as u32;
                     // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
-                    largest_start = (c + i) as u32;
+                    largest_start = (tail + i) as u32;
                 }
                 i = j;
             }
         }
-        // Rewrite the span and fix up bookkeeping per fragment.
-        let mut i = 0usize;
-        while i < len {
-            let count = members[i].0;
-            let mut j = i;
-            while j < len && members[j].0 == count {
-                j += 1;
+        if untouched > 0 {
+            // Move untouched members out of the tail into the head slots
+            // that touched members vacate; the tail rewrite below then
+            // overwrites every tail slot.
+            let mut j = tail;
+            for &(_, v) in touched {
+                let pv = self.pos[v as usize] as usize;
+                if pv < tail {
+                    while self.cnt[self.lab[j] as usize] != 0 {
+                        j += 1;
+                    }
+                    let u = self.lab[j];
+                    self.lab[pv] = u;
+                    // dvicl-lint: allow(narrowing-cast) -- pv < n <= V::MAX
+                    self.pos[u as usize] = pv as u32;
+                    j += 1;
+                }
             }
             // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
-            let frag_start = (c + i) as u32;
+            trace = self.finish_fragment(c as u32, untouched as u32, 0, largest_start, trace);
+        }
+        // Rewrite the tail and fix up bookkeeping per fragment.
+        let mut i = 0usize;
+        while i < t {
+            let count = touched[i].0;
+            let j = fragment_end(touched, i);
             // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
-            let frag_len = (j - i) as u32;
-            for (k, &(_, v)) in members[i..j].iter().enumerate() {
-                let p = c + i + k;
+            let frag_start = (tail + i) as u32;
+            for (k, &(_, v)) in touched[i..j].iter().enumerate() {
+                let p = tail + i + k;
                 self.lab[p] = v;
                 // dvicl-lint: allow(narrowing-cast) -- p < n <= V::MAX
                 self.pos[v as usize] = p as u32;
                 self.cell_start[v as usize] = frag_start;
             }
-            self.cell_len[frag_start as usize] = frag_len;
-            if frag_len == 1 {
-                self.new_singletons.push(self.lab[frag_start as usize]);
-            }
-            trace = mix(
-                trace,
-                ((frag_start as u64) << 40) ^ ((frag_len as u64) << 20) ^ count as u64,
-            );
-            if frag_start != largest_start {
-                self.enqueue(frag_start);
-            }
+            // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
+            trace = self.finish_fragment(frag_start, (j - i) as u32, count, largest_start, trace);
             i = j;
         }
         trace
     }
+
+    /// Per-fragment bookkeeping of [`Partition::split_touched`], once the
+    /// fragment's members sit in `[start, start + len)`: records its
+    /// length, tracks a new singleton, mixes `(start, len, count)` into
+    /// the trace and enqueues it unless it is the Hopcroft-exempt
+    /// largest fragment.
+    fn finish_fragment(
+        &mut self,
+        start: u32,
+        len: u32,
+        count: u32,
+        largest_start: u32,
+        trace: u64,
+    ) -> u64 {
+        self.cell_len[start as usize] = len;
+        if len == 1 {
+            self.new_singletons.push(self.lab[start as usize]);
+        }
+        if start != largest_start {
+            self.enqueue(start);
+        }
+        mix(
+            trace,
+            ((start as u64) << 40) ^ ((len as u64) << 20) ^ count as u64,
+        )
+    }
+}
+
+/// End (exclusive) of the equal-count run of `members` starting at `i`.
+// dvicl-lint: allow(budget-reachability) -- O(fragment length) scan inside one split; run() meters the worklist that drives it
+fn fragment_end(members: &[(u32, V)], i: usize) -> usize {
+    let count = members[i].0;
+    let mut j = i;
+    while j < members.len() && members[j].0 == count {
+        j += 1;
+    }
+    j
 }

@@ -10,7 +10,10 @@
 //! thresholds: small dense graphs exercise the popcount counting path,
 //! graphs with few colors and ≥32-vertex cells exercise the radix
 //! (counting-sort) split, and sparse scatterings exercise the
-//! adjacency-list path with the touched-aggregate uniformity test.
+//! adjacency-list path with the touched-aggregate uniformity test and
+//! touched-only splits — large sparse cells in particular, where most
+//! splits leave a big untouched count-0 fragment in place and swap
+//! touched members out of its head.
 
 use dvicl_graph::{Coloring, Graph, V};
 use dvicl_refine::{KernelKind, Refiner};
@@ -49,6 +52,22 @@ fn arb_big_cell_graph() -> impl Strategy<Value = (Graph, Coloring)> {
     (64usize..140).prop_flat_map(|n| {
         (
             proptest::collection::vec((0..n as u32, 0..n as u32), n..4 * n),
+            proptest::collection::vec(0u32..2, n),
+        )
+            .prop_map(move |(edges, labels)| {
+                (Graph::from_edges(n, &edges), Coloring::from_labels(&labels))
+            })
+    })
+}
+
+/// Large sparse graphs (m ≈ n, 1–2 colors): big cells that each
+/// splitter grazes, so touched-only splits run with touched members on
+/// both sides of the untouched/touched boundary, and later splits see
+/// the non-ascending spans earlier ones left behind.
+fn arb_large_sparse_graph() -> impl Strategy<Value = (Graph, Coloring)> {
+    (200usize..2000).prop_flat_map(|n| {
+        (
+            proptest::collection::vec((0..n as u32, 0..n as u32), n - n / 8..n + n / 8),
             proptest::collection::vec(0u32..2, n),
         )
             .prop_map(move |(edges, labels)| {
@@ -116,13 +135,22 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Parity through touched-only splits of large sparse cells.
+    #[test]
+    fn kernels_agree_on_large_sparse_graphs((g, pi) in arb_large_sparse_graph()) {
+        assert_parity(&g, &pi)?;
+    }
+}
+
 /// Auto dispatch is an implementation detail of *where* the work runs,
 /// never of the result: whatever `Auto` picks must match both pins.
 #[test]
 fn auto_matches_both_pins_on_threshold_sizes() {
-    // One graph under the dense ceiling and the named families the
-    // engine actually refines; a mismatch here means the dispatcher
-    // changed semantics, not just speed.
+    // The named families the engine actually refines; a mismatch here
+    // means the dispatcher changed semantics, not just speed.
     for g in [
         dvicl_graph::named::petersen(),
         dvicl_graph::named::hypercube(5),

@@ -9,7 +9,7 @@
 //! in `dvicl-refine`): the kernel choice may only change wall-clock
 //! time and kernel counters, never a byte of output, because both
 //! kernels feed the same fragment stream into the shared
-//! `Partition::rewrite_split`. Crossing kernels with thread widths pins
+//! `Partition::split_touched`. Crossing kernels with thread widths pins
 //! the per-worker kernel state: each pool worker owns a private
 //! `Refiner` beside its arena and memo shard, and work stealing must
 //! not perturb what any kernel computes.
@@ -80,9 +80,9 @@ fn kernels_and_thread_widths_are_byte_identical() {
 
 #[test]
 fn auto_dispatch_matches_pinned_kernels() {
-    // `--kernel auto` (the default) routes small graphs to the bitset
-    // kernel and large ones to the general kernel; whichever side of
-    // the threshold a graph lands on, the output is the pinned output.
+    // `--kernel auto` (the default) routes every graph to the bitset
+    // kernel, whose touched-only splits must still reproduce the
+    // general kernel's output on every graph size in the corpus.
     let mut auto = session(KernelKind::Auto, 1);
     let mut general = session(KernelKind::General, 1);
     for (name, g) in corpus() {
