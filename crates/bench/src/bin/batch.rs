@@ -97,7 +97,7 @@ fn corpus() -> Vec<Graph> {
 }
 
 fn main() {
-    suite::init_obs();
+    let opts = suite::init_obs();
     let mut rec = Recorder::new("batch");
     let graphs = corpus();
     let n = graphs.len();
@@ -119,11 +119,11 @@ fn main() {
     // Phase 1 — ingest the corpus: one canonicalization per graph, one
     // session for all of them.
     let mut index = FingerprintIndex::new();
-    let mut session = suite::dvicl_session(&Config::traces_like());
+    let mut session = suite::dvicl_session(&opts, &Config::traces_like());
     let (build_run, _) = suite::measure(|| {
         for g in &graphs {
             let (fp, form) = session.fingerprinted_form(g);
-            if let Err(e) = index.insert(fp, form, suite::paranoid()) {
+            if let Err(e) = index.insert(fp, form, opts.paranoid) {
                 eprintln!("error: {e}");
                 std::process::exit(4);
             }
@@ -144,7 +144,7 @@ fn main() {
 
     // Phase 2 — the amortized path: one canonicalization + one probe
     // per query, arena pools and CombineCL memo warm across all M.
-    let mut query_session = suite::dvicl_session(&Config::traces_like());
+    let mut query_session = suite::dvicl_session(&opts, &Config::traces_like());
     let mut hits = 0usize;
     // Per-query class sizes, for the exact cross-check against the
     // pairwise baseline below (a few corpus circulants are isomorphic

@@ -10,15 +10,8 @@
 //! (asserted byte-identical here, witness-checked under `--paranoid`
 //! with the *same* check count as the sequential build), different wall
 //! clock. The `speedup` column then compares the two.
-//!
-//! Every graph is additionally built once per refinement kernel: the
-//! sequential pass pins `--kernel general` (its record is `dvicl`) and a
-//! third session pins `--kernel bitset` (`dvicl-bitset`). The kernels
-//! must agree byte-for-byte — asserted here per graph — and the
-//! `kernel` column reports the general/bitset wall-clock ratio.
 
 use dvicl_bench::suite::{self, print_header, print_row, Recorder};
-use dvicl_canon::KernelKind;
 use dvicl_core::{aut, DviclOptions, Session};
 use dvicl_obs::Counter;
 
@@ -26,76 +19,40 @@ use dvicl_obs::Counter;
 static ALLOC: dvicl_bench::alloc::Meter = dvicl_bench::alloc::Meter;
 
 fn main() {
-    suite::init_obs();
+    let opts = suite::init_obs();
     let mut rec = Recorder::new("table1");
-    // The kernel comparison pins its kernels explicitly (any ambient
-    // --kernel flag still steers the other table binaries): the
-    // sequential `dvicl` record is the general kernel, `dvicl-bitset`
-    // the dense one, so the two rows stay a controlled A/B pair.
-    let mut general_cfg = suite::configured(dvicl_canon::Config::bliss_like());
-    general_cfg.kernel = KernelKind::General;
-    let mut bitset_cfg = general_cfg.clone();
-    bitset_cfg.kernel = KernelKind::Bitset;
+    let leaf_config = suite::configured(&opts, dvicl_canon::Config::bliss_like());
     // One session per mode for the whole suite: arena pools and the
     // CombineCL memo are reused across every graph below.
     let mut session = Session::new(DviclOptions {
-        leaf_config: general_cfg.clone(),
+        leaf_config: leaf_config.clone(),
         ..DviclOptions::default()
     });
-    let mut bit_session = Session::new(DviclOptions {
-        leaf_config: bitset_cfg,
-        ..DviclOptions::default()
-    });
-    let threads = suite::threads();
     // A suite-long session for the parallel pass, so both modes
     // amortize their working memory the same way.
-    let mut par_session = (threads != 1).then(|| {
+    let mut par_session = (opts.threads != 1).then(|| {
         Session::new(DviclOptions {
-            leaf_config: general_cfg,
-            threads,
+            leaf_config,
+            threads: opts.threads,
             ..DviclOptions::default()
         })
     });
-    let par_algo = format!("dvicl-t{threads}");
-    let widths = [16, 9, 10, 7, 7, 9, 10, 9, 9];
+    let par_algo = format!("dvicl-t{}", opts.threads);
+    let widths = [16, 9, 10, 7, 7, 9, 10, 9];
     println!("Table 1: summarization of real-graph analogs");
-    let mut header = vec![
-        "Graph", "|V|", "|E|", "dmax", "davg", "cells", "singleton", "kernel",
-    ];
+    let mut header = vec!["Graph", "|V|", "|E|", "dmax", "davg", "cells", "singleton"];
     if par_session.is_some() {
         header.push("speedup");
     }
     print_header(&header, &widths);
     for d in dvicl_data::social_suite() {
         let g = (d.build)();
-        let (run, tree) = suite::build_tree(&mut session, &g);
+        let (run, tree) = suite::build_tree(&opts, &mut session, &g);
         rec.record(d.name, "dvicl", &run);
-        let (bit_run, bit_tree) = suite::build_tree(&mut bit_session, &g);
-        rec.record(d.name, "dvicl-bitset", &bit_run);
-        // The kernel parity contract (DESIGN.md §15): kernel choice is a
-        // wall-clock optimization only — same tree, byte for byte.
-        match (&tree, &bit_tree) {
-            (Some(gen), Some(bit)) => assert_eq!(
-                gen.canonical_form(),
-                bit.canonical_form(),
-                "{}: bitset-kernel certificate differs from general",
-                d.name
-            ),
-            _ => assert_eq!(
-                tree.is_some(),
-                bit_tree.is_some(),
-                "{}: one kernel finished and the other did not",
-                d.name
-            ),
-        }
-        let kernel_col = match (run.secs, bit_run.secs) {
-            (Some(s), Some(b)) if b > 0.0 => format!("{:.2}x", s / b),
-            _ => "-".to_string(),
-        };
         let speedup = match &mut par_session {
             None => None,
             Some(ps) => {
-                let (par_run, par_tree) = suite::build_tree(ps, &g);
+                let (par_run, par_tree) = suite::build_tree(&opts, ps, &g);
                 rec.record(d.name, &par_algo, &par_run);
                 // The deterministic-merge contract (DESIGN.md §14): the
                 // parallel build is a wall-clock optimization only.
@@ -107,7 +64,7 @@ fn main() {
                             "{}: parallel certificate differs from sequential",
                             d.name
                         );
-                        if suite::paranoid() {
+                        if opts.paranoid {
                             assert_eq!(
                                 run.counters.get(Counter::VerifyChecks),
                                 par_run.counters.get(Counter::VerifyChecks),
@@ -149,7 +106,6 @@ fn main() {
             format!("{:.2}", g.avg_degree()),
             cells,
             singletons,
-            kernel_col,
         ];
         if let Some(s) = speedup {
             cols.push(s);

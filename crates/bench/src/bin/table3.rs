@@ -13,7 +13,7 @@ use dvicl_core::{DviclOptions, Session};
 static ALLOC: dvicl_bench::alloc::Meter = dvicl_bench::alloc::Meter;
 
 fn main() {
-    suite::init_obs();
+    let opts = suite::init_obs();
     let mut rec = Recorder::new("table3");
     // One session for the whole suite: arena pools and the
     // CombineCL memo are reused across every graph below.
@@ -26,7 +26,7 @@ fn main() {
     );
     for d in dvicl_data::social_suite() {
         let g = (d.build)();
-        let (run, tree) = suite::build_tree(&mut session, &g);
+        let (run, tree) = suite::build_tree(&opts, &mut session, &g);
         rec.record(d.name, "dvicl", &run);
         let cols = match tree {
             Some(tree) => {

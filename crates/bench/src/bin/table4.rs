@@ -11,12 +11,12 @@ use dvicl_canon::Config;
 static ALLOC: dvicl_bench::alloc::Meter = dvicl_bench::alloc::Meter;
 
 fn main() {
-    suite::init_obs();
+    let opts = suite::init_obs();
     let mut rec = Recorder::new("table4");
     // The traces-like engine is the robust one on the regular
     // benchmark families (cf. Table 8); one session reuses its
     // arena pools and CombineCL memo across the whole suite.
-    let mut session = suite::dvicl_session(&Config::traces_like());
+    let mut session = suite::dvicl_session(&opts, &Config::traces_like());
     let widths = [16, 10, 11, 14, 9, 6];
     println!("Table 4: AutoTree structure on benchmark graphs");
     print_header(
@@ -25,7 +25,7 @@ fn main() {
     );
     for d in dvicl_data::benchmark_suite() {
         let g = (d.build)();
-        let (run, tree) = suite::build_tree(&mut session, &g);
+        let (run, tree) = suite::build_tree(&opts, &mut session, &g);
         rec.record(d.name, "dvicl+traces", &run);
         let cols = match tree {
             Some(tree) => {

@@ -14,12 +14,12 @@ use dvicl_bench::suite::{self, engines, print_header, print_row, run_baseline, R
 static ALLOC: dvicl_bench::alloc::Meter = dvicl_bench::alloc::Meter;
 
 fn main() {
-    suite::init_obs();
+    let opts = suite::init_obs();
     let mut rec = Recorder::new("table5");
     // One DviCL+X session per engine, reused across the suite.
     let mut sessions: Vec<_> = engines()
         .into_iter()
-        .map(|(name, config)| (name, suite::dvicl_session(&config), config))
+        .map(|(name, config)| (name, suite::dvicl_session(&opts, &config), config))
         .collect();
     let widths = [16, 8, 9, 9, 10, 8, 9, 9, 10, 8, 9, 9, 10];
     println!(
@@ -37,11 +37,11 @@ fn main() {
         let g = (d.build)();
         let mut cols = vec![d.name.to_string()];
         for (name, session, config) in &mut sessions {
-            let base = run_baseline(&g, config);
+            let base = run_baseline(&opts, &g, config);
             rec.record(d.name, name, &base);
             cols.push(base.fmt_time());
             cols.push(base.fmt_mem());
-            let (dv, _) = suite::build_tree(session, &g);
+            let (dv, _) = suite::build_tree(&opts, session, &g);
             rec.record(d.name, &format!("dvicl+{name}"), &dv);
             cols.push(dv.fmt_time());
             cols.push(dv.fmt_mem());

@@ -17,7 +17,7 @@ use dvicl_govern::Budget;
 static ALLOC: dvicl_bench::alloc::Meter = dvicl_bench::alloc::Meter;
 
 fn main() {
-    suite::init_obs();
+    let opts = suite::init_obs();
     let mut rec = Recorder::new("table6");
     // One session for the whole suite: arena pools and the
     // CombineCL memo are reused across every graph below.
@@ -38,7 +38,7 @@ fn main() {
     };
     for d in dvicl_data::social_suite() {
         let g = (d.build)();
-        let (build_run, tree) = suite::build_tree(&mut session, &g);
+        let (build_run, tree) = suite::build_tree(&opts, &mut session, &g);
         rec.record(d.name, "dvicl", &build_run);
         let Some(tree) = tree else {
             print_row(

@@ -20,7 +20,7 @@ const CLIQUE_LIMIT: usize = 20_000;
 const TRIANGLE_LIMIT: usize = 200_000;
 
 fn main() {
-    suite::init_obs();
+    let opts = suite::init_obs();
     let mut rec = Recorder::new("table7");
     // One session for the whole suite: arena pools and the
     // CombineCL memo are reused across every graph below.
@@ -33,7 +33,7 @@ fn main() {
     );
     for d in dvicl_data::social_suite() {
         let g = (d.build)();
-        let (build_run, tree) = suite::build_tree(&mut session, &g);
+        let (build_run, tree) = suite::build_tree(&opts, &mut session, &g);
         rec.record(d.name, "dvicl", &build_run);
         let Some(tree) = tree else {
             let mut cols = vec![d.name.to_string()];

@@ -14,73 +14,46 @@
 //! byte-identical to one-shot builds — reuse changes where the working
 //! memory comes from, never the result.
 
-use dvicl_canon::{try_canonical_form, Config, KernelKind, TargetCell};
+use dvicl_canon::{try_canonical_form, Config, TargetCell};
 use dvicl_core::{AutoTree, DviclOptions, Session};
 use dvicl_govern::Budget;
 use dvicl_graph::{Coloring, Graph};
 use dvicl_obs::{self as obs, JsonArr, JsonObj, Snapshot, Value};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// Whether `--paranoid` / `DVICL_PARANOID` is in force: every AutoTree a
-/// table binary builds is re-checked against its witness before its row
-/// is recorded (DESIGN.md §11).
-static PARANOID: AtomicBool = AtomicBool::new(false);
-
-/// True when witness checking was requested for this benchmark process.
-pub fn paranoid() -> bool {
-    PARANOID.load(Ordering::Relaxed)
+/// The flags shared by every table binary, parsed once by [`init_obs`]
+/// and passed to every helper that needs them.
+#[derive(Clone, Copy, Debug)]
+pub struct RunOptions {
+    /// `--paranoid`: every AutoTree a table binary builds is re-checked
+    /// against its witness before its row is recorded (DESIGN.md §11).
+    pub paranoid: bool,
+    /// `--threads <N>`: the width of every DviCL build (default 1; `0` =
+    /// all cores). Baseline engines ignore it — only AutoTree
+    /// construction parallelizes — and the certificates are
+    /// byte-identical at any width, so the columns stay comparable
+    /// across widths.
+    pub threads: usize,
+    /// `--target-cell <T>`: a selector that replaces every engine's own
+    /// (nauty-like first, traces-like largest, ...) when set.
+    pub target_cell: Option<TargetCell>,
 }
 
-/// The `--threads` / `DVICL_THREADS` selection for every DviCL build in
-/// this benchmark process (default 1; `0` = all cores). Baseline engines
-/// ignore it — only AutoTree construction parallelizes — and the
-/// certificates are byte-identical at any width, so the columns stay
-/// comparable across widths.
-static THREADS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
-
-/// The build width requested for this benchmark process.
-pub fn threads() -> usize {
-    THREADS.load(Ordering::Relaxed)
-}
-
-/// The `--kernel` / `DVICL_KERNEL` selection (default `auto`), stored as
-/// the `KernelKind` discriminant. Both kernels produce byte-identical
-/// certificates, so this only moves the wall-clock and kernel counters.
-static KERNEL: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// The refinement kernel requested for this benchmark process.
-pub fn kernel() -> KernelKind {
-    match KERNEL.load(Ordering::Relaxed) {
-        1 => KernelKind::General,
-        2 => KernelKind::Bitset,
-        _ => KernelKind::Auto,
+impl Default for RunOptions {
+    fn default() -> Self {
+        RunOptions {
+            paranoid: false,
+            threads: 1,
+            target_cell: None,
+        }
     }
 }
 
-/// The `--target-cell` / `DVICL_TARGET_CELL` override; `usize::MAX`
-/// means "not set" so every engine keeps its own selector (nauty-like
-/// first, traces-like largest, ...).
-static TARGET_CELL: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(usize::MAX);
-
-/// The target-cell selector override, if one was requested.
-pub fn target_cell() -> Option<TargetCell> {
-    match TARGET_CELL.load(Ordering::Relaxed) {
-        0 => Some(TargetCell::FirstNonSingleton),
-        1 => Some(TargetCell::SmallestFirst),
-        2 => Some(TargetCell::LargestFirst),
-        3 => Some(TargetCell::MostConstrained),
-        _ => None,
-    }
-}
-
-/// Applies the process-wide `--kernel` / `--target-cell` overrides to an
-/// engine configuration. Every baseline run and DviCL session in a table
-/// binary goes through here, so one flag steers the whole table.
-pub fn configured(mut config: Config) -> Config {
-    config.kernel = kernel();
-    if let Some(tc) = target_cell() {
+/// Applies the `--target-cell` override to an engine configuration.
+/// Every baseline run and DviCL session in a table binary goes through
+/// here, so one flag steers the whole table.
+pub fn configured(opts: &RunOptions, mut config: Config) -> Config {
+    if let Some(tc) = opts.target_cell {
         config.target_cell = tc;
     }
     config
@@ -109,65 +82,26 @@ pub fn budget() -> Duration {
 }
 
 /// Parses the flags shared by every table binary (`--stats`,
-/// `--paranoid`, `--threads <N>`, `--kernel <K>`, `--target-cell <T>`,
-/// `--trace-json <path>`) and installs the matching sink.
-/// `DVICL_PARANOID` / `DVICL_THREADS` / `DVICL_KERNEL` /
-/// `DVICL_TARGET_CELL` are the environment equivalents (a flag wins over
-/// its variable). Call first in `main`; [`Recorder::write`] flushes the
+/// `--paranoid`, `--threads <N>`, `--target-cell <T>`,
+/// `--trace-json <path>`), installs the matching sink and returns the
+/// run options. Call first in `main`; [`Recorder::write`] flushes the
 /// sink at the end via `dvicl_obs::finish`.
-pub fn init_obs() {
+pub fn init_obs() -> RunOptions {
     let args: Vec<String> = std::env::args().collect();
     let mut stats = false;
     let mut trace: Option<String> = None;
-    if std::env::var("DVICL_PARANOID").map(|v| !v.is_empty() && v != "0") == Ok(true) {
-        PARANOID.store(true, Ordering::Relaxed);
-    }
-    if let Ok(v) = std::env::var("DVICL_THREADS") {
-        match v.parse::<usize>() {
-            Ok(n) => THREADS.store(n, Ordering::Relaxed),
-            Err(_) => {
-                eprintln!("DVICL_THREADS: not a count: {v:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Ok(v) = std::env::var("DVICL_KERNEL") {
-        match KernelKind::parse(&v) {
-            Some(k) => KERNEL.store(k as usize, Ordering::Relaxed),
-            None => {
-                eprintln!("DVICL_KERNEL: unknown kernel: {v:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Ok(v) = std::env::var("DVICL_TARGET_CELL") {
-        match TargetCell::parse(&v) {
-            Some(t) => TARGET_CELL.store(t as usize, Ordering::Relaxed),
-            None => {
-                eprintln!("DVICL_TARGET_CELL: unknown selector: {v:?}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let mut opts = RunOptions::default();
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--stats" => stats = true,
-            "--paranoid" => PARANOID.store(true, Ordering::Relaxed),
+            "--paranoid" => opts.paranoid = true,
             "--threads" => {
                 let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
                     eprintln!("--threads requires a count (0 = all cores)");
                     std::process::exit(2);
                 };
-                THREADS.store(n, Ordering::Relaxed);
-                i += 1;
-            }
-            "--kernel" => {
-                let Some(k) = args.get(i + 1).and_then(|v| KernelKind::parse(v)) else {
-                    eprintln!("--kernel requires auto|general|bitset");
-                    std::process::exit(2);
-                };
-                KERNEL.store(k as usize, Ordering::Relaxed);
+                opts.threads = n;
                 i += 1;
             }
             "--target-cell" => {
@@ -175,7 +109,7 @@ pub fn init_obs() {
                     eprintln!("--target-cell requires first|smallest|largest|most-constrained");
                     std::process::exit(2);
                 };
-                TARGET_CELL.store(t as usize, Ordering::Relaxed);
+                opts.target_cell = Some(t);
                 i += 1;
             }
             "--trace-json" => {
@@ -189,7 +123,7 @@ pub fn init_obs() {
             other => {
                 eprintln!(
                     "unknown flag {other} (expected --stats, --paranoid, --threads <N>, \
-                     --kernel <K>, --target-cell <T> or --trace-json <path>)"
+                     --target-cell <T> or --trace-json <path>)"
                 );
                 std::process::exit(2);
             }
@@ -212,6 +146,7 @@ pub fn init_obs() {
     if stats || trace.is_some() {
         obs::set_timing(true);
     }
+    opts
 }
 
 /// Outcome of one measured run.
@@ -267,9 +202,9 @@ pub fn measure<T>(f: impl FnOnce() -> Option<T>) -> (Run, Option<T>) {
 }
 
 /// Runs a baseline engine `X` alone on `(g, unit)` under the budget,
-/// with the process-wide kernel/selector overrides applied.
-pub fn run_baseline(g: &Graph, config: &Config) -> Run {
-    let config = configured(config.clone());
+/// with the `--target-cell` override applied.
+pub fn run_baseline(opts: &RunOptions, g: &Graph, config: &Config) -> Run {
+    let config = configured(opts, config.clone());
     let limits = Budget::with_deadline(budget());
     measure(|| try_canonical_form(g, &Coloring::unit(g.n()), &config, &limits).ok()).0
 }
@@ -277,10 +212,10 @@ pub fn run_baseline(g: &Graph, config: &Config) -> Run {
 /// A session for `DviCL+X` runs: AutoTree construction with `X` as the
 /// leaf labeler. Hold it across a whole suite so arena pools and the
 /// `CombineCL` memo amortize over every graph.
-pub fn dvicl_session(config: &Config) -> Session {
+pub fn dvicl_session(opts: &RunOptions, config: &Config) -> Session {
     Session::new(DviclOptions {
-        leaf_config: configured(config.clone()),
-        threads: threads(),
+        leaf_config: configured(opts, config.clone()),
+        threads: opts.threads,
         ..DviclOptions::default()
     })
 }
@@ -288,8 +223,9 @@ pub fn dvicl_session(config: &Config) -> Session {
 /// Budgeted AutoTree construction. Every table binary builds its trees
 /// through here so that `DVICL_BUDGET_SECS` is honored uniformly through
 /// `govern::Budget` — a graph the budget cannot cover yields `None` and
-/// `-` table cells instead of an unbounded build.
-pub fn build_tree(session: &mut Session, g: &Graph) -> (Run, Option<AutoTree>) {
+/// `-` table cells instead of an unbounded build. Under `--paranoid`
+/// the tree is witness-checked, and a failure ends the process.
+pub fn build_tree(opts: &RunOptions, session: &mut Session, g: &Graph) -> (Run, Option<AutoTree>) {
     let limits = Budget::with_deadline(budget());
     // Open-coded `measure` so that under `--paranoid` the witness checks
     // land inside the wall clock (overhead is the number being measured)
@@ -301,7 +237,7 @@ pub fn build_tree(session: &mut Session, g: &Graph) -> (Run, Option<AutoTree>) {
     let t0 = Instant::now();
     let tree = session.try_build(g, &Coloring::unit(g.n()), &limits).ok();
     let peak_bytes = crate::alloc::peak_bytes().saturating_sub(before_bytes);
-    if let (Some(t), true) = (&tree, paranoid()) {
+    if let (Some(t), true) = (&tree, opts.paranoid) {
         if let Err(e) = dvicl_core::verify::verify_tree(g, t) {
             eprintln!("error: {e}");
             std::process::exit(i32::from(e.exit_code()));
@@ -446,11 +382,12 @@ mod tests {
     fn baseline_and_dvicl_agree_on_a_small_graph() {
         let _serial = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let g = dvicl_graph::named::fig1_example();
+        let opts = RunOptions::default();
         for (_, config) in engines() {
-            let base = run_baseline(&g, &config);
+            let base = run_baseline(&opts, &g, &config);
             assert!(base.secs.is_some(), "tiny graph must finish");
-            let mut session = dvicl_session(&config);
-            let (run, tree) = build_tree(&mut session, &g);
+            let mut session = dvicl_session(&opts, &config);
+            let (run, tree) = build_tree(&opts, &mut session, &g);
             assert!(run.secs.is_some());
             assert_eq!(tree.expect("built").stats().total_nodes, 7);
         }
@@ -461,7 +398,8 @@ mod tests {
         let _serial = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // The whole point of threading a Session through the tables:
         // later builds reuse arenas/memo yet certify identically.
-        let mut session = dvicl_session(&Config::traces_like());
+        let opts = RunOptions::default();
+        let mut session = dvicl_session(&opts, &Config::traces_like());
         let graphs = [
             dvicl_graph::named::petersen(),
             dvicl_graph::named::fig1_example(),
@@ -469,7 +407,7 @@ mod tests {
         ];
         let mut forms = Vec::new();
         for g in &graphs {
-            let (_, tree) = build_tree(&mut session, g);
+            let (_, tree) = build_tree(&opts, &mut session, g);
             forms.push(tree.expect("built").canonical_form().to_form());
         }
         assert_eq!(forms[0], forms[2]);
@@ -481,9 +419,9 @@ mod tests {
     fn counter_deltas_are_deterministic() {
         let _serial = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let g = dvicl_graph::named::petersen();
-        let config = Config::bliss_like();
-        let r1 = run_baseline(&g, &config);
-        let r2 = run_baseline(&g, &config);
+        let (opts, config) = (RunOptions::default(), Config::bliss_like());
+        let r1 = run_baseline(&opts, &g, &config);
+        let r2 = run_baseline(&opts, &g, &config);
         assert_eq!(r1.counters, r2.counters, "reruns must agree exactly");
         #[cfg(not(feature = "obs-off"))]
         assert!(r1.counters.get(dvicl_obs::Counter::SearchNodes) > 0);

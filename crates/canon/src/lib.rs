@@ -26,7 +26,6 @@ mod search;
 pub mod tree;
 
 pub use dvicl_govern::{Budget, CancelToken, DviclError};
-pub use dvicl_refine::KernelKind;
 pub use search::{
     automorphism_group, canonical_form, try_canonical_form, try_canonical_form_with, CanonResult,
     Config, GroupResult, SearchStats, TargetCell,

@@ -5,7 +5,7 @@ use dvicl_govern::{Budget, DviclError};
 use dvicl_obs::{self as obs, Counter};
 use dvicl_graph::{CanonForm, Coloring, Graph, Perm, V};
 use dvicl_group::Orbits;
-use dvicl_refine::{KernelKind, Refiner};
+use dvicl_refine::Refiner;
 use std::cmp::Ordering;
 
 /// Target cell selector `T` (Section 4): which non-singleton cell of the
@@ -99,13 +99,6 @@ impl TargetCell {
 pub struct Config {
     /// Target cell selector.
     pub target_cell: TargetCell,
-    /// Refinement kernel dispatch (`refine::KernelKind`): which
-    /// [`Refiner`] backend every node refinement of the search uses.
-    /// Part of the config — and hence of `PartialEq` — so state keyed
-    /// to a configuration (the `core::Session` CombineCL memo) is
-    /// invalidated when the kernel changes, even though both kernels
-    /// produce identical certificates.
-    pub kernel: KernelKind,
     /// Use refinement traces as the node invariant `φ` (pruning `P_A`,
     /// `P_B`). Without it only automorphism pruning `P_C` applies.
     pub use_invariant: bool,
@@ -124,7 +117,6 @@ impl Config {
     pub fn bliss_like() -> Self {
         Config {
             target_cell: TargetCell::FirstNonSingleton,
-            kernel: KernelKind::Auto,
             use_invariant: true,
             record_tree: false,
             group_only: false,
@@ -136,7 +128,6 @@ impl Config {
     pub fn nauty_like() -> Self {
         Config {
             target_cell: TargetCell::SmallestFirst,
-            kernel: KernelKind::Auto,
             use_invariant: false,
             record_tree: false,
             group_only: false,
@@ -147,7 +138,6 @@ impl Config {
     pub fn traces_like() -> Self {
         Config {
             target_cell: TargetCell::LargestFirst,
-            kernel: KernelKind::Auto,
             use_invariant: true,
             record_tree: false,
             group_only: false,
@@ -292,15 +282,13 @@ pub fn try_canonical_form(
     config: &Config,
     budget: &Budget,
 ) -> Result<CanonResult, DviclError> {
-    let mut refiner = Refiner::with_kernel(config.kernel);
-    try_canonical_form_with(g, pi, config, budget, &mut refiner)
+    try_canonical_form_with(g, pi, config, budget, &mut Refiner::new())
 }
 
 /// [`try_canonical_form`] reusing a caller-owned [`Refiner`], so a
 /// driver labeling many (sub)graphs — `core::Builder::combine_cl` runs
 /// one per leaf — pays for the refiner's scratch allocations once per
-/// worker instead of once per call. The refiner is retuned to
-/// `config.kernel` on entry; its buffers are reused as-is.
+/// worker instead of once per call.
 pub fn try_canonical_form_with(
     g: &Graph,
     pi: &Coloring,
@@ -308,7 +296,6 @@ pub fn try_canonical_form_with(
     budget: &Budget,
     refiner: &mut Refiner,
 ) -> Result<CanonResult, DviclError> {
-    refiner.set_kernel(config.kernel);
     if g.n() != pi.n() {
         return Err(DviclError::invalid(format!(
             "graph has {} vertices but the coloring covers {}",
@@ -392,7 +379,7 @@ struct Search<'a> {
     stats: SearchStats,
     tree: Option<SearchTree>,
     /// Reused refinement buffers: one refinement per DFS node, zero
-    /// per-node [`dvicl_refine::Partition`] allocations. Borrowed from
+    /// per-node partition allocations. Borrowed from
     /// the caller ([`try_canonical_form_with`]) so the buffers also
     /// survive across searches.
     refiner: &'a mut Refiner,

@@ -25,8 +25,8 @@
 //! after every response so a driving process can speak the protocol
 //! interactively.
 
-use crate::CliError;
-use dvicl_core::{DviclOptions, Session};
+use crate::{CliError, RunOptions};
+use dvicl_core::Session;
 use dvicl_govern::{parse_duration, Budget, DviclError};
 use dvicl_graph::{graph6, io as gio, CanonForm, Fingerprint, Graph};
 use dvicl_index::FingerprintIndex;
@@ -102,27 +102,24 @@ impl ServiceOpts {
 struct Service {
     session: Session,
     index: FingerprintIndex,
+    /// `--paranoid`: witness-check every index insert and load.
+    paranoid: bool,
     requests: u64,
     errors: u64,
 }
 
 impl Service {
-    fn new(opts: &ServiceOpts) -> Result<Service, DviclError> {
+    fn new(opts: &ServiceOpts, run: &RunOptions) -> Result<Service, DviclError> {
         let index = match &opts.index {
-            Some(path) => FingerprintIndex::load(Path::new(path), crate::paranoid())?,
+            Some(path) => FingerprintIndex::load(Path::new(path), run.paranoid)?,
             None => FingerprintIndex::new(),
         };
-        // The same leaf configuration the other subcommands build with
-        // (traces-like plus any --kernel / --target-cell overrides); the
-        // global --threads width applies to every request's build.
-        let session = Session::new(DviclOptions {
-            leaf_config: crate::leaf_config(),
-            threads: crate::threads(),
-            ..DviclOptions::default()
-        });
+        // Every request builds with the same options as the other
+        // subcommands (leaf configuration and --threads width).
         Ok(Service {
-            session,
+            session: Session::new(run.build.clone()),
             index,
+            paranoid: run.paranoid,
             requests: 0,
             errors: 0,
         })
@@ -169,7 +166,7 @@ impl Service {
                 "trailing token {extra:?} after the graph spec"
             ))),
             ("insert", Some(spec), None) => self.key(spec, budget).and_then(|(fp, form)| {
-                let out = self.index.insert(fp, form, crate::paranoid())?;
+                let out = self.index.insert(fp, form, self.paranoid)?;
                 Ok(format!(
                     "insert: class={} members={} {}",
                     out.class,
@@ -232,10 +229,10 @@ fn respond_line(out: &mut impl Write, line: &str) {
 
 /// `dvicl batch [FLAGS] [QUERIES]` — drain a query file (stdin when
 /// absent) and exit.
-pub(crate) fn batch(args: &[String]) -> Result<(), CliError> {
+pub(crate) fn batch(args: &[String], run: &RunOptions) -> Result<(), CliError> {
     let _span = obs::span("cli.batch");
     let opts = ServiceOpts::parse(args, true)?;
-    let mut service = Service::new(&opts)?;
+    let mut service = Service::new(&opts, run)?;
     let text = match opts.input.as_deref() {
         Some("-") | None => {
             let mut buf = String::new();
@@ -263,10 +260,10 @@ pub(crate) fn batch(args: &[String]) -> Result<(), CliError> {
 
 /// `dvicl serve [FLAGS]` — answer stdin line by line, flushing per
 /// response, until `quit` or end of input.
-pub(crate) fn serve(args: &[String]) -> Result<(), CliError> {
+pub(crate) fn serve(args: &[String], run: &RunOptions) -> Result<(), CliError> {
     let _span = obs::span("cli.serve");
     let opts = ServiceOpts::parse(args, false)?;
-    let mut service = Service::new(&opts)?;
+    let mut service = Service::new(&opts, run)?;
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();

@@ -55,67 +55,31 @@ use dvicl_govern::{parse_duration, Budget, DviclError};
 use dvicl_graph::{graph6, io as gio, Coloring, Graph, V};
 use std::io::Read;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Whether `--paranoid` is in force: every result is re-checked against
-/// its witness before being reported. A process-wide flag because it
-/// changes behavior of every subcommand uniformly.
-static PARANOID: AtomicBool = AtomicBool::new(false);
-
-fn paranoid() -> bool {
-    PARANOID.load(Ordering::Relaxed)
+/// The options every subcommand runs with, parsed once from the global
+/// flags and passed down explicitly.
+pub(crate) struct RunOptions {
+    /// The build options: the traces-like leaf IR configuration (the
+    /// robust one on regular graphs) with any `--target-cell` override
+    /// applied, and the `--threads` width (default 1; `0` means all
+    /// available parallelism; certificates are byte-identical at any
+    /// width).
+    pub(crate) build: DviclOptions,
+    /// `--paranoid`: every result is re-checked against its witness
+    /// before being reported.
+    pub(crate) paranoid: bool,
 }
 
-/// The `--threads` selection (default 1; `0` means all available
-/// parallelism). Like [`PARANOID`], a process-wide value: every build in
-/// the process — one-shot subcommands and the batch/serve session alike
-/// — runs at the same width, and the certificates are byte-identical at
-/// any width.
-static THREADS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
-
-fn threads() -> usize {
-    THREADS.load(Ordering::Relaxed)
-}
-
-/// The `--kernel` selection (default `auto`), stored as the
-/// `KernelKind` discriminant. Process-wide like [`THREADS`]: every
-/// refinement in the process dispatches through the same kernel choice,
-/// and certificates are byte-identical under any choice.
-static KERNEL: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-fn kernel() -> dvicl_canon::KernelKind {
-    match KERNEL.load(Ordering::Relaxed) {
-        1 => dvicl_canon::KernelKind::General,
-        2 => dvicl_canon::KernelKind::Bitset,
-        _ => dvicl_canon::KernelKind::Auto,
+impl Default for RunOptions {
+    fn default() -> Self {
+        RunOptions {
+            build: DviclOptions {
+                leaf_config: dvicl_canon::Config::traces_like(),
+                ..DviclOptions::default()
+            },
+            paranoid: false,
+        }
     }
-}
-
-/// The `--target-cell` override; `usize::MAX` means "not set" so each
-/// subcommand keeps its configuration's own selector default.
-static TARGET_CELL: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(usize::MAX);
-
-fn target_cell() -> Option<dvicl_canon::TargetCell> {
-    match TARGET_CELL.load(Ordering::Relaxed) {
-        0 => Some(dvicl_canon::TargetCell::FirstNonSingleton),
-        1 => Some(dvicl_canon::TargetCell::SmallestFirst),
-        2 => Some(dvicl_canon::TargetCell::LargestFirst),
-        3 => Some(dvicl_canon::TargetCell::MostConstrained),
-        _ => None,
-    }
-}
-
-/// The leaf IR configuration every build in the process uses:
-/// traces-like (the robust configuration on regular graphs) with the
-/// `--kernel` and `--target-cell` overrides applied.
-pub(crate) fn leaf_config() -> dvicl_canon::Config {
-    let mut cfg = dvicl_canon::Config::traces_like();
-    cfg.kernel = kernel();
-    if let Some(tc) = target_cell() {
-        cfg.target_cell = tc;
-    }
-    cfg
 }
 
 /// Writes a line to stdout, exiting quietly with status 0 when the
@@ -159,7 +123,7 @@ fn main() -> ExitCode {
         return ExitCode::from(e.exit_code());
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (args, budget, obs_cfg) = match global_flags(args) {
+    let (args, budget, obs_cfg, opts) = match global_flags(args) {
         Ok(split) => split,
         Err(e) => {
             eprintln!("error: {e}");
@@ -170,7 +134,7 @@ fn main() -> ExitCode {
         eprintln!("error: {e}");
         return ExitCode::from(e.exit_code());
     }
-    let code = match run(&args, &budget) {
+    let code = match run(&args, &budget, &opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
@@ -221,7 +185,7 @@ impl ObsConfig {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N] [QUERIES]\n  dvicl serve    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...)\n  --max-nodes <N>      work budget in search/build nodes\n  --threads <N>        worker threads for tree builds (default 1, 0 = all cores)\n  --kernel <K>         refinement kernel: auto|general|bitset (default auto)\n  --target-cell <T>    IR target cell: first|smallest|largest|most-constrained\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  NDJSON events + summary to PATH\n  --paranoid           re-check every result against its witness\n  --fault-plan <SPEC>  deterministic fault injection (see DESIGN.md §11)\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
+    "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N] [QUERIES]\n  dvicl serve    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...)\n  --max-nodes <N>      work budget in search/build nodes\n  --threads <N>        worker threads for tree builds (default 1, 0 = all cores)\n  --target-cell <T>    IR target cell: first|smallest|largest|most-constrained\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  NDJSON events + summary to PATH\n  --paranoid           re-check every result against its witness\n  --fault-plan <SPEC>  deterministic fault injection (see DESIGN.md §11)\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
 }
 
 /// A CLI failure: either a usage mistake (print the help text, exit 2)
@@ -237,14 +201,17 @@ impl From<DviclError> for CliError {
     }
 }
 
-/// Strips `--timeout`/`--max-nodes`/`--stats`/`--trace-json` (valid
-/// anywhere on the line) and builds the run's shared budget and
-/// observability selection from them.
-fn global_flags(args: Vec<String>) -> Result<(Vec<String>, Budget, ObsConfig), DviclError> {
+/// Strips the global flags (valid anywhere on the line) and builds the
+/// run's shared budget, observability selection and run options from
+/// them.
+fn global_flags(
+    args: Vec<String>,
+) -> Result<(Vec<String>, Budget, ObsConfig, RunOptions), DviclError> {
     let mut rest = Vec::with_capacity(args.len());
     let mut timeout = None;
     let mut max_nodes = None;
     let mut obs_cfg = ObsConfig::default();
+    let mut opts = RunOptions::default();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -263,33 +230,23 @@ fn global_flags(args: Vec<String>) -> Result<(Vec<String>, Budget, ObsConfig), D
                 })?);
             }
             "--stats" => obs_cfg.stats = true,
-            "--paranoid" => PARANOID.store(true, Ordering::Relaxed),
+            "--paranoid" => opts.paranoid = true,
             "--threads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| DviclError::invalid("--threads needs a count (0 = all cores)"))?;
-                let n = v.parse::<usize>().map_err(|_| {
-                    DviclError::invalid(format!("--threads: not a count: {v:?}"))
+                let v = it.next().ok_or_else(|| {
+                    DviclError::invalid("--threads needs a count (0 = all cores)")
                 })?;
-                THREADS.store(n, Ordering::Relaxed);
-            }
-            "--kernel" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| DviclError::invalid("--kernel needs auto|general|bitset"))?;
-                let k = dvicl_canon::KernelKind::parse(&v).ok_or_else(|| {
-                    DviclError::invalid(format!("--kernel: unknown kernel: {v:?}"))
-                })?;
-                KERNEL.store(k as usize, Ordering::Relaxed);
+                opts.build.threads = v
+                    .parse::<usize>()
+                    .map_err(|_| DviclError::invalid(format!("--threads: not a count: {v:?}")))?;
             }
             "--target-cell" => {
                 let v = it.next().ok_or_else(|| {
                     DviclError::invalid("--target-cell needs first|smallest|largest|most-constrained")
                 })?;
-                let t = dvicl_canon::TargetCell::parse(&v).ok_or_else(|| {
-                    DviclError::invalid(format!("--target-cell: unknown selector: {v:?}"))
-                })?;
-                TARGET_CELL.store(t as usize, Ordering::Relaxed);
+                opts.build.leaf_config.target_cell = dvicl_canon::TargetCell::parse(&v)
+                    .ok_or_else(|| {
+                        DviclError::invalid(format!("--target-cell: unknown selector: {v:?}"))
+                    })?;
             }
             "--fault-plan" => {
                 let v = it
@@ -306,27 +263,40 @@ fn global_flags(args: Vec<String>) -> Result<(Vec<String>, Budget, ObsConfig), D
             _ => rest.push(a),
         }
     }
-    Ok((rest, Budget::new(timeout, max_nodes), obs_cfg))
+    Ok((rest, Budget::new(timeout, max_nodes), obs_cfg, opts))
 }
 
-fn run(args: &[String], budget: &Budget) -> Result<(), CliError> {
+fn run(args: &[String], budget: &Budget, opts: &RunOptions) -> Result<(), CliError> {
     let cmd = args
         .first()
         .ok_or_else(|| CliError::Usage("missing subcommand".into()))?;
     let mut loader = Loader::default();
     let ld = &mut loader;
     match cmd.as_str() {
-        "canon" => canon(ld, arg(args, 1)?, budget),
-        "aut" => automorphisms(ld, arg(args, 1)?, budget),
-        "iso" => isomorphic(ld, arg(args, 1)?, arg(args, 2)?, budget),
-        "tree" => tree(ld, arg(args, 1)?, args.iter().any(|a| a == "--render"), budget),
-        "ssm" => ssm(ld, arg(args, 1)?, arg(args, 2)?, flag_value(args, "--limit"), budget),
-        "ksym" => ksym_cmd(ld, arg(args, 1)?, arg(args, 2)?, budget),
-        "quotient" => quotient_cmd(ld, arg(args, 1)?, budget),
+        "canon" => canon(ld, arg(args, 1)?, budget, opts),
+        "aut" => automorphisms(ld, arg(args, 1)?, budget, opts),
+        "iso" => isomorphic(ld, arg(args, 1)?, arg(args, 2)?, budget, opts),
+        "tree" => tree(
+            ld,
+            arg(args, 1)?,
+            args.iter().any(|a| a == "--render"),
+            budget,
+            opts,
+        ),
+        "ssm" => ssm(
+            ld,
+            arg(args, 1)?,
+            arg(args, 2)?,
+            flag_value(args, "--limit"),
+            budget,
+            opts,
+        ),
+        "ksym" => ksym_cmd(ld, arg(args, 1)?, arg(args, 2)?, budget, opts),
+        "quotient" => quotient_cmd(ld, arg(args, 1)?, budget, opts),
         "dataset" => dataset(arg(args, 1)?),
         "convert" => convert(ld, arg(args, 1)?, budget),
-        "batch" => batch::batch(&args[1..]),
-        "serve" => batch::serve(&args[1..]),
+        "batch" => batch::batch(&args[1..], opts),
+        "serve" => batch::serve(&args[1..], opts),
         other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
     }
 }
@@ -390,21 +360,14 @@ fn load_text(text: &str) -> Result<Graph, DviclError> {
     }
 }
 
-fn build(g: &Graph, budget: &Budget) -> Result<AutoTree, DviclError> {
+fn build(g: &Graph, budget: &Budget, opts: &RunOptions) -> Result<AutoTree, DviclError> {
     // `--threads` only changes wall-clock time: the parallel build's
     // deterministic merge keeps the tree byte-identical (DESIGN.md §14).
-    // Likewise `--kernel`: both refinement kernels produce identical
-    // equitable partitions, so the tree is byte-identical under either.
-    let opts = DviclOptions {
-        leaf_config: leaf_config(),
-        threads: threads(),
-        ..DviclOptions::default()
-    };
-    let outcome = build_autotree_resilient(g, &Coloring::unit(g.n()), &opts, budget)?;
+    let outcome = build_autotree_resilient(g, &Coloring::unit(g.n()), &opts.build, budget)?;
     if outcome.degraded {
         eprintln!("note: node budget exhausted; degraded to whole-graph labeling");
     }
-    if paranoid() {
+    if opts.paranoid {
         // Degraded trees go through the same checks as full ones: the
         // witness contract does not weaken under degradation.
         dvicl_core::verify::verify_tree(g, &outcome.tree)?;
@@ -413,9 +376,9 @@ fn build(g: &Graph, budget: &Budget) -> Result<AutoTree, DviclError> {
     Ok(outcome.tree)
 }
 
-fn canon(ld: &mut Loader, spec: &str, budget: &Budget) -> Result<(), CliError> {
+fn canon(ld: &mut Loader, spec: &str, budget: &Budget, opts: &RunOptions) -> Result<(), CliError> {
     let g = ld.load(spec)?;
-    let tree = build(&g, budget)?;
+    let tree = build(&g, budget, opts)?;
     let labeling = tree.canonical_labeling();
     let canonical = g.permuted(&labeling);
     outln!("n: {}  m: {}", g.n(), g.m());
@@ -424,9 +387,14 @@ fn canon(ld: &mut Loader, spec: &str, budget: &Budget) -> Result<(), CliError> {
     Ok(())
 }
 
-fn automorphisms(ld: &mut Loader, spec: &str, budget: &Budget) -> Result<(), CliError> {
+fn automorphisms(
+    ld: &mut Loader,
+    spec: &str,
+    budget: &Budget,
+    opts: &RunOptions,
+) -> Result<(), CliError> {
     let g = ld.load(spec)?;
-    let tree = build(&g, budget)?;
+    let tree = build(&g, budget, opts)?;
     outln!("|Aut(G)| = {}", aut::group_order(&tree));
     let mut orbits = aut::orbits(&tree);
     outln!(
@@ -445,7 +413,13 @@ fn automorphisms(ld: &mut Loader, spec: &str, budget: &Budget) -> Result<(), Cli
     Ok(())
 }
 
-fn isomorphic(ld: &mut Loader, a: &str, b: &str, budget: &Budget) -> Result<(), CliError> {
+fn isomorphic(
+    ld: &mut Loader,
+    a: &str,
+    b: &str,
+    budget: &Budget,
+    opts: &RunOptions,
+) -> Result<(), CliError> {
     let (ga, gb) = (ld.load(a)?, ld.load(b)?);
     let outcome = iso::try_find_isomorphism_outcome(&ga, &gb, budget)?;
     if outcome.degraded {
@@ -455,7 +429,7 @@ fn isomorphic(ld: &mut Loader, a: &str, b: &str, budget: &Budget) -> Result<(), 
     }
     match outcome.mapping {
         Some(gamma) => {
-            if paranoid() {
+            if opts.paranoid {
                 dvicl_core::verify::verify_iso(&ga, &gb, &gamma)?;
                 eprintln!("paranoid: iso mapping witness checks passed");
             }
@@ -470,9 +444,15 @@ fn isomorphic(ld: &mut Loader, a: &str, b: &str, budget: &Budget) -> Result<(), 
     }
 }
 
-fn tree(ld: &mut Loader, spec: &str, render: bool, budget: &Budget) -> Result<(), CliError> {
+fn tree(
+    ld: &mut Loader,
+    spec: &str,
+    render: bool,
+    budget: &Budget,
+    opts: &RunOptions,
+) -> Result<(), CliError> {
     let g = ld.load(spec)?;
-    let t = build(&g, budget)?;
+    let t = build(&g, budget, opts)?;
     let s = t.stats();
     outln!(
         "nodes: {}  singleton leaves: {}  non-singleton leaves: {} (avg size {:.2}, max {})  depth: {}",
@@ -495,6 +475,7 @@ fn ssm(
     set: &str,
     limit: Option<usize>,
     budget: &Budget,
+    opts: &RunOptions,
 ) -> Result<(), CliError> {
     let g = ld.load(spec)?;
     let set: Vec<V> = set
@@ -505,7 +486,7 @@ fn ssm(
                 .map_err(|_| DviclError::invalid(format!("not a vertex id: {t:?}")))
         })
         .collect::<Result<_, _>>()?;
-    let tree = build(&g, budget)?;
+    let tree = build(&g, budget, opts)?;
     let index = SsmIndex::new(&tree);
     outln!(
         "images under Aut(G): {}",
@@ -524,12 +505,18 @@ fn ssm(
     Ok(())
 }
 
-fn ksym_cmd(ld: &mut Loader, spec: &str, k: &str, budget: &Budget) -> Result<(), CliError> {
+fn ksym_cmd(
+    ld: &mut Loader,
+    spec: &str,
+    k: &str,
+    budget: &Budget,
+    opts: &RunOptions,
+) -> Result<(), CliError> {
     let g = ld.load(spec)?;
     let k: usize = k
         .parse()
         .map_err(|_| DviclError::invalid(format!("k must be a positive integer, got {k:?}")))?;
-    let tree = build(&g, budget)?;
+    let tree = build(&g, budget, opts)?;
     let (g2, stats) = ksym::try_k_symmetric_extension(&g, &tree, k, budget)?;
     eprintln!(
         "k={k}: +{} vertices, +{} edges ({} classes duplicated)",
@@ -539,9 +526,14 @@ fn ksym_cmd(ld: &mut Loader, spec: &str, k: &str, budget: &Budget) -> Result<(),
     Ok(())
 }
 
-fn quotient_cmd(ld: &mut Loader, spec: &str, budget: &Budget) -> Result<(), CliError> {
+fn quotient_cmd(
+    ld: &mut Loader,
+    spec: &str,
+    budget: &Budget,
+    opts: &RunOptions,
+) -> Result<(), CliError> {
     let g = ld.load(spec)?;
-    let tree = build(&g, budget)?;
+    let tree = build(&g, budget, opts)?;
     let q = dvicl_apps::quotient::quotient(&g, &tree);
     let e = dvicl_apps::quotient::structure_entropy(&g, &tree);
     outln!(

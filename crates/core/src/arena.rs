@@ -486,7 +486,7 @@ impl SubArena {
         }
     }
 
-    /// Copies segment `s` out of the pools into an owned [`SubSeed`] —
+    /// Copies segment `s` out of the pools into an owned `SubSeed` —
     /// the hand-off primitive of the parallel build (DESIGN.md §14): a
     /// parent exports the child subgraph it wants built elsewhere, the
     /// seed moves to a worker (it owns its buffers, so it is `Send` —
@@ -505,7 +505,7 @@ impl SubArena {
         }
     }
 
-    /// Pushes an exported [`SubSeed`] as a new top segment of *this*
+    /// Pushes an exported `SubSeed` as a new top segment of *this*
     /// arena (the receiving side of [`SubArena::export`]). Ceiling-
     /// checked like [`SubArena::try_induced_child`]: on an over-ceiling
     /// adopt the segment is rolled back and the pools are exactly as

@@ -120,7 +120,6 @@ pub(crate) fn try_build_autotree_in(
         )));
     }
     budget.check()?;
-    scratch.refiner.set_kernel(opts.leaf_config.kernel);
     let pi = scratch.refiner.try_refine(g, pi0, budget)?.coloring;
     run_build(scratch, g, pi, opts, budget, false)
 }
@@ -217,7 +216,6 @@ pub(crate) fn build_autotree_whole_leaf_in(
         )));
     }
     budget.check()?;
-    scratch.refiner.set_kernel(opts.leaf_config.kernel);
     let pi = scratch.refiner.try_refine(g, pi0, budget)?.coloring;
     run_build(scratch, g, pi, opts, budget, true)
 }

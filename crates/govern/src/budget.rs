@@ -208,6 +208,7 @@ mod tests {
 
     #[test]
     fn unlimited_budget_never_fails() {
+        let _g = crate::fault::test_lock();
         let b = Budget::unlimited();
         for _ in 0..10_000 {
             b.spend(1).unwrap();
@@ -218,6 +219,7 @@ mod tests {
 
     #[test]
     fn work_cap_is_exact() {
+        let _g = crate::fault::test_lock();
         let b = Budget::with_max_work(5);
         for _ in 0..5 {
             b.spend(1).unwrap();
@@ -235,6 +237,7 @@ mod tests {
 
     #[test]
     fn clones_share_one_allowance() {
+        let _g = crate::fault::test_lock();
         let a = Budget::with_max_work(10);
         let b = a.clone();
         for _ in 0..5 {
@@ -247,6 +250,7 @@ mod tests {
 
     #[test]
     fn deadline_fires_even_mid_stride() {
+        let _g = crate::fault::test_lock();
         let b = Budget::with_deadline(Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(5));
         // check() sees it immediately...
@@ -270,6 +274,7 @@ mod tests {
 
     #[test]
     fn large_spends_check_the_clock_immediately() {
+        let _g = crate::fault::test_lock();
         let b = Budget::with_deadline(Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(5));
         assert!(b.spend(STRIDE).is_err());
@@ -277,6 +282,7 @@ mod tests {
 
     #[test]
     fn cancellation_is_sticky_and_shared() {
+        let _g = crate::fault::test_lock();
         let b = Budget::new(None, None);
         let token = b.cancel_token();
         b.check().unwrap();
@@ -287,6 +293,7 @@ mod tests {
 
     #[test]
     fn without_work_limit_keeps_deadline_and_token() {
+        let _g = crate::fault::test_lock();
         let strict = Budget::with_cancel(
             Some(Duration::from_secs(3600)),
             Some(1),

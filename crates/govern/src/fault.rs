@@ -260,7 +260,7 @@ pub fn hit_counts() -> Vec<(&'static str, u64)> {
 /// `checkpoint_registry` integration test asserts the fault sweep
 /// replays exactly this set. Adding a checkpoint without registering
 /// it here (or vice versa) fails CI.
-pub const CHECKPOINT_SITES: [&str; 14] = [
+pub const CHECKPOINT_SITES: [&str; 13] = [
     "canon.dfs",
     "core.arena_carve",
     "core.build_node",
@@ -273,9 +273,18 @@ pub const CHECKPOINT_SITES: [&str; 14] = [
     "index.load",
     "pool.spawn",
     "refine.individualize",
-    "refine.kernel",
     "refine.refine",
 ];
+
+/// Serializes this crate's unit tests that install a plan or reach a
+/// checkpoint (every `Budget::spend` does): the plan is process-global,
+/// so a test running beside an installed plan would have its hits
+/// counted — or its spends cancelled — by that plan.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A named fault-injection point. Free (one relaxed atomic load) unless
 /// a plan is installed; with a plan installed, counts the hit and
@@ -350,10 +359,6 @@ fn report_injection(site: &'static str, action: FaultAction, hit: u64) {
 mod tests {
     use super::*;
 
-    /// Fault state is process-global; these tests serialize on one lock
-    /// (the same pattern the bench suite uses for its obs state).
-    static LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn parse_accepts_the_grammar_and_rejects_garbage() {
         let plan = FaultPlan::parse(" trip@core.build_node:2 ,parse@graph.edge_line:1").unwrap();
@@ -377,7 +382,7 @@ mod tests {
 
     #[test]
     fn checkpoint_is_free_without_a_plan() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = test_lock();
         clear();
         assert!(!is_active());
         for _ in 0..1000 {
@@ -388,7 +393,7 @@ mod tests {
 
     #[test]
     fn probe_plan_counts_without_injecting() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = test_lock();
         install(FaultPlan::probe());
         for _ in 0..3 {
             checkpoint("core.build_node").unwrap();
@@ -403,7 +408,7 @@ mod tests {
 
     #[test]
     fn arm_fires_at_exactly_the_kth_hit_and_only_once() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = test_lock();
         install(FaultPlan::one(FaultAction::Trip, "canon.dfs", 3));
         checkpoint("canon.dfs").unwrap();
         checkpoint("core.leaf_ir").unwrap(); // other sites don't count
@@ -423,7 +428,7 @@ mod tests {
 
     #[test]
     fn wildcard_counts_across_sites_and_actions_map_to_errors() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = test_lock();
         install(FaultPlan::parse("cancel@*:2").unwrap());
         checkpoint("refine.refine").unwrap();
         assert_eq!(checkpoint("canon.dfs"), Err(DviclError::Cancelled));
@@ -453,7 +458,7 @@ mod tests {
 
     #[test]
     fn install_resets_counts_and_fired_state() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = test_lock();
         install(FaultPlan::one(FaultAction::Cancel, "core.ssm", 1));
         assert!(checkpoint("core.ssm").is_err());
         install(FaultPlan::one(FaultAction::Cancel, "core.ssm", 1));

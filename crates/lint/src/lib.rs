@@ -432,7 +432,7 @@ fn tok_is(toks: &[Tok], code: &[usize], cp: usize, kind: TokKind) -> bool {
 
 /// All lintable `.rs` files under the workspace root, sorted. Walks
 /// `crates/` and the root `src/`; skips test-class directories and the
-/// vendored shims (see [`SKIP_DIRS`]).
+/// vendored shims (see `SKIP_DIRS`).
 pub fn workspace_files(root: &Path) -> Result<Vec<PathBuf>, LintError> {
     if !root.join("Cargo.toml").is_file() || !root.join("crates").is_dir() {
         return Err(LintError::NotAWorkspace {

@@ -2,7 +2,7 @@
 //!
 //! The arena refactor (DESIGN.md §10) replaced the per-subgraph
 //! `Vec<Vec<u32>>` adjacency with CSR segments carved out of
-//! [`SubArena`]'s pooled buffers — that is where the peak-heap win of
+//! `SubArena`'s pooled buffers — that is where the peak-heap win of
 //! the AutoTree recursion comes from, and a single convenience
 //! `Vec<Vec<_>>` reintroduced on the hot path silently gives it back
 //! (one heap allocation per *row*, pointer-chasing per neighbor scan).

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Refinement splitters processed (`refine::Partition::run`).
+    /// Refinement splitters processed (`refine::Refiner`).
     RefineRounds,
     /// IR search-tree nodes visited (`canon::Search::dfs`).
     SearchNodes,
@@ -79,22 +79,18 @@ pub enum Counter {
     /// them (`core::pool`). `pool_tasks - pool_steals` jobs were
     /// popped back by their owner.
     PoolSteals,
-    /// Refinement calls dispatched to the dense bitset kernel
-    /// (`refine::Refiner`). Zero under `--kernel general`; equal to the
-    /// refinement-call count under `--kernel auto` or `--kernel bitset`.
-    RefineKernelDense,
     /// Cell splits whose splitter-neighbor counts came from
     /// word-parallel `popcount(adjacency row & splitter mask)` instead
-    /// of an adjacency-list scatter (`refine::BitsetKernel`).
+    /// of an adjacency-list scatter (`refine::Refiner`).
     RefineSplitsPopcount,
     /// Popcount-path cell splits realized by the degree-bucket radix
     /// (counting) sort instead of a comparison sort
-    /// (`refine::BitsetKernel`).
+    /// (`refine::Refiner`).
     RadixSplits,
 }
 
 /// How many counters exist (the length of [`Counter::ALL`]).
-pub const NUM_COUNTERS: usize = 29;
+pub const NUM_COUNTERS: usize = 28;
 
 impl Counter {
     /// Every counter, in reporting order.
@@ -125,7 +121,6 @@ impl Counter {
         Counter::SessionArenaReuses,
         Counter::PoolTasks,
         Counter::PoolSteals,
-        Counter::RefineKernelDense,
         Counter::RefineSplitsPopcount,
         Counter::RadixSplits,
     ];
@@ -164,7 +159,6 @@ impl Counter {
             Counter::SessionArenaReuses => "session_arena_reuses",
             Counter::PoolTasks => "pool_tasks",
             Counter::PoolSteals => "pool_steals",
-            Counter::RefineKernelDense => "refine_kernel_dense",
             Counter::RefineSplitsPopcount => "refine_splits_popcount",
             Counter::RadixSplits => "radix_splits",
         }

@@ -10,7 +10,7 @@
 //!   (search-tree nodes, refinement rounds, divide decisions, cache
 //!   hits…). Bumping is one relaxed atomic add; with the `obs-off`
 //!   feature it compiles to nothing at all.
-//! * [`span`] — a scoped timer producing the per-phase wall-time
+//! * [`span()`] — a scoped timer producing the per-phase wall-time
 //!   breakdown (refine / divide / combine / leaf-IR / ssm). Timing is
 //!   off until [`set_timing`] enables it, so un-observed runs pay one
 //!   atomic load per span.

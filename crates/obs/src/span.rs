@@ -70,7 +70,7 @@ mod imp {
         TIMING.load(Ordering::Relaxed)
     }
 
-    /// A scope guard created by [`span`](crate::span); on drop it folds
+    /// A scope guard created by [`span`](fn@crate::span); on drop it folds
     /// the scope's duration into the process-wide phase table.
     #[must_use = "a span measures until it is dropped; binding it to _ drops it immediately"]
     pub struct Span {

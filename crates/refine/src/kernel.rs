@@ -1,106 +1,54 @@
-//! Pluggable refinement kernels: the strategy that turns one splitter
-//! into cell splits.
+//! The refinement kernel: the strategy that turns one splitter into
+//! cell splits.
 //!
 //! [`Partition`] owns the worklist discipline (pop splitter → split
 //! affected cells → enqueue fragments) and the *rewrite* half of every
 //! split ([`Partition::split_touched`]: Hopcroft's largest-fragment
-//! rule, span rewriting, singleton tracking, the trace hash). A
-//! [`RefineKernel`] owns only the *counting and ordering* half: given a
+//! rule, span rewriting, singleton tracking, the trace hash). The
+//! [`BitsetKernel`] owns only the *counting and ordering* half: given a
 //! splitter cell, produce for each affected cell its members (all of
 //! them, or only the touched ones) as `(neighbor-count, vertex)` pairs
-//! sorted ascending. Both kernels feed the same rewrite path, so they
-//! emit the same fragment stream `(start, len, count)` with the same
-//! member sets, and their partitions, traces and downstream canonical
-//! certificates are byte-identical by construction — the parity suites
-//! in `crates/refine/tests/kernel_parity.rs` pin this.
+//! sorted ascending. It has two counting paths, chosen per splitter
+//! from the vertex count and density:
 //!
-//! Two kernels exist:
+//! * scatter — persistent scratch buffers, an O(touched) per-cell
+//!   uniformity filter, and splits that sort and rewrite only a cell's
+//!   touched members (O(touched · log touched));
+//! * popcount — on graphs small enough that adjacency rows fit in a few
+//!   words each ([`POPCOUNT_MAX_N`]), u64-word adjacency bitset rows
+//!   count splitter neighbors with `popcount(row & splitter_mask)`
+//!   instead of scattering — the word-parallel path that pays off on
+//!   the dense local subgraphs `CombineCL` labels — and split those
+//!   cells with a degree-bucket radix sort over a cell-membership
+//!   bitmask.
 //!
-//! * [`GeneralKernel`] — the original sorting-based kernel: scatter
-//!   neighbor counts over the splitter's adjacency lists, group touched
-//!   vertices by cell, comparison-sort each *whole* affected cell by
-//!   `(count, vertex)`. Allocates its scratch per splitter and costs
-//!   O(|cell|) per split, so it doubles as the measurement baseline and
-//!   the parity oracle.
-//! * [`BitsetKernel`] — the default kernel: persistent scratch buffers,
-//!   an O(touched) per-cell uniformity filter, and splits that sort and
-//!   rewrite only a cell's touched members (O(touched · log touched)).
-//!   For graphs small enough that adjacency rows fit in a few words each
-//!   ([`POPCOUNT_MAX_N`]), it additionally builds u64-word adjacency
-//!   bitset rows and counts splitter neighbors with `popcount(row &
-//!   splitter_mask)` instead of scattering — the word-parallel path
-//!   that pays off on the dense local subgraphs `CombineCL` labels —
-//!   splitting those cells with a degree-bucket radix sort over a
-//!   cell-membership bitmask.
-//!
-//! [`KernelKind`] is the dispatch knob threaded from the CLI and bench
-//! binaries through `canon::Config` and `core::Session` down to
-//! [`crate::Refiner`].
+//! [`RefineKernel`] is crate-private and exists for one reason: the
+//! parity tests at the end of this file drive the same [`Partition`]
+//! run with a sorting-based oracle kernel and compare partitions,
+//! traces and singleton orders with this kernel's.
 
 use crate::partition::Partition;
 use dvicl_graph::{Graph, V};
 use dvicl_obs::{self as obs, Counter};
-
-/// Kernel selection, as chosen on the command line (`--kernel`) and
-/// carried by `canon::Config`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum KernelKind {
-    /// The default: the bitset kernel, at every graph size.
-    #[default]
-    Auto,
-    /// Always the sorting-based [`GeneralKernel`].
-    General,
-    /// Always the dense [`BitsetKernel`].
-    Bitset,
-}
-
-impl KernelKind {
-    /// Parses a `--kernel` argument value.
-    pub fn parse(s: &str) -> Option<KernelKind> {
-        match s {
-            "auto" => Some(KernelKind::Auto),
-            "general" => Some(KernelKind::General),
-            "bitset" => Some(KernelKind::Bitset),
-            _ => None,
-        }
-    }
-
-    /// The stable flag-value name (`auto`/`general`/`bitset`).
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelKind::Auto => "auto",
-            KernelKind::General => "general",
-            KernelKind::Bitset => "bitset",
-        }
-    }
-
-    /// Whether this kind resolves to the bitset kernel.
-    pub fn is_dense(self) -> bool {
-        match self {
-            KernelKind::Auto | KernelKind::Bitset => true,
-            KernelKind::General => false,
-        }
-    }
-}
 
 /// The bitset kernel builds full adjacency bitset rows — and counts
 /// splitter neighbors by `popcount` — at or below this vertex count.
 /// 256 vertices is 4 words per row (8 KiB of rows), small enough that
 /// the whole structure stays cache-resident and the per-run rebuild is
 /// cheaper than the scatter passes it replaces.
-pub const POPCOUNT_MAX_N: usize = 256;
+const POPCOUNT_MAX_N: usize = 256;
 
 /// Cells shorter than this are split with a comparison sort even on the
 /// popcount path: the radix split's O(n/64)-word mask walk only
 /// amortizes once the sort it replaces is superlinear in practice.
 const RADIX_MIN_LEN: usize = 32;
 
-/// The per-splitter strategy behind [`crate::Refiner`]: how to count
+/// The per-splitter strategy a [`Partition`] run calls: how to count
 /// splitter-neighbors and order cell members. Implementations must feed
-/// `Partition::split_touched` members sorted ascending by
-/// `(count, vertex)` — that contract is what makes kernels
-/// interchangeable without disturbing traces or certificates.
-pub trait RefineKernel {
+/// [`Partition::split_touched`] members sorted ascending by
+/// `(count, vertex)` — that contract is what lets the test oracle
+/// reproduce this crate's traces and certificates exactly.
+pub(crate) trait RefineKernel {
     /// Prepares per-graph state. Called once per refinement run, before
     /// the worklist loop; `g` is the graph every subsequent
     /// [`RefineKernel::split_by`] of the run will see.
@@ -108,76 +56,16 @@ pub trait RefineKernel {
 
     /// Uses the cell at start `s` as a splitter: counts each vertex's
     /// neighbors in that cell and splits every affected cell via
-    /// `Partition::split_touched`. Returns the updated trace.
+    /// [`Partition::split_touched`]. Returns the updated trace.
     fn split_by(&mut self, p: &mut Partition, g: &Graph, s: u32, trace: u64) -> u64;
 }
 
-/// The original sorting-based kernel (scatter counts, comparison sort
-/// per affected cell). Stateless: its scratch is allocated per splitter,
-/// as the pre-kernel refiner always did.
-#[derive(Default)]
-pub struct GeneralKernel;
-
-impl RefineKernel for GeneralKernel {
-    fn reset(&mut self, _g: &Graph) {}
-
-    fn split_by(&mut self, p: &mut Partition, g: &Graph, s: u32, mut trace: u64) -> u64 {
-        let len = p.cell_len[s as usize] as usize;
-        let s = s as usize;
-        // Snapshot the splitter's members (cells can move during splitting).
-        let splitter: Vec<V> = p.lab[s..s + len].to_vec();
-        // Count neighbors in the splitter.
-        let mut touched: Vec<V> = Vec::new();
-        for &u in &splitter {
-            for &w in g.neighbors(u) {
-                if p.cnt[w as usize] == 0 {
-                    touched.push(w);
-                }
-                p.cnt[w as usize] += 1;
-            }
-        }
-        if touched.is_empty() {
-            return trace;
-        }
-        // Group the touched vertices by their cell (flag-array dedup).
-        let mut affected_cells: Vec<u32> = Vec::new();
-        for &w in &touched {
-            let c = p.cell_start[w as usize];
-            if p.cell_len[c as usize] > 1 && !p.in_affected[c as usize] {
-                p.in_affected[c as usize] = true;
-                affected_cells.push(c);
-            }
-        }
-        affected_cells.sort_unstable();
-        for &c in &affected_cells {
-            p.in_affected[c as usize] = false;
-        }
-        for c in affected_cells {
-            // Gather (count, vertex) and sort; ties on equal counts sort
-            // by vertex id, fixing the output representation.
-            let c = c as usize;
-            let clen = p.cell_len[c] as usize;
-            let mut members: Vec<(u32, V)> = p.lab[c..c + clen]
-                .iter()
-                .map(|&v| (p.cnt[v as usize], v))
-                .collect();
-            members.sort_unstable();
-            trace = p.split_touched(c, &members, trace);
-        }
-        // Clear counts.
-        for &w in &touched {
-            p.cnt[w as usize] = 0;
-        }
-        trace
-    }
-}
-
-/// The dense kernel: persistent scratch, an O(touched) uniformity
+/// The refinement kernel: persistent scratch, an O(touched) uniformity
 /// filter and touched-only splits on the scatter path, and — on graphs
 /// of at most [`POPCOUNT_MAX_N`] vertices — u64-word adjacency bitset
 /// rows with popcount-counted, radix-sorted splits.
 #[derive(Default)]
-pub struct BitsetKernel {
+pub(crate) struct BitsetKernel {
     /// Words per n-bit row (`ceil(n / 64)`).
     words: usize,
     /// Vertex count of the current run's graph.
@@ -224,11 +112,6 @@ pub struct BitsetKernel {
 }
 
 impl BitsetKernel {
-    /// A dense kernel with empty (unallocated) scratch.
-    pub fn new() -> BitsetKernel {
-        BitsetKernel::default()
-    }
-
     /// A member's splitter-neighbor count: `popcount(adjacency row &
     /// splitter mask)`.
     #[inline]
@@ -385,7 +268,7 @@ impl BitsetKernel {
     }
 
     /// Scatter-counting splitter pass (same discovery order as the
-    /// general kernel, persistent buffers). Work is O(touched) outside
+    /// test oracle, persistent buffers). Work is O(touched) outside
     /// the per-cell sorts: the touched-aggregate filter drops uniform
     /// cells without scanning them, and each splitting cell hands only
     /// its touched members to [`Partition::split_touched`]. No splitter
@@ -445,7 +328,7 @@ impl BitsetKernel {
             // Uniform iff every member was touched and with the same
             // count (untouched members count zero, touched are >= 1) —
             // skip such cells without scanning them, matching the
-            // general kernel's uniform no-op exactly.
+            // oracle's uniform no-op exactly.
             if tc == p.cell_len[c] && lo == hi {
                 self.touched_cnt[c] = 0;
                 p.in_affected[c] = false;
@@ -517,6 +400,253 @@ impl RefineKernel for BitsetKernel {
             self.split_by_popcount(p, g, s, len, trace)
         } else {
             self.split_by_scatter(p, g, s, len, trace)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    // Kernel parity: the `Refiner` must be observationally identical to a
+    // plain sorting-based oracle — same equitable coloring *in the same cell
+    // order*, same trace hash, same new-singleton creation order — on any
+    // colored graph. Everything downstream (node invariants, certificates,
+    // orbit pruning) consumes those three outputs, so this equality is what
+    // lets the kernel's counting paths be pure wall-clock choices.
+    //
+    // The strategies deliberately straddle the kernel's internal thresholds:
+    // small dense graphs exercise the popcount counting path, graphs with
+    // few colors and ≥32-vertex cells exercise the radix (counting-sort)
+    // split, and sparse scatterings exercise the adjacency-list path with
+    // the touched-aggregate uniformity test and touched-only splits — large
+    // sparse cells in particular, where most splits leave a big untouched
+    // count-0 fragment in place and swap touched members out of its head.
+
+    use super::RefineKernel;
+    use crate::partition::Partition;
+    use crate::{RefineResult, Refiner};
+    use dvicl_graph::{named, Coloring, Graph, V};
+    use proptest::prelude::*;
+
+    /// The oracle kernel: scatter counts, then comparison-sort each *whole*
+    /// affected cell by `(count, vertex)`. Stateless — its scratch is
+    /// allocated per splitter — and O(|cell|) per split, so it is simple
+    /// enough to trust and slow enough to keep out of the runtime.
+    struct GeneralKernel;
+
+    impl RefineKernel for GeneralKernel {
+        fn reset(&mut self, _g: &Graph) {}
+
+        fn split_by(&mut self, p: &mut Partition, g: &Graph, s: u32, mut trace: u64) -> u64 {
+            let len = p.cell_len[s as usize] as usize;
+            let s = s as usize;
+            // Snapshot the splitter's members (cells can move during splitting).
+            let splitter: Vec<V> = p.lab[s..s + len].to_vec();
+            // Count neighbors in the splitter.
+            let mut touched: Vec<V> = Vec::new();
+            for &u in &splitter {
+                for &w in g.neighbors(u) {
+                    if p.cnt[w as usize] == 0 {
+                        touched.push(w);
+                    }
+                    p.cnt[w as usize] += 1;
+                }
+            }
+            if touched.is_empty() {
+                return trace;
+            }
+            // Group the touched vertices by their cell (flag-array dedup).
+            let mut affected_cells: Vec<u32> = Vec::new();
+            for &w in &touched {
+                let c = p.cell_start[w as usize];
+                if p.cell_len[c as usize] > 1 && !p.in_affected[c as usize] {
+                    p.in_affected[c as usize] = true;
+                    affected_cells.push(c);
+                }
+            }
+            affected_cells.sort_unstable();
+            for &c in &affected_cells {
+                p.in_affected[c as usize] = false;
+            }
+            for c in affected_cells {
+                // Gather (count, vertex) and sort; ties on equal counts sort
+                // by vertex id, fixing the output representation.
+                let c = c as usize;
+                let clen = p.cell_len[c] as usize;
+                let mut members: Vec<(u32, V)> = p.lab[c..c + clen]
+                    .iter()
+                    .map(|&v| (p.cnt[v as usize], v))
+                    .collect();
+                members.sort_unstable();
+                trace = p.split_touched(c, &members, trace);
+            }
+            // Clear counts.
+            for &w in &touched {
+                p.cnt[w as usize] = 0;
+            }
+            trace
+        }
+    }
+
+    /// The oracle's [`Refiner::refine`].
+    fn oracle_refine(g: &Graph, pi: &Coloring) -> RefineResult {
+        let mut p = Partition::default();
+        p.reset_from_coloring(g.n(), pi);
+        let trace = p.refine(g, &mut GeneralKernel);
+        p.result(trace)
+    }
+
+    /// The oracle's [`Refiner::refine_individualized`].
+    fn oracle_individualized(g: &Graph, pi: &Coloring, v: V) -> RefineResult {
+        let mut p = Partition::default();
+        p.reset_from_coloring(g.n(), pi);
+        let trace = p.individualize_and_refine(g, &mut GeneralKernel, v);
+        p.result(trace)
+    }
+
+    /// Random colored graphs around the scatter/popcount boundary.
+    fn arb_colored_graph() -> impl Strategy<Value = (Graph, Coloring)> {
+        (2usize..40).prop_flat_map(|n| {
+            (
+                proptest::collection::vec((0..n as u32, 0..n as u32), 0..120),
+                proptest::collection::vec(0u32..4, n),
+            )
+                .prop_map(move |(edges, labels)| {
+                    (Graph::from_edges(n, &edges), Coloring::from_labels(&labels))
+                })
+        })
+    }
+
+    /// Dense graphs (m ≈ n²/4) small enough for the popcount gate.
+    fn arb_dense_graph() -> impl Strategy<Value = (Graph, Coloring)> {
+        (8usize..48).prop_flat_map(|n| {
+            let m = n * n / 4;
+            (
+                proptest::collection::vec((0..n as u32, 0..n as u32), m..m + n),
+                proptest::collection::vec(0u32..3, n),
+            )
+                .prop_map(move |(edges, labels)| {
+                    (Graph::from_edges(n, &edges), Coloring::from_labels(&labels))
+                })
+        })
+    }
+
+    /// Large near-monochrome graphs: the initial cells hold ≥32 vertices,
+    /// so splits take the radix (degree-bucket counting sort) path.
+    fn arb_big_cell_graph() -> impl Strategy<Value = (Graph, Coloring)> {
+        (64usize..140).prop_flat_map(|n| {
+            (
+                proptest::collection::vec((0..n as u32, 0..n as u32), n..4 * n),
+                proptest::collection::vec(0u32..2, n),
+            )
+                .prop_map(move |(edges, labels)| {
+                    (Graph::from_edges(n, &edges), Coloring::from_labels(&labels))
+                })
+        })
+    }
+
+    /// Large sparse graphs (m ≈ n, 1–2 colors): big cells that each
+    /// splitter grazes, so touched-only splits run with touched members on
+    /// both sides of the untouched/touched boundary, and later splits see
+    /// the non-ascending spans earlier ones left behind.
+    fn arb_large_sparse_graph() -> impl Strategy<Value = (Graph, Coloring)> {
+        (200usize..2000).prop_flat_map(|n| {
+            (
+                proptest::collection::vec((0..n as u32, 0..n as u32), n - n / 8..n + n / 8),
+                proptest::collection::vec(0u32..2, n),
+            )
+                .prop_map(move |(edges, labels)| {
+                    (Graph::from_edges(n, &edges), Coloring::from_labels(&labels))
+                })
+        })
+    }
+
+    fn assert_parity(g: &Graph, pi: &Coloring) -> Result<(), String> {
+        let a = oracle_refine(g, pi);
+        let b = Refiner::new().refine(g, pi);
+        // Full structural equality: coloring (cells AND their order), trace,
+        // new-singleton order. `Coloring::to_string` is cell-order-sensitive,
+        // so compare it too for a readable failure message.
+        prop_assert_eq!(
+            a.coloring.to_string(),
+            b.coloring.to_string(),
+            "cell order diverged"
+        );
+        prop_assert_eq!(&a, &b);
+        // Individualize the first vertex of the first non-singleton cell and
+        // re-refine: the seeded (swapped, non-ascending) cell layout and the
+        // incremental splitter queue must also agree with the oracle.
+        if let Some(cell) = a.coloring.cells().iter().find(|c| c.len() > 1) {
+            let v: V = cell[0];
+            let ai = oracle_individualized(g, &a.coloring, v);
+            let bi = Refiner::new().refine_individualized(g, &b.coloring, v);
+            prop_assert_eq!(&ai, &bi);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Oracle vs refiner on random colored graphs: same partition, same
+        /// cell order, same trace, same singleton order.
+        #[test]
+        fn kernels_agree_on_random_graphs((g, pi) in arb_colored_graph()) {
+            assert_parity(&g, &pi)?;
+        }
+
+        /// Parity through the popcount counting path (dense, small n).
+        #[test]
+        fn kernels_agree_on_dense_graphs((g, pi) in arb_dense_graph()) {
+            assert_parity(&g, &pi)?;
+        }
+
+        /// Parity through the radix split path (cells ≥ 32 vertices).
+        #[test]
+        fn kernels_agree_on_big_cells((g, pi) in arb_big_cell_graph()) {
+            assert_parity(&g, &pi)?;
+        }
+
+        /// A refiner that already refined one graph gives a second graph
+        /// the same result a fresh refiner does: the lazily built adjacency
+        /// rows and the scatter aggregates are reset per run, never reused
+        /// across graphs.
+        #[test]
+        fn refiner_reuse_matches_fresh_refiner(
+            (g1, pi1) in arb_dense_graph(),
+            (g2, pi2) in arb_dense_graph(),
+        ) {
+            let mut warm = Refiner::new();
+            warm.refine(&g1, &pi1);
+            prop_assert_eq!(warm.refine(&g2, &pi2), Refiner::new().refine(&g2, &pi2));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Parity through touched-only splits of large sparse cells.
+        #[test]
+        fn kernels_agree_on_large_sparse_graphs((g, pi) in arb_large_sparse_graph()) {
+            assert_parity(&g, &pi)?;
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_named_graphs() {
+        // The named families the engine actually refines: trees stay on
+        // the scatter path, while the dense and regular graphs' large
+        // splitters take the popcount path.
+        for g in [
+            named::fig1_example(),
+            named::fig3_example(),
+            named::petersen(),
+            named::frucht(),
+            named::hypercube(4),
+            named::hypercube(5),
+            named::rary_tree(3, 3),
+            named::rary_tree(2, 6),
+            named::complete_bipartite(7, 9),
+        ] {
+            let pi = Coloring::unit(g.n());
+            assert_eq!(oracle_refine(&g, &pi), Refiner::new().refine(&g, &pi));
         }
     }
 }

@@ -13,25 +13,22 @@
 //! values) doubles as the node invariant `φ` used by the
 //! individualization-refinement search in `dvicl-canon`.
 //!
-//! *How* counts are computed is pluggable: a [`RefineKernel`] (see
-//! `kernel.rs`) supplies the per-splitter counting strategy — the
-//! sorting-based [`GeneralKernel`] or the default [`BitsetKernel`],
-//! whose splits cost time proportional to the touched members of a cell
-//! — selected per [`Refiner`] by a [`KernelKind`]. Every kernel produces
-//! the same partitions and the same traces; the choice moves wall time
-//! only.
+//! One kernel (`kernel.rs`) turns each splitter into cell splits whose
+//! cost follows the touched members of a cell. It counts splitter
+//! neighbors by scattering over adjacency lists, or — on small dense
+//! graphs — by `popcount` over adjacency bitset rows, choosing per
+//! splitter from the vertex count and density.
 
 #![warn(missing_docs)]
 
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Coloring, Graph, V};
-use dvicl_obs::{self as obs, Counter};
 
 mod kernel;
 mod partition;
 
-pub use kernel::{BitsetKernel, GeneralKernel, KernelKind, RefineKernel, POPCOUNT_MAX_N};
-pub use partition::Partition;
+use kernel::BitsetKernel;
+use partition::Partition;
 
 /// The output of a refinement: the equitable coloring and the
 /// isomorphism-invariant trace hash of how it was reached.
@@ -50,101 +47,42 @@ pub struct RefineResult {
     pub new_singletons: Vec<V>,
 }
 
-/// A reusable refinement engine: one [`Partition`] worth of buffers
-/// (labels, positions, cell tables, worklist, scratch counters) plus
-/// both [`RefineKernel`] backends, recycled across calls.
+/// A reusable refinement engine: one partition worth of buffers (labels,
+/// positions, cell tables, worklist, scratch counters) plus the kernel's
+/// scratch, recycled across calls.
 ///
 /// The individualization-refinement search in `dvicl-canon` refines once
 /// per search-tree node; with the one-shot free functions each of those
-/// refinements paid seven `Vec` allocations for a fresh [`Partition`].
-/// A `Refiner` re-seeds the same buffers instead
-/// ([`Partition::reset_from_coloring`]), so a DFS over thousands of nodes
-/// performs no per-node partition allocation. Results are bit-identical
-/// to the free functions — reset state equals fresh state.
-///
-/// The `Refiner` is also the *kernel dispatch point*: every entry
-/// resolves its [`KernelKind`] and routes the run through the
-/// sorting-based [`GeneralKernel`] or the dense [`BitsetKernel`]. Both
-/// kernels produce identical colorings, traces and singleton orders
-/// (pinned by the parity suites), so the selection is free to vary per
-/// call without disturbing downstream certificates.
+/// refinements paid seven `Vec` allocations for a fresh partition. A
+/// `Refiner` re-seeds the same buffers instead, so a DFS over thousands
+/// of nodes performs no per-node partition allocation. Results are
+/// bit-identical to the free functions — reset state equals fresh state.
 #[derive(Default)]
 pub struct Refiner {
     p: Partition,
-    kernel: KernelKind,
-    general: GeneralKernel,
-    bitset: BitsetKernel,
+    kernel: BitsetKernel,
 }
 
 impl Refiner {
-    /// A refiner with empty (unallocated) buffers and [`KernelKind::Auto`]
-    /// dispatch.
+    /// A refiner with empty (unallocated) buffers.
     pub fn new() -> Self {
         Refiner::default()
-    }
-
-    /// A refiner pinned to `kernel`.
-    pub fn with_kernel(kernel: KernelKind) -> Self {
-        Refiner {
-            kernel,
-            ..Refiner::default()
-        }
-    }
-
-    /// The configured kernel selection.
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
-    }
-
-    /// Re-points the dispatcher without touching the buffers (a
-    /// `core::Session` retunes its per-worker refiners this way when its
-    /// options change).
-    pub fn set_kernel(&mut self, kernel: KernelKind) {
-        self.kernel = kernel;
-    }
-
-    /// Resolves the kernel and bumps the dense-dispatch counter.
-    /// Field-splitting helper: borrows only the kernel state, leaving
-    /// `self.p` free.
-    fn dispatch<'a>(
-        kernel: KernelKind,
-        general: &'a mut GeneralKernel,
-        bitset: &'a mut BitsetKernel,
-    ) -> &'a mut dyn RefineKernel {
-        if kernel.is_dense() {
-            obs::bump(Counter::RefineKernelDense);
-            bitset
-        } else {
-            general
-        }
-    }
-
-    fn result(&self) -> RefineResult {
-        RefineResult {
-            trace: 0,
-            new_singletons: self.p.new_singletons().to_vec(),
-            coloring: self.p.to_coloring(),
-        }
     }
 
     /// Reusable-buffer [`refine`].
     pub fn refine(&mut self, g: &Graph, pi: &Coloring) -> RefineResult {
         let _span = dvicl_obs::span("refine.refine");
-        let Refiner { p, kernel, general, bitset } = self;
-        let k = Refiner::dispatch(*kernel, general, bitset);
-        p.reset_from_coloring(g.n(), pi);
-        let trace = p.refine(g, k);
-        RefineResult { trace, ..self.result() }
+        self.p.reset_from_coloring(g.n(), pi);
+        let trace = self.p.refine(g, &mut self.kernel);
+        self.p.result(trace)
     }
 
     /// Reusable-buffer [`refine_individualized`].
     pub fn refine_individualized(&mut self, g: &Graph, pi: &Coloring, v: V) -> RefineResult {
         let _span = dvicl_obs::span("refine.individualize");
-        let Refiner { p, kernel, general, bitset } = self;
-        let k = Refiner::dispatch(*kernel, general, bitset);
-        p.reset_from_coloring(g.n(), pi);
-        let trace = p.individualize_and_refine(g, k, v);
-        RefineResult { trace, ..self.result() }
+        self.p.reset_from_coloring(g.n(), pi);
+        let trace = self.p.individualize_and_refine(g, &mut self.kernel, v);
+        self.p.result(trace)
     }
 
     /// Reusable-buffer [`try_refine`].
@@ -156,12 +94,9 @@ impl Refiner {
     ) -> Result<RefineResult, DviclError> {
         let _span = dvicl_obs::span("refine.refine");
         dvicl_govern::fault::checkpoint("refine.refine")?;
-        dvicl_govern::fault::checkpoint("refine.kernel")?;
-        let Refiner { p, kernel, general, bitset } = self;
-        let k = Refiner::dispatch(*kernel, general, bitset);
-        p.reset_from_coloring(g.n(), pi);
-        let trace = p.try_refine(g, k, budget)?;
-        Ok(RefineResult { trace, ..self.result() })
+        self.p.reset_from_coloring(g.n(), pi);
+        let trace = self.p.try_refine(g, &mut self.kernel, budget)?;
+        Ok(self.p.result(trace))
     }
 
     /// Reusable-buffer [`try_refine_individualized`].
@@ -174,12 +109,11 @@ impl Refiner {
     ) -> Result<RefineResult, DviclError> {
         let _span = dvicl_obs::span("refine.individualize");
         dvicl_govern::fault::checkpoint("refine.individualize")?;
-        dvicl_govern::fault::checkpoint("refine.kernel")?;
-        let Refiner { p, kernel, general, bitset } = self;
-        let k = Refiner::dispatch(*kernel, general, bitset);
-        p.reset_from_coloring(g.n(), pi);
-        let trace = p.try_individualize_and_refine(g, k, v, budget)?;
-        Ok(RefineResult { trace, ..self.result() })
+        self.p.reset_from_coloring(g.n(), pi);
+        let trace = self
+            .p
+            .try_individualize_and_refine(g, &mut self.kernel, v, budget)?;
+        Ok(self.p.result(trace))
     }
 }
 
@@ -207,10 +141,6 @@ pub fn refine(g: &Graph, pi: &Coloring) -> RefineResult {
 /// The returned trace covers only the re-refinement, seeded with the color
 /// of `v`'s cell (an invariant of the branching choice), so traces of
 /// sibling nodes that individualize non-equivalent vertices differ.
-///
-/// Delegates to [`Refiner::refine_individualized`], so it shares the
-/// kernel dispatcher with every other entry point (it previously
-/// hard-wired the general kernel's splitting path).
 pub fn refine_individualized(g: &Graph, pi: &Coloring, v: V) -> RefineResult {
     Refiner::new().refine_individualized(g, pi, v)
 }
@@ -323,42 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn invariant_under_relabeling_all_kernels() {
-        // The relabeling invariance of refine() must hold per kernel,
-        // not just for whatever Auto dispatches to.
-        let g = named::fig3_example();
-        let n = g.n();
-        let gamma = Perm::from_cycles(n, &[&[0, 5, 9], &[2, 4], &[10, 12], &[11, 13]]).unwrap();
-        let gg = g.permuted(&gamma);
-        for kind in [KernelKind::General, KernelKind::Bitset] {
-            let mut r = Refiner::with_kernel(kind);
-            let r1 = r.refine(&g, &Coloring::unit(n));
-            let r2 = r.refine(&gg, &Coloring::unit(n));
-            assert_eq!(r1.trace, r2.trace, "{kind:?}");
-            assert_eq!(r2.coloring, r1.coloring.apply_perm(&gamma.inverse()), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn kernels_agree_on_named_graphs() {
-        // The cheap inline parity check (the proptest suite in
-        // tests/kernel_parity.rs covers random colored graphs).
-        for g in [
-            named::fig1_example(),
-            named::fig3_example(),
-            named::petersen(),
-            named::frucht(),
-            named::hypercube(4),
-            named::rary_tree(3, 3),
-        ] {
-            let pi = Coloring::unit(g.n());
-            let a = Refiner::with_kernel(KernelKind::General).refine(&g, &pi);
-            let b = Refiner::with_kernel(KernelKind::Bitset).refine(&g, &pi);
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn individualized_traces_distinguish_orbits() {
         let g = named::fig1_example();
         let base = refine(&g, &Coloring::unit(8)).coloring;
@@ -376,16 +270,5 @@ mod tests {
         let pi = Coloring::discrete(10);
         let r = refine(&g, &pi);
         assert_eq!(r.coloring, pi);
-    }
-
-    #[test]
-    fn kernel_kind_parses_flag_values() {
-        assert_eq!(KernelKind::parse("auto"), Some(KernelKind::Auto));
-        assert_eq!(KernelKind::parse("general"), Some(KernelKind::General));
-        assert_eq!(KernelKind::parse("bitset"), Some(KernelKind::Bitset));
-        assert_eq!(KernelKind::parse("dense"), None);
-        for k in [KernelKind::Auto, KernelKind::General, KernelKind::Bitset] {
-            assert_eq!(KernelKind::parse(k.name()), Some(k));
-        }
     }
 }

@@ -7,29 +7,33 @@
 //! at position `s` (meaningful only at start positions).
 //!
 //! How a splitter's neighbor counts are computed and how affected cells
-//! are ordered is delegated to a [`RefineKernel`]
-//! (`crates/refine/src/kernel.rs`); the worklist discipline and the
-//! rewrite half of every split ([`Partition::split_touched`]) live here,
-//! shared by every kernel, so kernels cannot diverge on the parts that
+//! are ordered is delegated to a [`RefineKernel`] (`kernel.rs`); the
+//! worklist discipline and the rewrite half of every split
+//! ([`Partition::split_touched`]) live here, shared by the kernel and
+//! the test oracle, so the two cannot diverge on the parts that
 //! determine traces and certificates. A split rewrites only the span of
 //! the cell's touched members: the untouched rest stays where it is as
 //! the count-0 fragment, so a splitter costs time proportional to the
 //! members it touches, not to the cells it grazes.
 
 use crate::kernel::RefineKernel;
+use crate::RefineResult;
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Coloring, Graph, V};
 use std::collections::VecDeque;
 
 /// An ordered partition of `0..n` supporting splitter-based refinement.
-pub struct Partition {
+/// The default value is the empty partition over zero vertices, the
+/// starting state for [`Partition::reset_from_coloring`]-based reuse.
+#[derive(Default)]
+pub(crate) struct Partition {
     pub(crate) lab: Vec<V>,
     pub(crate) pos: Vec<u32>,
     pub(crate) cell_start: Vec<u32>,
     pub(crate) cell_len: Vec<u32>,
     // Scratch: neighbor counts per vertex during a splitter pass (owned
-    // here rather than by the kernels so scatter-counting kernels share
-    // one zeroed array with the reset discipline).
+    // here rather than by a kernel so the kernel and the test oracle
+    // share one zeroed array with the reset discipline).
     pub(crate) cnt: Vec<u32>,
     // Worklist of cell start positions + membership flags.
     queue: VecDeque<u32>,
@@ -42,12 +46,6 @@ pub struct Partition {
     new_singletons: Vec<V>,
 }
 
-impl Default for Partition {
-    fn default() -> Self {
-        Partition::new()
-    }
-}
-
 #[inline]
 fn mix(h: u64, x: u64) -> u64 {
     // A simple strong mixer (splitmix64 finalizer over h ^ x).
@@ -58,34 +56,11 @@ fn mix(h: u64, x: u64) -> u64 {
 }
 
 impl Partition {
-    /// An empty partition over zero vertices: the starting state for
-    /// [`Partition::reset_from_coloring`]-based reuse.
-    pub fn new() -> Self {
-        Partition {
-            lab: Vec::new(),
-            pos: Vec::new(),
-            cell_start: Vec::new(),
-            cell_len: Vec::new(),
-            cnt: Vec::new(),
-            queue: VecDeque::new(),
-            in_queue: Vec::new(),
-            in_affected: Vec::new(),
-            new_singletons: Vec::new(),
-        }
-    }
-
-    /// Builds the internal representation from a [`Coloring`].
-    pub fn from_coloring(n: usize, pi: &Coloring) -> Self {
-        let mut p = Partition::new();
-        p.reset_from_coloring(n, pi);
-        p
-    }
-
     /// Re-initializes this partition from a [`Coloring`], reusing every
     /// internal buffer. State after this call is identical to a fresh
-    /// [`Partition::from_coloring`] — only the allocations differ, which
-    /// is what lets the IR search refine thousands of nodes without a
-    /// single per-node `Vec` allocation.
+    /// partition's — only the allocations differ, which is what lets the
+    /// IR search refine thousands of nodes without a single per-node
+    /// `Vec` allocation.
     pub fn reset_from_coloring(&mut self, n: usize, pi: &Coloring) {
         assert_eq!(n, pi.n());
         self.lab.clear();
@@ -129,20 +104,17 @@ impl Partition {
         self.lab.len()
     }
 
-    /// The color (cell start position) of `v`.
-    #[inline]
-    pub fn color_of(&self, v: V) -> u32 {
-        self.cell_start[v as usize]
-    }
-
-    /// The vertices whose cells became singletons during the last run, in
-    /// creation order.
-    pub fn new_singletons(&self) -> &[V] {
-        &self.new_singletons
+    /// The outcome of the last run, whose trace hash was `trace`.
+    pub fn result(&self, trace: u64) -> RefineResult {
+        RefineResult {
+            trace,
+            new_singletons: self.new_singletons.clone(),
+            coloring: self.to_coloring(),
+        }
     }
 
     /// Converts back to a [`Coloring`].
-    pub fn to_coloring(&self) -> Coloring {
+    fn to_coloring(&self) -> Coloring {
         let n = self.n();
         let mut cells = Vec::new();
         let mut s = 0usize;
@@ -175,7 +147,7 @@ impl Partition {
     /// Refines to the coarsest equitable partition using `k`, returning
     /// the trace hash. All current cells are used as initial splitters;
     /// every singleton cell of the *result* counts as newly created.
-    pub fn refine(&mut self, g: &Graph, k: &mut dyn RefineKernel) -> u64 {
+    pub fn refine(&mut self, g: &Graph, k: &mut impl RefineKernel) -> u64 {
         self.seed_refine();
         self.run(g, k, 0x5ee2_c3a1_d00d_f00d, None)
             // dvicl-lint: allow(panic-freedom) -- run() only errs on budget exhaustion, and no budget is passed here
@@ -188,7 +160,7 @@ impl Partition {
     pub fn try_refine(
         &mut self,
         g: &Graph,
-        k: &mut dyn RefineKernel,
+        k: &mut impl RefineKernel,
         budget: &Budget,
     ) -> Result<u64, DviclError> {
         self.seed_refine();
@@ -212,7 +184,7 @@ impl Partition {
     /// is already in a singleton cell. Returns the trace hash, seeded
     /// with `v`'s color — an isomorphism-invariant of the branching
     /// decision.
-    pub fn individualize_and_refine(&mut self, g: &Graph, k: &mut dyn RefineKernel, v: V) -> u64 {
+    pub fn individualize_and_refine(&mut self, g: &Graph, k: &mut impl RefineKernel, v: V) -> u64 {
         let seed = self.seed_individualize(v);
         self.run(g, k, seed, None)
             // dvicl-lint: allow(panic-freedom) -- run() only errs on budget exhaustion, and no budget is passed here
@@ -223,7 +195,7 @@ impl Partition {
     pub fn try_individualize_and_refine(
         &mut self,
         g: &Graph,
-        k: &mut dyn RefineKernel,
+        k: &mut impl RefineKernel,
         v: V,
         budget: &Budget,
     ) -> Result<u64, DviclError> {
@@ -260,12 +232,12 @@ impl Partition {
     /// Core worklist loop. `seed` initializes the trace hash; one work
     /// unit is spent per splitter when a budget is supplied. The kernel
     /// decides how each splitter's counts are computed; the loop, the
-    /// budget metering and the trace-per-splitter mix are
-    /// kernel-independent.
+    /// budget metering and the trace-per-splitter mix are shared with
+    /// the test oracle.
     fn run(
         &mut self,
         g: &Graph,
-        k: &mut dyn RefineKernel,
+        k: &mut impl RefineKernel,
         seed: u64,
         budget: Option<&Budget>,
     ) -> Result<u64, DviclError> {
@@ -290,10 +262,10 @@ impl Partition {
     /// members of the cell at start `c` as `(splitter-neighbor count,
     /// vertex)` pairs sorted ascending, in one of two forms:
     ///
-    /// * the whole cell, zero counts included (the general kernel and
-    ///   the bitset kernel's popcount path) — every member is rewritten;
-    /// * only the members with a nonzero count (the bitset kernel's
-    ///   scatter path), while `Partition::cnt` still holds those counts.
+    /// * the whole cell, zero counts included (the kernel's popcount
+    ///   path and the test oracle) — every member is rewritten;
+    /// * only the members with a nonzero count (the kernel's scatter
+    ///   path), while `Partition::cnt` still holds those counts.
     ///   The untouched rest forms the count-0 fragment, which keeps start
     ///   `c`: its members keep their `cell_start`, and only the touched
     ///   tail `[c + untouched, c + len)` is rewritten. Touched members
@@ -311,9 +283,9 @@ impl Partition {
     /// counts are uniform and nothing splits).
     ///
     /// Every [`RefineKernel`] funnels its splits through here, which is
-    /// what pins their partitions and traces to each other: a kernel
-    /// only chooses *how counts are computed*, never how a split is
-    /// realized.
+    /// what pins the kernel's partitions and traces to the oracle's: a
+    /// kernel only chooses *how counts are computed*, never how a split
+    /// is realized.
     // dvicl-lint: allow(budget-reachability) -- O(touched) rewrite of one cell span; run() meters the worklist that drives it
     pub(crate) fn split_touched(&mut self, c: usize, touched: &[(u32, V)], mut trace: u64) -> u64 {
         let len = self.cell_len[c] as usize;
