@@ -219,6 +219,49 @@ fn quotient_hash(g: &Graph, pi: &Coloring) -> u64 {
     acc
 }
 
+/// The certificate edges of `g` under the discrete coloring `pi`, in row
+/// order: row `a` is the vertex labeled `a` and holds the labels above
+/// `a` of its neighbors, ascending. A counting pass sizes the rows; a
+/// second pass walks the columns `b` in label order and appends `(a, b)`
+/// to the row of every neighbor labeled `a < b`, so each row fills in
+/// ascending order with no comparison sort. O(n + m), against the
+/// O(m log m) relabel-and-sort of `CanonForm::new` that it equals.
+fn leaf_edges(g: &Graph, pi: &Coloring) -> Vec<(V, V)> {
+    let label = pi.colors();
+    let mut row_start = vec![0; g.n() + 1];
+    for (v, &a) in (0..).zip(label) {
+        row_start[a as usize + 1] = g
+            .neighbors(v)
+            .iter()
+            .filter(|&&w| label[w as usize] > a)
+            .count();
+    }
+    for a in 1..row_start.len() {
+        row_start[a] += row_start[a - 1];
+    }
+    let mut out = vec![(0, 0); row_start[g.n()]];
+    for (b, cell) in (0..).zip(pi.cells()) {
+        for &w in g.neighbors(cell[0]) {
+            let a = label[w as usize];
+            if a < b {
+                out[row_start[a as usize]] = (a, b);
+                row_start[a as usize] += 1;
+            }
+        }
+    }
+    out
+}
+
+/// The sorted `(color, multiplicity)` runs of `pi`'s colors — the
+/// `colors` half of every certificate over `pi`. A color is its cell's
+/// start offset, so the cells already list the runs in order.
+fn color_runs(pi: &Coloring) -> Vec<(V, V)> {
+    pi.cells()
+        .iter()
+        .map(|cell| (pi.color_of(cell[0]), cell.len() as V))
+        .collect()
+}
+
 /// Canonically labels `(g, pi)` with the given configuration.
 ///
 /// ```
@@ -309,7 +352,6 @@ pub fn try_canonical_form_with(
     let _span = obs::span("canon.search");
     let mut s = Search {
         g,
-        pi0: pi,
         config: config.clone(),
         budget,
         first_path: Vec::new(),
@@ -344,10 +386,13 @@ pub fn try_canonical_form_with(
     let mut fixed: Vec<V> = Vec::new();
     s.dfs(&root.coloring, root_inv, 0, true, Ordering::Equal, None, &mut fixed)?;
     // dvicl-lint: allow(panic-freedom) -- dfs reaches at least one leaf before returning Ok, and the first leaf seeds best_leaf
-    let (form, labeling) = s.best_leaf.expect("search always reaches a leaf");
+    let (edges, labeling) = s.best_leaf.expect("search always reaches a leaf");
     Ok(CanonResult {
         labeling,
-        form,
+        form: CanonForm {
+            colors: color_runs(pi),
+            edges,
+        },
         generators: s.generators,
         orbits: s.orbits,
         stats: s.stats,
@@ -357,17 +402,19 @@ pub fn try_canonical_form_with(
 
 struct Search<'a> {
     g: &'a Graph,
-    pi0: &'a Coloring,
     config: Config,
     budget: &'a Budget,
     /// Invariant sequence along the leftmost path (the reference node).
     first_path: Vec<u64>,
-    first_leaf: Option<(CanonForm, Perm)>,
+    /// The first leaf's certificate edges and labeling. Every leaf's
+    /// certificate has the color runs of the input coloring, so leaves
+    /// compare by their edges alone.
+    first_leaf: Option<(Vec<(V, V)>, Perm)>,
     /// Individualized-vertex sequence of the first leaf.
     first_seq: Vec<V>,
     /// Invariant sequence along the current-best path.
     best_path: Vec<u64>,
-    best_leaf: Option<(CanonForm, Perm)>,
+    best_leaf: Option<(Vec<(V, V)>, Perm)>,
     /// Individualized-vertex sequence of the best leaf.
     best_seq: Vec<V>,
     /// When set, unwind the DFS to this sequence length (McKay's jump-back
@@ -536,7 +583,7 @@ impl<'a> Search<'a> {
             .to_perm()
             // dvicl-lint: allow(panic-freedom) -- handle_leaf is only called when target_cell found no non-singleton cell, i.e. pi is discrete
             .expect("a node with no non-singleton cell is discrete");
-        let cert = CanonForm::new(self.g, self.pi0.colors(), lambda.as_slice());
+        let cert = leaf_edges(self.g, pi);
 
         if self.first_leaf.is_none() {
             // The reference leaf; it also seeds the best.
@@ -819,5 +866,64 @@ mod tests {
             canonical_form(&g, &pi_end, &cfg).form,
             canonical_form(&g, &pi_end2, &cfg).form
         );
+    }
+
+    /// A graph on `n` vertices keeping each pair with probability
+    /// `density / 8`, and a permutation of `0..n`, both from `keys`.
+    fn random_graph_and_perm(n: usize, density: u64, keys: &[u64]) -> (Graph, Perm) {
+        let key = |i: usize| keys[i % keys.len()].rotate_left(i as u32 % 64) ^ i as u64;
+        let mut edges: Vec<(V, V)> = Vec::new();
+        for u in 0..n {
+            for v in u + 1..n {
+                if mix(key(u), key(v)) % 8 < density {
+                    edges.push((u as V, v as V));
+                }
+            }
+        }
+        let mut image: Vec<V> = (0..n as V).collect();
+        image.sort_unstable_by_key(|&v| (mix(key(v as usize), 7), v));
+        let perm = Perm::from_image(image).expect("sorted 0..n is a permutation");
+        (Graph::from_edges(n, &edges), perm)
+    }
+
+    #[test]
+    fn row_ordered_leaf_certificate_edge_cases() {
+        let graphs = [
+            Graph::empty(0),
+            Graph::empty(4),
+            named::complete(7),
+            named::star(6),
+        ];
+        for g in graphs {
+            let perm = pseudo_random_perm(g.n());
+            let edges = leaf_edges(&g, &Coloring::from_labels(perm.as_slice()));
+            let unit = Coloring::unit(g.n());
+            let oracle = CanonForm::new(&g, unit.colors(), perm.as_slice());
+            assert_eq!(edges, oracle.edges);
+            assert_eq!(color_runs(&unit), oracle.colors);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn row_ordered_leaf_certificate_matches_the_sort_oracle(
+            n in 0usize..48,
+            density in 0u64..9,
+            keys in proptest::collection::vec(proptest::prelude::any::<u64>(), 8),
+            cells in 1u64..5,
+        ) {
+            // Density 0 leaves every vertex isolated, 8 gives K_n's full rows.
+            let (g, perm) = random_graph_and_perm(n, density, &keys);
+            let edges = leaf_edges(&g, &Coloring::from_labels(perm.as_slice()));
+            // The input coloring is arbitrary; its runs are the `colors`
+            // half of every leaf certificate.
+            let input: Vec<V> = (0..n).map(|v| (keys[v % 8] % cells) as V).collect();
+            let pi0 = Coloring::from_labels(&input);
+            let oracle = CanonForm::new(&g, pi0.colors(), perm.as_slice());
+            proptest::prop_assert_eq!(&edges, &oracle.edges);
+            proptest::prop_assert_eq!(color_runs(&pi0), oracle.colors);
+        }
     }
 }

@@ -343,11 +343,18 @@ fn run_build(
 
 /// Appends `items` to `pool` and returns the `(start, len)` range.
 fn push_range<T: Copy>(pool: &mut Vec<T>, items: &[T]) -> PoolRange {
-    // dvicl-lint: allow(narrowing-cast) -- pool lengths are bounded by n·depth entries, far below u32::MAX for any graph this crate can hold (n <= V::MAX)
-    let start = pool.len() as u32;
+    let start = pool.len();
     pool.extend_from_slice(items);
-    // dvicl-lint: allow(narrowing-cast) -- items is a per-node slice of at most n <= V::MAX entries
-    (start, items.len() as u32)
+    range_since(pool, start)
+}
+
+/// The `(start, len)` range of everything appended to `pool` since its
+/// length was `start`.
+fn range_since<T>(pool: &[T], start: usize) -> PoolRange {
+    // dvicl-lint: allow(narrowing-cast) -- pool lengths are bounded by n·depth entries, far below u32::MAX for any graph this crate can hold (n <= V::MAX)
+    let start32 = start as u32;
+    // dvicl-lint: allow(narrowing-cast) -- one node's entries: at most max(n, m) for a graph this crate can hold
+    (start32, (pool.len() - start) as u32)
 }
 
 /// `CombineCL` memo value: the IR labeling and its generators.
@@ -378,6 +385,8 @@ pub(crate) struct Scratch {
     /// allocated once per worker and never shared — the same exclusive
     /// ownership discipline as the arena and memo shard beside it.
     pub(crate) refiner: Refiner,
+    /// `CombineST` working arrays, owned per worker like the arena.
+    combine: CombineScratch,
     /// The helper workers' scratches for parallel builds (empty until a
     /// `threads > 1` build runs). Worker `w` (1-based) exclusively owns
     /// `workers[w - 1]` for the duration of a `dvicl_pool::scope`;
@@ -394,6 +403,7 @@ impl Scratch {
             cl_cache: FxHashMap::default(),
             key_scratch: Vec::new(),
             refiner: Refiner::new(),
+            combine: CombineScratch::default(),
             workers: Vec::new(),
         }
     }
@@ -411,6 +421,38 @@ impl Scratch {
     /// over the leader and every worker shard.
     pub(crate) fn memo_len(&self) -> usize {
         self.cl_cache.len() + self.workers.iter().map(Scratch::memo_len).sum::<usize>()
+    }
+}
+
+/// The arrays `Builder::combine_st` works in. `seen` and `relabel` are
+/// indexed by global color / label (`0..π.n()`), `part_of` by the
+/// node's local vertex index; all three only grow, so one allocation
+/// serves a whole session.
+#[derive(Default)]
+struct CombineScratch {
+    /// Members of cell `c` in the children combined so far. All zero
+    /// between calls: a call resets exactly the colors it lists in
+    /// `colors`.
+    seen: Vec<V>,
+    /// The distinct colors of the node being combined.
+    colors: Vec<V>,
+    /// Child label → parent label, for the child being translated.
+    relabel: Vec<V>,
+    /// The part (child) each local vertex belongs to.
+    part_of: Vec<u32>,
+}
+
+impl CombineScratch {
+    /// Grows the arrays for a graph of `graph_n` vertices and a node of
+    /// `node_n`.
+    fn fit(&mut self, graph_n: usize, node_n: usize) {
+        if self.seen.len() < graph_n {
+            self.seen.resize(graph_n, 0);
+            self.relabel.resize(graph_n, 0);
+        }
+        if self.part_of.len() < node_n {
+            self.part_of.resize(node_n, 0);
+        }
     }
 }
 
@@ -452,21 +494,15 @@ struct TreePools {
     gen_pairs: Vec<(V, V)>,
 }
 
+fn pool_span(r: PoolRange) -> std::ops::Range<usize> {
+    r.0 as usize..(r.0 + r.1) as usize
+}
+
 fn pool_slice<T>(pool: &[T], r: PoolRange) -> &[T] {
-    &pool[r.0 as usize..(r.0 + r.1) as usize]
+    &pool[pool_span(r)]
 }
 
 impl TreePools {
-    /// Global vertex ids of node `id` (every node kind sets `verts`).
-    fn verts_of(&self, id: NodeId) -> &[V] {
-        pool_slice(&self.verts, self.nodes[id].verts)
-    }
-
-    /// Canonical labels of node `id`, parallel to [`TreePools::verts_of`].
-    fn labels_of(&self, id: NodeId) -> &[V] {
-        pool_slice(&self.labels, self.nodes[id].verts)
-    }
-
     /// The certificate of node `id` (what `CombineST` sorts by).
     fn form_of(&self, id: NodeId) -> FormRef<'_> {
         let n = &self.nodes[id];
@@ -782,7 +818,7 @@ impl<'a> Builder<'a> {
                     None => self.build_children_seq(&sub, &d, depth, parent_id)?,
                     Some(h) => self.build_children_par(h, &sub, &d, depth, parent_id)?,
                 };
-                self.combine_st(id, &sub, children);
+                self.combine_st(id, &sub, &d, &children);
             }
         }
         Ok(id)
@@ -1016,53 +1052,97 @@ impl<'a> Builder<'a> {
     /// `CombineST` (Algorithm 5): sort children by certificate; order the
     /// vertices of each (global) cell by (child position, child label);
     /// the rank within the cell gives `γ_g(v) = π(v) + rank`.
-    fn combine_st(&mut self, id: NodeId, sub: &Sub, mut children: Vec<NodeId>) {
+    ///
+    /// Every node labels the members of cell `c` with `c, c + 1, …`, so
+    /// that rank is the child's own rank shifted by the members of `c`
+    /// in earlier children: `γ_g(v) = γ_c(v) + seen[c]`. The shift is
+    /// strictly increasing on each child's labels, so it maps the
+    /// child's sorted certificate edges to a sorted run of this node's;
+    /// the edges between parts are the only ones still to relabel, and
+    /// one run-adaptive sort merges it all (DESIGN.md §10.3).
+    /// `children` are the built children in part order.
+    fn combine_st(&mut self, id: NodeId, sub: &Sub, d: &Division, children: &[NodeId]) {
         let _span = obs::span("core.combine");
-        // Line 1: non-descending certificate order.
-        children.sort_by(|&a, &b| self.t.form_of(a).cmp(&self.t.form_of(b)));
+        let t = &mut self.t;
+        let pi = self.pi;
+        let Scratch {
+            arena, combine: cs, ..
+        } = &mut *self.scratch;
+        // Line 1: non-descending certificate order; the stable sort keeps
+        // equal certificates in part order.
+        let mut order: Vec<usize> = (0..children.len()).collect();
+        order.sort_by(|&a, &b| t.form_of(children[a]).cmp(&t.form_of(children[b])));
+        let ch_start = t.children.len();
+        t.children.extend(order.iter().map(|&i| children[i]));
+        let crange = range_since(&t.children, ch_start);
         // Runs of equal certificates = classes of symmetric siblings.
         let mut sibling_classes: Vec<(u32, u32)> = Vec::new();
-        let mut start = 0;
-        for i in 1..=children.len() {
-            if i == children.len()
-                || self.t.form_of(children[i]) != self.t.form_of(children[start])
-            {
-                // dvicl-lint: allow(narrowing-cast) -- class bounds index the child list, <= g.n() <= V::MAX
-                sibling_classes.push((start as u32, i as u32));
-                start = i;
+        let sorted = &t.children[ch_start..];
+        let mut start = 0u32;
+        for (i, end) in (1..=sorted.len()).zip(1u32..) {
+            if i == sorted.len() || t.form_of(sorted[i]) != t.form_of(sorted[start as usize]) {
+                sibling_classes.push((start, end));
+                start = end;
             }
         }
-        // (child position, in-child label) per global vertex.
-        let mut key: FxHashMap<V, (u32, V)> = FxHashMap::default();
-        for (pos, &c) in children.iter().enumerate() {
-            let labels = self.t.labels_of(c);
-            for (i, &v) in self.t.verts_of(c).iter().enumerate() {
-                // dvicl-lint: allow(narrowing-cast) -- pos < children.len() <= g.n() <= V::MAX
-                key.insert(v, (pos as u32, labels[i]));
+        // Lines 2–5, one pass over the parts in certificate order: label
+        // each member, then translate the child's certificate edges.
+        cs.fit(pi.n(), sub.n());
+        cs.colors.clear();
+        let base = t.nodes[id].verts.0 as usize;
+        let fe_start = t.form_edges.len();
+        for &i in &order {
+            let child = t.nodes[children[i]];
+            let cbase = child.verts.0 as usize;
+            for (j, &local) in d.part(i).iter().enumerate() {
+                let x = t.labels[cbase + j];
+                let label = x + cs.seen[pi.color_of(t.verts[cbase + j]) as usize];
+                t.labels[base + local as usize] = label;
+                cs.relabel[x as usize] = label;
+            }
+            let run = t.form_edges.len();
+            t.form_edges.extend_from_within(pool_span(child.fedges));
+            for e in &mut t.form_edges[run..] {
+                *e = (cs.relabel[e.0 as usize], cs.relabel[e.1 as usize]);
+            }
+            for &(c, k) in pool_slice(&t.form_colors, child.fcolors) {
+                if cs.seen[c as usize] == 0 {
+                    cs.colors.push(c);
+                }
+                cs.seen[c as usize] += k;
             }
         }
-        // Lines 2–5: rank within each cell of π_g.
-        let verts = self.scratch.arena.verts(sub);
-        let mut labels = vec![0 as V; sub.n()];
-        for cell in self.scratch.arena.cells(sub, self.pi) {
-            let mut members = cell.members;
-            members.sort_unstable_by_key(|&i| key[&verts[i as usize]]);
-            for (rank, &i) in members.iter().enumerate() {
-                labels[i as usize] = cell.color + rank as V;
+        // Line 6: C(g, π_g) = (g, π_g)^{γ_g} over the *induced* subgraph.
+        // The children hold every edge inside a part; the rest — edges
+        // the divide cut, deleted or not — run between parts.
+        if t.form_edges.len() - fe_start < sub.m() {
+            for (p, part) in (0u32..).zip(d.parts()) {
+                for &local in part {
+                    cs.part_of[local as usize] = p;
+                }
+            }
+            let labels = &t.labels[base..base + sub.n()];
+            for (u, &pu) in (0u32..).zip(&cs.part_of[..sub.n()]) {
+                for &w in arena.neighbors(sub, u) {
+                    if u < w && cs.part_of[w as usize] != pu {
+                        let (a, b) = (labels[u as usize], labels[w as usize]);
+                        t.form_edges.push((a.min(b), a.max(b)));
+                    }
+                }
             }
         }
-        // Line 6: C(g, π_g) = (g, π_g)^{γ_g} over the *induced* subgraph
-        // (including any edges the divide rules deleted).
-        let (local_g, _) = self.scratch.arena.to_local_graph(sub, self.pi);
-        let colors: Vec<V> = verts.iter().map(|&v| self.pi.color_of(v)).collect();
-        let form = CanonForm::new(&local_g, &colors, &labels);
-        let fcolors = push_range(&mut self.t.form_colors, &form.colors);
-        let fedges = push_range(&mut self.t.form_edges, &form.edges);
-        let crange = push_range(&mut self.t.children, &children);
-        let classes = push_range(&mut self.t.classes, &sibling_classes);
-        let vrange = self.t.nodes[id].verts;
-        self.t.labels[vrange.0 as usize..(vrange.0 + vrange.1) as usize].copy_from_slice(&labels);
-        let node = &mut self.t.nodes[id];
+        t.form_edges[fe_start..].sort();
+        let fedges = range_since(&t.form_edges, fe_start);
+        cs.colors.sort_unstable();
+        let fc_start = t.form_colors.len();
+        t.form_colors.extend(
+            cs.colors
+                .iter()
+                .map(|&c| (c, std::mem::take(&mut cs.seen[c as usize]))),
+        );
+        let fcolors = range_since(&t.form_colors, fc_start);
+        let classes = push_range(&mut t.classes, &sibling_classes);
+        let node = &mut t.nodes[id];
         node.kind = NodeKind::Internal;
         node.children = crange;
         node.classes = classes;

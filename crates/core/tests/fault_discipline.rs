@@ -54,7 +54,7 @@ fn carve(
         return Ok(());
     }
     let locals: Vec<u32> = (0..n as u32)
-        .filter(|i| picks[*i as usize % picks.len()] % 3 != 0)
+        .filter(|i| !picks[*i as usize % picks.len()].is_multiple_of(3))
         .collect();
     if locals.is_empty() || locals.len() == n {
         return Ok(());

@@ -321,12 +321,20 @@ mod tests {
     use dvicl_govern::FaultAction;
     use std::sync::Mutex as StdMutex;
 
-    /// Fault state is process-global; serialize the tests that install
-    /// plans (same pattern as `govern::fault`'s own tests).
+    /// Fault state is process-global; serialize every test that passes
+    /// the `pool.spawn` checkpoint with the one that installs a plan
+    /// (same pattern as `govern::fault`'s own tests). Unserialized, a
+    /// plan counts their hits, or fails one of their spawns — and a
+    /// panicking leader never shuts its scope down, so the test hangs.
     static LOCK: StdMutex<()> = StdMutex::new(());
+
+    fn lock() -> std::sync::MutexGuard<'static, ()> {
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn lifo_own_pop_fifo_steal() {
+        let _g = lock();
         let pool: Pool<u32> = Pool::new(2);
         pool.spawn(0, 1).unwrap();
         pool.spawn(0, 2).unwrap();
@@ -346,6 +354,7 @@ mod tests {
 
     #[test]
     fn scope_drains_everything_and_joins() {
+        let _g = lock();
         use std::sync::atomic::{AtomicU64, Ordering};
         let total = AtomicU64::new(0);
         let mut states = [(), (), ()];
@@ -377,6 +386,7 @@ mod tests {
 
     #[test]
     fn single_worker_scope_runs_on_the_leader() {
+        let _g = lock();
         let mut none: [(); 0] = [];
         let got = scope(
             &mut none,
@@ -391,7 +401,7 @@ mod tests {
 
     #[test]
     fn spawn_checkpoint_injects_typed_faults() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = lock();
         fault::install(FaultPlan::one(FaultAction::Cancel, "pool.spawn", 2));
         let pool: Pool<u32> = Pool::new(1);
         assert!(pool.spawn(0, 1).is_ok());
@@ -404,6 +414,7 @@ mod tests {
 
     #[test]
     fn park_returns_false_only_after_shutdown() {
+        let _g = lock();
         let pool: Pool<u32> = Pool::new(1);
         pool.spawn(0, 9).unwrap();
         // Work pending: park refuses to sleep.

@@ -404,7 +404,7 @@ mod tests {
     proptest! {
         #[test]
         fn ranges_are_honoured(n in 3usize..10, m in 0u32..=4) {
-            prop_assert!(n >= 3 && n < 10, "n={}", n);
+            prop_assert!((3..10).contains(&n), "n={}", n);
             prop_assert!(m <= 4);
         }
 
