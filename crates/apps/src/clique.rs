@@ -4,11 +4,15 @@
 
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Graph, V};
+use dvicl_obs::Phase;
 
 /// Finds one maximum clique (vertices ascending).
+#[expect(
+    clippy::expect_used,
+    reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
+)]
 pub fn max_clique(g: &Graph) -> Vec<V> {
     try_max_clique(g, &Budget::unlimited())
-        // dvicl-lint: allow(panic-freedom) -- Budget::unlimited() never exhausts, so the Err arm is unreachable
         .expect("unlimited clique search cannot exceed its budget")
 }
 
@@ -17,7 +21,7 @@ pub fn max_clique(g: &Graph) -> Vec<V> {
 /// clique is NP-hard, so unbounded runtime is the default, not the
 /// exception.
 pub fn try_max_clique(g: &Graph, budget: &Budget) -> Result<Vec<V>, DviclError> {
-    let _span = dvicl_obs::span("apps.clique");
+    let _span = dvicl_obs::span(Phase::AppsClique);
     budget.check()?;
     let n = g.n();
     if n == 0 {
@@ -53,7 +57,10 @@ fn degeneracy_order(g: &Graph) -> Vec<V> {
         if floor > maxd {
             break;
         }
-        // dvicl-lint: allow(panic-freedom) -- `floor` is advanced past empty buckets by the loop above, so buckets[floor] is non-empty here
+        #[expect(
+            clippy::expect_used,
+            reason = "`floor` is advanced past empty buckets by the loop above, so buckets[floor] is non-empty here"
+        )]
         let v = buckets[floor].pop().expect("non-empty bucket");
         if removed[v as usize] || deg[v as usize] != floor {
             // Stale entry: re-bucket if still alive.
@@ -139,9 +146,12 @@ fn greedy_color(g: &Graph, cands: &[V]) -> Vec<u32> {
 
 /// All maximum cliques up to `limit`, given the maximum clique size is
 /// already known (used for Table 7: clustering the maximum cliques).
+#[expect(
+    clippy::expect_used,
+    reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
+)]
 pub fn all_max_cliques(g: &Graph, size: usize, limit: usize) -> Vec<Vec<V>> {
     try_all_max_cliques(g, size, limit, &Budget::unlimited())
-        // dvicl-lint: allow(panic-freedom) -- Budget::unlimited() never exhausts, so the Err arm is unreachable
         .expect("unlimited clique enumeration cannot exceed its budget")
 }
 
@@ -152,7 +162,7 @@ pub fn try_all_max_cliques(
     limit: usize,
     budget: &Budget,
 ) -> Result<Vec<Vec<V>>, DviclError> {
-    let _span = dvicl_obs::span("apps.clique");
+    let _span = dvicl_obs::span(Phase::AppsClique);
     budget.check()?;
     let mut out = Vec::new();
     let order = degeneracy_order(g);

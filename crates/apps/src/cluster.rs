@@ -7,6 +7,7 @@ use dvicl_core::ssm::{symmetric_key, try_symmetric_key, SsmIndex};
 use dvicl_core::AutoTree;
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::V;
+use dvicl_obs::Phase;
 use rustc_hash::FxHashMap;
 
 /// Result of clustering a family of vertex sets by symmetry.
@@ -50,7 +51,7 @@ pub fn try_cluster_by_symmetry<S: AsRef<[V]>>(
     sets: impl IntoIterator<Item = S>,
     budget: &Budget,
 ) -> Result<Clustering, DviclError> {
-    let _span = dvicl_obs::span("apps.cluster");
+    let _span = dvicl_obs::span(Phase::AppsCluster);
     budget.check()?;
     let mut by_key: FxHashMap<Vec<u8>, usize> = FxHashMap::default();
     let mut total = 0usize;

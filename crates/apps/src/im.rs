@@ -9,6 +9,7 @@
 
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Graph, V};
+use dvicl_obs::Phase;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -34,9 +35,12 @@ impl Default for IcConfig {
 }
 
 /// Estimates the expected spread `σ(S)` of a seed set by Monte-Carlo BFS.
+#[expect(
+    clippy::expect_used,
+    reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
+)]
 pub fn spread(g: &Graph, seeds: &[V], cfg: &IcConfig) -> f64 {
     try_spread(g, seeds, cfg, &Budget::unlimited())
-        // dvicl-lint: allow(panic-freedom) -- Budget::unlimited() never exhausts, so the Err arm is unreachable
         .expect("unlimited spread estimation cannot exceed its budget")
 }
 
@@ -48,7 +52,7 @@ pub fn try_spread(
     cfg: &IcConfig,
     budget: &Budget,
 ) -> Result<f64, DviclError> {
-    let _span = dvicl_obs::span("apps.im");
+    let _span = dvicl_obs::span(Phase::AppsIm);
     budget.check()?;
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let n = g.n();
@@ -97,9 +101,12 @@ pub fn select_seeds(g: &Graph, k: usize, cfg: &IcConfig) -> Vec<V> {
 }
 
 /// [`select_seeds`] with an explicit candidate-pool size.
+#[expect(
+    clippy::expect_used,
+    reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
+)]
 pub fn select_seeds_pruned(g: &Graph, k: usize, cfg: &IcConfig, max_candidates: usize) -> Vec<V> {
     try_select_seeds_pruned(g, k, cfg, max_candidates, &Budget::unlimited())
-        // dvicl-lint: allow(panic-freedom) -- Budget::unlimited() never exhausts, so the Err arm is unreachable
         .expect("unlimited seed selection cannot exceed its budget")
 }
 
@@ -123,7 +130,7 @@ pub fn try_select_seeds_pruned(
     max_candidates: usize,
     budget: &Budget,
 ) -> Result<Vec<V>, DviclError> {
-    let _span = dvicl_obs::span("apps.im");
+    let _span = dvicl_obs::span(Phase::AppsIm);
     budget.check()?;
     let n = g.n();
     if n == 0 || k == 0 {
@@ -143,7 +150,10 @@ pub fn try_select_seeds_pruned(
     let mut iteration = 0u32;
     let to_fixed = |x: f64| (x * 1048576.0) as u64;
     while seeds.len() < k {
-        // dvicl-lint: allow(panic-freedom) -- the heap holds every non-seed vertex and seeds.len() < k <= n, so it is non-empty
+        #[expect(
+            clippy::expect_used,
+            reason = "the heap holds every non-seed vertex and seeds.len() < k <= n, so it is non-empty"
+        )]
         let (gain, v, evaluated) = heap.pop().expect("heap holds all non-seeds");
         if evaluated == iteration {
             seeds.push(v);

@@ -11,6 +11,7 @@
 
 use dvicl_core::{aut, AutoTree};
 use dvicl_graph::{Graph, GraphBuilder, V};
+use dvicl_obs::Phase;
 
 /// The quotient of a graph under its automorphism orbits.
 pub struct Quotient {
@@ -25,7 +26,7 @@ pub struct Quotient {
 
 /// Builds the quotient of `g` from its AutoTree.
 pub fn quotient(g: &Graph, tree: &AutoTree) -> Quotient {
-    let _span = dvicl_obs::span("apps.quotient");
+    let _span = dvicl_obs::span(Phase::AppsQuotient);
     let n = g.n();
     let mut orbits = aut::orbits(tree);
     let cells = orbits.cells();

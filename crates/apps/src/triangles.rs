@@ -3,6 +3,7 @@
 
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Graph, V};
+use dvicl_obs::Phase;
 
 /// Counts all triangles.
 pub fn count_triangles(g: &Graph) -> u64 {
@@ -17,7 +18,7 @@ pub fn count_triangles(g: &Graph) -> u64 {
 /// Budgeted [`count_triangles`]: spends one work unit per oriented edge
 /// whose out-neighborhoods are intersected.
 pub fn try_count_triangles(g: &Graph, budget: &Budget) -> Result<u64, DviclError> {
-    let _span = dvicl_obs::span("apps.triangles");
+    let _span = dvicl_obs::span(Phase::AppsTriangles);
     let mut count = 0u64;
     try_for_each_triangle(g, budget, |_, _, _| {
         count += 1;
@@ -34,21 +35,6 @@ pub fn list_triangles(g: &Graph, limit: usize) -> Vec<[V; 3]> {
         out.len() < limit
     });
     out
-}
-
-/// Budgeted [`list_triangles`].
-pub fn try_list_triangles(
-    g: &Graph,
-    limit: usize,
-    budget: &Budget,
-) -> Result<Vec<[V; 3]>, DviclError> {
-    let _span = dvicl_obs::span("apps.triangles");
-    let mut out = Vec::new();
-    try_for_each_triangle(g, budget, |a, b, c| {
-        out.push([a, b, c]);
-        out.len() < limit
-    })?;
-    Ok(out)
 }
 
 /// Visits each triangle `(a < b < c)` once; the callback returns `false`

@@ -16,6 +16,10 @@ fn twin_heavy() -> Graph {
     })
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "bench setup: the named graph is part of the built-in social suite"
+)]
 fn bench_divide_s(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation-divide-s");
     group.sample_size(10);
@@ -68,7 +72,6 @@ fn bench_invariant(c: &mut Criterion) {
                 target_cell: TargetCell::FirstNonSingleton,
                 use_invariant,
                 record_tree: false,
-                group_only: false,
             };
             b.iter(|| canonical_form(g, &pi, &config).form);
         });

@@ -8,6 +8,10 @@ use dvicl_govern::Budget;
 use dvicl_graph::{Coloring, Graph};
 use std::time::Duration;
 
+#[expect(
+    clippy::expect_used,
+    reason = "bench setup: the named graph is part of the built-in social suite"
+)]
 fn datasets() -> Vec<(&'static str, Graph)> {
     vec![
         (

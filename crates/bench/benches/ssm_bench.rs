@@ -8,6 +8,10 @@ use dvicl_core::ssm::{count_images, enumerate_images, symmetric_key, SsmIndex};
 use dvicl_core::{build_autotree, sm, DviclOptions};
 use dvicl_graph::Coloring;
 
+#[expect(
+    clippy::expect_used,
+    reason = "bench setup: the named graph is part of the built-in social suite"
+)]
 fn bench_ssm(c: &mut Criterion) {
     let mut group = c.benchmark_group("ssm");
     group.sample_size(10);

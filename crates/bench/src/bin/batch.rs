@@ -26,6 +26,10 @@ static ALLOC: dvicl_bench::alloc::Meter = dvicl_bench::alloc::Meter;
 
 /// A deterministic relabeling so queries never arrive in corpus vertex
 /// order (splitmix-fed Fisher–Yates).
+#[expect(
+    clippy::expect_used,
+    reason = "Fisher–Yates swaps keep `image` a bijection of 0..n"
+)]
 fn shuffled(g: &Graph, salt: u64) -> Graph {
     let n = g.n();
     let mut image: Vec<V> = (0..n as V).collect();
@@ -37,7 +41,6 @@ fn shuffled(g: &Graph, salt: u64) -> Graph {
         let j = (state >> 33) as usize % (i + 1);
         image.swap(i, j);
     }
-    // dvicl-lint: allow(panic-freedom) -- Fisher–Yates swaps keep `image` a bijection of 0..n
     g.permuted(&Perm::from_image(image).expect("shuffle is a bijection"))
 }
 

@@ -27,6 +27,6 @@ pub mod tree;
 
 pub use dvicl_govern::{Budget, CancelToken, DviclError};
 pub use search::{
-    automorphism_group, canonical_form, try_canonical_form, try_canonical_form_with, CanonResult,
-    Config, GroupResult, SearchStats, TargetCell,
+    canonical_form, try_canonical_form, try_canonical_form_with, CanonResult, Config, SearchStats,
+    TargetCell,
 };

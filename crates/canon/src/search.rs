@@ -1,10 +1,11 @@
 //! The backtrack search over the individualization-refinement tree.
 
 use crate::tree::{NodeRecord, SearchTree};
+use dvicl_govern::fault::Site;
 use dvicl_govern::{Budget, DviclError};
-use dvicl_obs::{self as obs, Counter};
 use dvicl_graph::{CanonForm, Coloring, Graph, Perm, V};
 use dvicl_group::Orbits;
+use dvicl_obs::{self as obs, Counter, Phase};
 use dvicl_refine::Refiner;
 use std::cmp::Ordering;
 
@@ -104,11 +105,6 @@ pub struct Config {
     pub use_invariant: bool,
     /// Record the search tree (for figures/examples; small graphs only).
     pub record_tree: bool,
-    /// Search for the automorphism group only (the saucy mode): skip the
-    /// canonical-candidate bookkeeping and prune every subtree that cannot
-    /// map onto the reference path. The resulting `CanonResult::form` is
-    /// the *reference* (first-leaf) certificate, which is NOT canonical.
-    pub group_only: bool,
 }
 
 impl Config {
@@ -119,7 +115,6 @@ impl Config {
             target_cell: TargetCell::FirstNonSingleton,
             use_invariant: true,
             record_tree: false,
-            group_only: false,
         }
     }
 
@@ -130,7 +125,6 @@ impl Config {
             target_cell: TargetCell::SmallestFirst,
             use_invariant: false,
             record_tree: false,
-            group_only: false,
         }
     }
 
@@ -140,7 +134,6 @@ impl Config {
             target_cell: TargetCell::LargestFirst,
             use_invariant: true,
             record_tree: false,
-            group_only: false,
         }
     }
 }
@@ -276,43 +269,13 @@ fn color_runs(pi: &Coloring) -> Vec<(V, V)> {
 ///     canonical_form(&shuffled, &pi, &cfg).form,
 /// );
 /// ```
+#[expect(
+    clippy::expect_used,
+    reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
+)]
 pub fn canonical_form(g: &Graph, pi: &Coloring, config: &Config) -> CanonResult {
     try_canonical_form(g, pi, config, &Budget::unlimited())
-        // dvicl-lint: allow(panic-freedom) -- Budget::unlimited() never exhausts, so the Err arm is unreachable
         .expect("unlimited search cannot exceed its budget")
-}
-
-/// The automorphism group of `(g, pi)` — generators, orbits and search
-/// statistics — *without* computing a canonical form.
-///
-/// This is the saucy mode the paper's Section 3 describes: subtrees whose
-/// invariants diverge from the reference path cannot contain automorphisms
-/// of the reference leaf and are pruned unconditionally, so the search is
-/// strictly smaller than a canonical run.
-pub fn automorphism_group(
-    g: &Graph,
-    pi: &Coloring,
-    config: &Config,
-    budget: &Budget,
-) -> Result<GroupResult, DviclError> {
-    let mut config = config.clone();
-    config.group_only = true;
-    let r = try_canonical_form(g, pi, &config, budget)?;
-    Ok(GroupResult {
-        generators: r.generators,
-        orbits: r.orbits,
-        stats: r.stats,
-    })
-}
-
-/// Output of [`automorphism_group`].
-pub struct GroupResult {
-    /// Generators of `Aut(G, π)`.
-    pub generators: Vec<Perm>,
-    /// Orbit partition of the generated group.
-    pub orbits: Orbits,
-    /// Search statistics.
-    pub stats: SearchStats,
 }
 
 /// Canonically labels `(g, pi)`, aborting with a typed error when the
@@ -349,7 +312,7 @@ pub fn try_canonical_form_with(
     // An already-expired deadline or a pre-cancelled token must fail even
     // on graphs small enough to finish inside the first clock stride.
     budget.check()?;
-    let _span = obs::span("canon.search");
+    let _span = obs::span(Phase::CanonSearch);
     let mut s = Search {
         g,
         config: config.clone(),
@@ -384,8 +347,19 @@ pub fn try_canonical_form_with(
     let root = s.refiner.try_refine(g, pi, budget)?;
     let root_inv = mix(root.trace, quotient_hash(g, &root.coloring));
     let mut fixed: Vec<V> = Vec::new();
-    s.dfs(&root.coloring, root_inv, 0, true, Ordering::Equal, None, &mut fixed)?;
-    // dvicl-lint: allow(panic-freedom) -- dfs reaches at least one leaf before returning Ok, and the first leaf seeds best_leaf
+    s.dfs(
+        &root.coloring,
+        root_inv,
+        0,
+        true,
+        Ordering::Equal,
+        None,
+        &mut fixed,
+    )?;
+    #[expect(
+        clippy::expect_used,
+        reason = "dfs reaches at least one leaf before returning Ok, and the first leaf seeds best_leaf"
+    )]
     let (edges, labeling) = s.best_leaf.expect("search always reaches a leaf");
     Ok(CanonResult {
         labeling,
@@ -454,7 +428,7 @@ impl<'a> Search<'a> {
         self.stats.nodes += 1;
         obs::bump(Counter::SearchNodes);
         self.stats.max_depth = self.stats.max_depth.max(depth);
-        dvicl_govern::fault::checkpoint("canon.dfs")?;
+        dvicl_govern::fault::checkpoint(Site::CanonDfs)?;
         self.budget.spend(1)?;
         let node_id = self.record_node(pi, depth, parent_edge);
         let d = depth as usize;
@@ -467,17 +441,10 @@ impl<'a> Search<'a> {
             on_first = d < self.first_path.len() && self.first_path[d] == inv;
         }
 
-        // Group-only mode: a node off the reference-invariant path cannot
-        // produce automorphisms of the reference leaf — prune outright.
-        if self.config.group_only && !on_first {
-            self.stats.pruned_invariant += 1;
-            obs::bump(Counter::PrunedInvariant);
-            return Ok(());
-        }
         // Maintain the best-path comparison (only meaningful once some best
         // exists; while the best is being *established* on the leftmost
         // descent, best_path mirrors first_path).
-        if !self.config.group_only && self.config.use_invariant {
+        if self.config.use_invariant {
             if best_cmp == Ordering::Equal {
                 if d < self.best_path.len() {
                     match inv.cmp(&self.best_path[d]) {
@@ -579,9 +546,12 @@ impl<'a> Search<'a> {
     ) -> Result<(), DviclError> {
         self.stats.leaves += 1;
         obs::bump(Counter::SearchLeaves);
+        #[expect(
+            clippy::expect_used,
+            reason = "handle_leaf is only called when target_cell found no non-singleton cell, i.e. pi is discrete"
+        )]
         let lambda = pi
             .to_perm()
-            // dvicl-lint: allow(panic-freedom) -- handle_leaf is only called when target_cell found no non-singleton cell, i.e. pi is discrete
             .expect("a node with no non-singleton cell is discrete");
         let cert = leaf_edges(self.g, pi);
 
@@ -591,18 +561,17 @@ impl<'a> Search<'a> {
             self.best_leaf = Some((cert, lambda));
             self.first_seq = fixed.to_vec();
             self.best_seq = fixed.to_vec();
-            debug_assert!(
-                self.config.group_only
-                    || !self.config.use_invariant
-                    || self.best_path.len() == d + 1
-            );
+            debug_assert!(!self.config.use_invariant || self.best_path.len() == d + 1);
             return Ok(());
         }
 
         let mut found_auto = false;
         // Automorphism against the reference leaf (γ' γ₀⁻¹ in the paper).
         if on_first {
-            // dvicl-lint: allow(panic-freedom) -- first_leaf is assigned a few lines above when None, so it is always Some here
+            #[expect(
+                clippy::expect_used,
+                reason = "first_leaf is assigned a few lines above when None, so it is always Some here"
+            )]
             let (first_cert, first_lambda) = self.first_leaf.as_ref().expect("set above");
             if cert == *first_cert {
                 let auto = lambda.then(&first_lambda.inverse());
@@ -610,7 +579,7 @@ impl<'a> Search<'a> {
             }
         }
 
-        match if self.config.group_only { Ordering::Greater } else { best_cmp } {
+        match best_cmp {
             Ordering::Equal => match &self.best_leaf {
                 None => {
                     // This subtree established a new best prefix; the first
@@ -635,7 +604,10 @@ impl<'a> Search<'a> {
                 },
             },
             Ordering::Greater => {}
-            // dvicl-lint: allow(panic-freedom) -- dfs only ever passes Equal or Greater: a Less invariant resets best_path and keeps best_cmp = Equal
+            #[expect(
+                clippy::unreachable,
+                reason = "dfs only ever passes Equal or Greater: a Less invariant resets best_path and keeps best_cmp = Equal"
+            )]
             Ordering::Less => unreachable!("Less is never propagated"),
         }
         if found_auto {

@@ -75,9 +75,18 @@ impl SearchTree {
             Some(v) => format!("--{v}--> "),
             None => String::new(),
         };
-        writeln!(out, "{:indent$}{edge}({id}) {}", "", n.coloring, indent = indent)
-            // dvicl-lint: allow(panic-freedom) -- fmt::Write for String is infallible; the Err arm cannot occur
-            .expect("writing to String cannot fail");
+        #[expect(
+            clippy::expect_used,
+            reason = "fmt::Write for String is infallible; the Err arm cannot occur"
+        )]
+        writeln!(
+            out,
+            "{:indent$}{edge}({id}) {}",
+            "",
+            n.coloring,
+            indent = indent
+        )
+        .expect("writing to String cannot fail");
         for c in self.children(id) {
             self.render_rec(c, indent + 2, out);
         }

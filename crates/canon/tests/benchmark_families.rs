@@ -8,6 +8,10 @@ use dvicl_data::bench_graphs;
 use dvicl_graph::{Coloring, Graph, Perm, V};
 use dvicl_group::StabChain;
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
 fn shuffle(n: usize, seed: u64) -> Perm {
     let mut image: Vec<V> = (0..n as V).collect();
     let mut state = seed | 1;
@@ -149,49 +153,4 @@ fn budget_is_respected_quickly() {
     if r.is_err() {
         assert!(t0.elapsed() < std::time::Duration::from_secs(5));
     }
-}
-
-#[test]
-fn group_only_mode_matches_full_search() {
-    use dvicl_canon::automorphism_group;
-    for g in [
-        dvicl_graph::named::fig1_example(),
-        dvicl_graph::named::petersen(),
-        dvicl_graph::named::hypercube(3),
-        bench_graphs::ag2(5),
-    ] {
-        let pi = Coloring::unit(g.n());
-        let full = canonical_form(&g, &pi, &Config::bliss_like());
-        let group = automorphism_group(&g, &pi, &Config::bliss_like(), &Budget::unlimited())
-            .expect("no limits set");
-        // Same group order (node counts can differ in either direction:
-        // the full search also harvests automorphisms from best-certificate
-        // matches, the group-only search prunes off-reference subtrees).
-        assert_eq!(
-            StabChain::new(g.n(), &group.generators).order(),
-            StabChain::new(g.n(), &full.generators).order(),
-        );
-        // Generators really are automorphisms.
-        for gen in &group.generators {
-            assert_eq!(g.permuted(gen), g);
-        }
-    }
-}
-
-#[test]
-fn group_only_on_geometric_graphs() {
-    use dvicl_canon::automorphism_group;
-    let g = bench_graphs::ag2(7);
-    let pi = Coloring::unit(g.n());
-    let full = canonical_form(&g, &pi, &Config::bliss_like());
-    let group = automorphism_group(&g, &pi, &Config::bliss_like(), &Budget::unlimited())
-        .expect("no limits");
-    assert_eq!(
-        StabChain::new(g.n(), &group.generators).order(),
-        StabChain::new(g.n(), &full.generators).order(),
-    );
-    // Orbits agree with the full search's.
-    let mut a = group.orbits;
-    let mut b = full.orbits;
-    assert_eq!(a.cells(), b.cells());
 }

@@ -30,7 +30,7 @@ use dvicl_core::Session;
 use dvicl_govern::{parse_duration, Budget, DviclError};
 use dvicl_graph::{graph6, io as gio, CanonForm, Fingerprint, Graph};
 use dvicl_index::FingerprintIndex;
-use dvicl_obs as obs;
+use dvicl_obs::{self as obs, Phase};
 use std::io::{BufRead, Write};
 use std::path::Path;
 use std::time::Duration;
@@ -230,7 +230,7 @@ fn respond_line(out: &mut impl Write, line: &str) {
 /// `dvicl batch [FLAGS] [QUERIES]` — drain a query file (stdin when
 /// absent) and exit.
 pub(crate) fn batch(args: &[String], run: &RunOptions) -> Result<(), CliError> {
-    let _span = obs::span("cli.batch");
+    let _span = obs::span(Phase::CliBatch);
     let opts = ServiceOpts::parse(args, true)?;
     let mut service = Service::new(&opts, run)?;
     let text = match opts.input.as_deref() {
@@ -261,7 +261,7 @@ pub(crate) fn batch(args: &[String], run: &RunOptions) -> Result<(), CliError> {
 /// `dvicl serve [FLAGS]` — answer stdin line by line, flushing per
 /// response, until `quit` or end of input.
 pub(crate) fn serve(args: &[String], run: &RunOptions) -> Result<(), CliError> {
-    let _span = obs::span("cli.serve");
+    let _span = obs::span(Phase::CliServe);
     let opts = ServiceOpts::parse(args, false)?;
     let mut service = Service::new(&opts, run)?;
     let stdin = std::io::stdin();

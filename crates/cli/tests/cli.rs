@@ -3,6 +3,10 @@
 use std::io::Write;
 use std::process::{Command, Stdio};
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
 fn dvicl(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
         .args(args)
@@ -282,6 +286,43 @@ fn fault_plan_env_var_is_honored() {
 }
 
 #[test]
+fn unknown_fault_site_is_rejected_with_the_valid_sites() {
+    // A misspelled site would otherwise arm a plan that never fires.
+    let check = |out: std::process::Output| {
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown fault site 'index.insrt'"),
+            "got: {stderr}"
+        );
+        assert!(stderr.contains("index.insert"), "got: {stderr}");
+        assert!(out.stdout.is_empty(), "no request may be served");
+    };
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+        .args(["batch", "--fault-plan", "trip@index.insrt:1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // The binary may exit before reading stdin; a closed pipe is fine.
+    let _ = child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(b"insert g6:IheA@GUAo\n");
+    check(child.wait_with_output().expect("binary exits"));
+
+    check(
+        Command::new(env!("CARGO_BIN_EXE_dvicl"))
+            .args(["canon", "g6:IheA@GUAo"])
+            .env("DVICL_FAULT_PLAN", "trip@index.insrt:1")
+            .output()
+            .expect("binary runs"),
+    );
+}
+
+#[test]
 fn quotient_of_petersen_collapses() {
     let (stdout, _, ok) = dvicl(&["quotient", "g6:IheA@GUAo"]);
     assert!(ok);
@@ -291,6 +332,11 @@ fn quotient_of_petersen_collapses() {
 
 /// Runs the binary with `input` piped to stdin; returns stdout, stderr
 /// and the exit code.
+#[expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
 fn dvicl_stdin(args: &[&str], input: &str) -> (String, String, Option<i32>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_dvicl"))
         .args(args)
@@ -319,6 +365,10 @@ impl TempPath {
         TempPath(std::env::temp_dir().join(format!("dvicl-cli-{tag}-{}", std::process::id())))
     }
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "test helper: a panic here fails the calling test, which is the intent"
+    )]
     fn as_str(&self) -> &str {
         self.0.to_str().unwrap()
     }

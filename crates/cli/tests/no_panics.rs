@@ -1,11 +1,11 @@
-//! Guard: no panicking calls on input-reachable paths — and every other
-//! workspace invariant (budget threading, unsafe audit, error taxonomy,
-//! narrowing casts, offline guard). The old version of this test grepped
-//! three files for `.unwrap(`-style substrings; the policy now lives in
-//! `dvicl-lint`, which lexes every workspace source properly (comments,
-//! strings and `#[cfg(test)]` modules excluded) and accepts only
-//! reason-bearing suppression pragmas. This test drives the library API
-//! over the whole workspace and requires zero unsuppressed findings.
+//! Guard: the workspace invariants only a project analyzer can check
+//! (budget reachability, the hot-path shared-state screen, error
+//! taxonomy, offline guard, CSR-only adjacency, narrowing casts) hold
+//! everywhere. Panicking calls on input-reachable paths are not this
+//! test's job: `unwrap`, `expect`, `panic!` and `unreachable!` are
+//! workspace clippy denials, audited by `#[expect(clippy::…, reason)]`.
+//! This test drives the `dvicl-lint` library API over the whole
+//! workspace and requires zero unsuppressed findings.
 
 use std::path::Path;
 

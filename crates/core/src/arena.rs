@@ -11,10 +11,16 @@
 //!
 //! * [`SubArena::whole`] / [`SubArena::induced_child`] push a segment on
 //!   top of all three pools and hand back a [`Sub`] handle of offsets;
-//! * [`SubArena::release`] truncates back to a [`ArenaMark`], freeing a
-//!   finished child's segment while its parent (lower in the stack) stays
-//!   valid — the buffers keep their capacity, so the next child reuses
-//!   the same allocation instead of growing fresh `Vec`s.
+//! * [`SubArena::scoped`] runs a closure and then truncates the pools
+//!   back to where they stood before it, freeing a finished child's
+//!   segment while its parent (lower in the stack) stays valid — the
+//!   buffers keep their capacity, so the next child reuses the same
+//!   allocation instead of growing fresh `Vec`s.
+//!
+//! The truncation itself (`release`) is private to this module, and
+//! `scoped` releases on every path out of its closure, `?` included, so
+//! no caller can leave a carve behind on an early exit. The type system
+//! enforces the stack discipline; no separate analysis is needed.
 //!
 //! Peak residency is therefore one root-to-leaf chain of segments
 //! (O(depth · n + m) worst case, O(n + m) on balanced divides) instead of
@@ -32,10 +38,11 @@ use crate::sub::{Division, Sub, SubCell};
 use dvicl_graph::{Coloring, Graph, V};
 use dvicl_obs::{self as obs, Counter};
 
-/// Rollback point for [`SubArena::release`]: the three pool tops at the
-/// time of [`SubArena::mark`]. Marks compare equal iff they denote the
-/// same pool state, which is how the fault-sweep tests assert stack
-/// discipline (`arena.mark() == pre_call_mark` after an early return).
+/// The three pool tops at the time of [`SubArena::mark`]. Marks compare
+/// equal iff they denote the same pool state, which is how the
+/// fault-sweep tests assert stack discipline (`arena.mark() ==
+/// pre_call_mark` after an early return). Only this module can roll the
+/// pools back to a mark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ArenaMark {
     verts: usize,
@@ -100,7 +107,7 @@ impl SubArena {
         sub
     }
 
-    /// The current pool tops, for a later [`SubArena::release`].
+    /// The current pool tops.
     pub fn mark(&self) -> ArenaMark {
         ArenaMark {
             verts: self.verts.len(),
@@ -109,9 +116,48 @@ impl SubArena {
         }
     }
 
+    /// Runs `f` on `owner`, then releases every segment carved while it
+    /// ran, on every path out of `f` (an early `?` included). `arena`
+    /// projects the arena out of `owner`, so `f` keeps full access to the
+    /// owner, for example a builder that carves a child and recurses
+    /// into it.
+    ///
+    /// ```
+    /// use dvicl_core::SubArena;
+    /// let g = dvicl_graph::named::petersen();
+    /// let mut arena = SubArena::new();
+    /// let root = arena.whole(&g);
+    /// let before = arena.mark();
+    /// let n = SubArena::scoped(&mut arena, |a| a, |a| {
+    ///     let child = a.try_induced_child(&root, &[0, 1, 2])?;
+    ///     Ok::<_, dvicl_govern::DviclError>(child.n())
+    /// });
+    /// assert_eq!(n.unwrap(), 3);
+    /// assert_eq!(arena.mark(), before, "the carve is gone");
+    /// ```
+    ///
+    /// There is no other way to roll the pools back from outside this
+    /// module: `release` is private.
+    ///
+    /// ```compile_fail,E0624
+    /// let mut arena = dvicl_core::SubArena::new();
+    /// let mark = arena.mark();
+    /// arena.release(mark);
+    /// ```
+    pub fn scoped<O: ?Sized, R>(
+        owner: &mut O,
+        arena: impl Fn(&mut O) -> &mut SubArena,
+        f: impl FnOnce(&mut O) -> R,
+    ) -> R {
+        let mark = arena(owner).mark();
+        let out = f(owner);
+        arena(owner).release(mark);
+        out
+    }
+
     /// Truncates the pools back to `mark`, releasing every segment pushed
     /// since — their capacity stays with the buffers for the next child.
-    pub fn release(&mut self, mark: ArenaMark) {
+    fn release(&mut self, mark: ArenaMark) {
         if self.verts.len() > mark.verts || self.offs.len() > mark.offs {
             self.reuses += 1;
         }
@@ -159,7 +205,6 @@ impl SubArena {
         parent: &Sub,
         locals: &[u32],
     ) -> Result<Sub, dvicl_govern::DviclError> {
-        // dvicl-lint: allow(arena-discipline) -- on success the carve survives by design: the mark exists only to roll back the over-ceiling path, and the caller releases the child with its own mark
         let mark = self.mark();
         let sub = self.induced_child(parent, locals);
         if let Some(ceil) = self.ceiling_bytes {
@@ -175,7 +220,7 @@ impl SubArena {
         Ok(sub)
     }
 
-    /// How many [`SubArena::release`] calls actually freed a segment.
+    /// How many releases actually freed a segment.
     pub fn reuses(&self) -> u64 {
         self.reuses
     }
@@ -511,7 +556,6 @@ impl SubArena {
     /// adopt the segment is rolled back and the pools are exactly as
     /// before.
     pub fn try_adopt(&mut self, seed: &SubSeed) -> Result<Sub, dvicl_govern::DviclError> {
-        // dvicl-lint: allow(arena-discipline) -- on success the adopted segment survives by design: the mark exists only to roll back the over-ceiling path, and the caller releases the segment with its own mark
         let mark = self.mark();
         let sub = Sub {
             verts_start: self.verts.len(),

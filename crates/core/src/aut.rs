@@ -27,7 +27,10 @@ pub fn generators(tree: &AutoTree) -> Vec<Perm> {
             for &(v, w) in sparse {
                 image[v as usize] = w;
             }
-            // dvicl-lint: allow(panic-freedom) -- sparse entries come from a stored automorphism, so the patched identity stays a bijection
+            #[expect(
+                clippy::expect_used,
+                reason = "sparse entries come from a stored automorphism, so the patched identity stays a bijection"
+            )]
             out.push(Perm::from_image(image).expect("leaf generator is a bijection"));
         }
         // (b) swaps of adjacent symmetric siblings.
@@ -41,7 +44,10 @@ pub fn generators(tree: &AutoTree) -> Vec<Perm> {
                     image[va as usize] = vb;
                     image[vb as usize] = va;
                 }
-                // dvicl-lint: allow(panic-freedom) -- sibling_isomorphism returns a perfect matching, so the pairwise swap is a bijection
+                #[expect(
+                    clippy::expect_used,
+                    reason = "sibling_isomorphism returns a perfect matching, so the pairwise swap is a bijection"
+                )]
                 out.push(Perm::from_image(image).expect("sibling swap is an involution"));
             }
         }
@@ -106,12 +112,20 @@ fn order_of(tree: &AutoTree, id: NodeId) -> BigUint {
 fn leaf_order(tree: &AutoTree, id: NodeId) -> BigUint {
     let node = tree.node(id);
     let nl = node.n();
+    #[expect(
+        clippy::expect_used,
+        reason = "leaf generators only move the leaf's own vertices, and the index is < node.n() <= V::MAX"
+    )]
     let local_of = |v: V| -> u32 {
         node.verts()
             .binary_search(&v)
-            // dvicl-lint: allow(panic-freedom, narrowing-cast) -- leaf generators only move the leaf's own vertices, and the index is < node.n() <= V::MAX
+            // dvicl-lint: allow(narrowing-cast) -- leaf generators only move the leaf's own vertices, and the index is < node.n() <= V::MAX
             .expect("leaf generator stays inside the leaf") as u32
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "relabeling a stored automorphism through the bijective local_of keeps it a bijection"
+    )]
     let gens: Vec<Perm> = node
         .leaf_generators()
         .map(|sparse| {
@@ -119,7 +133,6 @@ fn leaf_order(tree: &AutoTree, id: NodeId) -> BigUint {
             for &(v, w) in sparse {
                 image[local_of(v) as usize] = local_of(w);
             }
-            // dvicl-lint: allow(panic-freedom) -- relabeling a stored automorphism through the bijective local_of keeps it a bijection
             Perm::from_image(image).expect("local leaf generator is a bijection")
         })
         .collect();
@@ -277,7 +290,10 @@ pub fn automorphism_witness(tree: &AutoTree, u: V, v: V) -> Option<Perm> {
     if pu.len() == d + 1 || pv.len() == d + 1 {
         // One vertex's leaf IS the lca: both must be in that leaf.
         debug_assert_eq!(pu.last(), pv.last());
-        // dvicl-lint: allow(panic-freedom) -- pu has at least d + 1 elements (indexed as pu[d] above), so last() is Some
+        #[expect(
+            clippy::expect_used,
+            reason = "pu has at least d + 1 elements (indexed as pu[d] above), so last() is Some"
+        )]
         return leaf_witness(tree, *pu.last().expect("non-empty path"), u, v);
     }
     let (a, b) = (pu[d + 1], pv[d + 1]);
@@ -294,7 +310,10 @@ pub fn automorphism_witness(tree: &AutoTree, u: V, v: V) -> Option<Perm> {
         image[x as usize] = y;
         image[y as usize] = x;
     }
-    // dvicl-lint: allow(panic-freedom) -- sibling_isomorphism returns a perfect matching, so the pairwise swap is a bijection
+    #[expect(
+        clippy::expect_used,
+        reason = "sibling_isomorphism returns a perfect matching, so the pairwise swap is a bijection"
+    )]
     let swap = Perm::from_image(image).expect("sibling swap is a bijection");
     let u_in_b = swap.apply(u);
     // Continue inside b.
@@ -307,6 +326,10 @@ pub fn automorphism_witness(tree: &AutoTree, u: V, v: V) -> Option<Perm> {
 fn leaf_witness(tree: &AutoTree, leaf: NodeId, u: V, v: V) -> Option<Perm> {
     let n = tree.pi.n();
     let node = tree.node(leaf);
+    #[expect(
+        clippy::expect_used,
+        reason = "sparse entries come from a stored automorphism, so the patched identity stays a bijection"
+    )]
     let gens: Vec<Perm> = node
         .leaf_generators()
         .map(|sparse| {
@@ -314,7 +337,6 @@ fn leaf_witness(tree: &AutoTree, leaf: NodeId, u: V, v: V) -> Option<Perm> {
             for &(a, b) in sparse {
                 image[a as usize] = b;
             }
-            // dvicl-lint: allow(panic-freedom) -- sparse entries come from a stored automorphism, so the patched identity stays a bijection
             Perm::from_image(image).expect("leaf generator is a bijection")
         })
         .collect();

@@ -6,9 +6,10 @@ use crate::arena::SubArena;
 use crate::sub::{Division, Sub};
 use crate::tree::{AutoTree, Node, NodeId, NodeKind, PoolRange, EMPTY, NO_PARENT};
 use dvicl_canon::{try_canonical_form_with as ir_try_canonical_form_with, Config};
+use dvicl_govern::fault::Site;
 use dvicl_govern::{Budget, DviclError, Resource};
 use dvicl_graph::{CanonForm, Coloring, FormRef, Graph, Perm, V};
-use dvicl_obs::{self as obs, Counter};
+use dvicl_obs::{self as obs, Counter, Phase};
 use dvicl_refine::Refiner;
 use rustc_hash::FxHashMap;
 
@@ -79,10 +80,13 @@ impl DviclOptions {
 /// assert_eq!(tree.stats().total_nodes, 7);
 /// assert_eq!(aut::group_order(&tree).to_u64(), Some(48));
 /// ```
+#[expect(
+    clippy::expect_used,
+    reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
+)]
 pub fn build_autotree(g: &Graph, pi0: &Coloring, opts: &DviclOptions) -> AutoTree {
     assert_eq!(g.n(), pi0.n(), "graph/coloring size mismatch");
     try_build_autotree(g, pi0, opts, &Budget::unlimited())
-        // dvicl-lint: allow(panic-freedom) -- Budget::unlimited() never exhausts, so the Err arm is unreachable
         .expect("an unlimited build cannot exceed its budget")
 }
 
@@ -228,7 +232,7 @@ fn run_build(
     budget: &Budget,
     force_leaf: bool,
 ) -> Result<AutoTree, DviclError> {
-    let _span = obs::span("core.build");
+    let _span = obs::span(Phase::CoreBuild);
     // One build = one arena epoch: empty segments (buffers keep their
     // capacity from earlier builds) and fresh peak/reuse stats, so the
     // `sub_bytes_peak` / `arena_reuses` counters below stay per-build
@@ -709,25 +713,24 @@ fn build_fragment(
     budget: &Budget,
     job: &Job,
 ) -> Result<TreePools, DviclError> {
-    let mark = ws.arena.mark();
-    let out = (|| {
-        // dvicl-lint: allow(arena-discipline) -- this `?` exits only the closure; `release(mark)` below runs on every path out of build_fragment
-        let sub = ws.arena.try_adopt(&job.seed)?;
-        let mut b = Builder {
-            t: TreePools::default(),
-            pi,
-            opts,
-            budget,
-            force_leaf: false,
-            scratch: ws,
-            par: Some(ParHandle { pool, wid }),
-        };
-        // dvicl-lint: allow(arena-discipline) -- as above: the closure's early exit still reaches the unconditional release below
-        b.build(sub, job.depth, NO_PARENT)?;
-        Ok(b.t)
-    })();
-    ws.arena.release(mark);
-    out
+    SubArena::scoped(
+        ws,
+        |ws| &mut ws.arena,
+        |ws| {
+            let sub = ws.arena.try_adopt(&job.seed)?;
+            let mut b = Builder {
+                t: TreePools::default(),
+                pi,
+                opts,
+                budget,
+                force_leaf: false,
+                scratch: ws,
+                par: Some(ParHandle { pool, wid }),
+            };
+            b.build(sub, job.depth, NO_PARENT)?;
+            Ok(b.t)
+        },
+    )
 }
 
 struct Builder<'a> {
@@ -759,7 +762,7 @@ struct Builder<'a> {
 impl<'a> Builder<'a> {
     /// Procedure `cl` of Algorithm 1.
     fn build(&mut self, sub: Sub, depth: u32, parent: u32) -> Result<NodeId, DviclError> {
-        dvicl_govern::fault::checkpoint("core.build_node")?;
+        dvicl_govern::fault::checkpoint(Site::CoreBuildNode)?;
         self.budget.spend(1)?;
         let id = self.t.nodes.len();
         let vrange = push_range(&mut self.t.verts, self.scratch.arena.verts(&sub));
@@ -795,7 +798,7 @@ impl<'a> Builder<'a> {
         let division = if self.force_leaf {
             None
         } else {
-            let _span = obs::span("core.divide");
+            let _span = obs::span(Phase::CoreDivide);
             self.scratch
                 .arena
                 .divide_components(&sub)
@@ -842,14 +845,29 @@ impl<'a> Builder<'a> {
     ) -> Result<Vec<NodeId>, DviclError> {
         let mut children: Vec<NodeId> = Vec::with_capacity(d.len());
         for i in 0..d.len() {
-            let mark = self.scratch.arena.mark();
-            let cid = dvicl_govern::fault::checkpoint("core.arena_carve")
-                .and_then(|()| self.scratch.arena.try_induced_child(sub, d.part(i)))
-                .and_then(|child| self.build(child, depth + 1, parent_id));
-            self.scratch.arena.release(mark);
-            children.push(cid?);
+            children.push(self.build_child(sub, d.part(i), depth, parent_id)?);
         }
         Ok(children)
+    }
+
+    /// Carves one child on top of the arena, builds its subtree, and
+    /// releases the carve again on every path out.
+    fn build_child(
+        &mut self,
+        sub: &Sub,
+        part: &[u32],
+        depth: u32,
+        parent_id: u32,
+    ) -> Result<NodeId, DviclError> {
+        SubArena::scoped(
+            self,
+            |b| &mut b.scratch.arena,
+            |b| {
+                dvicl_govern::fault::checkpoint(Site::CoreArenaCarve)?;
+                let child = b.scratch.arena.try_induced_child(sub, part)?;
+                b.build(child, depth + 1, parent_id)
+            },
+        )
     }
 
     /// The parallel child loop (DESIGN.md §14). Two passes:
@@ -893,11 +911,15 @@ impl<'a> Builder<'a> {
                 pending.push(Pending::Inline);
                 continue;
             }
-            let mark = self.scratch.arena.mark();
-            let seed = dvicl_govern::fault::checkpoint("core.arena_carve")
-                .and_then(|()| self.scratch.arena.try_induced_child(sub, part))
-                .map(|child| self.scratch.arena.export(&child));
-            self.scratch.arena.release(mark);
+            let seed = SubArena::scoped(
+                self,
+                |b| &mut b.scratch.arena,
+                |b| {
+                    dvicl_govern::fault::checkpoint(Site::CoreArenaCarve)?;
+                    let child = b.scratch.arena.try_induced_child(sub, part)?;
+                    Ok(b.scratch.arena.export(&child))
+                },
+            );
             pending.push(match seed {
                 Ok(seed) => {
                     let cell = std::sync::Arc::new(JoinCell::new());
@@ -918,12 +940,7 @@ impl<'a> Builder<'a> {
         for (i, p) in pending.into_iter().enumerate() {
             match p {
                 Pending::Inline => {
-                    let mark = self.scratch.arena.mark();
-                    let cid = dvicl_govern::fault::checkpoint("core.arena_carve")
-                        .and_then(|()| self.scratch.arena.try_induced_child(sub, d.part(i)))
-                        .and_then(|child| self.build(child, depth + 1, parent_id));
-                    self.scratch.arena.release(mark);
-                    children.push(cid?);
+                    children.push(self.build_child(sub, d.part(i), depth, parent_id)?)
                 }
                 Pending::Spawned(cell) => {
                     let frag = self.join(h, &cell)?;
@@ -959,8 +976,8 @@ impl<'a> Builder<'a> {
     /// order so symmetric leaves elsewhere in the tree get equal labels
     /// (Lemma 6.7).
     fn combine_cl(&mut self, id: NodeId, sub: &Sub) -> Result<(), DviclError> {
-        let _span = obs::span("core.leaf_ir");
-        dvicl_govern::fault::checkpoint("core.leaf_ir")?;
+        let _span = obs::span(Phase::CoreLeafIr);
+        dvicl_govern::fault::checkpoint(Site::CoreLeafIr)?;
         let (local_g, local_pi) = self.scratch.arena.to_local_graph(sub, self.pi);
         let colors: Vec<V> = self
             .scratch
@@ -1062,7 +1079,7 @@ impl<'a> Builder<'a> {
     /// one run-adaptive sort merges it all (DESIGN.md §10.3).
     /// `children` are the built children in part order.
     fn combine_st(&mut self, id: NodeId, sub: &Sub, d: &Division, children: &[NodeId]) {
-        let _span = obs::span("core.combine");
+        let _span = obs::span(Phase::CoreCombine);
         let t = &mut self.t;
         let pi = self.pi;
         let Scratch {

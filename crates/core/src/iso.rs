@@ -279,12 +279,15 @@ pub fn are_isomorphic_joint(g1: &Graph, g2: &Graph) -> bool {
         if node.verts() == [u] {
             continue;
         }
+        #[expect(
+            clippy::unreachable,
+            reason = "root children refine connected components, and every component of joint minus the axis lies wholly on one side"
+        )]
         if node.verts().iter().all(|&v| v < shift) {
             side1.push(node.form());
         } else if node.verts().iter().all(|&v| v >= shift && v < u) {
             side2.push(node.form());
         } else {
-            // dvicl-lint: allow(panic-freedom) -- root children refine connected components, and every component of joint minus the axis lies wholly on one side
             unreachable!("a root child mixes the two sides");
         }
     }

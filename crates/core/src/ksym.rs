@@ -30,9 +30,12 @@ pub struct KSymStats {
 ///
 /// Panics when `k == 0`; [`try_k_symmetric_extension`] is the fallible,
 /// budget-aware form.
+#[expect(
+    clippy::panic,
+    reason = "documented panicking wrapper: only k == 0 can reach the Err arm, as stated in the doc comment"
+)]
 pub fn k_symmetric_extension(g: &Graph, tree: &AutoTree, k: usize) -> (Graph, KSymStats) {
     try_k_symmetric_extension(g, tree, k, &Budget::unlimited())
-        // dvicl-lint: allow(panic-freedom) -- documented panicking wrapper: only k == 0 can reach the Err arm, as stated in the doc comment
         .unwrap_or_else(|e| panic!("k-symmetry extension failed: {e}"))
 }
 

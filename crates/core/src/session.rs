@@ -37,8 +37,7 @@
 //! `threads` between requests without invalidating anything.
 
 use crate::build::{
-    self, build_autotree_resilient_in, build_autotree_whole_leaf_in, try_build_autotree_in,
-    BuildOutcome, DviclOptions,
+    self, build_autotree_resilient_in, try_build_autotree_in, BuildOutcome, DviclOptions,
 };
 use crate::tree::AutoTree;
 use dvicl_govern::{Budget, DviclError};
@@ -150,9 +149,12 @@ impl Session {
     }
 
     /// [`Session::try_build`] under an unlimited budget.
+    #[expect(
+        clippy::expect_used,
+        reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
+    )]
     pub fn build(&mut self, g: &Graph, pi0: &Coloring) -> AutoTree {
         self.try_build(g, pi0, &Budget::unlimited())
-            // dvicl-lint: allow(panic-freedom) -- Budget::unlimited() never exhausts, so the Err arm is unreachable
             .expect("an unlimited build cannot exceed its budget")
     }
 
@@ -169,19 +171,6 @@ impl Session {
         build_autotree_resilient_in(&mut self.scratch, g, pi0, &self.opts, budget)
     }
 
-    /// [`crate::build_autotree_whole_leaf`] with this session's state:
-    /// the degraded-mode single-leaf build, for callers that must match
-    /// an already-degraded certificate.
-    pub fn build_whole_leaf(
-        &mut self,
-        g: &Graph,
-        pi0: &Coloring,
-        budget: &Budget,
-    ) -> Result<AutoTree, DviclError> {
-        self.note_build();
-        build_autotree_whole_leaf_in(&mut self.scratch, g, pi0, &self.opts, budget)
-    }
-
     /// Canonically labels `g` under the unit coloring and returns the
     /// owned certificate. The budgeted equivalent of
     /// [`crate::canonical_form`], served from session state.
@@ -195,9 +184,12 @@ impl Session {
     }
 
     /// [`Session::try_canonical_form`] under an unlimited budget.
+    #[expect(
+        clippy::expect_used,
+        reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
+    )]
     pub fn canonical_form(&mut self, g: &Graph) -> CanonForm {
         self.try_canonical_form(g, &Budget::unlimited())
-            // dvicl-lint: allow(panic-freedom) -- Budget::unlimited() never exhausts, so the Err arm is unreachable
             .expect("an unlimited build cannot exceed its budget")
     }
 
@@ -214,9 +206,12 @@ impl Session {
     }
 
     /// [`Session::try_fingerprinted_form`] under an unlimited budget.
+    #[expect(
+        clippy::expect_used,
+        reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
+    )]
     pub fn fingerprinted_form(&mut self, g: &Graph) -> (Fingerprint, CanonForm) {
         self.try_fingerprinted_form(g, &Budget::unlimited())
-            // dvicl-lint: allow(panic-freedom) -- Budget::unlimited() never exhausts, so the Err arm is unreachable
             .expect("an unlimited build cannot exceed its budget")
     }
 }

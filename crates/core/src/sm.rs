@@ -12,9 +12,12 @@ use rustc_hash::FxHashSet;
 /// All induced subgraph isomorphisms from `q` into `g`, as image vertex
 /// *sets* (deduplicated — two matchings onto the same vertex set count
 /// once, matching SSM semantics), up to `limit` results.
+#[expect(
+    clippy::expect_used,
+    reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
+)]
 pub fn enumerate_induced(g: &Graph, q: &Graph, limit: usize) -> Vec<Vec<V>> {
     try_enumerate_induced(g, q, limit, &Budget::unlimited())
-        // dvicl-lint: allow(panic-freedom) -- Budget::unlimited() never exhausts, so the Err arm is unreachable
         .expect("unlimited SM enumeration cannot exceed its budget")
 }
 
@@ -158,6 +161,10 @@ fn sm_try(
 /// The SSM baseline of Section 6.4: enumerate induced matches of
 /// `G[query]` with `SM`, then keep only the truly *symmetric* ones by
 /// comparing AutoTree keys. Returns the verified matches.
+#[expect(
+    clippy::panic,
+    reason = "with an unlimited budget only an invalid query set can reach the Err arm of this convenience wrapper"
+)]
 pub fn ssm_via_sm(
     g: &Graph,
     tree: &AutoTree,
@@ -166,7 +173,6 @@ pub fn ssm_via_sm(
     limit: usize,
 ) -> Vec<Vec<V>> {
     try_ssm_via_sm(g, tree, index, query, limit, &Budget::unlimited())
-        // dvicl-lint: allow(panic-freedom) -- with an unlimited budget only an invalid query set can reach the Err arm of this convenience wrapper
         .unwrap_or_else(|e| panic!("SSM-via-SM query failed: {e}"))
 }
 

@@ -25,9 +25,11 @@
 
 use crate::tree::{AutoTree, NodeId, NodeKind};
 use dvicl_canon::{try_canonical_form as ir_try_canonical_form, Config};
+use dvicl_govern::fault::Site;
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Coloring, GraphBuilder, V};
 use dvicl_group::BigUint;
+use dvicl_obs::Phase;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// One pattern instance inside a sibling class: canonical key plus the
@@ -70,7 +72,10 @@ impl SsmIndex {
     fn child_under(&self, tree: &AutoTree, node: NodeId, v: V) -> NodeId {
         let mut cur = self.leaf_of[v as usize];
         loop {
-            // dvicl-lint: allow(panic-freedom) -- the caller guarantees v lies strictly below node, so the walk hits node before the root
+            #[expect(
+                clippy::expect_used,
+                reason = "the caller guarantees v lies strictly below node, so the walk hits node before the root"
+            )]
             let parent = tree.node(cur).parent().expect("v lies under node");
             if parent == node {
                 return cur;
@@ -129,9 +134,12 @@ fn push_u32(buf: &mut Vec<u8>, x: u32) {
 ///
 /// Panics on an empty or out-of-range query set; [`try_symmetric_key`] is
 /// the fallible, budget-aware form.
+#[expect(
+    clippy::panic,
+    reason = "documented panicking wrapper: only an invalid query set can reach the Err arm, as stated in the doc comment"
+)]
 pub fn symmetric_key(tree: &AutoTree, index: &SsmIndex, set: &[V]) -> Vec<u8> {
     try_symmetric_key(tree, index, set, &Budget::unlimited())
-        // dvicl-lint: allow(panic-freedom) -- documented panicking wrapper: only an invalid query set can reach the Err arm, as stated in the doc comment
         .unwrap_or_else(|e| panic!("SSM query failed: {e}"))
 }
 
@@ -163,9 +171,12 @@ pub fn try_symmetric_key(
 /// let index = SsmIndex::new(&tree);
 /// assert_eq!(count_images(&tree, &index, &[1, 2]).to_u64(), Some(10));
 /// ```
+#[expect(
+    clippy::panic,
+    reason = "convenience wrapper: with an unlimited budget only an invalid query set can reach the Err arm"
+)]
 pub fn count_images(tree: &AutoTree, index: &SsmIndex, set: &[V]) -> BigUint {
     try_count_images(tree, index, set, &Budget::unlimited())
-        // dvicl-lint: allow(panic-freedom) -- convenience wrapper: with an unlimited budget only an invalid query set can reach the Err arm
         .unwrap_or_else(|e| panic!("SSM query failed: {e}"))
 }
 
@@ -176,7 +187,7 @@ pub fn try_count_images(
     set: &[V],
     budget: &Budget,
 ) -> Result<BigUint, DviclError> {
-    let _span = dvicl_obs::span("core.ssm");
+    let _span = dvicl_obs::span(Phase::CoreSsm);
     let set = validate_set(tree, set)?;
     Ok(analyze(tree, index, tree.root(), &set, budget, &mut GraphBuilder::new(0))?.1)
 }
@@ -185,9 +196,12 @@ pub fn try_count_images(
 ///
 /// Panics on an empty or out-of-range query set; [`try_same_symmetry`] is
 /// the fallible, budget-aware form.
+#[expect(
+    clippy::panic,
+    reason = "documented panicking wrapper: only an invalid query set can reach the Err arm, as stated in the doc comment"
+)]
 pub fn same_symmetry(tree: &AutoTree, index: &SsmIndex, a: &[V], b: &[V]) -> bool {
     try_same_symmetry(tree, index, a, b, &Budget::unlimited())
-        // dvicl-lint: allow(panic-freedom) -- documented panicking wrapper: only an invalid query set can reach the Err arm, as stated in the doc comment
         .unwrap_or_else(|e| panic!("SSM query failed: {e}"))
 }
 
@@ -227,7 +241,7 @@ fn analyze(
     builder: &mut GraphBuilder,
 ) -> Result<(Vec<u8>, BigUint), DviclError> {
     dvicl_obs::bump(dvicl_obs::Counter::SsmStates);
-    dvicl_govern::fault::checkpoint("core.ssm")?;
+    dvicl_govern::fault::checkpoint(Site::CoreSsm)?;
     gov.spend(1)?;
     let n = tree.node(node);
     match n.kind() {
@@ -359,9 +373,12 @@ fn analyze_leaf(
                 .collect()
         })
         .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "orbit_of_set returns Ok(None) only when a cap is given, and cap is None here"
+    )]
     let count = orbit_of_set(&local_set, &gens, None, gov)?
         .map(|orbit| BigUint::from_u64(orbit.len() as u64))
-        // dvicl-lint: allow(panic-freedom) -- orbit_of_set returns Ok(None) only when a cap is given, and cap is None here
         .expect("uncapped orbit enumeration cannot fail");
     Ok((key, count))
 }
@@ -425,14 +442,12 @@ pub struct SsmMatches {
 ///
 /// Panics on an empty or out-of-range query set; [`try_enumerate_images`]
 /// is the fallible, budget-aware form.
-pub fn enumerate_images(
-    tree: &AutoTree,
-    index: &SsmIndex,
-    set: &[V],
-    limit: usize,
-) -> SsmMatches {
+#[expect(
+    clippy::panic,
+    reason = "documented panicking wrapper: only an invalid query set can reach the Err arm, as stated in the doc comment"
+)]
+pub fn enumerate_images(tree: &AutoTree, index: &SsmIndex, set: &[V], limit: usize) -> SsmMatches {
     try_enumerate_images(tree, index, set, limit, &Budget::unlimited())
-        // dvicl-lint: allow(panic-freedom) -- documented panicking wrapper: only an invalid query set can reach the Err arm, as stated in the doc comment
         .unwrap_or_else(|e| panic!("SSM query failed: {e}"))
 }
 
@@ -447,7 +462,7 @@ pub fn try_enumerate_images(
     limit: usize,
     budget: &Budget,
 ) -> Result<SsmMatches, DviclError> {
-    let _span = dvicl_obs::span("core.ssm");
+    let _span = dvicl_obs::span(Phase::CoreSsm);
     let set = validate_set(tree, set)?;
     let mut builder = GraphBuilder::new(0);
     let mut slots = limit;
@@ -474,7 +489,7 @@ fn enum_at(
     builder: &mut GraphBuilder,
 ) -> Result<Vec<Vec<V>>, DviclError> {
     dvicl_obs::bump(dvicl_obs::Counter::SsmStates);
-    dvicl_govern::fault::checkpoint("core.ssm")?;
+    dvicl_govern::fault::checkpoint(Site::CoreSsm)?;
     gov.spend(1)?;
     if *slots == 0 {
         return Ok(Vec::new());

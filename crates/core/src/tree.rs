@@ -244,13 +244,16 @@ impl AutoTree {
 
     /// The canonical labeling of the whole graph as a permutation
     /// (vertex → canonical position).
+    #[expect(
+        clippy::expect_used,
+        reason = "CombineST assigns the root a bijective labeling by construction"
+    )]
     pub fn canonical_labeling(&self) -> Perm {
         let node = self.node(self.root);
         let mut image = vec![0 as V; node.n()];
         for (i, &v) in node.verts().iter().enumerate() {
             image[v as usize] = node.labels()[i];
         }
-        // dvicl-lint: allow(panic-freedom) -- CombineST assigns the root a bijective labeling by construction
         Perm::from_image(image).expect("root labels form a permutation")
     }
 
@@ -315,17 +318,23 @@ impl AutoTree {
     pub fn class_of(&self, id: NodeId) -> Option<(NodeId, usize, usize)> {
         let parent = self.node(id).parent()?;
         let p = self.node(parent);
+        #[expect(
+            clippy::expect_used,
+            reason = "id's parent pointer and the parent's child list are kept consistent by the builder"
+        )]
         let pos = p
             .children()
             .iter()
             .position(|&c| c == id)
-            // dvicl-lint: allow(panic-freedom) -- id's parent pointer and the parent's child list are kept consistent by the builder
             .expect("child listed in parent");
+        #[expect(
+            clippy::expect_used,
+            reason = "sibling_classes is a partition of 0..children.len(), so every position is covered"
+        )]
         let &(s, e) = p
             .sibling_classes()
             .iter()
             .find(|&&(s, e)| s as usize <= pos && pos < e as usize)
-            // dvicl-lint: allow(panic-freedom) -- sibling_classes is a partition of 0..children.len(), so every position is covered
             .expect("classes cover children");
         Some((parent, s as usize, e as usize))
     }
@@ -374,6 +383,10 @@ impl AutoTree {
             NodeKind::NonSingletonLeaf => "▣",
             NodeKind::Internal => "○",
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "fmt::Write for String is infallible; the Err arm cannot occur"
+        )]
         writeln!(
             out,
             "{:indent$}{kind} {:?} γ={:?}",
@@ -382,7 +395,6 @@ impl AutoTree {
             n.labels(),
             indent = indent
         )
-        // dvicl-lint: allow(panic-freedom) -- fmt::Write for String is infallible; the Err arm cannot occur
         .expect("writing to String cannot fail");
         for &c in n.children() {
             self.render_rec(c, indent + 2, out);

@@ -149,6 +149,10 @@ fn shape(seed: u64) -> Graph {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
 fn shuffled(n: usize, seed: u64) -> Perm {
     let mut rng = Rng(seed);
     let mut image: Vec<V> = (0..n as V).collect();

@@ -20,7 +20,7 @@
 use dvicl_core::{
     build_autotree_resilient, try_build_autotree, verify, DviclOptions, Sub, SubArena,
 };
-use dvicl_govern::fault::{self, FaultPlan};
+use dvicl_govern::fault::{self, FaultPlan, Site};
 use dvicl_govern::{Budget, DviclError, FaultAction};
 use dvicl_graph::{Coloring, Graph, V};
 use proptest::prelude::*;
@@ -61,10 +61,14 @@ fn carve(
     }
     let mark = arena.mark();
     let bytes = arena.bytes_now();
-    let r = arena
-        .try_induced_child(sub, &locals)
-        .and_then(|child| carve(arena, &child, depth - 1, picks));
-    arena.release(mark);
+    let r = SubArena::scoped(
+        arena,
+        |a| a,
+        |a| {
+            let child = a.try_induced_child(sub, &locals)?;
+            carve(a, &child, depth - 1, picks)
+        },
+    );
     assert_eq!(arena.mark(), mark, "mark not restored at depth {depth}");
     assert_eq!(arena.bytes_now(), bytes, "bytes not restored at depth {depth}");
     r
@@ -108,11 +112,11 @@ proptest! {
     ) {
         let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let sites = [
-            "core.build_node",
-            "core.arena_carve",
-            "core.leaf_ir",
-            "refine.refine",
-            "govern.spend",
+            Site::CoreBuildNode,
+            Site::CoreArenaCarve,
+            Site::CoreLeafIr,
+            Site::RefineRefine,
+            Site::GovernSpend,
         ];
         let opts = DviclOptions::default();
         let pi = Coloring::unit(g.n());

@@ -5,6 +5,10 @@
 use dvicl_core::{are_isomorphic, try_are_isomorphic, Budget, DviclError};
 use dvicl_graph::{named, Graph, Perm};
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
 fn shuffle(g: &Graph, salt: u64) -> Graph {
     let n = g.n();
     // Deterministic Fisher–Yates via an LCG.

@@ -15,11 +15,14 @@ use dvicl_graph::{Coloring, Graph, Perm, V};
 use proptest::prelude::*;
 
 /// A permutation of `0..n` obtained by sorting indices under random keys.
+#[expect(
+    clippy::expect_used,
+    reason = "`image` is a sorted copy of 0..n, always a permutation"
+)]
 fn perm_from_keys(n: usize, keys: &[u64]) -> Perm {
     let mut image: Vec<V> = (0..n as V).collect();
     // Tie-break by index so the image is always a valid permutation.
     image.sort_unstable_by_key(|&i| (keys[i as usize % keys.len()], i));
-    // dvicl-lint: allow(panic-freedom) -- `image` is a sorted copy of 0..n, always a permutation
     Perm::from_image(image).expect("sorted index vector is a permutation")
 }
 

@@ -130,7 +130,10 @@ pub fn cfi(base: &Graph, twist: bool) -> Graph {
     // neighbor order: 4 + 6 = 10 slots.
     let offset = |v: usize| 10 * v;
     let a_of = |base: &Graph, v: usize, w: V| {
-        // dvicl-lint: allow(panic-freedom) -- a_of is only called with w drawn from base.neighbors(v), so the search always succeeds
+        #[expect(
+            clippy::expect_used,
+            reason = "a_of is only called with w drawn from base.neighbors(v), so the search always succeeds"
+        )]
         let idx = base.neighbors(v as V).binary_search(&w).expect("neighbor");
         offset(v) + 4 + 2 * idx
     };

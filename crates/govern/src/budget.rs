@@ -1,6 +1,7 @@
 //! The [`Budget`] handle and cooperative [`CancelToken`].
 
 use crate::error::{DviclError, Resource};
+use crate::fault::Site;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -151,7 +152,7 @@ impl Budget {
     /// atomic load.
     #[inline]
     pub fn spend(&self, n: u64) -> Result<(), DviclError> {
-        crate::fault::checkpoint("govern.spend")?;
+        crate::fault::checkpoint(Site::GovernSpend)?;
         if self.inner.cancel.is_cancelled() {
             report_trip("cancelled", self.work_spent());
             return Err(DviclError::Cancelled);

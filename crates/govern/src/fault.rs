@@ -18,8 +18,8 @@
 //!   cancellation), `alloc` (arena memory-ceiling hit), or `parse`
 //!   (truncated-input parser failure);
 //! * `site` — a checkpoint name (`govern.spend`, `core.build_node`,
-//!   ...; the full map lives in DESIGN.md §11) or `*` for "any
-//!   checkpoint";
+//!   ...: a [`Site`], mapped in DESIGN.md §11) or `*` for "any
+//!   checkpoint"; an unknown name is an invalid-input error;
 //! * `k` — the 1-based hit ordinal at which the arm fires, counted per
 //!   site (or across all sites for `*`). Each arm fires exactly once.
 //!
@@ -31,9 +31,61 @@
 //! injection points from the observed totals.
 
 use crate::error::{DviclError, ParseError, ParseErrorKind, Resource};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError, RwLock};
+
+dvicl_obs::catalog! {
+    /// A fault checkpoint site: one named place in the pipeline where an
+    /// installed [`FaultPlan`] can inject a failure. The list is the
+    /// registry (DESIGN.md §11 maps each site), in name order: a
+    /// checkpoint call names a variant, so an unregistered site does not
+    /// compile, and `tests/checkpoint_registry.rs` checks that a probe
+    /// run reaches every variant.
+    ///
+    /// ```compile_fail,E0599
+    /// dvicl_govern::fault::checkpoint(dvicl_govern::fault::Site::CoreGhost)?;
+    /// # Ok::<(), dvicl_govern::DviclError>(())
+    /// ```
+    ///
+    /// ```compile_fail,E0308
+    /// dvicl_govern::fault::checkpoint("core.build_node")?;
+    /// # Ok::<(), dvicl_govern::DviclError>(())
+    /// ```
+    pub enum Site {
+        /// Each IR search-tree node (`canon::Search::dfs`).
+        CanonDfs = "canon.dfs",
+        /// Each child carve of the AutoTree build (`core::build`).
+        CoreArenaCarve = "core.arena_carve",
+        /// Each AutoTree node built (`core::build`).
+        CoreBuildNode = "core.build_node",
+        /// Each non-singleton leaf labeled by IR search (`core::build`).
+        CoreLeafIr = "core.leaf_ir",
+        /// Each symmetric-subgraph-matching query (`core::ssm`).
+        CoreSsm = "core.ssm",
+        /// Each budgeted work unit (`Budget::spend`).
+        GovernSpend = "govern.spend",
+        /// Each edge-list line parsed (`graph::io`).
+        GraphEdgeLine = "graph.edge_line",
+        /// Each graph6 string decoded (`graph::graph6`).
+        GraphGraph6 = "graph.graph6",
+        /// Each fingerprint-index insert (`dvicl-index`).
+        IndexInsert = "index.insert",
+        /// Each fingerprint-index load (`dvicl-index`).
+        IndexLoad = "index.load",
+        /// Each subtree job spawned onto the pool (`dvicl-pool`).
+        PoolSpawn = "pool.spawn",
+        /// Each individualize-and-refine step (`refine`).
+        RefineIndividualize = "refine.individualize",
+        /// Each refinement run (`refine`).
+        RefineRefine = "refine.refine",
+    }
+}
+
+impl std::fmt::Display for Site {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// Which typed failure an arm injects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,7 +111,7 @@ impl FaultAction {
         }
     }
 
-    fn to_error(self, site: &str, hit: u64) -> DviclError {
+    fn to_error(self, site: Site, hit: u64) -> DviclError {
         match self {
             FaultAction::Trip => DviclError::BudgetExceeded {
                 resource: Resource::WorkUnits,
@@ -83,8 +135,9 @@ impl FaultAction {
 pub struct FaultArm {
     /// The failure to inject.
     pub action: FaultAction,
-    /// The checkpoint site this arm watches, or `"*"` for any site.
-    pub site: String,
+    /// The checkpoint site this arm watches; `None` (spec `*`) watches
+    /// every site.
+    pub site: Option<Site>,
     /// The 1-based hit ordinal at which to fire.
     pub k: u64,
 }
@@ -109,22 +162,32 @@ impl FaultArm {
                 )))
             }
         };
-        let site = site.trim();
-        if site.is_empty() {
-            return Err(bad());
-        }
+        let site = match site.trim() {
+            "" => return Err(bad()),
+            "*" => None,
+            name => Some(
+                Site::ALL
+                    .into_iter()
+                    .find(|s| s.name() == name)
+                    .ok_or_else(|| unknown_site(name))?,
+            ),
+        };
         let k: u64 = k.trim().parse().map_err(|_| bad())?;
         if k == 0 {
             return Err(DviclError::invalid(format!(
                 "invalid fault arm '{spec}': hit ordinal is 1-based, k must be >= 1"
             )));
         }
-        Ok(FaultArm {
-            action,
-            site: site.to_string(),
-            k,
-        })
+        Ok(FaultArm { action, site, k })
     }
+}
+
+fn unknown_site(name: &str) -> DviclError {
+    let valid: Vec<&str> = Site::ALL.iter().map(|s| s.name()).collect();
+    DviclError::invalid(format!(
+        "unknown fault site '{name}' (expected one of: {}, or * for any site)",
+        valid.join(", ")
+    ))
 }
 
 /// A parsed fault-injection plan: zero or more [`FaultArm`]s.
@@ -138,8 +201,9 @@ impl FaultArm {
 /// let plan = FaultPlan::parse("trip@govern.spend:3, cancel@*:10").unwrap();
 /// assert_eq!(plan.arms.len(), 2);
 /// assert_eq!(plan.arms[0].action, FaultAction::Trip);
-/// assert_eq!(plan.arms[1].site, "*");
-/// assert!(FaultPlan::parse("explode@x:1").is_err());
+/// assert_eq!(plan.arms[1].site, None);
+/// assert!(FaultPlan::parse("explode@govern.spend:1").is_err());
+/// assert!(FaultPlan::parse("trip@govern.spnd:1").is_err());
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -155,11 +219,11 @@ impl FaultPlan {
     }
 
     /// A single-arm plan — the sweep harness builds these in a loop.
-    pub fn one(action: FaultAction, site: impl Into<String>, k: u64) -> FaultPlan {
+    pub fn one(action: FaultAction, site: Site, k: u64) -> FaultPlan {
         FaultPlan {
             arms: vec![FaultArm {
                 action,
-                site: site.into(),
+                site: Some(site),
                 k,
             }],
         }
@@ -181,11 +245,11 @@ impl FaultPlan {
 }
 
 /// Mutable per-installation state, behind one mutex: hit counts per
-/// site, the cross-site total (what `*` arms count against), and which
-/// arms have already fired.
+/// site (indexed by `Site as usize`), the cross-site total (what `*`
+/// arms count against), and which arms have already fired.
 #[derive(Debug, Default)]
 struct State {
-    counts: BTreeMap<&'static str, u64>,
+    counts: [u64; Site::ALL.len()],
     total: u64,
     fired: Vec<bool>,
 }
@@ -241,40 +305,22 @@ pub fn install_from_env() -> Result<bool, DviclError> {
 }
 
 /// Per-site checkpoint hit counts since the last [`install`], in site
-/// name order. Empty when no plan is installed.
-pub fn hit_counts() -> Vec<(&'static str, u64)> {
+/// name order, for the sites hit at least once. Empty when no plan is
+/// installed.
+pub fn hit_counts() -> Vec<(Site, u64)> {
     let guard = PLAN.read().unwrap_or_else(PoisonError::into_inner);
     match guard.as_ref() {
         Some(inst) => {
             let state = inst.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.counts.iter().map(|(&s, &c)| (s, c)).collect()
+            Site::ALL
+                .into_iter()
+                .zip(state.counts)
+                .filter(|&(_, c)| c > 0)
+                .collect()
         }
         None => Vec::new(),
     }
 }
-
-/// Every checkpoint site in the workspace, sorted. This is the
-/// authoritative registry: `dvicl-lint`'s registry-coherence rule
-/// extracts the `checkpoint("…")` call sites from source and
-/// cross-checks them against this list in both directions, and the
-/// `checkpoint_registry` integration test asserts the fault sweep
-/// replays exactly this set. Adding a checkpoint without registering
-/// it here (or vice versa) fails CI.
-pub const CHECKPOINT_SITES: [&str; 13] = [
-    "canon.dfs",
-    "core.arena_carve",
-    "core.build_node",
-    "core.leaf_ir",
-    "core.ssm",
-    "govern.spend",
-    "graph.edge_line",
-    "graph.graph6",
-    "index.insert",
-    "index.load",
-    "pool.spawn",
-    "refine.individualize",
-    "refine.refine",
-];
 
 /// Serializes this crate's unit tests that install a plan or reach a
 /// checkpoint (every `Budget::spend` does): the plan is process-global,
@@ -288,13 +334,10 @@ pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
 
 /// A named fault-injection point. Free (one relaxed atomic load) unless
 /// a plan is installed; with a plan installed, counts the hit and
-/// injects the matching arm's typed error, if any.
-///
-/// Site names follow the span naming convention (`crate.phase`
-/// dot-paths, enforced by `dvicl-lint`); the checkpoint map lives in
-/// DESIGN.md §11.
+/// injects the matching arm's typed error, if any. The checkpoint map
+/// lives in DESIGN.md §11.
 #[inline]
-pub fn checkpoint(site: &'static str) -> Result<(), DviclError> {
+pub fn checkpoint(site: Site) -> Result<(), DviclError> {
     if !ACTIVE.load(Ordering::Relaxed) {
         return Ok(());
     }
@@ -303,7 +346,7 @@ pub fn checkpoint(site: &'static str) -> Result<(), DviclError> {
 
 #[cold]
 #[inline(never)]
-fn checkpoint_slow(site: &'static str) -> Result<(), DviclError> {
+fn checkpoint_slow(site: Site) -> Result<(), DviclError> {
     let guard = PLAN.read().unwrap_or_else(PoisonError::into_inner);
     let Some(inst) = guard.as_ref() else {
         return Ok(());
@@ -312,7 +355,7 @@ fn checkpoint_slow(site: &'static str) -> Result<(), DviclError> {
     state.total += 1;
     let total = state.total;
     let site_hits = {
-        let c = state.counts.entry(site).or_insert(0);
+        let c = &mut state.counts[site as usize];
         *c += 1;
         *c
     };
@@ -320,12 +363,10 @@ fn checkpoint_slow(site: &'static str) -> Result<(), DviclError> {
         if state.fired[i] {
             continue;
         }
-        let hit = if arm.site == "*" {
-            total
-        } else if arm.site == site {
-            site_hits
-        } else {
-            continue;
+        let hit = match arm.site {
+            None => total,
+            Some(s) if s == site => site_hits,
+            Some(_) => continue,
         };
         if hit == arm.k {
             state.fired[i] = true;
@@ -343,12 +384,12 @@ fn checkpoint_slow(site: &'static str) -> Result<(), DviclError> {
 /// path — this runs at most once per arm per installation.
 #[cold]
 #[inline(never)]
-fn report_injection(site: &'static str, action: FaultAction, hit: u64) {
+fn report_injection(site: Site, action: FaultAction, hit: u64) {
     dvicl_obs::bump(dvicl_obs::Counter::FaultInjections);
     dvicl_obs::emit(
         "fault_injected",
         &[
-            ("site", dvicl_obs::Value::Str(site.to_string())),
+            ("site", dvicl_obs::Value::Str(site.name().to_string())),
             ("action", dvicl_obs::Value::Str(action.name().to_string())),
             ("hit", dvicl_obs::Value::U64(hit)),
         ],
@@ -368,16 +409,31 @@ mod tests {
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::probe());
         for bad in [
             "trip",
-            "trip@x",
-            "trip@x:zero",
+            "trip@canon.dfs",
+            "trip@canon.dfs:zero",
             "trip@:1",
-            "trip@x:0",
-            "explode@x:1",
-            "trip@x:1,,oops",
+            "trip@canon.dfs:0",
+            "explode@canon.dfs:1",
+            "trip@canon.dfs:1,,oops",
+            "trip@index.insrt:1",
         ] {
             let err = FaultPlan::parse(bad).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad:?} gave {err:?}");
         }
+    }
+
+    #[test]
+    fn unknown_site_error_lists_every_valid_site() {
+        let err = FaultPlan::parse("trip@index.insrt:1").unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("unknown fault site 'index.insrt'"), "{msg}");
+        for site in Site::ALL {
+            assert!(msg.contains(site.name()), "{msg} omits {site}");
+        }
+        assert_eq!(
+            FaultPlan::parse("cancel@index.insert:2").unwrap(),
+            FaultPlan::one(FaultAction::Cancel, Site::IndexInsert, 2)
+        );
     }
 
     #[test]
@@ -386,7 +442,7 @@ mod tests {
         clear();
         assert!(!is_active());
         for _ in 0..1000 {
-            checkpoint("govern.spend").unwrap();
+            checkpoint(Site::GovernSpend).unwrap();
         }
         assert!(hit_counts().is_empty());
     }
@@ -396,12 +452,12 @@ mod tests {
         let _g = test_lock();
         install(FaultPlan::probe());
         for _ in 0..3 {
-            checkpoint("core.build_node").unwrap();
+            checkpoint(Site::CoreBuildNode).unwrap();
         }
-        checkpoint("refine.refine").unwrap();
+        checkpoint(Site::RefineRefine).unwrap();
         assert_eq!(
             hit_counts(),
-            vec![("core.build_node", 3), ("refine.refine", 1)]
+            vec![(Site::CoreBuildNode, 3), (Site::RefineRefine, 1)]
         );
         clear();
     }
@@ -409,11 +465,11 @@ mod tests {
     #[test]
     fn arm_fires_at_exactly_the_kth_hit_and_only_once() {
         let _g = test_lock();
-        install(FaultPlan::one(FaultAction::Trip, "canon.dfs", 3));
-        checkpoint("canon.dfs").unwrap();
-        checkpoint("core.leaf_ir").unwrap(); // other sites don't count
-        checkpoint("canon.dfs").unwrap();
-        let err = checkpoint("canon.dfs").unwrap_err();
+        install(FaultPlan::one(FaultAction::Trip, Site::CanonDfs, 3));
+        checkpoint(Site::CanonDfs).unwrap();
+        checkpoint(Site::CoreLeafIr).unwrap(); // other sites don't count
+        checkpoint(Site::CanonDfs).unwrap();
+        let err = checkpoint(Site::CanonDfs).unwrap_err();
         assert_eq!(
             err,
             DviclError::BudgetExceeded {
@@ -422,7 +478,7 @@ mod tests {
             }
         );
         // One-shot: the 4th hit passes.
-        checkpoint("canon.dfs").unwrap();
+        checkpoint(Site::CanonDfs).unwrap();
         clear();
     }
 
@@ -430,13 +486,13 @@ mod tests {
     fn wildcard_counts_across_sites_and_actions_map_to_errors() {
         let _g = test_lock();
         install(FaultPlan::parse("cancel@*:2").unwrap());
-        checkpoint("refine.refine").unwrap();
-        assert_eq!(checkpoint("canon.dfs"), Err(DviclError::Cancelled));
+        checkpoint(Site::RefineRefine).unwrap();
+        assert_eq!(checkpoint(Site::CanonDfs), Err(DviclError::Cancelled));
         clear();
 
-        install(FaultPlan::one(FaultAction::Alloc, "core.arena_carve", 1));
+        install(FaultPlan::one(FaultAction::Alloc, Site::CoreArenaCarve, 1));
         assert!(matches!(
-            checkpoint("core.arena_carve"),
+            checkpoint(Site::CoreArenaCarve),
             Err(DviclError::BudgetExceeded {
                 resource: Resource::Memory,
                 ..
@@ -444,8 +500,8 @@ mod tests {
         ));
         clear();
 
-        install(FaultPlan::one(FaultAction::Parse, "graph.edge_line", 1));
-        let err = checkpoint("graph.edge_line").unwrap_err();
+        install(FaultPlan::one(FaultAction::Parse, Site::GraphEdgeLine, 1));
+        let err = checkpoint(Site::GraphEdgeLine).unwrap_err();
         match &err {
             DviclError::Parse(p) => {
                 assert_eq!(p.kind, ParseErrorKind::Truncated);
@@ -459,11 +515,11 @@ mod tests {
     #[test]
     fn install_resets_counts_and_fired_state() {
         let _g = test_lock();
-        install(FaultPlan::one(FaultAction::Cancel, "core.ssm", 1));
-        assert!(checkpoint("core.ssm").is_err());
-        install(FaultPlan::one(FaultAction::Cancel, "core.ssm", 1));
-        assert!(checkpoint("core.ssm").is_err(), "reinstall must rearm");
-        assert_eq!(hit_counts(), vec![("core.ssm", 1)]);
+        install(FaultPlan::one(FaultAction::Cancel, Site::CoreSsm, 1));
+        assert!(checkpoint(Site::CoreSsm).is_err());
+        install(FaultPlan::one(FaultAction::Cancel, Site::CoreSsm, 1));
+        assert!(checkpoint(Site::CoreSsm).is_err(), "reinstall must rearm");
+        assert_eq!(hit_counts(), vec![(Site::CoreSsm, 1)]);
         clear();
     }
 }

@@ -66,6 +66,10 @@ impl Coloring {
 
     /// Builds a coloring from arbitrary per-vertex labels: cells are grouped
     /// by label and ordered by ascending label value.
+    #[expect(
+        clippy::expect_used,
+        reason = "`order` is a permutation of 0..n and the grouping only splits it, so the cells partition 0..n"
+    )]
     pub fn from_labels(labels: &[V]) -> Self {
         let mut order: Vec<V> = (0..labels.len() as V).collect();
         order.sort_unstable_by_key(|&v| (labels[v as usize], v));
@@ -76,7 +80,6 @@ impl Coloring {
                 _ => cells.push(vec![v]),
             }
         }
-        // dvicl-lint: allow(panic-freedom) -- `order` is a permutation of 0..n and the grouping only splits it, so the cells partition 0..n
         Coloring::from_cells(cells).expect("grouped labels always form a partition")
     }
 
@@ -118,11 +121,6 @@ impl Coloring {
             .cells
             .partition_point(|cell| self.color[cell[0] as usize] <= c);
         self.cells[idx - 1].len()
-    }
-
-    /// True iff `v` lies in a singleton cell.
-    pub fn is_singleton(&self, v: V) -> bool {
-        self.cell_len_of(v) == 1
     }
 
     /// The per-vertex color array.
@@ -209,6 +207,10 @@ impl Coloring {
 
     /// The coloring `π^γ` with `π^γ(v) = π(v^γ)`: each cell `Vi` becomes
     /// `Vi^(γ⁻¹)`, in the same order.
+    #[expect(
+        clippy::expect_used,
+        reason = "applying a bijection to every member of a partition yields a partition"
+    )]
     pub fn apply_perm(&self, gamma: &Perm) -> Coloring {
         assert_eq!(gamma.len(), self.n());
         let inv = gamma.inverse();
@@ -221,7 +223,6 @@ impl Coloring {
                 c
             })
             .collect();
-        // dvicl-lint: allow(panic-freedom) -- applying a bijection to every member of a partition yields a partition
         Coloring::from_cells(cells).expect("permuted partition stays a partition")
     }
 
@@ -236,6 +237,10 @@ impl Coloring {
 
     /// Individualizes vertex `v`: `v` is split out *in front of* the
     /// remainder of its cell. Panics if `v`'s cell is a singleton.
+    #[expect(
+        clippy::expect_used,
+        reason = "splitting one cell into {v} and the rest preserves the partition property"
+    )]
     pub fn individualize(&self, v: V) -> Coloring {
         let mut cells: Vec<Vec<V>> = Vec::with_capacity(self.cells.len() + 1);
         let mut found = false;
@@ -250,13 +255,16 @@ impl Coloring {
             }
         }
         assert!(found, "vertex not in coloring");
-        // dvicl-lint: allow(panic-freedom) -- splitting one cell into {v} and the rest preserves the partition property
         Coloring::from_cells(cells).expect("individualization keeps a partition")
     }
 
     /// Projects the coloring onto the vertex subset `verts` (the paper's
     /// `π_g`), relabeling to local indices `0..verts.len()` in the order
     /// given. Cells keep their relative order; empty intersections vanish.
+    #[expect(
+        clippy::expect_used,
+        reason = "the cells contain each local index 0..verts.len() exactly once, a partition by construction"
+    )]
     pub fn project(&self, verts: &[V]) -> Coloring {
         let mut local: Vec<(V, V)> = verts
             .iter()
@@ -275,7 +283,6 @@ impl Coloring {
                 }
             }
         }
-        // dvicl-lint: allow(panic-freedom) -- the cells contain each local index 0..verts.len() exactly once, a partition by construction
         Coloring::from_cells(cells).expect("projection forms a partition")
     }
 }

@@ -1,7 +1,6 @@
 //! Canonical forms: the totally ordered certificates `(G, π)^γ`.
 
 use crate::{Coloring, Graph, V};
-use std::cmp::Ordering;
 
 /// The certificate of a relabeled colored graph `(G, π)^γ`.
 ///
@@ -80,12 +79,6 @@ impl CanonForm {
     /// Number of edges in the form.
     pub fn m(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Lexicographic comparison (same as `Ord`, provided for readability at
-    /// call sites that mirror the paper's `min` selection).
-    pub fn cmp_lex(&self, other: &CanonForm) -> Ordering {
-        self.cmp(other)
     }
 
     /// A borrowed view of this form — the exchange type for storage that

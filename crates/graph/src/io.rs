@@ -10,11 +10,11 @@
 //! recoverable condition, not a crash.
 
 use crate::{Graph, GraphBuilder, V};
+use dvicl_govern::fault::Site;
 use dvicl_govern::{DviclError, ParseError, ParseErrorKind};
 use rustc_hash::FxHashMap;
 use std::io::{self, BufRead, BufWriter, Read, Write};
 use std::num::IntErrorKind;
-use std::path::Path;
 
 /// Result of reading an edge list: the compacted graph plus the original id
 /// of each compacted vertex.
@@ -53,7 +53,7 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<LoadedGraph, DviclError> {
             continue;
         }
         saw_data = true;
-        dvicl_govern::fault::checkpoint("graph.edge_line")?;
+        dvicl_govern::fault::checkpoint(Site::GraphEdgeLine)?;
         let mut it = line.split_whitespace();
         let a = parse_vertex(it.next(), line, lineno)?;
         let b = parse_vertex(it.next(), line, lineno)?;
@@ -106,14 +106,6 @@ fn parse_vertex(tok: Option<&str>, line: &str, lineno: usize) -> Result<u64, Dvi
     })
 }
 
-/// Reads an edge list from a file path.
-pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<LoadedGraph, DviclError> {
-    let path = path.as_ref();
-    let file = std::fs::File::open(path)
-        .map_err(|e| DviclError::invalid(format!("cannot open {}: {e}", path.display())))?;
-    read_edge_list(file)
-}
-
 /// Writes a graph as an edge list (`u v` per line, `u < v`), with a size
 /// header comment.
 pub fn write_edge_list<W: Write>(writer: W, g: &Graph) -> io::Result<()> {
@@ -123,11 +115,6 @@ pub fn write_edge_list<W: Write>(writer: W, g: &Graph) -> io::Result<()> {
         writeln!(w, "{u} {v}")?;
     }
     w.flush()
-}
-
-/// Writes a graph to a file path.
-pub fn write_edge_list_file<P: AsRef<Path>>(path: P, g: &Graph) -> io::Result<()> {
-    write_edge_list(std::fs::File::create(path)?, g)
 }
 
 #[cfg(test)]

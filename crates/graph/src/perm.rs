@@ -36,14 +36,6 @@ impl Perm {
         Some(Perm { image })
     }
 
-    /// Builds a permutation from its image array without validating
-    /// bijectivity. Callers must guarantee `image` is a permutation of
-    /// `0..image.len()`; [`Perm::from_image`] is the checked variant.
-    pub fn from_image_unchecked(image: Vec<V>) -> Self {
-        debug_assert!(Perm::from_image(image.clone()).is_some());
-        Perm { image }
-    }
-
     /// Builds a permutation on `n` points from disjoint cycles; vertices not
     /// mentioned are fixed. Returns `None` on out-of-range or repeated
     /// entries.
@@ -82,11 +74,6 @@ impl Perm {
     /// The raw image slice.
     pub fn as_slice(&self) -> &[V] {
         &self.image
-    }
-
-    /// Consumes the permutation and returns the image array.
-    pub fn into_image(self) -> Vec<V> {
-        self.image
     }
 
     /// Left-to-right composition: `(self.then(other))(v) = other(self(v))`,

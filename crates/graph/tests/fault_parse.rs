@@ -7,7 +7,7 @@
 //! to leak into the malformed-input corpus tests. Within this binary all
 //! scenarios run inside a single `#[test]` for the same reason.
 
-use dvicl_govern::fault::{self, FaultPlan};
+use dvicl_govern::fault::{self, FaultPlan, Site};
 use dvicl_govern::{DviclError, ParseErrorKind};
 use dvicl_graph::graph6::{from_graph6, to_graph6};
 use dvicl_graph::io::read_edge_list;
@@ -25,7 +25,7 @@ fn injected_parse_faults_are_typed_and_deterministic() {
     fault::clear();
     let edge_lines = probe
         .iter()
-        .find(|(site, _)| *site == "graph.edge_line")
+        .find(|(site, _)| *site == Site::GraphEdgeLine)
         .map(|&(_, k)| k)
         .unwrap_or(0);
     assert_eq!(edge_lines, 5, "one checkpoint per data line");

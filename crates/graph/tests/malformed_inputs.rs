@@ -6,6 +6,10 @@ use dvicl_graph::graph6::from_graph6;
 use dvicl_graph::io::read_edge_list;
 use dvicl_govern::{DviclError, ParseErrorKind};
 
+#[expect(
+    clippy::panic,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
 fn parse_kind(err: DviclError) -> ParseErrorKind {
     match err {
         DviclError::Parse(p) => p.kind,

@@ -169,6 +169,10 @@ impl BigUint {
     }
 
     /// Decimal string.
+    #[expect(
+        clippy::expect_used,
+        reason = "every byte is b'0' + d with d < 10, so the buffer is valid ASCII"
+    )]
     pub fn to_decimal(&self) -> String {
         if self.is_zero() {
             return "0".to_string();
@@ -181,7 +185,6 @@ impl BigUint {
             cur = q;
         }
         digits.reverse();
-        // dvicl-lint: allow(panic-freedom) -- every byte is b'0' + d with d < 10, so the buffer is valid ASCII
         String::from_utf8(digits).expect("digits are ASCII")
     }
 

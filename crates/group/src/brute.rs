@@ -28,7 +28,10 @@ fn backtrack(
 ) {
     let n = g.n();
     if v == n {
-        // dvicl-lint: allow(panic-freedom) -- the backtracking search assigns each vertex a distinct unused image, so the full map is a bijection
+        #[expect(
+            clippy::expect_used,
+            reason = "the backtracking search assigns each vertex a distinct unused image, so the full map is a bijection"
+        )]
         out.push(Perm::from_image(image.clone()).expect("complete image is a bijection"));
         return;
     }
@@ -60,6 +63,10 @@ pub fn automorphism_count(g: &Graph, pi: &Coloring) -> u64 {
 /// The literal minimum certificate `min_γ (G, π)^γ` over all `n!`
 /// permutations that preserve `π`'s cells as positions. Exponential —
 /// tests only (n ≤ 8).
+#[expect(
+    clippy::expect_used,
+    reason = "the identity permutation is always enumerated and is color-preserving, so best is Some"
+)]
 pub fn min_canon_form(g: &Graph, pi: &Coloring) -> CanonForm {
     let n = g.n();
     assert!(n <= 9, "brute-force canonical form is exponential");
@@ -79,7 +86,6 @@ pub fn min_canon_form(g: &Graph, pi: &Coloring) -> CanonForm {
             _ => best = Some(form),
         }
     });
-    // dvicl-lint: allow(panic-freedom) -- the identity permutation is always enumerated and is color-preserving, so best is Some
     best.expect("at least the identity is color-preserving")
 }
 
@@ -148,6 +154,10 @@ trait ColorOfPosition {
 }
 
 impl ColorOfPosition for Coloring {
+    #[expect(
+        clippy::unreachable,
+        reason = "the cells partition 0..n and p < n is checked by the caller, so some cell contains p"
+    )]
     fn color_of_position(&self, p: V) -> V {
         // Positions and colors coincide under the paper's color definition:
         // position p lies in the cell whose start offset is the largest
@@ -160,7 +170,6 @@ impl ColorOfPosition for Coloring {
             }
             start = end;
         }
-        // dvicl-lint: allow(panic-freedom) -- the cells partition 0..n and p < n is checked by the caller, so some cell contains p
         unreachable!("position out of range")
     }
 }

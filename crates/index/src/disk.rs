@@ -34,9 +34,10 @@
 //! header-bomb guard the graph6 reader uses.
 
 use crate::{FingerprintIndex, IsoClass};
-use dvicl_govern::{fault, DviclError, ParseError, ParseErrorKind};
+use dvicl_govern::fault::{self, Site};
+use dvicl_govern::{DviclError, ParseError, ParseErrorKind};
 use dvicl_graph::{CanonForm, Fingerprint, V};
-use dvicl_obs::{self as obs, Counter};
+use dvicl_obs::{self as obs, Counter, Phase};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -133,7 +134,7 @@ impl<'a> Cursor<'a> {
 impl FingerprintIndex {
     /// Serializes the index in `DVIX1` format.
     pub fn save_to(&self, w: &mut impl Write) -> Result<(), DviclError> {
-        let _span = obs::span("index.save");
+        let _span = obs::span(Phase::IndexSave);
         let mut buf: Vec<u8> = Vec::with_capacity(64 + 16 * self.classes().len());
         buf.extend_from_slice(MAGIC);
         push_varint(&mut buf, self.classes().len() as u64);
@@ -172,8 +173,8 @@ impl FingerprintIndex {
     /// [`DviclError::WitnessFailure`] — corrupted-but-well-formed files
     /// do not enter service.
     pub fn load_from(r: &mut impl Read, paranoid: bool) -> Result<FingerprintIndex, DviclError> {
-        let _span = obs::span("index.load");
-        fault::checkpoint("index.load")?;
+        let _span = obs::span(Phase::IndexLoad);
+        fault::checkpoint(Site::IndexLoad)?;
         let mut buf = Vec::new();
         r.read_to_end(&mut buf)
             .map_err(|e| DviclError::invalid(format!("cannot read index: {e}")))?;

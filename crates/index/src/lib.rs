@@ -32,7 +32,8 @@
 
 pub mod disk;
 
-use dvicl_govern::{fault, DviclError};
+use dvicl_govern::fault::{self, Site};
+use dvicl_govern::DviclError;
 use dvicl_graph::{CanonForm, Fingerprint};
 use dvicl_obs::{self as obs, Counter};
 use rustc_hash::FxHashMap;
@@ -133,7 +134,7 @@ impl FingerprintIndex {
         form: CanonForm,
         paranoid: bool,
     ) -> Result<InsertOutcome, DviclError> {
-        fault::checkpoint("index.insert")?;
+        fault::checkpoint(Site::IndexInsert)?;
         if paranoid {
             obs::bump(Counter::VerifyChecks);
             let recomputed = Fingerprint::of_form(&form);

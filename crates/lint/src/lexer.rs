@@ -14,9 +14,8 @@
 //!   lifetime),
 //! - raw identifiers (`r#fn`).
 //!
-//! Comments are kept as tokens (not discarded) because two rules read
-//! them: the unsafe-audit rule looks for `// SAFETY:` comments and the
-//! suppression machinery parses `// dvicl-lint: allow(...)` pragmas.
+//! Comments are kept as tokens (not discarded) because the suppression
+//! machinery parses `// dvicl-lint: allow(...)` pragmas out of them.
 //!
 //! Everything is byte-oriented; multi-byte UTF-8 only ever appears
 //! inside comments, strings, and char literals, all of which are

@@ -1,11 +1,15 @@
 //! `dvicl-lint` — a dependency-free static invariant checker for the
 //! DviCL workspace.
 //!
-//! PR 1 established execution-governance invariants (typed errors,
-//! budget threading, panic-free input paths); this crate enforces them
-//! mechanically over every workspace `.rs` source instead of by
-//! convention. It is deliberately dependency-free (hand-rolled lexer,
-//! hand-rolled JSON) so the workspace keeps building offline.
+//! It enforces the project invariants that neither rustc, clippy nor
+//! the type system can state: budget reachability through the call
+//! graph, the shared-state screen of the build/refine/canon hot path,
+//! the error taxonomy, the offline guard, CSR-only adjacency and
+//! audited narrowing casts. Panic-freedom and the unsafe audit are
+//! workspace clippy denials; arena stack discipline, checkpoint sites,
+//! span labels and the counter catalog are enforced by types. It is
+//! deliberately dependency-free (hand-rolled lexer, hand-rolled JSON)
+//! so the workspace keeps building offline.
 //!
 //! The pipeline: every file is lexed ([`lexer::lex`]) and item-parsed
 //! ([`parse::items`]) into a [`FileData`]; the [`Workspace`] then
@@ -13,20 +17,19 @@
 //! ([`callgraph::CallGraph`]) over all files. Per-file rules from
 //! [`rules::catalog`] see one file; workspace rules from
 //! [`rules::ws_catalog`] see the whole [`Workspace`] (call-graph
-//! reachability, cross-file registries). Findings inside
+//! reachability, hot-path shared state). Findings inside
 //! `#[cfg(test)]` items are dropped, then `// dvicl-lint: allow(...)
 //! -- reason` pragmas are applied per owning file. See DESIGN.md §8
 //! for the rule catalog and the suppression policy, §12 for the
-//! parser/call-graph/dataflow architecture.
+//! parser/call-graph architecture.
 //!
 //! What gets scanned: non-test sources of every workspace crate
 //! (`crates/*/src/**` and the root `src/`). Test-class trees (`tests/`,
 //! `benches/`, `examples/`, `fixtures/`) and the vendored `shims/` are
-//! skipped — tests unwrap freely by design, and the shims are stand-ins
+//! skipped — test code is exempt by design, and the shims are stand-ins
 //! for third-party code the rules do not govern.
 
 pub mod callgraph;
-pub mod dataflow;
 pub mod lexer;
 pub mod parse;
 pub mod pragma;
@@ -537,29 +540,30 @@ mod tests {
 
     #[test]
     fn findings_inside_cfg_test_are_dropped() {
-        let src = "pub fn ok() {}\n#[cfg(test)]\nmod tests {\n    fn f() { x.unwrap(); }\n}\n";
+        let src =
+            "pub fn ok() {}\n#[cfg(test)]\nmod tests {\n    fn f(x: usize) -> u8 { x as u8 }\n}\n";
         let (findings, _) = lint_source("crates/core/src/x.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn cfg_not_test_is_not_a_test_item() {
-        let src = "#[cfg(not(test))]\nfn f() { x.unwrap(); }\n";
+        let src = "#[cfg(not(test))]\nfn f(x: usize) -> u8 { x as u8 }\n";
         let (findings, _) = lint_source("crates/core/src/x.rs", src);
         assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "panic-freedom");
+        assert_eq!(findings[0].rule, "narrowing-cast");
     }
 
     #[test]
     fn nested_test_submodules_are_covered() {
-        let src = "#[cfg(test)]\nmod tests {\n    mod inner {\n        fn f() { x.unwrap(); }\n    }\n}\n";
+        let src = "#[cfg(test)]\nmod tests {\n    mod inner {\n        fn f(x: usize) -> u8 { x as u8 }\n    }\n}\n";
         let (findings, _) = lint_source("crates/core/src/x.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn well_formed_pragma_suppresses_and_counts() {
-        let src = "fn f() {\n    x.unwrap() // dvicl-lint: allow(panic-freedom) -- x checked non-empty above\n}\n";
+        let src = "fn f(x: usize) -> u8 {\n    x as u8 // dvicl-lint: allow(narrowing-cast) -- x < 8 checked above\n}\n";
         let (findings, suppressed) = lint_source("crates/core/src/x.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(suppressed, 1);
@@ -567,7 +571,7 @@ mod tests {
 
     #[test]
     fn pragma_on_previous_line_suppresses() {
-        let src = "fn f() {\n    // dvicl-lint: allow(panic-freedom) -- invariant: set by new()\n    x.unwrap()\n}\n";
+        let src = "fn f(x: usize) -> u8 {\n    // dvicl-lint: allow(narrowing-cast) -- invariant: x < 8 by new()\n    x as u8\n}\n";
         let (findings, suppressed) = lint_source("crates/core/src/x.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(suppressed, 1);
@@ -575,17 +579,27 @@ mod tests {
 
     #[test]
     fn missing_reason_pragma_is_a_finding_and_suppresses_nothing() {
-        let src = "fn f() {\n    x.unwrap() // dvicl-lint: allow(panic-freedom)\n}\n";
+        let src = "fn f(x: usize) -> u8 {\n    x as u8 // dvicl-lint: allow(narrowing-cast)\n}\n";
         let (findings, suppressed) = lint_source("crates/core/src/x.rs", src);
         assert_eq!(suppressed, 0);
         let rules: Vec<_> = findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&PRAGMA_MISSING_REASON), "{rules:?}");
-        assert!(rules.contains(&"panic-freedom"), "{rules:?}");
+        assert!(rules.contains(&"narrowing-cast"), "{rules:?}");
     }
 
     #[test]
     fn unknown_rule_pragma_is_a_finding() {
         let src = "fn f() { // dvicl-lint: allow(no-such-rule) -- why not\n}\n";
+        let (findings, _) = lint_source("crates/core/src/x.rs", src);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].rule, PRAGMA_UNKNOWN_RULE);
+    }
+
+    #[test]
+    fn retired_rules_are_unknown_to_pragmas() {
+        // Panic-freedom is a clippy denial now: a pragma naming it is
+        // stale and must be flagged, not silently accepted.
+        let src = "fn f() { // dvicl-lint: allow(panic-freedom) -- stale\n}\n";
         let (findings, _) = lint_source("crates/core/src/x.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, PRAGMA_UNKNOWN_RULE);

@@ -19,7 +19,7 @@
 //!
 //! Downstream consumers: `symbols` builds the workspace symbol table
 //! from these items, `callgraph` resolves call edges between the `Fn`
-//! items, and `dataflow` walks `Fn` body ranges.
+//! items, and the send-safety report reads struct and enum fields.
 
 use crate::lexer::{Tok, TokKind};
 

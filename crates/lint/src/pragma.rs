@@ -4,10 +4,10 @@
 //! the line immediately below it, so both styles work:
 //!
 //! ```text
-//! foo.unwrap() // dvicl-lint: allow(panic-freedom) -- len checked above
+//! len as u32 // dvicl-lint: allow(narrowing-cast) -- len < n <= V::MAX
 //!
-//! // dvicl-lint: allow(panic-freedom) -- len checked above
-//! foo.unwrap()
+//! // dvicl-lint: allow(narrowing-cast) -- len < n <= V::MAX
+//! len as u32
 //! ```
 //!
 //! The reason is mandatory: a pragma without a non-empty `-- reason`
@@ -83,23 +83,23 @@ mod tests {
     #[test]
     fn well_formed_pragma() {
         let p = parse(
-            "// dvicl-lint: allow(panic-freedom) -- index bounded by loop",
+            "// dvicl-lint: allow(narrowing-cast) -- index bounded by loop",
             7,
             3,
         )
         .unwrap();
-        assert_eq!(p.rules, vec!["panic-freedom"]);
+        assert_eq!(p.rules, vec!["narrowing-cast"]);
         assert_eq!(p.reason.as_deref(), Some("index bounded by loop"));
-        assert!(p.suppresses("panic-freedom", 7));
-        assert!(p.suppresses("panic-freedom", 8));
-        assert!(!p.suppresses("panic-freedom", 9));
-        assert!(!p.suppresses("unsafe-audit", 7));
+        assert!(p.suppresses("narrowing-cast", 7));
+        assert!(p.suppresses("narrowing-cast", 8));
+        assert!(!p.suppresses("narrowing-cast", 9));
+        assert!(!p.suppresses("offline-guard", 7));
     }
 
     #[test]
     fn multiple_rules_one_pragma() {
         let p = parse(
-            "// dvicl-lint: allow(panic-freedom, narrowing-cast) -- proven in from_cells",
+            "// dvicl-lint: allow(budget-reachability, narrowing-cast) -- proven in from_cells",
             1,
             1,
         )
@@ -110,14 +110,14 @@ mod tests {
 
     #[test]
     fn missing_reason_does_not_suppress() {
-        let p = parse("// dvicl-lint: allow(panic-freedom)", 4, 1).unwrap();
+        let p = parse("// dvicl-lint: allow(narrowing-cast)", 4, 1).unwrap();
         assert!(p.reason.is_none());
-        assert!(!p.suppresses("panic-freedom", 4));
+        assert!(!p.suppresses("narrowing-cast", 4));
     }
 
     #[test]
     fn empty_reason_counts_as_missing() {
-        let p = parse("// dvicl-lint: allow(panic-freedom) --   ", 4, 1).unwrap();
+        let p = parse("// dvicl-lint: allow(narrowing-cast) --   ", 4, 1).unwrap();
         assert!(p.reason.is_none());
     }
 
@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn malformed_clause_has_no_rules() {
-        let p = parse("// dvicl-lint: allowed(panic-freedom) -- oops", 1, 1).unwrap();
+        let p = parse("// dvicl-lint: allowed(narrowing-cast) -- oops", 1, 1).unwrap();
         assert!(p.rules.is_empty());
     }
 }

@@ -143,7 +143,7 @@ mod tests {
 
     fn sample() -> Finding {
         Finding {
-            rule: "panic-freedom",
+            rule: "narrowing-cast",
             severity: Severity::Deny,
             file: "crates/x/src/lib.rs".into(),
             line: 3,
@@ -161,7 +161,7 @@ mod tests {
             suppressed: 2,
         };
         let h = r.human();
-        assert!(h.contains("deny[panic-freedom] crates/x/src/lib.rs:3:9:"));
+        assert!(h.contains("deny[narrowing-cast] crates/x/src/lib.rs:3:9:"));
         assert!(h.contains("1 finding(s), 2 suppressed, 1 file(s) scanned"));
     }
 
@@ -197,7 +197,7 @@ mod tests {
         };
         let g = r.github();
         assert!(
-            g.contains("::error file=crates/x/src/lib.rs,line=3,col=9,title=panic-freedom::"),
+            g.contains("::error file=crates/x/src/lib.rs,line=3,col=9,title=narrowing-cast::"),
             "{g}"
         );
         assert!(g.contains("50%25 of%0Athe time"), "{g}");

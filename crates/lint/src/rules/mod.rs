@@ -8,18 +8,12 @@
 
 use crate::lexer::{Tok, TokKind};
 
-pub mod arena_discipline;
 pub mod budget_reachability;
 pub mod error_taxonomy;
-pub mod fault_checkpoint_naming;
 pub mod narrowing_cast;
 pub mod nested_vec_adjacency;
-pub mod obs_span_naming;
 pub mod offline_guard;
-pub mod panic_freedom;
-pub mod registry_coherence;
 pub mod shared_state_screen;
-pub mod unsafe_audit;
 
 /// How severe a finding is. Every current rule is `Deny` (the binary
 /// exits non-zero); the field exists so future advisory rules can ship
@@ -147,27 +141,6 @@ pub struct WsRuleMeta {
 pub fn catalog() -> &'static [RuleMeta] {
     &[
         RuleMeta {
-            id: panic_freedom::ID,
-            severity: Severity::Deny,
-            summary: "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! in non-test code",
-            applies: applies_everywhere,
-            check: panic_freedom::check,
-        },
-        RuleMeta {
-            id: arena_discipline::ID,
-            severity: Severity::Deny,
-            summary: "every path through a function pairing SubArena mark/release must release on all early exits",
-            applies: applies_everywhere,
-            check: arena_discipline::check,
-        },
-        RuleMeta {
-            id: unsafe_audit::ID,
-            severity: Severity::Deny,
-            summary: "every unsafe block/impl needs an immediately preceding `// SAFETY:` comment",
-            applies: applies_everywhere,
-            check: unsafe_audit::check,
-        },
-        RuleMeta {
             id: error_taxonomy::ID,
             severity: Severity::Deny,
             summary: "library crates must use DviclError: no Box<dyn Error>, Result<_, String>, or stringly Err values",
@@ -195,20 +168,6 @@ pub fn catalog() -> &'static [RuleMeta] {
             applies: |c| !matches!(c, "cli" | "bench"),
             check: offline_guard::check,
         },
-        RuleMeta {
-            id: obs_span_naming::ID,
-            severity: Severity::Deny,
-            summary: "span labels must be crate.phase dot-paths with a known crate prefix",
-            applies: applies_everywhere,
-            check: obs_span_naming::check,
-        },
-        RuleMeta {
-            id: fault_checkpoint_naming::ID,
-            severity: Severity::Deny,
-            summary: "fault checkpoint sites must be crate.place dot-paths with a known crate prefix",
-            applies: applies_everywhere,
-            check: fault_checkpoint_naming::check,
-        },
     ]
 }
 
@@ -227,12 +186,6 @@ pub fn ws_catalog() -> &'static [WsRuleMeta] {
             severity: Severity::Deny,
             summary: "no static mut / Rc / RefCell / raw-pointer shared state reachable from the build/refine/canon hot path",
             check: shared_state_screen::check,
-        },
-        WsRuleMeta {
-            id: registry_coherence::ID,
-            severity: Severity::Deny,
-            summary: "fault checkpoint sites and obs counters must stay coherent with their registries",
-            check: registry_coherence::check,
         },
     ]
 }

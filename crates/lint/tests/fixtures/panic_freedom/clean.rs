@@ -1,18 +1,18 @@
-//! Clean fixture: non-panicking adapters, a pragma'd invariant, and a
-//! test module that unwraps freely (as tests should).
+//! Clean fixture: non-panicking adapters, an `#[expect]`ed invariant,
+//! and a test module that unwraps freely (as tests should). Checked by
+//! CI with `clippy-driver` under the workspace's clippy lint levels.
 
 pub fn lookup(xs: &[u32]) -> Option<u32> {
     let first = xs.first().copied().unwrap_or(0);
     let second = xs.get(1).copied().unwrap_or_default();
-    // A string mentioning .unwrap() and panic!( must not trip the lexer.
-    let _doc = "never call .unwrap() or panic!( in non-test code";
-    let _raw = r#"raw .expect( body "with quotes" stays opaque"#;
-    /* block comment: .unwrap() here is /* nested */ invisible */
     Some(first + second)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "xs verified non-empty by the caller's constructor"
+)]
 pub fn invariant_indexing(xs: &[u32]) -> u32 {
-    // dvicl-lint: allow(panic-freedom) -- xs verified non-empty by the caller's constructor
     *xs.first().expect("non-empty by construction")
 }
 
@@ -20,7 +20,7 @@ pub fn invariant_indexing(xs: &[u32]) -> u32 {
 mod tests {
     #[test]
     fn tests_unwrap_freely() {
-        let xs = vec![1, 2];
+        let xs = [1, 2];
         assert_eq!(*xs.first().unwrap(), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! A well-formed pragma: states its rule and reason, fully clean.
 
-pub fn f(xs: &[u32]) -> &u32 {
-    // dvicl-lint: allow(panic-freedom) -- xs is non-empty: built from a const array above
-    xs.first().expect("non-empty")
+pub fn f(xs: &[u32; 4]) -> u8 {
+    // dvicl-lint: allow(narrowing-cast) -- a fixed-size array of 4 has length < u8::MAX
+    xs.len() as u8
 }

@@ -1,18 +1,20 @@
-//! Clean fixture: every unsafe construct carries a SAFETY comment,
-//! trailing or on the run of comment lines directly above.
+//! Clean fixture: every unsafe block and impl carries a `// SAFETY:`
+//! comment on the lines directly above it. Checked by CI with
+//! `clippy-driver` under the workspace's clippy lint levels.
 
-pub fn peek(p: *const u8) -> u8 {
-    // SAFETY: callers pass a pointer into a live, initialized buffer.
+/// Reads the byte behind `p`.
+///
+/// # Safety
+///
+/// `p` must point into a live, initialized buffer.
+pub unsafe fn peek(p: *const u8) -> u8 {
+    // SAFETY: the caller upholds this function's safety contract.
     unsafe { *p }
 }
 
-pub fn peek_trailing(p: *const u8) -> u8 {
-    unsafe { *p } // SAFETY: p is validated non-null by the caller.
-}
+/// A raw handle that may move between threads.
+pub struct Wrapper(pub *mut u8);
 
 // SAFETY: Wrapper's pointer is only dereferenced on the owning thread;
 // sending the handle is sound because access is externally fenced.
-#[allow(dead_code)]
 unsafe impl Send for Wrapper {}
-
-pub struct Wrapper(*mut u8);

@@ -2,168 +2,109 @@
 //!
 //! Counters are deliberately a closed enum rather than a string-keyed
 //! registry: every bump is an index into a static array of relaxed
-//! atomics (no hashing, no locking, no allocation), and the catalog in
-//! DESIGN.md §9 stays the single source of truth for what exists.
+//! atomics (no hashing, no locking, no allocation). One
+//! [`catalog!`](crate::catalog) list declares each counter's variant and
+//! name, so `Counter::ALL`, `Counter::name` and [`NUM_COUNTERS`] agree by
+//! construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One process-wide work counter. The catalog (name, unit, where it is
-/// incremented) is documented in DESIGN.md §9; the variant order is the
-/// reporting order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
-    /// Refinement splitters processed (`refine::Refiner`).
-    RefineRounds,
-    /// IR search-tree nodes visited (`canon::Search::dfs`).
-    SearchNodes,
-    /// IR search-tree leaves reached (`canon::Search::visit_leaf`).
-    SearchLeaves,
-    /// Subtrees pruned by the node invariant, `P_A`/`P_B` (`canon`).
-    PrunedInvariant,
-    /// Branches skipped by discovered automorphisms, `P_C` (`canon`).
-    PrunedOrbit,
-    /// Non-trivial automorphism generators recorded (`canon`).
-    AutFound,
-    /// Component divisions applied (`core::SubArena::divide_components`).
-    DivideComponents,
-    /// `DivideI` divisions applied (`core::SubArena::divide_i`).
-    DivideIApplied,
-    /// `DivideS` divisions applied (`core::SubArena::divide_s`).
-    DivideSApplied,
-    /// Edges deleted by applied `DivideS` divisions (`core::SubArena`).
-    DivideSEdgesDeleted,
-    /// Structural-equivalence twin classes collapsed
-    /// (`core::simplify::dvicl_simplified`).
-    TwinClassesCollapsed,
-    /// `CombineCL` leaf-labeling results served from the builder's
-    /// cache (`core::build`).
-    CacheClHits,
-    /// `CombineCL` leaf labelings computed fresh (`core::build`).
-    CacheClMisses,
-    /// High-water mark of subgraph-arena pool bytes, summed over builds
-    /// (`core::SubArena`): each DviCL run adds its own peak, so a
-    /// snapshot diff around one build reads as that build's peak.
-    SubBytesPeak,
-    /// Subgraph-arena segment releases that handed buffer space back for
-    /// reuse by a later child (`core::SubArena`).
-    ArenaReuses,
-    /// SSM matcher states expanded (`core::ssm`).
-    SsmStates,
-    /// Budget exhaustion / cancellation trips (`govern::Budget`).
-    BudgetTrips,
-    /// Witness checks performed by the paranoid verifier (`core::verify`).
-    VerifyChecks,
-    /// Witness checks that failed — always zero on a healthy build
-    /// (`core::verify`).
-    VerifyFailures,
-    /// Faults injected by an installed `govern::FaultPlan`.
-    FaultInjections,
-    /// Fingerprint-index probes: every `insert`/`lookup`/`groupsize`
-    /// that consulted the fingerprint map (`dvicl-index`).
-    IndexProbes,
-    /// Index probes whose fingerprint bucket held an exact
-    /// stored-form match (`dvicl-index`).
-    IndexHits,
-    /// Index probes that compared against a stored form with the same
-    /// fingerprint and found it *unequal* — the 2⁻¹²⁸ hash-collision
-    /// path, resolved by the exact check (`dvicl-index`).
-    IndexCollisions,
-    /// Builds served by a `core::Session` that reused its arena pools
-    /// and CombineCL memo from an earlier build (`core::Session`).
-    SessionArenaReuses,
-    /// Subtree jobs spawned onto the work-stealing pool — fragments
-    /// built away from their parent's call stack (`core::pool`).
-    PoolTasks,
-    /// Pool jobs executed by a worker other than the one that spawned
-    /// them (`core::pool`). `pool_tasks - pool_steals` jobs were
-    /// popped back by their owner.
-    PoolSteals,
-    /// Cell splits whose splitter-neighbor counts came from
-    /// word-parallel `popcount(adjacency row & splitter mask)` instead
-    /// of an adjacency-list scatter (`refine::Refiner`).
-    RefineSplitsPopcount,
-    /// Popcount-path cell splits realized by the degree-bucket radix
-    /// (counting) sort instead of a comparison sort
-    /// (`refine::Refiner`).
-    RadixSplits,
-}
-
-/// How many counters exist (the length of [`Counter::ALL`]).
-pub const NUM_COUNTERS: usize = 28;
-
-impl Counter {
-    /// Every counter, in reporting order.
-    pub const ALL: [Counter; NUM_COUNTERS] = [
-        Counter::RefineRounds,
-        Counter::SearchNodes,
-        Counter::SearchLeaves,
-        Counter::PrunedInvariant,
-        Counter::PrunedOrbit,
-        Counter::AutFound,
-        Counter::DivideComponents,
-        Counter::DivideIApplied,
-        Counter::DivideSApplied,
-        Counter::DivideSEdgesDeleted,
-        Counter::TwinClassesCollapsed,
-        Counter::CacheClHits,
-        Counter::CacheClMisses,
-        Counter::SubBytesPeak,
-        Counter::ArenaReuses,
-        Counter::SsmStates,
-        Counter::BudgetTrips,
-        Counter::VerifyChecks,
-        Counter::VerifyFailures,
-        Counter::FaultInjections,
-        Counter::IndexProbes,
-        Counter::IndexHits,
-        Counter::IndexCollisions,
-        Counter::SessionArenaReuses,
-        Counter::PoolTasks,
-        Counter::PoolSteals,
-        Counter::RefineSplitsPopcount,
-        Counter::RadixSplits,
-    ];
-
-    /// The counter's stable snake_case name, as it appears in
-    /// `--stats` reports and `BENCH_*.json` records.
+crate::catalog! {
+    /// One process-wide work counter. The catalog (name, unit, where it
+    /// is incremented) is documented in DESIGN.md §9; the variant order
+    /// is the reporting order, and each name is the counter's stable
+    /// snake_case key in `--stats` reports and `BENCH_*.json` records.
     ///
     /// ```
     /// assert_eq!(dvicl_obs::Counter::SearchNodes.name(), "search_nodes");
     /// ```
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::RefineRounds => "refine_rounds",
-            Counter::SearchNodes => "search_nodes",
-            Counter::SearchLeaves => "search_leaves",
-            Counter::PrunedInvariant => "pruned_invariant",
-            Counter::PrunedOrbit => "pruned_orbit",
-            Counter::AutFound => "aut_found",
-            Counter::DivideComponents => "divide_components",
-            Counter::DivideIApplied => "divide_i_applied",
-            Counter::DivideSApplied => "divide_s_applied",
-            Counter::DivideSEdgesDeleted => "divide_s_edges_deleted",
-            Counter::TwinClassesCollapsed => "twin_classes_collapsed",
-            Counter::CacheClHits => "cache_cl_hits",
-            Counter::CacheClMisses => "cache_cl_misses",
-            Counter::SubBytesPeak => "sub_bytes_peak",
-            Counter::ArenaReuses => "arena_reuses",
-            Counter::SsmStates => "ssm_states",
-            Counter::BudgetTrips => "budget_trips",
-            Counter::VerifyChecks => "verify_checks",
-            Counter::VerifyFailures => "verify_failures",
-            Counter::FaultInjections => "fault_injections",
-            Counter::IndexProbes => "index_probes",
-            Counter::IndexHits => "index_hits",
-            Counter::IndexCollisions => "index_collisions",
-            Counter::SessionArenaReuses => "session_arena_reuses",
-            Counter::PoolTasks => "pool_tasks",
-            Counter::PoolSteals => "pool_steals",
-            Counter::RefineSplitsPopcount => "refine_splits_popcount",
-            Counter::RadixSplits => "radix_splits",
-        }
+    ///
+    /// A counter outside the catalog does not compile:
+    ///
+    /// ```compile_fail,E0599
+    /// dvicl_obs::bump(dvicl_obs::Counter::SearchNode);
+    /// ```
+    #[repr(usize)]
+    pub enum Counter {
+        /// Refinement splitters processed (`refine::Refiner`).
+        RefineRounds = "refine_rounds",
+        /// IR search-tree nodes visited (`canon::Search::dfs`).
+        SearchNodes = "search_nodes",
+        /// IR search-tree leaves reached (`canon::Search::visit_leaf`).
+        SearchLeaves = "search_leaves",
+        /// Subtrees pruned by the node invariant, `P_A`/`P_B` (`canon`).
+        PrunedInvariant = "pruned_invariant",
+        /// Branches skipped by discovered automorphisms, `P_C` (`canon`).
+        PrunedOrbit = "pruned_orbit",
+        /// Non-trivial automorphism generators recorded (`canon`).
+        AutFound = "aut_found",
+        /// Component divisions applied (`core::SubArena::divide_components`).
+        DivideComponents = "divide_components",
+        /// `DivideI` divisions applied (`core::SubArena::divide_i`).
+        DivideIApplied = "divide_i_applied",
+        /// `DivideS` divisions applied (`core::SubArena::divide_s`).
+        DivideSApplied = "divide_s_applied",
+        /// Edges deleted by applied `DivideS` divisions (`core::SubArena`).
+        DivideSEdgesDeleted = "divide_s_edges_deleted",
+        /// Structural-equivalence twin classes collapsed
+        /// (`core::simplify::dvicl_simplified`).
+        TwinClassesCollapsed = "twin_classes_collapsed",
+        /// `CombineCL` leaf-labeling results served from the builder's
+        /// cache (`core::build`).
+        CacheClHits = "cache_cl_hits",
+        /// `CombineCL` leaf labelings computed fresh (`core::build`).
+        CacheClMisses = "cache_cl_misses",
+        /// High-water mark of subgraph-arena pool bytes, summed over builds
+        /// (`core::SubArena`): each DviCL run adds its own peak, so a
+        /// snapshot diff around one build reads as that build's peak.
+        SubBytesPeak = "sub_bytes_peak",
+        /// Subgraph-arena segment releases that handed buffer space back for
+        /// reuse by a later child (`core::SubArena`).
+        ArenaReuses = "arena_reuses",
+        /// SSM matcher states expanded (`core::ssm`).
+        SsmStates = "ssm_states",
+        /// Budget exhaustion / cancellation trips (`govern::Budget`).
+        BudgetTrips = "budget_trips",
+        /// Witness checks performed by the paranoid verifier (`core::verify`).
+        VerifyChecks = "verify_checks",
+        /// Witness checks that failed — always zero on a healthy build
+        /// (`core::verify`).
+        VerifyFailures = "verify_failures",
+        /// Faults injected by an installed `govern::FaultPlan`.
+        FaultInjections = "fault_injections",
+        /// Fingerprint-index probes: every `insert`/`lookup`/`groupsize`
+        /// that consulted the fingerprint map (`dvicl-index`).
+        IndexProbes = "index_probes",
+        /// Index probes whose fingerprint bucket held an exact
+        /// stored-form match (`dvicl-index`).
+        IndexHits = "index_hits",
+        /// Index probes that compared against a stored form with the same
+        /// fingerprint and found it *unequal* — the 2⁻¹²⁸ hash-collision
+        /// path, resolved by the exact check (`dvicl-index`).
+        IndexCollisions = "index_collisions",
+        /// Builds served by a `core::Session` that reused its arena pools
+        /// and CombineCL memo from an earlier build (`core::Session`).
+        SessionArenaReuses = "session_arena_reuses",
+        /// Subtree jobs spawned onto the work-stealing pool — fragments
+        /// built away from their parent's call stack (`core::pool`).
+        PoolTasks = "pool_tasks",
+        /// Pool jobs executed by a worker other than the one that spawned
+        /// them (`core::pool`). `pool_tasks - pool_steals` jobs were
+        /// popped back by their owner.
+        PoolSteals = "pool_steals",
+        /// Cell splits whose splitter-neighbor counts came from
+        /// word-parallel `popcount(adjacency row & splitter mask)` instead
+        /// of an adjacency-list scatter (`refine::Refiner`).
+        RefineSplitsPopcount = "refine_splits_popcount",
+        /// Popcount-path cell splits realized by the degree-bucket radix
+        /// (counting) sort instead of a comparison sort
+        /// (`refine::Refiner`).
+        RadixSplits = "radix_splits",
     }
 }
+
+/// How many counters exist (the length of [`Counter::ALL`]).
+pub const NUM_COUNTERS: usize = Counter::ALL.len();
 
 static COUNTERS: [AtomicU64; NUM_COUNTERS] = [const { AtomicU64::new(0) }; NUM_COUNTERS];
 

@@ -11,22 +11,23 @@
 //!   hits…). Bumping is one relaxed atomic add; with the `obs-off`
 //!   feature it compiles to nothing at all.
 //! * [`span()`] — a scoped timer producing the per-phase wall-time
-//!   breakdown (refine / divide / combine / leaf-IR / ssm). Timing is
-//!   off until [`set_timing`] enables it, so un-observed runs pay one
-//!   atomic load per span.
+//!   breakdown (refine / divide / combine / leaf-IR / ssm), labelled by
+//!   a closed [`Phase`] catalog. Timing is off until [`set_timing`]
+//!   enables it, so un-observed runs pay one atomic load per span.
 //! * [`Sink`] — where events and the final summary go: [`NullSink`]
 //!   (default), [`TextSink`] (the CLI's human `--stats` report on
 //!   stderr), or [`JsonSink`] (newline-delimited JSON events plus a
 //!   final summary object, the CLI's `--trace-json`).
 //!
-//! The counter catalog, span naming convention (`crate.phase`
-//! dot-paths, enforced by `dvicl-lint`'s `obs-span-naming` rule), sink
-//! selection and overhead policy are documented in DESIGN.md §9.
+//! The counter and phase catalogs are each generated from one list by
+//! [`catalog!`], so an unknown counter or phase does not compile. The
+//! catalogs, the `crate.phase` span naming convention, sink selection
+//! and overhead policy are documented in DESIGN.md §9.
 //!
 //! # Quick start
 //!
 //! ```
-//! use dvicl_obs::{self as obs, Counter};
+//! use dvicl_obs::{self as obs, Counter, Phase};
 //!
 //! // Counters: bump on the hot path, snapshot around a measured region.
 //! let before = obs::snapshot();
@@ -38,13 +39,15 @@
 //!
 //! // Spans: time a phase (a no-op unless timing was enabled).
 //! {
-//!     let _g = obs::span("core.build");
+//!     let _g = obs::span(Phase::CoreBuild);
 //!     // ... the governed work ...
 //! }
 //! ```
 
 #![deny(missing_docs)]
 
+#[doc(hidden)]
+pub mod catalog;
 mod counters;
 mod json;
 mod sink;
@@ -56,7 +59,7 @@ pub use sink::{
     emit, emit_budget_trip, finish, install, render_text, summary, summary_json, JsonSink,
     NullSink, PhaseRow, Sink, Summary, TextSink, Value,
 };
-pub use span::{phases, reset_phases, set_timing, span, timing_enabled, PhaseStat, Span};
+pub use span::{phases, reset_phases, set_timing, span, timing_enabled, Phase, PhaseStat, Span};
 
 /// Resets every counter *and* the phase table. Test/benchmark helper:
 /// production code measures with [`snapshot`] deltas instead, so that

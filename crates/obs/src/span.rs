@@ -23,22 +23,66 @@ pub struct PhaseStat {
     pub self_ns: u64,
 }
 
-/// Times the enclosing scope under a `crate.phase` label, exactly like
-/// calling [`span`]; exists so call sites read as instrumentation.
-///
-/// ```
-/// let _g = dvicl_obs::span!("core.combine");
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($label:expr) => {
-        $crate::span($label)
-    };
+crate::catalog! {
+    /// A span label: the pipeline phase a [`span`](fn@crate::span)
+    /// times. Each name is a `crate.phase` dot-path (DESIGN.md §9), the
+    /// key of its row in the phase table.
+    ///
+    /// A phase outside the catalog does not compile, and neither does a
+    /// bare string label:
+    ///
+    /// ```compile_fail,E0599
+    /// let _g = dvicl_obs::span(dvicl_obs::Phase::CanonSerach);
+    /// ```
+    ///
+    /// ```compile_fail,E0308
+    /// let _g = dvicl_obs::span("canon.search");
+    /// ```
+    pub enum Phase {
+        /// Equitable refinement of a coloring (`refine::Refiner`).
+        RefineRefine = "refine.refine",
+        /// Individualize-and-refine at an IR search node (`refine`).
+        RefineIndividualize = "refine.individualize",
+        /// One IR canonical-labeling search (`canon`).
+        CanonSearch = "canon.search",
+        /// One whole AutoTree build (`core::build`).
+        CoreBuild = "core.build",
+        /// `DivideI`/`DivideS` and component division of one node.
+        CoreDivide = "core.divide",
+        /// `CombineCL`: the IR leaf labeling of one non-singleton leaf.
+        CoreLeafIr = "core.leaf_ir",
+        /// `CombineST`: combining one internal node's children.
+        CoreCombine = "core.combine",
+        /// Paranoid witness checks (`core::verify`).
+        CoreVerify = "core.verify",
+        /// One symmetric-subgraph-matching query (`core::ssm`).
+        CoreSsm = "core.ssm",
+        /// One job run by a parallel-build pool worker (`dvicl-pool`).
+        PoolTask = "pool.task",
+        /// Writing a fingerprint index to disk (`dvicl-index`).
+        IndexSave = "index.save",
+        /// Reading a fingerprint index from disk (`dvicl-index`).
+        IndexLoad = "index.load",
+        /// Influence-maximization seed selection (`apps::im`).
+        AppsIm = "apps.im",
+        /// Maximum-clique search and enumeration (`apps::clique`).
+        AppsClique = "apps.clique",
+        /// Maximum-clique clustering (`apps::cluster`).
+        AppsCluster = "apps.cluster",
+        /// Triangle listing (`apps::triangles`).
+        AppsTriangles = "apps.triangles",
+        /// Orbit quotient graphs (`apps::quotient`).
+        AppsQuotient = "apps.quotient",
+        /// The `batch` request loop (`dvicl-cli`).
+        CliBatch = "cli.batch",
+        /// The `serve` request loop (`dvicl-cli`).
+        CliServe = "cli.serve",
+    }
 }
 
 #[cfg(not(feature = "obs-off"))]
 mod imp {
-    use super::PhaseStat;
+    use super::{Phase, PhaseStat};
     use std::cell::RefCell;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Mutex, PoisonError};
@@ -77,25 +121,26 @@ mod imp {
         active: bool,
     }
 
-    /// Opens a timed span for `label` (a `crate.phase` dot-path; see
-    /// DESIGN.md §9). Returns an inert guard when timing is disabled.
+    /// Opens a timed span for `phase` (DESIGN.md §9). Returns an inert
+    /// guard when timing is disabled.
     ///
     /// ```
+    /// use dvicl_obs::Phase;
     /// dvicl_obs::set_timing(true);
     /// {
-    ///     let _g = dvicl_obs::span("refine.refine");
+    ///     let _g = dvicl_obs::span(Phase::RefineRefine);
     /// }
     /// dvicl_obs::set_timing(false);
     /// let phases = dvicl_obs::phases();
     /// assert!(phases.iter().any(|(l, st)| *l == "refine.refine" && st.calls >= 1));
     /// ```
-    pub fn span(label: &'static str) -> Span {
+    pub fn span(phase: Phase) -> Span {
         if !timing_enabled() {
             return Span { active: false };
         }
         STACK.with(|s| {
             s.borrow_mut().push(Frame {
-                label,
+                label: phase.name(),
                 start: Instant::now(),
                 child_ns: 0,
             });
@@ -156,16 +201,16 @@ mod imp {
 
 #[cfg(feature = "obs-off")]
 mod imp {
-    use super::PhaseStat;
+    use super::{Phase, PhaseStat};
 
     /// A scope guard created by [`span`](crate::span); zero-sized and
     /// inert under the `obs-off` feature.
     #[must_use = "a span measures until it is dropped; binding it to _ drops it immediately"]
     pub struct Span;
 
-    /// Opens a timed span for `label`; inert under `obs-off`.
+    /// Opens a timed span for `phase`; inert under `obs-off`.
     #[inline]
-    pub fn span(_label: &'static str) -> Span {
+    pub fn span(_phase: Phase) -> Span {
         Span
     }
 
@@ -198,10 +243,10 @@ mod tests {
     fn nesting_attributes_self_time_to_each_label() {
         set_timing(true);
         {
-            let _outer = span("obs.outer_phase");
+            let _outer = span(Phase::CoreBuild);
             std::thread::sleep(std::time::Duration::from_millis(2));
             {
-                let _inner = span("obs.inner_phase");
+                let _inner = span(Phase::CoreCombine);
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
@@ -209,12 +254,12 @@ mod tests {
         let table = phases();
         let outer = table
             .iter()
-            .find(|(l, _)| *l == "obs.outer_phase")
+            .find(|(l, _)| *l == "core.build")
             .map(|(_, st)| *st)
             .unwrap_or_default();
         let inner = table
             .iter()
-            .find(|(l, _)| *l == "obs.inner_phase")
+            .find(|(l, _)| *l == "core.combine")
             .map(|(_, st)| *st)
             .unwrap_or_default();
         assert!(outer.calls >= 1 && inner.calls >= 1);
@@ -227,7 +272,7 @@ mod tests {
         set_timing(false);
         let before = phases().len();
         {
-            let _g = span("obs.never_recorded");
+            let _g = span(Phase::CoreVerify);
         }
         assert_eq!(phases().len(), before);
     }

@@ -203,6 +203,10 @@ fn parse(line: &str) -> Result<J, String> {
     Ok(v)
 }
 
+#[expect(
+    clippy::panic,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
 fn obj(v: &J) -> &BTreeMap<String, J> {
     match v {
         J::Obj(m) => m,

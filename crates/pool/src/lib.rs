@@ -73,8 +73,9 @@
 
 #![deny(missing_docs)]
 
+use dvicl_govern::fault::Site;
 use dvicl_govern::DviclError;
-use dvicl_obs::{self as obs, Counter};
+use dvicl_obs::{self as obs, Counter, Phase};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -153,7 +154,7 @@ impl<T: Send> Pool<T> {
     /// task is dropped and the caller aborts its build, exactly like
     /// any other checkpointed failure.
     pub fn spawn(&self, wid: usize, task: T) -> Result<(), DviclError> {
-        dvicl_govern::fault::checkpoint("pool.spawn")?;
+        dvicl_govern::fault::checkpoint(Site::PoolSpawn)?;
         obs::bump(Counter::PoolTasks);
         self.deques[wid]
             .lock()
@@ -240,11 +241,6 @@ impl<T: Send> Pool<T> {
         self.wake.notify_all();
     }
 
-    /// Whether [`Pool::shut_down`] has been called.
-    pub fn is_shut_down(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
     /// Adds `ns` nanoseconds to worker `wid`'s busy-time tally. The
     /// caller times its task bodies (only when obs timing is enabled)
     /// and reports here; the pool itself never reads clocks.
@@ -271,7 +267,7 @@ impl<T: Send> Pool<T> {
 /// function so the label literal lives in this crate, next to the
 /// naming convention it must follow.
 pub fn task_span() -> obs::Span {
-    obs::span("pool.task")
+    obs::span(Phase::PoolTask)
 }
 
 /// Runs a parallel region: spawns one scoped thread per entry of
@@ -288,7 +284,7 @@ pub fn task_span() -> obs::Span {
 /// is built on `std::thread::scope`).
 ///
 /// Panic note: the pipeline's task bodies are panic-free by policy
-/// (the `panic-freedom` lint rule); injected faults surface as typed
+/// (the workspace's clippy panic denials); injected faults surface as typed
 /// `DviclError`s through the caller's join results, never as unwinds.
 /// Should a task body panic anyway, `std::thread::scope` re-raises it
 /// after the region ends.
@@ -390,7 +386,7 @@ mod tests {
         let mut none: [(); 0] = [];
         let got = scope(
             &mut none,
-            |_wid, _pool: &Pool<u8>, _| unreachable!("no worker threads"),
+            |_wid, _pool: &Pool<u8>, _| panic!("no worker threads"),
             |pool| {
                 pool.spawn(0, 7).unwrap();
                 pool.try_acquire(0)
@@ -402,7 +398,7 @@ mod tests {
     #[test]
     fn spawn_checkpoint_injects_typed_faults() {
         let _g = lock();
-        fault::install(FaultPlan::one(FaultAction::Cancel, "pool.spawn", 2));
+        fault::install(FaultPlan::one(FaultAction::Cancel, Site::PoolSpawn, 2));
         let pool: Pool<u32> = Pool::new(1);
         assert!(pool.spawn(0, 1).is_ok());
         assert_eq!(pool.spawn(0, 2), Err(DviclError::Cancelled));

@@ -21,8 +21,10 @@
 
 #![warn(missing_docs)]
 
+use dvicl_govern::fault::Site;
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Coloring, Graph, V};
+use dvicl_obs::Phase;
 
 mod kernel;
 mod partition;
@@ -71,7 +73,7 @@ impl Refiner {
 
     /// Reusable-buffer [`refine`].
     pub fn refine(&mut self, g: &Graph, pi: &Coloring) -> RefineResult {
-        let _span = dvicl_obs::span("refine.refine");
+        let _span = dvicl_obs::span(Phase::RefineRefine);
         self.p.reset_from_coloring(g.n(), pi);
         let trace = self.p.refine(g, &mut self.kernel);
         self.p.result(trace)
@@ -79,7 +81,7 @@ impl Refiner {
 
     /// Reusable-buffer [`refine_individualized`].
     pub fn refine_individualized(&mut self, g: &Graph, pi: &Coloring, v: V) -> RefineResult {
-        let _span = dvicl_obs::span("refine.individualize");
+        let _span = dvicl_obs::span(Phase::RefineIndividualize);
         self.p.reset_from_coloring(g.n(), pi);
         let trace = self.p.individualize_and_refine(g, &mut self.kernel, v);
         self.p.result(trace)
@@ -92,8 +94,8 @@ impl Refiner {
         pi: &Coloring,
         budget: &Budget,
     ) -> Result<RefineResult, DviclError> {
-        let _span = dvicl_obs::span("refine.refine");
-        dvicl_govern::fault::checkpoint("refine.refine")?;
+        let _span = dvicl_obs::span(Phase::RefineRefine);
+        dvicl_govern::fault::checkpoint(Site::RefineRefine)?;
         self.p.reset_from_coloring(g.n(), pi);
         let trace = self.p.try_refine(g, &mut self.kernel, budget)?;
         Ok(self.p.result(trace))
@@ -107,8 +109,8 @@ impl Refiner {
         v: V,
         budget: &Budget,
     ) -> Result<RefineResult, DviclError> {
-        let _span = dvicl_obs::span("refine.individualize");
-        dvicl_govern::fault::checkpoint("refine.individualize")?;
+        let _span = dvicl_obs::span(Phase::RefineIndividualize);
+        dvicl_govern::fault::checkpoint(Site::RefineIndividualize)?;
         self.p.reset_from_coloring(g.n(), pi);
         let trace = self
             .p

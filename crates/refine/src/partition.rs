@@ -114,6 +114,10 @@ impl Partition {
     }
 
     /// Converts back to a [`Coloring`].
+    #[expect(
+        clippy::expect_used,
+        reason = "lab is a permutation of 0..n and the cell spans tile it, so the cells partition 0..n"
+    )]
     fn to_coloring(&self) -> Coloring {
         let n = self.n();
         let mut cells = Vec::new();
@@ -123,7 +127,6 @@ impl Partition {
             cells.push(self.lab[s..s + len].to_vec());
             s += len;
         }
-        // dvicl-lint: allow(panic-freedom) -- lab is a permutation of 0..n and the cell spans tile it, so the cells partition 0..n
         Coloring::from_cells(cells).expect("partition is always a valid coloring")
     }
 
@@ -147,10 +150,13 @@ impl Partition {
     /// Refines to the coarsest equitable partition using `k`, returning
     /// the trace hash. All current cells are used as initial splitters;
     /// every singleton cell of the *result* counts as newly created.
+    #[expect(
+        clippy::expect_used,
+        reason = "run() only errs on budget exhaustion, and no budget is passed here"
+    )]
     pub fn refine(&mut self, g: &Graph, k: &mut impl RefineKernel) -> u64 {
         self.seed_refine();
         self.run(g, k, 0x5ee2_c3a1_d00d_f00d, None)
-            // dvicl-lint: allow(panic-freedom) -- run() only errs on budget exhaustion, and no budget is passed here
             .expect("un-budgeted refinement cannot fail")
     }
 
@@ -184,10 +190,13 @@ impl Partition {
     /// is already in a singleton cell. Returns the trace hash, seeded
     /// with `v`'s color — an isomorphism-invariant of the branching
     /// decision.
+    #[expect(
+        clippy::expect_used,
+        reason = "run() only errs on budget exhaustion, and no budget is passed here"
+    )]
     pub fn individualize_and_refine(&mut self, g: &Graph, k: &mut impl RefineKernel, v: V) -> u64 {
         let seed = self.seed_individualize(v);
         self.run(g, k, seed, None)
-            // dvicl-lint: allow(panic-freedom) -- run() only errs on budget exhaustion, and no budget is passed here
             .expect("un-budgeted refinement cannot fail")
     }
 

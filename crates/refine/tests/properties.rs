@@ -18,6 +18,10 @@ fn arb_colored_graph() -> impl Strategy<Value = (Graph, Coloring)> {
     })
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
 fn shuffle(n: usize, seed: u64) -> Perm {
     let mut image: Vec<V> = (0..n as V).collect();
     let mut state = seed | 1;

@@ -12,6 +12,10 @@ use dvicl_graph::{named, Coloring, Graph, V};
 use dvicl_refine::try_refine;
 use std::time::Duration;
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
 fn refine_within_deadline(g: &Graph) -> Coloring {
     let budget = Budget::with_deadline(Duration::from_secs(5));
     let r = try_refine(g, &Coloring::unit(g.n()), &budget)

@@ -33,6 +33,10 @@ fn library() -> Vec<(&'static str, Graph)> {
 }
 
 /// Deterministic shuffle of vertex labels.
+#[expect(
+    clippy::expect_used,
+    reason = "example code: a failure here is a bug in the example itself"
+)]
 fn shuffle(g: &Graph, salt: u64) -> Graph {
     let n = g.n();
     let mut image: Vec<V> = (0..n as V).collect();
@@ -63,6 +67,10 @@ fn threads_flag() -> usize {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "example code: a failure here is a bug in the example itself"
+)]
 fn main() {
     let threads = threads_flag();
     // Build a collection with every library graph appearing under several

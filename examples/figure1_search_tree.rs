@@ -13,6 +13,10 @@
 use dvicl::canon::{canonical_form, Config};
 use dvicl::graph::{named, Coloring};
 
+#[expect(
+    clippy::expect_used,
+    reason = "example code: a failure here is a bug in the example itself"
+)]
 fn main() {
     let g = named::fig1_example();
     let mut config = Config::bliss_like();

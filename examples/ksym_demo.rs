@@ -8,6 +8,10 @@
 use dvicl::core::{aut, build_autotree, ksym, DviclOptions};
 use dvicl::graph::{named, Coloring};
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "example code: a failure here is a bug in the example itself"
+)]
 fn main() {
     let g = named::fig1_example();
     let opts = DviclOptions::default();

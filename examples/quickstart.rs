@@ -6,6 +6,10 @@
 use dvicl::core::{aut, build_autotree, canonical_form, DviclOptions};
 use dvicl::graph::{named, Coloring, Perm};
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "example code: a failure here is a bug in the example itself"
+)]
 fn main() {
     // --- Isomorphism testing ------------------------------------------
     let g = named::petersen();

@@ -1,69 +1,34 @@
-//! Self-check: the checkpoint registry, the static analyzer, and a
-//! dynamic probe must agree on the set of fault-injection sites.
+//! Self-check: every registered fault-injection site is reachable.
 //!
-//! Three views of "every checkpoint in the pipeline":
-//!
-//! 1. **Declared** — `govern::fault::CHECKPOINT_SITES`, the registry
-//!    the fault-plan docs and DESIGN.md §11 point at.
-//! 2. **Written** — the `fault::checkpoint("…")` call sites
-//!    `dvicl-lint`'s item parser extracts from the workspace source
-//!    (the same extraction the registry-coherence rule cross-checks
-//!    in CI).
-//! 3. **Executed** — the sites a probe-mode run actually hits when the
-//!    pipeline is driven end to end: edge-list parsing, graph6
-//!    decoding, a divided AutoTree build (which exercises refinement,
-//!    individualization, arena carves, leaf IR, DFS search, and the
-//!    budget), a threaded build (which exercises pool spawns), a
-//!    symmetric-subgraph-matching query, and a fingerprint index
-//!    insert + DVIX1 round trip.
-//!
-//! If someone adds a checkpoint without registering it, view 2 drifts
-//! from view 1 (also a lint failure). If a registered site becomes
-//! unreachable — dead code, a refactor that skips it — view 3 drifts
-//! from view 1, which no purely static check can catch. This test is
-//! its own binary because the fault plan is process-global.
+//! `govern::fault::Site` is the checkpoint registry: a checkpoint call
+//! names a `Site` variant, so a call site the registry does not know
+//! does not compile. What no static check can see is the other
+//! direction: a registered site that has become unreachable (dead code,
+//! or a refactor that skips it) is a fault plan aimed at nothing. So
+//! this test drives the pipeline end to end in probe mode and asserts
+//! that the sites actually executed are exactly `Site::ALL`: edge-list
+//! parsing, graph6 decoding, a divided AutoTree build (which exercises
+//! refinement, individualization, arena carves, leaf IR, DFS search,
+//! and the budget), a threaded build (which exercises pool spawns), a
+//! symmetric-subgraph-matching query, and a fingerprint index insert
+//! plus a DVIX1 round trip. This test is its own binary because the
+//! fault plan is process-global.
 
 use dvicl::core::ssm::{symmetric_key, SsmIndex};
 use dvicl::core::{build_autotree, DviclOptions};
-use dvicl::govern::fault::{self, FaultPlan, CHECKPOINT_SITES};
+use dvicl::govern::fault::{self, FaultPlan, Site};
 use dvicl::graph::{graph6, io, Coloring, Fingerprint};
 use dvicl::index::FingerprintIndex;
 use std::collections::BTreeSet;
 
 #[test]
-fn registry_analyzer_and_probe_agree() {
-    // The registry itself: sorted and duplicate-free, so diffs against
-    // it are stable.
-    let registry: BTreeSet<&str> = CHECKPOINT_SITES.iter().copied().collect();
-    assert_eq!(
-        registry.len(),
-        CHECKPOINT_SITES.len(),
-        "CHECKPOINT_SITES contains duplicates"
+fn registry_and_probe_agree() {
+    // Declared in name order, so `hit_counts` reports in name order.
+    assert!(
+        Site::ALL.windows(2).all(|w| w[0].name() < w[1].name()),
+        "Site must list its variants in name order"
     );
-    let mut sorted = CHECKPOINT_SITES.to_vec();
-    sorted.sort_unstable();
-    assert_eq!(
-        sorted.as_slice(),
-        &CHECKPOINT_SITES[..],
-        "CHECKPOINT_SITES must stay sorted"
-    );
-
-    // View 2: the analyzer's extraction of non-test checkpoint call
-    // sites across the whole workspace.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let ws = dvicl_lint::analyze_workspace(root).expect("analyze the workspace");
-    let written: BTreeSet<String> =
-        dvicl_lint::rules::registry_coherence::used_checkpoint_sites(&ws)
-            .into_iter()
-            .map(|u| u.site)
-            .collect();
-    let written_refs: BTreeSet<&str> = written.iter().map(String::as_str).collect();
-    assert_eq!(
-        written_refs, registry,
-        "analyzer-extracted checkpoint sites diverge from CHECKPOINT_SITES"
-    );
-
-    // View 3: a probe-mode run across every checkpoint surface.
+    let registry: BTreeSet<Site> = Site::ALL.into_iter().collect();
     fault::install(FaultPlan::probe());
 
     // graph.edge_line + a graph with enough symmetry to exercise
@@ -130,14 +95,14 @@ fn registry_analyzer_and_probe_agree() {
 
     let hits = fault::hit_counts();
     fault::clear();
-    let executed: BTreeSet<&str> = hits
+    let executed: BTreeSet<Site> = hits
         .iter()
         .filter(|&&(_, count)| count > 0)
         .map(|&(site, _)| site)
         .collect();
     assert_eq!(
         executed, registry,
-        "probe-executed checkpoint sites diverge from CHECKPOINT_SITES \
+        "probe-executed checkpoint sites diverge from Site::ALL \
          (hit counts: {hits:?})"
     );
 }

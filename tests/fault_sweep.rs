@@ -33,7 +33,7 @@
 //! no-panic and no-arena-leak halves of the DESIGN.md §14 contract.
 
 use dvicl::core::{build_autotree_resilient, verify, DviclOptions};
-use dvicl::govern::fault::{self, FaultPlan};
+use dvicl::govern::fault::{self, FaultPlan, Site};
 use dvicl::govern::{Budget, FaultAction};
 use dvicl::graph::{Coloring, Graph};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -91,7 +91,7 @@ fn sweep_injects_faults_at_every_checkpoint() {
         fault::clear();
         let reference = g.permuted(&probe.tree.canonical_labeling());
 
-        let mut plan_points: Vec<(&'static str, u64, FaultAction)> = Vec::new();
+        let mut plan_points: Vec<(Site, u64, FaultAction)> = Vec::new();
         for &(site, count) in &hits {
             if count == 0 {
                 continue;
@@ -102,7 +102,7 @@ fn sweep_injects_faults_at_every_checkpoint() {
             // ceiling in the middle. Trip points force a whole-graph
             // fallback rebuild — the expensive case — so quick mode
             // keeps exactly one of them.
-            if full_sweep() || site == "core.build_node" {
+            if full_sweep() || site == Site::CoreBuildNode {
                 plan_points.push((site, 1, FaultAction::Trip));
             }
             let mut ks = vec![1, mid, count];
@@ -191,7 +191,7 @@ fn sweep_injects_faults_at_every_checkpoint() {
     .expect("clean threaded probe");
     let spawns = fault::hit_counts()
         .iter()
-        .find(|&&(site, _)| site == "pool.spawn")
+        .find(|&&(site, _)| site == Site::PoolSpawn)
         .map(|&(_, count)| count)
         .unwrap_or(0);
     fault::clear();
@@ -200,7 +200,7 @@ fn sweep_injects_faults_at_every_checkpoint() {
     let reference_form = reference.tree.canonical_form().to_form();
     for k in 1..=spawns {
         for action in [FaultAction::Trip, FaultAction::Cancel] {
-            fault::install(FaultPlan::one(action, "pool.spawn", k));
+            fault::install(FaultPlan::one(action, Site::PoolSpawn, k));
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 session.try_build(&two_cycles, &Coloring::unit(two_cycles.n()), &budget())
             }));
