@@ -23,30 +23,14 @@ use std::time::{Duration, Instant};
 
 /// The flags shared by every table binary, parsed once by [`init_obs`]
 /// and passed to every helper that needs them.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RunOptions {
     /// `--paranoid`: every AutoTree a table binary builds is re-checked
     /// against its witness before its row is recorded (DESIGN.md §11).
     pub paranoid: bool,
-    /// `--threads <N>`: the width of every DviCL build (default 1; `0` =
-    /// all cores). Baseline engines ignore it — only AutoTree
-    /// construction parallelizes — and the certificates are
-    /// byte-identical at any width, so the columns stay comparable
-    /// across widths.
-    pub threads: usize,
     /// `--target-cell <T>`: a selector that replaces every engine's own
     /// (nauty-like first, traces-like largest, ...) when set.
     pub target_cell: Option<TargetCell>,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            paranoid: false,
-            threads: 1,
-            target_cell: None,
-        }
-    }
 }
 
 /// Applies the `--target-cell` override to an engine configuration.
@@ -82,7 +66,7 @@ pub fn budget() -> Duration {
 }
 
 /// Parses the flags shared by every table binary (`--stats`,
-/// `--paranoid`, `--threads <N>`, `--target-cell <T>`,
+/// `--paranoid`, `--target-cell <T>`,
 /// `--trace-json <path>`), installs the matching sink and returns the
 /// run options. Call first in `main`; [`Recorder::write`] flushes the
 /// sink at the end via `dvicl_obs::finish`.
@@ -96,14 +80,6 @@ pub fn init_obs() -> RunOptions {
         match args[i].as_str() {
             "--stats" => stats = true,
             "--paranoid" => opts.paranoid = true,
-            "--threads" => {
-                let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("--threads requires a count (0 = all cores)");
-                    std::process::exit(2);
-                };
-                opts.threads = n;
-                i += 1;
-            }
             "--target-cell" => {
                 let Some(t) = args.get(i + 1).and_then(|v| TargetCell::parse(v)) else {
                     eprintln!("--target-cell requires first|smallest|largest|most-constrained");
@@ -122,7 +98,7 @@ pub fn init_obs() -> RunOptions {
             }
             other => {
                 eprintln!(
-                    "unknown flag {other} (expected --stats, --paranoid, --threads <N>, \
+                    "unknown flag {other} (expected --stats, --paranoid, \
                      --target-cell <T> or --trace-json <path>)"
                 );
                 std::process::exit(2);
@@ -215,7 +191,6 @@ pub fn run_baseline(opts: &RunOptions, g: &Graph, config: &Config) -> Run {
 pub fn dvicl_session(opts: &RunOptions, config: &Config) -> Session {
     Session::new(DviclOptions {
         leaf_config: configured(opts, config.clone()),
-        threads: opts.threads,
         ..DviclOptions::default()
     })
 }

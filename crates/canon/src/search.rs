@@ -293,8 +293,8 @@ pub fn try_canonical_form(
 
 /// [`try_canonical_form`] reusing a caller-owned [`Refiner`], so a
 /// driver labeling many (sub)graphs — `core::Builder::combine_cl` runs
-/// one per leaf — pays for the refiner's scratch allocations once per
-/// worker instead of once per call.
+/// one per leaf — pays for the refiner's scratch allocations once
+/// instead of once per call.
 pub fn try_canonical_form_with(
     g: &Graph,
     pi: &Coloring,

@@ -25,7 +25,7 @@
 //! after every response so a driving process can speak the protocol
 //! interactively.
 
-use crate::{CliError, RunOptions};
+use crate::{is_flag, reject, CliError, RunOptions};
 use dvicl_core::Session;
 use dvicl_govern::{parse_duration, Budget, DviclError};
 use dvicl_graph::{graph6, io as gio, CanonForm, Fingerprint, Graph};
@@ -77,15 +77,10 @@ impl ServiceOpts {
                         CliError::Usage(format!("--req-max-nodes: not a count: {v:?}"))
                     })?);
                 }
-                other if other.starts_with('-') && other != "-" => {
-                    return Err(CliError::Usage(format!("unknown flag `{other}`")));
-                }
-                _ if positional_input && opts.input.is_none() => {
+                other if positional_input && opts.input.is_none() && !is_flag(other) => {
                     opts.input = Some(a.clone());
                 }
-                other => {
-                    return Err(CliError::Usage(format!("unexpected argument `{other}`")));
-                }
+                other => return Err(reject(other)),
             }
         }
         Ok(opts)
@@ -115,7 +110,7 @@ impl Service {
             None => FingerprintIndex::new(),
         };
         // Every request builds with the same options as the other
-        // subcommands (leaf configuration and --threads width).
+        // subcommands.
         Ok(Service {
             session: Session::new(run.build.clone()),
             index,

@@ -20,13 +20,11 @@
 //!
 //! Every subcommand accepts `--timeout <DUR>` (e.g. `100ms`, `5s`, `2m`)
 //! and `--max-nodes <N>`, which govern the whole run under one shared
-//! budget, and `--threads <N>`, which widens tree builds over a scoped
-//! work-stealing pool (default 1; `0` = all cores; results are
-//! byte-identical at any width). Exit codes: 0 success, 2 bad input or
-//! usage, 3 budget
-//! exceeded. When `--max-nodes` stops the divide-and-conquer build, the
-//! run degrades to whole-graph labeling (still correct, noted on stderr)
-//! instead of failing.
+//! budget. Any other flag, or an argument past those a subcommand takes,
+//! is a usage error. Exit codes: 0 success, 2 bad input or usage, 3
+//! budget exceeded. When `--max-nodes` stops the divide-and-conquer
+//! build, the run degrades to whole-graph labeling (still correct, noted
+//! on stderr) instead of failing.
 //!
 //! Observability (DESIGN.md §9): `--stats` prints the counter and
 //! phase-time report to stderr after the run; `--trace-json <path>`
@@ -61,9 +59,7 @@ use std::process::ExitCode;
 pub(crate) struct RunOptions {
     /// The build options: the traces-like leaf IR configuration (the
     /// robust one on regular graphs) with any `--target-cell` override
-    /// applied, and the `--threads` width (default 1; `0` means all
-    /// available parallelism; certificates are byte-identical at any
-    /// width).
+    /// applied.
     pub(crate) build: DviclOptions,
     /// `--paranoid`: every result is re-checked against its witness
     /// before being reported.
@@ -185,7 +181,7 @@ impl ObsConfig {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N] [QUERIES]\n  dvicl serve    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...)\n  --max-nodes <N>      work budget in search/build nodes\n  --threads <N>        worker threads for tree builds (default 1, 0 = all cores)\n  --target-cell <T>    IR target cell: first|smallest|largest|most-constrained\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  NDJSON events + summary to PATH\n  --paranoid           re-check every result against its witness\n  --fault-plan <SPEC>  deterministic fault injection (see DESIGN.md §11)\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
+    "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N] [QUERIES]\n  dvicl serve    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...)\n  --max-nodes <N>      work budget in search/build nodes\n  --target-cell <T>    IR target cell: first|smallest|largest|most-constrained\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  NDJSON events + summary to PATH\n  --paranoid           re-check every result against its witness\n  --fault-plan <SPEC>  deterministic fault injection (see DESIGN.md §11)\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
 }
 
 /// A CLI failure: either a usage mistake (print the help text, exit 2)
@@ -231,14 +227,6 @@ fn global_flags(
             }
             "--stats" => obs_cfg.stats = true,
             "--paranoid" => opts.paranoid = true,
-            "--threads" => {
-                let v = it.next().ok_or_else(|| {
-                    DviclError::invalid("--threads needs a count (0 = all cores)")
-                })?;
-                opts.build.threads = v
-                    .parse::<usize>()
-                    .map_err(|_| DviclError::invalid(format!("--threads: not a count: {v:?}")))?;
-            }
             "--target-cell" => {
                 let v = it.next().ok_or_else(|| {
                     DviclError::invalid("--target-cell needs first|smallest|largest|most-constrained")
@@ -272,46 +260,112 @@ fn run(args: &[String], budget: &Budget, opts: &RunOptions) -> Result<(), CliErr
         .ok_or_else(|| CliError::Usage("missing subcommand".into()))?;
     let mut loader = Loader::default();
     let ld = &mut loader;
+    let mut sub = SubArgs(args[1..].iter().map(String::as_str).collect());
     match cmd.as_str() {
-        "canon" => canon(ld, arg(args, 1)?, budget, opts),
-        "aut" => automorphisms(ld, arg(args, 1)?, budget, opts),
-        "iso" => isomorphic(ld, arg(args, 1)?, arg(args, 2)?, budget, opts),
-        "tree" => tree(
-            ld,
-            arg(args, 1)?,
-            args.iter().any(|a| a == "--render"),
-            budget,
-            opts,
-        ),
-        "ssm" => ssm(
-            ld,
-            arg(args, 1)?,
-            arg(args, 2)?,
-            flag_value(args, "--limit"),
-            budget,
-            opts,
-        ),
-        "ksym" => ksym_cmd(ld, arg(args, 1)?, arg(args, 2)?, budget, opts),
-        "quotient" => quotient_cmd(ld, arg(args, 1)?, budget, opts),
-        "dataset" => dataset(arg(args, 1)?),
-        "convert" => convert(ld, arg(args, 1)?, budget),
+        "canon" => {
+            let [g] = sub.positionals()?;
+            canon(ld, g, budget, opts)
+        }
+        "aut" => {
+            let [g] = sub.positionals()?;
+            automorphisms(ld, g, budget, opts)
+        }
+        "iso" => {
+            let [a, b] = sub.positionals()?;
+            isomorphic(ld, a, b, budget, opts)
+        }
+        "tree" => {
+            let render = sub.switch("--render");
+            let [g] = sub.positionals()?;
+            tree(ld, g, render, budget, opts)
+        }
+        "ssm" => {
+            let limit = sub
+                .value("--limit")?
+                .map(|v| {
+                    v.parse::<usize>()
+                        .map_err(|_| CliError::Usage(format!("--limit: not a count: {v:?}")))
+                })
+                .transpose()?;
+            let [g, set] = sub.positionals()?;
+            ssm(ld, g, set, limit, budget, opts)
+        }
+        "ksym" => {
+            let [g, k] = sub.positionals()?;
+            ksym_cmd(ld, g, k, budget, opts)
+        }
+        "quotient" => {
+            let [g] = sub.positionals()?;
+            quotient_cmd(ld, g, budget, opts)
+        }
+        "dataset" => {
+            let [name] = sub.positionals()?;
+            dataset(name)
+        }
+        "convert" => {
+            let [g] = sub.positionals()?;
+            convert(ld, g, budget)
+        }
         "batch" => batch::batch(&args[1..], opts),
         "serve" => batch::serve(&args[1..], opts),
         other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
     }
 }
 
-fn arg(args: &[String], i: usize) -> Result<&str, CliError> {
-    args.get(i)
-        .map(|s| s.as_str())
-        .ok_or_else(|| CliError::Usage(format!("missing argument #{i}")))
+/// True for a token that names a flag: anything starting with `-`
+/// except the stdin marker `-` itself.
+pub(crate) fn is_flag(token: &str) -> bool {
+    token.starts_with('-') && token != "-"
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// The usage error for a token a subcommand does not accept: an
+/// unknown flag or a surplus positional argument.
+pub(crate) fn reject(token: &str) -> CliError {
+    if is_flag(token) {
+        CliError::Usage(format!("unknown flag `{token}`"))
+    } else {
+        CliError::Usage(format!("unexpected argument `{token}`"))
+    }
+}
+
+/// The arguments after a one-shot subcommand's name. The subcommand
+/// takes out the flags it accepts, then [`SubArgs::positionals`]
+/// demands exactly its positional arguments, so any token left over is
+/// a usage error naming it.
+struct SubArgs<'a>(Vec<&'a str>);
+
+impl<'a> SubArgs<'a> {
+    /// Takes out every `name`; true if there was one.
+    fn switch(&mut self, name: &str) -> bool {
+        let before = self.0.len();
+        self.0.retain(|&a| a != name);
+        self.0.len() != before
+    }
+
+    /// Takes out `name <VALUE>` and returns the value.
+    fn value(&mut self, name: &str) -> Result<Option<&'a str>, CliError> {
+        let Some(i) = self.0.iter().position(|&a| a == name) else {
+            return Ok(None);
+        };
+        if i + 1 == self.0.len() {
+            return Err(CliError::Usage(format!("{name} needs a value")));
+        }
+        let v = self.0.remove(i + 1);
+        self.0.remove(i);
+        Ok(Some(v))
+    }
+
+    /// Exactly `N` positional arguments, in order.
+    fn positionals<const N: usize>(&self) -> Result<[&'a str; N], CliError> {
+        if let Some(&bad) = self.0.iter().find(|a| is_flag(a)) {
+            return Err(reject(bad));
+        }
+        if let Some(&extra) = self.0.get(N) {
+            return Err(reject(extra));
+        }
+        <[&str; N]>::try_from(self.0.as_slice())
+            .map_err(|_| CliError::Usage(format!("missing argument #{}", self.0.len() + 1)))
+    }
 }
 
 /// Loads graph arguments, reading stdin at most once per process: a
@@ -361,8 +415,6 @@ fn load_text(text: &str) -> Result<Graph, DviclError> {
 }
 
 fn build(g: &Graph, budget: &Budget, opts: &RunOptions) -> Result<AutoTree, DviclError> {
-    // `--threads` only changes wall-clock time: the parallel build's
-    // deterministic merge keeps the tree byte-identical (DESIGN.md §14).
     let outcome = build_autotree_resilient(g, &Coloring::unit(g.n()), &opts.build, budget)?;
     if outcome.degraded {
         eprintln!("note: node budget exhausted; degraded to whole-graph labeling");

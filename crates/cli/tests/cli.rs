@@ -100,6 +100,31 @@ fn unknown_subcommand_fails_with_usage() {
 }
 
 #[test]
+fn one_shot_subcommands_reject_stray_tokens() {
+    // A mistyped flag, a bad flag value or a surplus argument is a usage
+    // error naming the token, never a silent run.
+    let cases: [(&[&str], &str); 6] = [
+        (&["canon", "g6:IheA@GUAo", "--paranoia"], "`--paranoia`"),
+        (&["tree", "g6:IheA@GUAo", "--rendr"], "`--rendr`"),
+        (&["ssm", "g6:IheA@GUAo", "0", "--limit", "abc"], "\"abc\""),
+        (&["canon", "g6:IheA@GUAo", "extra"], "`extra`"),
+        (&["canon", "--stat", "g6:IheA@GUAo"], "`--stat`"),
+        (&["canon", "g6:IheA@GUAo", "--threads", "4"], "`--threads`"),
+    ];
+    for (args, token) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+        assert!(stderr.contains(token), "{args:?} must name {token}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn dataset_emits_edge_list() {
     let (stdout, _, ok) = dvicl(&["dataset", "wikivote"]);
     assert!(ok);

@@ -531,56 +531,6 @@ impl SubArena {
         }
     }
 
-    /// Copies segment `s` out of the pools into an owned `SubSeed` —
-    /// the hand-off primitive of the parallel build (DESIGN.md §14): a
-    /// parent exports the child subgraph it wants built elsewhere, the
-    /// seed moves to a worker (it owns its buffers, so it is `Send` —
-    /// see the `dvicl-send-safety-v1` report), and the worker adopts it
-    /// into its *own* arena as a root segment. The offsets are rebased
-    /// to start at zero, so the seed is self-contained.
-    pub fn export(&self, s: &Sub) -> SubSeed {
-        let base = self.offs[s.offs_start];
-        SubSeed {
-            verts: self.verts[s.verts_start..s.verts_start + s.n].to_vec(),
-            offs: self.offs[s.offs_start..s.offs_start + s.n + 1]
-                .iter()
-                .map(|&o| o - base)
-                .collect(),
-            adj: self.adj[s.adj_start..s.adj_start + 2 * s.m].to_vec(),
-        }
-    }
-
-    /// Pushes an exported `SubSeed` as a new top segment of *this*
-    /// arena (the receiving side of [`SubArena::export`]). Ceiling-
-    /// checked like [`SubArena::try_induced_child`]: on an over-ceiling
-    /// adopt the segment is rolled back and the pools are exactly as
-    /// before.
-    pub fn try_adopt(&mut self, seed: &SubSeed) -> Result<Sub, dvicl_govern::DviclError> {
-        let mark = self.mark();
-        let sub = Sub {
-            verts_start: self.verts.len(),
-            offs_start: self.offs.len(),
-            adj_start: self.adj.len(),
-            n: seed.verts.len(),
-            m: seed.adj.len() / 2,
-        };
-        self.verts.extend_from_slice(&seed.verts);
-        self.offs.extend_from_slice(&seed.offs);
-        self.adj.extend_from_slice(&seed.adj);
-        self.note_high_water();
-        if let Some(ceil) = self.ceiling_bytes {
-            let bytes = self.bytes_now();
-            if bytes > ceil {
-                self.release(mark);
-                return Err(dvicl_govern::DviclError::BudgetExceeded {
-                    resource: dvicl_govern::Resource::Memory,
-                    spent: bytes as u64,
-                });
-            }
-        }
-        Ok(sub)
-    }
-
     /// Builds a standalone [`Graph`] over the local indices, plus the
     /// local projection of the coloring — the inputs `CombineCL` feeds to
     /// the IR labeler. The segment already *is* clean CSR, so this is a
@@ -595,28 +545,6 @@ impl SubArena {
         let g = Graph::from_csr(offsets, adj);
         let pi_local = pi.project(self.verts(s));
         (g, pi_local)
-    }
-}
-
-/// An owned, self-contained copy of one arena segment: the courier that
-/// carries a child subgraph from the exporting arena (the spawning
-/// worker's) to the adopting arena (the executing worker's) in the
-/// parallel build. Owns plain `Vec`s — no borrows, no interior
-/// mutability — so moving it across threads is trivially sound.
-#[derive(Clone, Debug, Default)]
-pub struct SubSeed {
-    /// Global vertex ids, ascending (as in [`SubArena::verts`]).
-    verts: Vec<V>,
-    /// CSR offsets rebased to start at zero (`n + 1` entries).
-    offs: Vec<u32>,
-    /// Adjacency rows of local indices (`2m` entries).
-    adj: Vec<u32>,
-}
-
-impl SubSeed {
-    /// Number of vertices in the seeded subgraph.
-    pub fn n(&self) -> usize {
-        self.verts.len()
     }
 }
 
@@ -705,55 +633,6 @@ mod tests {
         a.release(mark);
         // Peak is a high-water mark: release does not lower it.
         assert_eq!(a.bytes_peak(), after_child);
-    }
-
-    #[test]
-    fn export_adopt_round_trips_a_segment() {
-        let g = named::fig1_example();
-        let mut a = SubArena::new();
-        let root = a.whole(&g);
-        let child = a.induced_child(&root, &[4, 5, 6]);
-        let seed = a.export(&child);
-        assert_eq!(seed.n(), 3);
-        // Adopt into a fresh arena (the worker side) and compare the
-        // segment contents against the original.
-        let mut b = SubArena::new();
-        let adopted = b.try_adopt(&seed).unwrap();
-        assert_eq!(b.verts(&adopted), a.verts(&child));
-        assert_eq!(adopted.m(), child.m());
-        // dvicl-lint: allow(narrowing-cast) -- child has at most n <= V::MAX vertices
-        for i in 0..adopted.n() as u32 {
-            assert_eq!(b.neighbors(&adopted, i), a.neighbors(&child, i));
-        }
-        // The local graphs (what CombineCL consumes) must agree too.
-        let pi = Coloring::unit(g.n());
-        let (ga, pa) = a.to_local_graph(&child, &pi);
-        let (gb, pb) = b.to_local_graph(&adopted, &pi);
-        assert_eq!(ga.csr(), gb.csr());
-        assert_eq!(pa, pb);
-    }
-
-    #[test]
-    fn adopt_respects_the_ceiling() {
-        let g = named::petersen();
-        let mut a = SubArena::new();
-        let root = a.whole(&g);
-        let seed = a.export(&root);
-        let mut b = SubArena::new();
-        b.set_ceiling_bytes(Some(8));
-        let mark = b.mark();
-        let err = b.try_adopt(&seed).unwrap_err();
-        assert!(matches!(
-            err,
-            dvicl_govern::DviclError::BudgetExceeded {
-                resource: dvicl_govern::Resource::Memory,
-                ..
-            }
-        ));
-        assert_eq!(b.mark(), mark, "failed adopt must roll back fully");
-        b.set_ceiling_bytes(None);
-        let s = b.try_adopt(&seed).unwrap();
-        assert_eq!(s.n(), g.n());
     }
 
     #[test]

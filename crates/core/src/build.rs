@@ -30,16 +30,7 @@ pub struct DviclOptions {
     /// `BudgetExceeded { resource: Memory }` (arena rolled back) — this
     /// does **not** trigger the work-cap degradation path, because the
     /// whole-graph fallback needs *more* arena than the divided build.
-    /// In a parallel build every worker arena gets the same ceiling
-    /// (the ceiling bounds each arena, not their sum).
     pub arena_ceiling_bytes: Option<usize>,
-    /// Worker threads for the build: `1` (the default) is the plain
-    /// sequential recursion, `0` means "use the machine's available
-    /// parallelism", and `N > 1` builds sibling subtrees concurrently
-    /// on a work-stealing pool (`dvicl-pool`). The resulting AutoTree
-    /// is byte-identical at every thread count — see DESIGN.md §14 for
-    /// the deterministic-merge argument.
-    pub threads: usize,
 }
 
 impl Default for DviclOptions {
@@ -48,18 +39,6 @@ impl Default for DviclOptions {
             leaf_config: Config::bliss_like(),
             use_divide_s: true,
             arena_ceiling_bytes: None,
-            threads: 1,
-        }
-    }
-}
-
-impl DviclOptions {
-    /// The concrete worker count `threads` resolves to: `0` becomes the
-    /// machine's available parallelism, anything else is taken as-is.
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
         }
     }
 }
@@ -269,79 +248,19 @@ fn run_build(
     pools.form_edges.reserve(g.m() + g.n());
     pools.children.reserve(g.n() + 16);
 
-    // A part can only be spawned at SPAWN_MIN_VERTS vertices, and parts
-    // are vertex-disjoint subsets of `g` — so a graph below the
-    // threshold can never produce a single pool job, and entering the
-    // parallel scope would pay thread spawns for nothing. Corpus
-    // workloads over small graphs (the batch service) hit this on every
-    // build.
-    let threads = if g.n() < SPAWN_MIN_VERTS {
-        1
-    } else {
-        opts.effective_threads()
+    let mut b = Builder {
+        t: pools,
+        pi: &pi,
+        opts,
+        budget,
+        force_leaf,
+        scratch,
     };
-    if threads <= 1 {
-        let mut b = Builder {
-            t: pools,
-            pi: &pi,
-            opts,
-            budget,
-            force_leaf,
-            scratch,
-            par: None,
-        };
-        let whole = b.scratch.arena.whole(g);
-        let root = b.build(whole, 0, NO_PARENT)?;
-        obs::add(Counter::SubBytesPeak, b.scratch.arena.bytes_peak() as u64);
-        obs::add(Counter::ArenaReuses, b.scratch.arena.reuses());
-        let t = b.t;
-        return Ok(t.into_tree(pi, root));
-    }
-
-    // Parallel build: one work-stealing pool per build, the calling
-    // thread as worker 0, and `threads - 1` helper workers each owning
-    // its own Scratch (arena + CombineCL memo shard) — DESIGN.md §14.
-    // The worker scratches live inside the leader's Scratch so a
-    // Session amortizes their arena capacity and memo across builds.
-    let mut workers = std::mem::take(&mut scratch.workers);
-    if workers.len() < threads - 1 {
-        workers.resize_with(threads - 1, Scratch::new);
-    }
-    for w in &mut workers {
-        w.arena.reset();
-        w.arena.set_ceiling_bytes(opts.arena_ceiling_bytes);
-    }
-    let result: Result<(TreePools, NodeId), DviclError> = dvicl_pool::scope(
-        &mut workers[..threads - 1],
-        |wid, pool, ws: &mut Scratch| worker_loop(wid, pool, ws, &pi, opts, budget),
-        |pool| {
-            let mut b = Builder {
-                t: pools,
-                pi: &pi,
-                opts,
-                budget,
-                force_leaf,
-                scratch,
-                par: Some(ParHandle { pool, wid: 0 }),
-            };
-            let whole = b.scratch.arena.whole(g);
-            let root = b.build(whole, 0, NO_PARENT)?;
-            Ok((b.t, root))
-        },
-    );
-    // Per-build arena accounting covers every arena the build touched:
-    // the peaks are summed (an upper bound on concurrent residency,
-    // and exactly the total when the build is sequential-equivalent).
-    let mut peak = scratch.arena.bytes_peak();
-    let mut reuses = scratch.arena.reuses();
-    for w in &workers {
-        peak += w.arena.bytes_peak();
-        reuses += w.arena.reuses();
-    }
-    scratch.workers = workers;
-    obs::add(Counter::SubBytesPeak, peak as u64);
-    obs::add(Counter::ArenaReuses, reuses);
-    let (t, root) = result?;
+    let whole = b.scratch.arena.whole(g);
+    let root = b.build(whole, 0, NO_PARENT)?;
+    obs::add(Counter::SubBytesPeak, b.scratch.arena.bytes_peak() as u64);
+    obs::add(Counter::ArenaReuses, b.scratch.arena.reuses());
+    let t = b.t;
     Ok(t.into_tree(pi, root))
 }
 
@@ -383,21 +302,13 @@ pub(crate) struct Scratch {
     pub(crate) cl_cache: FxHashMap<Vec<u8>, ClEntry>,
     /// Reused encode buffer for memo probes: allocation-free on hits.
     pub(crate) key_scratch: Vec<u8>,
-    /// Per-worker refinement kernel state: the root refinement and every
+    /// Refinement kernel state: the root refinement and every
     /// `CombineCL` leaf labeling of a build run through this refiner, so
     /// kernel scratch (partitions, bitset masks, radix buffers) is
-    /// allocated once per worker and never shared — the same exclusive
-    /// ownership discipline as the arena and memo shard beside it.
+    /// allocated once per scratch, like the arena beside it.
     pub(crate) refiner: Refiner,
-    /// `CombineST` working arrays, owned per worker like the arena.
+    /// `CombineST` working arrays.
     combine: CombineScratch,
-    /// The helper workers' scratches for parallel builds (empty until a
-    /// `threads > 1` build runs). Worker `w` (1-based) exclusively owns
-    /// `workers[w - 1]` for the duration of a `dvicl_pool::scope`;
-    /// between builds they rest here so a `core::Session` amortizes
-    /// worker arena capacity and memo shards the same way it amortizes
-    /// the leader's.
-    pub(crate) workers: Vec<Scratch>,
 }
 
 impl Scratch {
@@ -408,23 +319,17 @@ impl Scratch {
             key_scratch: Vec::new(),
             refiner: Refiner::new(),
             combine: CombineScratch::default(),
-            workers: Vec::new(),
         }
     }
 
-    /// Drops every memoized `CombineCL` labeling (configuration change),
-    /// in the worker shards too.
+    /// Drops every memoized `CombineCL` labeling (configuration change).
     pub(crate) fn clear_memo(&mut self) {
         self.cl_cache.clear();
-        for w in &mut self.workers {
-            w.clear_memo();
-        }
     }
 
-    /// Number of memoized `CombineCL` labelings currently held, summed
-    /// over the leader and every worker shard.
+    /// Number of memoized `CombineCL` labelings currently held.
     pub(crate) fn memo_len(&self) -> usize {
-        self.cl_cache.len() + self.workers.iter().map(Scratch::memo_len).sum::<usize>()
+        self.cl_cache.len()
     }
 }
 
@@ -478,13 +383,7 @@ fn push_varint(out: &mut Vec<u8>, mut x: u64) {
 }
 
 /// The eight node-payload pools of an AutoTree under construction —
-/// [`AutoTree`] minus the coloring and root id. A sequential build fills
-/// exactly one; a parallel build additionally fills one *fragment* per
-/// spawned subtree and splices it back with [`TreePools::splice`]. The
-/// splice target offsets are byte-identical to what the sequential
-/// recursion would have produced, because a child subtree's appends to
-/// every pool form one contiguous block between its parent's preorder
-/// and postorder appends (see DESIGN.md §14).
+/// [`AutoTree`] minus the coloring and root id.
 #[derive(Debug, Default)]
 struct TreePools {
     nodes: Vec<Node>,
@@ -532,209 +431,10 @@ impl TreePools {
             gen_pairs: self.gen_pairs,
         }
     }
-
-    /// Appends a fragment built elsewhere as if its subtree had been
-    /// built right here, right now, and returns the fragment root's new
-    /// node id. Every pool range inside `frag` is rebased by the
-    /// current pool tops; crucially, only the ranges a node's kind
-    /// actually *writes* are rebased — the kind-unused ranges stay
-    /// [`EMPTY`] `(0, 0)`, exactly as the sequential build leaves them,
-    /// which is what makes the merged tree byte-identical rather than
-    /// merely equivalent.
-    fn splice(&mut self, frag: TreePools, parent: u32) -> NodeId {
-        let node_base = self.nodes.len();
-        // dvicl-lint: allow(narrowing-cast) -- pool lengths are bounded as in push_range: far below u32::MAX for any graph this crate can hold
-        let verts_base = self.verts.len() as u32;
-        // dvicl-lint: allow(narrowing-cast) -- bounded as verts_base above
-        let fc_base = self.form_colors.len() as u32;
-        // dvicl-lint: allow(narrowing-cast) -- bounded as verts_base above
-        let fe_base = self.form_edges.len() as u32;
-        // dvicl-lint: allow(narrowing-cast) -- bounded as verts_base above
-        let ch_base = self.children.len() as u32;
-        // dvicl-lint: allow(narrowing-cast) -- bounded as verts_base above
-        let cls_base = self.classes.len() as u32;
-        // dvicl-lint: allow(narrowing-cast) -- bounded as verts_base above
-        let gr_base = self.gen_ranges.len() as u32;
-        // dvicl-lint: allow(narrowing-cast) -- bounded as verts_base above
-        let gp_base = self.gen_pairs.len() as u32;
-        self.verts.extend_from_slice(&frag.verts);
-        self.labels.extend_from_slice(&frag.labels);
-        self.form_colors.extend_from_slice(&frag.form_colors);
-        self.form_edges.extend_from_slice(&frag.form_edges);
-        // Child-id pool entries are node ids; sibling-class runs index
-        // positions *within* a node's child range and gen pairs are
-        // global vertex ids, so neither needs rebasing.
-        self.children.extend(frag.children.iter().map(|&c| c + node_base));
-        self.classes.extend_from_slice(&frag.classes);
-        self.gen_ranges
-            .extend(frag.gen_ranges.iter().map(|&(s, l)| (s + gp_base, l)));
-        self.gen_pairs.extend_from_slice(&frag.gen_pairs);
-        for mut node in frag.nodes {
-            node.verts.0 += verts_base;
-            node.fcolors.0 += fc_base;
-            match node.kind {
-                NodeKind::SingletonLeaf => {}
-                NodeKind::NonSingletonLeaf => {
-                    node.fedges.0 += fe_base;
-                    node.gens.0 += gr_base;
-                }
-                NodeKind::Internal => {
-                    node.fedges.0 += fe_base;
-                    node.children.0 += ch_base;
-                    node.classes.0 += cls_base;
-                }
-            }
-            node.parent = if node.parent == NO_PARENT {
-                parent
-            } else {
-                // dvicl-lint: allow(narrowing-cast) -- node ids are bounded by the node count, far below u32::MAX
-                node.parent + node_base as u32
-            };
-            self.nodes.push(node);
-        }
-        node_base
-    }
-}
-
-/// One spawned unit of parallel work: build the subtree of `seed` at
-/// `depth` into a fresh fragment, and deposit the result in `cell`.
-struct Job {
-    seed: crate::arena::SubSeed,
-    depth: u32,
-    cell: std::sync::Arc<JoinCell>,
-}
-
-/// The rendezvous for one spawned subtree: the builder deposits the
-/// fragment (or the error that aborted it), the spawner takes it at the
-/// deterministic merge point. `ready` is the lock-free fast path the
-/// spawner polls from its help-wait loop.
-struct JoinCell {
-    ready: std::sync::atomic::AtomicBool,
-    slot: std::sync::Mutex<Option<Result<TreePools, DviclError>>>,
-}
-
-impl JoinCell {
-    fn new() -> JoinCell {
-        JoinCell {
-            ready: std::sync::atomic::AtomicBool::new(false),
-            slot: std::sync::Mutex::new(None),
-        }
-    }
-
-    fn complete(&self, r: Result<TreePools, DviclError>) {
-        *self
-            .slot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(r);
-        self.ready.store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    fn try_take(&self) -> Option<Result<TreePools, DviclError>> {
-        if !self.ready.load(std::sync::atomic::Ordering::Acquire) {
-            return None;
-        }
-        self.slot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-    }
-}
-
-/// A builder's connection to the parallel region, when there is one.
-#[derive(Clone, Copy)]
-struct ParHandle<'p> {
-    pool: &'p dvicl_pool::Pool<Job>,
-    /// The worker id this builder runs as — spawns push onto this
-    /// worker's own deque (LIFO for itself, FIFO for thieves).
-    wid: usize,
-}
-
-/// Children at least this large are built as spawned fragments; smaller
-/// ones are built inline by the spawning worker. Purely a scheduling
-/// threshold — the output is byte-identical whatever its value, so it
-/// only trades task-spawn overhead against load-balancing granularity.
-const SPAWN_MIN_VERTS: usize = 32;
-
-/// The drain loop every helper worker runs for the lifetime of the
-/// parallel region: acquire (own deque first, then steal), execute,
-/// park when everything is empty, exit at shutdown.
-fn worker_loop(
-    wid: usize,
-    pool: &dvicl_pool::Pool<Job>,
-    ws: &mut Scratch,
-    pi: &Coloring,
-    opts: &DviclOptions,
-    budget: &Budget,
-) {
-    loop {
-        match pool.try_acquire(wid) {
-            Some(job) => run_job(wid, pool, ws, pi, opts, budget, job),
-            None => {
-                if !pool.park(wid) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Executes one [`Job`]: builds the seeded subtree into a fresh
-/// fragment with this worker's own scratch, under the `pool.task` span,
-/// and completes the job's cell. Infallible by design — errors travel
-/// *inside* the cell, so a worker never unwinds (the panic-freedom half
-/// of the DESIGN.md §14 argument).
-fn run_job(
-    wid: usize,
-    pool: &dvicl_pool::Pool<Job>,
-    ws: &mut Scratch,
-    pi: &Coloring,
-    opts: &DviclOptions,
-    budget: &Budget,
-    job: Job,
-) {
-    let _span = dvicl_pool::task_span();
-    let t0 = std::time::Instant::now();
-    let res = build_fragment(wid, pool, ws, pi, opts, budget, &job);
-    pool.note_busy(wid, t0.elapsed().as_nanos() as u64);
-    job.cell.complete(res);
-}
-
-/// Builds the subtree of one seed into a fresh fragment. The seed is
-/// adopted into the executing worker's own arena as a root segment and
-/// released again on every path out, so a worker arena's mark is
-/// restored across any job — the no-leak half of the fault-sweep
-/// invariant.
-fn build_fragment(
-    wid: usize,
-    pool: &dvicl_pool::Pool<Job>,
-    ws: &mut Scratch,
-    pi: &Coloring,
-    opts: &DviclOptions,
-    budget: &Budget,
-    job: &Job,
-) -> Result<TreePools, DviclError> {
-    SubArena::scoped(
-        ws,
-        |ws| &mut ws.arena,
-        |ws| {
-            let sub = ws.arena.try_adopt(&job.seed)?;
-            let mut b = Builder {
-                t: TreePools::default(),
-                pi,
-                opts,
-                budget,
-                force_leaf: false,
-                scratch: ws,
-                par: Some(ParHandle { pool, wid }),
-            };
-            b.build(sub, job.depth, NO_PARENT)?;
-            Ok(b.t)
-        },
-    )
 }
 
 struct Builder<'a> {
-    /// The tree (or fragment) under construction: node records plus the
+    /// The tree under construction: node records plus the
     /// pooled per-node payloads they point into (tree.rs module docs).
     t: TreePools,
     /// The refined equitable root coloring `π` every subgraph projects.
@@ -754,12 +454,9 @@ struct Builder<'a> {
     /// (never a lossy hash), yet a leaf costs ~2 bytes per edge instead
     /// of a cloned `(Vec<V>, Vec<(V, V)>)`.
     scratch: &'a mut Scratch,
-    /// `Some` inside a parallel region: big children are spawned as
-    /// jobs, joined with a help-wait, and spliced in part order.
-    par: Option<ParHandle<'a>>,
 }
 
-impl<'a> Builder<'a> {
+impl Builder<'_> {
     /// Procedure `cl` of Algorithm 1.
     fn build(&mut self, sub: Sub, depth: u32, parent: u32) -> Result<NodeId, DviclError> {
         dvicl_govern::fault::checkpoint(Site::CoreBuildNode)?;
@@ -817,17 +514,15 @@ impl<'a> Builder<'a> {
             Some(d) => {
                 // dvicl-lint: allow(narrowing-cast) -- id < node count <= n·depth, far below u32::MAX
                 let parent_id = id as u32;
-                let children = match self.par {
-                    None => self.build_children_seq(&sub, &d, depth, parent_id)?,
-                    Some(h) => self.build_children_par(h, &sub, &d, depth, parent_id)?,
-                };
+                let children = self.build_children(&sub, &d, depth, parent_id)?;
                 self.combine_st(id, &sub, &d, &children);
             }
         }
         Ok(id)
     }
 
-    /// The sequential child loop of Algorithm 1.
+    /// The child loop of Algorithm 1: carve each part on top of the
+    /// arena, build its subtree, and release the carve again.
     ///
     /// Stack discipline: each child's arena segment is carved on top of
     /// the parent's, consumed by the recursive call, and released
@@ -836,7 +531,7 @@ impl<'a> Builder<'a> {
     /// The release happens on the error path too, so an abort (budget
     /// trip, cancellation, injected fault) deep in the recursion
     /// unwinds the arena all the way back to the caller's mark.
-    fn build_children_seq(
+    fn build_children(
         &mut self,
         sub: &Sub,
         d: &Division,
@@ -844,131 +539,18 @@ impl<'a> Builder<'a> {
         parent_id: u32,
     ) -> Result<Vec<NodeId>, DviclError> {
         let mut children: Vec<NodeId> = Vec::with_capacity(d.len());
-        for i in 0..d.len() {
-            children.push(self.build_child(sub, d.part(i), depth, parent_id)?);
-        }
-        Ok(children)
-    }
-
-    /// Carves one child on top of the arena, builds its subtree, and
-    /// releases the carve again on every path out.
-    fn build_child(
-        &mut self,
-        sub: &Sub,
-        part: &[u32],
-        depth: u32,
-        parent_id: u32,
-    ) -> Result<NodeId, DviclError> {
-        SubArena::scoped(
-            self,
-            |b| &mut b.scratch.arena,
-            |b| {
-                dvicl_govern::fault::checkpoint(Site::CoreArenaCarve)?;
-                let child = b.scratch.arena.try_induced_child(sub, part)?;
-                b.build(child, depth + 1, parent_id)
-            },
-        )
-    }
-
-    /// The parallel child loop (DESIGN.md §14). Two passes:
-    ///
-    /// 1. Every part of at least [`SPAWN_MIN_VERTS`] vertices is carved,
-    ///    exported as an owned [`crate::arena::SubSeed`] (the carve is
-    ///    released immediately — the seed owns its data) and spawned as
-    ///    a [`Job`] onto this worker's deque, where idle workers steal
-    ///    it. Small parts stay inline.
-    /// 2. The children are then *realized strictly in part order*: an
-    ///    inline part is built directly into `self.t` exactly as the
-    ///    sequential loop would; a spawned part is joined (help-wait:
-    ///    while its cell is pending this worker executes other pool
-    ///    jobs) and its fragment spliced into `self.t`. Since pass 2 is
-    ///    the only thing that appends to `self.t`, and it walks parts in
-    ///    order, every child block lands at the sequential offsets —
-    ///    the deterministic merge that keeps forms byte-identical.
-    ///
-    /// Errors surface at the first failing part in part order, matching
-    /// the sequential loop's early exit; later siblings may already be
-    /// running on workers, and simply finish into cells nobody reads
-    /// (the shared `Budget` makes them fail fast when the cause was
-    /// exhaustion or cancellation).
-    fn build_children_par(
-        &mut self,
-        h: ParHandle<'a>,
-        sub: &Sub,
-        d: &Division,
-        depth: u32,
-        parent_id: u32,
-    ) -> Result<Vec<NodeId>, DviclError> {
-        enum Pending {
-            Inline,
-            Spawned(std::sync::Arc<JoinCell>),
-            Failed(DviclError),
-        }
-        let mut pending: Vec<Pending> = Vec::with_capacity(d.len());
-        for i in 0..d.len() {
-            let part = d.part(i);
-            if part.len() < SPAWN_MIN_VERTS {
-                pending.push(Pending::Inline);
-                continue;
-            }
-            let seed = SubArena::scoped(
+        for part in d.parts() {
+            children.push(SubArena::scoped(
                 self,
                 |b| &mut b.scratch.arena,
                 |b| {
                     dvicl_govern::fault::checkpoint(Site::CoreArenaCarve)?;
                     let child = b.scratch.arena.try_induced_child(sub, part)?;
-                    Ok(b.scratch.arena.export(&child))
+                    b.build(child, depth + 1, parent_id)
                 },
-            );
-            pending.push(match seed {
-                Ok(seed) => {
-                    let cell = std::sync::Arc::new(JoinCell::new());
-                    let job = Job {
-                        seed,
-                        depth: depth + 1,
-                        cell: std::sync::Arc::clone(&cell),
-                    };
-                    match h.pool.spawn(h.wid, job) {
-                        Ok(()) => Pending::Spawned(cell),
-                        Err(e) => Pending::Failed(e),
-                    }
-                }
-                Err(e) => Pending::Failed(e),
-            });
-        }
-        let mut children: Vec<NodeId> = Vec::with_capacity(d.len());
-        for (i, p) in pending.into_iter().enumerate() {
-            match p {
-                Pending::Inline => {
-                    children.push(self.build_child(sub, d.part(i), depth, parent_id)?)
-                }
-                Pending::Spawned(cell) => {
-                    let frag = self.join(h, &cell)?;
-                    children.push(self.t.splice(frag, parent_id));
-                }
-                Pending::Failed(e) => return Err(e),
-            }
+            )?);
         }
         Ok(children)
-    }
-
-    /// Waits for a spawned subtree by *helping*: while the cell is
-    /// pending, this worker executes other pool jobs (its own deque
-    /// first, then steals). Deadlock-free: the job being awaited sits
-    /// in this worker's own deque until someone (possibly this very
-    /// loop) executes it, so progress never depends on an idle peer.
-    fn join(&mut self, h: ParHandle<'a>, cell: &JoinCell) -> Result<TreePools, DviclError> {
-        loop {
-            if let Some(res) = cell.try_take() {
-                return res;
-            }
-            match h.pool.try_acquire(h.wid) {
-                Some(job) => {
-                    run_job(h.wid, h.pool, self.scratch, self.pi, self.opts, self.budget, job);
-                }
-                None => std::thread::yield_now(),
-            }
-        }
     }
 
     /// `CombineCL` (Algorithm 4): label a non-singleton leaf with the IR
@@ -1410,79 +992,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    /// Field-by-field pool equality: stronger than certificate equality,
-    /// this asserts the parallel build's splices land every byte where
-    /// the sequential recursion put it.
-    fn assert_trees_identical(a: &AutoTree, b: &AutoTree) {
-        assert_eq!(a.pi, b.pi);
-        assert_eq!(a.root, b.root);
-        assert_eq!(a.nodes, b.nodes);
-        assert_eq!(a.verts, b.verts);
-        assert_eq!(a.labels, b.labels);
-        assert_eq!(a.form_colors, b.form_colors);
-        assert_eq!(a.form_edges, b.form_edges);
-        assert_eq!(a.children, b.children);
-        assert_eq!(a.classes, b.classes);
-        assert_eq!(a.gen_ranges, b.gen_ranges);
-        assert_eq!(a.gen_pairs, b.gen_pairs);
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical() {
-        // Graphs whose divisions have parts above and below the spawn
-        // threshold, symmetric siblings (memo traffic), deep nesting,
-        // and non-singleton leaves with generators.
-        let graphs = [
-            named::fig1_example(),
-            named::petersen().disjoint_union(&named::petersen()),
-            named::cycle(40)
-                .disjoint_union(&named::cycle(48))
-                .disjoint_union(&named::cycle(40))
-                .disjoint_union(&named::star(5)),
-            named::rary_tree(3, 4),
-            named::hypercube(3).disjoint_union(&named::complete_bipartite(4, 9)),
-        ];
-        for (k, g) in graphs.into_iter().enumerate() {
-            let pi = Coloring::unit(g.n());
-            let seq = build_autotree(&g, &pi, &DviclOptions::default());
-            for threads in [2, 4] {
-                let par = build_autotree(
-                    &g,
-                    &pi,
-                    &DviclOptions {
-                        threads,
-                        ..DviclOptions::default()
-                    },
-                );
-                assert_trees_identical(&seq, &par);
-                let _ = (k, threads);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_spawns_onto_the_pool() {
-        // Two 64-cycles: both components clear SPAWN_MIN_VERTS, so a
-        // 4-thread build must push jobs through the pool.
-        let g = named::cycle(64).disjoint_union(&named::cycle(64));
-        let before = obs::snapshot();
-        let t = build_autotree(
-            &g,
-            &Coloring::unit(g.n()),
-            &DviclOptions {
-                threads: 4,
-                ..DviclOptions::default()
-            },
-        );
-        let d = obs::snapshot().diff(&before);
-        assert_eq!(t.node(t.root()).children().len(), 2);
-        assert!(
-            d.get(Counter::PoolTasks) >= 2,
-            "expected spawned subtree jobs, saw {}",
-            d.get(Counter::PoolTasks)
-        );
     }
 
     #[test]

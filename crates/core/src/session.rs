@@ -23,18 +23,6 @@
 //! arrive as a per-request [`Budget`] — admission control belongs to
 //! the caller, one allowance per query, so one hostile request trips
 //! its own typed error instead of starving the whole service.
-//!
-//! # Threads
-//!
-//! A session whose options set [`DviclOptions::threads`] `> 1` builds
-//! sibling subtrees concurrently on a per-build work-stealing pool
-//! (`dvicl-pool`; concurrency model in DESIGN.md §14). The worker
-//! scratches — one arena and one `CombineCL` memo shard per worker —
-//! live *inside* the session's scratch, so they amortize across builds
-//! exactly like the leader's: [`Session::memo_len`] sums every shard,
-//! and [`Session::clear_memo`] clears them all. The certificates are
-//! byte-identical at every thread count, so a serving loop can change
-//! `threads` between requests without invalidating anything.
 
 use crate::build::{
     self, build_autotree_resilient_in, try_build_autotree_in, BuildOutcome, DviclOptions,
@@ -56,25 +44,6 @@ use dvicl_obs::{self as obs, Counter};
 /// let b = session.canonical_form(&named::petersen());
 /// assert_eq!(a, b);
 /// assert_eq!(session.builds(), 2);
-/// ```
-///
-/// A parallel session build — four workers, same bytes:
-///
-/// ```
-/// use dvicl_core::{DviclOptions, Session};
-/// use dvicl_graph::named;
-/// // Two disjoint 40-cycles: sibling subtrees big enough to spawn.
-/// let g = named::cycle(40).disjoint_union(&named::cycle(40));
-/// let mut sequential = Session::new(DviclOptions::default());
-/// let mut parallel = Session::new(DviclOptions {
-///     threads: 4,
-///     ..DviclOptions::default()
-/// });
-/// // Certificates are byte-identical at every thread count.
-/// assert_eq!(
-///     parallel.canonical_form(&g),
-///     sequential.canonical_form(&g),
-/// );
 /// ```
 pub struct Session {
     opts: DviclOptions,

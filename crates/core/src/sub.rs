@@ -21,10 +21,8 @@ use dvicl_graph::V;
 /// A colored subgraph `(g, π_g)` with global vertex identities: a compact
 /// handle into a [`SubArena`](crate::SubArena).
 ///
-/// The handle is `Copy` and holds no pointers — only offsets — so it is
-/// trivially `Send`: a future parallel divide can ship handles (plus a
-/// shared read-only view of the parent segment) across threads without
-/// touching the storage layout.
+/// The handle is `Copy` and holds no pointers — only offsets into the
+/// arena that carved it.
 #[derive(Clone, Copy, Debug)]
 pub struct Sub {
     /// Start of this subgraph's span in the arena's vertex pool.

@@ -7,11 +7,10 @@
 //! differ from its parent's by one constant per cell of `π` — the shift
 //! identity `γ_g(v) = γ_c(v) + seen[π(v)]` the combine relies on.
 //!
-//! The inputs are random graphs under random relabelings, built at 1 and
-//! 4 threads: sparse random graphs, disconnected unions with repeated
-//! components (some above the pool's spawn threshold), twin fans around
-//! the hubs of a random core, and clique/biclique shapes that fire
-//! `DivideS`.
+//! The inputs are random graphs under random relabelings: sparse random
+//! graphs, disconnected unions with repeated components, twin fans
+//! around the hubs of a random core, and clique/biclique shapes that
+//! fire `DivideS`.
 
 use dvicl_core::{build_autotree, AutoTree, DviclOptions, NodeKind};
 use dvicl_graph::{CanonForm, Coloring, Graph, Perm, V};
@@ -209,12 +208,9 @@ proptest! {
     fn every_internal_node_matches_the_oracle(seed in any::<u64>(), relabel in any::<u64>()) {
         let g = shape(seed);
         let g = g.permuted(&shuffled(g.n(), relabel));
-        for threads in [1, 4] {
-            let opts = DviclOptions { threads, ..DviclOptions::default() };
-            let t = build_autotree(&g, &Coloring::unit(g.n()), &opts);
-            if let Err(e) = check_nodes(&g, &t) {
-                prop_assert!(false, "seed {seed} relabel {relabel} threads {threads}: {e}");
-            }
+        let t = build_autotree(&g, &Coloring::unit(g.n()), &DviclOptions::default());
+        if let Err(e) = check_nodes(&g, &t) {
+            prop_assert!(false, "seed {seed} relabel {relabel}: {e}");
         }
     }
 }
@@ -222,19 +218,12 @@ proptest! {
 #[test]
 fn the_shapes_reach_every_divide_rule() {
     // The oracle above only means something if the inputs exercise cut
-    // edges of every kind: DivideS deletions, DivideI axes, component
-    // splits, and pool-built children.
+    // edges of every kind: DivideS deletions, DivideI axes and component
+    // splits.
     let before = obs::snapshot();
     for seed in 0..64 {
         let g = shape(seed);
-        let t = build_autotree(
-            &g,
-            &Coloring::unit(g.n()),
-            &DviclOptions {
-                threads: 4,
-                ..DviclOptions::default()
-            },
-        );
+        let t = build_autotree(&g, &Coloring::unit(g.n()), &DviclOptions::default());
         assert_eq!(check_nodes(&g, &t), Ok(()));
     }
     let d = obs::snapshot().diff(&before);
@@ -242,7 +231,6 @@ fn the_shapes_reach_every_divide_rule() {
         Counter::DivideSApplied,
         Counter::DivideIApplied,
         Counter::DivideComponents,
-        Counter::PoolTasks,
     ] {
         assert!(d.get(c) > 0, "no {} in the sampled shapes", c.name());
     }

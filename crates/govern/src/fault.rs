@@ -72,8 +72,6 @@ dvicl_obs::catalog! {
         IndexInsert = "index.insert",
         /// Each fingerprint-index load (`dvicl-index`).
         IndexLoad = "index.load",
-        /// Each subtree job spawned onto the pool (`dvicl-pool`).
-        PoolSpawn = "pool.spawn",
         /// Each individualize-and-refine step (`refine`).
         RefineIndividualize = "refine.individualize",
         /// Each refinement run (`refine`).

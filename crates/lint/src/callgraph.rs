@@ -85,21 +85,6 @@ impl CallGraph {
         out
     }
 
-    /// Forward reachability: every node reachable from the `roots` by
-    /// following call edges (roots included).
-    pub fn reachable_from(&self, roots: &[bool]) -> Vec<bool> {
-        let mut out = roots.to_vec();
-        let mut stack: Vec<usize> = (0..out.len()).filter(|&i| out[i]).collect();
-        while let Some(id) = stack.pop() {
-            for &c in &self.callees[id] {
-                if !out[c] {
-                    out[c] = true;
-                    stack.push(c);
-                }
-            }
-        }
-        out
-    }
 }
 
 fn is_punct(file: &FileData, cp: usize, b: u8) -> bool {
@@ -141,23 +126,6 @@ mod tests {
         let reach = graph.can_reach(&seeds);
         assert!(reach[id("top")] && reach[id("middle")] && !reach[id("island")]);
         let _ = files;
-    }
-
-    #[test]
-    fn forward_reachability_from_roots() {
-        let src = r#"
-            fn root() { a(); }
-            fn a() { b(); }
-            fn b() {}
-            fn other() { b(); }
-        "#;
-        let (_, syms, graph) = ws(src);
-        let id = |n: &str| syms.fns_named(n)[0];
-        let mut roots = vec![false; syms.fns.len()];
-        roots[id("root")] = true;
-        let fwd = graph.reachable_from(&roots);
-        assert!(fwd[id("a")] && fwd[id("b")]);
-        assert!(!fwd[id("other")]);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! It enforces the project invariants that neither rustc, clippy nor
 //! the type system can state: budget reachability through the call
-//! graph, the shared-state screen of the build/refine/canon hot path,
-//! the error taxonomy, the offline guard, CSR-only adjacency and
+//! graph, the error taxonomy, the offline guard, CSR-only adjacency and
 //! audited narrowing casts. Panic-freedom and the unsafe audit are
 //! workspace clippy denials; arena stack discipline, checkpoint sites,
-//! span labels and the counter catalog are enforced by types. It is
+//! span labels and the counter catalog are enforced by types; rustc
+//! itself rejects a non-`Sync` `static`. It is
 //! deliberately dependency-free (hand-rolled lexer, hand-rolled JSON)
 //! so the workspace keeps building offline.
 //!
@@ -17,7 +17,7 @@
 //! ([`callgraph::CallGraph`]) over all files. Per-file rules from
 //! [`rules::catalog`] see one file; workspace rules from
 //! [`rules::ws_catalog`] see the whole [`Workspace`] (call-graph
-//! reachability, hot-path shared state). Findings inside
+//! reachability). Findings inside
 //! `#[cfg(test)]` items are dropped, then `// dvicl-lint: allow(...)
 //! -- reason` pragmas are applied per owning file. See DESIGN.md §8
 //! for the rule catalog and the suppression policy, §12 for the
@@ -35,7 +35,6 @@ pub mod parse;
 pub mod pragma;
 pub mod report;
 pub mod rules;
-pub mod send_safety;
 pub mod symbols;
 
 use lexer::{Tok, TokKind};
@@ -474,20 +473,14 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError> {
     Ok(())
 }
 
-/// Analyzes every workspace source under `root` into a [`Workspace`]
-/// (the entry point for the self-check tests and the report tooling).
-pub fn analyze_workspace(root: &Path) -> Result<Workspace, LintError> {
+/// Lints every workspace source under `root`.
+pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
     let files = workspace_files(root)?;
     let mut sources = Vec::with_capacity(files.len());
     for path in &files {
         sources.push((rel_of(root, path), read_source(path)?));
     }
-    Ok(Workspace::analyze(sources))
-}
-
-/// Lints every workspace source under `root`.
-pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
-    Ok(analyze_workspace(root)?.lint())
+    Ok(Workspace::analyze(sources).lint())
 }
 
 /// Lints explicit files (together, as one workspace). `rel_override`,
@@ -597,11 +590,14 @@ mod tests {
 
     #[test]
     fn retired_rules_are_unknown_to_pragmas() {
-        // Panic-freedom is a clippy denial now: a pragma naming it is
-        // stale and must be flagged, not silently accepted.
-        let src = "fn f() { // dvicl-lint: allow(panic-freedom) -- stale\n}\n";
-        let (findings, _) = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, PRAGMA_UNKNOWN_RULE);
+        // Panic-freedom is a clippy denial now, and the shared-state
+        // screen left with the intra-build threads: a pragma naming
+        // either is stale and must be flagged, not silently accepted.
+        for rule in ["panic-freedom", "shared-state-screen"] {
+            let src = format!("fn f() {{ // dvicl-lint: allow({rule}) -- stale\n}}\n");
+            let (findings, _) = lint_source("crates/core/src/x.rs", &src);
+            assert_eq!(findings.len(), 1, "{rule}");
+            assert_eq!(findings[0].rule, PRAGMA_UNKNOWN_RULE, "{rule}");
+        }
     }
 }

@@ -3,8 +3,7 @@
 //! Exit codes: 0 clean, 1 findings, 2 the lint run itself failed
 //! (bad arguments, unreadable file, root not found).
 
-use dvicl_lint::report::Report;
-use dvicl_lint::{analyze_workspace, lint_files, rules, send_safety};
+use dvicl_lint::{lint_files, lint_workspace, rules};
 use std::path::PathBuf;
 // dvicl-lint: allow(offline-guard) -- exit-code plumbing only; the linter never spawns processes
 use std::process::ExitCode;
@@ -24,11 +23,6 @@ OPTIONS:
     --format <FMT>  Report format: human (default), json, or github
                     (GitHub Actions ::error annotations)
     --json          Shorthand for --format json
-    --send-safety-report <FILE>
-                    Also write the core::sub/core::arena Send-safety
-                    report (JSON, schema dvicl-send-safety-v1) to
-                    FILE; `-` writes it to stdout (the lint report
-                    then goes to stderr so stdout stays pure JSON)
     --list-rules    Print the rule catalog and exit
     -h, --help      Show this help
 ";
@@ -44,7 +38,6 @@ struct Args {
     root: Option<PathBuf>,
     rel_override: Option<String>,
     format: Format,
-    send_safety: Option<String>,
     list_rules: bool,
     files: Vec<PathBuf>,
 }
@@ -54,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
         root: None,
         rel_override: None,
         format: Format::Human,
-        send_safety: None,
         list_rules: false,
         files: Vec::new(),
     };
@@ -79,10 +71,6 @@ fn parse_args() -> Result<Args, String> {
                     ))
                 }
                 None => return Err("--format needs human, json, or github".to_string()),
-            },
-            "--send-safety-report" => match it.next() {
-                Some(v) => args.send_safety = Some(v),
-                None => return Err("--send-safety-report needs a file path (or -)".to_string()),
             },
             "--json" => args.format = Format::Json,
             "--list-rules" => args.list_rules = true,
@@ -154,60 +142,22 @@ fn main() -> ExitCode {
         eprintln!("dvicl-lint: cannot locate the workspace root; pass --root");
         return ExitCode::from(2);
     };
-    // The full-workspace path analyzes once and reuses the workspace
-    // for both the lint report and the Send-safety report.
-    let (report, ws): (Report, Option<dvicl_lint::Workspace>) = if args.files.is_empty() {
-        match analyze_workspace(&root) {
-            Ok(ws) => (ws.lint(), Some(ws)),
-            Err(e) => {
-                eprintln!("dvicl-lint: {e}");
-                return ExitCode::from(2);
-            }
-        }
+    let report = if args.files.is_empty() {
+        lint_workspace(&root)
     } else {
-        match lint_files(&root, &args.files, args.rel_override.as_deref()) {
-            Ok(r) => (r, None),
-            Err(e) => {
-                eprintln!("dvicl-lint: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        lint_files(&root, &args.files, args.rel_override.as_deref())
     };
-    if let Some(dest) = &args.send_safety {
-        let ws_owned;
-        let ws_ref = match &ws {
-            Some(w) => w,
-            None => match analyze_workspace(&root) {
-                Ok(w) => {
-                    ws_owned = w;
-                    &ws_owned
-                }
-                Err(e) => {
-                    eprintln!("dvicl-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-        };
-        let json = send_safety::report(ws_ref);
-        if dest == "-" {
-            println!("{json}");
-        } else if let Err(e) = std::fs::write(dest, json + "\n") {
-            eprintln!("dvicl-lint: cannot write {dest}: {e}");
+    let report = match report {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("dvicl-lint: {e}");
             return ExitCode::from(2);
         }
-    }
-    // `--send-safety-report -` owns stdout (so it can be piped to jq);
-    // the lint report moves to stderr for that invocation.
-    let report_to_stdout = args.send_safety.as_deref() != Some("-");
-    let rendered = match args.format {
-        Format::Json => report.json() + "\n",
-        Format::Github => report.github(),
-        Format::Human => report.human(),
     };
-    if report_to_stdout {
-        print!("{rendered}");
-    } else {
-        eprint!("{rendered}");
+    match args.format {
+        Format::Json => println!("{}", report.json()),
+        Format::Github => print!("{}", report.github()),
+        Format::Human => print!("{}", report.human()),
     }
     if report.is_clean() {
         ExitCode::SUCCESS

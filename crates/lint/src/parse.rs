@@ -3,11 +3,10 @@
 //! `dvicl-lint` stays dependency-free (no `syn`), so this recognizes
 //! exactly the item granularity the rules need — `fn`/`impl`/`struct`/
 //! `enum`/`static`/`const`/`use`/`mod`/`trait`/`type` — with code-token
-//! spans, in-file module paths, enclosing `impl` types, struct field
-//! types, and `thread_local!` awareness. It is *not* a grammar: bodies
-//! are brace-matched token ranges, types are source slices, and
-//! expressions are never interpreted. Two deliberate blind spots keep
-//! it honest on real code:
+//! spans, in-file module paths and enclosing `impl` types. It is *not*
+//! a grammar: bodies are brace-matched token ranges and expressions are
+//! never interpreted. Two deliberate blind spots keep it honest on real
+//! code:
 //!
 //! - Function *signatures* are skipped after the item is recorded, so
 //!   `impl Iterator` in a return position or `fn(usize) -> bool`
@@ -18,8 +17,8 @@
 //!   pseudo-code no item parser should believe.
 //!
 //! Downstream consumers: `symbols` builds the workspace symbol table
-//! from these items, `callgraph` resolves call edges between the `Fn`
-//! items, and the send-safety report reads struct and enum fields.
+//! from these items, and `callgraph` resolves call edges between the
+//! `Fn` items.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -64,15 +63,6 @@ pub struct Item {
     pub module: String,
     /// For items inside an `impl` block: the target type name.
     pub impl_type: Option<String>,
-    /// `static mut` / (never set for `const`).
-    pub is_mut: bool,
-    /// `Static`/`Const`: source text of the declared type.
-    pub type_text: String,
-    /// `Struct`: `(field, type-text)` pairs (tuple fields named
-    /// `"0"`, `"1"`, …). `Enum`: `(variant, payload-text)` pairs.
-    pub fields: Vec<(String, String)>,
-    /// Declared inside a `thread_local! { … }` invocation.
-    pub thread_local: bool,
     /// The keyword falls inside a `#[cfg(test)]`/`#[test]` span.
     pub is_test: bool,
 }
@@ -81,7 +71,6 @@ pub struct Item {
 enum ScopeKind {
     Module(String),
     Impl(String),
-    ThreadLocal,
 }
 
 struct Scope {
@@ -117,16 +106,6 @@ impl<'a> Parser<'a> {
     fn in_test(&self, cp: usize) -> bool {
         let Some(t) = self.tok(cp) else { return false };
         self.test_spans.iter().any(|&(s, e)| t.start >= s && t.start < e)
-    }
-
-    /// Source text spanned by the code positions `[from, to)`.
-    fn slice(&self, from: usize, to: usize) -> String {
-        match (self.tok(from), to.checked_sub(1).and_then(|c| self.tok(c))) {
-            (Some(a), Some(b)) if b.end >= a.start => {
-                self.src.get(a.start..b.end).unwrap_or("").trim().to_string()
-            }
-            _ => String::new(),
-        }
     }
 
     /// Matching `}` for the `{` at `open_cp`.
@@ -224,10 +203,6 @@ impl<'a> Parser<'a> {
             sig: (kw_cp, kw_cp),
             module: self.module_path(scopes),
             impl_type: self.impl_type(scopes),
-            is_mut: false,
-            type_text: String::new(),
-            fields: Vec::new(),
-            thread_local: scopes.iter().any(|s| matches!(s.kind, ScopeKind::ThreadLocal)),
             is_test: self.in_test(kw_cp),
         }
     }
@@ -265,7 +240,6 @@ pub fn items(src: &str, toks: &[Tok], code: &[usize], test_spans: &[(usize, usiz
             "use" => parse_use(&p, cp, &scopes, &mut out),
             "trait" => parse_trait(&p, cp, &scopes, &mut out),
             "type" => parse_type_alias(&p, cp, &scopes, &mut out),
-            "thread_local" => parse_thread_local(&p, cp, &mut scopes),
             "macro_rules" => skip_macro_rules(&p, cp),
             _ => cp + 1,
         };
@@ -392,47 +366,18 @@ fn parse_struct(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) ->
     let mut item = p.item(ItemKind::Struct, cp, cp + 1, scopes);
     let Some(start) = p.scan_to(cp + 2, b"{(;") else { return cp + 1 };
     item.sig = (cp, start);
+    out.push(item);
     if p.is_punct(start, b';') {
-        out.push(item);
         return start + 1;
     }
     if p.is_punct(start, b'(') {
-        // Tuple struct: types between top-level commas.
+        // Tuple struct: skip the field types and the closing `;`.
         let Some(close) = p.scan_to(start + 1, b")") else { return cp + 1 };
-        let mut field_start = start + 1;
-        let mut idx = 0usize;
-        while field_start < close {
-            let end = p.scan_to(field_start, b",)").unwrap_or(close).min(close);
-            if end > field_start {
-                let text = strip_visibility(&p.slice(field_start, end));
-                item.fields.push((idx.to_string(), text));
-                idx += 1;
-            }
-            field_start = end + 1;
-        }
-        out.push(item);
         let Some(semi) = p.scan_to(close + 1, b";") else { return close + 1 };
         return semi + 1;
     }
-    // Named fields.
-    let Some(close) = p.matching_brace(start) else { return cp + 1 };
-    let mut k = start + 1;
-    while k < close {
-        k = skip_attrs_and_vis(p, k, close);
-        if k >= close {
-            break;
-        }
-        if p.is_ident(k) && p.is_punct(k + 1, b':') {
-            let ty_start = k + 2;
-            let end = p.scan_to(ty_start, b",}").unwrap_or(close).min(close);
-            item.fields.push((p.text(k).to_string(), p.slice(ty_start, end)));
-            k = end + 1;
-        } else {
-            k += 1;
-        }
-    }
-    out.push(item);
-    close + 1
+    // Named fields hold no items: skip the whole body.
+    p.matching_brace(start).map_or(cp + 1, |close| close + 1)
 }
 
 fn parse_enum(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) -> usize {
@@ -442,37 +387,12 @@ fn parse_enum(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) -> u
     let mut item = p.item(ItemKind::Enum, cp, cp + 1, scopes);
     let Some(open) = p.scan_to(cp + 2, b"{;") else { return cp + 1 };
     item.sig = (cp, open);
+    out.push(item);
     if p.is_punct(open, b';') {
-        out.push(item);
         return open + 1;
     }
-    let Some(close) = p.matching_brace(open) else { return cp + 1 };
-    let mut k = open + 1;
-    while k < close {
-        k = skip_attrs_and_vis(p, k, close);
-        if k >= close || !p.is_ident(k) {
-            k += 1;
-            continue;
-        }
-        let name = p.text(k).to_string();
-        let mut payload = String::new();
-        let mut j = k + 1;
-        if p.is_punct(j, b'(') {
-            let end = p.scan_to(j + 1, b")").unwrap_or(close).min(close);
-            payload = p.slice(j + 1, end);
-            j = end + 1;
-        } else if p.is_punct(j, b'{') {
-            let end = p.matching_brace(j).unwrap_or(close).min(close);
-            payload = p.slice(j + 1, end);
-            j = end + 1;
-        }
-        // Optional `= discriminant`, then the separating comma.
-        let next = p.scan_to(j, b",}").unwrap_or(close).min(close);
-        item.fields.push((name, payload));
-        k = next + 1;
-    }
-    out.push(item);
-    close + 1
+    // Variants hold no items: skip the whole body.
+    p.matching_brace(open).map_or(cp + 1, |close| close + 1)
 }
 
 fn parse_static(
@@ -483,18 +403,14 @@ fn parse_static(
     out: &mut Vec<Item>,
 ) -> usize {
     let mut k = cp + 1;
-    let is_mut = p.is_ident(k) && p.text(k) == "mut";
-    if is_mut {
+    if p.is_ident(k) && p.text(k) == "mut" {
         k += 1;
     }
     if !p.is_ident(k) || !p.is_punct(k + 1, b':') {
         return cp + 1;
     }
     let mut item = p.item(kind, cp, k, scopes);
-    item.is_mut = is_mut;
-    let ty_start = k + 2;
-    let end = p.scan_to(ty_start, b"=;").unwrap_or(ty_start);
-    item.type_text = p.slice(ty_start, end);
+    let end = p.scan_to(k + 2, b"=;").unwrap_or(k + 2);
     item.sig = (cp, end);
     out.push(item);
     // Skip the initializer (it may contain braces).
@@ -520,7 +436,6 @@ fn parse_use(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) -> us
         }
     }
     let mut item = p.item(ItemKind::Use, cp, name_cp, scopes);
-    item.type_text = p.slice(cp + 1, semi);
     item.sig = (cp, semi);
     out.push(item);
     semi + 1
@@ -549,19 +464,6 @@ fn parse_type_alias(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>
     semi + 1
 }
 
-fn parse_thread_local(p: &Parser, cp: usize, scopes: &mut Vec<Scope>) -> usize {
-    if p.is_punct(cp + 1, b'!') && p.is_punct(cp + 2, b'{') {
-        if let Some(close) = p.matching_brace(cp + 2) {
-            scopes.push(Scope {
-                close_cp: close,
-                kind: ScopeKind::ThreadLocal,
-            });
-            return cp + 3;
-        }
-    }
-    cp + 1
-}
-
 fn skip_macro_rules(p: &Parser, cp: usize) -> usize {
     if p.is_punct(cp + 1, b'!') && p.is_ident(cp + 2) && p.is_punct(cp + 3, b'{') {
         if let Some(close) = p.matching_brace(cp + 3) {
@@ -569,66 +471,6 @@ fn skip_macro_rules(p: &Parser, cp: usize) -> usize {
         }
     }
     cp + 1
-}
-
-/// Skips `#[…]` attributes and `pub`(`(…)`) visibility at a field or
-/// variant position; never advances past `limit`.
-fn skip_attrs_and_vis(p: &Parser, mut k: usize, limit: usize) -> usize {
-    loop {
-        if k >= limit {
-            return k;
-        }
-        if p.is_punct(k, b'#') && p.is_punct(k + 1, b'[') {
-            let mut depth = 0i32;
-            let mut j = k + 1;
-            while j < limit {
-                if p.is_punct(j, b'[') {
-                    depth += 1;
-                } else if p.is_punct(j, b']') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            k = j + 1;
-            continue;
-        }
-        if p.is_ident(k) && p.text(k) == "pub" {
-            k += 1;
-            if p.is_punct(k, b'(') {
-                let mut depth = 0i32;
-                while k < limit {
-                    if p.is_punct(k, b'(') {
-                        depth += 1;
-                    } else if p.is_punct(k, b')') {
-                        depth -= 1;
-                        if depth == 0 {
-                            k += 1;
-                            break;
-                        }
-                    }
-                    k += 1;
-                }
-            }
-            continue;
-        }
-        return k;
-    }
-}
-
-fn strip_visibility(text: &str) -> String {
-    let t = text.trim();
-    let t = t.strip_prefix("pub").map_or(t, |rest| {
-        let rest = rest.trim_start();
-        if let Some(r) = rest.strip_prefix('(') {
-            r.split_once(')').map_or(rest, |(_, tail)| tail)
-        } else {
-            rest
-        }
-    });
-    t.trim().to_string()
 }
 
 #[cfg(test)]
@@ -713,45 +555,37 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_with_generic_types() {
+    fn struct_and_enum_bodies_hold_no_items() {
         let src = r#"
             pub struct Table<K, V> {
                 pub map: HashMap<K, Vec<(V, usize)>>,
-                count: usize,
+                pick: fn(usize) -> bool,
             }
             struct Pair(pub u32, Vec<u8>);
             struct Unit;
-        "#;
-        let items = parse(src);
-        let table = find(&items, ItemKind::Struct, "Table");
-        assert_eq!(table.fields.len(), 2);
-        assert_eq!(table.fields[0].0, "map");
-        assert_eq!(table.fields[0].1, "HashMap<K, Vec<(V, usize)>>");
-        assert_eq!(table.fields[1], ("count".into(), "usize".into()));
-        let pair = find(&items, ItemKind::Struct, "Pair");
-        assert_eq!(pair.fields[0], ("0".into(), "u32".into()));
-        assert_eq!(pair.fields[1], ("1".into(), "Vec<u8>".into()));
-        assert!(find(&items, ItemKind::Struct, "Unit").fields.is_empty());
-    }
-
-    #[test]
-    fn enum_variants_and_payloads() {
-        let src = r#"
             pub enum Counter {
                 RefineRounds,
                 Custom(String, usize),
                 Rich { a: u8 },
             }
+            fn after() {}
         "#;
         let items = parse(src);
-        let e = find(&items, ItemKind::Enum, "Counter");
-        let names: Vec<&str> = e.fields.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["RefineRounds", "Custom", "Rich"]);
-        assert_eq!(e.fields[1].1, "String, usize");
+        let kinds: Vec<(ItemKind, &str)> = items.iter().map(|i| (i.kind, i.name.as_str())).collect();
+        assert_eq!(
+            kinds,
+            [
+                (ItemKind::Struct, "Table"),
+                (ItemKind::Struct, "Pair"),
+                (ItemKind::Struct, "Unit"),
+                (ItemKind::Enum, "Counter"),
+                (ItemKind::Fn, "after"),
+            ]
+        );
     }
 
     #[test]
-    fn statics_consts_and_thread_local() {
+    fn statics_and_consts() {
         let src = r#"
             static mut GLOBAL: usize = 0;
             pub const LIMIT: u32 = 10;
@@ -761,15 +595,10 @@ mod tests {
             static PLAIN: AtomicU64 = AtomicU64::new(0);
         "#;
         let items = parse(src);
-        let g = find(&items, ItemKind::Static, "GLOBAL");
-        assert!(g.is_mut && !g.thread_local);
-        assert_eq!(g.type_text, "usize");
-        let limit = find(&items, ItemKind::Const, "LIMIT");
-        assert_eq!(limit.type_text, "u32");
-        let stack = find(&items, ItemKind::Static, "STACK");
-        assert!(stack.thread_local);
-        assert_eq!(stack.type_text, "RefCell<Vec<u8>>");
-        assert!(!find(&items, ItemKind::Static, "PLAIN").thread_local);
+        for name in ["GLOBAL", "STACK", "PLAIN"] {
+            find(&items, ItemKind::Static, name);
+        }
+        find(&items, ItemKind::Const, "LIMIT");
     }
 
     #[test]

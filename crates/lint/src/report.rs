@@ -113,8 +113,7 @@ fn gh_escape(s: &str) -> String {
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control bytes).
-/// Shared with the send-safety report writer.
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -13,7 +13,6 @@ pub mod error_taxonomy;
 pub mod narrowing_cast;
 pub mod nested_vec_adjacency;
 pub mod offline_guard;
-pub mod shared_state_screen;
 
 /// How severe a finding is. Every current rule is `Deny` (the binary
 /// exits non-zero); the field exists so future advisory rules can ship
@@ -87,7 +86,7 @@ pub struct FileCtx<'a> {
     /// are dropped by the engine, but rules may also consult this to
     /// avoid analyzing test-only functions.
     pub test_spans: &'a [(usize, usize)],
-    /// Parsed items (fns with body spans, impls, structs, statics, …)
+    /// Parsed items (fns with body spans, impls, structs, …)
     /// — see [`crate::parse::items`].
     pub items: &'a [crate::parse::Item],
 }
@@ -180,12 +179,6 @@ pub fn ws_catalog() -> &'static [WsRuleMeta] {
             severity: Severity::Deny,
             summary: "looping/recursive functions in refine/canon/core must reach the Budget machinery through the call graph",
             check: budget_reachability::check,
-        },
-        WsRuleMeta {
-            id: shared_state_screen::ID,
-            severity: Severity::Deny,
-            summary: "no static mut / Rc / RefCell / raw-pointer shared state reachable from the build/refine/canon hot path",
-            check: shared_state_screen::check,
         },
     ]
 }

@@ -4,9 +4,9 @@
 //! Resolution is by *name*, deliberately over-approximated: `dvicl-lint`
 //! has no type information, so a call `x.refine()` resolves to every
 //! workspace function named `refine`. For the reachability questions
-//! the rules ask ("can this loop reach a budget checkpoint?", "is this
-//! type touched from the hot path?") an over-approximation in the edge
-//! set means *fewer* findings, never false ones from missing edges.
+//! the rules ask ("can this loop reach a budget checkpoint?") an
+//! over-approximation in the edge set means *fewer* findings, never
+//! false ones from missing edges.
 
 use crate::parse::{Item, ItemKind};
 use crate::FileData;
@@ -29,10 +29,6 @@ pub struct SymbolTable {
     pub fns: Vec<SymRef>,
     /// Function name → indices into [`SymbolTable::fns`].
     pub fns_by_name: HashMap<String, Vec<usize>>,
-    /// Every `Static` item.
-    pub statics: Vec<SymRef>,
-    /// Every `Struct` item.
-    pub structs: Vec<SymRef>,
 }
 
 impl SymbolTable {
@@ -41,19 +37,14 @@ impl SymbolTable {
         for (fi, file) in files.iter().enumerate() {
             for (ii, item) in file.items.iter().enumerate() {
                 let r = SymRef { file: fi, item: ii };
-                match item.kind {
-                    ItemKind::Fn if item.body.is_some() => {
-                        let id = table.fns.len();
-                        table.fns.push(r);
-                        table
-                            .fns_by_name
-                            .entry(item.name.clone())
-                            .or_default()
-                            .push(id);
-                    }
-                    ItemKind::Static => table.statics.push(r),
-                    ItemKind::Struct => table.structs.push(r),
-                    _ => {}
+                if item.kind == ItemKind::Fn && item.body.is_some() {
+                    let id = table.fns.len();
+                    table.fns.push(r);
+                    table
+                        .fns_by_name
+                        .entry(item.name.clone())
+                        .or_default()
+                        .push(id);
                 }
             }
         }

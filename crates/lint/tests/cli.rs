@@ -45,7 +45,6 @@ fn workspace_is_lint_clean() {
 fn tripping_fixture_exits_nonzero() {
     for (group, rel) in [
         ("budget_reachability", "crates/refine/src/partition.rs"),
-        ("shared_state_screen", "crates/core/src/build.rs"),
         ("error_taxonomy", "crates/core/src/fixture.rs"),
         ("narrowing_cast", "crates/core/src/fixture.rs"),
         ("offline_guard", "crates/core/src/fixture.rs"),
@@ -103,8 +102,9 @@ fn list_rules_covers_the_catalog() {
     let out = bin().arg("--list-rules").output().expect("run dvicl-lint");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success());
-    // The six analyzer rules plus the two pragma meta-rules, and
-    // nothing else: the retired rules are clippy denials or types now.
+    // The five analyzer rules plus the two pragma meta-rules, and
+    // nothing else: the retired rules are clippy denials, types or
+    // rustc checks now.
     let listed: Vec<&str> = stdout
         .lines()
         .filter_map(|l| l.split_whitespace().next())
@@ -117,7 +117,6 @@ fn list_rules_covers_the_catalog() {
             "nested-vec-adjacency",
             "offline-guard",
             "budget-reachability",
-            "shared-state-screen",
             "pragma-missing-reason",
             "pragma-unknown-rule",
         ],
@@ -145,30 +144,6 @@ fn github_format_emits_error_annotations() {
     );
     assert!(stdout.contains("title=narrowing-cast::"), "{stdout}");
     assert!(stdout.contains("::notice title=dvicl-lint::"), "{stdout}");
-}
-
-#[test]
-fn send_safety_report_covers_the_arena_types() {
-    let out = bin()
-        .arg("--root")
-        .arg(workspace_root())
-        .arg("--send-safety-report")
-        .arg("-")
-        .output()
-        .expect("run dvicl-lint");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("\"schema\":\"dvicl-send-safety-v1\""), "{stdout}");
-    for ty in ["Sub", "SubCell", "Division", "ArenaMark", "SubArena"] {
-        assert!(stdout.contains(&format!("\"name\":\"{ty}\"")), "missing {ty}:\n{stdout}");
-    }
-    // The parallel-build gate: every covered type must be send-ready.
-    assert!(!stdout.contains("\"status\":\"blocked\""), "{stdout}");
-    // `-` owns stdout: the report must be pipeable JSON, with the lint
-    // summary diverted to stderr.
-    assert_eq!(stdout.trim().lines().count(), 1, "stdout must be pure JSON:\n{stdout}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("finding(s)"), "lint summary should move to stderr:\n{stderr}");
 }
 
 #[test]

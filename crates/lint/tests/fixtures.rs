@@ -22,18 +22,12 @@ fn lint_fixture(group: &str, name: &str, rel: &str) -> (Vec<&'static str>, usize
 }
 
 /// (fixture dir, rule id, rel path to lint under, findings expected in trip.rs)
-const CASES: [(&str, &str, &str, usize); 5] = [
+const CASES: [(&str, &str, &str, usize); 4] = [
     (
         "budget_reachability",
         "budget-reachability",
         "crates/refine/src/partition.rs",
         2,
-    ),
-    (
-        "shared_state_screen",
-        "shared-state-screen",
-        "crates/core/src/build.rs",
-        4,
     ),
     (
         "error_taxonomy",
@@ -121,18 +115,6 @@ fn budget_fixture_is_inert_outside_governed_crates() {
     // The same tripping source is fine in an ungoverned crate.
     let (rules, _) = lint_fixture("budget_reachability", "trip.rs", "crates/apps/src/other.rs");
     assert!(!rules.contains(&"budget-reachability"), "{rules:?}");
-}
-
-#[test]
-fn shared_state_fixture_is_inert_off_the_hot_path() {
-    // The Rc/raw-pointer functions are fine in a file no hot root
-    // reaches; the global statics are flagged everywhere.
-    let (rules, _) = lint_fixture("shared_state_screen", "trip.rs", "crates/apps/src/other.rs");
-    assert_eq!(
-        rules.iter().filter(|r| **r == "shared-state-screen").count(),
-        2,
-        "{rules:?}"
-    );
 }
 
 #[test]

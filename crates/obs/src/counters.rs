@@ -85,13 +85,6 @@ crate::catalog! {
         /// Builds served by a `core::Session` that reused its arena pools
         /// and CombineCL memo from an earlier build (`core::Session`).
         SessionArenaReuses = "session_arena_reuses",
-        /// Subtree jobs spawned onto the work-stealing pool — fragments
-        /// built away from their parent's call stack (`core::pool`).
-        PoolTasks = "pool_tasks",
-        /// Pool jobs executed by a worker other than the one that spawned
-        /// them (`core::pool`). `pool_tasks - pool_steals` jobs were
-        /// popped back by their owner.
-        PoolSteals = "pool_steals",
         /// Cell splits whose splitter-neighbor counts came from
         /// word-parallel `popcount(adjacency row & splitter mask)` instead
         /// of an adjacency-list scatter (`refine::Refiner`).

@@ -57,8 +57,6 @@ crate::catalog! {
         CoreVerify = "core.verify",
         /// One symmetric-subgraph-matching query (`core::ssm`).
         CoreSsm = "core.ssm",
-        /// One job run by a parallel-build pool worker (`dvicl-pool`).
-        PoolTask = "pool.task",
         /// Writing a fingerprint index to disk (`dvicl-index`).
         IndexSave = "index.save",
         /// Reading a fingerprint index from disk (`dvicl-index`).

@@ -11,9 +11,7 @@
 //! certificates: one insert per graph, isomorphic graphs land in one
 //! class, and the class member counts are the duplicate counts.
 //!
-//! Run with `cargo run --release --example chem_dedup` — add
-//! `-- --threads 4` to canonicalize each graph with a parallel build
-//! (certificates, classes, and counts are byte-identical at any width).
+//! Run with `cargo run --release --example chem_dedup`.
 
 use dvicl::core::{DviclOptions, Session};
 use dvicl::graph::{named, Graph, Perm, V};
@@ -51,28 +49,11 @@ fn shuffle(g: &Graph, salt: u64) -> Graph {
     g.permuted(&Perm::from_image(image).expect("shuffle is a bijection"))
 }
 
-/// Parses `--threads N` (default 1, `0` = all cores) from the example's
-/// arguments.
-fn threads_flag() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--threads") {
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--threads requires a count (0 = all cores)");
-                std::process::exit(2);
-            }),
-        None => 1,
-    }
-}
-
 #[expect(
     clippy::expect_used,
     reason = "example code: a failure here is a bug in the example itself"
 )]
 fn main() {
-    let threads = threads_flag();
     // Build a collection with every library graph appearing under several
     // random relabelings.
     let mut collection: Vec<(String, Graph)> = Vec::new();
@@ -85,10 +66,7 @@ fn main() {
 
     // One session, one index: each graph costs one canonicalization and
     // one fingerprint probe, however large the collection grows.
-    let mut session = Session::new(DviclOptions {
-        threads,
-        ..DviclOptions::default()
-    });
+    let mut session = Session::new(DviclOptions::default());
     let mut index = FingerprintIndex::new();
     let mut names_by_class: Vec<Vec<String>> = Vec::new();
     for (name, g) in &collection {

@@ -9,10 +9,9 @@
 //! that the sites actually executed are exactly `Site::ALL`: edge-list
 //! parsing, graph6 decoding, a divided AutoTree build (which exercises
 //! refinement, individualization, arena carves, leaf IR, DFS search,
-//! and the budget), a threaded build (which exercises pool spawns), a
-//! symmetric-subgraph-matching query, and a fingerprint index insert
-//! plus a DVIX1 round trip. This test is its own binary because the
-//! fault plan is process-global.
+//! and the budget), a symmetric-subgraph-matching query, and a
+//! fingerprint index insert plus a DVIX1 round trip. This test is its
+//! own binary because the fault plan is process-global.
 
 use dvicl::core::ssm::{symmetric_key, SsmIndex};
 use dvicl::core::{build_autotree, DviclOptions};
@@ -61,26 +60,6 @@ fn registry_and_probe_agree() {
         .expect("parse cycle edge list")
         .graph;
     let _cycle_tree = build_autotree(&cycle, &Coloring::unit(cycle.n()), &DviclOptions::default());
-
-    // pool.spawn: a threaded build over a graph whose components are
-    // large enough (>= the spawn threshold) to be exported to the
-    // work-stealing pool.
-    let mut two_cycles = String::new();
-    for i in 0u32..64 {
-        two_cycles.push_str(&format!("{} {}\n", i, (i + 1) % 64));
-        two_cycles.push_str(&format!("{} {}\n", 64 + i, 64 + (i + 1) % 64));
-    }
-    let tc = io::read_edge_list(two_cycles.as_bytes())
-        .expect("parse two-cycle edge list")
-        .graph;
-    let _par_tree = build_autotree(
-        &tc,
-        &Coloring::unit(tc.n()),
-        &DviclOptions {
-            threads: 2,
-            ..DviclOptions::default()
-        },
-    );
 
     // index.insert + index.load: ingest a certificate into a
     // fingerprint index and round-trip it through the DVIX1 format.

@@ -25,12 +25,6 @@
 //! the test stays in the seconds range. `DVICL_FAULT_SWEEP=full` — set
 //! by the CI fault-sweep job, which runs in release — covers the whole
 //! corpus and asserts the ≥100-injection-point floor.
-//!
-//! The `pool.spawn` checkpoint only fires in threaded builds, so the
-//! sweep ends with a dedicated section: trip/cancel injections at every
-//! spawn of a 4-thread build, each followed by a clean rebuild in the
-//! same session that must reproduce the reference certificate — the
-//! no-panic and no-arena-leak halves of the DESIGN.md §14 contract.
 
 use dvicl::core::{build_autotree_resilient, verify, DviclOptions};
 use dvicl::govern::fault::{self, FaultPlan, Site};
@@ -163,83 +157,6 @@ fn sweep_injects_faults_at_every_checkpoint() {
             reference,
             "{name}: canonical form drifted after the sweep"
         );
-    }
-
-    // The parallel surface: `pool.spawn` only fires in threaded builds,
-    // so it gets its own sweep over a graph whose components clear the
-    // spawn threshold. Every injection must leave the process alive
-    // (workers are panic-free by design — errors travel inside join
-    // cells) and leave the session's worker arenas balanced, which the
-    // post-fault clean rebuilds prove: a leaked arena segment would
-    // shift later adoptions and with them the certificate.
-    let two_cycles = {
-        let c64 = dvicl::graph::named::cycle(64);
-        c64.disjoint_union(&dvicl::graph::named::cycle(64))
-    };
-    let par_opts = DviclOptions {
-        threads: 4,
-        ..DviclOptions::default()
-    };
-    let budget = || Budget::new(Some(Duration::from_secs(60)), None);
-    fault::install(FaultPlan::probe());
-    let reference = build_autotree_resilient(
-        &two_cycles,
-        &Coloring::unit(two_cycles.n()),
-        &par_opts,
-        &budget(),
-    )
-    .expect("clean threaded probe");
-    let spawns = fault::hit_counts()
-        .iter()
-        .find(|&&(site, _)| site == Site::PoolSpawn)
-        .map(|&(_, count)| count)
-        .unwrap_or(0);
-    fault::clear();
-    assert!(spawns >= 2, "threaded probe must spawn both components, saw {spawns}");
-    let mut session = dvicl::core::Session::new(par_opts.clone());
-    let reference_form = reference.tree.canonical_form().to_form();
-    for k in 1..=spawns {
-        for action in [FaultAction::Trip, FaultAction::Cancel] {
-            fault::install(FaultPlan::one(action, Site::PoolSpawn, k));
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                session.try_build(&two_cycles, &Coloring::unit(two_cycles.n()), &budget())
-            }));
-            fault::clear();
-            let outcome = outcome.unwrap_or_else(|_| {
-                panic!("{}@pool.spawn:{k} made the threaded build panic", action.name())
-            });
-            points += 1;
-            match outcome {
-                Ok(tree) => {
-                    verify::verify_tree(&two_cycles, &tree).unwrap_or_else(|e| {
-                        panic!("{}@pool.spawn:{k} witness failure: {e}", action.name())
-                    });
-                }
-                Err(e) => {
-                    let code = e.exit_code();
-                    assert!(
-                        code == 2 || code == 3,
-                        "{}@pool.spawn:{k} gave undocumented exit {code}: {e}",
-                        action.name()
-                    );
-                    typed_errors += 1;
-                }
-            }
-            // No arena leaks: the same session, its worker arenas
-            // included, must certify byte-identically right after the
-            // injected failure.
-            let clean = session
-                .try_build(&two_cycles, &Coloring::unit(two_cycles.n()), &budget())
-                .unwrap_or_else(|e| {
-                    panic!("post-{}@pool.spawn:{k} clean build failed: {e}", action.name())
-                });
-            assert_eq!(
-                clean.canonical_form().to_form(),
-                reference_form,
-                "{}@pool.spawn:{k}: certificate drifted after the injection",
-                action.name()
-            );
-        }
     }
 
     if full_sweep() {
