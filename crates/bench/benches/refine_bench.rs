@@ -2,8 +2,9 @@
 //! both the IR baseline and DviCL.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dvicl_govern::Budget;
 use dvicl_graph::Coloring;
-use dvicl_refine::{refine, refine_individualized};
+use dvicl_refine::{refine, Refiner};
 
 fn bench_refine(c: &mut Criterion) {
     let mut group = c.benchmark_group("refine");
@@ -20,20 +21,23 @@ fn bench_refine(c: &mut Criterion) {
             b.iter(|| refine(g, &pi));
         });
         group.bench_with_input(BenchmarkId::new("individualize", name), g, |b, g| {
-            let pi = refine(g, &Coloring::unit(g.n())).coloring;
-            // Individualize the first vertex of the first non-singleton
-            // cell (or vertex 0 on discrete colorings).
-            let v = pi
+            // One search-tree child on the refined root, in place:
+            // individualize the first vertex of the first non-singleton
+            // cell, then undo (nothing to do on a discrete root).
+            let budget = Budget::unlimited();
+            let mut refiner = Refiner::new();
+            let _ = refiner.try_refine_in_place(g, &Coloring::unit(g.n()), &budget);
+            let v = refiner
+                .partition()
                 .cells()
-                .iter()
                 .find(|c| c.len() > 1)
-                .map(|c| c[0])
-                .unwrap_or(0);
-            if pi.cell_len_of(v) > 1 {
-                b.iter(|| refine_individualized(g, &pi, v));
-            } else {
-                b.iter(|| refine(g, &pi));
-            }
+                .map(|c| c[0]);
+            b.iter(|| {
+                if let Some(v) = v {
+                    let _ = refiner.try_individualize(g, v, &budget);
+                    refiner.undo();
+                }
+            });
         });
     }
     group.finish();

@@ -6,7 +6,7 @@ use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{CanonForm, Coloring, Graph, Perm, V};
 use dvicl_group::Orbits;
 use dvicl_obs::{self as obs, Counter, Phase};
-use dvicl_refine::Refiner;
+use dvicl_refine::{PartitionView, Refiner};
 use std::cmp::Ordering;
 
 /// Target cell selector `T` (Section 4): which non-singleton cell of the
@@ -36,18 +36,15 @@ pub enum TargetCell {
 }
 
 impl TargetCell {
-    /// Applies the selector to an equitable coloring of `g`; `None` if
-    /// discrete.
-    pub fn select<'a>(&self, g: &Graph, pi: &'a Coloring) -> Option<&'a [V]> {
-        let non_singleton = pi.cells().iter().filter(|c| c.len() > 1);
+    /// Applies the selector to an equitable partition of `g`; `None` if
+    /// discrete. The returned cell lists its members in no particular
+    /// order.
+    pub fn select<'a>(&self, g: &Graph, pi: PartitionView<'a>) -> Option<&'a [V]> {
+        let mut non_singleton = pi.cells().filter(|c| c.len() > 1);
         match self {
-            TargetCell::FirstNonSingleton => non_singleton.map(|c| c.as_slice()).next(),
-            TargetCell::SmallestFirst => non_singleton
-                .min_by_key(|c| c.len())
-                .map(|c| c.as_slice()),
-            TargetCell::LargestFirst => non_singleton
-                .max_by_key(|c| c.len())
-                .map(|c| c.as_slice()),
+            TargetCell::FirstNonSingleton => non_singleton.next(),
+            TargetCell::SmallestFirst => non_singleton.min_by_key(|c| c.len()),
+            TargetCell::LargestFirst => non_singleton.max_by_key(|c| c.len()),
             TargetCell::MostConstrained => {
                 let mut best: Option<(&'a [V], usize)> = None;
                 let mut cols: Vec<u32> = Vec::new();
@@ -59,7 +56,7 @@ impl TargetCell {
                     // Strict > keeps the first cell on ties, matching the
                     // position-order tiebreak of the other selectors.
                     if best.is_none_or(|(_, sat)| cols.len() > sat) {
-                        best = Some((c.as_slice(), cols.len()));
+                        best = Some((c, cols.len()));
                     }
                 }
                 best.map(|(c, _)| c)
@@ -188,39 +185,120 @@ fn mix(h: u64, x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The seed of every quotient hash.
+const QUOTIENT_BASE: u64 = 0x900d_0a90_0000_0000;
+
+/// The hash of one edge whose endpoints have colors `a` and `b`.
+#[inline]
+fn edge_hash(a: V, b: V) -> u64 {
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    mix(0x0ed9_e0ed_9e0e_d9e0, u64::from(lo) << 32 | u64::from(hi))
+}
+
 /// Quotient-graph invariant: a commutative hash over the multiset of
-/// color-pairs of all edges under the node's coloring. Two tree nodes with
+/// color-pairs of all edges under the node's coloring,
+/// `QUOTIENT_BASE + Σ_edges edge_hash` (wrapping). Two tree nodes with
 /// different quotient multisets cannot lead to equal leaves, so this prunes
 /// the "dead subtrees" (invariant-identical until the bottom) that plain
 /// refinement traces miss on geometric graphs; at a *discrete* coloring it
 /// hashes the full certificate, which is what makes the automorphism
 /// jump-back reliable (bliss's certificate-hash idea).
+///
+/// This is the definition, an O(m) edge scan; the search computes the
+/// same value with [`quotient_hash_by_cells`] or [`quotient_hash_delta`],
+/// and the tests check both against it.
+#[cfg(test)]
 fn quotient_hash(g: &Graph, pi: &Coloring) -> u64 {
-    let mut acc: u64 = 0x900d_0a90_0000_0000;
+    let mut acc = QUOTIENT_BASE;
     for u in 0..g.n() as V {
-        let cu = pi.color_of(u) as u64;
         for &w in g.neighbors(u) {
             if w > u {
-                let cw = pi.color_of(w) as u64;
-                let key = if cu <= cw { cu << 32 | cw } else { cw << 32 | cu };
                 // Commutative combination: edge enumeration order is not
                 // isomorphism-invariant, a sum of strong per-edge hashes is.
-                acc = acc.wrapping_add(mix(0x0ed9_e0ed_9e0e_d9e0, key));
+                acc = acc.wrapping_add(edge_hash(pi.color_of(u), pi.color_of(w)));
             }
         }
     }
     acc
 }
 
-/// The certificate edges of `g` under the discrete coloring `pi`, in row
-/// order: row `a` is the vertex labeled `a` and holds the labels above
-/// `a` of its neighbors, ascending. A counting pass sizes the rows; a
-/// second pass walks the columns `b` in label order and appends `(a, b)`
-/// to the row of every neighbor labeled `a < b`, so each row fills in
-/// ascending order with no comparison sort. O(n + m), against the
-/// O(m log m) relabel-and-sort of `CanonForm::new` that it equals.
-fn leaf_edges(g: &Graph, pi: &Coloring) -> Vec<(V, V)> {
-    let label = pi.colors();
+/// [`quotient_hash`] of an *equitable* partition from its quotient graph:
+/// every member of cell `i` has the same number `d_ij` of neighbors in
+/// cell `j`, so `e_ij = |C_i|·d_ij` edges join the two cells (half that
+/// for `i = j`), and the edge sum is `Σ_{i ≤ j} e_ij · edge_hash(i, j)`.
+/// Reads one representative's neighbors per cell.
+fn quotient_hash_by_cells(g: &Graph, pi: PartitionView<'_>) -> u64 {
+    let mut acc = QUOTIENT_BASE;
+    for cell in pi.cells() {
+        let ci = pi.color_of(cell[0]);
+        let mut above = 0u64;
+        let mut inside = 0u64;
+        for &w in g.neighbors(cell[0]) {
+            let cw = pi.color_of(w);
+            if cw > ci {
+                above = above.wrapping_add(edge_hash(ci, cw));
+            } else if cw == ci {
+                inside += 1;
+            }
+        }
+        let size = cell.len() as u64;
+        acc = acc.wrapping_add(size.wrapping_mul(above));
+        acc = acc.wrapping_add((size * inside / 2).wrapping_mul(edge_hash(ci, ci)));
+    }
+    acc
+}
+
+/// The [`quotient_hash`] of the refiner's partition right after an
+/// individualization, given the parent's hash. Chooses per node:
+///
+/// * when the recolored vertices' degrees sum to at most `m`,
+///   [`quotient_hash_delta`];
+/// * otherwise [`quotient_hash_by_cells`], which never reads more than
+///   `2m` neighbor entries.
+fn child_quotient_hash(g: &Graph, refiner: &Refiner, parent: u64) -> u64 {
+    let degrees: usize = refiner.recolored().iter().map(|&(v, _)| g.degree(v)).sum();
+    if degrees > g.m() {
+        quotient_hash_by_cells(g, refiner.partition())
+    } else {
+        quotient_hash_delta(g, refiner, parent)
+    }
+}
+
+/// The [`quotient_hash`] of the refiner's partition from its parent's,
+/// `parent`: an edge's hash moves only if an endpoint's color does, so the
+/// change is summed over the edges of the vertices the latest
+/// individualization recolored.
+// dvicl-lint: allow(budget-reachability) -- reads the edges of the recolored vertices only, bounded by the metered refinement that recolored them
+fn quotient_hash_delta(g: &Graph, refiner: &Refiner, parent: u64) -> u64 {
+    let pi = refiner.partition();
+    let mut acc = parent;
+    for &(u, old_u) in refiner.recolored() {
+        let new_u = pi.color_of(u);
+        for &w in g.neighbors(u) {
+            let new_w = pi.color_of(w);
+            let old_w = match refiner.recolored_from(w) {
+                // Both ends moved: count the edge from its lower end.
+                Some(_) if w < u => continue,
+                Some(old_w) => old_w,
+                None => new_w,
+            };
+            acc = acc
+                .wrapping_add(edge_hash(new_u, new_w))
+                .wrapping_sub(edge_hash(old_u, old_w));
+        }
+    }
+    acc
+}
+
+/// The certificate edges of the labeled graph whose vertex `v` has label
+/// `label[v]` and whose label-`b` vertex is `at[b]`, in row order: row
+/// `a` is the vertex labeled `a` and holds the labels above `a` of its
+/// neighbors, ascending. A counting pass sizes the rows; a second pass
+/// walks the columns `b` in label order and appends `(a, b)` to the row
+/// of every neighbor labeled `a < b`, so each row fills in ascending
+/// order with no comparison sort. O(n + m), against the O(m log m)
+/// relabel-and-sort of `CanonForm::new` that it equals.
+fn leaf_edges(g: &Graph, label: &[V], at: &[V]) -> Vec<(V, V)> {
     let mut row_start = vec![0; g.n() + 1];
     for (v, &a) in (0..).zip(label) {
         row_start[a as usize + 1] = g
@@ -233,8 +311,8 @@ fn leaf_edges(g: &Graph, pi: &Coloring) -> Vec<(V, V)> {
         row_start[a] += row_start[a - 1];
     }
     let mut out = vec![(0, 0); row_start[g.n()]];
-    for (b, cell) in (0..).zip(pi.cells()) {
-        for &w in g.neighbors(cell[0]) {
+    for (b, &v) in (0..).zip(at) {
+        for &w in g.neighbors(v) {
             let a = label[w as usize];
             if a < b {
                 out[row_start[a as usize]] = (a, b);
@@ -344,12 +422,12 @@ pub fn try_canonical_form_with(
             tree: s.tree,
         });
     }
-    let root = s.refiner.try_refine(g, pi, budget)?;
-    let root_inv = mix(root.trace, quotient_hash(g, &root.coloring));
+    let root_trace = s.refiner.try_refine_in_place(g, pi, budget)?;
+    let root_hash = quotient_hash_by_cells(g, s.refiner.partition());
     let mut fixed: Vec<V> = Vec::new();
     s.dfs(
-        &root.coloring,
-        root_inv,
+        root_hash,
+        mix(root_trace, root_hash),
         0,
         true,
         Ordering::Equal,
@@ -399,17 +477,19 @@ struct Search<'a> {
     orbits: Orbits,
     stats: SearchStats,
     tree: Option<SearchTree>,
-    /// Reused refinement buffers: one refinement per DFS node, zero
-    /// per-node partition allocations. Borrowed from
-    /// the caller ([`try_canonical_form_with`]) so the buffers also
-    /// survive across searches.
+    /// The search's one partition: each child individualizes and refines
+    /// it in place, and backtracking undoes that. Borrowed from the caller
+    /// ([`try_canonical_form_with`]) so the buffers also survive across
+    /// searches.
     refiner: &'a mut Refiner,
 }
 
 impl<'a> Search<'a> {
-    /// DFS over the IR tree.
+    /// DFS over the IR tree. The node's coloring is the refiner's
+    /// partition.
     ///
-    /// `inv` is the node invariant of this node (its refinement trace);
+    /// `quotient` is the node's [`quotient_hash`] and `inv` its node
+    /// invariant (the refinement trace mixed with `quotient`);
     /// `on_first` says whether the path so far matches the leftmost path's
     /// invariants; `best_cmp` is the lexicographic status of the current
     /// path against the best path (`Equal` while tracking, `Less` once this
@@ -417,7 +497,7 @@ impl<'a> Search<'a> {
     #[allow(clippy::too_many_arguments)]
     fn dfs(
         &mut self,
-        pi: &Coloring,
+        quotient: u64,
         inv: u64,
         depth: u32,
         mut on_first: bool,
@@ -430,7 +510,7 @@ impl<'a> Search<'a> {
         self.stats.max_depth = self.stats.max_depth.max(depth);
         dvicl_govern::fault::checkpoint(Site::CanonDfs)?;
         self.budget.spend(1)?;
-        let node_id = self.record_node(pi, depth, parent_edge);
+        let node_id = self.record_node(depth, parent_edge);
         let d = depth as usize;
 
         // Maintain the first-path status.
@@ -476,46 +556,51 @@ impl<'a> Search<'a> {
             }
         }
 
-        let target = self.config.target_cell.select(self.g, pi).map(|c| c.to_vec());
-        let Some(target) = target else {
-            return self.visit_leaf(pi, d, on_first, best_cmp, fixed);
+        let Some(cell) = self
+            .config
+            .target_cell
+            .select(self.g, self.refiner.partition())
+        else {
+            return self.visit_leaf(d, on_first, best_cmp, fixed);
         };
+        // Candidates in ascending vertex id: the order decides the first
+        // leaf, the jump-back and P_C, so it must not depend on how the
+        // partition happens to order a cell's members.
+        let mut target = cell.to_vec();
+        target.sort_unstable();
 
         // P_C: two sibling branches individualizing vertices in one orbit
         // of the subgroup of discovered automorphisms that fixes the whole
         // individualized sequence `ν` lead to equivalent subtrees (the
         // stabilizer element maps one onto the other, preserving both the
         // certificate order and the automorphisms discoverable below).
-        // The orbit structure for P_C is grown *incrementally* and
-        // *lazily*: most nodes only ever explore their first candidate
-        // (the jump-back abandons the rest), so no orbit work happens
-        // until a second candidate is actually examined.
-        let mut stab_orbits: Option<Orbits> = None;
+        // Such an automorphism maps every cell of this node's equitable
+        // coloring onto itself, so its orbits are tracked on the target
+        // cell alone: `orbits` acts on indices into `target`. They are
+        // grown *incrementally* and *lazily*: most nodes only ever explore
+        // their first candidate (the jump-back abandons the rest), so no
+        // orbit work happens until a second candidate is actually
+        // examined.
+        let mut orbits: Option<Orbits> = None;
         let mut gens_seen = 0usize;
-        let mut processed: Vec<V> = Vec::with_capacity(4);
-        for &v in &target {
-            if !processed.is_empty() {
-                let stab = stab_orbits.get_or_insert_with(|| Orbits::identity(self.g.n()));
-                while gens_seen < self.generators.len() {
-                    let gen = &self.generators[gens_seen];
-                    if fixed.iter().all(|&x| gen.apply(x) == x) {
-                        stab.absorb(gen);
-                    }
-                    gens_seen += 1;
-                }
-                if processed.iter().any(|&w| stab.same(v, w)) {
+        let mut explored: Vec<V> = Vec::with_capacity(4);
+        for (i, &v) in (0..).zip(&target) {
+            if !explored.is_empty() {
+                let orbits = orbits.get_or_insert_with(|| Orbits::identity(target.len()));
+                self.absorb_new_generators(&target, orbits, &mut gens_seen, fixed);
+                if explored.iter().any(|&j| orbits.same(i, j)) {
                     self.stats.pruned_orbit += 1;
                     obs::bump(Counter::PrunedOrbit);
                     continue;
                 }
             }
-            processed.push(v);
-            let child = self.refiner.try_refine_individualized(self.g, pi, v, self.budget)?;
-            let child_inv = mix(child.trace, quotient_hash(self.g, &child.coloring));
+            explored.push(i);
+            let trace = self.refiner.try_individualize(self.g, v, self.budget)?;
+            let child_hash = child_quotient_hash(self.g, self.refiner, quotient);
             fixed.push(v);
             let r = self.dfs(
-                &child.coloring,
-                child_inv,
+                child_hash,
+                mix(trace, child_hash),
                 depth + 1,
                 on_first,
                 best_cmp,
@@ -524,6 +609,7 @@ impl<'a> Search<'a> {
             );
             fixed.pop();
             r?;
+            self.refiner.undo();
             // Jump-back: an automorphism discovered below proves the
             // remaining siblings' subtrees are images of explored ones.
             if let Some(t) = self.unwind_to {
@@ -536,9 +622,36 @@ impl<'a> Search<'a> {
         Ok(())
     }
 
+    /// Joins in `orbits`, which acts on indices into the sorted target
+    /// cell `target`, every member with its image under each generator
+    /// found since `gens_seen` that fixes `fixed` pointwise. Such a
+    /// generator maps the target cell onto itself, so each absorb costs
+    /// O(|cell| log |cell|), not O(n).
+    fn absorb_new_generators(
+        &self,
+        target: &[V],
+        orbits: &mut Orbits,
+        gens_seen: &mut usize,
+        fixed: &[V],
+    ) {
+        for gen in &self.generators[*gens_seen..] {
+            if !fixed.iter().all(|&x| gen.apply(x) == x) {
+                continue;
+            }
+            for (r, &u) in (0..).zip(target) {
+                let Ok(image) = target.binary_search(&gen.apply(u)) else {
+                    debug_assert!(false, "a generator fixing the prefix left the target cell");
+                    continue;
+                };
+                // dvicl-lint: allow(narrowing-cast) -- image indexes the target cell, which has at most n <= V::MAX members
+                orbits.union(r, image as V);
+            }
+        }
+        *gens_seen = self.generators.len();
+    }
+
     fn visit_leaf(
         &mut self,
-        pi: &Coloring,
         d: usize,
         on_first: bool,
         best_cmp: Ordering,
@@ -546,14 +659,14 @@ impl<'a> Search<'a> {
     ) -> Result<(), DviclError> {
         self.stats.leaves += 1;
         obs::bump(Counter::SearchLeaves);
+        let pi = self.refiner.partition();
         #[expect(
             clippy::expect_used,
-            reason = "handle_leaf is only called when target_cell found no non-singleton cell, i.e. pi is discrete"
+            reason = "visit_leaf is only called when target_cell found no non-singleton cell, so the colors are the positions 0..n"
         )]
-        let lambda = pi
-            .to_perm()
+        let lambda = Perm::from_image(pi.colors().to_vec())
             .expect("a node with no non-singleton cell is discrete");
-        let cert = leaf_edges(self.g, pi);
+        let cert = leaf_edges(self.g, pi.colors(), pi.vertices());
 
         if self.first_leaf.is_none() {
             // The reference leaf; it also seeds the best.
@@ -636,10 +749,10 @@ impl<'a> Search<'a> {
         true
     }
 
-    fn record_node(&mut self, pi: &Coloring, depth: u32, parent: Option<(usize, V)>) -> usize {
+    fn record_node(&mut self, depth: u32, parent: Option<(usize, V)>) -> usize {
         match &mut self.tree {
             Some(tree) => tree.push(NodeRecord {
-                coloring: pi.to_string(),
+                coloring: self.refiner.partition().to_coloring().to_string(),
                 depth,
                 parent: parent.map(|(p, _)| p),
                 individualized: parent.map(|(_, v)| v),
@@ -868,7 +981,7 @@ mod tests {
         ];
         for g in graphs {
             let perm = pseudo_random_perm(g.n());
-            let edges = leaf_edges(&g, &Coloring::from_labels(perm.as_slice()));
+            let edges = leaf_edges(&g, perm.as_slice(), perm.inverse().as_slice());
             let unit = Coloring::unit(g.n());
             let oracle = CanonForm::new(&g, unit.colors(), perm.as_slice());
             assert_eq!(edges, oracle.edges);
@@ -888,7 +1001,7 @@ mod tests {
         ) {
             // Density 0 leaves every vertex isolated, 8 gives K_n's full rows.
             let (g, perm) = random_graph_and_perm(n, density, &keys);
-            let edges = leaf_edges(&g, &Coloring::from_labels(perm.as_slice()));
+            let edges = leaf_edges(&g, perm.as_slice(), perm.inverse().as_slice());
             // The input coloring is arbitrary; its runs are the `colors`
             // half of every leaf certificate.
             let input: Vec<V> = (0..n).map(|v| (keys[v % 8] % cells) as V).collect();
@@ -896,6 +1009,44 @@ mod tests {
             let oracle = CanonForm::new(&g, pi0.colors(), perm.as_slice());
             proptest::prop_assert_eq!(&edges, &oracle.edges);
             proptest::prop_assert_eq!(color_runs(&pi0), oracle.colors);
+        }
+
+        /// Both node-hash methods equal the O(m) edge scan at every node
+        /// of a random individualization path, and so does their per-node
+        /// choice.
+        #[test]
+        fn node_hashes_match_the_edge_scan(
+            n in 1usize..40,
+            density in 0u64..9,
+            keys in proptest::collection::vec(proptest::prelude::any::<u64>(), 8),
+            cells in 1u64..4,
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..8),
+        ) {
+            let (g, _) = random_graph_and_perm(n, density, &keys);
+            let input: Vec<V> = (0..n).map(|v| (keys[v % 8] % cells) as V).collect();
+            let budget = Budget::unlimited();
+            let mut refiner = Refiner::new();
+            refiner.try_refine_in_place(&g, &Coloring::from_labels(&input), &budget).unwrap();
+            let mut hash = quotient_hash_by_cells(&g, refiner.partition());
+            proptest::prop_assert_eq!(hash, quotient_hash(&g, &refiner.partition().to_coloring()));
+            for pick in picks {
+                let targets: Vec<V> = refiner
+                    .partition()
+                    .cells()
+                    .filter(|c| c.len() > 1)
+                    .map(|c| c[pick as usize % c.len()])
+                    .collect();
+                if targets.is_empty() {
+                    break;
+                }
+                let v = targets[(pick >> 32) as usize % targets.len()];
+                refiner.try_individualize(&g, v, &budget).unwrap();
+                let scan = quotient_hash(&g, &refiner.partition().to_coloring());
+                proptest::prop_assert_eq!(quotient_hash_by_cells(&g, refiner.partition()), scan);
+                proptest::prop_assert_eq!(quotient_hash_delta(&g, &refiner, hash), scan);
+                proptest::prop_assert_eq!(child_quotient_hash(&g, &refiner, hash), scan);
+                hash = scan;
+            }
         }
     }
 }

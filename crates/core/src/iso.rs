@@ -25,7 +25,7 @@ pub fn find_isomorphism_colored(
     g2: &Graph,
     pi2: &Coloring,
 ) -> Option<Perm> {
-    if g1.n() != g2.n() || g1.m() != g2.m() {
+    if g1.n() != g2.n() || g1.m() != g2.m() || !crate::same_cell_sizes(pi1, pi2) {
         return None;
     }
     let opts = DviclOptions::default();
@@ -100,7 +100,7 @@ pub fn try_find_isomorphism_colored_outcome(
     pi2: &Coloring,
     budget: &Budget,
 ) -> Result<IsoOutcome, DviclError> {
-    if g1.n() != g2.n() || g1.m() != g2.m() {
+    if g1.n() != g2.n() || g1.m() != g2.m() || !crate::same_cell_sizes(pi1, pi2) {
         return Ok(IsoOutcome {
             mapping: None,
             degraded: false,

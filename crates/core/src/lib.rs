@@ -78,8 +78,24 @@ pub fn are_isomorphic_colored(g1: &Graph, pi1: &Coloring, g2: &Graph, pi2: &Colo
     let opts = DviclOptions::default();
     g1.n() == g2.n()
         && g1.m() == g2.m()
+        && same_cell_sizes(pi1, pi2)
         && build_autotree(g1, pi1, &opts).canonical_form()
             == build_autotree(g2, pi2, &opts).canonical_form()
+}
+
+/// True iff the two colorings have equal cell-size sequences.
+///
+/// An AutoTree certificate describes the *refined* input coloring, and
+/// refinement can carry colorings with different cell sizes onto the
+/// same refined one: `P₃ + K₁` colored `[isolated | rest]` and
+/// `[rest | center]` both refine to `[isolated | leaves | center]`. So
+/// two colored graphs are isomorphic iff their certificates are equal
+/// *and* this holds. Unit colorings of equal size always pass.
+pub(crate) fn same_cell_sizes(pi1: &Coloring, pi2: &Coloring) -> bool {
+    pi1.cells()
+        .iter()
+        .map(Vec::len)
+        .eq(pi2.cells().iter().map(Vec::len))
 }
 
 /// Budgeted [`are_isomorphic`] with graceful degradation: when the

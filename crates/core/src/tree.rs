@@ -237,7 +237,11 @@ impl AutoTree {
         self.nodes.is_empty()
     }
 
-    /// The certificate of the whole graph: `C(G, π)` at the root.
+    /// The certificate of the whole graph: `C(G, π)` at the root, where
+    /// `π` is the refined input coloring. Refinement can map colorings
+    /// with different cell sizes onto one refined coloring, so colored
+    /// inputs are isomorphic iff these certificates are equal and the
+    /// input colorings' cell sizes agree (`are_isomorphic_colored`).
     pub fn canonical_form(&self) -> FormRef<'_> {
         self.node(self.root).form()
     }

@@ -235,29 +235,6 @@ impl Coloring {
         Perm::from_image(self.color.clone())
     }
 
-    /// Individualizes vertex `v`: `v` is split out *in front of* the
-    /// remainder of its cell. Panics if `v`'s cell is a singleton.
-    #[expect(
-        clippy::expect_used,
-        reason = "splitting one cell into {v} and the rest preserves the partition property"
-    )]
-    pub fn individualize(&self, v: V) -> Coloring {
-        let mut cells: Vec<Vec<V>> = Vec::with_capacity(self.cells.len() + 1);
-        let mut found = false;
-        for cell in &self.cells {
-            if cell.contains(&v) {
-                assert!(cell.len() > 1, "individualizing a singleton cell");
-                cells.push(vec![v]);
-                cells.push(cell.iter().copied().filter(|&u| u != v).collect());
-                found = true;
-            } else {
-                cells.push(cell.clone());
-            }
-        }
-        assert!(found, "vertex not in coloring");
-        Coloring::from_cells(cells).expect("individualization keeps a partition")
-    }
-
     /// Projects the coloring onto the vertex subset `verts` (the paper's
     /// `π_g`), relabeling to local indices `0..verts.len()` in the order
     /// given. Cells keep their relative order; empty intersections vanish.
@@ -387,14 +364,6 @@ mod tests {
         .unwrap();
         let p = pi.to_perm().unwrap();
         assert_eq!(p, Perm::from_cycles(8, &[&[1, 3], &[5, 6]]).unwrap());
-    }
-
-    #[test]
-    fn individualize_splits_in_front() {
-        let pi = Coloring::from_cells(vec![vec![0, 1, 2, 3], vec![4, 5, 6], vec![7]]).unwrap();
-        let out = pi.individualize(4);
-        assert_eq!(out.to_string(), "[0,1,2,3|4|5,6|7]");
-        assert!(out.is_finer_or_equal(&pi));
     }
 
     #[test]

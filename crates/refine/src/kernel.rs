@@ -4,12 +4,12 @@
 //! [`Partition`] owns the worklist discipline (pop splitter → split
 //! affected cells → enqueue fragments) and the *rewrite* half of every
 //! split ([`Partition::split_touched`]: Hopcroft's largest-fragment
-//! rule, span rewriting, singleton tracking, the trace hash). The
+//! rule, span rewriting, the undo trail, the trace hash). The
 //! [`BitsetKernel`] owns only the *counting and ordering* half: given a
 //! splitter cell, produce for each affected cell its members (all of
 //! them, or only the touched ones) as `(neighbor-count, vertex)` pairs
-//! sorted ascending. It has two counting paths, chosen per splitter
-//! from the vertex count and density:
+//! sorted ascending by count. It has two counting paths, chosen per
+//! splitter from the vertex count and density:
 //!
 //! * scatter — persistent scratch buffers, an O(touched) per-cell
 //!   uniformity filter, and splits that sort and rewrite only a cell's
@@ -19,13 +19,12 @@
 //!   count splitter neighbors with `popcount(row & splitter_mask)`
 //!   instead of scattering — the word-parallel path that pays off on
 //!   the dense local subgraphs `CombineCL` labels — and split those
-//!   cells with a degree-bucket radix sort over a cell-membership
-//!   bitmask.
+//!   cells with a degree-bucket radix sort.
 //!
 //! [`RefineKernel`] is crate-private and exists for one reason: the
 //! parity tests at the end of this file drive the same [`Partition`]
-//! run with a sorting-based oracle kernel and compare partitions,
-//! traces and singleton orders with this kernel's.
+//! run with a sorting-based oracle kernel and compare partitions and
+//! traces with this kernel's.
 
 use crate::partition::Partition;
 use dvicl_graph::{Graph, V};
@@ -39,19 +38,22 @@ use dvicl_obs::{self as obs, Counter};
 const POPCOUNT_MAX_N: usize = 256;
 
 /// Cells shorter than this are split with a comparison sort even on the
-/// popcount path: the radix split's O(n/64)-word mask walk only
-/// amortizes once the sort it replaces is superlinear in practice.
+/// popcount path: the radix split's histogram only amortizes once the
+/// sort it replaces is superlinear in practice.
 const RADIX_MIN_LEN: usize = 32;
 
 /// The per-splitter strategy a [`Partition`] run calls: how to count
 /// splitter-neighbors and order cell members. Implementations must feed
-/// [`Partition::split_touched`] members sorted ascending by
-/// `(count, vertex)` — that contract is what lets the test oracle
-/// reproduce this crate's traces and certificates exactly.
+/// [`Partition::split_touched`] members sorted ascending by count —
+/// that contract is what lets the test oracle reproduce this crate's
+/// traces and certificates exactly (the order of equal-count members is
+/// not observable).
 pub(crate) trait RefineKernel {
-    /// Prepares per-graph state. Called once per refinement run, before
-    /// the worklist loop; `g` is the graph every subsequent
-    /// [`RefineKernel::split_by`] of the run will see.
+    /// Prepares per-graph state. Called by [`Partition::refine`] and
+    /// [`Partition::try_refine`] before their worklist loop; `g` is the
+    /// graph every subsequent [`RefineKernel::split_by`] will see,
+    /// through the individualizing runs that follow on the same
+    /// partition.
     fn reset(&mut self, g: &Graph);
 
     /// Uses the cell at start `s` as a splitter: counts each vertex's
@@ -71,19 +73,13 @@ pub(crate) struct BitsetKernel {
     /// Vertex count of the current run's graph.
     n: usize,
     /// Adjacency bitset rows, `n * words` words; built lazily by the
-    /// first popcount-eligible splitter of a run (at most
-    /// [`POPCOUNT_MAX_N`] vertices), empty until then. Cleared by
-    /// [`RefineKernel::reset`] on every run — rows are never cached
-    /// across runs, so a stale graph-to-rows association cannot exist.
+    /// first popcount-eligible splitter after a reset (at most
+    /// [`POPCOUNT_MAX_N`] vertices), empty until then. Cleared by every
+    /// [`RefineKernel::reset`], which each new graph goes through, so a
+    /// stale graph-to-rows association cannot exist.
     adj: Vec<u64>,
     /// Splitter-membership mask (popcount path only).
     splitter_mask: Vec<u64>,
-    /// Scratch mask of one cell's members (popcount path); its set-bit
-    /// walk enumerates them in ascending vertex id, which keeps the
-    /// radix split's output ordered identically to a full `(count,
-    /// vertex)` sort when the cell's span is not ascending. Always left
-    /// all-zero between splits.
-    cell_mask: Vec<u64>,
     /// Vertices with a nonzero scatter count (scatter path).
     touched: Vec<V>,
     /// Affected (or, on the popcount path, all non-singleton) cell
@@ -126,31 +122,20 @@ impl BitsetKernel {
 
     /// Splits the cell `[c, c+len)` on popcount counts, feeding
     /// [`Partition::split_touched`] the whole cell ordered ascending by
-    /// `(count, vertex)`. One gather pass computes the count range and
-    /// exits early on uniform cells.
+    /// count. One gather pass computes the count range and exits early
+    /// on uniform cells.
     ///
     /// Splitting cells go through the degree-bucket radix path (stable
-    /// counting sort) when large enough, or a plain comparison sort when
-    /// the cell is too small for a histogram to pay, or the counts too
-    /// spread for one. The radix path's stability must run over members
-    /// in ascending vertex id to reproduce a `(count, vertex)` sort: the
-    /// gather pass checks whether the span is ascending and, if so,
-    /// sorts straight off it; a non-ascending span (an individualization
-    /// swap, a touched-only split, an arbitrary seed coloring) falls back
-    /// to the cell-membership mask walk, whose set-bit order restores
-    /// ascending ids. Returns the updated trace.
+    /// counting sort, members in span order within each count) when
+    /// large enough, or a plain comparison sort when the cell is too
+    /// small for a histogram to pay, or the counts too spread for one.
+    /// Returns the updated trace.
     fn split_cell(&mut self, p: &mut Partition, c: usize, len: usize, trace: u64) -> u64 {
-        // Gather (count, vertex) in span order, tracking the count range
-        // and whether the span is ascending by vertex id.
+        // Gather (count, vertex) in span order, tracking the count range.
         let mut min_c = u32::MAX;
         let mut max_c = 0u32;
-        let mut ascending = true;
-        let mut prev = 0 as V;
         self.members.clear();
-        for i in c..c + len {
-            let v = p.lab[i];
-            ascending &= i == c || v > prev;
-            prev = v;
+        for &v in &p.lab[c..c + len] {
             let cv = self.popcount_of(v);
             min_c = min_c.min(cv);
             max_c = max_c.max(cv);
@@ -177,43 +162,16 @@ impl BitsetKernel {
             }
             self.sorted.clear();
             self.sorted.resize(len, (0, 0));
-            if ascending {
-                // The span already enumerates members in ascending
-                // vertex id: one stable sequential placement pass.
-                for &(cv, v) in &self.members {
-                    let slot = self.hist[(cv - min_c) as usize];
-                    self.sorted[slot as usize] = (cv, v);
-                    self.hist[(cv - min_c) as usize] = slot + 1;
-                }
-            } else {
-                // Mask walk: set bits enumerate members in ascending
-                // vertex id, restoring the order the span lost.
-                for &(_, v) in &self.members {
-                    self.cell_mask[(v >> 6) as usize] |= 1u64 << (v & 63);
-                }
-                for w in 0..self.words {
-                    let mut bits = self.cell_mask[w];
-                    // Clearing each word as it is read restores the
-                    // mask's all-zero resting state without a second
-                    // pass.
-                    self.cell_mask[w] = 0;
-                    while bits != 0 {
-                        // dvicl-lint: allow(narrowing-cast) -- w*64 + bit index < n <= V::MAX
-                        let v = ((w << 6) + bits.trailing_zeros() as usize) as V;
-                        bits &= bits - 1;
-                        let cv = self.popcount_of(v);
-                        let slot = self.hist[(cv - min_c) as usize];
-                        self.sorted[slot as usize] = (cv, v);
-                        self.hist[(cv - min_c) as usize] = slot + 1;
-                    }
-                }
+            for &(cv, v) in &self.members {
+                let slot = self.hist[(cv - min_c) as usize];
+                self.sorted[slot as usize] = (cv, v);
+                self.hist[(cv - min_c) as usize] = slot + 1;
             }
             obs::bump(Counter::RadixSplits);
             p.split_touched(c, &self.sorted, trace)
         } else {
             // Small cell or counts too spread out for a histogram:
-            // comparison sort. Sorting by (count, vertex) lands in the
-            // same shared order.
+            // comparison sort.
             self.members.sort_unstable();
             p.split_touched(c, &self.members, trace)
         }
@@ -373,8 +331,6 @@ impl RefineKernel for BitsetKernel {
         let n = g.n();
         self.n = n;
         self.words = n.div_ceil(64);
-        self.cell_mask.clear();
-        self.cell_mask.resize(self.words, 0);
         self.adj.clear();
         // Scatter-path aggregate arrays, at their resting state (no
         // touched members recorded); the per-splitter loop in
@@ -408,10 +364,10 @@ impl RefineKernel for BitsetKernel {
 mod tests {
     // Kernel parity: the `Refiner` must be observationally identical to a
     // plain sorting-based oracle — same equitable coloring *in the same cell
-    // order*, same trace hash, same new-singleton creation order — on any
-    // colored graph. Everything downstream (node invariants, certificates,
-    // orbit pruning) consumes those three outputs, so this equality is what
-    // lets the kernel's counting paths be pure wall-clock choices.
+    // order* and same trace hash — on any colored graph. Everything
+    // downstream (node invariants, certificates, orbit pruning) consumes
+    // those two outputs, so this equality is what lets the kernel's
+    // counting paths be pure wall-clock choices.
     //
     // The strategies deliberately straddle the kernel's internal thresholds:
     // small dense graphs exercise the popcount counting path, graphs with
@@ -424,6 +380,7 @@ mod tests {
     use super::RefineKernel;
     use crate::partition::Partition;
     use crate::{RefineResult, Refiner};
+    use dvicl_govern::Budget;
     use dvicl_graph::{named, Coloring, Graph, V};
     use proptest::prelude::*;
 
@@ -495,12 +452,26 @@ mod tests {
         p.result(trace)
     }
 
-    /// The oracle's [`Refiner::refine_individualized`].
+    /// The oracle's [`Refiner::try_individualize`] after refining `pi`.
     fn oracle_individualized(g: &Graph, pi: &Coloring, v: V) -> RefineResult {
         let mut p = Partition::default();
         p.reset_from_coloring(g.n(), pi);
-        let trace = p.individualize_and_refine(g, &mut GeneralKernel, v);
+        p.refine(g, &mut GeneralKernel);
+        let trace = p
+            .try_individualize_and_refine(g, &mut GeneralKernel, v, &Budget::unlimited())
+            .expect("unlimited refinement cannot fail");
         p.result(trace)
+    }
+
+    /// Individualizes `v` in place on `refiner` and reads the result.
+    fn individualized(refiner: &mut Refiner, g: &Graph, v: V) -> RefineResult {
+        let trace = refiner
+            .try_individualize(g, v, &Budget::unlimited())
+            .expect("unlimited refinement cannot fail");
+        RefineResult {
+            coloring: refiner.partition().to_coloring(),
+            trace,
+        }
     }
 
     /// Random colored graphs around the scatter/popcount boundary.
@@ -562,24 +533,30 @@ mod tests {
 
     fn assert_parity(g: &Graph, pi: &Coloring) -> Result<(), String> {
         let a = oracle_refine(g, pi);
-        let b = Refiner::new().refine(g, pi);
-        // Full structural equality: coloring (cells AND their order), trace,
-        // new-singleton order. `Coloring::to_string` is cell-order-sensitive,
-        // so compare it too for a readable failure message.
+        let mut refiner = Refiner::new();
+        let b = refiner.refine(g, pi);
+        // Full structural equality: coloring (cells AND their order) and
+        // trace. `Coloring::to_string` is cell-order-sensitive, so compare
+        // it too for a readable failure message.
         prop_assert_eq!(
             a.coloring.to_string(),
             b.coloring.to_string(),
             "cell order diverged"
         );
         prop_assert_eq!(&a, &b);
-        // Individualize the first vertex of the first non-singleton cell and
-        // re-refine: the seeded (swapped, non-ascending) cell layout and the
-        // incremental splitter queue must also agree with the oracle.
+        // Individualize the first and last vertices of the first
+        // non-singleton cell in place: the swapped, non-ascending cell
+        // layouts and the incremental splitter queue must agree with the
+        // oracle, and undo must restore the refined cells exactly, so the
+        // second child refines as if it were the first.
         if let Some(cell) = a.coloring.cells().iter().find(|c| c.len() > 1) {
-            let v: V = cell[0];
-            let ai = oracle_individualized(g, &a.coloring, v);
-            let bi = Refiner::new().refine_individualized(g, &b.coloring, v);
-            prop_assert_eq!(&ai, &bi);
+            for v in [cell[0], cell[cell.len() - 1]] {
+                let ai = oracle_individualized(g, pi, v);
+                let bi = individualized(&mut refiner, g, v);
+                prop_assert_eq!(&ai, &bi);
+                refiner.undo();
+                prop_assert_eq!(&refiner.partition().to_coloring(), &b.coloring);
+            }
         }
         Ok(())
     }

@@ -43,22 +43,23 @@ pub struct RefineResult {
     /// other (up to hash collisions, which only cost pruning power in the
     /// consumers, never correctness of certificates).
     pub trace: u64,
-    /// Vertices whose cells became singletons during this refinement, in
-    /// an isomorphism-invariant creation order — the material for the
-    /// partial-certificate node invariant in `dvicl-canon`.
-    pub new_singletons: Vec<V>,
 }
 
 /// A reusable refinement engine: one partition worth of buffers (labels,
-/// positions, cell tables, worklist, scratch counters) plus the kernel's
-/// scratch, recycled across calls.
+/// positions, cell tables, worklist, scratch counters, undo trail) plus
+/// the kernel's scratch, recycled across calls.
 ///
-/// The individualization-refinement search in `dvicl-canon` refines once
-/// per search-tree node; with the one-shot free functions each of those
-/// refinements paid seven `Vec` allocations for a fresh partition. A
-/// `Refiner` re-seeds the same buffers instead, so a DFS over thousands
-/// of nodes performs no per-node partition allocation. Results are
-/// bit-identical to the free functions — reset state equals fresh state.
+/// Two ways to use it:
+///
+/// * [`Refiner::refine`] / [`Refiner::try_refine`] refine a coloring and
+///   return the result as a [`Coloring`];
+/// * the individualization-refinement search in `dvicl-canon` works on
+///   the refiner's partition in place: [`Refiner::try_refine_in_place`]
+///   loads and refines the root coloring, then each search-tree child is
+///   one [`Refiner::try_individualize`] and, on backtrack, one
+///   [`Refiner::undo`]. [`Refiner::partition`] reads the current cells.
+///   No node copies or converts a coloring, and the kernel's per-graph
+///   setup runs once per search rather than once per node.
 #[derive(Default)]
 pub struct Refiner {
     p: Partition,
@@ -79,14 +80,6 @@ impl Refiner {
         self.p.result(trace)
     }
 
-    /// Reusable-buffer [`refine_individualized`].
-    pub fn refine_individualized(&mut self, g: &Graph, pi: &Coloring, v: V) -> RefineResult {
-        let _span = dvicl_obs::span(Phase::RefineIndividualize);
-        self.p.reset_from_coloring(g.n(), pi);
-        let trace = self.p.individualize_and_refine(g, &mut self.kernel, v);
-        self.p.result(trace)
-    }
-
     /// Reusable-buffer [`try_refine`].
     pub fn try_refine(
         &mut self,
@@ -95,34 +88,138 @@ impl Refiner {
         budget: &Budget,
     ) -> Result<RefineResult, DviclError> {
         let _span = dvicl_obs::span(Phase::RefineRefine);
-        dvicl_govern::fault::checkpoint(Site::RefineRefine)?;
-        self.p.reset_from_coloring(g.n(), pi);
-        let trace = self.p.try_refine(g, &mut self.kernel, budget)?;
+        let trace = self.load(g, pi, budget)?;
         Ok(self.p.result(trace))
     }
 
-    /// Reusable-buffer [`try_refine_individualized`].
-    pub fn try_refine_individualized(
+    /// Budgeted refinement of `pi` that leaves the result loaded as this
+    /// refiner's partition — the root of an in-place search — and returns
+    /// only the trace hash. Any previously loaded partition and its undo
+    /// levels are discarded, so a refiner whose last search aborted
+    /// mid-refinement starts clean.
+    pub fn try_refine_in_place(
         &mut self,
         g: &Graph,
         pi: &Coloring,
+        budget: &Budget,
+    ) -> Result<u64, DviclError> {
+        let _span = dvicl_obs::span(Phase::RefineRefine);
+        self.load(g, pi, budget)
+    }
+
+    fn load(&mut self, g: &Graph, pi: &Coloring, budget: &Budget) -> Result<u64, DviclError> {
+        dvicl_govern::fault::checkpoint(Site::RefineRefine)?;
+        self.p.reset_from_coloring(g.n(), pi);
+        self.p.try_refine(g, &mut self.kernel, budget)
+    }
+
+    /// Individualizes `v` in the loaded partition and refines in place —
+    /// the paper's child-node construction `R(G, π, ν·v)` — spending one
+    /// work unit per splitter. `g` must be the graph of the last
+    /// [`Refiner::try_refine_in_place`], and `v` must sit in a
+    /// non-singleton cell.
+    ///
+    /// The returned trace covers only the re-refinement, seeded with the
+    /// color of `v`'s cell (an invariant of the branching choice), so
+    /// traces of sibling nodes that individualize non-equivalent vertices
+    /// differ. [`Refiner::undo`] restores the partition as it was before
+    /// this call.
+    pub fn try_individualize(
+        &mut self,
+        g: &Graph,
         v: V,
         budget: &Budget,
-    ) -> Result<RefineResult, DviclError> {
+    ) -> Result<u64, DviclError> {
         let _span = dvicl_obs::span(Phase::RefineIndividualize);
         dvicl_govern::fault::checkpoint(Site::RefineIndividualize)?;
-        self.p.reset_from_coloring(g.n(), pi);
-        let trace = self
-            .p
-            .try_individualize_and_refine(g, &mut self.kernel, v, budget)?;
-        Ok(self.p.result(trace))
+        debug_assert_eq!(g.n(), self.p.n(), "individualizing on a different graph");
+        self.p
+            .try_individualize_and_refine(g, &mut self.kernel, v, budget)
+    }
+
+    /// Restores the cells as they were before the latest
+    /// [`Refiner::try_individualize`] that has not been undone yet. Only
+    /// cell bounds are restored: the vertex order inside a cell may
+    /// differ, and nothing observes it.
+    pub fn undo(&mut self) {
+        self.p.undo();
+    }
+
+    /// The current partition.
+    pub fn partition(&self) -> PartitionView<'_> {
+        self.p.view()
+    }
+
+    /// `(vertex, color before the call)` for every vertex the latest
+    /// [`Refiner::try_individualize`] that has not been undone recolored,
+    /// once each; empty when there is none.
+    pub fn recolored(&self) -> &[(V, V)] {
+        self.p.recolored()
+    }
+
+    /// `v`'s color before the latest [`Refiner::try_individualize`] that
+    /// has not been undone, if that call recolored `v`. O(1).
+    pub fn recolored_from(&self, v: V) -> Option<V> {
+        self.p.recolored_from(v)
+    }
+}
+
+/// A read-only view of a [`Refiner`]'s partition: the ordered cells and
+/// each vertex's color, the start position of its cell (the paper's
+/// color, as in [`Coloring`]).
+#[derive(Clone, Copy)]
+pub struct PartitionView<'a> {
+    lab: &'a [V],
+    cell_start: &'a [u32],
+    cell_len: &'a [u32],
+}
+
+impl<'a> PartitionView<'a> {
+    /// The color of `v`: the start position of its cell.
+    #[inline]
+    pub fn color_of(self, v: V) -> V {
+        self.cell_start[v as usize]
+    }
+
+    /// The per-vertex colors.
+    pub fn colors(self) -> &'a [V] {
+        self.cell_start
+    }
+
+    /// The vertices in position order: each cell's members occupy its
+    /// span, in no particular order within it. On a discrete partition
+    /// this is the vertex at every position.
+    pub fn vertices(self) -> &'a [V] {
+        self.lab
+    }
+
+    /// The cells in position order, each as its members in no particular
+    /// order.
+    pub fn cells(self) -> impl Iterator<Item = &'a [V]> {
+        let mut s = 0usize;
+        std::iter::from_fn(move || {
+            let len = *self.cell_len.get(s)? as usize;
+            let cell = &self.lab[s..s + len];
+            s += len;
+            Some(cell)
+        })
+    }
+
+    /// The partition as a [`Coloring`] (cells sorted ascending).
+    #[expect(
+        clippy::expect_used,
+        reason = "lab is a permutation of 0..n and the cell spans tile it, so the cells partition 0..n"
+    )]
+    pub fn to_coloring(self) -> Coloring {
+        Coloring::from_cells(self.cells().map(<[V]>::to_vec).collect())
+            .expect("partition is always a valid coloring")
     }
 }
 
 /// Refines `(g, pi)` to the coarsest equitable coloring finer than `pi`.
 ///
 /// One-shot convenience over [`Refiner`] — loops that refine repeatedly
-/// (one refinement per search-tree node) should hold a `Refiner` instead.
+/// should hold a `Refiner` instead.
 ///
 /// ```
 /// use dvicl_graph::{named, Coloring};
@@ -137,31 +234,11 @@ pub fn refine(g: &Graph, pi: &Coloring) -> RefineResult {
     Refiner::new().refine(g, pi)
 }
 
-/// Individualizes `v` in `pi` (which is typically already equitable) and
-/// re-refines: the paper's child-node construction `R(G, π, ν·v)`.
-///
-/// The returned trace covers only the re-refinement, seeded with the color
-/// of `v`'s cell (an invariant of the branching choice), so traces of
-/// sibling nodes that individualize non-equivalent vertices differ.
-pub fn refine_individualized(g: &Graph, pi: &Coloring, v: V) -> RefineResult {
-    Refiner::new().refine_individualized(g, pi, v)
-}
-
 /// Budgeted [`refine`]: one work unit is spent per splitter processed,
 /// so a wall-clock deadline or cancellation interrupts the refinement
 /// loop itself rather than waiting for it to finish.
 pub fn try_refine(g: &Graph, pi: &Coloring, budget: &Budget) -> Result<RefineResult, DviclError> {
     Refiner::new().try_refine(g, pi, budget)
-}
-
-/// Budgeted [`refine_individualized`].
-pub fn try_refine_individualized(
-    g: &Graph,
-    pi: &Coloring,
-    v: V,
-    budget: &Budget,
-) -> Result<RefineResult, DviclError> {
-    Refiner::new().try_refine_individualized(g, pi, v, budget)
 }
 
 #[cfg(test)]
@@ -178,15 +255,24 @@ mod tests {
         assert!(r.coloring.is_equitable(&g));
     }
 
+    /// Loads the unit coloring of `g` and individualizes `v` in place.
+    fn individualized(r: &mut Refiner, g: &Graph, v: V) -> u64 {
+        r.try_refine_in_place(g, &Coloring::unit(g.n()), &Budget::unlimited())
+            .expect("unlimited refinement cannot fail");
+        r.try_individualize(g, v, &Budget::unlimited())
+            .expect("unlimited refinement cannot fail")
+    }
+
     #[test]
     fn fig1_individualize_0_matches_paper_cells() {
         let g = named::fig1_example();
-        let base = refine(&g, &Coloring::unit(8)).coloring;
-        let r = refine_individualized(&g, &base, 0);
-        assert!(r.coloring.is_equitable(&g));
+        let mut r = Refiner::new();
+        individualized(&mut r, &g, 0);
+        let coloring = r.partition().to_coloring();
+        assert!(coloring.is_equitable(&g));
         // Paper node 1: cells {6,5,4}, {2}, {1,3}, {0}, {7} (bliss order).
         // Our convention orders cells differently but the *cells* agree.
-        let mut cells: Vec<Vec<V>> = r.coloring.cells().to_vec();
+        let mut cells: Vec<Vec<V>> = coloring.cells().to_vec();
         cells.sort();
         assert_eq!(
             cells,
@@ -257,13 +343,54 @@ mod tests {
     #[test]
     fn individualized_traces_distinguish_orbits() {
         let g = named::fig1_example();
-        let base = refine(&g, &Coloring::unit(8)).coloring;
-        let r0 = refine_individualized(&g, &base, 0);
-        let r2 = refine_individualized(&g, &base, 2);
-        let r4 = refine_individualized(&g, &base, 4);
+        let mut r = Refiner::new();
+        let t0 = individualized(&mut r, &g, 0);
+        let t2 = individualized(&mut r, &g, 2);
+        let t4 = individualized(&mut r, &g, 4);
         // 0 and 2 are automorphic: same trace. 0 and 4 are not.
-        assert_eq!(r0.trace, r2.trace);
-        assert_ne!(r0.trace, r4.trace);
+        assert_eq!(t0, t2);
+        assert_ne!(t0, t4);
+    }
+
+    #[test]
+    fn undo_restores_the_cells_and_reports_the_recolored() {
+        let g = named::fig1_example();
+        let mut r = Refiner::new();
+        let first = individualized(&mut r, &g, 0);
+        let child = r.partition().to_coloring();
+        let root = refine(&g, &Coloring::unit(8)).coloring;
+        // Every vertex whose color changed is reported once, with its
+        // root color.
+        let mut seen = Vec::new();
+        for &(v, old) in r.recolored() {
+            assert_eq!(old, root.color_of(v));
+            assert_eq!(r.recolored_from(v), Some(old));
+            seen.push(v);
+        }
+        seen.sort_unstable();
+        let moved: Vec<V> = (0..8)
+            .filter(|&v| child.color_of(v) != root.color_of(v))
+            .collect();
+        assert_eq!(seen, moved);
+        assert!((0..8)
+            .filter(|v| !moved.contains(v))
+            .all(|v| r.recolored_from(v).is_none()));
+        r.undo();
+        assert_eq!(r.partition().to_coloring(), root);
+        assert!(r.recolored().is_empty());
+        // Two levels deep and back: each undo restores its own level.
+        assert_eq!(r.try_individualize(&g, 0, &Budget::unlimited()), Ok(first));
+        let v = child
+            .cells()
+            .iter()
+            .find(|c| c.len() > 1)
+            .expect("node 1 is not discrete")[0];
+        r.try_individualize(&g, v, &Budget::unlimited())
+            .expect("unlimited refinement cannot fail");
+        r.undo();
+        assert_eq!(r.partition().to_coloring(), child);
+        r.undo();
+        assert_eq!(r.partition().to_coloring(), root);
     }
 
     #[test]

@@ -15,16 +15,26 @@
 //! the cell's touched members: the untouched rest stays where it is as
 //! the count-0 fragment, so a splitter costs time proportional to the
 //! members it touches, not to the cells it grazes.
+//!
+//! An individualization opens a *level* of the undo trail: while a level
+//! is open, the first change of each vertex's `cell_start` logs the old
+//! value. Refinement only splits cells, and every cell keeps its start
+//! for the part of it that stays, so [`Partition::undo`] restores the
+//! cells exactly by putting each logged vertex back and growing its old
+//! cell by one. `lab`/`pos` are left as they are, since refinement only
+//! permutes members inside their own cell's span and nothing reads the
+//! order inside a cell.
 
 use crate::kernel::RefineKernel;
-use crate::RefineResult;
+use crate::{PartitionView, RefineResult};
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Coloring, Graph, V};
 use std::collections::VecDeque;
 
-/// An ordered partition of `0..n` supporting splitter-based refinement.
-/// The default value is the empty partition over zero vertices, the
-/// starting state for [`Partition::reset_from_coloring`]-based reuse.
+/// An ordered partition of `0..n` supporting splitter-based refinement
+/// and undoable individualization. The default value is the empty
+/// partition over zero vertices, the starting state for
+/// [`Partition::reset_from_coloring`]-based reuse.
 #[derive(Default)]
 pub(crate) struct Partition {
     pub(crate) lab: Vec<V>,
@@ -40,10 +50,14 @@ pub(crate) struct Partition {
     in_queue: Vec<bool>,
     // Scratch: dedup flags for cells touched by the current splitter.
     pub(crate) in_affected: Vec<bool>,
-    // Vertices whose cells became singletons during the current run, in
-    // creation order (isomorphism-invariant, since creation follows the
-    // invariant queue discipline).
-    new_singletons: Vec<V>,
+    // Undo trail: `(vertex, cell_start before the level)` for each
+    // vertex an open level recolored, and per open level the trail length
+    // at its start. `trail_at[v]` is the offset of `v`'s entry in the
+    // innermost level's part of the trail, valid only if that entry names
+    // `v` (a sparse set, never cleared).
+    trail: Vec<(V, u32)>,
+    levels: Vec<usize>,
+    trail_at: Vec<u32>,
 }
 
 #[inline]
@@ -96,7 +110,8 @@ impl Partition {
         self.in_queue.resize(n, false);
         self.in_affected.clear();
         self.in_affected.resize(n, false);
-        self.new_singletons.clear();
+        self.trail.clear();
+        self.levels.clear();
     }
 
     /// Number of vertices.
@@ -108,26 +123,80 @@ impl Partition {
     pub fn result(&self, trace: u64) -> RefineResult {
         RefineResult {
             trace,
-            new_singletons: self.new_singletons.clone(),
-            coloring: self.to_coloring(),
+            coloring: self.view().to_coloring(),
         }
     }
 
-    /// Converts back to a [`Coloring`].
-    #[expect(
-        clippy::expect_used,
-        reason = "lab is a permutation of 0..n and the cell spans tile it, so the cells partition 0..n"
-    )]
-    fn to_coloring(&self) -> Coloring {
-        let n = self.n();
-        let mut cells = Vec::new();
-        let mut s = 0usize;
-        while s < n {
-            let len = self.cell_len[s] as usize;
-            cells.push(self.lab[s..s + len].to_vec());
-            s += len;
+    /// A read-only view of the cells.
+    pub fn view(&self) -> PartitionView<'_> {
+        PartitionView {
+            lab: &self.lab,
+            cell_start: &self.cell_start,
+            cell_len: &self.cell_len,
         }
-        Coloring::from_cells(cells).expect("partition is always a valid coloring")
+    }
+
+    /// Sets `v`'s cell start. If this changes it while a level is open
+    /// and the level has not recolored `v` yet, logs the old value.
+    #[inline]
+    fn set_cell_start(&mut self, v: V, start: u32) {
+        let old = self.cell_start[v as usize];
+        if old != start {
+            if let Some(&from) = self.levels.last() {
+                if self.recolored_from(v).is_none() {
+                    // dvicl-lint: allow(narrowing-cast) -- a level logs each vertex once, so it holds at most n <= V::MAX entries
+                    self.trail_at[v as usize] = (self.trail.len() - from) as u32;
+                    self.trail.push((v, old));
+                }
+            }
+            self.cell_start[v as usize] = start;
+        }
+    }
+
+    /// `v`'s cell start before the innermost open level, if that level
+    /// recolored `v`.
+    #[inline]
+    pub fn recolored_from(&self, v: V) -> Option<u32> {
+        let from = *self.levels.last()?;
+        match self.trail.get(from + self.trail_at[v as usize] as usize) {
+            Some(&(u, old)) if u == v => Some(old),
+            _ => None,
+        }
+    }
+
+    /// `(vertex, cell start before the level)` for every vertex the
+    /// innermost open level has recolored, once each.
+    pub fn recolored(&self) -> &[(V, u32)] {
+        let from = self.levels.last().copied().unwrap_or(self.trail.len());
+        &self.trail[from..]
+    }
+
+    /// Closes the innermost open level, restoring the cells as they were
+    /// when it opened. Does nothing when no level is open.
+    ///
+    /// Every cell the level split kept its start for its remaining part,
+    /// so moving each recolored vertex back and growing its old cell by
+    /// one restores every `cell_start` and every cell's `cell_len`. The
+    /// lengths left at the level's new starts, no longer cell starts,
+    /// are never read.
+    ///
+    /// Closing the outermost level also frees the trail's memory: it is
+    /// only needed while a level is open, and a refiner kept between
+    /// searches should not carry the longest trail it ever logged.
+    pub fn undo(&mut self) {
+        let Some(from) = self.levels.pop() else {
+            return;
+        };
+        for &(v, old) in &self.trail[from..] {
+            self.cell_start[v as usize] = old;
+            self.cell_len[old as usize] += 1;
+        }
+        if self.levels.is_empty() {
+            self.trail = Vec::new();
+            self.trail_at = Vec::new();
+        } else {
+            self.trail.truncate(from);
+        }
     }
 
     fn enqueue(&mut self, s: u32) {
@@ -148,14 +217,15 @@ impl Partition {
     }
 
     /// Refines to the coarsest equitable partition using `k`, returning
-    /// the trace hash. All current cells are used as initial splitters;
-    /// every singleton cell of the *result* counts as newly created.
+    /// the trace hash. All current cells are used as initial splitters.
+    /// Resets `k` for `g`: a refinement starts a new run on a graph.
     #[expect(
         clippy::expect_used,
         reason = "run() only errs on budget exhaustion, and no budget is passed here"
     )]
     pub fn refine(&mut self, g: &Graph, k: &mut impl RefineKernel) -> u64 {
-        self.seed_refine();
+        k.reset(g);
+        self.enqueue_all_cells();
         self.run(g, k, 0x5ee2_c3a1_d00d_f00d, None)
             .expect("un-budgeted refinement cannot fail")
     }
@@ -169,38 +239,18 @@ impl Partition {
         k: &mut impl RefineKernel,
         budget: &Budget,
     ) -> Result<u64, DviclError> {
-        self.seed_refine();
+        k.reset(g);
+        self.enqueue_all_cells();
         self.run(g, k, 0x5ee2_c3a1_d00d_f00d, Some(budget))
     }
 
-    fn seed_refine(&mut self) {
-        let n = self.n();
-        let mut s = 0usize;
-        while s < n {
-            if self.cell_len[s] == 1 {
-                self.new_singletons.push(self.lab[s]);
-            }
-            s += self.cell_len[s] as usize;
-        }
-        self.enqueue_all_cells();
-    }
-
-    /// Individualizes `v` (splitting it to the front of its cell) and
-    /// refines with the two fragments as seeds, using `k`. Panics if `v`
-    /// is already in a singleton cell. Returns the trace hash, seeded
-    /// with `v`'s color — an isomorphism-invariant of the branching
-    /// decision.
-    #[expect(
-        clippy::expect_used,
-        reason = "run() only errs on budget exhaustion, and no budget is passed here"
-    )]
-    pub fn individualize_and_refine(&mut self, g: &Graph, k: &mut impl RefineKernel, v: V) -> u64 {
-        let seed = self.seed_individualize(v);
-        self.run(g, k, seed, None)
-            .expect("un-budgeted refinement cannot fail")
-    }
-
-    /// Budgeted [`Partition::individualize_and_refine`].
+    /// Opens an undo level, individualizes `v` (splitting it to the front
+    /// of its cell) and refines with the two fragments as seeds, using
+    /// `k` as the last [`Partition::refine`] left it: the graph is the
+    /// same, so neither the kernel's reset nor its adjacency rows run
+    /// again. Panics if `v` is already in a singleton cell. Returns the
+    /// trace hash, seeded with `v`'s color — an isomorphism-invariant of
+    /// the branching decision. [`Partition::undo`] restores the cells.
     pub fn try_individualize_and_refine(
         &mut self,
         g: &Graph,
@@ -208,6 +258,8 @@ impl Partition {
         v: V,
         budget: &Budget,
     ) -> Result<u64, DviclError> {
+        self.trail_at.resize(self.n(), 0);
+        self.levels.push(self.trail.len());
         let seed = self.seed_individualize(v);
         self.run(g, k, seed, Some(budget))
     }
@@ -227,11 +279,7 @@ impl Partition {
         self.cell_len[s as usize] = 1;
         self.cell_len[s as usize + 1] = len - 1;
         for i in (s + 1)..(s + len) {
-            self.cell_start[self.lab[i as usize] as usize] = s + 1;
-        }
-        self.new_singletons.push(v);
-        if len == 2 {
-            self.new_singletons.push(self.lab[s as usize + 1]);
+            self.set_cell_start(self.lab[i as usize], s + 1);
         }
         self.enqueue(s);
         self.enqueue(s + 1);
@@ -250,7 +298,6 @@ impl Partition {
         seed: u64,
         budget: Option<&Budget>,
     ) -> Result<u64, DviclError> {
-        k.reset(g);
         let mut trace = seed;
         while let Some(s) = self.queue.pop_front() {
             dvicl_obs::bump(dvicl_obs::Counter::RefineRounds);
@@ -282,12 +329,15 @@ impl Partition {
     ///   the tail, found by `cnt == 0`, so a split costs O(touched), not
     ///   O(len).
     ///
+    /// `touched` need only be sorted ascending by count; the order of
+    /// equal-count members decides only the order inside their fragment.
+    ///
     /// Both forms produce the same fragment stream: Hopcroft's
     /// largest-fragment worklist exemption, the `(start, len, count)`
-    /// trace mix per fragment, singleton tracking and fragment
-    /// enqueueing, all in ascending-count order. They differ only in
-    /// the vertex order *inside* the count-0 fragment's span, which
-    /// nothing observes (`to_coloring` sorts every cell, and a singleton
+    /// trace mix per fragment and fragment enqueueing, all in
+    /// ascending-count order. They differ only in the vertex order
+    /// *inside* a fragment's span, which nothing observes (`to_coloring`
+    /// sorts every cell, the search sorts its candidates, and a singleton
     /// has one order). Returns the updated trace (unchanged when the
     /// counts are uniform and nothing splits).
     ///
@@ -363,7 +413,7 @@ impl Partition {
                 self.lab[p] = v;
                 // dvicl-lint: allow(narrowing-cast) -- p < n <= V::MAX
                 self.pos[v as usize] = p as u32;
-                self.cell_start[v as usize] = frag_start;
+                self.set_cell_start(v, frag_start);
             }
             // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
             trace = self.finish_fragment(frag_start, (j - i) as u32, count, largest_start, trace);
@@ -374,9 +424,8 @@ impl Partition {
 
     /// Per-fragment bookkeeping of [`Partition::split_touched`], once the
     /// fragment's members sit in `[start, start + len)`: records its
-    /// length, tracks a new singleton, mixes `(start, len, count)` into
-    /// the trace and enqueues it unless it is the Hopcroft-exempt
-    /// largest fragment.
+    /// length, mixes `(start, len, count)` into the trace and enqueues it
+    /// unless it is the Hopcroft-exempt largest fragment.
     fn finish_fragment(
         &mut self,
         start: u32,
@@ -386,9 +435,6 @@ impl Partition {
         trace: u64,
     ) -> u64 {
         self.cell_len[start as usize] = len;
-        if len == 1 {
-            self.new_singletons.push(self.lab[start as usize]);
-        }
         if start != largest_start {
             self.enqueue(start);
         }

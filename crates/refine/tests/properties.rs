@@ -2,8 +2,9 @@
 //! Section 4 — finer-or-equal, equitable, isomorphism-invariant — on
 //! random graphs and colorings.
 
+use dvicl_govern::Budget;
 use dvicl_graph::{Coloring, Graph, Perm, V};
-use dvicl_refine::{refine, refine_individualized};
+use dvicl_refine::{refine, Refiner};
 use proptest::prelude::*;
 
 fn arb_colored_graph() -> impl Strategy<Value = (Graph, Coloring)> {
@@ -60,54 +61,55 @@ proptest! {
         let once = refine(&g, &pi);
         let twice = refine(&g, &once.coloring);
         prop_assert_eq!(&twice.coloring, &once.coloring);
-        // ... and reports no newly created singletons beyond the existing
-        // ones (everything already singleton counts as "new" at entry).
-        prop_assert_eq!(
-            twice.new_singletons.len(),
-            once.coloring.num_singletons()
-        );
     }
 
-    /// Individualization: v lands in a singleton cell; result is finer and
-    /// equitable; automorphic choices give equal traces.
+    /// Individualization in place: v lands in a singleton cell; the result
+    /// is finer and equitable; undo restores the refined coloring.
     #[test]
     fn individualization_contract((g, pi) in arb_colored_graph()) {
-        let refined = refine(&g, &pi).coloring;
+        let mut r = Refiner::new();
+        r.try_refine_in_place(&g, &pi, &Budget::unlimited()).unwrap();
+        let refined = r.partition().to_coloring();
         let Some(cell) = refined.cells().iter().find(|c| c.len() > 1) else {
             return Ok(());
         };
         let v = cell[0];
-        let r = refine_individualized(&g, &refined, v);
-        prop_assert!(r.coloring.is_finer_or_equal(&refined));
-        prop_assert!(r.coloring.is_equitable(&g));
-        prop_assert_eq!(r.coloring.cell_len_of(v), 1);
+        r.try_individualize(&g, v, &Budget::unlimited()).unwrap();
+        let child = r.partition().to_coloring();
+        prop_assert!(child.is_finer_or_equal(&refined));
+        prop_assert!(child.is_equitable(&g));
+        prop_assert_eq!(child.cell_len_of(v), 1);
+        r.undo();
+        prop_assert_eq!(r.partition().to_coloring(), refined);
     }
 
-    /// The new-singleton report is exactly the difference between the
-    /// input and output singleton sets.
+    /// The recolored report lists exactly the vertices whose color
+    /// changed, once each with its color before the call, and
+    /// `recolored_from` answers the same for every vertex.
     #[test]
-    fn new_singletons_are_exact((g, pi) in arb_colored_graph()) {
-        let refined = refine(&g, &pi).coloring;
+    fn recolored_vertices_are_exact((g, pi) in arb_colored_graph()) {
+        let mut r = Refiner::new();
+        r.try_refine_in_place(&g, &pi, &Budget::unlimited()).unwrap();
+        let refined = r.partition().to_coloring();
         let Some(cell) = refined.cells().iter().find(|c| c.len() > 1) else {
             return Ok(());
         };
         let v = cell[1 % cell.len()];
-        let r = refine_individualized(&g, &refined, v);
-        let before: std::collections::HashSet<V> = refined
-            .cells()
-            .iter()
-            .filter(|c| c.len() == 1)
-            .map(|c| c[0])
+        r.try_individualize(&g, v, &Budget::unlimited()).unwrap();
+        let child = r.partition().to_coloring();
+        let mut reported: Vec<V> = Vec::new();
+        for &(u, old) in r.recolored() {
+            prop_assert_eq!(old, refined.color_of(u));
+            reported.push(u);
+        }
+        reported.sort_unstable();
+        let expected: Vec<V> = (0..g.n() as V)
+            .filter(|&u| child.color_of(u) != refined.color_of(u))
             .collect();
-        let after: std::collections::HashSet<V> = r
-            .coloring
-            .cells()
-            .iter()
-            .filter(|c| c.len() == 1)
-            .map(|c| c[0])
-            .collect();
-        let reported: std::collections::HashSet<V> = r.new_singletons.iter().copied().collect();
-        let expected: std::collections::HashSet<V> = after.difference(&before).copied().collect();
-        prop_assert_eq!(reported, expected);
+        prop_assert_eq!(&reported, &expected);
+        for u in 0..g.n() as V {
+            let want = expected.contains(&u).then(|| refined.color_of(u));
+            prop_assert_eq!(r.recolored_from(u), want);
+        }
     }
 }

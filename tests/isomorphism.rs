@@ -92,6 +92,24 @@ fn colored_isomorphism_distinguishes_colorings() {
     assert!(!are_isomorphic_colored(&g, &pin_adjacent, &g, &pin_opposite));
     let pin_adjacent2 = Coloring::from_cells(vec![vec![0, 1, 2, 3, 4, 7], vec![5, 6]]).unwrap();
     assert!(are_isomorphic_colored(&g, &pin_adjacent, &g, &pin_adjacent2));
+    // P3 + K1: [isolated | rest] and [rest | center] refine to the same
+    // coloring [isolated | leaves | center], yet their cell sizes differ.
+    let p3k1 = Graph::from_edges(4, &[(0, 1), (0, 2)]);
+    let isolated_first = Coloring::from_cells(vec![vec![3], vec![0, 1, 2]]).unwrap();
+    let center_last = Coloring::from_cells(vec![vec![1, 2, 3], vec![0]]).unwrap();
+    assert!(!are_isomorphic_colored(
+        &p3k1,
+        &isolated_first,
+        &p3k1,
+        &center_last
+    ));
+    assert!(dvicl::core::iso::find_isomorphism_colored(
+        &p3k1,
+        &isolated_first,
+        &p3k1,
+        &center_last
+    )
+    .is_none());
 }
 
 #[test]
