@@ -122,7 +122,7 @@ fn main() {
     // Phase 1 — ingest the corpus: one canonicalization per graph, one
     // session for all of them.
     let mut index = FingerprintIndex::new();
-    let mut session = suite::dvicl_session(&opts, &Config::traces_like());
+    let mut session = suite::dvicl_session(&Config::traces_like());
     let (build_run, _) = suite::measure(|| {
         for g in &graphs {
             let (fp, form) = session.fingerprinted_form(g);
@@ -147,7 +147,7 @@ fn main() {
 
     // Phase 2 — the amortized path: one canonicalization + one probe
     // per query, arena pools and CombineCL memo warm across all M.
-    let mut query_session = suite::dvicl_session(&opts, &Config::traces_like());
+    let mut query_session = suite::dvicl_session(&Config::traces_like());
     let mut hits = 0usize;
     // Per-query class sizes, for the exact cross-check against the
     // pairwise baseline below (a few corpus circulants are isomorphic

@@ -15,7 +15,7 @@ fn main() {
     let mut rec = Recorder::new("table1");
     // One session for the whole suite: arena pools and the CombineCL
     // memo are reused across every graph below.
-    let mut session = suite::dvicl_session(&opts, &dvicl_canon::Config::bliss_like());
+    let mut session = suite::dvicl_session(&dvicl_canon::Config::bliss_like());
     let widths = [16, 9, 10, 7, 7, 9, 10];
     println!("Table 1: summarization of real-graph analogs");
     print_header(

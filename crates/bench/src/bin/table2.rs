@@ -17,7 +17,7 @@ fn main() {
     // The traces-like engine is the robust one on the regular
     // benchmark families (cf. Table 8); one session reuses its
     // arena pools and CombineCL memo across the whole suite.
-    let mut session = suite::dvicl_session(&opts, &Config::traces_like());
+    let mut session = suite::dvicl_session(&Config::traces_like());
     let widths = [16, 9, 10, 7, 7, 9, 10];
     println!("Table 2: summarization of benchmark graphs");
     print_header(

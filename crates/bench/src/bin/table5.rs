@@ -19,7 +19,7 @@ fn main() {
     // One DviCL+X session per engine, reused across the suite.
     let mut sessions: Vec<_> = engines()
         .into_iter()
-        .map(|(name, config)| (name, suite::dvicl_session(&opts, &config), config))
+        .map(|(name, config)| (name, suite::dvicl_session(&config), config))
         .collect();
     let widths = [16, 8, 9, 9, 10, 8, 9, 9, 10, 8, 9, 9, 10];
     println!(
@@ -37,7 +37,7 @@ fn main() {
         let g = (d.build)();
         let mut cols = vec![d.name.to_string()];
         for (name, session, config) in &mut sessions {
-            let base = run_baseline(&opts, &g, config);
+            let base = run_baseline(&g, config);
             rec.record(d.name, name, &base);
             cols.push(base.fmt_time());
             cols.push(base.fmt_mem());

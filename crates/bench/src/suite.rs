@@ -14,7 +14,7 @@
 //! byte-identical to one-shot builds — reuse changes where the working
 //! memory comes from, never the result.
 
-use dvicl_canon::{try_canonical_form, Config, TargetCell};
+use dvicl_canon::{try_canonical_form, Config};
 use dvicl_core::{AutoTree, DviclOptions, Session};
 use dvicl_govern::Budget;
 use dvicl_graph::{Coloring, Graph};
@@ -28,19 +28,6 @@ pub struct RunOptions {
     /// `--paranoid`: every AutoTree a table binary builds is re-checked
     /// against its witness before its row is recorded (DESIGN.md §11).
     pub paranoid: bool,
-    /// `--target-cell <T>`: a selector that replaces every engine's own
-    /// (nauty-like first, traces-like largest, ...) when set.
-    pub target_cell: Option<TargetCell>,
-}
-
-/// Applies the `--target-cell` override to an engine configuration.
-/// Every baseline run and DviCL session in a table binary goes through
-/// here, so one flag steers the whole table.
-pub fn configured(opts: &RunOptions, mut config: Config) -> Config {
-    if let Some(tc) = opts.target_cell {
-        config.target_cell = tc;
-    }
-    config
 }
 
 /// The three baseline engines of the paper's evaluation and their
@@ -66,10 +53,9 @@ pub fn budget() -> Duration {
 }
 
 /// Parses the flags shared by every table binary (`--stats`,
-/// `--paranoid`, `--target-cell <T>`,
-/// `--trace-json <path>`), installs the matching sink and returns the
-/// run options. Call first in `main`; [`Recorder::write`] flushes the
-/// sink at the end via `dvicl_obs::finish`.
+/// `--paranoid`, `--trace-json <path>`), installs the matching sink and
+/// returns the run options. Call first in `main`; [`Recorder::write`]
+/// flushes the sink at the end via `dvicl_obs::finish`.
 pub fn init_obs() -> RunOptions {
     let args: Vec<String> = std::env::args().collect();
     let mut stats = false;
@@ -80,14 +66,6 @@ pub fn init_obs() -> RunOptions {
         match args[i].as_str() {
             "--stats" => stats = true,
             "--paranoid" => opts.paranoid = true,
-            "--target-cell" => {
-                let Some(t) = args.get(i + 1).and_then(|v| TargetCell::parse(v)) else {
-                    eprintln!("--target-cell requires first|smallest|largest|most-constrained");
-                    std::process::exit(2);
-                };
-                opts.target_cell = Some(t);
-                i += 1;
-            }
             "--trace-json" => {
                 let Some(p) = args.get(i + 1) else {
                     eprintln!("--trace-json requires a path");
@@ -98,8 +76,7 @@ pub fn init_obs() -> RunOptions {
             }
             other => {
                 eprintln!(
-                    "unknown flag {other} (expected --stats, --paranoid, \
-                     --target-cell <T> or --trace-json <path>)"
+                    "unknown flag {other} (expected --stats, --paranoid or --trace-json <path>)"
                 );
                 std::process::exit(2);
             }
@@ -177,20 +154,18 @@ pub fn measure<T>(f: impl FnOnce() -> Option<T>) -> (Run, Option<T>) {
     )
 }
 
-/// Runs a baseline engine `X` alone on `(g, unit)` under the budget,
-/// with the `--target-cell` override applied.
-pub fn run_baseline(opts: &RunOptions, g: &Graph, config: &Config) -> Run {
-    let config = configured(opts, config.clone());
+/// Runs a baseline engine `X` alone on `(g, unit)` under the budget.
+pub fn run_baseline(g: &Graph, config: &Config) -> Run {
     let limits = Budget::with_deadline(budget());
-    measure(|| try_canonical_form(g, &Coloring::unit(g.n()), &config, &limits).ok()).0
+    measure(|| try_canonical_form(g, &Coloring::unit(g.n()), config, &limits).ok()).0
 }
 
 /// A session for `DviCL+X` runs: AutoTree construction with `X` as the
 /// leaf labeler. Hold it across a whole suite so arena pools and the
 /// `CombineCL` memo amortize over every graph.
-pub fn dvicl_session(opts: &RunOptions, config: &Config) -> Session {
+pub fn dvicl_session(config: &Config) -> Session {
     Session::new(DviclOptions {
-        leaf_config: configured(opts, config.clone()),
+        leaf_config: config.clone(),
         ..DviclOptions::default()
     })
 }
@@ -317,11 +292,6 @@ pub fn print_header(cols: &[&str], widths: &[usize]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Counters are process-global; tests that assert on deltas must
-    /// not overlap with other counter-bumping tests in this binary.
-    static OBS_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn run_formats_like_the_paper() {
@@ -355,13 +325,12 @@ mod tests {
 
     #[test]
     fn baseline_and_dvicl_agree_on_a_small_graph() {
-        let _serial = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let g = dvicl_graph::named::fig1_example();
         let opts = RunOptions::default();
         for (_, config) in engines() {
-            let base = run_baseline(&opts, &g, &config);
+            let base = run_baseline(&g, &config);
             assert!(base.secs.is_some(), "tiny graph must finish");
-            let mut session = dvicl_session(&opts, &config);
+            let mut session = dvicl_session(&config);
             let (run, tree) = build_tree(&opts, &mut session, &g);
             assert!(run.secs.is_some());
             assert_eq!(tree.expect("built").stats().total_nodes, 7);
@@ -370,11 +339,10 @@ mod tests {
 
     #[test]
     fn session_reuse_keeps_certificates_stable() {
-        let _serial = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // The whole point of threading a Session through the tables:
         // later builds reuse arenas/memo yet certify identically.
         let opts = RunOptions::default();
-        let mut session = dvicl_session(&opts, &Config::traces_like());
+        let mut session = dvicl_session(&Config::traces_like());
         let graphs = [
             dvicl_graph::named::petersen(),
             dvicl_graph::named::fig1_example(),
@@ -392,13 +360,11 @@ mod tests {
 
     #[test]
     fn counter_deltas_are_deterministic() {
-        let _serial = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let g = dvicl_graph::named::petersen();
-        let (opts, config) = (RunOptions::default(), Config::bliss_like());
-        let r1 = run_baseline(&opts, &g, &config);
-        let r2 = run_baseline(&opts, &g, &config);
+        let config = Config::bliss_like();
+        let r1 = run_baseline(&g, &config);
+        let r2 = run_baseline(&g, &config);
         assert_eq!(r1.counters, r2.counters, "reruns must agree exactly");
-        #[cfg(not(feature = "obs-off"))]
         assert!(r1.counters.get(dvicl_obs::Counter::SearchNodes) > 0);
     }
 

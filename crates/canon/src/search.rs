@@ -64,19 +64,9 @@ impl TargetCell {
         }
     }
 
-    /// Parses a `--target-cell` argument value.
-    pub fn parse(s: &str) -> Option<TargetCell> {
-        match s {
-            "first" => Some(TargetCell::FirstNonSingleton),
-            "smallest" => Some(TargetCell::SmallestFirst),
-            "largest" => Some(TargetCell::LargestFirst),
-            "most-constrained" => Some(TargetCell::MostConstrained),
-            _ => None,
-        }
-    }
-
-    /// The stable flag-value name
-    /// (`first`/`smallest`/`largest`/`most-constrained`).
+    /// The selector's stable name
+    /// (`first`/`smallest`/`largest`/`most-constrained`), as the goldens,
+    /// the census and `table8` report it.
     pub fn name(self) -> &'static str {
         match self {
             TargetCell::FirstNonSingleton => "first",
@@ -298,6 +288,7 @@ fn quotient_hash_delta(g: &Graph, refiner: &Refiner, parent: u64) -> u64 {
 /// of every neighbor labeled `a < b`, so each row fills in ascending
 /// order with no comparison sort. O(n + m), against the O(m log m)
 /// relabel-and-sort of `CanonForm::new` that it equals.
+// dvicl-lint: allow(budget-reachability) -- O(n + m) readout of one leaf; dfs() spends one unit for the node before visiting it
 fn leaf_edges(g: &Graph, label: &[V], at: &[V]) -> Vec<(V, V)> {
     let mut row_start = vec![0; g.n() + 1];
     for (v, &a) in (0..).zip(label) {
@@ -627,6 +618,7 @@ impl<'a> Search<'a> {
     /// found since `gens_seen` that fixes `fixed` pointwise. Such a
     /// generator maps the target cell onto itself, so each absorb costs
     /// O(|cell| log |cell|), not O(n).
+    // dvicl-lint: allow(budget-reachability) -- O(new generators x |cell| log |cell|) per candidate; dfs() spends one unit per node it visits
     fn absorb_new_generators(
         &self,
         target: &[V],

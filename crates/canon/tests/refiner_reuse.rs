@@ -8,8 +8,8 @@
 //! followed by searches on a warm refiner whose results must equal a
 //! fresh refiner's.
 //!
-//! The fault plan is process-global, so everything here runs in one test
-//! of its own binary.
+//! The fault plan is installed on this test's thread only, so no other
+//! test's search can see it.
 
 use dvicl_canon::{try_canonical_form_with, Budget, CanonResult, Config, DviclError};
 use dvicl_data::bench_graphs;

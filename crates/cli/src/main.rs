@@ -58,8 +58,7 @@ use std::process::ExitCode;
 /// flags and passed down explicitly.
 pub(crate) struct RunOptions {
     /// The build options: the traces-like leaf IR configuration (the
-    /// robust one on regular graphs) with any `--target-cell` override
-    /// applied.
+    /// robust one on regular graphs).
     pub(crate) build: DviclOptions,
     /// `--paranoid`: every result is re-checked against its witness
     /// before being reported.
@@ -181,7 +180,7 @@ impl ObsConfig {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N] [QUERIES]\n  dvicl serve    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...)\n  --max-nodes <N>      work budget in search/build nodes\n  --target-cell <T>    IR target cell: first|smallest|largest|most-constrained\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  NDJSON events + summary to PATH\n  --paranoid           re-check every result against its witness\n  --fault-plan <SPEC>  deterministic fault injection (see DESIGN.md §11)\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
+    "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N] [QUERIES]\n  dvicl serve    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...)\n  --max-nodes <N>      work budget in search/build nodes\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  NDJSON events + summary to PATH\n  --paranoid           re-check every result against its witness\n  --fault-plan <SPEC>  deterministic fault injection (see DESIGN.md §11)\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
 }
 
 /// A CLI failure: either a usage mistake (print the help text, exit 2)
@@ -227,15 +226,6 @@ fn global_flags(
             }
             "--stats" => obs_cfg.stats = true,
             "--paranoid" => opts.paranoid = true,
-            "--target-cell" => {
-                let v = it.next().ok_or_else(|| {
-                    DviclError::invalid("--target-cell needs first|smallest|largest|most-constrained")
-                })?;
-                opts.build.leaf_config.target_cell = dvicl_canon::TargetCell::parse(&v)
-                    .ok_or_else(|| {
-                        DviclError::invalid(format!("--target-cell: unknown selector: {v:?}"))
-                    })?;
-            }
             "--fault-plan" => {
                 let v = it
                     .next()

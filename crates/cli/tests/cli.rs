@@ -103,13 +103,19 @@ fn unknown_subcommand_fails_with_usage() {
 fn one_shot_subcommands_reject_stray_tokens() {
     // A mistyped flag, a bad flag value or a surplus argument is a usage
     // error naming the token, never a silent run.
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["canon", "g6:IheA@GUAo", "--paranoia"], "`--paranoia`"),
         (&["tree", "g6:IheA@GUAo", "--rendr"], "`--rendr`"),
         (&["ssm", "g6:IheA@GUAo", "0", "--limit", "abc"], "\"abc\""),
         (&["canon", "g6:IheA@GUAo", "extra"], "`extra`"),
         (&["canon", "--stat", "g6:IheA@GUAo"], "`--stat`"),
         (&["canon", "g6:IheA@GUAo", "--threads", "4"], "`--threads`"),
+        // There is no target-cell override: every query is labeled
+        // under the one configuration the CLI builds with.
+        (
+            &["batch", "--index", "a.dvix", "--target-cell", "smallest"],
+            "`--target-cell`",
+        ),
     ];
     for (args, token) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))

@@ -329,6 +329,7 @@ impl SubArena {
     /// component's minimum local index), sizes become offsets, and one
     /// ascending sweep scatters the members, so every part comes out
     /// ascending with no per-part `Vec` or sort.
+    // dvicl-lint: allow(budget-reachability) -- one O(n + m) pass over a subgraph; the builder spends one unit per AutoTree node it divides
     fn components_into(
         &mut self,
         s: &Sub,

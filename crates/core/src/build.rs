@@ -116,7 +116,7 @@ pub struct BuildOutcome {
     /// leaf, still a correct canonical form, just computed without
     /// divide-and-conquer savings. Degraded and non-degraded
     /// certificates of the same graph are **not** comparable — compare
-    /// like with like (see `try_are_isomorphic`).
+    /// like with like (see `iso::try_find_isomorphism_colored_outcome`).
     pub degraded: bool,
 }
 

@@ -25,7 +25,7 @@ pub fn find_isomorphism_colored(
     g2: &Graph,
     pi2: &Coloring,
 ) -> Option<Perm> {
-    if g1.n() != g2.n() || g1.m() != g2.m() || !crate::same_cell_sizes(pi1, pi2) {
+    if !same_shape(g1, pi1, g2, pi2) {
         return None;
     }
     let opts = DviclOptions::default();
@@ -55,9 +55,10 @@ pub struct IsoOutcome {
 }
 
 /// Budgeted [`find_isomorphism`] with graceful degradation (see
-/// [`crate::try_are_isomorphic`]): a work-cap exhaustion degrades both
-/// sides to whole-graph IR labeling instead of failing, so the mapping —
-/// composed from two labelings produced in the *same* mode — stays valid.
+/// [`try_find_isomorphism_colored_outcome`]): a work-cap exhaustion
+/// degrades both sides to whole-graph IR labeling instead of failing, so
+/// the mapping — composed from two labelings produced in the *same*
+/// mode — stays valid.
 pub fn try_find_isomorphism(
     g1: &Graph,
     g2: &Graph,
@@ -93,6 +94,10 @@ pub fn try_find_isomorphism_colored(
 }
 
 /// [`try_find_isomorphism_colored`] with the degradation flag exposed.
+///
+/// A degraded (single-leaf) certificate is not comparable with a
+/// divided-tree certificate of the same graph, so if only one side
+/// degrades the other is rebuilt in degraded mode too.
 pub fn try_find_isomorphism_colored_outcome(
     g1: &Graph,
     pi1: &Coloring,
@@ -100,7 +105,7 @@ pub fn try_find_isomorphism_colored_outcome(
     pi2: &Coloring,
     budget: &Budget,
 ) -> Result<IsoOutcome, DviclError> {
-    if g1.n() != g2.n() || g1.m() != g2.m() || !crate::same_cell_sizes(pi1, pi2) {
+    if !same_shape(g1, pi1, g2, pi2) {
         return Ok(IsoOutcome {
             mapping: None,
             degraded: false,
@@ -141,6 +146,25 @@ pub fn try_find_isomorphism_colored_outcome(
         mapping: Some(gamma),
         degraded,
     })
+}
+
+/// The checks that answer "not isomorphic" without building anything:
+/// equal vertex and edge counts, and equal cell-size sequences.
+///
+/// An AutoTree certificate describes the *refined* input coloring, and
+/// refinement can carry colorings with different cell sizes onto the
+/// same refined one: `P₃ + K₁` colored `[isolated | rest]` and
+/// `[rest | center]` both refine to `[isolated | leaves | center]`. So
+/// two colored graphs are isomorphic iff their certificates are equal
+/// *and* their cell sizes are. Unit colorings of equal size always pass.
+fn same_shape(g1: &Graph, pi1: &Coloring, g2: &Graph, pi2: &Coloring) -> bool {
+    g1.n() == g2.n()
+        && g1.m() == g2.m()
+        && pi1
+            .cells()
+            .iter()
+            .map(Vec::len)
+            .eq(pi2.cells().iter().map(Vec::len))
 }
 
 #[cfg(test)]

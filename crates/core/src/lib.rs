@@ -68,66 +68,25 @@ pub fn canonical_form(g: &Graph) -> CanonForm {
         .to_form()
 }
 
-/// True iff the two graphs are isomorphic (unit colorings).
+/// True iff the two graphs are isomorphic (unit colorings): the
+/// [`iso::find_isomorphism`] decision without the mapping.
 pub fn are_isomorphic(g1: &Graph, g2: &Graph) -> bool {
-    g1.n() == g2.n() && g1.m() == g2.m() && canonical_form(g1) == canonical_form(g2)
+    iso::find_isomorphism(g1, g2).is_some()
 }
 
-/// True iff the two *colored* graphs are isomorphic.
+/// True iff the two *colored* graphs are isomorphic: the
+/// [`iso::find_isomorphism_colored`] decision without the mapping.
 pub fn are_isomorphic_colored(g1: &Graph, pi1: &Coloring, g2: &Graph, pi2: &Coloring) -> bool {
-    let opts = DviclOptions::default();
-    g1.n() == g2.n()
-        && g1.m() == g2.m()
-        && same_cell_sizes(pi1, pi2)
-        && build_autotree(g1, pi1, &opts).canonical_form()
-            == build_autotree(g2, pi2, &opts).canonical_form()
+    iso::find_isomorphism_colored(g1, pi1, g2, pi2).is_some()
 }
 
-/// True iff the two colorings have equal cell-size sequences.
-///
-/// An AutoTree certificate describes the *refined* input coloring, and
-/// refinement can carry colorings with different cell sizes onto the
-/// same refined one: `P₃ + K₁` colored `[isolated | rest]` and
-/// `[rest | center]` both refine to `[isolated | leaves | center]`. So
-/// two colored graphs are isomorphic iff their certificates are equal
-/// *and* this holds. Unit colorings of equal size always pass.
-pub(crate) fn same_cell_sizes(pi1: &Coloring, pi2: &Coloring) -> bool {
-    pi1.cells()
-        .iter()
-        .map(Vec::len)
-        .eq(pi2.cells().iter().map(Vec::len))
-}
-
-/// Budgeted [`are_isomorphic`] with graceful degradation: when the
-/// divide-and-conquer builds exhaust the budget's work cap, both sides
-/// fall back to whole-graph IR labeling. A degraded (single-leaf)
-/// certificate is not comparable with a divided-tree certificate of the
-/// same graph, so if only one side degrades the other is rebuilt in
-/// degraded mode too — the answer stays correct under any work budget.
+/// Budgeted [`are_isomorphic`] with graceful degradation: the
+/// [`iso::try_find_isomorphism_outcome`] decision without the mapping.
+/// When the divide-and-conquer builds exhaust the budget's work cap,
+/// both sides fall back to whole-graph IR labeling, so the answer stays
+/// correct under any work budget.
 pub fn try_are_isomorphic(g1: &Graph, g2: &Graph, budget: &Budget) -> Result<bool, DviclError> {
-    if g1.n() != g2.n() || g1.m() != g2.m() {
-        return Ok(false);
-    }
-    let opts = DviclOptions::default();
-    let unit1 = Coloring::unit(g1.n());
-    let unit2 = Coloring::unit(g2.n());
-    let mut t1 = build_autotree_resilient(g1, &unit1, &opts, budget)?;
-    let mut t2 = build_autotree_resilient(g2, &unit2, &opts, budget)?;
-    if t1.degraded != t2.degraded {
-        // Rebuild the non-degraded side as a whole-graph leaf so the
-        // certificates are comparable (same labeling mode on both sides).
-        let relaxed = budget.without_work_limit();
-        if t1.degraded {
-            t2 = BuildOutcome {
-                tree: build_autotree_whole_leaf(g2, &unit2, &opts, &relaxed)?,
-                degraded: true,
-            };
-        } else {
-            t1 = BuildOutcome {
-                tree: build_autotree_whole_leaf(g1, &unit1, &opts, &relaxed)?,
-                degraded: true,
-            };
-        }
-    }
-    Ok(t1.tree.canonical_form() == t2.tree.canonical_form())
+    Ok(iso::try_find_isomorphism_outcome(g1, g2, budget)?
+        .mapping
+        .is_some())
 }

@@ -17,9 +17,11 @@
 //!   implicitly keyed to `leaf_config`, so [`Session::set_options`]
 //!   clears it when the engine configuration changes.
 //!
-//! What a session does *not* own: the obs sink and counters are
-//! process-global (install one with `obs::install`; a serving loop
-//! diffs `obs::snapshot()` around each request), and resource limits
+//! What a session does *not* own: the obs sink is process-wide
+//! (install one with `obs::install`), and the counters and phase table
+//! belong to the thread that runs the build, so one `Session` per
+//! thread also gets its own counts (a serving loop diffs
+//! `obs::snapshot()` around each request). Resource limits
 //! arrive as a per-request [`Budget`] — admission control belongs to
 //! the caller, one allowance per query, so one hostile request trips
 //! its own typed error instead of starving the whole service.
@@ -197,17 +199,9 @@ mod tests {
     use dvicl_canon::Config;
     use dvicl_govern::Resource;
     use dvicl_graph::named;
-    use std::sync::Mutex;
-
-    /// Counters are process-global and `cargo test` runs tests in
-    /// parallel: every test in this module builds through a `Session`
-    /// (bumping `session_arena_reuses`), so the tests serialize on one
-    /// lock to keep snapshot-diff assertions exact.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn session_forms_match_one_shot_forms() {
-        let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut s = Session::new(DviclOptions::default());
         for g in [
             named::fig1_example(),
@@ -224,7 +218,6 @@ mod tests {
 
     #[test]
     fn session_trees_match_one_shot_trees() {
-        let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Not just the root form: generators and tree shape too.
         let mut s = Session::default();
         for g in [named::fig1_example(), named::hypercube(3)] {
@@ -242,7 +235,6 @@ mod tests {
 
     #[test]
     fn arena_reuse_is_counted() {
-        let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut s = Session::default();
         let before = obs::snapshot();
         s.canonical_form(&named::petersen());
@@ -255,7 +247,6 @@ mod tests {
 
     #[test]
     fn memo_survives_builds_but_not_config_changes() {
-        let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut s = Session::default();
         // K4 plus a pendant path divides into leaves that hit the memo.
         let g = named::fig1_example();
@@ -283,7 +274,6 @@ mod tests {
 
     #[test]
     fn per_request_budget_failure_leaves_session_usable() {
-        let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut s = Session::default();
         let g = named::fig1_example();
         let r = s.try_build(&g, &Coloring::unit(g.n()), &Budget::with_max_work(3));
@@ -300,7 +290,6 @@ mod tests {
 
     #[test]
     fn resilient_and_whole_leaf_match_one_shot() {
-        let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut s = Session::default();
         let g = named::fig1_example();
         let pi = Coloring::unit(g.n());
@@ -320,7 +309,6 @@ mod tests {
 
     #[test]
     fn fingerprinted_form_is_consistent() {
-        let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut s = Session::default();
         let (fp, form) = s
             .try_fingerprinted_form(&named::petersen(), &Budget::unlimited())

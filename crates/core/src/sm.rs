@@ -52,6 +52,7 @@ pub fn try_enumerate_induced(
 
 /// Reorders so each vertex (after the first) is adjacent to an earlier one
 /// when possible.
+// dvicl-lint: allow(budget-reachability) -- O(|q| + |E(q)|) query setup; sm_rec meters the matcher that follows
 fn connectivity_order(q: &Graph, pref: &[V]) -> Vec<V> {
     let mut order = Vec::with_capacity(pref.len());
     let mut placed = vec![false; q.n()];

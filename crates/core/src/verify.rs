@@ -426,7 +426,14 @@ mod tests {
         let before = obs::snapshot();
         verify_tree(&g, &t).unwrap();
         let after = obs::snapshot().diff(&before);
-        assert!(after.get(Counter::VerifyChecks) >= 1);
+        // One root-form check plus one per leaf generator.
+        let generators: usize = t
+            .nodes()
+            .filter(|n| n.kind() == NodeKind::NonSingletonLeaf)
+            .map(|n| n.leaf_generators().len())
+            .sum();
+        assert!(generators > 0);
+        assert_eq!(after.get(Counter::VerifyChecks), 1 + generators as u64);
         assert_eq!(after.get(Counter::VerifyFailures), 0);
         let mut bad = tree_of(&g);
         bad.labels.swap(0, 3);

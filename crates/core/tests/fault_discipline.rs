@@ -12,10 +12,9 @@
 //!    reference canonical form, and any tree that does come back is
 //!    witness-valid.
 //!
-//! The fault plan is process-global, so the property that installs
-//! plans and the one that does not are serialized on one mutex; this
-//! file is its own test binary, keeping plans invisible to the rest of
-//! the core suite.
+//! A fault plan is installed on the calling thread only, so the
+//! property that installs plans cannot reach the builds of any other
+//! test running beside it.
 
 use dvicl_core::{
     build_autotree_resilient, try_build_autotree, verify, DviclOptions, Sub, SubArena,
@@ -24,9 +23,6 @@ use dvicl_govern::fault::{self, FaultPlan, Site};
 use dvicl_govern::{Budget, DviclError, FaultAction};
 use dvicl_graph::{Coloring, Graph, V};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (4..=max_n).prop_flat_map(|n| {
@@ -84,7 +80,6 @@ proptest! {
         picks in proptest::collection::vec(any::<u32>(), 8..32),
         slack in 0usize..4096,
     ) {
-        let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut arena = SubArena::new();
         let whole = arena.whole(&g);
         let base = arena.bytes_now();
@@ -110,7 +105,6 @@ proptest! {
         k in 1u64..6,
         cancel in any::<bool>(),
     ) {
-        let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let sites = [
             Site::CoreBuildNode,
             Site::CoreArenaCarve,

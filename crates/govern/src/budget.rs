@@ -3,7 +3,7 @@
 use crate::error::{DviclError, Resource};
 use crate::fault::Site;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How many work units pass between wall-clock checks in
@@ -93,12 +93,11 @@ impl Budget {
         Budget::with_cancel(timeout, max_work, CancelToken::new())
     }
 
-    /// A shared budget with no limits at all. Cheap to obtain (a clone
-    /// of a process-wide handle), so infallible wrappers can call this
-    /// on every invocation.
+    /// A fresh budget with no limits at all: its own work counter and
+    /// cancel token, so computations that each take one never share an
+    /// allowance.
     pub fn unlimited() -> Budget {
-        static UNLIMITED: OnceLock<Budget> = OnceLock::new();
-        UNLIMITED.get_or_init(|| Budget::new(None, None)).clone()
+        Budget::new(None, None)
     }
 
     /// A budget with only a wall-clock deadline.
@@ -209,18 +208,22 @@ mod tests {
 
     #[test]
     fn unlimited_budget_never_fails() {
-        let _g = crate::fault::test_lock();
         let b = Budget::unlimited();
         for _ in 0..10_000 {
             b.spend(1).unwrap();
         }
         b.check().unwrap();
         assert!(b.is_unlimited());
+        assert_eq!(b.work_spent(), 10_000);
+        assert_eq!(
+            Budget::unlimited().work_spent(),
+            0,
+            "each unlimited budget counts its own work"
+        );
     }
 
     #[test]
     fn work_cap_is_exact() {
-        let _g = crate::fault::test_lock();
         let b = Budget::with_max_work(5);
         for _ in 0..5 {
             b.spend(1).unwrap();
@@ -238,7 +241,6 @@ mod tests {
 
     #[test]
     fn clones_share_one_allowance() {
-        let _g = crate::fault::test_lock();
         let a = Budget::with_max_work(10);
         let b = a.clone();
         for _ in 0..5 {
@@ -251,7 +253,6 @@ mod tests {
 
     #[test]
     fn deadline_fires_even_mid_stride() {
-        let _g = crate::fault::test_lock();
         let b = Budget::with_deadline(Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(5));
         // check() sees it immediately...
@@ -275,7 +276,6 @@ mod tests {
 
     #[test]
     fn large_spends_check_the_clock_immediately() {
-        let _g = crate::fault::test_lock();
         let b = Budget::with_deadline(Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(5));
         assert!(b.spend(STRIDE).is_err());
@@ -283,7 +283,6 @@ mod tests {
 
     #[test]
     fn cancellation_is_sticky_and_shared() {
-        let _g = crate::fault::test_lock();
         let b = Budget::new(None, None);
         let token = b.cancel_token();
         b.check().unwrap();
@@ -294,7 +293,6 @@ mod tests {
 
     #[test]
     fn without_work_limit_keeps_deadline_and_token() {
-        let _g = crate::fault::test_lock();
         let strict = Budget::with_cancel(
             Some(Duration::from_secs(3600)),
             Some(1),

@@ -1,5 +1,5 @@
 //! Deterministic fault injection: the [`FaultPlan`] and its
-//! process-wide [`checkpoint`] hooks.
+//! [`checkpoint`] hooks.
 //!
 //! Every recovery path in the pipeline — budget trips, the whole-graph
 //! fallback, arena unwinding, parser error returns — is code that only
@@ -23,16 +23,17 @@
 //! * `k` — the 1-based hit ordinal at which the arm fires, counted per
 //!   site (or across all sites for `*`). Each arm fires exactly once.
 //!
-//! With no plan installed a [`checkpoint`] call is a single relaxed
-//! atomic load — the hooks are free in production. With a plan
-//! installed every hit is also *counted*, which is how the fault-sweep
-//! harness discovers the checkpoint space: install an empty plan, run
-//! the pipeline once, read [`hit_counts`], then enumerate `(site, k)`
-//! injection points from the observed totals.
+//! A plan is installed on the calling thread: it counts and injects at
+//! that thread's checkpoints only, so a pipeline run on another thread
+//! is untouched by it. With no plan installed a [`checkpoint`] call is
+//! a single thread-local load — the hooks are free in production. With
+//! a plan installed every hit is also *counted*, which is how the
+//! fault-sweep harness discovers the checkpoint space: install an empty
+//! plan, run the pipeline once, read [`hit_counts`], then enumerate
+//! `(site, k)` injection points from the observed totals.
 
 use crate::error::{DviclError, ParseError, ParseErrorKind, Resource};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError, RwLock};
+use std::cell::{Cell, RefCell};
 
 dvicl_obs::catalog! {
     /// A fault checkpoint site: one named place in the pipeline where an
@@ -242,56 +243,78 @@ impl FaultPlan {
     }
 }
 
-/// Mutable per-installation state, behind one mutex: hit counts per
-/// site (indexed by `Site as usize`), the cross-site total (what `*`
-/// arms count against), and which arms have already fired.
-#[derive(Debug, Default)]
-struct State {
+/// An installed plan and its state: hit counts per site (indexed by
+/// `Site as usize`), the cross-site total (what `*` arms count
+/// against), and which arms have already fired.
+#[derive(Debug)]
+struct Installed {
+    plan: FaultPlan,
     counts: [u64; Site::ALL.len()],
     total: u64,
     fired: Vec<bool>,
 }
 
-#[derive(Debug)]
-struct Installed {
-    plan: FaultPlan,
-    state: Mutex<State>,
+impl Installed {
+    /// Counts one hit of `site` and returns the action and hit ordinal
+    /// of the first unfired arm it triggers, marking that arm fired.
+    fn hit(&mut self, site: Site) -> Option<(FaultAction, u64)> {
+        self.total += 1;
+        self.counts[site as usize] += 1;
+        let site_hits = self.counts[site as usize];
+        for (arm, fired) in self.plan.arms.iter().zip(&mut self.fired) {
+            let hit = match arm.site {
+                None => self.total,
+                Some(s) if s == site => site_hits,
+                Some(_) => continue,
+            };
+            if !*fired && hit == arm.k {
+                *fired = true;
+                return Some((arm.action, hit));
+            }
+        }
+        None
+    }
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static PLAN: RwLock<Option<Installed>> = RwLock::new(None);
+thread_local! {
+    /// Whether this thread has a plan installed: the checkpoint fast
+    /// path reads this and nothing else.
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    static PLAN: RefCell<Option<Installed>> = const { RefCell::new(None) };
+}
 
-/// Installs `plan` process-wide, replacing any previous plan and
-/// resetting all hit counts. Checkpoints start counting (and possibly
-/// injecting) immediately.
+/// Installs `plan` on the calling thread, replacing any previous plan
+/// there and resetting all hit counts. The thread's checkpoints start
+/// counting (and possibly injecting) immediately; other threads' do
+/// not.
 pub fn install(plan: FaultPlan) {
     let fired = vec![false; plan.arms.len()];
-    let installed = Installed {
+    PLAN.set(Some(Installed {
         plan,
-        state: Mutex::new(State {
-            fired,
-            ..State::default()
-        }),
-    };
-    *PLAN.write().unwrap_or_else(PoisonError::into_inner) = Some(installed);
-    ACTIVE.store(true, Ordering::Release);
+        counts: [0; Site::ALL.len()],
+        total: 0,
+        fired,
+    }));
+    ACTIVE.set(true);
 }
 
-/// Removes the installed plan; checkpoints return to their free
-/// fast path.
+/// Removes the calling thread's plan; its checkpoints return to their
+/// free fast path.
 pub fn clear() {
-    ACTIVE.store(false, Ordering::Release);
-    *PLAN.write().unwrap_or_else(PoisonError::into_inner) = None;
+    ACTIVE.set(false);
+    PLAN.set(None);
 }
 
-/// Whether a plan is currently installed (probe or injecting).
+/// Whether a plan is currently installed on the calling thread (probe
+/// or injecting).
 pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    ACTIVE.get()
 }
 
 /// Installs a plan from the `DVICL_FAULT_PLAN` environment variable, if
-/// set. Returns `Ok(true)` when a plan was installed, `Ok(false)` when
-/// the variable is absent, and a typed error for a malformed spec.
+/// set, on the calling thread. Returns `Ok(true)` when a plan was
+/// installed, `Ok(false)` when the variable is absent, and a typed
+/// error for a malformed spec.
 pub fn install_from_env() -> Result<bool, DviclError> {
     match std::env::var("DVICL_FAULT_PLAN") {
         Ok(spec) => {
@@ -302,41 +325,27 @@ pub fn install_from_env() -> Result<bool, DviclError> {
     }
 }
 
-/// Per-site checkpoint hit counts since the last [`install`], in site
-/// name order, for the sites hit at least once. Empty when no plan is
-/// installed.
+/// The calling thread's per-site checkpoint hit counts since the last
+/// [`install`], in site name order, for the sites hit at least once.
+/// Empty when no plan is installed.
 pub fn hit_counts() -> Vec<(Site, u64)> {
-    let guard = PLAN.read().unwrap_or_else(PoisonError::into_inner);
-    match guard.as_ref() {
-        Some(inst) => {
-            let state = inst.state.lock().unwrap_or_else(PoisonError::into_inner);
-            Site::ALL
-                .into_iter()
-                .zip(state.counts)
-                .filter(|&(_, c)| c > 0)
-                .collect()
-        }
+    PLAN.with_borrow(|plan| match plan {
+        Some(inst) => Site::ALL
+            .into_iter()
+            .zip(inst.counts)
+            .filter(|&(_, c)| c > 0)
+            .collect(),
         None => Vec::new(),
-    }
+    })
 }
 
-/// Serializes this crate's unit tests that install a plan or reach a
-/// checkpoint (every `Budget::spend` does): the plan is process-global,
-/// so a test running beside an installed plan would have its hits
-/// counted — or its spends cancelled — by that plan.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A named fault-injection point. Free (one relaxed atomic load) unless
-/// a plan is installed; with a plan installed, counts the hit and
-/// injects the matching arm's typed error, if any. The checkpoint map
-/// lives in DESIGN.md §11.
+/// A named fault-injection point. Free (one thread-local load) unless a
+/// plan is installed on the calling thread; with a plan installed,
+/// counts the hit and injects the matching arm's typed error, if any.
+/// The checkpoint map lives in DESIGN.md §11.
 #[inline]
 pub fn checkpoint(site: Site) -> Result<(), DviclError> {
-    if !ACTIVE.load(Ordering::Relaxed) {
+    if !ACTIVE.get() {
         return Ok(());
     }
     checkpoint_slow(site)
@@ -345,37 +354,13 @@ pub fn checkpoint(site: Site) -> Result<(), DviclError> {
 #[cold]
 #[inline(never)]
 fn checkpoint_slow(site: Site) -> Result<(), DviclError> {
-    let guard = PLAN.read().unwrap_or_else(PoisonError::into_inner);
-    let Some(inst) = guard.as_ref() else {
-        return Ok(());
-    };
-    let mut state = inst.state.lock().unwrap_or_else(PoisonError::into_inner);
-    state.total += 1;
-    let total = state.total;
-    let site_hits = {
-        let c = &mut state.counts[site as usize];
-        *c += 1;
-        *c
-    };
-    for (i, arm) in inst.plan.arms.iter().enumerate() {
-        if state.fired[i] {
-            continue;
-        }
-        let hit = match arm.site {
-            None => total,
-            Some(s) if s == site => site_hits,
-            Some(_) => continue,
-        };
-        if hit == arm.k {
-            state.fired[i] = true;
-            let action = arm.action;
-            drop(state);
-            drop(guard);
+    match PLAN.with_borrow_mut(|plan| plan.as_mut().and_then(|inst| inst.hit(site))) {
+        Some((action, hit)) => {
             report_injection(site, action, hit);
-            return Err(action.to_error(site, hit));
+            Err(action.to_error(site, hit))
         }
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Reports an injected fault to the observability layer. Off the hot
@@ -436,7 +421,6 @@ mod tests {
 
     #[test]
     fn checkpoint_is_free_without_a_plan() {
-        let _g = test_lock();
         clear();
         assert!(!is_active());
         for _ in 0..1000 {
@@ -447,7 +431,6 @@ mod tests {
 
     #[test]
     fn probe_plan_counts_without_injecting() {
-        let _g = test_lock();
         install(FaultPlan::probe());
         for _ in 0..3 {
             checkpoint(Site::CoreBuildNode).unwrap();
@@ -462,7 +445,6 @@ mod tests {
 
     #[test]
     fn arm_fires_at_exactly_the_kth_hit_and_only_once() {
-        let _g = test_lock();
         install(FaultPlan::one(FaultAction::Trip, Site::CanonDfs, 3));
         checkpoint(Site::CanonDfs).unwrap();
         checkpoint(Site::CoreLeafIr).unwrap(); // other sites don't count
@@ -482,7 +464,6 @@ mod tests {
 
     #[test]
     fn wildcard_counts_across_sites_and_actions_map_to_errors() {
-        let _g = test_lock();
         install(FaultPlan::parse("cancel@*:2").unwrap());
         checkpoint(Site::RefineRefine).unwrap();
         assert_eq!(checkpoint(Site::CanonDfs), Err(DviclError::Cancelled));
@@ -511,8 +492,34 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_acts_only_on_the_thread_that_installed_it() {
+        install(FaultPlan::parse("cancel@*:1").unwrap());
+        let (other_err, other_counts, other_active) = std::thread::spawn(|| {
+            let err = checkpoint(Site::CanonDfs).err();
+            (err, hit_counts(), is_active())
+        })
+        .join()
+        .unwrap();
+        assert_eq!(other_err, None, "another thread's checkpoint was injected");
+        assert!(other_counts.is_empty() && !other_active);
+        assert!(hit_counts().is_empty(), "another thread's hit was counted");
+        assert_eq!(checkpoint(Site::CanonDfs), Err(DviclError::Cancelled));
+
+        // The reverse: a plan installed on a spawned thread leaves this
+        // one alone.
+        clear();
+        std::thread::spawn(|| {
+            install(FaultPlan::parse("trip@*:1").unwrap());
+            assert!(checkpoint(Site::GovernSpend).is_err());
+        })
+        .join()
+        .unwrap();
+        assert!(!is_active());
+        checkpoint(Site::GovernSpend).unwrap();
+    }
+
+    #[test]
     fn install_resets_counts_and_fired_state() {
-        let _g = test_lock();
         install(FaultPlan::one(FaultAction::Cancel, Site::CoreSsm, 1));
         assert!(checkpoint(Site::CoreSsm).is_err());
         install(FaultPlan::one(FaultAction::Cancel, Site::CoreSsm, 1));

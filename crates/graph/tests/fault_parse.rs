@@ -2,10 +2,8 @@
 //! the parsers fail with a *typed* error at exactly the j-th read — never
 //! a panic, never a partial graph.
 //!
-//! This lives in its own integration-test binary (own process) because
-//! the fault plan is global state: a plan installed here must not be able
-//! to leak into the malformed-input corpus tests. Within this binary all
-//! scenarios run inside a single `#[test]` for the same reason.
+//! A fault plan is installed on the calling thread only, so the plans
+//! installed here cannot leak into the malformed-input corpus tests.
 
 use dvicl_govern::fault::{self, FaultPlan, Site};
 use dvicl_govern::{DviclError, ParseErrorKind};

@@ -216,13 +216,6 @@ mod tests {
     use super::*;
     use dvicl_core::canonical_form;
     use dvicl_graph::named;
-    use std::sync::Mutex;
-
-    /// Counters are process-global and `cargo test` runs tests in
-    /// parallel: every test in this module probes the index (bumping
-    /// the `index_*` counters), so the tests serialize on one lock to
-    /// keep snapshot-diff assertions exact.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     fn keyed(g: &dvicl_graph::Graph) -> (Fingerprint, CanonForm) {
         let form = canonical_form(g);
@@ -231,7 +224,6 @@ mod tests {
 
     #[test]
     fn insert_groups_isomorphic_graphs() {
-        let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut idx = FingerprintIndex::new();
         let (fp, form) = keyed(&named::petersen());
         // Petersen is the Kneser graph K(5,2): an isomorphic but
@@ -248,7 +240,6 @@ mod tests {
 
     #[test]
     fn lookup_and_group_size() {
-        let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut idx = FingerprintIndex::new();
         let (fp_c, form_c) = keyed(&named::cycle(8));
         let (fp_p, form_p) = keyed(&named::path(8));
@@ -262,7 +253,6 @@ mod tests {
 
     #[test]
     fn collision_resolved_by_stored_form() {
-        let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Force two non-isomorphic forms under ONE fingerprint: the
         // exact check must keep them apart and count the collision.
         let mut idx = FingerprintIndex::new();
@@ -277,17 +267,18 @@ mod tests {
         // Both lookups answer correctly despite the shared fingerprint.
         assert_eq!(idx.lookup(fp, &form_c), Some(0));
         assert_eq!(idx.lookup(fp, &form_u), Some(1));
+        // The insert and the lookup of `form_u` each compare against
+        // `form_c` first; the lookup of `form_c` matches at once.
         let d = obs::snapshot().diff(&before);
-        assert!(
-            d.get(Counter::IndexCollisions) >= 2,
-            "collision path must be counted (got {})",
-            d.get(Counter::IndexCollisions)
+        assert_eq!(
+            d.get(Counter::IndexCollisions),
+            2,
+            "collision path must be counted"
         );
     }
 
     #[test]
     fn paranoid_insert_rejects_mismatched_fingerprint() {
-        let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut idx = FingerprintIndex::new();
         let (fp, form) = keyed(&named::frucht());
         let wrong = Fingerprint {
@@ -309,7 +300,6 @@ mod tests {
 
     #[test]
     fn probe_counters_follow_the_contract() {
-        let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut idx = FingerprintIndex::new();
         let (fp, form) = keyed(&named::petersen());
         idx.insert(fp, form.clone(), false).expect("insert");

@@ -10,12 +10,6 @@ use dvicl_graph::{CanonForm, Fingerprint, V};
 use dvicl_index::FingerprintIndex;
 use dvicl_obs::{self as obs, Counter};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Counters are process-global and `cargo test` runs tests in parallel:
-/// every test here probes an index, so they serialize on one lock to
-/// keep the CFI test's snapshot-diff assertions exact.
-static LOCK: Mutex<()> = Mutex::new(());
 
 /// A strategy for `CanonForm`-shaped data: sorted color runs and
 /// sorted, deduplicated `(u, v)` edges with `u <= v` nondecreasing —
@@ -50,7 +44,6 @@ proptest! {
     fn dvix1_round_trip_preserves_any_index(
         specs in proptest::collection::vec((arb_form(), 1u64..5), 0..8),
     ) {
-        let _guard = LOCK.lock().unwrap();
         let mut index = FingerprintIndex::new();
         for (form, members) in &specs {
             let fp = Fingerprint::of_form(form);
@@ -80,7 +73,6 @@ proptest! {
 /// exact check rather than answering "isomorphic" by hash alone.
 #[test]
 fn cfi_pair_is_split_and_forced_collisions_are_refuted() {
-    let _guard = LOCK.lock().unwrap();
     let base = cubic_circulant(8);
     let plain = cfi(&base, false);
     let twisted = cfi(&base, true);

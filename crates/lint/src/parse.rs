@@ -3,8 +3,7 @@
 //! `dvicl-lint` stays dependency-free (no `syn`), so this recognizes
 //! exactly the item granularity the rules need — `fn`/`impl`/`struct`/
 //! `enum`/`static`/`const`/`use`/`mod`/`trait`/`type` — with code-token
-//! spans, in-file module paths and enclosing `impl` types. It is *not*
-//! a grammar: bodies are brace-matched token ranges and expressions are
+//! spans. It is *not* a grammar: bodies are brace-matched token ranges and expressions are
 //! never interpreted. Two deliberate blind spots keep it honest on real
 //! code:
 //!
@@ -58,25 +57,8 @@ pub struct Item {
     /// Code positions of the header: keyword (inclusive) to the body
     /// `{` or terminating `;` (exclusive).
     pub sig: (usize, usize),
-    /// `::`-joined in-file module path (`""` at file top level; test
-    /// modules included — pair with [`Item::is_test`]).
-    pub module: String,
-    /// For items inside an `impl` block: the target type name.
-    pub impl_type: Option<String>,
     /// The keyword falls inside a `#[cfg(test)]`/`#[test]` span.
     pub is_test: bool,
-}
-
-/// Lexical scopes the walker tracks while scanning.
-enum ScopeKind {
-    Module(String),
-    Impl(String),
-}
-
-struct Scope {
-    /// Code position of the scope's closing `}`.
-    close_cp: usize,
-    kind: ScopeKind,
 }
 
 struct Parser<'a> {
@@ -171,25 +153,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn module_path(&self, scopes: &[Scope]) -> String {
-        let names: Vec<&str> = scopes
-            .iter()
-            .filter_map(|s| match &s.kind {
-                ScopeKind::Module(m) => Some(m.as_str()),
-                _ => None,
-            })
-            .collect();
-        names.join("::")
-    }
-
-    fn impl_type(&self, scopes: &[Scope]) -> Option<String> {
-        scopes.iter().rev().find_map(|s| match &s.kind {
-            ScopeKind::Impl(t) if !t.is_empty() => Some(t.clone()),
-            _ => None,
-        })
-    }
-
-    fn item(&self, kind: ItemKind, kw_cp: usize, name_cp: usize, scopes: &[Scope]) -> Item {
+    fn item(&self, kind: ItemKind, kw_cp: usize, name_cp: usize) -> Item {
         Item {
             kind,
             name: if self.is_ident(name_cp) && name_cp != kw_cp {
@@ -201,8 +165,6 @@ impl<'a> Parser<'a> {
             name_cp,
             body: None,
             sig: (kw_cp, kw_cp),
-            module: self.module_path(scopes),
-            impl_type: self.impl_type(scopes),
             is_test: self.in_test(kw_cp),
         }
     }
@@ -219,27 +181,23 @@ pub fn items(src: &str, toks: &[Tok], code: &[usize], test_spans: &[(usize, usiz
         test_spans,
     };
     let mut out = Vec::new();
-    let mut scopes: Vec<Scope> = Vec::new();
     let mut cp = 0usize;
     while cp < code.len() {
-        while scopes.last().is_some_and(|s| s.close_cp <= cp) {
-            scopes.pop();
-        }
         if !p.is_ident(cp) {
             cp += 1;
             continue;
         }
         cp = match p.text(cp) {
-            "mod" => parse_mod(&p, cp, &mut scopes, &mut out),
-            "impl" => parse_impl(&p, cp, &mut scopes, &mut out),
-            "fn" => parse_fn(&p, cp, &scopes, &mut out),
-            "struct" => parse_struct(&p, cp, &scopes, &mut out),
-            "enum" => parse_enum(&p, cp, &scopes, &mut out),
-            "static" => parse_static(&p, cp, ItemKind::Static, &scopes, &mut out),
-            "const" => parse_const(&p, cp, &scopes, &mut out),
-            "use" => parse_use(&p, cp, &scopes, &mut out),
-            "trait" => parse_trait(&p, cp, &scopes, &mut out),
-            "type" => parse_type_alias(&p, cp, &scopes, &mut out),
+            "mod" => parse_mod(&p, cp, &mut out),
+            "impl" => parse_impl(&p, cp, &mut out),
+            "fn" => parse_fn(&p, cp, &mut out),
+            "struct" => parse_struct(&p, cp, &mut out),
+            "enum" => parse_enum(&p, cp, &mut out),
+            "static" => parse_static(&p, cp, ItemKind::Static, &mut out),
+            "const" => parse_const(&p, cp, &mut out),
+            "use" => parse_use(&p, cp, &mut out),
+            "trait" => parse_trait(&p, cp, &mut out),
+            "type" => parse_type_alias(&p, cp, &mut out),
             "macro_rules" => skip_macro_rules(&p, cp),
             _ => cp + 1,
         };
@@ -247,18 +205,16 @@ pub fn items(src: &str, toks: &[Tok], code: &[usize], test_spans: &[(usize, usiz
     out
 }
 
-fn parse_mod(p: &Parser, cp: usize, scopes: &mut Vec<Scope>, out: &mut Vec<Item>) -> usize {
+fn parse_mod(p: &Parser, cp: usize, out: &mut Vec<Item>) -> usize {
     if !p.is_ident(cp + 1) {
         return cp + 1;
     }
-    let mut item = p.item(ItemKind::Mod, cp, cp + 1, scopes);
+    let mut item = p.item(ItemKind::Mod, cp, cp + 1);
     if p.is_punct(cp + 2, b'{') {
-        let Some(close) = p.matching_brace(cp + 2) else { return cp + 1 };
+        if p.matching_brace(cp + 2).is_none() {
+            return cp + 1;
+        }
         item.sig = (cp, cp + 2);
-        scopes.push(Scope {
-            close_cp: close,
-            kind: ScopeKind::Module(item.name.clone()),
-        });
         out.push(item);
         cp + 3
     } else {
@@ -269,12 +225,14 @@ fn parse_mod(p: &Parser, cp: usize, scopes: &mut Vec<Scope>, out: &mut Vec<Item>
     }
 }
 
-fn parse_impl(p: &Parser, cp: usize, scopes: &mut Vec<Scope>, out: &mut Vec<Item>) -> usize {
+fn parse_impl(p: &Parser, cp: usize, out: &mut Vec<Item>) -> usize {
     let Some((open, is_brace)) = p.body_open(cp + 1) else { return cp + 1 };
     if !is_brace {
         return open + 1;
     }
-    let Some(close) = p.matching_brace(open) else { return cp + 1 };
+    if p.matching_brace(open).is_none() {
+        return cp + 1;
+    }
     // Header: skip leading generics, then the target type is the path
     // after `for` (trait impls) or right after the generics (inherent).
     let mut k = cp + 1;
@@ -328,23 +286,19 @@ fn parse_impl(p: &Parser, cp: usize, scopes: &mut Vec<Scope>, out: &mut Vec<Item
             break;
         }
     }
-    let mut item = p.item(ItemKind::Impl, cp, name_cp, scopes);
+    let mut item = p.item(ItemKind::Impl, cp, name_cp);
     item.sig = (cp, open);
-    scopes.push(Scope {
-        close_cp: close,
-        kind: ScopeKind::Impl(item.name.clone()),
-    });
     out.push(item);
     open + 1
 }
 
-fn parse_fn(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) -> usize {
+fn parse_fn(p: &Parser, cp: usize, out: &mut Vec<Item>) -> usize {
     if !p.is_ident(cp + 1) {
         // `fn` in a type position (`fn(usize) -> bool` pointers).
         return cp + 1;
     }
     let Some((open, is_brace)) = p.body_open(cp + 2) else { return cp + 1 };
-    let mut item = p.item(ItemKind::Fn, cp, cp + 1, scopes);
+    let mut item = p.item(ItemKind::Fn, cp, cp + 1);
     item.sig = (cp, open);
     if !is_brace {
         // Bodyless trait method.
@@ -359,11 +313,11 @@ fn parse_fn(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) -> usi
     open + 1
 }
 
-fn parse_struct(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) -> usize {
+fn parse_struct(p: &Parser, cp: usize, out: &mut Vec<Item>) -> usize {
     if !p.is_ident(cp + 1) {
         return cp + 1;
     }
-    let mut item = p.item(ItemKind::Struct, cp, cp + 1, scopes);
+    let mut item = p.item(ItemKind::Struct, cp, cp + 1);
     let Some(start) = p.scan_to(cp + 2, b"{(;") else { return cp + 1 };
     item.sig = (cp, start);
     out.push(item);
@@ -380,11 +334,11 @@ fn parse_struct(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) ->
     p.matching_brace(start).map_or(cp + 1, |close| close + 1)
 }
 
-fn parse_enum(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) -> usize {
+fn parse_enum(p: &Parser, cp: usize, out: &mut Vec<Item>) -> usize {
     if !p.is_ident(cp + 1) {
         return cp + 1;
     }
-    let mut item = p.item(ItemKind::Enum, cp, cp + 1, scopes);
+    let mut item = p.item(ItemKind::Enum, cp, cp + 1);
     let Some(open) = p.scan_to(cp + 2, b"{;") else { return cp + 1 };
     item.sig = (cp, open);
     out.push(item);
@@ -395,13 +349,7 @@ fn parse_enum(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) -> u
     p.matching_brace(open).map_or(cp + 1, |close| close + 1)
 }
 
-fn parse_static(
-    p: &Parser,
-    cp: usize,
-    kind: ItemKind,
-    scopes: &[Scope],
-    out: &mut Vec<Item>,
-) -> usize {
+fn parse_static(p: &Parser, cp: usize, kind: ItemKind, out: &mut Vec<Item>) -> usize {
     let mut k = cp + 1;
     if p.is_ident(k) && p.text(k) == "mut" {
         k += 1;
@@ -409,7 +357,7 @@ fn parse_static(
     if !p.is_ident(k) || !p.is_punct(k + 1, b':') {
         return cp + 1;
     }
-    let mut item = p.item(kind, cp, k, scopes);
+    let mut item = p.item(kind, cp, k);
     let end = p.scan_to(k + 2, b"=;").unwrap_or(k + 2);
     item.sig = (cp, end);
     out.push(item);
@@ -417,16 +365,16 @@ fn parse_static(
     p.scan_to(end, b";").map_or(end + 1, |s| s + 1)
 }
 
-fn parse_const(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) -> usize {
+fn parse_const(p: &Parser, cp: usize, out: &mut Vec<Item>) -> usize {
     // `const fn` is handled by the `fn` keyword; `const { … }` blocks
     // and `*const` pointers are not items.
     if p.is_ident(cp + 1) && p.is_punct(cp + 2, b':') {
-        return parse_static(p, cp, ItemKind::Const, scopes, out);
+        return parse_static(p, cp, ItemKind::Const, out);
     }
     cp + 1
 }
 
-fn parse_use(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) -> usize {
+fn parse_use(p: &Parser, cp: usize, out: &mut Vec<Item>) -> usize {
     let Some(semi) = p.scan_to(cp + 1, b";") else { return cp + 1 };
     let mut name_cp = cp;
     for j in (cp + 1..semi).rev() {
@@ -435,29 +383,29 @@ fn parse_use(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) -> us
             break;
         }
     }
-    let mut item = p.item(ItemKind::Use, cp, name_cp, scopes);
+    let mut item = p.item(ItemKind::Use, cp, name_cp);
     item.sig = (cp, semi);
     out.push(item);
     semi + 1
 }
 
-fn parse_trait(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) -> usize {
+fn parse_trait(p: &Parser, cp: usize, out: &mut Vec<Item>) -> usize {
     if !p.is_ident(cp + 1) {
         return cp + 1;
     }
-    let mut item = p.item(ItemKind::Trait, cp, cp + 1, scopes);
+    let mut item = p.item(ItemKind::Trait, cp, cp + 1);
     let Some(open) = p.scan_to(cp + 2, b"{;") else { return cp + 1 };
     item.sig = (cp, open);
     out.push(item);
-    // Walk the body (default methods are real fns); no scope change.
+    // Walk the body (default methods are real fns).
     open + 1
 }
 
-fn parse_type_alias(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) -> usize {
+fn parse_type_alias(p: &Parser, cp: usize, out: &mut Vec<Item>) -> usize {
     if !p.is_ident(cp + 1) {
         return cp + 1;
     }
-    let mut item = p.item(ItemKind::TypeAlias, cp, cp + 1, scopes);
+    let mut item = p.item(ItemKind::TypeAlias, cp, cp + 1);
     let Some(semi) = p.scan_to(cp + 2, b";") else { return cp + 1 };
     item.sig = (cp, semi);
     out.push(item);
@@ -513,15 +461,11 @@ mod tests {
             }
         "#;
         let items = parse(src);
-        let top = find(&items, ItemKind::Fn, "top");
-        assert_eq!(top.module, "");
-        assert!(top.impl_type.is_none());
-        assert!(top.body.is_some());
-        let method = find(&items, ItemKind::Fn, "method");
-        assert_eq!(method.module, "inner");
-        assert_eq!(method.impl_type.as_deref(), Some("S"));
-        let fmt = find(&items, ItemKind::Fn, "fmt");
-        assert_eq!(fmt.impl_type.as_deref(), Some("S"));
+        assert!(find(&items, ItemKind::Fn, "top").body.is_some());
+        find(&items, ItemKind::Mod, "inner");
+        assert!(find(&items, ItemKind::Fn, "method").body.is_some());
+        assert!(find(&items, ItemKind::Fn, "fmt").body.is_some());
+        assert_eq!(items.iter().filter(|i| i.kind == ItemKind::Impl).count(), 2);
     }
 
     #[test]
@@ -533,8 +477,7 @@ mod tests {
         "#;
         let items = parse(src);
         assert_eq!(items.iter().filter(|i| i.kind == ItemKind::Impl).count(), 0);
-        let after = find(&items, ItemKind::Fn, "after");
-        assert!(after.impl_type.is_none());
+        find(&items, ItemKind::Fn, "after");
         assert_eq!(items.iter().filter(|i| i.kind == ItemKind::Fn).count(), 3);
     }
 
@@ -550,8 +493,8 @@ mod tests {
         "#;
         let items = parse(src);
         assert!(items.iter().any(|i| i.kind == ItemKind::Fn && i.name == "nested"));
-        let m = find(&items, ItemKind::Fn, "m");
-        assert_eq!(m.impl_type.as_deref(), Some("Local"));
+        find(&items, ItemKind::Impl, "Local");
+        find(&items, ItemKind::Fn, "m");
     }
 
     #[test]
@@ -643,9 +586,14 @@ mod tests {
             }
         "#;
         let items = parse(src);
-        assert_eq!(find(&items, ItemKind::Fn, "a").impl_type.as_deref(), Some("A"));
-        assert_eq!(find(&items, ItemKind::Fn, "b").impl_type.as_deref(), Some("B"));
-        assert_eq!(find(&items, ItemKind::Fn, "default").impl_type.as_deref(), Some("B"));
-        assert_eq!(find(&items, ItemKind::Fn, "next").impl_type.as_deref(), Some("A"));
+        let impls: Vec<&str> = items
+            .iter()
+            .filter(|i| i.kind == ItemKind::Impl)
+            .map(|i| i.name.as_str())
+            .collect();
+        assert_eq!(impls, ["A", "B", "B", "A"]);
+        for f in ["a", "b", "default", "next"] {
+            find(&items, ItemKind::Fn, f);
+        }
     }
 }

@@ -1,16 +1,19 @@
-//! The fixed counter catalog and its process-wide atomic storage.
+//! The fixed counter catalog and its per-thread storage.
 //!
 //! Counters are deliberately a closed enum rather than a string-keyed
-//! registry: every bump is an index into a static array of relaxed
-//! atomics (no hashing, no locking, no allocation). One
+//! registry: every bump is an index into a thread-local array of plain
+//! cells (no hashing, no locking, no atomic read-modify-write, no
+//! allocation). Each thread counts only its own work, so a
+//! [`snapshot`] diff taken on the thread that did a unit of work is
+//! that unit's count, whatever other threads run meanwhile. One
 //! [`catalog!`](crate::catalog) list declares each counter's variant and
 //! name, so `Counter::ALL`, `Counter::name` and [`NUM_COUNTERS`] agree by
 //! construction.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 crate::catalog! {
-    /// One process-wide work counter. The catalog (name, unit, where it
+    /// One per-thread work counter. The catalog (name, unit, where it
     /// is incremented) is documented in DESIGN.md §9; the variant order
     /// is the reporting order, and each name is the counter's stable
     /// snake_case key in `--stats` reports and `BENCH_*.json` records.
@@ -99,24 +102,24 @@ crate::catalog! {
 /// How many counters exist (the length of [`Counter::ALL`]).
 pub const NUM_COUNTERS: usize = Counter::ALL.len();
 
-static COUNTERS: [AtomicU64; NUM_COUNTERS] = [const { AtomicU64::new(0) }; NUM_COUNTERS];
+thread_local! {
+    static COUNTERS: [Cell<u64>; NUM_COUNTERS] = const { [const { Cell::new(0) }; NUM_COUNTERS] };
+}
 
-/// Adds `n` to a counter: one relaxed atomic add. With the `obs-off`
-/// feature this compiles to nothing.
+/// Adds `n` to one of the calling thread's counters: a plain add.
 ///
 /// ```
 /// use dvicl_obs::{self as obs, Counter};
 /// let before = obs::get(Counter::SsmStates);
 /// obs::add(Counter::SsmStates, 5);
-/// # #[cfg(not(feature = "obs-off"))]
 /// assert_eq!(obs::get(Counter::SsmStates) - before, 5);
 /// ```
 #[inline]
 pub fn add(c: Counter, n: u64) {
-    #[cfg(not(feature = "obs-off"))]
-    COUNTERS[c as usize].fetch_add(n, Ordering::Relaxed);
-    #[cfg(feature = "obs-off")]
-    let _ = (c, n);
+    COUNTERS.with(|cs| {
+        let cell = &cs[c as usize];
+        cell.set(cell.get() + n);
+    });
 }
 
 /// Increments a counter by one. See [`add`].
@@ -125,16 +128,16 @@ pub fn bump(c: Counter) {
     add(c, 1);
 }
 
-/// The current value of one counter (monotone since process start,
-/// except across [`reset_counters`]).
+/// The current value of one of the calling thread's counters (monotone
+/// since the thread started).
 #[inline]
 pub fn get(c: Counter) -> u64 {
-    COUNTERS[c as usize].load(Ordering::Relaxed)
+    COUNTERS.with(|cs| cs[c as usize].get())
 }
 
-/// A point-in-time copy of every counter. Measure a region with two
-/// snapshots and [`Snapshot::diff`]; that stays correct even when other
-/// threads keep counting elsewhere in the process.
+/// A point-in-time copy of every counter of one thread. Measure a
+/// region with two snapshots on the thread that runs it and
+/// [`Snapshot::diff`]; work on other threads never shows in the diff.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     values: [u64; NUM_COUNTERS],
@@ -146,8 +149,8 @@ impl Snapshot {
         self.values[c as usize]
     }
 
-    /// The counter-wise difference `self - earlier` (saturating, so a
-    /// reset between the two snapshots cannot wrap).
+    /// The counter-wise difference `self - earlier` (saturating, so
+    /// snapshots passed in the wrong order cannot wrap).
     pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
         let mut values = [0u64; NUM_COUNTERS];
         for (i, v) in values.iter_mut().enumerate() {
@@ -167,31 +170,20 @@ impl Snapshot {
     }
 }
 
-/// Snapshots every counter.
+/// Snapshots every counter of the calling thread.
 ///
 /// ```
 /// use dvicl_obs::{self as obs, Counter};
 /// let a = obs::snapshot();
 /// obs::bump(Counter::AutFound);
 /// let d = obs::snapshot().diff(&a);
-/// # #[cfg(not(feature = "obs-off"))]
 /// assert_eq!(d.get(Counter::AutFound), 1);
 /// assert_eq!(d.get(Counter::RefineRounds), 0);
 /// ```
 pub fn snapshot() -> Snapshot {
-    let mut values = [0u64; NUM_COUNTERS];
-    for (i, v) in values.iter_mut().enumerate() {
-        *v = COUNTERS[i].load(Ordering::Relaxed);
-    }
-    Snapshot { values }
-}
-
-/// Zeroes every counter. Test/benchmark helper only — see
-/// [`crate::reset`].
-pub fn reset_counters() {
-    for c in &COUNTERS {
-        c.store(0, Ordering::Relaxed);
-    }
+    COUNTERS.with(|cs| Snapshot {
+        values: cs.each_ref().map(Cell::get),
+    })
 }
 
 #[cfg(test)]
@@ -214,7 +206,6 @@ mod tests {
         assert_eq!(names.len(), NUM_COUNTERS);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn add_and_diff_round_trip() {
         let before = snapshot();
@@ -222,6 +213,6 @@ mod tests {
         bump(Counter::DivideComponents);
         let d = snapshot().diff(&before);
         assert_eq!(d.get(Counter::DivideComponents), 8);
-        assert!(d.distinct_nonzero() >= 1);
+        assert_eq!(d.distinct_nonzero(), 1);
     }
 }

@@ -205,8 +205,8 @@ pub fn emit(name: &str, fields: &[(&str, Value)]) {
     active().event(name, fields);
 }
 
-/// Builds the end-of-run [`Summary`] from the live counters and phase
-/// table.
+/// Builds the end-of-run [`Summary`] from the calling thread's
+/// counters and phase table.
 pub fn summary() -> Summary {
     const MS: f64 = 1e6;
     Summary {
@@ -223,9 +223,10 @@ pub fn summary() -> Summary {
     }
 }
 
-/// Delivers the final [`Summary`] to the installed sink. Idempotent:
-/// only the first call delivers, so both a normal exit path and a
-/// defensive one can call it.
+/// Delivers the final [`Summary`] of the calling thread (the one that
+/// did the run's work) to the installed sink. Idempotent: only the
+/// first call delivers, so both a normal exit path and a defensive one
+/// can call it.
 pub fn finish() {
     if FINISHED.swap(true, Ordering::SeqCst) {
         return;

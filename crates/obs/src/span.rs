@@ -1,15 +1,22 @@
 //! Scoped phase timers.
 //!
 //! A [`span`] is a guard that, while timing is enabled, measures the
-//! wall time of its scope and attributes it to a phase label. A
-//! thread-local stack of open frames lets a parent phase subtract the
-//! time spent in its children, so the report can show both *total*
+//! wall time of its scope and attributes it to a phase label. The
+//! calling thread's stack of open frames lets a parent phase subtract
+//! the time spent in its children, so the report can show both *total*
 //! (inclusive) and *self* (exclusive) time per phase — the breakdown
-//! the DviCL paper reports as refine / divide / combine / leaf-IR.
+//! the DviCL paper reports as refine / divide / combine / leaf-IR. The
+//! phase table lives beside that stack in the same thread-local, so
+//! closing a span takes no lock and [`phases`] reports only the calling
+//! thread's spans.
 //!
 //! Timing is off by default: an un-observed span costs one relaxed
-//! atomic load and nothing else. Under the `obs-off` feature the guard
-//! is a zero-sized type and the whole module is inert.
+//! atomic load and nothing else. The switch is process-wide.
+
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 /// Per-phase accumulated timing, keyed by span label.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -78,96 +85,99 @@ crate::catalog! {
     }
 }
 
-#[cfg(not(feature = "obs-off"))]
-mod imp {
-    use super::{Phase, PhaseStat};
-    use std::cell::RefCell;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Mutex, PoisonError};
-    use std::time::Instant;
+static TIMING: AtomicBool = AtomicBool::new(false);
 
-    static TIMING: AtomicBool = AtomicBool::new(false);
+struct Frame {
+    label: &'static str,
+    start: Instant,
+    child_ns: u64,
+}
 
-    // The phase table is tiny (one entry per distinct label, ~a dozen in
-    // the whole pipeline), so a linear scan under one mutex beats a map.
-    static PHASES: Mutex<Vec<(&'static str, PhaseStat)>> = Mutex::new(Vec::new());
+/// One thread's open spans and the phase table they fold into. The
+/// table is tiny (one entry per distinct label, ~a dozen in the whole
+/// pipeline), so a linear scan beats a map.
+struct ThreadPhases {
+    stack: Vec<Frame>,
+    table: Vec<(&'static str, PhaseStat)>,
+}
 
-    struct Frame {
-        label: &'static str,
-        start: Instant,
-        child_ns: u64,
-    }
+thread_local! {
+    static PHASES: RefCell<ThreadPhases> = const {
+        RefCell::new(ThreadPhases {
+            stack: Vec::new(),
+            table: Vec::new(),
+        })
+    };
+}
 
-    thread_local! {
-        static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-    }
+/// Turns span timing on or off process-wide.
+pub fn set_timing(on: bool) {
+    TIMING.store(on, Ordering::SeqCst);
+}
 
-    /// Turns span timing on or off process-wide.
-    pub fn set_timing(on: bool) {
-        TIMING.store(on, Ordering::SeqCst);
-    }
+/// Whether spans are currently measuring time.
+pub fn timing_enabled() -> bool {
+    TIMING.load(Ordering::Relaxed)
+}
 
-    /// Whether spans are currently measuring time.
-    pub fn timing_enabled() -> bool {
-        TIMING.load(Ordering::Relaxed)
-    }
+/// A scope guard created by [`span`](fn@crate::span); on drop it folds
+/// the scope's duration into the calling thread's phase table. It is
+/// neither `Send` nor `Sync`: a span closes on the thread that opened
+/// it.
+#[must_use = "a span measures until it is dropped; binding it to _ drops it immediately"]
+pub struct Span {
+    active: bool,
+    _thread: PhantomData<*const ()>,
+}
 
-    /// A scope guard created by [`span`](fn@crate::span); on drop it folds
-    /// the scope's duration into the process-wide phase table.
-    #[must_use = "a span measures until it is dropped; binding it to _ drops it immediately"]
-    pub struct Span {
-        active: bool,
-    }
-
-    /// Opens a timed span for `phase` (DESIGN.md §9). Returns an inert
-    /// guard when timing is disabled.
-    ///
-    /// ```
-    /// use dvicl_obs::Phase;
-    /// dvicl_obs::set_timing(true);
-    /// {
-    ///     let _g = dvicl_obs::span(Phase::RefineRefine);
-    /// }
-    /// dvicl_obs::set_timing(false);
-    /// let phases = dvicl_obs::phases();
-    /// assert!(phases.iter().any(|(l, st)| *l == "refine.refine" && st.calls >= 1));
-    /// ```
-    pub fn span(phase: Phase) -> Span {
-        if !timing_enabled() {
-            return Span { active: false };
-        }
-        STACK.with(|s| {
-            s.borrow_mut().push(Frame {
+/// Opens a timed span for `phase` (DESIGN.md §9). Returns an inert
+/// guard when timing is disabled.
+///
+/// ```
+/// use dvicl_obs::Phase;
+/// dvicl_obs::set_timing(true);
+/// {
+///     let _g = dvicl_obs::span(Phase::RefineRefine);
+/// }
+/// dvicl_obs::set_timing(false);
+/// let phases = dvicl_obs::phases();
+/// assert!(phases.iter().any(|(l, st)| *l == "refine.refine" && st.calls == 1));
+/// ```
+pub fn span(phase: Phase) -> Span {
+    let active = timing_enabled();
+    if active {
+        PHASES.with_borrow_mut(|t| {
+            t.stack.push(Frame {
                 label: phase.name(),
                 start: Instant::now(),
                 child_ns: 0,
             });
         });
-        Span { active: true }
     }
+    Span {
+        active,
+        _thread: PhantomData,
+    }
+}
 
-    impl Drop for Span {
-        fn drop(&mut self) {
-            if !self.active {
-                return;
-            }
-            let frame = STACK.with(|s| s.borrow_mut().pop());
-            let Some(frame) = frame else { return };
-            let total_ns =
-                u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+impl Drop for Span {
+    fn drop(&mut self) {
+        if !self.active {
+            return;
+        }
+        PHASES.with_borrow_mut(|t| {
+            let Some(frame) = t.stack.pop() else { return };
+            let total_ns = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let self_ns = total_ns.saturating_sub(frame.child_ns);
-            STACK.with(|s| {
-                if let Some(parent) = s.borrow_mut().last_mut() {
-                    parent.child_ns = parent.child_ns.saturating_add(total_ns);
-                }
-            });
-            let mut table = PHASES.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some((_, st)) = table.iter_mut().find(|(l, _)| *l == frame.label) {
+            if let Some(parent) = t.stack.last_mut() {
+                parent.child_ns = parent.child_ns.saturating_add(total_ns);
+            }
+            if let Some((_, st)) = t.table.iter_mut().find(|(l, _)| *l == frame.label) {
                 st.calls += 1;
                 st.total_ns = st.total_ns.saturating_add(total_ns);
                 st.self_ns = st.self_ns.saturating_add(self_ns);
             } else {
-                table.push((
+                t.table.push((
                     frame.label,
                     PhaseStat {
                         calls: 1,
@@ -176,69 +186,30 @@ mod imp {
                     },
                 ));
             }
-        }
-    }
-
-    /// A copy of the phase table, in first-seen order.
-    pub fn phases() -> Vec<(&'static str, PhaseStat)> {
-        PHASES
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Clears the phase table. Test/benchmark helper — see
-    /// [`crate::reset`].
-    pub fn reset_phases() {
-        PHASES
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        });
     }
 }
 
-#[cfg(feature = "obs-off")]
-mod imp {
-    use super::{Phase, PhaseStat};
-
-    /// A scope guard created by [`span`](crate::span); zero-sized and
-    /// inert under the `obs-off` feature.
-    #[must_use = "a span measures until it is dropped; binding it to _ drops it immediately"]
-    pub struct Span;
-
-    /// Opens a timed span for `phase`; inert under `obs-off`.
-    #[inline]
-    pub fn span(_phase: Phase) -> Span {
-        Span
-    }
-
-    /// Turns span timing on or off; ignored under `obs-off`.
-    pub fn set_timing(_on: bool) {}
-
-    /// Whether spans are measuring time — always `false` under
-    /// `obs-off`.
-    pub fn timing_enabled() -> bool {
-        false
-    }
-
-    /// The phase table — always empty under `obs-off`.
-    pub fn phases() -> Vec<(&'static str, PhaseStat)> {
-        Vec::new()
-    }
-
-    /// Clears the phase table; a no-op under `obs-off`.
-    pub fn reset_phases() {}
+/// A copy of the calling thread's phase table, in first-seen order.
+pub fn phases() -> Vec<(&'static str, PhaseStat)> {
+    PHASES.with_borrow(|t| t.table.clone())
 }
-
-pub use imp::{phases, reset_phases, set_timing, span, timing_enabled, Span};
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "obs-off"))]
+    /// One test, not two: the timing switch is process-wide, so a
+    /// disabled-span check running beside a test that enables timing
+    /// would race with it.
     #[test]
-    fn nesting_attributes_self_time_to_each_label() {
+    fn spans_time_only_while_enabled_and_attribute_self_time() {
+        set_timing(false);
+        {
+            let _g = span(Phase::CoreVerify);
+        }
+        assert!(phases().is_empty(), "a span opened with timing off records nothing");
+
         set_timing(true);
         {
             let _outer = span(Phase::CoreBuild);
@@ -250,36 +221,12 @@ mod tests {
         }
         set_timing(false);
         let table = phases();
-        let outer = table
-            .iter()
-            .find(|(l, _)| *l == "core.build")
-            .map(|(_, st)| *st)
-            .unwrap_or_default();
-        let inner = table
-            .iter()
-            .find(|(l, _)| *l == "core.combine")
-            .map(|(_, st)| *st)
-            .unwrap_or_default();
-        assert!(outer.calls >= 1 && inner.calls >= 1);
+        let labels: Vec<&str> = table.iter().map(|(l, _)| *l).collect();
+        assert_eq!(labels, ["core.combine", "core.build"]);
+        let (inner, outer) = (table[0].1, table[1].1);
+        assert_eq!((outer.calls, inner.calls), (1, 1));
         assert!(outer.total_ns >= inner.total_ns);
-        assert!(outer.self_ns <= outer.total_ns);
-    }
-
-    #[test]
-    fn disabled_span_is_inert() {
-        set_timing(false);
-        let before = phases().len();
-        {
-            let _g = span(Phase::CoreVerify);
-        }
-        assert_eq!(phases().len(), before);
-    }
-
-    #[cfg(feature = "obs-off")]
-    #[test]
-    fn span_is_zero_sized_when_off() {
-        assert_eq!(std::mem::size_of::<Span>(), 0);
-        set_timing(true);
-        assert!(!timing_enabled());
+        assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
+        assert_eq!(inner.self_ns, inner.total_ns);
     }
 }

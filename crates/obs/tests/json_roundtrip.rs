@@ -3,8 +3,6 @@
 //! recursive-descent JSON reader — enough to round-trip the hand-rolled
 //! writer's output and inspect a few fields (satellite requirement).
 
-#![cfg(not(feature = "obs-off"))]
-
 use dvicl_obs::{JsonObj, JsonSink, PhaseRow, Sink, Summary, Value};
 use std::collections::BTreeMap;
 use std::io::Write;

@@ -111,6 +111,7 @@ impl BitsetKernel {
     /// A member's splitter-neighbor count: `popcount(adjacency row &
     /// splitter mask)`.
     #[inline]
+    // dvicl-lint: allow(budget-reachability) -- O(n / 64) row AND; run() spends one unit per splitter whose split calls it
     fn popcount_of(&self, v: V) -> u32 {
         let row = &self.adj[v as usize * self.words..(v as usize + 1) * self.words];
         let mut cnt = 0u32;

@@ -206,6 +206,7 @@ impl Partition {
         }
     }
 
+    // dvicl-lint: allow(budget-reachability) -- O(cells) worklist seeding; run() meters the refinement that follows
     fn enqueue_all_cells(&mut self) {
         let n = self.n();
         let mut s = 0usize;

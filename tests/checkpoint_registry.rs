@@ -10,8 +10,8 @@
 //! parsing, graph6 decoding, a divided AutoTree build (which exercises
 //! refinement, individualization, arena carves, leaf IR, DFS search,
 //! and the budget), a symmetric-subgraph-matching query, and a
-//! fingerprint index insert plus a DVIX1 round trip. This test is its
-//! own binary because the fault plan is process-global.
+//! fingerprint index insert plus a DVIX1 round trip. The probe plan is
+//! installed on the test's own thread, so only this test's hits count.
 
 use dvicl::core::ssm::{symmetric_key, SsmIndex};
 use dvicl::core::{build_autotree, DviclOptions};

@@ -17,9 +17,8 @@
 //! 4. after the sweep, a clean run still produces the probe's canonical
 //!    form: no injected failure leaks state into later runs.
 //!
-//! Everything runs inside a single `#[test]` because the fault plan is
-//! process-global; this file is its own test binary, so no other test
-//! can observe an installed plan.
+//! A fault plan is installed on the calling thread only, so the plans
+//! this test installs never reach a build another test runs beside it.
 //!
 //! Sweep size: the default (tier-1, debug builds) covers one graph so
 //! the test stays in the seconds range. `DVICL_FAULT_SWEEP=full` — set
