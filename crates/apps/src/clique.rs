@@ -6,20 +6,10 @@ use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Graph, V};
 use dvicl_obs::Phase;
 
-/// Finds one maximum clique (vertices ascending).
-#[expect(
-    clippy::expect_used,
-    reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
-)]
-pub fn max_clique(g: &Graph) -> Vec<V> {
-    try_max_clique(g, &Budget::unlimited())
-        .expect("unlimited clique search cannot exceed its budget")
-}
-
-/// Budgeted [`max_clique`]: spends one work unit per branch-and-bound node
-/// and aborts with a typed error when the budget runs out — exact maximum
-/// clique is NP-hard, so unbounded runtime is the default, not the
-/// exception.
+/// Finds one maximum clique (vertices ascending). Spends one work unit
+/// per branch-and-bound node and aborts with a typed error when the
+/// budget runs out — exact maximum clique is NP-hard, so unbounded
+/// runtime is the default, not the exception.
 pub fn try_max_clique(g: &Graph, budget: &Budget) -> Result<Vec<V>, DviclError> {
     let _span = dvicl_obs::span(Phase::AppsClique);
     budget.check()?;
@@ -146,16 +136,7 @@ fn greedy_color(g: &Graph, cands: &[V]) -> Vec<u32> {
 
 /// All maximum cliques up to `limit`, given the maximum clique size is
 /// already known (used for Table 7: clustering the maximum cliques).
-#[expect(
-    clippy::expect_used,
-    reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
-)]
-pub fn all_max_cliques(g: &Graph, size: usize, limit: usize) -> Vec<Vec<V>> {
-    try_all_max_cliques(g, size, limit, &Budget::unlimited())
-        .expect("unlimited clique enumeration cannot exceed its budget")
-}
-
-/// Budgeted [`all_max_cliques`]: spends one work unit per enumeration node.
+/// Spends one work unit per enumeration node.
 pub fn try_all_max_cliques(
     g: &Graph,
     size: usize,
@@ -222,6 +203,15 @@ fn enumerate(
 mod tests {
     use super::*;
     use dvicl_graph::named;
+
+    fn max_clique(g: &Graph) -> Vec<V> {
+        try_max_clique(g, &Budget::unlimited()).expect("unlimited search cannot fail")
+    }
+
+    fn all_max_cliques(g: &Graph, size: usize, limit: usize) -> Vec<Vec<V>> {
+        try_all_max_cliques(g, size, limit, &Budget::unlimited())
+            .expect("unlimited search cannot fail")
+    }
 
     #[test]
     fn complete_graph() {

@@ -3,7 +3,7 @@
 //! of mutually symmetric sets using AutoTree keys — two sets land in one
 //! cluster iff some automorphism of `G` maps one onto the other.
 
-use dvicl_core::ssm::{symmetric_key, try_symmetric_key, SsmIndex};
+use dvicl_core::ssm::{try_symmetric_key, SsmIndex};
 use dvicl_core::AutoTree;
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::V;
@@ -21,30 +21,10 @@ pub struct Clustering {
     pub max_cluster: usize,
 }
 
-/// Clusters `sets` by their AutoTree symmetry keys.
-pub fn cluster_by_symmetry<S: AsRef<[V]>>(
-    tree: &AutoTree,
-    index: &SsmIndex,
-    sets: impl IntoIterator<Item = S>,
-) -> Clustering {
-    let mut by_key: FxHashMap<Vec<u8>, usize> = FxHashMap::default();
-    let mut total = 0usize;
-    for set in sets {
-        total += 1;
-        *by_key
-            .entry(symmetric_key(tree, index, set.as_ref()))
-            .or_default() += 1;
-    }
-    Clustering {
-        total,
-        clusters: by_key.len(),
-        max_cluster: by_key.values().copied().max().unwrap_or(0),
-    }
-}
-
-/// Budgeted [`cluster_by_symmetry`]: each set's key computation draws from
-/// the shared budget (one unit per AutoTree node visited), so a huge family
-/// on a deep tree aborts with a typed error instead of running away.
+/// Clusters `sets` by their AutoTree symmetry keys. Each set's key
+/// computation draws from the shared budget (one unit per AutoTree node
+/// visited), so a huge family on a deep tree aborts with a typed error
+/// instead of running away.
 pub fn try_cluster_by_symmetry<S: AsRef<[V]>>(
     tree: &AutoTree,
     index: &SsmIndex,
@@ -71,9 +51,22 @@ pub fn try_cluster_by_symmetry<S: AsRef<[V]>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::triangles::list_triangles;
+    use crate::triangles::try_list_triangles;
     use dvicl_core::Session;
     use dvicl_graph::{named, Coloring, Graph};
+
+    fn list_triangles(g: &Graph) -> Vec<[V; 3]> {
+        try_list_triangles(g, usize::MAX, &Budget::unlimited())
+            .expect("unlimited listing cannot fail")
+    }
+
+    fn cluster_by_symmetry<S: AsRef<[V]>>(
+        tree: &AutoTree,
+        index: &SsmIndex,
+        sets: impl IntoIterator<Item = S>,
+    ) -> Clustering {
+        try_cluster_by_symmetry(tree, index, sets, &Budget::unlimited()).expect("valid query sets")
+    }
 
     fn setup(g: &Graph) -> (AutoTree, SsmIndex) {
         // Session-built trees are byte-identical to one-shot builds, so
@@ -90,7 +83,7 @@ mod tests {
         // {4,5,6}; the three triangle-edge+hub; the four cycle-edge+hub.
         let g = named::fig1_example();
         let (t, i) = setup(&g);
-        let tris = list_triangles(&g, usize::MAX);
+        let tris = list_triangles(&g);
         let c = cluster_by_symmetry(&t, &i, tris.iter().map(|t| t.as_slice()));
         assert_eq!(c.total, 8);
         assert_eq!(c.clusters, 3);
@@ -101,7 +94,7 @@ mod tests {
     fn complete_graph_triangles_are_one_cluster() {
         let g = named::complete(6);
         let (t, i) = setup(&g);
-        let tris = list_triangles(&g, usize::MAX);
+        let tris = list_triangles(&g);
         let c = cluster_by_symmetry(&t, &i, tris.iter().map(|t| t.as_slice()));
         assert_eq!(c.total, 20);
         assert_eq!(c.clusters, 1);
@@ -124,7 +117,7 @@ mod tests {
     fn budget_aborts_clustering_mid_family() {
         let g = named::fig1_example();
         let (t, i) = setup(&g);
-        let tris = list_triangles(&g, usize::MAX);
+        let tris = list_triangles(&g);
         let err = try_cluster_by_symmetry(
             &t,
             &i,
@@ -133,7 +126,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.is_exhaustion());
-        // With room to breathe the result matches the infallible path.
+        // With room to breathe the result matches the unlimited run.
         let ok = try_cluster_by_symmetry(
             &t,
             &i,

@@ -34,18 +34,9 @@ impl Default for IcConfig {
     }
 }
 
-/// Estimates the expected spread `σ(S)` of a seed set by Monte-Carlo BFS.
-#[expect(
-    clippy::expect_used,
-    reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
-)]
-pub fn spread(g: &Graph, seeds: &[V], cfg: &IcConfig) -> f64 {
-    try_spread(g, seeds, cfg, &Budget::unlimited())
-        .expect("unlimited spread estimation cannot exceed its budget")
-}
-
-/// Budgeted [`spread`]: spends one work unit per activated vertex popped
-/// from the BFS frontier, across all Monte-Carlo rounds.
+/// Estimates the expected spread `σ(S)` of a seed set by Monte-Carlo BFS,
+/// spending one work unit per activated vertex popped from the BFS
+/// frontier, across all Monte-Carlo rounds.
 pub fn try_spread(
     g: &Graph,
     seeds: &[V],
@@ -87,47 +78,25 @@ pub fn try_spread(
     Ok(total as f64 / cfg.rounds as f64)
 }
 
+/// Candidates for [`try_select_seeds`]: the highest-degree vertices
+/// (PMC-style pruning: under small constant probabilities a low-degree
+/// vertex never beats the hubs).
+const MAX_CANDIDATES: usize = 2000;
+
 /// Greedy seed selection with CELF lazy evaluation: picks `k` seeds whose
 /// marginal spread gains are maximal (the classic (1−1/e)-approximation of
 /// \[17\], lazily re-evaluated as in CELF). Seeds are returned in selection
 /// order, so the greedy choice for a smaller `k` is a prefix of the result
 /// for a larger one.
 ///
-/// Candidates are restricted to the `max_candidates` highest-degree
-/// vertices (PMC-style pruning: under small constant probabilities a
-/// low-degree vertex never beats the hubs).
-pub fn select_seeds(g: &Graph, k: usize, cfg: &IcConfig) -> Vec<V> {
-    select_seeds_pruned(g, k, cfg, 2000)
-}
-
-/// [`select_seeds`] with an explicit candidate-pool size.
-#[expect(
-    clippy::expect_used,
-    reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
-)]
-pub fn select_seeds_pruned(g: &Graph, k: usize, cfg: &IcConfig, max_candidates: usize) -> Vec<V> {
-    try_select_seeds_pruned(g, k, cfg, max_candidates, &Budget::unlimited())
-        .expect("unlimited seed selection cannot exceed its budget")
-}
-
-/// Budgeted [`select_seeds`].
+/// Candidates are restricted to the 2000 highest-degree vertices
+/// (`MAX_CANDIDATES`). Every CELF re-evaluation draws its Monte-Carlo
+/// BFS work from the shared budget, so the whole selection — not each
+/// individual estimate — is bounded.
 pub fn try_select_seeds(
     g: &Graph,
     k: usize,
     cfg: &IcConfig,
-    budget: &Budget,
-) -> Result<Vec<V>, DviclError> {
-    try_select_seeds_pruned(g, k, cfg, 2000, budget)
-}
-
-/// Budgeted [`select_seeds_pruned`]: every CELF re-evaluation draws its
-/// Monte-Carlo BFS work from the shared budget, so the whole selection —
-/// not each individual estimate — is bounded.
-pub fn try_select_seeds_pruned(
-    g: &Graph,
-    k: usize,
-    cfg: &IcConfig,
-    max_candidates: usize,
     budget: &Budget,
 ) -> Result<Vec<V>, DviclError> {
     let _span = dvicl_obs::span(Phase::AppsIm);
@@ -139,7 +108,7 @@ pub fn try_select_seeds_pruned(
     let k = k.min(n);
     let mut candidates: Vec<V> = (0..n as V).collect();
     candidates.sort_unstable_by_key(|&v| std::cmp::Reverse(g.degree(v)));
-    candidates.truncate(max_candidates.max(k));
+    candidates.truncate(MAX_CANDIDATES.max(k));
     // Max-heap of (gain, vertex, round-evaluated).
     let mut heap: std::collections::BinaryHeap<(u64, V, u32)> = candidates
         .iter()
@@ -174,6 +143,14 @@ pub fn try_select_seeds_pruned(
 mod tests {
     use super::*;
     use dvicl_graph::named;
+
+    fn spread(g: &Graph, seeds: &[V], cfg: &IcConfig) -> f64 {
+        try_spread(g, seeds, cfg, &Budget::unlimited()).expect("unlimited estimate cannot fail")
+    }
+
+    fn select_seeds(g: &Graph, k: usize, cfg: &IcConfig) -> Vec<V> {
+        try_select_seeds(g, k, cfg, &Budget::unlimited()).expect("unlimited selection cannot fail")
+    }
 
     #[test]
     fn spread_of_empty_and_full() {

@@ -5,20 +5,9 @@ use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Graph, V};
 use dvicl_obs::Phase;
 
-/// Counts all triangles.
-pub fn count_triangles(g: &Graph) -> u64 {
-    let mut count = 0u64;
-    for_each_triangle(g, |_, _, _| {
-        count += 1;
-        true
-    });
-    count
-}
-
-/// Budgeted [`count_triangles`]: spends one work unit per oriented edge
-/// whose out-neighborhoods are intersected.
+/// Counts all triangles, spending one work unit per oriented edge whose
+/// out-neighborhoods are intersected.
 pub fn try_count_triangles(g: &Graph, budget: &Budget) -> Result<u64, DviclError> {
-    let _span = dvicl_obs::span(Phase::AppsTriangles);
     let mut count = 0u64;
     try_for_each_triangle(g, budget, |_, _, _| {
         count += 1;
@@ -27,31 +16,31 @@ pub fn try_count_triangles(g: &Graph, budget: &Budget) -> Result<u64, DviclError
     Ok(count)
 }
 
-/// Lists up to `limit` triangles as ascending triples.
-pub fn list_triangles(g: &Graph, limit: usize) -> Vec<[V; 3]> {
+/// Lists up to `limit` triangles as ascending triples, spending work as
+/// [`try_count_triangles`] does.
+pub fn try_list_triangles(
+    g: &Graph,
+    limit: usize,
+    budget: &Budget,
+) -> Result<Vec<[V; 3]>, DviclError> {
     let mut out = Vec::new();
-    for_each_triangle(g, |a, b, c| {
+    try_for_each_triangle(g, budget, |a, b, c| {
         out.push([a, b, c]);
         out.len() < limit
-    });
-    out
+    })?;
+    Ok(out)
 }
 
 /// Visits each triangle `(a < b < c)` once; the callback returns `false`
-/// to stop early.
-pub fn for_each_triangle(g: &Graph, f: impl FnMut(V, V, V) -> bool) {
-    // Infallible enumeration cannot exhaust the unlimited budget.
-    let _ = try_for_each_triangle(g, &Budget::unlimited(), f);
-}
-
-/// Budgeted [`for_each_triangle`]: spends one work unit per oriented edge
-/// `(u, v)` before intersecting the two out-neighborhoods — the unit of
-/// work that dominates compact-forward's runtime.
+/// to stop early. Spends one work unit per oriented edge `(u, v)` before
+/// intersecting the two out-neighborhoods — the unit of work that
+/// dominates compact-forward's runtime.
 pub fn try_for_each_triangle(
     g: &Graph,
     budget: &Budget,
     mut f: impl FnMut(V, V, V) -> bool,
 ) -> Result<(), DviclError> {
+    let _span = dvicl_obs::span(Phase::AppsTriangles);
     budget.check()?;
     let n = g.n();
     // Rank by (degree, id): orienting edges toward higher rank makes every
@@ -106,6 +95,14 @@ pub fn try_for_each_triangle(
 mod tests {
     use super::*;
     use dvicl_graph::named;
+
+    fn count_triangles(g: &Graph) -> u64 {
+        try_count_triangles(g, &Budget::unlimited()).expect("unlimited listing cannot fail")
+    }
+
+    fn list_triangles(g: &Graph, limit: usize) -> Vec<[V; 3]> {
+        try_list_triangles(g, limit, &Budget::unlimited()).expect("unlimited listing cannot fail")
+    }
 
     #[test]
     fn counts() {

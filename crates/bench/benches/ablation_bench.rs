@@ -3,8 +3,8 @@
 //! simplification (§6.1), and the baseline's node invariant on/off.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dvicl_canon::{canonical_form, Config, TargetCell};
-use dvicl_core::{build_autotree, simplify, DviclOptions};
+use dvicl_canon::{try_canonical_form, Config, TargetCell};
+use dvicl_core::{simplify, try_build_autotree, Budget, DviclOptions};
 use dvicl_graph::{Coloring, Graph};
 
 fn twin_heavy() -> Graph {
@@ -37,7 +37,10 @@ fn bench_divide_s(c: &mut Criterion) {
                 use_divide_s,
                 ..DviclOptions::default()
             };
-            b.iter(|| build_autotree(g, &pi, &opts).canonical_form().to_form());
+            let unlimited = Budget::unlimited();
+            b.iter(|| {
+                try_build_autotree(g, &pi, &opts, &unlimited).map(|t| t.canonical_form().to_form())
+            });
         });
     }
     group.finish();
@@ -48,14 +51,15 @@ fn bench_simplification(c: &mut Criterion) {
     group.sample_size(10);
     let g = twin_heavy();
     let pi = Coloring::unit(g.n());
+    let (opts, unlimited) = (DviclOptions::default(), Budget::unlimited());
     group.bench_function("plain-dvicl", |b| {
-        b.iter(|| build_autotree(&g, &pi, &DviclOptions::default()).canonical_form().to_form());
+        b.iter(|| {
+            try_build_autotree(&g, &pi, &opts, &unlimited).map(|t| t.canonical_form().to_form())
+        });
     });
     group.bench_function("simplified-dvicl", |b| {
         b.iter(|| {
-            simplify::dvicl_simplified(&g, &pi, &DviclOptions::default())
-                .certificate
-                .clone()
+            simplify::try_dvicl_simplified(&g, &pi, &opts, &unlimited).map(|s| s.certificate)
         });
     });
     group.finish();
@@ -73,7 +77,8 @@ fn bench_invariant(c: &mut Criterion) {
                 use_invariant,
                 record_tree: false,
             };
-            b.iter(|| canonical_form(g, &pi, &config).form);
+            let unlimited = Budget::unlimited();
+            b.iter(|| try_canonical_form(g, &pi, &config, &unlimited).map(|r| r.form));
         });
     }
     group.finish();

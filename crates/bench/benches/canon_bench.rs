@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dvicl_canon::{try_canonical_form, Config};
-use dvicl_core::{build_autotree, DviclOptions};
+use dvicl_core::{try_build_autotree, DviclOptions};
 use dvicl_govern::Budget;
 use dvicl_graph::{Coloring, Graph};
 use std::time::Duration;
@@ -51,7 +51,10 @@ fn bench_canon(c: &mut Criterion) {
             });
         }
         group.bench_with_input(BenchmarkId::new("dvicl+b", name), &g, |b, g| {
-            b.iter(|| build_autotree(g, &pi, &DviclOptions::default()).canonical_form().to_form());
+            let (opts, unlimited) = (DviclOptions::default(), Budget::unlimited());
+            b.iter(|| {
+                try_build_autotree(g, &pi, &opts, &unlimited).map(|t| t.canonical_form().to_form())
+            });
         });
     }
     group.finish();

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dvicl_govern::Budget;
 use dvicl_graph::Coloring;
-use dvicl_refine::{refine, Refiner};
+use dvicl_refine::{try_refine, Refiner};
 
 fn bench_refine(c: &mut Criterion) {
     let mut group = c.benchmark_group("refine");
@@ -18,7 +18,8 @@ fn bench_refine(c: &mut Criterion) {
     for (name, g) in &cases {
         group.bench_with_input(BenchmarkId::new("unit", name), g, |b, g| {
             let pi = Coloring::unit(g.n());
-            b.iter(|| refine(g, &pi));
+            let budget = Budget::unlimited();
+            b.iter(|| try_refine(g, &pi, &budget));
         });
         group.bench_with_input(BenchmarkId::new("individualize", name), g, |b, g| {
             // One search-tree child on the refined root, in place:

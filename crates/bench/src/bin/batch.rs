@@ -4,7 +4,7 @@
 //!
 //! The index path canonicalizes each query exactly once through one
 //! reusable [`Session`] and probes by 128-bit fingerprint; the pairwise
-//! baseline runs `are_isomorphic(query, candidate)` over the full
+//! baseline runs an isomorphism test of `(query, candidate)` over the full
 //! corpus, the way a system without certificates must. Both phases are
 //! counter-proven, not just timed: the lookup phase asserts exactly
 //! M session builds and M index probes, and the binary fails (exit 1)
@@ -16,7 +16,8 @@
 
 use dvicl_bench::suite::{self, print_header, print_row, Recorder};
 use dvicl_canon::Config;
-use dvicl_core::are_isomorphic;
+use dvicl_core::iso::try_find_isomorphism_outcome;
+use dvicl_core::Budget;
 use dvicl_graph::{named, Graph, Perm, V};
 use dvicl_index::FingerprintIndex;
 use dvicl_obs::Counter;
@@ -123,10 +124,13 @@ fn main() {
     // session for all of them.
     let mut index = FingerprintIndex::new();
     let mut session = suite::dvicl_session(&Config::traces_like());
+    let unlimited = Budget::unlimited();
     let (build_run, _) = suite::measure(|| {
         for g in &graphs {
-            let (fp, form) = session.fingerprinted_form(g);
-            if let Err(e) = index.insert(fp, form, opts.paranoid) {
+            let inserted = session
+                .try_fingerprinted_form(g, &unlimited)
+                .and_then(|(fp, form)| index.insert(fp, form, opts.paranoid));
+            if let Err(e) = inserted {
                 eprintln!("error: {e}");
                 std::process::exit(4);
             }
@@ -155,7 +159,7 @@ fn main() {
     let mut class_sizes: Vec<u64> = Vec::with_capacity(queries.len());
     let (batch_run, _) = suite::measure(|| {
         for q in &queries {
-            let (fp, form) = query_session.fingerprinted_form(q);
+            let (fp, form) = query_session.try_fingerprinted_form(q, &unlimited).ok()?;
             let members = index.group_size(fp, &form).unwrap_or(0);
             class_sizes.push(members);
             if members > 0 {
@@ -196,7 +200,8 @@ fn main() {
         for q in &queries {
             let mut matches = 0u64;
             for g in &graphs {
-                if are_isomorphic(q, g) {
+                let outcome = try_find_isomorphism_outcome(q, g, &unlimited).ok()?;
+                if outcome.mapping.is_some() {
                     matches += 1;
                 }
             }

@@ -7,7 +7,7 @@
 //! similar magnitudes on twin-rich graphs), and counting them via the
 //! AutoTree is fast.
 
-use dvicl_apps::im::{select_seeds, IcConfig};
+use dvicl_apps::im::{try_select_seeds, IcConfig};
 use dvicl_bench::suite::{self, print_header, print_row, Recorder};
 use dvicl_core::ssm::{try_count_images, SsmIndex};
 use dvicl_core::{DviclOptions, Session};
@@ -56,13 +56,14 @@ fn main() {
         let index = SsmIndex::new(&tree);
         let mut cols = vec![d.name.to_string()];
         // Greedy seeds are prefix-nested: one k=100 run serves both rows.
-        let seeds100 = select_seeds(&g, 100, &ic);
+        let seeds100 = try_select_seeds(&g, 100, &ic, &Budget::unlimited()).ok();
         for k in [10usize, 100] {
-            let seeds = &seeds100[..k];
             // Counting honors the same wall-clock budget as the builds.
             let limits = Budget::with_deadline(suite::budget());
-            let (run, count) =
-                suite::measure(|| try_count_images(&tree, &index, seeds, &limits).ok());
+            let (run, count) = suite::measure(|| {
+                let seeds = &seeds100.as_ref()?[..k];
+                try_count_images(&tree, &index, seeds, &limits).ok()
+            });
             rec.record(d.name, &format!("ssm_count_k{k}"), &run);
             cols.push(count.map_or_else(|| "-".to_string(), |c| c.to_scientific()));
             cols.push(run.fmt_time());

@@ -27,6 +27,5 @@ pub mod tree;
 
 pub use dvicl_govern::{Budget, CancelToken, DviclError};
 pub use search::{
-    canonical_form, try_canonical_form, try_canonical_form_with, CanonResult, Config, SearchStats,
-    TargetCell,
+    try_canonical_form, try_canonical_form_with, CanonResult, Config, SearchStats, TargetCell,
 };

@@ -324,33 +324,26 @@ fn color_runs(pi: &Coloring) -> Vec<(V, V)> {
         .collect()
 }
 
-/// Canonically labels `(g, pi)` with the given configuration.
+/// Canonically labels `(g, pi)` with the given configuration, aborting
+/// with a typed error when the budget runs out or its cancel token fires.
+/// One work unit is spent per search-tree node and per refinement
+/// splitter, so short deadlines are honoured even on graphs whose single
+/// refinement is expensive.
 ///
 /// ```
 /// use dvicl_graph::{named, Coloring, Perm};
-/// use dvicl_canon::{canonical_form, Config};
+/// use dvicl_canon::{try_canonical_form, Budget, Config};
 /// let g = named::petersen();
 /// let shuffled = g.permuted(&Perm::from_cycles(10, &[&[0, 6, 2]]).unwrap());
 /// let pi = Coloring::unit(10);
 /// let cfg = Config::bliss_like();
+/// let unlimited = Budget::unlimited();
 /// assert_eq!(
-///     canonical_form(&g, &pi, &cfg).form,
-///     canonical_form(&shuffled, &pi, &cfg).form,
+///     try_canonical_form(&g, &pi, &cfg, &unlimited)?.form,
+///     try_canonical_form(&shuffled, &pi, &cfg, &unlimited)?.form,
 /// );
+/// # Ok::<(), dvicl_canon::DviclError>(())
 /// ```
-#[expect(
-    clippy::expect_used,
-    reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
-)]
-pub fn canonical_form(g: &Graph, pi: &Coloring, config: &Config) -> CanonResult {
-    try_canonical_form(g, pi, config, &Budget::unlimited())
-        .expect("unlimited search cannot exceed its budget")
-}
-
-/// Canonically labels `(g, pi)`, aborting with a typed error when the
-/// budget runs out or its cancel token fires. One work unit is spent per
-/// search-tree node and per refinement splitter, so short deadlines are
-/// honoured even on graphs whose single refinement is expensive.
 pub fn try_canonical_form(
     g: &Graph,
     pi: &Coloring,
@@ -759,6 +752,11 @@ mod tests {
     use super::*;
     use dvicl_graph::named;
     use dvicl_group::{brute, BigUint, StabChain};
+
+    fn canonical_form(g: &Graph, pi: &Coloring, config: &Config) -> CanonResult {
+        try_canonical_form(g, pi, config, &Budget::unlimited())
+            .expect("unlimited search cannot fail")
+    }
 
     fn check_graph(g: &Graph) {
         let pi = Coloring::unit(g.n());

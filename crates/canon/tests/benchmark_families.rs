@@ -3,7 +3,7 @@
 //! find the full automorphism group, including on the refinement-defeating
 //! CFI instances.
 
-use dvicl_canon::{canonical_form, try_canonical_form, Budget, Config, TargetCell};
+use dvicl_canon::{try_canonical_form, Budget, CanonResult, Config, TargetCell};
 use dvicl_data::bench_graphs;
 use dvicl_graph::{Coloring, Graph, Perm, V};
 use dvicl_group::StabChain;
@@ -22,6 +22,14 @@ fn shuffle(n: usize, seed: u64) -> Perm {
         image.swap(i, (state >> 33) as usize % (i + 1));
     }
     Perm::from_image(image).expect("bijection")
+}
+
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
+fn canonical_form(g: &Graph, pi: &Coloring, config: &Config) -> CanonResult {
+    try_canonical_form(g, pi, config, &Budget::unlimited()).expect("unlimited search cannot fail")
 }
 
 fn check_invariance(name: &str, g: &Graph, config: &Config) {

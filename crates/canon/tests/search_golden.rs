@@ -15,7 +15,7 @@
 //! `mz-aug-50` under every selector (run it in release: `cargo test
 //! --release -p dvicl-canon --test search_golden -- --ignored`).
 
-use dvicl_canon::{canonical_form, CanonResult, Config, TargetCell};
+use dvicl_canon::{try_canonical_form, Budget, CanonResult, Config, TargetCell};
 use dvicl_data::bench_graphs;
 use dvicl_graph::{named, Coloring, Graph, V};
 
@@ -75,13 +75,18 @@ fn digest(r: &mut CanonResult) -> u64 {
     d.0
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
 fn run(name: &'static str, g: &Graph, target_cell: TargetCell, use_invariant: bool) -> Row {
     let config = Config {
         target_cell,
         use_invariant,
         record_tree: false,
     };
-    let mut r = canonical_form(g, &Coloring::unit(g.n()), &config);
+    let mut r = try_canonical_form(g, &Coloring::unit(g.n()), &config, &Budget::unlimited())
+        .expect("unlimited search cannot fail");
     let s = r.stats;
     (
         name,

@@ -34,9 +34,9 @@
 //! Robustness (DESIGN.md §11): `--paranoid` re-checks every result
 //! against its witness (canonical form against the root labeling, each
 //! generator against its subgraph, each iso answer against the explicit
-//! mapping) and exits 4 on a witness failure. `--fault-plan <SPEC>` (or
-//! the `DVICL_FAULT_PLAN` environment variable) installs a deterministic
-//! fault-injection plan, e.g. `trip@core.build_node:3`.
+//! mapping) and exits 4 on a witness failure. `--fault-plan <SPEC>`
+//! installs a deterministic fault-injection plan, e.g.
+//! `trip@core.build_node:3`.
 //!
 //! Corpus service ([`batch`]): `batch` and `serve` answer
 //! `insert`/`lookup`/`groupsize` queries against a canonical-fingerprint
@@ -111,12 +111,6 @@ fn emit_edge_list(g: &Graph) -> Result<(), DviclError> {
 }
 
 fn main() -> ExitCode {
-    // Environment-installed fault plan first; an explicit --fault-plan
-    // flag below overrides it.
-    if let Err(e) = dvicl_govern::fault::install_from_env() {
-        eprintln!("error: {e}");
-        return ExitCode::from(e.exit_code());
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (args, budget, obs_cfg, opts) = match global_flags(args) {
         Ok(split) => split,

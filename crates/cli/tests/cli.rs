@@ -291,24 +291,8 @@ fn fault_plan_flag_trips_deterministically() {
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn fault_plan_env_var_is_honored() {
-    let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
-        .args(["canon", "g6:IheA@GUAo"])
-        .env("DVICL_FAULT_PLAN", "cancel@govern.spend:1")
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(3));
 
     // A malformed plan spec is a usage-level input error.
-    let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
-        .args(["canon", "g6:C~"])
-        .env("DVICL_FAULT_PLAN", "explode@everything")
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
     let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
         .args(["canon", "--fault-plan", "nope", "g6:C~"])
         .output()
@@ -343,14 +327,6 @@ fn unknown_fault_site_is_rejected_with_the_valid_sites() {
         .expect("piped stdin")
         .write_all(b"insert g6:IheA@GUAo\n");
     check(child.wait_with_output().expect("binary exits"));
-
-    check(
-        Command::new(env!("CARGO_BIN_EXE_dvicl"))
-            .args(["canon", "g6:IheA@GUAo"])
-            .env("DVICL_FAULT_PLAN", "trip@index.insrt:1")
-            .output()
-            .expect("binary runs"),
-    );
 }
 
 #[test]

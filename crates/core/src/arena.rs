@@ -251,6 +251,7 @@ impl SubArena {
     /// (ascending) as a new top segment. Adjacency is emitted in one
     /// counting pass: the remap is monotone, so filtering each parent row
     /// in order yields sorted child rows with no per-row sort or rehash.
+    // dvicl-lint: allow(budget-reachability) -- O(|locals| + child edges) carve of one division part; Builder::build spends one unit per tree node before it carves
     pub fn induced_child(&mut self, parent: &Sub, locals: &[u32]) -> Sub {
         debug_assert!(locals.windows(2).all(|w| w[0] < w[1]), "locals not ascending");
         // `remap` is kept all-MAX between calls (entries are restored

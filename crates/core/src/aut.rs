@@ -58,6 +58,7 @@ pub fn generators(tree: &AutoTree) -> Vec<Perm> {
 /// The vertex orbits of `Aut(G, π)`, computed by union-find closure over
 /// the tree (no dense permutations are materialized, so this scales to the
 /// large-graph statistics of Table 1).
+// dvicl-lint: allow(budget-reachability) -- one pass over a finished tree, linear in the nodes and generators the metered try_build_autotree produced
 pub fn orbits(tree: &AutoTree) -> Orbits {
     let n = tree.pi.n();
     let mut o = Orbits::identity(n);
@@ -142,13 +143,10 @@ fn leaf_order(tree: &AutoTree, id: NodeId) -> BigUint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_autotree, DviclOptions};
-    use dvicl_graph::{named, Coloring, Graph};
+    use crate::build::tree_of;
+    use crate::{try_build_autotree, Budget, DviclOptions};
+    use dvicl_graph::{named, Coloring};
     use dvicl_group::brute;
-
-    fn tree_of(g: &Graph) -> AutoTree {
-        build_autotree(g, &Coloring::unit(g.n()), &DviclOptions::default())
-    }
 
     #[test]
     fn group_orders_match_brute_force() {
@@ -239,7 +237,8 @@ mod tests {
     fn colored_restriction() {
         let g = named::fig1_example();
         let pi = Coloring::from_cells(vec![vec![1, 2, 3, 4, 5, 6, 7], vec![0]]).unwrap();
-        let t = build_autotree(&g, &pi, &DviclOptions::default());
+        let opts = DviclOptions::default();
+        let t = try_build_autotree(&g, &pi, &opts, &Budget::unlimited()).unwrap();
         assert_eq!(
             group_order(&t).to_u64(),
             Some(brute::automorphism_count(&g, &pi))
@@ -363,13 +362,9 @@ fn leaf_witness(tree: &AutoTree, leaf: NodeId, u: V, v: V) -> Option<Perm> {
 #[cfg(test)]
 mod witness_tests {
     use super::*;
-    use crate::{build_autotree, DviclOptions};
-    use dvicl_graph::{named, Coloring, Graph};
+    use crate::build::tree_of;
+    use dvicl_graph::{named, Coloring};
     use dvicl_group::brute;
-
-    fn tree_of(g: &Graph) -> AutoTree {
-        build_autotree(g, &Coloring::unit(g.n()), &DviclOptions::default())
-    }
 
     #[test]
     fn witnesses_for_all_orbit_pairs() {

@@ -50,33 +50,25 @@ impl Default for DviclOptions {
 /// recursion then uses the *projection* of that single coloring
 /// (Theorem 6.1 shows projections stay equitable and orbit-compatible).
 ///
-/// ```
-/// use dvicl_graph::{named, Coloring};
-/// use dvicl_core::{aut, build_autotree, DviclOptions};
-/// // The paper's Fig. 1(a)/Fig. 4 example: 7 tree nodes, |Aut| = 48.
-/// let g = named::fig1_example();
-/// let tree = build_autotree(&g, &Coloring::unit(8), &DviclOptions::default());
-/// assert_eq!(tree.stats().total_nodes, 7);
-/// assert_eq!(aut::group_order(&tree).to_u64(), Some(48));
-/// ```
-#[expect(
-    clippy::expect_used,
-    reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
-)]
-pub fn build_autotree(g: &Graph, pi0: &Coloring, opts: &DviclOptions) -> AutoTree {
-    assert_eq!(g.n(), pi0.n(), "graph/coloring size mismatch");
-    try_build_autotree(g, pi0, opts, &Budget::unlimited())
-        .expect("an unlimited build cannot exceed its budget")
-}
-
-/// Fallible variant of [`build_autotree`]: `budget` is one *global*
-/// allowance covering the whole divide-and-conquer recursion, every
-/// leaf-labeler invocation inside it, and the refinement loops those
-/// run — not a per-leaf limit. Aborts with
-/// [`DviclError::BudgetExceeded`] or [`DviclError::Cancelled`].
+/// `budget` is one *global* allowance covering the whole
+/// divide-and-conquer recursion, every leaf-labeler invocation inside
+/// it, and the refinement loops those run — not a per-leaf limit. Aborts
+/// with [`DviclError::BudgetExceeded`] or [`DviclError::Cancelled`].
 ///
 /// For a build that survives work-budget exhaustion by degrading to
 /// whole-graph IR labeling, see [`build_autotree_resilient`].
+///
+/// ```
+/// use dvicl_graph::{named, Coloring};
+/// use dvicl_core::{aut, try_build_autotree, Budget, DviclOptions};
+/// // The paper's Fig. 1(a)/Fig. 4 example: 7 tree nodes, |Aut| = 48.
+/// let g = named::fig1_example();
+/// let unlimited = Budget::unlimited();
+/// let tree = try_build_autotree(&g, &Coloring::unit(8), &DviclOptions::default(), &unlimited)?;
+/// assert_eq!(tree.stats().total_nodes, 7);
+/// assert_eq!(aut::group_order(&tree).to_u64(), Some(48));
+/// # Ok::<(), dvicl_core::DviclError>(())
+/// ```
 pub fn try_build_autotree(
     g: &Graph,
     pi0: &Coloring,
@@ -750,15 +742,20 @@ impl Builder<'_> {
     }
 }
 
+/// The AutoTree of `g` under the unit coloring, default options and an
+/// unlimited budget: the tree most unit tests start from.
+#[cfg(test)]
+pub(crate) fn tree_of(g: &Graph) -> AutoTree {
+    let opts = DviclOptions::default();
+    try_build_autotree(g, &Coloring::unit(g.n()), &opts, &Budget::unlimited())
+        .expect("unlimited build cannot fail")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tree::NodeKind;
     use dvicl_graph::{named, Perm};
-
-    fn tree_of(g: &Graph) -> AutoTree {
-        build_autotree(g, &Coloring::unit(g.n()), &DviclOptions::default())
-    }
 
     fn pseudo_random_perm(n: usize, salt: u64) -> Perm {
         let mut image: Vec<V> = (0..n as V).collect();
@@ -896,9 +893,11 @@ mod tests {
             ..DviclOptions::default()
         };
         let g = named::fig1_example();
-        let t1 = build_autotree(&g, &Coloring::unit(8), &opts);
+        let unlimited = Budget::unlimited();
+        let t1 = try_build_autotree(&g, &Coloring::unit(8), &opts, &unlimited).unwrap();
         let gamma = pseudo_random_perm(8, 99);
-        let t2 = build_autotree(&g.permuted(&gamma), &Coloring::unit(8), &opts);
+        let t2 =
+            try_build_autotree(&g.permuted(&gamma), &Coloring::unit(8), &opts, &unlimited).unwrap();
         assert_eq!(t1.canonical_form(), t2.canonical_form());
         // Without DivideS the triangle stays a non-singleton leaf.
         assert!(t1.stats().non_singleton_leaves >= 1);
@@ -912,8 +911,9 @@ mod tests {
         let g = named::cycle(3).disjoint_union(&named::cycle(3));
         let unit = Coloring::unit(6);
         let split = Coloring::from_cells(vec![vec![0, 1, 2], vec![3, 4, 5]]).unwrap();
-        let t_unit = build_autotree(&g, &unit, &DviclOptions::default());
-        let t_split = build_autotree(&g, &split, &DviclOptions::default());
+        let (opts, unlimited) = (DviclOptions::default(), Budget::unlimited());
+        let t_unit = try_build_autotree(&g, &unit, &opts, &unlimited).unwrap();
+        let t_split = try_build_autotree(&g, &split, &opts, &unlimited).unwrap();
         assert_ne!(t_unit.canonical_form(), t_split.canonical_form());
         // And the two cycles are one sibling class only under unit colors.
         assert_eq!(t_unit.node(t_unit.root()).sibling_classes().len(), 1);

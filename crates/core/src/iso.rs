@@ -5,41 +5,11 @@
 //! database retrieval.
 
 use crate::build::{
-    build_autotree, build_autotree_resilient, build_autotree_whole_leaf, BuildOutcome,
+    build_autotree_resilient, build_autotree_whole_leaf, try_build_autotree, BuildOutcome,
     DviclOptions,
 };
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Coloring, Graph, Perm};
-
-/// Finds an isomorphism `γ` with `g1^γ = g2`, or `None` if the graphs are
-/// not isomorphic. Unit colorings.
-pub fn find_isomorphism(g1: &Graph, g2: &Graph) -> Option<Perm> {
-    find_isomorphism_colored(g1, &Coloring::unit(g1.n()), g2, &Coloring::unit(g2.n()))
-}
-
-/// Colored variant: the returned `γ` additionally maps each cell of `pi1`
-/// onto the equally colored cell of `pi2`.
-pub fn find_isomorphism_colored(
-    g1: &Graph,
-    pi1: &Coloring,
-    g2: &Graph,
-    pi2: &Coloring,
-) -> Option<Perm> {
-    if !same_shape(g1, pi1, g2, pi2) {
-        return None;
-    }
-    let opts = DviclOptions::default();
-    let t1 = build_autotree(g1, pi1, &opts);
-    let t2 = build_autotree(g2, pi2, &opts);
-    if t1.canonical_form() != t2.canonical_form() {
-        return None;
-    }
-    // λ₁ maps g1 onto the canonical graph, λ₂ maps g2 onto the same one:
-    // γ = λ₁ ∘ λ₂⁻¹ maps g1 onto g2.
-    let gamma = t1.canonical_labeling().then(&t2.canonical_labeling().inverse());
-    debug_assert_eq!(g1.permuted(&gamma), *g2, "composed labeling must realize the isomorphism");
-    Some(gamma)
-}
 
 /// The result of a budgeted isomorphism extraction: the mapping (if the
 /// graphs are isomorphic) plus whether the answer came from degraded
@@ -54,20 +24,12 @@ pub struct IsoOutcome {
     pub degraded: bool,
 }
 
-/// Budgeted [`find_isomorphism`] with graceful degradation (see
-/// [`try_find_isomorphism_colored_outcome`]): a work-cap exhaustion
-/// degrades both sides to whole-graph IR labeling instead of failing, so
-/// the mapping — composed from two labelings produced in the *same*
-/// mode — stays valid.
-pub fn try_find_isomorphism(
-    g1: &Graph,
-    g2: &Graph,
-    budget: &Budget,
-) -> Result<Option<Perm>, DviclError> {
-    Ok(try_find_isomorphism_outcome(g1, g2, budget)?.mapping)
-}
-
-/// [`try_find_isomorphism`] with the degradation flag exposed.
+/// Finds an isomorphism `γ` with `g1^γ = g2` (unit colorings), with
+/// graceful degradation (see [`try_find_isomorphism_colored_outcome`]):
+/// a work-cap exhaustion degrades both sides to whole-graph IR labeling
+/// instead of failing, so the mapping — composed from two labelings
+/// produced in the *same* mode — stays valid. Pass
+/// [`Budget::unlimited`] for no limit.
 pub fn try_find_isomorphism_outcome(
     g1: &Graph,
     g2: &Graph,
@@ -82,18 +44,9 @@ pub fn try_find_isomorphism_outcome(
     )
 }
 
-/// Budgeted [`find_isomorphism_colored`].
-pub fn try_find_isomorphism_colored(
-    g1: &Graph,
-    pi1: &Coloring,
-    g2: &Graph,
-    pi2: &Coloring,
-    budget: &Budget,
-) -> Result<Option<Perm>, DviclError> {
-    Ok(try_find_isomorphism_colored_outcome(g1, pi1, g2, pi2, budget)?.mapping)
-}
-
-/// [`try_find_isomorphism_colored`] with the degradation flag exposed.
+/// Colored variant of [`try_find_isomorphism_outcome`]: the returned
+/// `γ` additionally maps each cell of `pi1` onto the equally colored
+/// cell of `pi2`.
 ///
 /// A degraded (single-leaf) certificate is not comparable with a
 /// divided-tree certificate of the same graph, so if only one side
@@ -172,6 +125,17 @@ mod tests {
     use super::*;
     use dvicl_graph::named;
 
+    /// The mapping found under `budget`, which may degrade but not fail.
+    fn mapping(g1: &Graph, g2: &Graph, budget: &Budget) -> Option<Perm> {
+        try_find_isomorphism_outcome(g1, g2, budget)
+            .expect("work exhaustion must degrade, not fail")
+            .mapping
+    }
+
+    pub(super) fn find_isomorphism(g1: &Graph, g2: &Graph) -> Option<Perm> {
+        mapping(g1, g2, &Budget::unlimited())
+    }
+
     #[test]
     fn recovers_a_valid_mapping() {
         for g in [
@@ -204,10 +168,14 @@ mod tests {
         let pin_end = Coloring::from_cells(vec![vec![1, 2], vec![0]]).unwrap();
         let pin_other_end = Coloring::from_cells(vec![vec![0, 1], vec![2]]).unwrap();
         let pin_mid = Coloring::from_cells(vec![vec![0, 2], vec![1]]).unwrap();
-        let gamma = find_isomorphism_colored(&g, &pin_end, &g, &pin_other_end)
-            .expect("ends are exchangeable");
+        let colored = |pi1, pi2| {
+            try_find_isomorphism_colored_outcome(&g, pi1, &g, pi2, &Budget::unlimited())
+                .unwrap()
+                .mapping
+        };
+        let gamma = colored(&pin_end, &pin_other_end).expect("ends are exchangeable");
         assert_eq!(gamma.apply(0), 2); // the pinned end must map to the pinned end
-        assert!(find_isomorphism_colored(&g, &pin_end, &g, &pin_mid).is_none());
+        assert!(colored(&pin_end, &pin_mid).is_none());
     }
 
     #[test]
@@ -218,9 +186,7 @@ mod tests {
         let gamma = Perm::from_cycles(10, &[&[0, 7], &[2, 4, 9]]).unwrap();
         let h = g.permuted(&gamma);
         let tight = Budget::with_max_work(2);
-        let found = try_find_isomorphism(&g, &h, &tight)
-            .expect("work exhaustion must degrade, not fail")
-            .expect("isomorphic by construction");
+        let found = mapping(&g, &h, &tight).expect("isomorphic by construction");
         assert_eq!(g.permuted(&found), h);
         // A non-isomorphic pair with the same vertex and edge counts (the
         // Möbius ladder M5 is 3-regular on 10 vertices like Petersen, but
@@ -232,10 +198,7 @@ mod tests {
                 (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
             ],
         );
-        assert_eq!(
-            try_find_isomorphism(&g, &ladder, &Budget::with_max_work(2)).unwrap(),
-            None
-        );
+        assert_eq!(mapping(&g, &ladder, &Budget::with_max_work(2)), None);
     }
 
     #[test]
@@ -270,16 +233,21 @@ mod tests {
 /// graph makes the two sides symmetric siblings (equal certificates under
 /// the root).
 ///
-/// [`find_isomorphism`] (two independent canonical forms) is the practical
-/// API; this function exists to exercise the theorem's construction and is
-/// tested to agree with it.
-pub fn are_isomorphic_joint(g1: &Graph, g2: &Graph) -> bool {
+/// [`try_find_isomorphism_outcome`] (two independent canonical forms) is
+/// the practical API; this function exists to exercise the theorem's
+/// construction and is tested to agree with it. `budget` governs the
+/// build of the auxiliary graph.
+pub fn try_are_isomorphic_joint(
+    g1: &Graph,
+    g2: &Graph,
+    budget: &Budget,
+) -> Result<bool, DviclError> {
     if g1.n() != g2.n() || g1.m() != g2.m() {
-        return false;
+        return Ok(false);
     }
     let n = g1.n();
     if n == 0 {
-        return true;
+        return Ok(true);
     }
     // dvicl-lint: allow(narrowing-cast) -- n = g1.n() <= V::MAX by Graph's construction invariant
     let shift = n as u32;
@@ -290,7 +258,8 @@ pub fn are_isomorphic_joint(g1: &Graph, g2: &Graph) -> bool {
         edges.push((v, u));
     }
     let joint = Graph::from_edges(2 * n + 1, &edges);
-    let tree = build_autotree(&joint, &Coloring::unit(joint.n()), &DviclOptions::default());
+    let unit = Coloring::unit(joint.n());
+    let tree = try_build_autotree(&joint, &unit, &DviclOptions::default(), budget)?;
     // The universal vertex is the axis; the root's children split into
     // {u} plus the connected pieces of g1 and g2. g1 ≅ g2 iff every
     // child-class is evenly split between the two sides — equivalently,
@@ -317,13 +286,18 @@ pub fn are_isomorphic_joint(g1: &Graph, g2: &Graph) -> bool {
     }
     side1.sort();
     side2.sort();
-    side1 == side2
+    Ok(side1 == side2)
 }
 
 #[cfg(test)]
 mod joint_tests {
+    use super::tests::find_isomorphism;
     use super::*;
     use dvicl_graph::named;
+
+    fn are_isomorphic_joint(g1: &Graph, g2: &Graph) -> bool {
+        try_are_isomorphic_joint(g1, g2, &Budget::unlimited()).expect("unlimited build cannot fail")
+    }
 
     #[test]
     fn joint_construction_agrees_with_certificates() {

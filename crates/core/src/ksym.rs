@@ -26,20 +26,7 @@ pub struct KSymStats {
     pub duplicated_classes: usize,
 }
 
-/// Builds the k-symmetric extension of `g`.
-///
-/// Panics when `k == 0`; [`try_k_symmetric_extension`] is the fallible,
-/// budget-aware form.
-#[expect(
-    clippy::panic,
-    reason = "documented panicking wrapper: only k == 0 can reach the Err arm, as stated in the doc comment"
-)]
-pub fn k_symmetric_extension(g: &Graph, tree: &AutoTree, k: usize) -> (Graph, KSymStats) {
-    try_k_symmetric_extension(g, tree, k, &Budget::unlimited())
-        .unwrap_or_else(|e| panic!("k-symmetry extension failed: {e}"))
-}
-
-/// Budgeted [`k_symmetric_extension`]: rejects `k == 0` as
+/// Builds the k-symmetric extension of `g`. Rejects `k == 0` as
 /// [`DviclError::InvalidInput`] and spends one work unit per cloned vertex
 /// (clone volume is the quantity that blows up when a class of size 1
 /// must reach a large `k`).
@@ -246,11 +233,12 @@ pub fn try_k_symmetric_extension(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{aut, build_autotree, DviclOptions};
-    use dvicl_graph::{named, Coloring};
+    use crate::aut;
+    use crate::build::tree_of;
+    use dvicl_graph::named;
 
-    fn tree_of(g: &Graph) -> AutoTree {
-        build_autotree(g, &Coloring::unit(g.n()), &DviclOptions::default())
+    fn k_symmetric_extension(g: &Graph, t: &AutoTree, k: usize) -> (Graph, KSymStats) {
+        try_k_symmetric_extension(g, t, k, &Budget::unlimited()).expect("k >= 1")
     }
 
     /// Every vertex of `g` must have at least `k-1` automorphic

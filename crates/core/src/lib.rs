@@ -5,7 +5,7 @@
 //! Approach"* (SIGMOD 2021), together with the **AutoTree** index it
 //! constructs and everything the paper builds on top of it:
 //!
-//! * [`build_autotree`] — Algorithm 1 (`DviCL`) with `DivideI`/`DivideS`
+//! * [`try_build_autotree`] — Algorithm 1 (`DviCL`) with `DivideI`/`DivideS`
 //!   (Algorithms 2–3) and `CombineCL`/`CombineST` (Algorithms 4–5).
 //! * [`AutoTree`] — the tree index: canonical form, canonical labeling,
 //!   sibling classes of symmetric subgraphs, structural statistics.
@@ -25,7 +25,9 @@
 //!   memo) that amortizes working memory and memoized leaf labelings
 //!   across many graphs, the substrate of the `dvicl-index` batch
 //!   isomorphism service.
-//! * convenience wrappers: [`canonical_form`], [`are_isomorphic`].
+//!
+//! Every operation that can run long takes a [`Budget`] and returns a
+//! `Result`; [`Budget::unlimited`] is the argument for no limit.
 
 #![warn(missing_docs)]
 
@@ -43,8 +45,8 @@ mod tree;
 pub mod verify;
 
 pub use build::{
-    build_autotree, build_autotree_resilient, build_autotree_whole_leaf, try_build_autotree,
-    BuildOutcome, DviclOptions,
+    build_autotree_resilient, build_autotree_whole_leaf, try_build_autotree, BuildOutcome,
+    DviclOptions,
 };
 pub use arena::{ArenaMark, SubArena};
 pub use session::Session;
@@ -56,37 +58,4 @@ pub use tree::{AutoTree, Node, NodeId, NodeKind, NodeRef, TreeStats};
 pub use dvicl_govern as govern;
 pub use dvicl_govern::{Budget, CancelToken, DviclError};
 
-use dvicl_graph::{CanonForm, Coloring, Graph};
-
 pub use dvicl_graph::FormRef;
-
-/// Canonically labels `g` (unit coloring, default options) and returns the
-/// certificate.
-pub fn canonical_form(g: &Graph) -> CanonForm {
-    build_autotree(g, &Coloring::unit(g.n()), &DviclOptions::default())
-        .canonical_form()
-        .to_form()
-}
-
-/// True iff the two graphs are isomorphic (unit colorings): the
-/// [`iso::find_isomorphism`] decision without the mapping.
-pub fn are_isomorphic(g1: &Graph, g2: &Graph) -> bool {
-    iso::find_isomorphism(g1, g2).is_some()
-}
-
-/// True iff the two *colored* graphs are isomorphic: the
-/// [`iso::find_isomorphism_colored`] decision without the mapping.
-pub fn are_isomorphic_colored(g1: &Graph, pi1: &Coloring, g2: &Graph, pi2: &Coloring) -> bool {
-    iso::find_isomorphism_colored(g1, pi1, g2, pi2).is_some()
-}
-
-/// Budgeted [`are_isomorphic`] with graceful degradation: the
-/// [`iso::try_find_isomorphism_outcome`] decision without the mapping.
-/// When the divide-and-conquer builds exhaust the budget's work cap,
-/// both sides fall back to whole-graph IR labeling, so the answer stays
-/// correct under any work budget.
-pub fn try_are_isomorphic(g1: &Graph, g2: &Graph, budget: &Budget) -> Result<bool, DviclError> {
-    Ok(iso::try_find_isomorphism_outcome(g1, g2, budget)?
-        .mapping
-        .is_some())
-}

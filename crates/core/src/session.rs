@@ -1,6 +1,6 @@
 //! Reusable build sessions: one [`Session`] serves many graphs.
 //!
-//! The one-shot entry points ([`crate::build_autotree`] and friends)
+//! The one-shot entry points ([`crate::try_build_autotree`] and friends)
 //! allocate a fresh subgraph arena and a fresh `CombineCL` memo per
 //! call — fine for a single graph, wasteful for a corpus. A `Session`
 //! owns that working state (`build::Scratch`) across builds:
@@ -39,13 +39,15 @@ use dvicl_obs::{self as obs, Counter};
 /// docs for what is reused and why that is sound.
 ///
 /// ```
-/// use dvicl_core::{DviclOptions, Session};
+/// use dvicl_core::{Budget, DviclOptions, Session};
 /// use dvicl_graph::named;
 /// let mut session = Session::new(DviclOptions::default());
-/// let a = session.canonical_form(&named::petersen());
-/// let b = session.canonical_form(&named::petersen());
+/// let unlimited = Budget::unlimited();
+/// let a = session.try_canonical_form(&named::petersen(), &unlimited)?;
+/// let b = session.try_canonical_form(&named::petersen(), &unlimited)?;
 /// assert_eq!(a, b);
 /// assert_eq!(session.builds(), 2);
+/// # Ok::<(), dvicl_core::DviclError>(())
 /// ```
 pub struct Session {
     opts: DviclOptions,
@@ -119,10 +121,12 @@ impl Session {
         try_build_autotree_in(&mut self.scratch, g, pi0, &self.opts, budget)
     }
 
-    /// [`Session::try_build`] under an unlimited budget.
+    /// [`Session::try_build`] under an unlimited budget. Panics where that
+    /// errs: on a coloring of another size, on the session's
+    /// `arena_ceiling_bytes`, or on a fault plan installed on this thread.
     #[expect(
         clippy::expect_used,
-        reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
+        reason = "an unlimited budget never exhausts, so only a coloring of another size, the session's arena ceiling or a fault plan installed on the calling thread can reach the Err arm, as the doc comment states"
     )]
     pub fn build(&mut self, g: &Graph, pi0: &Coloring) -> AutoTree {
         self.try_build(g, pi0, &Budget::unlimited())
@@ -143,8 +147,7 @@ impl Session {
     }
 
     /// Canonically labels `g` under the unit coloring and returns the
-    /// owned certificate. The budgeted equivalent of
-    /// [`crate::canonical_form`], served from session state.
+    /// owned certificate, served from session state.
     pub fn try_canonical_form(
         &mut self,
         g: &Graph,
@@ -152,16 +155,6 @@ impl Session {
     ) -> Result<CanonForm, DviclError> {
         let tree = self.try_build(g, &Coloring::unit(g.n()), budget)?;
         Ok(tree.canonical_form().to_form())
-    }
-
-    /// [`Session::try_canonical_form`] under an unlimited budget.
-    #[expect(
-        clippy::expect_used,
-        reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
-    )]
-    pub fn canonical_form(&mut self, g: &Graph) -> CanonForm {
-        self.try_canonical_form(g, &Budget::unlimited())
-            .expect("an unlimited build cannot exceed its budget")
     }
 
     /// One canonicalization, one fingerprint: the probe key for
@@ -174,16 +167,6 @@ impl Session {
     ) -> Result<(Fingerprint, CanonForm), DviclError> {
         let form = self.try_canonical_form(g, budget)?;
         Ok((Fingerprint::of_form(&form), form))
-    }
-
-    /// [`Session::try_fingerprinted_form`] under an unlimited budget.
-    #[expect(
-        clippy::expect_used,
-        reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
-    )]
-    pub fn fingerprinted_form(&mut self, g: &Graph) -> (Fingerprint, CanonForm) {
-        self.try_fingerprinted_form(g, &Budget::unlimited())
-            .expect("an unlimited build cannot exceed its budget")
     }
 }
 
@@ -200,6 +183,17 @@ mod tests {
     use dvicl_govern::Resource;
     use dvicl_graph::named;
 
+    /// `s`'s certificate of `g` under the unit coloring.
+    fn form(s: &mut Session, g: &Graph) -> CanonForm {
+        s.try_canonical_form(g, &Budget::unlimited())
+            .expect("unlimited")
+    }
+
+    /// The one-shot certificate of `g` under the unit coloring.
+    fn one_shot_form(g: &Graph) -> CanonForm {
+        crate::build::tree_of(g).canonical_form().to_form()
+    }
+
     #[test]
     fn session_forms_match_one_shot_forms() {
         let mut s = Session::new(DviclOptions::default());
@@ -211,7 +205,7 @@ mod tests {
             named::frucht(),
             named::cycle(9),
         ] {
-            assert_eq!(s.canonical_form(&g), crate::canonical_form(&g));
+            assert_eq!(form(&mut s, &g), one_shot_form(&g));
         }
         assert_eq!(s.builds(), 6);
     }
@@ -223,7 +217,7 @@ mod tests {
         for g in [named::fig1_example(), named::hypercube(3)] {
             let pi = Coloring::unit(g.n());
             let st = s.build(&g, &pi);
-            let ot = crate::build_autotree(&g, &pi, &DviclOptions::default());
+            let ot = crate::build::tree_of(&g);
             assert_eq!(st.canonical_form(), ot.canonical_form());
             assert_eq!(st.stats(), ot.stats());
             assert_eq!(
@@ -237,9 +231,9 @@ mod tests {
     fn arena_reuse_is_counted() {
         let mut s = Session::default();
         let before = obs::snapshot();
-        s.canonical_form(&named::petersen());
-        s.canonical_form(&named::frucht());
-        s.canonical_form(&named::cycle(12));
+        form(&mut s, &named::petersen());
+        form(&mut s, &named::frucht());
+        form(&mut s, &named::cycle(12));
         let d = obs::snapshot().diff(&before);
         assert_eq!(s.builds(), 3);
         assert_eq!(d.get(Counter::SessionArenaReuses), 2);
@@ -250,9 +244,9 @@ mod tests {
         let mut s = Session::default();
         // K4 plus a pendant path divides into leaves that hit the memo.
         let g = named::fig1_example();
-        s.canonical_form(&g);
+        form(&mut s, &g);
         let after_first = s.memo_len();
-        s.canonical_form(&g);
+        form(&mut s, &g);
         assert_eq!(
             s.memo_len(),
             after_first,
@@ -285,7 +279,7 @@ mod tests {
             })
         ));
         // The failed request must not poison later ones.
-        assert_eq!(s.canonical_form(&g), crate::canonical_form(&g));
+        assert_eq!(form(&mut s, &g), one_shot_form(&g));
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! certificates.
 
 use crate::aut;
-use crate::build::{build_autotree, DviclOptions};
+use crate::build::{try_build_autotree, DviclOptions};
 use crate::tree::AutoTree;
+use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{CanonForm, Coloring, Graph, V};
 use dvicl_group::{BigUint, Orbits};
 use rustc_hash::FxHashMap;
@@ -108,8 +109,15 @@ pub struct SimplifiedDvicl {
     pub twins: TwinClasses,
 }
 
-/// Runs DviCL through the structural-equivalence optimization.
-pub fn dvicl_simplified(g: &Graph, pi0: &Coloring, opts: &DviclOptions) -> SimplifiedDvicl {
+/// Runs DviCL through the structural-equivalence optimization. `budget`
+/// governs the build of the simplified graph, as in
+/// [`crate::try_build_autotree`].
+pub fn try_dvicl_simplified(
+    g: &Graph,
+    pi0: &Coloring,
+    opts: &DviclOptions,
+    budget: &Budget,
+) -> Result<SimplifiedDvicl, DviclError> {
     let twins = twin_classes(g, pi0);
     dvicl_obs::add(
         dvicl_obs::Counter::TwinClassesCollapsed,
@@ -141,7 +149,7 @@ pub fn dvicl_simplified(g: &Graph, pi0: &Coloring, opts: &DviclOptions) -> Simpl
         .collect();
     let labels: Vec<V> = pairs.drain(..).map(|p| rank[&p]).collect();
     let pis = Coloring::from_labels(&labels);
-    let tree = build_autotree(&gs, &pis, opts);
+    let tree = try_build_autotree(&gs, &pis, opts, budget)?;
     // Multiplicities in canonical-label order.
     let labeling = tree.canonical_labeling();
     let mut multiplicities = vec![0u32; reps.len()];
@@ -152,13 +160,13 @@ pub fn dvicl_simplified(g: &Graph, pi0: &Coloring, opts: &DviclOptions) -> Simpl
         form: tree.canonical_form().to_form(),
         multiplicities,
     };
-    SimplifiedDvicl {
+    Ok(SimplifiedDvicl {
         tree,
         reps,
         class_size,
         certificate,
         twins,
-    }
+    })
 }
 
 impl SimplifiedDvicl {
@@ -198,7 +206,9 @@ mod tests {
     use dvicl_group::brute;
 
     fn simplified(g: &Graph) -> SimplifiedDvicl {
-        dvicl_simplified(g, &Coloring::unit(g.n()), &DviclOptions::default())
+        let opts = DviclOptions::default();
+        try_dvicl_simplified(g, &Coloring::unit(g.n()), &opts, &Budget::unlimited())
+            .expect("unlimited build cannot fail")
     }
 
     #[test]
@@ -265,8 +275,7 @@ mod tests {
         for g in [named::fig1_example(), named::star(6), named::rary_tree(2, 3)] {
             let s = simplified(&g);
             let mut simplified_orbits = s.original_orbits(g.n());
-            let t = build_autotree(&g, &Coloring::unit(g.n()), &DviclOptions::default());
-            let mut plain = aut::orbits(&t);
+            let mut plain = aut::orbits(&crate::build::tree_of(&g));
             assert_eq!(simplified_orbits.cells(), plain.cells(), "{g:?}");
         }
     }

@@ -12,19 +12,11 @@ use rustc_hash::FxHashSet;
 /// All induced subgraph isomorphisms from `q` into `g`, as image vertex
 /// *sets* (deduplicated — two matchings onto the same vertex set count
 /// once, matching SSM semantics), up to `limit` results.
-#[expect(
-    clippy::expect_used,
-    reason = "Budget::unlimited() never exhausts, so the Err arm is unreachable"
-)]
-pub fn enumerate_induced(g: &Graph, q: &Graph, limit: usize) -> Vec<Vec<V>> {
-    try_enumerate_induced(g, q, limit, &Budget::unlimited())
-        .expect("unlimited SM enumeration cannot exceed its budget")
-}
-
-/// Budgeted [`enumerate_induced`]: spends one work unit per VF2 search
-/// node and aborts with a typed error on exhaustion or cancellation. VF2
-/// is the paper's worst-case-unbounded baseline, which is exactly where a
-/// deadline matters most.
+///
+/// Spends one work unit per VF2 search node and aborts with a typed error
+/// on exhaustion or cancellation. VF2 is the paper's
+/// worst-case-unbounded baseline, which is exactly where a deadline
+/// matters most.
 pub fn try_enumerate_induced(
     g: &Graph,
     q: &Graph,
@@ -161,24 +153,9 @@ fn sm_try(
 
 /// The SSM baseline of Section 6.4: enumerate induced matches of
 /// `G[query]` with `SM`, then keep only the truly *symmetric* ones by
-/// comparing AutoTree keys. Returns the verified matches.
-#[expect(
-    clippy::panic,
-    reason = "with an unlimited budget only an invalid query set can reach the Err arm of this convenience wrapper"
-)]
-pub fn ssm_via_sm(
-    g: &Graph,
-    tree: &AutoTree,
-    index: &SsmIndex,
-    query: &[V],
-    limit: usize,
-) -> Vec<Vec<V>> {
-    try_ssm_via_sm(g, tree, index, query, limit, &Budget::unlimited())
-        .unwrap_or_else(|e| panic!("SSM-via-SM query failed: {e}"))
-}
-
-/// Budgeted [`ssm_via_sm`]: one budget governs both the VF2 enumeration
-/// and the per-match symmetry verification.
+/// comparing AutoTree keys. Returns the verified matches. One budget
+/// governs both the VF2 enumeration and the per-match symmetry
+/// verification.
 pub fn try_ssm_via_sm(
     g: &Graph,
     tree: &AutoTree,
@@ -203,8 +180,12 @@ pub fn try_ssm_via_sm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_autotree, DviclOptions};
-    use dvicl_graph::{named, Coloring};
+    use crate::build::tree_of;
+    use dvicl_graph::named;
+
+    fn enumerate_induced(g: &Graph, q: &Graph, limit: usize) -> Vec<Vec<V>> {
+        try_enumerate_induced(g, q, limit, &Budget::unlimited()).expect("unlimited VF2 cannot fail")
+    }
 
     #[test]
     fn triangle_matches_in_k4() {
@@ -248,12 +229,13 @@ mod tests {
     #[test]
     fn sm_baseline_agrees_with_ssm_at() {
         let g = named::fig1_example();
-        let t = build_autotree(&g, &Coloring::unit(8), &DviclOptions::default());
+        let unlimited = Budget::unlimited();
+        let t = tree_of(&g);
         let i = SsmIndex::new(&t);
         // Query: an edge of the 4-cycle. Isomorphic matches include
         // triangle edges, but only cycle edges are symmetric.
-        let via_sm = ssm_via_sm(&g, &t, &i, &[0, 1], 10_000);
-        let via_at = crate::ssm::enumerate_images(&t, &i, &[0, 1], 10_000);
+        let via_sm = try_ssm_via_sm(&g, &t, &i, &[0, 1], 10_000, &unlimited).unwrap();
+        let via_at = crate::ssm::try_enumerate_images(&t, &i, &[0, 1], 10_000, &unlimited).unwrap();
         let mut a = via_sm;
         let mut b = via_at.matches;
         a.sort();

@@ -1,21 +1,20 @@
 //! Symmetric subgraph matching over the AutoTree (`SSM-AT`, Algorithm 6),
 //! plus the two primitives the paper's application studies are built on:
 //!
-//! * [`symmetric_key`] — a canonical key for a vertex set `S` such that two
-//!   sets have equal keys **iff** some automorphism of `(G, π)` maps one
-//!   onto the other (the clustering key of Table 7).
-//! * [`count_images`] — the exact number of distinct images of `S` under
-//!   `Aut(G, π)` (the seed-set counts of Table 6), as a [`BigUint`] because
-//!   real counts reach `10^88`.
-//! * [`enumerate_images`] — the actual matches (Algorithm 6), with a result
-//!   limit since counts are often astronomically large; truncated runs are
-//!   marked explicitly in [`SsmMatches::truncated`].
+//! * [`try_symmetric_key`] — a canonical key for a vertex set `S` such
+//!   that two sets have equal keys **iff** some automorphism of `(G, π)`
+//!   maps one onto the other (the clustering key of Table 7).
+//! * [`try_count_images`] — the exact number of distinct images of `S`
+//!   under `Aut(G, π)` (the seed-set counts of Table 6), as a [`BigUint`]
+//!   because real counts reach `10^88`.
+//! * [`try_enumerate_images`] — the actual matches (Algorithm 6), with a
+//!   result limit since counts are often astronomically large; truncated
+//!   runs are marked explicitly in [`SsmMatches::truncated`].
 //!
-//! Every primitive has a `try_` variant taking a [`Budget`], which meters
-//! the recursion (one work unit per tree node or orbit image) and aborts
-//! with a typed [`DviclError`] on exhaustion or cancellation. The
-//! infallible names wrap the `try_` forms with [`Budget::unlimited`] and
-//! panic on invalid query sets, preserving the historical contract.
+//! Every primitive takes a [`Budget`], which meters the recursion (one
+//! work unit per tree node or orbit image) and aborts with a typed
+//! [`DviclError`] on exhaustion or cancellation, and rejects an empty or
+//! out-of-range query set as [`DviclError::InvalidInput`].
 //!
 //! All primitives walk the same recursion: a set is partitioned over a
 //! node's children; within a sibling class the per-child *patterns*
@@ -45,6 +44,7 @@ pub struct SsmIndex {
 
 impl SsmIndex {
     /// Builds the index for `tree`.
+    // dvicl-lint: allow(budget-reachability) -- one pass over a finished tree, linear in what the metered try_build_autotree produced; the try_* queries it serves spend per node
     pub fn new(tree: &AutoTree) -> Self {
         let n = tree.pi.n();
         let mut leaf_of = vec![usize::MAX; n];
@@ -131,20 +131,8 @@ fn push_u32(buf: &mut Vec<u8>, x: u32) {
 }
 
 /// Canonical key of `set` under `Aut(G, π)`: equal keys ⇔ symmetric sets.
-///
-/// Panics on an empty or out-of-range query set; [`try_symmetric_key`] is
-/// the fallible, budget-aware form.
-#[expect(
-    clippy::panic,
-    reason = "documented panicking wrapper: only an invalid query set can reach the Err arm, as stated in the doc comment"
-)]
-pub fn symmetric_key(tree: &AutoTree, index: &SsmIndex, set: &[V]) -> Vec<u8> {
-    try_symmetric_key(tree, index, set, &Budget::unlimited())
-        .unwrap_or_else(|e| panic!("SSM query failed: {e}"))
-}
-
-/// Budgeted [`symmetric_key`]: rejects invalid query sets as
-/// [`DviclError::InvalidInput`] and meters the recursion against `budget`.
+/// Rejects invalid query sets as [`DviclError::InvalidInput`] and meters
+/// the recursion against `budget`.
 pub fn try_symmetric_key(
     tree: &AutoTree,
     index: &SsmIndex,
@@ -158,29 +146,18 @@ pub fn try_symmetric_key(
 /// Exact number of distinct images of `set` under `Aut(G, π)` (including
 /// `set` itself).
 ///
-/// Panics on an empty or out-of-range query set; [`try_count_images`] is
-/// the fallible, budget-aware form.
-///
 /// ```
 /// use dvicl_graph::{named, Coloring};
-/// use dvicl_core::{build_autotree, DviclOptions};
-/// use dvicl_core::ssm::{count_images, SsmIndex};
+/// use dvicl_core::{try_build_autotree, Budget, DviclOptions};
+/// use dvicl_core::ssm::{try_count_images, SsmIndex};
 /// // A pair of star leaves has C(5, 2) = 10 symmetric images.
 /// let g = named::star(5);
-/// let tree = build_autotree(&g, &Coloring::unit(6), &DviclOptions::default());
+/// let unlimited = Budget::unlimited();
+/// let tree = try_build_autotree(&g, &Coloring::unit(6), &DviclOptions::default(), &unlimited)?;
 /// let index = SsmIndex::new(&tree);
-/// assert_eq!(count_images(&tree, &index, &[1, 2]).to_u64(), Some(10));
+/// assert_eq!(try_count_images(&tree, &index, &[1, 2], &unlimited)?.to_u64(), Some(10));
+/// # Ok::<(), dvicl_core::DviclError>(())
 /// ```
-#[expect(
-    clippy::panic,
-    reason = "convenience wrapper: with an unlimited budget only an invalid query set can reach the Err arm"
-)]
-pub fn count_images(tree: &AutoTree, index: &SsmIndex, set: &[V]) -> BigUint {
-    try_count_images(tree, index, set, &Budget::unlimited())
-        .unwrap_or_else(|e| panic!("SSM query failed: {e}"))
-}
-
-/// Budgeted [`count_images`].
 pub fn try_count_images(
     tree: &AutoTree,
     index: &SsmIndex,
@@ -193,19 +170,6 @@ pub fn try_count_images(
 }
 
 /// True iff some automorphism maps `a` onto `b` (as sets).
-///
-/// Panics on an empty or out-of-range query set; [`try_same_symmetry`] is
-/// the fallible, budget-aware form.
-#[expect(
-    clippy::panic,
-    reason = "documented panicking wrapper: only an invalid query set can reach the Err arm, as stated in the doc comment"
-)]
-pub fn same_symmetry(tree: &AutoTree, index: &SsmIndex, a: &[V], b: &[V]) -> bool {
-    try_same_symmetry(tree, index, a, b, &Budget::unlimited())
-        .unwrap_or_else(|e| panic!("SSM query failed: {e}"))
-}
-
-/// Budgeted [`same_symmetry`].
 pub fn try_same_symmetry(
     tree: &AutoTree,
     index: &SsmIndex,
@@ -426,7 +390,7 @@ fn orbit_of_set(
 // Enumeration (SSM-AT, Algorithm 6).
 // ---------------------------------------------------------------------
 
-/// Result of an [`enumerate_images`] run.
+/// Result of a [`try_enumerate_images`] run.
 #[derive(Clone, Debug)]
 pub struct SsmMatches {
     /// Distinct images found (each sorted ascending); includes the query.
@@ -438,21 +402,9 @@ pub struct SsmMatches {
 }
 
 /// Enumerates the images of `set` under `Aut(G, π)` — the symmetric
-/// subgraphs of Algorithm 6 — up to `limit` results.
-///
-/// Panics on an empty or out-of-range query set; [`try_enumerate_images`]
-/// is the fallible, budget-aware form.
-#[expect(
-    clippy::panic,
-    reason = "documented panicking wrapper: only an invalid query set can reach the Err arm, as stated in the doc comment"
-)]
-pub fn enumerate_images(tree: &AutoTree, index: &SsmIndex, set: &[V], limit: usize) -> SsmMatches {
-    try_enumerate_images(tree, index, set, limit, &Budget::unlimited())
-        .unwrap_or_else(|e| panic!("SSM query failed: {e}"))
-}
-
-/// Budgeted [`enumerate_images`]. The `limit` caps how many matches are
-/// returned (truncation is reported in the result, not as an error); the
+/// subgraphs of Algorithm 6 — up to `limit` results. The `limit` caps how
+/// many matches are returned (truncation is reported in the result, not
+/// as an error); the
 /// [`Budget`] meters the traversal itself and aborts with a typed error on
 /// exhaustion or cancellation.
 pub fn try_enumerate_images(
@@ -763,14 +715,22 @@ fn assign_rec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_autotree, DviclOptions};
+    use crate::build::tree_of;
     use dvicl_graph::{named, Coloring, Graph};
     use dvicl_group::brute;
 
     fn setup(g: &Graph) -> (AutoTree, SsmIndex) {
-        let t = build_autotree(g, &Coloring::unit(g.n()), &DviclOptions::default());
+        let t = tree_of(g);
         let i = SsmIndex::new(&t);
         (t, i)
+    }
+
+    fn count_images(t: &AutoTree, i: &SsmIndex, set: &[V]) -> BigUint {
+        try_count_images(t, i, set, &Budget::unlimited()).expect("valid query set")
+    }
+
+    fn enumerate_images(t: &AutoTree, i: &SsmIndex, set: &[V], limit: usize) -> SsmMatches {
+        try_enumerate_images(t, i, set, limit, &Budget::unlimited()).expect("valid query set")
     }
 
     /// Ground truth: distinct images of `set` under brute-force Aut(G).
@@ -854,7 +814,7 @@ mod tests {
                     img.sort_unstable();
                     img == *s2
                 });
-                let by_key = same_symmetry(&t, &i, s1, s2);
+                let by_key = try_same_symmetry(&t, &i, s1, s2, &Budget::unlimited()).unwrap();
                 assert_eq!(truly, by_key, "key disagreement on {s1:?} vs {s2:?}");
             }
         }

@@ -114,11 +114,14 @@ impl Division {
 #[cfg(test)]
 mod tests {
     use crate::arena::SubArena;
+    use dvicl_govern::Budget;
     use dvicl_graph::{named, Coloring, Graph};
-    use dvicl_refine::refine;
+    use dvicl_refine::try_refine;
 
     fn refined(g: &Graph) -> Coloring {
-        refine(g, &Coloring::unit(g.n())).coloring
+        try_refine(g, &Coloring::unit(g.n()), &Budget::unlimited())
+            .expect("unlimited refinement cannot fail")
+            .coloring
     }
 
     fn parts_of(d: &super::Division) -> Vec<Vec<u32>> {

@@ -241,7 +241,8 @@ impl AutoTree {
     /// `π` is the refined input coloring. Refinement can map colorings
     /// with different cell sizes onto one refined coloring, so colored
     /// inputs are isomorphic iff these certificates are equal and the
-    /// input colorings' cell sizes agree (`are_isomorphic_colored`).
+    /// input colorings' cell sizes agree
+    /// ([`crate::iso::try_find_isomorphism_colored_outcome`]).
     pub fn canonical_form(&self) -> FormRef<'_> {
         self.node(self.root).form()
     }
@@ -252,6 +253,7 @@ impl AutoTree {
         clippy::expect_used,
         reason = "CombineST assigns the root a bijective labeling by construction"
     )]
+    // dvicl-lint: allow(budget-reachability) -- O(n) readout of the root labels the metered try_build_autotree produced
     pub fn canonical_labeling(&self) -> Perm {
         let node = self.node(self.root);
         let mut image = vec![0 as V; node.n()];
@@ -289,6 +291,7 @@ impl AutoTree {
 
     /// The deepest node whose subgraph contains all of `set`
     /// (SSM-AT line 1). `set` must be non-empty and within range.
+    // dvicl-lint: allow(budget-reachability) -- one root-to-leaf walk, O(tree size), over a tree the metered try_build_autotree produced
     pub fn deepest_containing(&self, set: &[V]) -> NodeId {
         assert!(!set.is_empty(), "empty vertex set");
         let mut cur = self.root;
@@ -304,6 +307,7 @@ impl AutoTree {
     }
 
     /// Leaf node containing vertex `v`.
+    // dvicl-lint: allow(budget-reachability) -- one root-to-leaf walk, O(tree size), over a tree the metered try_build_autotree produced
     pub fn leaf_of(&self, v: V) -> NodeId {
         let mut cur = self.root;
         'descend: loop {

@@ -109,6 +109,7 @@ pub fn verify_root_form(g: &Graph, tree: &AutoTree) -> Result<(), DviclError> {
 /// its induced colored subgraph of `g`: bijective on the leaf's
 /// vertices, color-preserving under `tree.pi`, and edge-preserving on
 /// `g`'s induced adjacency. O(Σ_leaf |gens| · (n_leaf + m_leaf)).
+// dvicl-lint: allow(budget-reachability) -- witness check linear in the generators the metered try_build_autotree emitted; it runs after the build (DESIGN.md §11)
 pub fn verify_generators(g: &Graph, tree: &AutoTree) -> Result<(), DviclError> {
     // image[v] = v^γ for the generator under check; sentinel elsewhere.
     // Allocations reused across all leaves and generators.
@@ -287,15 +288,11 @@ pub fn verify_iso_colored(
 mod tests {
     use super::*;
     use crate::build::{
-        build_autotree, build_autotree_resilient, build_autotree_whole_leaf, DviclOptions,
+        build_autotree_resilient, build_autotree_whole_leaf, tree_of, DviclOptions,
     };
-    use crate::iso::find_isomorphism;
+    use crate::iso::try_find_isomorphism_outcome;
     use dvicl_govern::Budget;
     use dvicl_graph::named;
-
-    fn tree_of(g: &Graph) -> AutoTree {
-        build_autotree(g, &Coloring::unit(g.n()), &DviclOptions::default())
-    }
 
     #[test]
     fn healthy_trees_verify() {
@@ -396,7 +393,10 @@ mod tests {
         let g = named::frucht();
         let gamma = Perm::from_cycles(12, &[&[0, 5], &[3, 8, 11]]).unwrap();
         let h = g.permuted(&gamma);
-        let found = find_isomorphism(&g, &h).unwrap();
+        let found = try_find_isomorphism_outcome(&g, &h, &Budget::unlimited())
+            .unwrap()
+            .mapping
+            .unwrap();
         verify_iso(&g, &h, &found).expect("a real mapping verifies");
         // The identity is NOT an isomorphism g → h here (Frucht is rigid
         // and γ ≠ id), so it must be rejected.

@@ -12,7 +12,7 @@
 //! around the hubs of a random core, and clique/biclique shapes that
 //! fire `DivideS`.
 
-use dvicl_core::{build_autotree, AutoTree, DviclOptions, NodeKind};
+use dvicl_core::{try_build_autotree, AutoTree, Budget, DviclOptions, NodeKind};
 use dvicl_graph::{CanonForm, Coloring, Graph, Perm, V};
 use dvicl_obs::{self as obs, Counter};
 use proptest::prelude::*;
@@ -208,7 +208,8 @@ proptest! {
     fn every_internal_node_matches_the_oracle(seed in any::<u64>(), relabel in any::<u64>()) {
         let g = shape(seed);
         let g = g.permuted(&shuffled(g.n(), relabel));
-        let t = build_autotree(&g, &Coloring::unit(g.n()), &DviclOptions::default());
+        let (opts, unit) = (DviclOptions::default(), Coloring::unit(g.n()));
+        let t = try_build_autotree(&g, &unit, &opts, &Budget::unlimited()).unwrap();
         if let Err(e) = check_nodes(&g, &t) {
             prop_assert!(false, "seed {seed} relabel {relabel}: {e}");
         }
@@ -223,7 +224,8 @@ fn the_shapes_reach_every_divide_rule() {
     let before = obs::snapshot();
     for seed in 0..64 {
         let g = shape(seed);
-        let t = build_autotree(&g, &Coloring::unit(g.n()), &DviclOptions::default());
+        let (opts, unit) = (DviclOptions::default(), Coloring::unit(g.n()));
+        let t = try_build_autotree(&g, &unit, &opts, &Budget::unlimited()).unwrap();
         assert_eq!(check_nodes(&g, &t), Ok(()));
     }
     let d = obs::snapshot().diff(&before);

@@ -12,7 +12,7 @@
 //! Regenerating (only legitimate after an intentional algorithm change):
 //! `DVICL_REGEN_GOLDENS=1 cargo test -p dvicl-core --test differential -- --nocapture`
 
-use dvicl_core::{aut, build_autotree, DviclOptions};
+use dvicl_core::{aut, try_build_autotree, Budget, DviclOptions};
 use dvicl_graph::{named, Coloring, Graph};
 
 /// splitmix64 finalizer — the same mixer the workspace uses for traces.
@@ -27,8 +27,14 @@ fn mix(h: u64, x: u64) -> u64 {
 /// the canonical form (color runs + relabeled edge list), the canonical
 /// labeling, and the ordered automorphism generator set extracted from
 /// the AutoTree.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
 fn digest(g: &Graph) -> u64 {
-    let tree = build_autotree(g, &Coloring::unit(g.n()), &DviclOptions::default());
+    let opts = DviclOptions::default();
+    let tree = try_build_autotree(g, &Coloring::unit(g.n()), &opts, &Budget::unlimited())
+        .expect("unlimited build cannot fail");
     let mut h = 0xd1ff_e7e5_7a11_0000u64;
     let form = tree.canonical_form();
     for &(c, k) in form.colors {

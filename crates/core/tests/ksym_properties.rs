@@ -2,7 +2,7 @@
 //! must leave no orbit smaller than k (the paper's re-identification
 //! guarantee).
 
-use dvicl_core::{aut, build_autotree, ksym, DviclOptions};
+use dvicl_core::{aut, ksym, try_build_autotree, Budget, DviclOptions};
 use dvicl_graph::{Coloring, Graph, V};
 use proptest::prelude::*;
 
@@ -20,12 +20,13 @@ proptest! {
             .map(|(a, b)| (a % n as u32, b % n as u32))
             .collect();
         let g = Graph::from_edges(n, &edges);
-        let tree = build_autotree(&g, &Coloring::unit(n), &DviclOptions::default());
-        let (g2, stats) = ksym::k_symmetric_extension(&g, &tree, k);
+        let (opts, unlimited) = (DviclOptions::default(), Budget::unlimited());
+        let tree = try_build_autotree(&g, &Coloring::unit(n), &opts, &unlimited).unwrap();
+        let (g2, stats) = ksym::try_k_symmetric_extension(&g, &tree, k, &unlimited).unwrap();
         prop_assert!(g2.n() >= n);
         prop_assert_eq!(g2.n() - n, stats.added_vertices);
         // Recompute orbits on the extension: all at least k.
-        let t2 = build_autotree(&g2, &Coloring::unit(g2.n()), &DviclOptions::default());
+        let t2 = try_build_autotree(&g2, &Coloring::unit(g2.n()), &opts, &unlimited).unwrap();
         let mut orbits = aut::orbits(&t2);
         for cell in orbits.cells() {
             prop_assert!(cell.len() >= k, "orbit {:?} < k={}", cell, k);

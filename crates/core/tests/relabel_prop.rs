@@ -10,7 +10,7 @@
 //! child carving, CombineCL memoization, CombineST certificate sorting)
 //! on inputs the named-graph differential corpus cannot enumerate.
 
-use dvicl_core::{aut, build_autotree, DviclOptions};
+use dvicl_core::{aut, try_build_autotree, Budget, DviclOptions};
 use dvicl_graph::{Coloring, Graph, Perm, V};
 use proptest::prelude::*;
 
@@ -44,8 +44,8 @@ proptest! {
         let gg = g.permuted(&gamma);
 
         let opts = DviclOptions::default();
-        let t1 = build_autotree(&g, &Coloring::unit(n), &opts);
-        let t2 = build_autotree(&gg, &Coloring::unit(n), &opts);
+        let t1 = try_build_autotree(&g, &Coloring::unit(n), &opts, &Budget::unlimited()).unwrap();
+        let t2 = try_build_autotree(&gg, &Coloring::unit(n), &opts, &Budget::unlimited()).unwrap();
 
         // Certificates are relabeling-invariant by construction.
         prop_assert_eq!(t1.canonical_form(), t2.canonical_form());
@@ -73,7 +73,8 @@ proptest! {
             .map(|(a, b)| (a % n as u32, b % n as u32))
             .collect();
         let g = Graph::from_edges(n, &edges);
-        let tree = build_autotree(&g, &Coloring::unit(n), &DviclOptions::default());
+        let opts = DviclOptions::default();
+        let tree = try_build_autotree(&g, &Coloring::unit(n), &opts, &Budget::unlimited()).unwrap();
         let lambda = tree.canonical_labeling();
         let mut relabeled: Vec<(V, V)> = Vec::with_capacity(g.m());
         for u in 0..n as u32 {

@@ -1,7 +1,7 @@
 //! The structural-equivalence path (§6.1) must classify isomorphism
 //! exactly like the plain path, on random graphs.
 
-use dvicl_core::{build_autotree, simplify, DviclOptions};
+use dvicl_core::{simplify, try_build_autotree, Budget, DviclOptions};
 use dvicl_graph::{Coloring, Graph, V};
 use proptest::prelude::*;
 
@@ -23,14 +23,17 @@ proptest! {
     /// Equal simplified certificates ⇔ equal plain certificates.
     #[test]
     fn classification_agrees(a in arb_graph(10), b in arb_graph(10)) {
-        let opts = DviclOptions::default();
+        let (opts, unlimited) = (DviclOptions::default(), Budget::unlimited());
         let plain = |g: &Graph| {
-            build_autotree(g, &Coloring::unit(g.n()), &opts)
+            try_build_autotree(g, &Coloring::unit(g.n()), &opts, &unlimited)
+                .unwrap()
                 .canonical_form()
                 .to_form()
         };
         let simplified = |g: &Graph| {
-            simplify::dvicl_simplified(g, &Coloring::unit(g.n()), &opts).certificate
+            simplify::try_dvicl_simplified(g, &Coloring::unit(g.n()), &opts, &unlimited)
+                .unwrap()
+                .certificate
         };
         prop_assert_eq!(plain(&a) == plain(&b), simplified(&a) == simplified(&b));
     }
@@ -54,9 +57,12 @@ proptest! {
             image.swap(i, (state >> 33) as usize % (i + 1));
         }
         let gamma = dvicl_graph::Perm::from_image(image).unwrap();
-        let opts = DviclOptions::default();
-        let c1 = simplify::dvicl_simplified(&gg, &Coloring::unit(3 * n), &opts);
-        let c2 = simplify::dvicl_simplified(&gg.permuted(&gamma), &Coloring::unit(3 * n), &opts);
+        let (opts, unit) = (DviclOptions::default(), Coloring::unit(3 * n));
+        let simplified = |g: &Graph| {
+            simplify::try_dvicl_simplified(g, &unit, &opts, &Budget::unlimited()).unwrap()
+        };
+        let c1 = simplified(&gg);
+        let c2 = simplified(&gg.permuted(&gamma));
         prop_assert!(!c1.twins.non_singleton.is_empty(), "twins were planted");
         prop_assert_eq!(c1.certificate, c2.certificate);
     }

@@ -1,11 +1,17 @@
 //! AutoTree navigation API: leaf lookup, deepest containing node, sibling
 //! classes and sibling isomorphisms.
 
-use dvicl_core::{build_autotree, AutoTree, DviclOptions, NodeKind};
+use dvicl_core::{try_build_autotree, AutoTree, Budget, DviclOptions, NodeKind};
 use dvicl_graph::{named, Coloring, Graph};
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
 fn tree_of(g: &Graph) -> AutoTree {
-    build_autotree(g, &Coloring::unit(g.n()), &DviclOptions::default())
+    let opts = DviclOptions::default();
+    try_build_autotree(g, &Coloring::unit(g.n()), &opts, &Budget::unlimited())
+        .expect("unlimited build cannot fail")
 }
 
 #[test]

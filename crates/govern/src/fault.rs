@@ -10,8 +10,8 @@
 //! failure ([`DviclError::BudgetExceeded`], [`DviclError::Cancelled`],
 //! or a [`DviclError::Parse`]) precisely there.
 //!
-//! The plan is configured from a spec string (CLI `--fault-plan`, env
-//! `DVICL_FAULT_PLAN`): a comma-separated list of arms, each
+//! The plan is configured from a spec string (the CLI's `--fault-plan`):
+//! a comma-separated list of arms, each
 //! `<action>@<site>:<k>` —
 //!
 //! * `action` — `trip` (work-cap exhaustion), `cancel` (cooperative
@@ -309,20 +309,6 @@ pub fn clear() {
 /// or injecting).
 pub fn is_active() -> bool {
     ACTIVE.get()
-}
-
-/// Installs a plan from the `DVICL_FAULT_PLAN` environment variable, if
-/// set, on the calling thread. Returns `Ok(true)` when a plan was
-/// installed, `Ok(false)` when the variable is absent, and a typed
-/// error for a malformed spec.
-pub fn install_from_env() -> Result<bool, DviclError> {
-    match std::env::var("DVICL_FAULT_PLAN") {
-        Ok(spec) => {
-            install(FaultPlan::parse(&spec)?);
-            Ok(true)
-        }
-        Err(_) => Ok(false),
-    }
 }
 
 /// The calling thread's per-site checkpoint hit counts since the last

@@ -27,8 +27,8 @@
 //! named [`fault::checkpoint`]s throughout the pipeline are free until
 //! a [`FaultPlan`] is installed, after which the plan injects typed
 //! errors at exact checkpoint ordinals — the machinery behind the
-//! fault-sweep harness and the `DVICL_FAULT_PLAN` / `--fault-plan`
-//! surfaces. See DESIGN.md §11.
+//! fault-sweep harness and the CLI's `--fault-plan` flag. See DESIGN.md
+//! §11.
 
 #![deny(missing_docs)]
 

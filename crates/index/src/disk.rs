@@ -292,8 +292,14 @@ impl FingerprintIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvicl_core::canonical_form;
-    use dvicl_graph::named;
+    use dvicl_core::{Budget, Session};
+    use dvicl_graph::{named, Graph};
+
+    fn canonical_form(g: &Graph) -> CanonForm {
+        Session::default()
+            .try_canonical_form(g, &Budget::unlimited())
+            .expect("unlimited build cannot fail")
+    }
 
     fn sample_index() -> FingerprintIndex {
         let mut idx = FingerprintIndex::new();

@@ -71,15 +71,16 @@ pub struct InsertOutcome {
 /// ```
 /// use dvicl_graph::{named, Fingerprint};
 /// use dvicl_index::FingerprintIndex;
-/// # use dvicl_core::canonical_form;
+/// # use dvicl_core::{Budget, Session};
 /// let mut index = FingerprintIndex::new();
-/// let form = canonical_form(&named::petersen());
+/// let form = Session::default().try_canonical_form(&named::petersen(), &Budget::unlimited())?;
 /// let fp = Fingerprint::of_form(&form);
 /// let out = index.insert(fp, form.clone(), false).unwrap();
 /// assert!(out.fresh);
 /// // A second isomorphic insert joins the class instead of growing the index.
 /// assert_eq!(index.insert(fp, form.clone(), false).unwrap().members, 2);
 /// assert_eq!(index.lookup(fp, &form), Some(0));
+/// # Ok::<(), dvicl_core::DviclError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct FingerprintIndex {
@@ -214,12 +215,13 @@ impl FingerprintIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvicl_core::canonical_form;
+    use dvicl_core::{Budget, Session};
     use dvicl_graph::named;
 
     fn keyed(g: &dvicl_graph::Graph) -> (Fingerprint, CanonForm) {
-        let form = canonical_form(g);
-        (Fingerprint::of_form(&form), form)
+        Session::default()
+            .try_fingerprinted_form(g, &Budget::unlimited())
+            .expect("unlimited build cannot fail")
     }
 
     #[test]

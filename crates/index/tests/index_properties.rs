@@ -4,7 +4,7 @@
 //! never confuse non-isomorphic graphs — even when forced onto the
 //! same fingerprint bucket.
 
-use dvicl_core::Session;
+use dvicl_core::{Budget, Session};
 use dvicl_data::bench_graphs::{cfi, cubic_circulant};
 use dvicl_graph::{CanonForm, Fingerprint, V};
 use dvicl_index::FingerprintIndex;
@@ -83,8 +83,11 @@ fn cfi_pair_is_split_and_forced_collisions_are_refuted() {
     // forces real DFS search, not refinement alone.
     let before = obs::snapshot();
     let mut session = Session::default();
-    let (fp_plain, form_plain) = session.fingerprinted_form(&plain);
-    let (fp_twisted, form_twisted) = session.fingerprinted_form(&twisted);
+    let unlimited = Budget::unlimited();
+    let (fp_plain, form_plain) = session.try_fingerprinted_form(&plain, &unlimited).unwrap();
+    let (fp_twisted, form_twisted) = session
+        .try_fingerprinted_form(&twisted, &unlimited)
+        .unwrap();
     let canon_delta = obs::snapshot().diff(&before);
     assert!(
         canon_delta.get(Counter::SearchNodes) > 0,

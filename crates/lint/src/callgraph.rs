@@ -2,15 +2,18 @@
 //! nodes by scanning every function body for call-shaped token
 //! sequences: `name(` and `.name(`.
 //!
-//! Edges are resolved by name to *every* workspace function with that
-//! name (see `symbols` for why over-approximation is the safe
-//! direction here). Macro invocations (`name!(…)`) and definitions are
+//! Edges are resolved by name (see `symbols` for why over-approximation
+//! is the safe direction here): `name(` and `Path::name(` to *every*
+//! workspace function with that name, `.name(` only to those whose
+//! signature takes a `self` receiver, since a method call can never
+//! reach a free function. Macro invocations (`name!(…)`) and definitions are
 //! excluded; calls into `std` or through trait objects simply resolve
 //! to nothing and add no edge. Turbofish calls (`name::<T>(…)`) are a
 //! known blind spot — none of the governed code paths use them at call
 //! sites the rules reason about.
 
 use crate::lexer::TokKind;
+use crate::parse::Item;
 use crate::symbols::SymbolTable;
 use crate::FileData;
 
@@ -50,9 +53,13 @@ impl CallGraph {
                 if NON_CALL_KEYWORDS.contains(&name) {
                     continue;
                 }
+                let method_call = cp > 0 && is_punct(file, cp - 1, b'.');
                 for &target in syms.fns_named(name) {
                     let titem = syms.fn_item(files, target);
                     if titem.is_test && !item.is_test {
+                        continue;
+                    }
+                    if method_call && !has_self_receiver(&files[syms.fns[target].file], titem) {
                         continue;
                     }
                     if !callees[id].contains(&target) {
@@ -87,6 +94,15 @@ impl CallGraph {
 
 }
 
+/// Whether `item`'s signature takes a `self` receiver (`self`, `&self`,
+/// `&mut self`, `self: Box<Self>`, …). A free function's signature can
+/// mention `self` only as a path prefix (`self::T`), which is skipped.
+fn has_self_receiver(file: &FileData, item: &Item) -> bool {
+    (item.sig.0..item.sig.1).any(|cp| {
+        is_kw(file, cp, "self") && !(is_punct(file, cp + 1, b':') && is_punct(file, cp + 2, b':'))
+    })
+}
+
 fn is_punct(file: &FileData, cp: usize, b: u8) -> bool {
     matches!(file.code.get(cp), Some(&i) if file.toks[i].kind == TokKind::Punct(b))
 }
@@ -110,22 +126,28 @@ mod tests {
 
     #[test]
     fn direct_method_and_transitive_edges() {
+        // `.leaf(` reaches only the method: a method call never reaches
+        // a free function of the same name. `leaf(` and `Path::leaf(`
+        // reach both.
         let src = r#"
             fn leaf(budget: usize) {}
+            impl X { fn leaf(&self, budget: usize) {} }
             fn middle(x: &X) { x.leaf(1); }
-            fn top() { middle(); }
+            fn top() { middle(); leaf(2); }
+            fn qualified() { self::leaf(3); }
             fn island() { println!("no edges"); }
         "#;
-        let (files, syms, graph) = ws(src);
+        let (_, syms, graph) = ws(src);
         let id = |n: &str| syms.fns_named(n)[0];
-        assert_eq!(graph.callees[id("middle")], vec![id("leaf")]);
-        assert_eq!(graph.callees[id("top")], vec![id("middle")]);
+        let (free, method) = (id("leaf"), syms.fns_named("leaf")[1]);
+        assert_eq!(graph.callees[id("middle")], vec![method]);
+        assert_eq!(graph.callees[id("top")], vec![id("middle"), free, method]);
+        assert_eq!(graph.callees[id("qualified")], vec![free, method]);
         assert!(graph.callees[id("island")].is_empty(), "macro is not a call");
         let mut seeds = vec![false; syms.fns.len()];
-        seeds[id("leaf")] = true;
+        seeds[free] = true;
         let reach = graph.can_reach(&seeds);
-        assert!(reach[id("top")] && reach[id("middle")] && !reach[id("island")]);
-        let _ = files;
+        assert!(reach[id("top")] && !reach[id("middle")] && !reach[id("island")]);
     }
 
     #[test]

@@ -50,7 +50,7 @@ crate::catalog! {
         /// Edges deleted by applied `DivideS` divisions (`core::SubArena`).
         DivideSEdgesDeleted = "divide_s_edges_deleted",
         /// Structural-equivalence twin classes collapsed
-        /// (`core::simplify::dvicl_simplified`).
+        /// (`core::simplify::try_dvicl_simplified`).
         TwinClassesCollapsed = "twin_classes_collapsed",
         /// `CombineCL` leaf-labeling results served from the builder's
         /// cache (`core::build`).

@@ -49,11 +49,10 @@ const RADIX_MIN_LEN: usize = 32;
 /// traces and certificates exactly (the order of equal-count members is
 /// not observable).
 pub(crate) trait RefineKernel {
-    /// Prepares per-graph state. Called by [`Partition::refine`] and
-    /// [`Partition::try_refine`] before their worklist loop; `g` is the
-    /// graph every subsequent [`RefineKernel::split_by`] will see,
-    /// through the individualizing runs that follow on the same
-    /// partition.
+    /// Prepares per-graph state. Called by [`Partition::try_refine`]
+    /// before its worklist loop; `g` is the graph every subsequent
+    /// [`RefineKernel::split_by`] will see, through the individualizing
+    /// runs that follow on the same partition.
     fn reset(&mut self, g: &Graph);
 
     /// Uses the cell at start `s` as a splitter: counts each vertex's
@@ -131,6 +130,7 @@ impl BitsetKernel {
     /// large enough, or a plain comparison sort when the cell is too
     /// small for a histogram to pay, or the counts too spread for one.
     /// Returns the updated trace.
+    // dvicl-lint: allow(budget-reachability) -- Partition::run spends one unit per splitter before split_by dispatches here
     fn split_cell(&mut self, p: &mut Partition, c: usize, len: usize, trace: u64) -> u64 {
         // Gather (count, vertex) in span order, tracking the count range.
         let mut min_c = u32::MAX;
@@ -183,6 +183,7 @@ impl BitsetKernel {
     /// non-singleton cell (cells disjoint from the splitter's
     /// neighborhood count uniformly zero and split nothing, so skipping
     /// the scatter-based discovery is trace-neutral).
+    // dvicl-lint: allow(budget-reachability) -- Partition::run spends one unit per splitter before split_by dispatches here
     fn split_by_popcount(&mut self, p: &mut Partition, g: &Graph, s: usize, len: usize, mut trace: u64) -> u64 {
         if self.adj.is_empty() {
             // Lazy row build: only runs that see a popcount-eligible
@@ -233,6 +234,7 @@ impl BitsetKernel {
     /// its touched members to [`Partition::split_touched`]. No splitter
     /// snapshot is taken: the scatter loop finishes before any split
     /// moves `lab`, so the splitter's span is stable while it is read.
+    // dvicl-lint: allow(budget-reachability) -- Partition::run spends one unit per splitter before split_by dispatches here
     fn split_by_scatter(
         &mut self,
         p: &mut Partition,
@@ -449,7 +451,9 @@ mod tests {
     fn oracle_refine(g: &Graph, pi: &Coloring) -> RefineResult {
         let mut p = Partition::default();
         p.reset_from_coloring(g.n(), pi);
-        let trace = p.refine(g, &mut GeneralKernel);
+        let trace = p
+            .try_refine(g, &mut GeneralKernel, &Budget::unlimited())
+            .expect("unlimited refinement cannot fail");
         p.result(trace)
     }
 
@@ -457,7 +461,8 @@ mod tests {
     fn oracle_individualized(g: &Graph, pi: &Coloring, v: V) -> RefineResult {
         let mut p = Partition::default();
         p.reset_from_coloring(g.n(), pi);
-        p.refine(g, &mut GeneralKernel);
+        p.try_refine(g, &mut GeneralKernel, &Budget::unlimited())
+            .expect("unlimited refinement cannot fail");
         let trace = p
             .try_individualize_and_refine(g, &mut GeneralKernel, v, &Budget::unlimited())
             .expect("unlimited refinement cannot fail");

@@ -72,12 +72,15 @@ impl Refiner {
         Refiner::default()
     }
 
-    /// Reusable-buffer [`refine`].
+    /// [`Refiner::try_refine`] under an unlimited budget. Panics where that
+    /// errs: on a fault plan installed on this thread.
+    #[expect(
+        clippy::expect_used,
+        reason = "an unlimited budget never exhausts, so only a fault plan installed on the calling thread can reach the Err arm, as the doc comment states"
+    )]
     pub fn refine(&mut self, g: &Graph, pi: &Coloring) -> RefineResult {
-        let _span = dvicl_obs::span(Phase::RefineRefine);
-        self.p.reset_from_coloring(g.n(), pi);
-        let trace = self.p.refine(g, &mut self.kernel);
-        self.p.result(trace)
+        self.try_refine(g, pi, &Budget::unlimited())
+            .expect("unlimited refinement cannot exceed its budget")
     }
 
     /// Reusable-buffer [`try_refine`].
@@ -216,27 +219,25 @@ impl<'a> PartitionView<'a> {
     }
 }
 
-/// Refines `(g, pi)` to the coarsest equitable coloring finer than `pi`.
+/// Refines `(g, pi)` to the coarsest equitable coloring finer than `pi`,
+/// spending one work unit per splitter processed, so a wall-clock
+/// deadline or cancellation interrupts the refinement loop itself rather
+/// than waiting for it to finish.
 ///
 /// One-shot convenience over [`Refiner`] — loops that refine repeatedly
 /// should hold a `Refiner` instead.
 ///
 /// ```
+/// use dvicl_govern::Budget;
 /// use dvicl_graph::{named, Coloring};
 /// // The Fig. 1(a) example refines from the unit coloring to the paper's
 /// // [0,1,2,3,4,5,6|7]: the hub is forced into its own cell.
 /// let g = named::fig1_example();
-/// let r = dvicl_refine::refine(&g, &Coloring::unit(8));
+/// let r = dvicl_refine::try_refine(&g, &Coloring::unit(8), &Budget::unlimited())?;
 /// assert_eq!(r.coloring.to_string(), "[0,1,2,3,4,5,6|7]");
 /// assert!(r.coloring.is_equitable(&g));
+/// # Ok::<(), dvicl_govern::DviclError>(())
 /// ```
-pub fn refine(g: &Graph, pi: &Coloring) -> RefineResult {
-    Refiner::new().refine(g, pi)
-}
-
-/// Budgeted [`refine`]: one work unit is spent per splitter processed,
-/// so a wall-clock deadline or cancellation interrupts the refinement
-/// loop itself rather than waiting for it to finish.
 pub fn try_refine(g: &Graph, pi: &Coloring, budget: &Budget) -> Result<RefineResult, DviclError> {
     Refiner::new().try_refine(g, pi, budget)
 }
@@ -245,6 +246,10 @@ pub fn try_refine(g: &Graph, pi: &Coloring, budget: &Budget) -> Result<RefineRes
 mod tests {
     use super::*;
     use dvicl_graph::{named, Perm};
+
+    fn refine(g: &Graph, pi: &Coloring) -> RefineResult {
+        try_refine(g, pi, &Budget::unlimited()).expect("unlimited refinement cannot fail")
+    }
 
     #[test]
     fn fig1_unit_refines_to_paper_coloring() {

@@ -220,20 +220,8 @@ impl Partition {
     /// Refines to the coarsest equitable partition using `k`, returning
     /// the trace hash. All current cells are used as initial splitters.
     /// Resets `k` for `g`: a refinement starts a new run on a graph.
-    #[expect(
-        clippy::expect_used,
-        reason = "run() only errs on budget exhaustion, and no budget is passed here"
-    )]
-    pub fn refine(&mut self, g: &Graph, k: &mut impl RefineKernel) -> u64 {
-        k.reset(g);
-        self.enqueue_all_cells();
-        self.run(g, k, 0x5ee2_c3a1_d00d_f00d, None)
-            .expect("un-budgeted refinement cannot fail")
-    }
-
-    /// Budgeted [`Partition::refine`]: spends one work unit per splitter
-    /// processed, so a deadline interrupts refinement itself, not just
-    /// the search loop around it.
+    /// Spends one work unit per splitter processed, so a deadline
+    /// interrupts refinement itself, not just the search loop around it.
     pub fn try_refine(
         &mut self,
         g: &Graph,
@@ -242,12 +230,12 @@ impl Partition {
     ) -> Result<u64, DviclError> {
         k.reset(g);
         self.enqueue_all_cells();
-        self.run(g, k, 0x5ee2_c3a1_d00d_f00d, Some(budget))
+        self.run(g, k, 0x5ee2_c3a1_d00d_f00d, budget)
     }
 
     /// Opens an undo level, individualizes `v` (splitting it to the front
     /// of its cell) and refines with the two fragments as seeds, using
-    /// `k` as the last [`Partition::refine`] left it: the graph is the
+    /// `k` as the last [`Partition::try_refine`] left it: the graph is the
     /// same, so neither the kernel's reset nor its adjacency rows run
     /// again. Panics if `v` is already in a singleton cell. Returns the
     /// trace hash, seeded with `v`'s color — an isomorphism-invariant of
@@ -262,7 +250,7 @@ impl Partition {
         self.trail_at.resize(self.n(), 0);
         self.levels.push(self.trail.len());
         let seed = self.seed_individualize(v);
-        self.run(g, k, seed, Some(budget))
+        self.run(g, k, seed, budget)
     }
 
     // dvicl-lint: allow(budget-reachability) -- O(cell length) splice of {v} to the cell front; run() meters the refinement that follows
@@ -288,7 +276,7 @@ impl Partition {
     }
 
     /// Core worklist loop. `seed` initializes the trace hash; one work
-    /// unit is spent per splitter when a budget is supplied. The kernel
+    /// unit is spent per splitter. The kernel
     /// decides how each splitter's counts are computed; the loop, the
     /// budget metering and the trace-per-splitter mix are shared with
     /// the test oracle.
@@ -297,14 +285,12 @@ impl Partition {
         g: &Graph,
         k: &mut impl RefineKernel,
         seed: u64,
-        budget: Option<&Budget>,
+        budget: &Budget,
     ) -> Result<u64, DviclError> {
         let mut trace = seed;
         while let Some(s) = self.queue.pop_front() {
             dvicl_obs::bump(dvicl_obs::Counter::RefineRounds);
-            if let Some(b) = budget {
-                b.spend(1)?;
-            }
+            budget.spend(1)?;
             self.in_queue[s as usize] = false;
             trace = mix(trace, 0xA110 ^ (s as u64) << 16);
             trace = k.split_by(self, g, s, trace);

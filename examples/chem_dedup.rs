@@ -13,7 +13,7 @@
 //!
 //! Run with `cargo run --release --example chem_dedup`.
 
-use dvicl::core::{DviclOptions, Session};
+use dvicl::core::{Budget, DviclOptions, Session};
 use dvicl::graph::{named, Graph, Perm, V};
 use dvicl::index::FingerprintIndex;
 
@@ -67,10 +67,13 @@ fn main() {
     // One session, one index: each graph costs one canonicalization and
     // one fingerprint probe, however large the collection grows.
     let mut session = Session::new(DviclOptions::default());
+    let unlimited = Budget::unlimited();
     let mut index = FingerprintIndex::new();
     let mut names_by_class: Vec<Vec<String>> = Vec::new();
     for (name, g) in &collection {
-        let (fp, form) = session.fingerprinted_form(g);
+        let (fp, form) = session
+            .try_fingerprinted_form(g, &unlimited)
+            .expect("canonicalize");
         let out = index.insert(fp, form, false).expect("insert");
         if out.fresh {
             names_by_class.push(Vec::new());
@@ -90,7 +93,9 @@ fn main() {
 
     // Every class's members really are isomorphic: a fresh lookup of any
     // member by fingerprint + stored-form confirmation finds its class.
-    let (fp, form) = session.fingerprinted_form(&collection[0].1);
+    let (fp, form) = session
+        .try_fingerprinted_form(&collection[0].1, &unlimited)
+        .expect("canonicalize");
     assert_eq!(index.lookup(fp, &form), Some(0));
     assert_eq!(
         library().len(),

@@ -10,7 +10,7 @@
 //!
 //! Run with `cargo run --release --example figure1_search_tree`.
 
-use dvicl::canon::{canonical_form, Config};
+use dvicl::canon::{try_canonical_form, Budget, Config};
 use dvicl::graph::{named, Coloring};
 
 #[expect(
@@ -21,7 +21,8 @@ fn main() {
     let g = named::fig1_example();
     let mut config = Config::bliss_like();
     config.record_tree = true;
-    let result = canonical_form(&g, &Coloring::unit(8), &config);
+    let result = try_canonical_form(&g, &Coloring::unit(8), &config, &Budget::unlimited())
+        .expect("an unlimited search cannot fail");
     let tree = result.tree.expect("recording was requested");
 
     println!("Search tree T(G, π) for the Fig. 1(a) graph (bliss-like engine)");

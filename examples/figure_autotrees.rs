@@ -13,24 +13,25 @@
 //!
 //! Run with `cargo run --release --example figure_autotrees`.
 
-use dvicl::core::{build_autotree, simplify, DviclOptions};
+use dvicl::core::{simplify, try_build_autotree, Budget, DviclError, DviclOptions};
 use dvicl::graph::{named, Coloring};
 
-fn main() {
+fn main() -> Result<(), DviclError> {
     let opts = DviclOptions::default();
+    let unlimited = Budget::unlimited();
 
     println!("=== Fig. 4: AutoTree of the Fig. 1(a) graph ===");
     let g1 = named::fig1_example();
-    let t1 = build_autotree(&g1, &Coloring::unit(g1.n()), &opts);
+    let t1 = try_build_autotree(&g1, &Coloring::unit(g1.n()), &opts, &unlimited)?;
     print!("{}", t1.render());
 
     println!("\n=== Fig. 3: AutoTree of the three-winged example ===");
     let g3 = named::fig3_example();
-    let t3 = build_autotree(&g3, &Coloring::unit(g3.n()), &opts);
+    let t3 = try_build_autotree(&g3, &Coloring::unit(g3.n()), &opts, &unlimited)?;
     print!("{}", t3.render());
 
     println!("\n=== Fig. 7/8: structural-equivalence simplification ===");
-    let s = simplify::dvicl_simplified(&g1, &Coloring::unit(g1.n()), &opts);
+    let s = simplify::try_dvicl_simplified(&g1, &Coloring::unit(g1.n()), &opts, &unlimited)?;
     println!("twin classes of Fig. 1(a): {:?}", s.twins.non_singleton);
     println!(
         "simplified graph G_s keeps representatives {:?} (multiplicities {:?})",
@@ -42,4 +43,5 @@ fn main() {
         "|Aut(G)| recovered through the simplification: {}",
         s.original_group_order()
     );
+    Ok(())
 }

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example ksym_demo`.
 
-use dvicl::core::{aut, build_autotree, ksym, DviclOptions};
+use dvicl::core::{aut, ksym, try_build_autotree, Budget, DviclOptions};
 use dvicl::graph::{named, Coloring};
 
 #[expect(
@@ -15,7 +15,8 @@ use dvicl::graph::{named, Coloring};
 fn main() {
     let g = named::fig1_example();
     let opts = DviclOptions::default();
-    let tree = build_autotree(&g, &Coloring::unit(g.n()), &opts);
+    let unlimited = Budget::unlimited();
+    let tree = try_build_autotree(&g, &Coloring::unit(g.n()), &opts, &unlimited).unwrap();
     let mut before = aut::orbits(&tree);
     println!(
         "original graph: n = {}, m = {}, orbits = {:?}",
@@ -25,8 +26,8 @@ fn main() {
     );
 
     for k in [2usize, 3] {
-        let (g2, stats) = ksym::k_symmetric_extension(&g, &tree, k);
-        let t2 = build_autotree(&g2, &Coloring::unit(g2.n()), &opts);
+        let (g2, stats) = ksym::try_k_symmetric_extension(&g, &tree, k, &unlimited).unwrap();
+        let t2 = try_build_autotree(&g2, &Coloring::unit(g2.n()), &opts, &unlimited).unwrap();
         let mut orbits = aut::orbits(&t2);
         let min_orbit = orbits.cells().iter().map(|c| c.len()).min().unwrap();
         println!(

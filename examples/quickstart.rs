@@ -3,14 +3,20 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use dvicl::core::{aut, build_autotree, canonical_form, DviclOptions};
-use dvicl::graph::{named, Coloring, Perm};
+use dvicl::core::{aut, try_build_autotree, Budget, DviclOptions, Session};
+use dvicl::graph::{named, Coloring, Graph, Perm};
 
 #[expect(
     clippy::unwrap_used,
     reason = "example code: a failure here is a bug in the example itself"
 )]
 fn main() {
+    // Every operation that can run long takes a budget; this one sets no
+    // limit.
+    let unlimited = Budget::unlimited();
+    let mut session = Session::default();
+    let mut canonical_form = |g: &Graph| session.try_canonical_form(g, &unlimited).unwrap();
+
     // --- Isomorphism testing ------------------------------------------
     let g = named::petersen();
     let shuffled = g.permuted(&Perm::from_cycles(10, &[&[0, 4, 8], &[1, 9], &[2, 6]]).unwrap());
@@ -32,7 +38,13 @@ fn main() {
 
     // --- The AutoTree of the paper's running example ------------------
     let g = named::fig1_example();
-    let tree = build_autotree(&g, &Coloring::unit(g.n()), &DviclOptions::default());
+    let tree = try_build_autotree(
+        &g,
+        &Coloring::unit(g.n()),
+        &DviclOptions::default(),
+        &unlimited,
+    )
+    .unwrap();
     let stats = tree.stats();
     println!("\nAutoTree of the paper's Fig. 1(a) graph:");
     println!(

@@ -4,21 +4,24 @@
 //!
 //! Run with `cargo run --release --example ssm_demo`.
 
-use dvicl::apps::im::{select_seeds, IcConfig};
-use dvicl::core::ssm::{count_images, enumerate_images, SsmIndex};
-use dvicl::core::{build_autotree, DviclOptions};
+use dvicl::apps::im::{try_select_seeds, IcConfig};
+use dvicl::core::ssm::{try_count_images, try_enumerate_images, SsmIndex};
+use dvicl::core::{try_build_autotree, Budget, DviclError, DviclOptions};
 use dvicl::data::social;
 use dvicl::graph::{named, Coloring};
 
-fn main() {
+fn main() -> Result<(), DviclError> {
+    // Every query below runs under one budget with no limits.
+    let (opts, unlimited) = (DviclOptions::default(), Budget::unlimited());
+
     // --- Example 6.11-style query on the three-winged graph -----------
     let g = named::fig3_example();
-    let tree = build_autotree(&g, &Coloring::unit(g.n()), &DviclOptions::default());
+    let tree = try_build_autotree(&g, &Coloring::unit(g.n()), &opts, &unlimited)?;
     let index = SsmIndex::new(&tree);
     // Query: a pendant-clique path (3 - 2 - 4) crossing one wing into the
     // clique axis.
     let query = vec![3, 2, 4];
-    let matches = enumerate_images(&tree, &index, &query, 1000);
+    let matches = try_enumerate_images(&tree, &index, &query, 1000, &unlimited)?;
     println!("SSM query {query:?} on the Fig. 3 example graph:");
     println!(
         "  {} symmetric subgraphs (complete: {}):",
@@ -42,13 +45,14 @@ fn main() {
         rounds: 40,
         seed: 7,
     };
-    let seeds = select_seeds(&g, 10, &ic);
+    let seeds = try_select_seeds(&g, 10, &ic, &unlimited)?;
     println!("  selected seeds: {seeds:?}");
-    let tree = build_autotree(&g, &Coloring::unit(g.n()), &DviclOptions::default());
+    let tree = try_build_autotree(&g, &Coloring::unit(g.n()), &opts, &unlimited)?;
     let index = SsmIndex::new(&tree);
-    let count = count_images(&tree, &index, &seeds);
+    let count = try_count_images(&tree, &index, &seeds, &unlimited)?;
     println!(
         "  seed sets with identical influence (by symmetry): {}",
         count.to_scientific()
     );
+    Ok(())
 }

@@ -23,18 +23,24 @@
 //!
 //! ```
 //! use dvicl::graph::{named, Coloring};
-//! use dvicl::core::{aut, build_autotree, DviclOptions};
+//! use dvicl::core::{aut, try_build_autotree, Budget, DviclOptions, Session};
 //!
+//! // Every operation that can run long takes a budget (a deadline, a
+//! // work cap, a cancel token); `Budget::unlimited()` sets none.
+//! let unlimited = Budget::unlimited();
 //! let g = named::petersen();
-//! let tree = build_autotree(&g, &Coloring::unit(g.n()), &DviclOptions::default());
+//! let opts = DviclOptions::default();
+//! let tree = try_build_autotree(&g, &Coloring::unit(g.n()), &opts, &unlimited)?;
 //! assert_eq!(aut::group_order(&tree).to_u64(), Some(120));
 //!
 //! // Isomorphism testing: certificates are equal iff graphs are isomorphic.
 //! let relabeled = g.permuted(&dvicl::graph::Perm::from_cycles(10, &[&[0, 7, 3]]).unwrap());
+//! let mut session = Session::default();
 //! assert_eq!(
-//!     dvicl::core::canonical_form(&g),
-//!     dvicl::core::canonical_form(&relabeled),
+//!     session.try_canonical_form(&g, &unlimited)?,
+//!     session.try_canonical_form(&relabeled, &unlimited)?,
 //! );
+//! # Ok::<(), dvicl::core::DviclError>(())
 //! ```
 
 #![warn(missing_docs)]

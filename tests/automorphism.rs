@@ -2,11 +2,28 @@
 //! produced through every path (AutoTree, simplified AutoTree, IR
 //! baseline, Schreier–Sims) agree with each other and with brute force.
 
-use dvicl::canon::{canonical_form as ir, Config};
-use dvicl::core::{aut, build_autotree, simplify, DviclOptions};
+use dvicl::canon::{try_canonical_form, CanonResult, Config};
+use dvicl::core::iso::try_find_isomorphism_outcome;
+use dvicl::core::{aut, simplify, try_build_autotree, AutoTree, Budget, DviclOptions};
 use dvicl::graph::{named, Coloring, Graph, V};
 use dvicl::group::{brute, BigUint, StabChain};
 use proptest::prelude::*;
+
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
+fn build_autotree(g: &Graph, pi: &Coloring, opts: &DviclOptions) -> AutoTree {
+    try_build_autotree(g, pi, opts, &Budget::unlimited()).expect("unlimited build cannot fail")
+}
+
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
+fn ir(g: &Graph, pi: &Coloring, config: &Config) -> CanonResult {
+    try_canonical_form(g, pi, config, &Budget::unlimited()).expect("unlimited search cannot fail")
+}
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (2..=max_n).prop_flat_map(|n| {
@@ -32,7 +49,8 @@ proptest! {
         let tree = build_autotree(&g, &pi, &DviclOptions::default());
         prop_assert_eq!(&aut::group_order(&tree), &truth);
 
-        let s = simplify::dvicl_simplified(&g, &pi, &DviclOptions::default());
+        let opts = DviclOptions::default();
+        let s = simplify::try_dvicl_simplified(&g, &pi, &opts, &Budget::unlimited()).unwrap();
         prop_assert_eq!(&s.original_group_order(), &truth);
 
         let base = ir(&g, &pi, &Config::bliss_like());
@@ -164,8 +182,8 @@ fn algebraic_graph_families() {
 #[test]
 fn paley_is_self_complementary() {
     let p = named::paley(13);
-    let gamma = dvicl::core::iso::find_isomorphism(&p, &p.complement())
-        .expect("Paley graphs are self-complementary");
+    let found = try_find_isomorphism_outcome(&p, &p.complement(), &Budget::unlimited()).unwrap();
+    let gamma = found.mapping.expect("Paley graphs are self-complementary");
     assert_eq!(p.permuted(&gamma), p.complement());
 }
 

@@ -20,7 +20,7 @@
 //! labelers. The ignored test runs n = 6, n = 7 and 2-colored n = 5; run
 //! it in release (`cargo test --release --test census -- --ignored`).
 
-use dvicl::canon::{canonical_form, Config, TargetCell};
+use dvicl::canon::{try_canonical_form, Budget, Config, TargetCell};
 use dvicl::core::{aut, DviclOptions, Session};
 use dvicl::graph::{CanonForm, Coloring, Graph, Perm, V};
 use dvicl::group::StabChain;
@@ -36,10 +36,15 @@ enum Labeler {
 
 impl Labeler {
     /// Certificate and automorphism generators of `(g, pi)`.
+    #[expect(
+        clippy::expect_used,
+        reason = "test helper: a panic here fails the calling test, which is the intent"
+    )]
     fn label(&mut self, g: &Graph, pi: &Coloring) -> (CanonForm, Vec<Perm>) {
         match self {
             Labeler::Ir(config) => {
-                let r = canonical_form(g, pi, config);
+                let r = try_canonical_form(g, pi, config, &Budget::unlimited())
+                    .expect("unlimited search cannot fail");
                 (r.form, r.generators)
             }
             Labeler::Dvicl(session) => {

@@ -13,8 +13,8 @@
 //! fingerprint index insert plus a DVIX1 round trip. The probe plan is
 //! installed on the test's own thread, so only this test's hits count.
 
-use dvicl::core::ssm::{symmetric_key, SsmIndex};
-use dvicl::core::{build_autotree, DviclOptions};
+use dvicl::core::ssm::{try_symmetric_key, SsmIndex};
+use dvicl::core::{try_build_autotree, Budget, DviclOptions};
 use dvicl::govern::fault::{self, FaultPlan, Site};
 use dvicl::graph::{graph6, io, Coloring, Fingerprint};
 use dvicl::index::FingerprintIndex;
@@ -46,11 +46,12 @@ fn registry_and_probe_agree() {
 
     // The build: refine.refine, core.build_node, core.arena_carve,
     // govern.spend.
-    let tree = build_autotree(&g, &Coloring::unit(g.n()), &DviclOptions::default());
+    let (opts, unlimited) = (DviclOptions::default(), Budget::unlimited());
+    let tree = try_build_autotree(&g, &Coloring::unit(g.n()), &opts, &unlimited).expect("build");
 
     // core.ssm: one symmetric-key query over the built tree.
     let index = SsmIndex::new(&tree);
-    let _key = symmetric_key(&tree, &index, &[0, 1]);
+    let _key = try_symmetric_key(&tree, &index, &[0, 1], &unlimited).expect("key");
 
     // An 8-cycle is vertex-transitive: refinement cannot split the unit
     // coloring, so the build lands in a non-singleton leaf and must run
@@ -59,7 +60,8 @@ fn registry_and_probe_agree() {
     let cycle = io::read_edge_list("0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 0\n".as_bytes())
         .expect("parse cycle edge list")
         .graph;
-    let _cycle_tree = build_autotree(&cycle, &Coloring::unit(cycle.n()), &DviclOptions::default());
+    let _cycle_tree =
+        try_build_autotree(&cycle, &Coloring::unit(cycle.n()), &opts, &unlimited).expect("build");
 
     // index.insert + index.load: ingest a certificate into a
     // fingerprint index and round-trip it through the DVIX1 format.

@@ -2,11 +2,47 @@
 //! brute-force oracle and the IR baseline across random and structured
 //! graphs.
 
-use dvicl::canon::{canonical_form as ir_form, Config};
-use dvicl::core::{are_isomorphic, are_isomorphic_colored, canonical_form};
-use dvicl::graph::{named, Coloring, Graph, Perm, V};
+use dvicl::canon::{try_canonical_form, CanonResult, Config};
+use dvicl::core::iso::try_find_isomorphism_colored_outcome;
+use dvicl::core::{try_build_autotree, Budget, DviclOptions};
+use dvicl::graph::{named, CanonForm, Coloring, Graph, Perm, V};
 use dvicl::group::brute;
 use proptest::prelude::*;
+
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
+fn canonical_form(g: &Graph) -> CanonForm {
+    let opts = DviclOptions::default();
+    try_build_autotree(g, &Coloring::unit(g.n()), &opts, &Budget::unlimited())
+        .expect("unlimited build cannot fail")
+        .canonical_form()
+        .to_form()
+}
+
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
+fn are_isomorphic_colored(g1: &Graph, pi1: &Coloring, g2: &Graph, pi2: &Coloring) -> bool {
+    try_find_isomorphism_colored_outcome(g1, pi1, g2, pi2, &Budget::unlimited())
+        .expect("unlimited builds cannot fail")
+        .mapping
+        .is_some()
+}
+
+fn are_isomorphic(g1: &Graph, g2: &Graph) -> bool {
+    are_isomorphic_colored(g1, &Coloring::unit(g1.n()), g2, &Coloring::unit(g2.n()))
+}
+
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
+fn ir_form(g: &Graph, pi: &Coloring, config: &Config) -> CanonResult {
+    try_canonical_form(g, pi, config, &Budget::unlimited()).expect("unlimited search cannot fail")
+}
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (2..=max_n).prop_flat_map(|n| {
@@ -103,13 +139,6 @@ fn colored_isomorphism_distinguishes_colorings() {
         &p3k1,
         &center_last
     ));
-    assert!(dvicl::core::iso::find_isomorphism_colored(
-        &p3k1,
-        &isolated_first,
-        &p3k1,
-        &center_last
-    )
-    .is_none());
 }
 
 #[test]

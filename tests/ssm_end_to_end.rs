@@ -2,17 +2,42 @@
 //! keys against brute force, and the SM-baseline comparison, on random and
 //! structured graphs.
 
-use dvicl::core::ssm::{count_images, enumerate_images, same_symmetry, symmetric_key, SsmIndex};
-use dvicl::core::{build_autotree, sm, AutoTree, DviclOptions};
+use dvicl::core::ssm::{
+    try_count_images, try_enumerate_images, try_same_symmetry, try_symmetric_key, SsmIndex,
+    SsmMatches,
+};
+use dvicl::core::{sm, try_build_autotree, AutoTree, Budget, DviclOptions};
 use dvicl::graph::{Coloring, Graph, V};
-use dvicl::group::brute;
+use dvicl::group::{brute, BigUint};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
 fn setup(g: &Graph) -> (AutoTree, SsmIndex) {
-    let t = build_autotree(g, &Coloring::unit(g.n()), &DviclOptions::default());
+    let opts = DviclOptions::default();
+    let t = try_build_autotree(g, &Coloring::unit(g.n()), &opts, &Budget::unlimited())
+        .expect("unlimited build cannot fail");
     let i = SsmIndex::new(&t);
     (t, i)
+}
+
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
+fn count_images(t: &AutoTree, i: &SsmIndex, set: &[V]) -> BigUint {
+    try_count_images(t, i, set, &Budget::unlimited()).expect("valid query set")
+}
+
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
+fn enumerate_images(t: &AutoTree, i: &SsmIndex, set: &[V], limit: usize) -> SsmMatches {
+    try_enumerate_images(t, i, set, limit, &Budget::unlimited()).expect("valid query set")
 }
 
 fn brute_images(g: &Graph, set: &[V]) -> BTreeSet<Vec<V>> {
@@ -79,7 +104,7 @@ proptest! {
         s2.dedup();
         let (t, i) = setup(&g);
         let truth = brute_images(&g, &s1).contains(&s2);
-        prop_assert_eq!(same_symmetry(&t, &i, &s1, &s2), truth);
+        prop_assert_eq!(try_same_symmetry(&t, &i, &s1, &s2, &Budget::unlimited()), Ok(truth));
     }
 }
 
@@ -93,7 +118,8 @@ fn ssm_at_agrees_with_sm_baseline() {
     ] {
         let (t, i) = setup(&g);
         let mut via_at = enumerate_images(&t, &i, &query, 100_000).matches;
-        let mut via_sm = sm::ssm_via_sm(&g, &t, &i, &query, 100_000);
+        let mut via_sm =
+            sm::try_ssm_via_sm(&g, &t, &i, &query, 100_000, &Budget::unlimited()).unwrap();
         via_at.sort();
         via_sm.sort();
         assert_eq!(via_at, via_sm, "disagreement on query {query:?}");
@@ -112,7 +138,8 @@ fn key_is_relabeling_covariant() {
         let (t, i) = setup(g);
         let mut by_key: std::collections::HashMap<Vec<u8>, usize> = Default::default();
         for (a, b) in g.edges() {
-            *by_key.entry(symmetric_key(&t, &i, &[a, b])).or_default() += 1;
+            let key = try_symmetric_key(&t, &i, &[a, b], &Budget::unlimited()).unwrap();
+            *by_key.entry(key).or_default() += 1;
         }
         let mut sizes: Vec<usize> = by_key.into_values().collect();
         sizes.sort_unstable();
@@ -148,7 +175,7 @@ fn seed_set_counting_scales_to_analogs() {
     let count = count_images(&t, &i, &seeds);
     // Each of the 10 seeds sits in a twin class of >= 6 members.
     assert!(
-        count >= dvicl::group::BigUint::from_u64(6u64.pow(10)),
+        count >= BigUint::from_u64(6u64.pow(10)),
         "count {count} too small"
     );
 }
@@ -162,7 +189,7 @@ fn colored_graphs_restrict_symmetry() {
     // Two-color leaves {1,2,3} vs {4,5,6}: only 3×3 = 9 images of a mixed
     // pair, and C(3,2) = 3 of a same-color pair.
     let pi = Coloring::from_cells(vec![vec![0], vec![1, 2, 3], vec![4, 5, 6]]).unwrap();
-    let t2 = build_autotree(&g, &pi, &DviclOptions::default());
+    let t2 = try_build_autotree(&g, &pi, &DviclOptions::default(), &Budget::unlimited()).unwrap();
     let i2 = SsmIndex::new(&t2);
     assert_eq!(count_images(&t2, &i2, &[1, 4]).to_u64(), Some(9));
     assert_eq!(count_images(&t2, &i2, &[1, 2]).to_u64(), Some(3));
