@@ -134,7 +134,10 @@ mod tests {
             &Budget::with_max_work(1_000_000),
         )
         .unwrap();
-        assert_eq!(ok, cluster_by_symmetry(&t, &i, tris.iter().map(|t| t.as_slice())));
+        assert_eq!(
+            ok,
+            cluster_by_symmetry(&t, &i, tris.iter().map(|t| t.as_slice()))
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Batch amortization benchmark (ROADMAP item 2): answering M
+//! Batch amortization benchmark (DESIGN.md §13.4): answering M
 //! isomorphism queries against an N-graph corpus via the
 //! canonical-fingerprint index versus M×N pairwise tests.
 //!
@@ -13,6 +13,11 @@
 //! Records land in `BENCH_batch.json` (schema `dvicl-bench-v1`): one
 //! `index-build` record for corpus ingestion, one `batch-lookup` for the
 //! M amortized queries, one `pairwise` for the M×N baseline.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the binary owns its exit codes: a witness failure or a missed amortization target fails the run"
+)]
 
 use dvicl_bench::suite::{self, print_header, print_row, Recorder};
 use dvicl_canon::Config;
@@ -118,7 +123,10 @@ fn main() {
 
     println!("Batch amortization: M = {m} queries against an N = {n} graph corpus");
     let widths = [14, 10, 12, 14, 12];
-    print_header(&["phase", "wall ms", "canon runs", "index probes", "answers"], &widths);
+    print_header(
+        &["phase", "wall ms", "canon runs", "index probes", "answers"],
+        &widths,
+    );
 
     // Phase 1 — ingest the corpus: one canonicalization per graph, one
     // session for all of them.
@@ -212,7 +220,10 @@ fn main() {
     rec.record("corpus_100", "pairwise", &pairwise_run);
     // The two paths must agree query by query: the baseline's match
     // count is exactly the index class's member count.
-    assert_eq!(pairwise_matches, class_sizes, "baseline must agree with the index answers");
+    assert_eq!(
+        pairwise_matches, class_sizes,
+        "baseline must agree with the index answers"
+    );
     let pairwise_hits: usize = pairwise_matches.iter().filter(|&&c| c > 0).count();
     print_row(
         &[

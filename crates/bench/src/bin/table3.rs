@@ -21,7 +21,14 @@ fn main() {
     let widths = [16, 10, 11, 14, 9, 6];
     println!("Table 3: AutoTree structure on real-graph analogs");
     print_header(
-        &["Graph", "|V(AT)|", "singleton", "non-singleton", "avg size", "depth"],
+        &[
+            "Graph",
+            "|V(AT)|",
+            "singleton",
+            "non-singleton",
+            "avg size",
+            "depth",
+        ],
         &widths,
     );
     for d in dvicl_data::social_suite() {

@@ -20,7 +20,14 @@ fn main() {
     let widths = [16, 10, 11, 14, 9, 6];
     println!("Table 4: AutoTree structure on benchmark graphs");
     print_header(
-        &["Graph", "|V(AT)|", "singleton", "non-singleton", "avg size", "depth"],
+        &[
+            "Graph",
+            "|V(AT)|",
+            "singleton",
+            "non-singleton",
+            "avg size",
+            "depth",
+        ],
         &widths,
     );
     for d in dvicl_data::benchmark_suite() {

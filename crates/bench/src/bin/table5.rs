@@ -28,8 +28,8 @@ fn main() {
     );
     print_header(
         &[
-            "Graph", "nauty", "mem", "DviCL+n", "mem", "traces", "mem", "DviCL+t", "mem",
-            "bliss", "mem", "DviCL+b", "mem",
+            "Graph", "nauty", "mem", "DviCL+n", "mem", "traces", "mem", "DviCL+t", "mem", "bliss",
+            "mem", "DviCL+b", "mem",
         ],
         &widths,
     );

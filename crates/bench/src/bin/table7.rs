@@ -28,7 +28,9 @@ fn main() {
     let widths = [16, 9, 9, 6, 10, 10, 8];
     println!("Table 7: subgraph clustering by SSM (maximum cliques | triangles)");
     print_header(
-        &["Graph", "mc#", "mc-clst", "mc-max", "tri#", "tri-clst", "tri-max"],
+        &[
+            "Graph", "mc#", "mc-clst", "mc-max", "tri#", "tri-clst", "tri-max",
+        ],
         &widths,
     );
     for d in dvicl_data::social_suite() {

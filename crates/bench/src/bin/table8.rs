@@ -25,7 +25,9 @@ fn main() {
         suite::budget()
     );
     print_header(
-        &["Graph", "nauty", "DviCL+n", "traces", "DviCL+t", "bliss", "DviCL+b"],
+        &[
+            "Graph", "nauty", "DviCL+n", "traces", "DviCL+t", "bliss", "DviCL+b",
+        ],
         &widths,
     );
     for d in dvicl_data::benchmark_suite() {

@@ -258,7 +258,6 @@ fn child_quotient_hash(g: &Graph, refiner: &Refiner, parent: u64) -> u64 {
 /// `parent`: an edge's hash moves only if an endpoint's color does, so the
 /// change is summed over the edges of the vertices the latest
 /// individualization recolored.
-// dvicl-lint: allow(budget-reachability) -- reads the edges of the recolored vertices only, bounded by the metered refinement that recolored them
 fn quotient_hash_delta(g: &Graph, refiner: &Refiner, parent: u64) -> u64 {
     let pi = refiner.partition();
     let mut acc = parent;
@@ -628,7 +627,7 @@ impl<'a> Search<'a> {
                     debug_assert!(false, "a generator fixing the prefix left the target cell");
                     continue;
                 };
-                // dvicl-lint: allow(narrowing-cast) -- image indexes the target cell, which has at most n <= V::MAX members
+                // Lossless cast: image indexes the target cell, which has at most n <= V::MAX members
                 orbits.union(r, image as V);
             }
         }
@@ -760,7 +759,11 @@ mod tests {
 
     fn check_graph(g: &Graph) {
         let pi = Coloring::unit(g.n());
-        for config in [Config::bliss_like(), Config::nauty_like(), Config::traces_like()] {
+        for config in [
+            Config::bliss_like(),
+            Config::nauty_like(),
+            Config::traces_like(),
+        ] {
             let r = canonical_form(g, &pi, &config);
             // Certificate invariance under relabeling.
             let gamma = pseudo_random_perm(g.n());
@@ -788,7 +791,9 @@ mod tests {
         let mut image: Vec<V> = (0..n as V).collect();
         let mut state = 0x243f6a8885a308d3u64 ^ n as u64;
         for i in (1..n).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let j = (state >> 33) as usize % (i + 1);
             image.swap(i, j);
         }
@@ -828,7 +833,17 @@ mod tests {
         let k33 = named::complete_bipartite(3, 3);
         let prism = Graph::from_edges(
             6,
-            &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)],
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 0),
+                (3, 4),
+                (4, 5),
+                (5, 3),
+                (0, 3),
+                (1, 4),
+                (2, 5),
+            ],
         );
         assert_ne!(
             canonical_form(&k33, &pi, &cfg).form,

@@ -4,7 +4,7 @@
 //! [`FingerprintIndex`], canonicalizing queries through one reusable
 //! [`Session`] so the arena pools and `CombineCL` memo amortize across
 //! the whole stream (each request costs exactly one canonicalization
-//! plus one hash probe — ROADMAP item 2):
+//! plus one hash probe — DESIGN.md §13):
 //!
 //! ```text
 //! insert    <GRAPH>     add to the index; prints class, member count, fresh/known
@@ -169,21 +169,23 @@ impl Service {
                     if out.fresh { "fresh" } else { "known" }
                 ))
             }),
-            ("lookup", Some(spec), None) => self.key(spec, budget).map(|(fp, form)| {
-                match self.index.lookup(fp, &form) {
-                    Some(class) => format!(
-                        "lookup: class={class} members={}",
-                        self.index.classes()[class].members
-                    ),
-                    None => "lookup: not-indexed".to_string(),
-                }
-            }),
-            ("groupsize", Some(spec), None) => self.key(spec, budget).map(|(fp, form)| {
-                match self.index.group_size(fp, &form) {
-                    Some(members) => format!("groupsize: {members}"),
-                    None => "groupsize: not-indexed".to_string(),
-                }
-            }),
+            ("lookup", Some(spec), None) => {
+                self.key(spec, budget)
+                    .map(|(fp, form)| match self.index.lookup(fp, &form) {
+                        Some(class) => format!(
+                            "lookup: class={class} members={}",
+                            self.index.classes()[class].members
+                        ),
+                        None => "lookup: not-indexed".to_string(),
+                    })
+            }
+            ("groupsize", Some(spec), None) => {
+                self.key(spec, budget)
+                    .map(|(fp, form)| match self.index.group_size(fp, &form) {
+                        Some(members) => format!("groupsize: {members}"),
+                        None => "groupsize: not-indexed".to_string(),
+                    })
+            }
             (cmd @ ("insert" | "lookup" | "groupsize"), None, None) => {
                 Err(DviclError::invalid(format!("{cmd} needs a graph spec")))
             }

@@ -45,6 +45,11 @@
 //! `--req-max-nodes` cap every request with its own budget, and a failed
 //! request answers `error: ...` inline instead of ending the service.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the CLI owns its exit codes: a consumer closing stdout early ends the run quietly with status 0"
+)]
+
 mod batch;
 
 use dvicl_core::ssm::{try_count_images, try_enumerate_images, SsmIndex};
@@ -418,7 +423,10 @@ fn canon(ld: &mut Loader, spec: &str, budget: &Budget, opts: &RunOptions) -> Res
     let labeling = tree.canonical_labeling();
     let canonical = g.permuted(&labeling);
     outln!("n: {}  m: {}", g.n(), g.m());
-    outln!("certificate (canonical graph6): {}", graph6::to_graph6(&canonical));
+    outln!(
+        "certificate (canonical graph6): {}",
+        graph6::to_graph6(&canonical)
+    );
     outln!("canonical labeling: {labeling}");
     Ok(())
 }

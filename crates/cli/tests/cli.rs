@@ -1,17 +1,23 @@
 //! End-to-end tests of the `dvicl` binary.
 
 use std::io::Write;
-use std::process::{Command, Stdio};
+use std::process::Stdio;
+
+/// The `dvicl` binary under test, ready for arguments.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the CLI's end-to-end tests run the binary as a subprocess"
+)]
+fn bin() -> std::process::Command {
+    std::process::Command::new(env!("CARGO_BIN_EXE_dvicl"))
+}
 
 #[expect(
     clippy::expect_used,
     reason = "test helper: a panic here fails the calling test, which is the intent"
 )]
 fn dvicl(args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
-        .args(args)
-        .output()
-        .expect("binary runs");
+    let out = bin().args(args).output().expect("binary runs");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -75,7 +81,7 @@ fn ssm_counts() {
 
 #[test]
 fn reads_edge_list_from_stdin() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+    let mut child = bin()
         .args(["canon", "-"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -118,14 +124,14 @@ fn one_shot_subcommands_reject_stray_tokens() {
         ),
     ];
     for (args, token) in cases {
-        let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
-            .args(args)
-            .output()
-            .expect("binary runs");
+        let out = bin().args(args).output().expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} ran anyway");
-        assert!(stderr.contains(token), "{args:?} must name {token}: {stderr}");
+        assert!(
+            stderr.contains(token),
+            "{args:?} must name {token}: {stderr}"
+        );
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
     }
 }
@@ -152,7 +158,7 @@ fn convert_roundtrip() {
 fn second_stdin_read_is_a_clear_error() {
     // `iso - -` used to silently read an empty second graph; now the
     // second `-` must fail with a typed message and exit code 2.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+    let mut child = bin()
         .args(["iso", "-", "-"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -185,7 +191,7 @@ fn timeout_exits_3_within_twice_the_deadline() {
     let path = std::env::temp_dir().join(format!("dvicl-hard-{}.g6", std::process::id()));
     std::fs::write(&path, dvicl_graph::graph6::to_graph6(&hard)).unwrap();
     let t0 = Instant::now();
-    let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+    let out = bin()
         .args(["canon", "--timeout", "300ms", path.to_str().unwrap()])
         .output()
         .expect("binary runs");
@@ -205,7 +211,7 @@ fn max_nodes_degrades_gracefully() {
     // A node budget far too small for the divided build: the run must
     // still succeed (whole-graph fallback), note the degradation on
     // stderr, and print a certificate.
-    let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+    let out = bin()
         .args(["canon", "--max-nodes", "2", "g6:IheA@GUAo"])
         .output()
         .expect("binary runs");
@@ -220,14 +226,11 @@ fn max_nodes_degrades_gracefully() {
 #[test]
 fn malformed_input_exits_2() {
     let (_, stderr, _) = dvicl(&["canon", "g6:C"]); // truncated graph6
-    let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
-        .args(["canon", "g6:C"])
-        .output()
-        .expect("binary runs");
+    let out = bin().args(["canon", "g6:C"]).output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr.contains("parse error"), "got: {stderr}");
     // Bad flag values are input errors too.
-    let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+    let out = bin()
         .args(["canon", "--timeout", "banana", "g6:C~"])
         .output()
         .expect("binary runs");
@@ -240,26 +243,35 @@ fn paranoid_verifies_results() {
     let (stdout, stderr, ok) = dvicl(&["canon", "--paranoid", "g6:IheA@GUAo"]);
     assert!(ok, "paranoid canon failed: {stderr}");
     assert!(stdout.contains("certificate (canonical graph6):"));
-    assert!(stderr.contains("paranoid: tree witness checks passed"), "got: {stderr}");
+    assert!(
+        stderr.contains("paranoid: tree witness checks passed"),
+        "got: {stderr}"
+    );
 
     let (stdout, stderr, ok) = dvicl(&["iso", "--paranoid", "g6:IheA@GUAo", "g6:IheA@GUAo"]);
     assert!(ok, "paranoid iso failed: {stderr}");
     assert!(stdout.contains("isomorphic: yes"));
-    assert!(stderr.contains("paranoid: iso mapping witness checks passed"), "got: {stderr}");
+    assert!(
+        stderr.contains("paranoid: iso mapping witness checks passed"),
+        "got: {stderr}"
+    );
 }
 
 #[test]
 fn paranoid_covers_degraded_results() {
     // A degraded run must pass the same witness checks and carry both
     // the degradation marker and the paranoid confirmation.
-    let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+    let out = bin()
         .args(["canon", "--paranoid", "--max-nodes", "2", "g6:IheA@GUAo"])
         .output()
         .expect("binary runs");
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("degraded"), "got: {stderr}");
-    assert!(stderr.contains("paranoid: tree witness checks passed"), "got: {stderr}");
+    assert!(
+        stderr.contains("paranoid: tree witness checks passed"),
+        "got: {stderr}"
+    );
 }
 
 #[test]
@@ -267,18 +279,32 @@ fn fault_plan_flag_trips_deterministically() {
     // Tripping the work budget at the first build checkpoint degrades
     // the run (marker on stderr, exit 0) — the resilient path treats an
     // injected WorkUnits trip exactly like a real one.
-    let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
-        .args(["canon", "--paranoid", "--fault-plan", "trip@core.build_node:1", "g6:IheA@GUAo"])
+    let out = bin()
+        .args([
+            "canon",
+            "--paranoid",
+            "--fault-plan",
+            "trip@core.build_node:1",
+            "g6:IheA@GUAo",
+        ])
         .output()
         .expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "got: {stderr}");
     assert!(stderr.contains("degraded"), "got: {stderr}");
-    assert!(stderr.contains("paranoid: tree witness checks passed"), "got: {stderr}");
+    assert!(
+        stderr.contains("paranoid: tree witness checks passed"),
+        "got: {stderr}"
+    );
 
     // Cancellation is not degradable: typed error, exit 3.
-    let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
-        .args(["canon", "--fault-plan", "cancel@core.build_node:1", "g6:IheA@GUAo"])
+    let out = bin()
+        .args([
+            "canon",
+            "--fault-plan",
+            "cancel@core.build_node:1",
+            "g6:IheA@GUAo",
+        ])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(3));
@@ -286,14 +312,19 @@ fn fault_plan_flag_trips_deterministically() {
     assert!(stderr.contains("cancelled"), "got: {stderr}");
 
     // An injected parse fault surfaces as a parse error, exit 2.
-    let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
-        .args(["canon", "--fault-plan", "parse@graph.graph6:1", "g6:IheA@GUAo"])
+    let out = bin()
+        .args([
+            "canon",
+            "--fault-plan",
+            "parse@graph.graph6:1",
+            "g6:IheA@GUAo",
+        ])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
 
     // A malformed plan spec is a usage-level input error.
-    let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+    let out = bin()
         .args(["canon", "--fault-plan", "nope", "g6:C~"])
         .output()
         .expect("binary runs");
@@ -313,7 +344,7 @@ fn unknown_fault_site_is_rejected_with_the_valid_sites() {
         assert!(stderr.contains("index.insert"), "got: {stderr}");
         assert!(out.stdout.is_empty(), "no request may be served");
     };
-    let mut child = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+    let mut child = bin()
         .args(["batch", "--fault-plan", "trip@index.insrt:1"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -345,7 +376,7 @@ fn quotient_of_petersen_collapses() {
     reason = "test helper: a panic here fails the calling test, which is the intent"
 )]
 fn dvicl_stdin(args: &[&str], input: &str) -> (String, String, Option<i32>) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+    let mut child = bin()
         .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -514,13 +545,16 @@ fn batch_fault_injection_covers_the_index_checkpoints() {
 
     // At index.load the index is unusable: a process-level typed exit.
     let path = TempPath::new("faultload");
-    let (_, _, code) = dvicl_stdin(
-        &["batch", "--save", path.as_str()],
-        "insert g6:C~\n",
-    );
+    let (_, _, code) = dvicl_stdin(&["batch", "--save", path.as_str()], "insert g6:C~\n");
     assert_eq!(code, Some(0));
     let (_, stderr, code) = dvicl_stdin(
-        &["batch", "--index", path.as_str(), "--fault-plan", "trip@index.load:1"],
+        &[
+            "batch",
+            "--index",
+            path.as_str(),
+            "--fault-plan",
+            "trip@index.load:1",
+        ],
         "lookup g6:C~\n",
     );
     assert_eq!(code, Some(3), "stderr: {stderr}");

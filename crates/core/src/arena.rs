@@ -98,7 +98,7 @@ impl SubArena {
             n,
             m: g.m(),
         };
-        // dvicl-lint: allow(narrowing-cast) -- v < n <= V::MAX
+        // Lossless cast: v < n <= V::MAX.
         self.verts.extend((0..n).map(|v| v as V));
         // dvicl-lint: allow(narrowing-cast) -- a segment's adjacency holds 2m < u32::MAX entries (m <= n^2, n <= V::MAX)
         self.offs.extend(g_offs.iter().map(|&o| o as u32));
@@ -253,7 +253,10 @@ impl SubArena {
     /// in order yields sorted child rows with no per-row sort or rehash.
     // dvicl-lint: allow(budget-reachability) -- O(|locals| + child edges) carve of one division part; Builder::build spends one unit per tree node before it carves
     pub fn induced_child(&mut self, parent: &Sub, locals: &[u32]) -> Sub {
-        debug_assert!(locals.windows(2).all(|w| w[0] < w[1]), "locals not ascending");
+        debug_assert!(
+            locals.windows(2).all(|w| w[0] < w[1]),
+            "locals not ascending"
+        );
         // `remap` is kept all-MAX between calls (entries are restored
         // below), so preparing a carve costs O(|locals|), not O(parent.n)
         // — the latter is quadratic when a hub node divides into
@@ -643,7 +646,6 @@ mod tests {
         let mut a = SubArena::new();
         let root = a.whole(&g);
         let child = a.induced_child(&root, &[0, 2, 3, 5, 6, 7]);
-        // dvicl-lint: allow(narrowing-cast) -- child has at most n <= V::MAX vertices
         for i in 0..child.n() as u32 {
             let row = a.neighbors(&child, i);
             assert!(row.windows(2).all(|w| w[0] < w[1]), "row {i} not sorted");

@@ -157,9 +157,9 @@ mod tests {
             named::path(5),        // 2
             named::star(5),        // 120
             named::complete_bipartite(3, 3),
-            named::petersen(),  // 120
+            named::petersen(),   // 120
             named::hypercube(3), // 48
-            named::frucht(),    // 1
+            named::frucht(),     // 1
             named::rary_tree(2, 2),
             named::cycle(3).disjoint_union(&named::cycle(3)),
         ] {

@@ -124,17 +124,7 @@ pub fn build_autotree_resilient(
     opts: &DviclOptions,
     budget: &Budget,
 ) -> Result<BuildOutcome, DviclError> {
-    build_autotree_resilient_in(&mut Scratch::new(), g, pi0, opts, budget)
-}
-
-/// [`build_autotree_resilient`] against caller-owned [`Scratch`].
-pub(crate) fn build_autotree_resilient_in(
-    scratch: &mut Scratch,
-    g: &Graph,
-    pi0: &Coloring,
-    opts: &DviclOptions,
-    budget: &Budget,
-) -> Result<BuildOutcome, DviclError> {
+    let scratch = &mut Scratch::new();
     match try_build_autotree_in(scratch, g, pi0, opts, budget) {
         Ok(tree) => Ok(BuildOutcome {
             tree,
@@ -144,13 +134,8 @@ pub(crate) fn build_autotree_resilient_in(
             resource: Resource::WorkUnits,
             ..
         }) => {
-            let tree = build_autotree_whole_leaf_in(
-                scratch,
-                g,
-                pi0,
-                opts,
-                &budget.without_work_limit(),
-            )?;
+            let tree =
+                build_autotree_whole_leaf_in(scratch, g, pi0, opts, &budget.without_work_limit())?;
             Ok(BuildOutcome {
                 tree,
                 degraded: true,
@@ -176,7 +161,7 @@ pub fn build_autotree_whole_leaf(
 }
 
 /// [`build_autotree_whole_leaf`] against caller-owned [`Scratch`].
-pub(crate) fn build_autotree_whole_leaf_in(
+fn build_autotree_whole_leaf_in(
     scratch: &mut Scratch,
     g: &Graph,
     pi0: &Coloring,
@@ -594,7 +579,8 @@ impl Builder<'_> {
                     self.budget,
                     &mut self.scratch.refiner,
                 )?;
-                self.scratch.cl_cache
+                self.scratch
+                    .cl_cache
                     .insert(key.clone(), (res.labeling.clone(), res.generators.clone()));
                 (res.labeling, res.generators)
             }
@@ -839,12 +825,25 @@ mod tests {
     #[test]
     fn certificate_separates_non_isomorphic() {
         let pairs = [
-            (named::cycle(6), named::cycle(3).disjoint_union(&named::cycle(3))),
+            (
+                named::cycle(6),
+                named::cycle(3).disjoint_union(&named::cycle(3)),
+            ),
             (
                 named::complete_bipartite(3, 3),
                 Graph::from_edges(
                     6,
-                    &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)],
+                    &[
+                        (0, 1),
+                        (1, 2),
+                        (2, 0),
+                        (3, 4),
+                        (4, 5),
+                        (5, 3),
+                        (0, 3),
+                        (1, 4),
+                        (2, 5),
+                    ],
                 ),
             ),
             (named::path(5), named::star(4)),
@@ -856,7 +855,11 @@ mod tests {
 
     #[test]
     fn labeling_produces_the_certificate() {
-        for g in [named::fig1_example(), named::rary_tree(2, 3), named::petersen()] {
+        for g in [
+            named::fig1_example(),
+            named::rary_tree(2, 3),
+            named::petersen(),
+        ] {
             let t = tree_of(&g);
             let perm = t.canonical_labeling();
             let direct = CanonForm::new(&g, t.pi.colors(), perm.as_slice());
@@ -901,6 +904,37 @@ mod tests {
         assert_eq!(t1.canonical_form(), t2.canonical_form());
         // Without DivideS the triangle stays a non-singleton leaf.
         assert!(t1.stats().non_singleton_leaves >= 1);
+
+        // The ablation on the NotreDame analog: DivideS divides where
+        // color cells are fully joined; without it those cells reach the
+        // IR engine inside non-singleton leaves, so switching it off more
+        // than doubles those leaves and quadruples the search. A change
+        // that moves these counts must restate them here.
+        let g = (dvicl_data::social_suite()
+            .into_iter()
+            .find(|d| d.name == "NotreDame")
+            .expect("registered")
+            .build)();
+        assert_eq!((g.n(), g.m()), (11_114, 35_311));
+        let counts = |use_divide_s| {
+            let opts = DviclOptions {
+                use_divide_s,
+                ..DviclOptions::default()
+            };
+            let before = obs::snapshot();
+            let t = try_build_autotree(&g, &Coloring::unit(g.n()), &opts, &unlimited).unwrap();
+            let d = obs::snapshot().diff(&before);
+            let leaves = t.stats().non_singleton_leaves;
+            (
+                leaves,
+                d.get(Counter::SearchNodes),
+                d.get(Counter::DivideSApplied),
+            )
+        };
+        let (on, off) = (counts(true), counts(false));
+        assert_eq!(on, (12, 72, 14));
+        assert_eq!(off, (26, 308, 0));
+        assert!(on.0 < off.0 && on.1 < off.1);
     }
 
     #[test]
@@ -952,16 +986,15 @@ mod tests {
             .expect("degradation absorbs work exhaustion");
         assert!(out.degraded);
         assert_eq!(out.tree.stats().total_nodes, 1);
-        assert_eq!(out.tree.node(out.tree.root()).kind(), NodeKind::NonSingletonLeaf);
+        assert_eq!(
+            out.tree.node(out.tree.root()).kind(),
+            NodeKind::NonSingletonLeaf
+        );
         // The degraded certificate is still relabeling-invariant.
         let gamma = pseudo_random_perm(8, 42);
-        let out2 = build_autotree_resilient(
-            &g.permuted(&gamma),
-            &pi,
-            &opts,
-            &Budget::with_max_work(3),
-        )
-        .expect("degradation absorbs work exhaustion");
+        let out2 =
+            build_autotree_resilient(&g.permuted(&gamma), &pi, &opts, &Budget::with_max_work(3))
+                .expect("degradation absorbs work exhaustion");
         assert!(out2.degraded);
         assert_eq!(out.tree.canonical_form(), out2.tree.canonical_form());
     }
@@ -984,7 +1017,8 @@ mod tests {
         let g = named::petersen();
         let budget = Budget::with_deadline(std::time::Duration::from_nanos(1));
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let r = build_autotree_resilient(&g, &Coloring::unit(10), &DviclOptions::default(), &budget);
+        let r =
+            build_autotree_resilient(&g, &Coloring::unit(10), &DviclOptions::default(), &budget);
         assert!(matches!(
             r,
             Err(DviclError::BudgetExceeded {

@@ -94,7 +94,11 @@ pub fn try_find_isomorphism_colored_outcome(
         .tree
         .canonical_labeling()
         .then(&t2.tree.canonical_labeling().inverse());
-    debug_assert_eq!(g1.permuted(&gamma), *g2, "composed labeling must realize the isomorphism");
+    debug_assert_eq!(
+        g1.permuted(&gamma),
+        *g2,
+        "composed labeling must realize the isomorphism"
+    );
     Ok(IsoOutcome {
         mapping: Some(gamma),
         degraded,
@@ -194,8 +198,21 @@ mod tests {
         let ladder = dvicl_graph::Graph::from_edges(
             10,
             &[
-                (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 0),
-                (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (5, 6),
+                (6, 7),
+                (7, 8),
+                (8, 9),
+                (9, 0),
+                (0, 5),
+                (1, 6),
+                (2, 7),
+                (3, 8),
+                (4, 9),
             ],
         );
         assert_eq!(mapping(&g, &ladder, &Budget::with_max_work(2)), None);
@@ -312,7 +329,17 @@ mod joint_tests {
                 named::complete_bipartite(3, 3),
                 Graph::from_edges(
                     6,
-                    &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)],
+                    &[
+                        (0, 1),
+                        (1, 2),
+                        (2, 0),
+                        (3, 4),
+                        (4, 5),
+                        (5, 3),
+                        (0, 3),
+                        (1, 4),
+                        (2, 5),
+                    ],
                 ),
                 false,
             ),
@@ -331,8 +358,7 @@ mod joint_tests {
     #[test]
     fn joint_construction_on_shuffles() {
         let g = named::fig3_example();
-        let gamma =
-            Perm::from_cycles(g.n(), &[&[0, 13, 7], &[2, 6, 4], &[1, 11]]).unwrap();
+        let gamma = Perm::from_cycles(g.n(), &[&[0, 13, 7], &[2, 6, 4], &[1, 11]]).unwrap();
         assert!(are_isomorphic_joint(&g, &g.permuted(&gamma)));
     }
 }

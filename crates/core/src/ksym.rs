@@ -168,12 +168,8 @@ pub fn try_k_symmetric_extension(
     // Internal clone edges: mirror the template's internal edges.
     for (j, &template) in jobs.iter().enumerate() {
         let t = tree.node(template);
-        let local: FxHashMap<V, usize> = t
-            .verts()
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
+        let local: FxHashMap<V, usize> =
+            t.verts().iter().enumerate().map(|(i, &v)| (v, i)).collect();
         for (i, &orig) in t.verts().iter().enumerate() {
             for &w in g.neighbors(orig) {
                 if let Some(&lw) = local.get(&w) {

@@ -44,11 +44,11 @@ mod sub;
 mod tree;
 pub mod verify;
 
+pub use arena::{ArenaMark, SubArena};
 pub use build::{
     build_autotree_resilient, build_autotree_whole_leaf, try_build_autotree, BuildOutcome,
     DviclOptions,
 };
-pub use arena::{ArenaMark, SubArena};
 pub use session::Session;
 pub use sub::{Division, Sub, SubCell};
 pub use tree::{AutoTree, Node, NodeId, NodeKind, NodeRef, TreeStats};

@@ -13,9 +13,9 @@
 //!   exactly the input the IR engine sees, so symmetric leaves recur
 //!   *across* graphs (chemical datasets are full of repeated fragments)
 //!   and hit the memo just like symmetric siblings within one graph;
-//! * **options** — the session pins one [`DviclOptions`]; the memo is
-//!   implicitly keyed to `leaf_config`, so [`Session::set_options`]
-//!   clears it when the engine configuration changes.
+//! * **options** — the session is pinned to one [`DviclOptions`] for
+//!   its whole life, so the memo, implicitly keyed to `leaf_config`,
+//!   never outlives the configuration that filled it.
 //!
 //! What a session does *not* own: the obs sink is process-wide
 //! (install one with `obs::install`), and the counters and phase table
@@ -26,9 +26,7 @@
 //! the caller, one allowance per query, so one hostile request trips
 //! its own typed error instead of starving the whole service.
 
-use crate::build::{
-    self, build_autotree_resilient_in, try_build_autotree_in, BuildOutcome, DviclOptions,
-};
+use crate::build::{self, try_build_autotree_in, DviclOptions};
 use crate::tree::AutoTree;
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{CanonForm, Coloring, Fingerprint, Graph};
@@ -65,24 +63,7 @@ impl Session {
         }
     }
 
-    /// The options every build of this session runs under.
-    pub fn options(&self) -> &DviclOptions {
-        &self.opts
-    }
-
-    /// Repins the session to `opts`. The `CombineCL` memo is keyed to
-    /// the leaf engine configuration, so it is dropped when
-    /// `leaf_config` differs from the current one; arena capacity is
-    /// always kept.
-    pub fn set_options(&mut self, opts: DviclOptions) {
-        if opts.leaf_config != self.opts.leaf_config {
-            self.scratch.clear_memo();
-        }
-        self.opts = opts;
-    }
-
-    /// How many builds this session has served (degraded fallbacks
-    /// count as part of the build that triggered them, not separately).
+    /// How many builds this session has served.
     pub fn builds(&self) -> u64 {
         self.builds
     }
@@ -133,19 +114,6 @@ impl Session {
             .expect("an unlimited build cannot exceed its budget")
     }
 
-    /// [`crate::build_autotree_resilient`] with this session's state:
-    /// work-cap exhaustion degrades to a whole-graph leaf instead of
-    /// failing.
-    pub fn build_resilient(
-        &mut self,
-        g: &Graph,
-        pi0: &Coloring,
-        budget: &Budget,
-    ) -> Result<BuildOutcome, DviclError> {
-        self.note_build();
-        build_autotree_resilient_in(&mut self.scratch, g, pi0, &self.opts, budget)
-    }
-
     /// Canonically labels `g` under the unit coloring and returns the
     /// owned certificate, served from session state.
     pub fn try_canonical_form(
@@ -179,7 +147,6 @@ impl Default for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvicl_canon::Config;
     use dvicl_govern::Resource;
     use dvicl_graph::named;
 
@@ -240,7 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn memo_survives_builds_but_not_config_changes() {
+    fn memo_survives_builds() {
         let mut s = Session::default();
         // K4 plus a pendant path divides into leaves that hit the memo.
         let g = named::fig1_example();
@@ -252,18 +219,6 @@ mod tests {
             after_first,
             "identical rebuild must be served from the memo"
         );
-        // Same leaf_config → memo kept.
-        s.set_options(DviclOptions {
-            use_divide_s: false,
-            ..DviclOptions::default()
-        });
-        assert_eq!(s.memo_len(), after_first);
-        // Different leaf_config → memo dropped.
-        s.set_options(DviclOptions {
-            leaf_config: Config::traces_like(),
-            ..DviclOptions::default()
-        });
-        assert_eq!(s.memo_len(), 0);
     }
 
     #[test]
@@ -280,25 +235,6 @@ mod tests {
         ));
         // The failed request must not poison later ones.
         assert_eq!(form(&mut s, &g), one_shot_form(&g));
-    }
-
-    #[test]
-    fn resilient_and_whole_leaf_match_one_shot() {
-        let mut s = Session::default();
-        let g = named::fig1_example();
-        let pi = Coloring::unit(g.n());
-        let out = s
-            .build_resilient(&g, &pi, &Budget::with_max_work(3))
-            .expect("degradation absorbs work exhaustion");
-        assert!(out.degraded);
-        let direct = crate::build_autotree_whole_leaf(
-            &g,
-            &pi,
-            &DviclOptions::default(),
-            &Budget::unlimited(),
-        )
-        .expect("unlimited");
-        assert_eq!(out.tree.canonical_form(), direct.canonical_form());
     }
 
     #[test]

@@ -125,7 +125,9 @@ pub fn try_dvicl_simplified(
     );
     // Representatives, ascending; class size per rep.
     let n = g.n();
-    let reps: Vec<V> = (0..n as V).filter(|&v| twins.rep_of[v as usize] == v).collect();
+    let reps: Vec<V> = (0..n as V)
+        .filter(|&v| twins.rep_of[v as usize] == v)
+        .collect();
     let mut size_of_rep: FxHashMap<V, u32> = reps.iter().map(|&r| (r, 1)).collect();
     for class in &twins.non_singleton {
         // dvicl-lint: allow(narrowing-cast) -- a twin class holds at most n <= V::MAX vertices
@@ -262,17 +264,17 @@ mod tests {
             let pi = Coloring::unit(g.n());
             let expected = brute::automorphism_count(&g, &pi);
             let s = simplified(&g);
-            assert_eq!(
-                s.original_group_order().to_u64(),
-                Some(expected),
-                "{g:?}"
-            );
+            assert_eq!(s.original_group_order().to_u64(), Some(expected), "{g:?}");
         }
     }
 
     #[test]
     fn orbits_match_plain_path() {
-        for g in [named::fig1_example(), named::star(6), named::rary_tree(2, 3)] {
+        for g in [
+            named::fig1_example(),
+            named::star(6),
+            named::rary_tree(2, 3),
+        ] {
             let s = simplified(&g);
             let mut simplified_orbits = s.original_orbits(g.n());
             let mut plain = aut::orbits(&crate::build::tree_of(&g));

@@ -36,7 +36,9 @@ pub fn try_enumerate_induced(
     let order = connectivity_order(q, &order);
     let mut image = vec![V::MAX; q.n()];
     let mut used = vec![false; g.n()];
-    sm_rec(g, q, &order, 0, &mut image, &mut used, &mut out, limit, budget)?;
+    sm_rec(
+        g, q, &order, 0, &mut image, &mut used, &mut out, limit, budget,
+    )?;
     let mut v: Vec<Vec<V>> = out.into_iter().collect();
     v.sort();
     Ok(v)
@@ -108,7 +110,7 @@ fn sm_rec(
             }
         }
         None => {
-            // dvicl-lint: allow(narrowing-cast) -- g.n() <= V::MAX by Graph's construction invariant
+            // Lossless cast: g.n() <= V::MAX by Graph's construction invariant.
             for w in 0..g.n() as V {
                 sm_try(g, q, order, k, w, image, used, out, limit, budget)?;
             }

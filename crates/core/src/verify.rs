@@ -11,9 +11,8 @@
 //!   witness (`C(G, π) = (G, π)^{γ}` must reproduce the stored form
 //!   edge-for-edge) and checks every emitted leaf generator is a true
 //!   color- and adjacency-preserving automorphism of its subgraph.
-//! * [`verify_iso`] / [`verify_iso_colored`] check a claimed mapping
-//!   `γ` actually satisfies `g1^γ = g2` (and maps cells onto
-//!   equally-colored cells).
+//! * [`verify_iso`] checks a claimed mapping `γ` actually satisfies
+//!   `g1^γ = g2`.
 //!
 //! Degraded results (whole-graph fallback, SSM truncation) carry the
 //! same witnesses and pass the same checks — degradation trades divide
@@ -36,7 +35,7 @@
 
 use crate::tree::{AutoTree, NodeKind};
 use dvicl_govern::DviclError;
-use dvicl_graph::{CanonForm, Coloring, Graph, Perm, V};
+use dvicl_graph::{CanonForm, Graph, Perm, V};
 use dvicl_obs::{self as obs, Counter, Phase};
 
 /// Bumps the failure counter and builds the typed error. `#[cold]`: the
@@ -257,33 +256,6 @@ pub fn verify_iso(g1: &Graph, g2: &Graph, gamma: &Perm) -> Result<(), DviclError
     Ok(())
 }
 
-/// Colored [`verify_iso`]: additionally, `γ` must map every vertex onto
-/// one of the same color (`π₁(v) = π₂(v^γ)`).
-pub fn verify_iso_colored(
-    g1: &Graph,
-    pi1: &Coloring,
-    g2: &Graph,
-    pi2: &Coloring,
-    gamma: &Perm,
-) -> Result<(), DviclError> {
-    verify_iso(g1, g2, gamma)?;
-    // dvicl-lint: allow(narrowing-cast) -- v < n <= V::MAX
-    for v in 0..g1.n() as V {
-        let w = gamma.apply(v);
-        if pi1.color_of(v) != pi2.color_of(w) {
-            return Err(fail(
-                "iso_mapping",
-                format!(
-                    "mapping breaks colors: π₁({v}) = {} but π₂({w}) = {}",
-                    pi1.color_of(v),
-                    pi2.color_of(w)
-                ),
-            ));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,7 +264,7 @@ mod tests {
     };
     use crate::iso::try_find_isomorphism_outcome;
     use dvicl_govern::Budget;
-    use dvicl_graph::named;
+    use dvicl_graph::{named, Coloring};
 
     #[test]
     fn healthy_trees_verify() {
@@ -316,9 +288,13 @@ mod tests {
     fn degraded_trees_verify_identically() {
         for g in [named::fig1_example(), named::petersen(), named::frucht()] {
             let pi = Coloring::unit(g.n());
-            let out =
-                build_autotree_resilient(&g, &pi, &DviclOptions::default(), &Budget::with_max_work(3))
-                    .expect("work exhaustion degrades");
+            let out = build_autotree_resilient(
+                &g,
+                &pi,
+                &DviclOptions::default(),
+                &Budget::with_max_work(3),
+            )
+            .expect("work exhaustion degrades");
             assert!(out.degraded);
             verify_tree(&g, &out.tree).expect("degraded build must verify");
         }
@@ -332,7 +308,13 @@ mod tests {
         // canonical labeling — the recomputed form diverges.
         t.labels.swap(0, 5);
         let err = verify_root_form(&g, &t).unwrap_err();
-        assert!(matches!(err, DviclError::WitnessFailure { stage: "root_form", .. }));
+        assert!(matches!(
+            err,
+            DviclError::WitnessFailure {
+                stage: "root_form",
+                ..
+            }
+        ));
         assert_eq!(err.exit_code(), 4);
     }
 
@@ -360,7 +342,13 @@ mod tests {
         let (v, _) = t.gen_pairs[0];
         t.gen_pairs[0] = (v, v);
         let err = verify_generators(&g, &t).unwrap_err();
-        assert!(matches!(err, DviclError::WitnessFailure { stage: "generator", .. }));
+        assert!(matches!(
+            err,
+            DviclError::WitnessFailure {
+                stage: "generator",
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -401,22 +389,15 @@ mod tests {
         // The identity is NOT an isomorphism g → h here (Frucht is rigid
         // and γ ≠ id), so it must be rejected.
         let err = verify_iso(&g, &h, &Perm::identity(12)).unwrap_err();
-        assert!(matches!(err, DviclError::WitnessFailure { stage: "iso_mapping", .. }));
+        assert!(matches!(
+            err,
+            DviclError::WitnessFailure {
+                stage: "iso_mapping",
+                ..
+            }
+        ));
         // Size mismatches are witness failures too, not panics.
         assert!(verify_iso(&g, &named::cycle(5), &Perm::identity(12)).is_err());
-    }
-
-    #[test]
-    fn colored_iso_checks_colors() {
-        let g = named::path(3);
-        let pin_end = Coloring::from_cells(vec![vec![1, 2], vec![0]]).unwrap();
-        let pin_other = Coloring::from_cells(vec![vec![0, 1], vec![2]]).unwrap();
-        // 0 ↔ 2 reversal: a valid colored iso from pin_end to pin_other.
-        let rev = Perm::from_image(vec![2, 1, 0]).unwrap();
-        verify_iso_colored(&g, &pin_end, &g, &pin_other, &rev).expect("reversal respects colors");
-        // The identity preserves edges but maps the pinned end wrong.
-        let err = verify_iso_colored(&g, &pin_end, &g, &pin_other, &Perm::identity(3)).unwrap_err();
-        assert!(err.to_string().contains("color"), "{err}");
     }
 
     #[test]

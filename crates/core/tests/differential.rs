@@ -79,8 +79,14 @@ fn corpus() -> Vec<(&'static str, Graph)> {
         ("rary_tree_3_2", named::rary_tree(3, 2)),
         ("johnson_5_2", named::johnson(5, 2)),
         ("paley_13", named::paley(13)),
-        ("two_triangles", named::cycle(3).disjoint_union(&named::cycle(3))),
-        ("two_petersens", named::petersen().disjoint_union(&named::petersen())),
+        (
+            "two_triangles",
+            named::cycle(3).disjoint_union(&named::cycle(3)),
+        ),
+        (
+            "two_petersens",
+            named::petersen().disjoint_union(&named::petersen()),
+        ),
         ("kneser_6_2", named::kneser(6, 2)),
     ]
 }
@@ -119,7 +125,11 @@ fn forms_and_generators_match_pre_refactor_pins() {
         return;
     }
     let corpus = corpus();
-    assert_eq!(corpus.len(), GOLDEN.len(), "corpus and golden table out of sync");
+    assert_eq!(
+        corpus.len(),
+        GOLDEN.len(),
+        "corpus and golden table out of sync"
+    );
     for ((name, g), &(gname, want)) in corpus.iter().zip(GOLDEN) {
         assert_eq!(*name, gname, "corpus and golden table out of sync");
         assert_eq!(

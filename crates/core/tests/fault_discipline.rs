@@ -39,12 +39,7 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
 /// Recursively carves children like `Builder::build` does, asserting at
 /// every frame — on success *and* on early error return — that the
 /// frame's mark and byte level are restored before the frame exits.
-fn carve(
-    arena: &mut SubArena,
-    sub: &Sub,
-    depth: usize,
-    picks: &[u32],
-) -> Result<(), DviclError> {
+fn carve(arena: &mut SubArena, sub: &Sub, depth: usize, picks: &[u32]) -> Result<(), DviclError> {
     let n = arena.verts(sub).len();
     if depth == 0 || n <= 2 {
         return Ok(());
@@ -66,7 +61,11 @@ fn carve(
         },
     );
     assert_eq!(arena.mark(), mark, "mark not restored at depth {depth}");
-    assert_eq!(arena.bytes_now(), bytes, "bytes not restored at depth {depth}");
+    assert_eq!(
+        arena.bytes_now(),
+        bytes,
+        "bytes not restored at depth {depth}"
+    );
     r
 }
 

@@ -23,7 +23,9 @@ fn shuffle(g: &Graph, salt: u64) -> Graph {
     let mut image: Vec<u32> = (0..n as u32).collect();
     let mut state = salt | 1;
     for i in (1..n).rev() {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let j = (state >> 33) as usize % (i + 1);
         image.swap(i, j);
     }
@@ -69,8 +71,21 @@ fn non_isomorphic_pairs_stay_distinguished_under_tiny_work_budgets() {
             Graph::from_edges(
                 10,
                 &[
-                    (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9),
-                    (9, 0), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+                    (0, 1),
+                    (1, 2),
+                    (2, 3),
+                    (3, 4),
+                    (4, 5),
+                    (5, 6),
+                    (6, 7),
+                    (7, 8),
+                    (8, 9),
+                    (9, 0),
+                    (0, 5),
+                    (1, 6),
+                    (2, 7),
+                    (3, 8),
+                    (4, 9),
                 ],
             ),
         ),

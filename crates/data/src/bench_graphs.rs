@@ -246,7 +246,10 @@ pub fn sat_like(
 }
 
 fn is_prime(q: usize) -> bool {
-    q >= 2 && (2..).take_while(|d| d * d <= q).all(|d| !q.is_multiple_of(d))
+    q >= 2
+        && (2..)
+            .take_while(|d| d * d <= q)
+            .all(|d| !q.is_multiple_of(d))
 }
 
 /// All normalized representatives of 1-dim subspaces of GF(q)³ (first

@@ -65,22 +65,134 @@ pub fn social_suite() -> Vec<Dataset> {
         social!("Epinions", 5000, 10.7, 150, 4, 40, 2, 4, 0, 8, 0, 8, 3, 80, 0xE21301),
         social!("Gnutella", 4500, 4.7, 120, 3, 40, 2, 3, 0, 8, 0, 0, 3, 0, 0x64AA01),
         social!("Google", 10000, 9.9, 300, 4, 80, 2, 5, 18, 8, 0, 30, 7, 120, 0x600601),
-        social!("LiveJournal", 16000, 12.0, 420, 4, 110, 2, 5, 0, 8, 0, 35, 10, 150, 0x11FE01),
-        social!("NotreDame", 7000, 6.7, 420, 6, 90, 3, 5, 12, 12, 0, 25, 4, 70, 0x02DA01),
+        social!(
+            "LiveJournal",
+            16000,
+            12.0,
+            420,
+            4,
+            110,
+            2,
+            5,
+            0,
+            8,
+            0,
+            35,
+            10,
+            150,
+            0x11FE01
+        ),
+        social!(
+            "NotreDame",
+            7000,
+            6.7,
+            420,
+            6,
+            90,
+            3,
+            5,
+            12,
+            12,
+            0,
+            25,
+            4,
+            70,
+            0x02DA01
+        ),
         social!("Pokec", 12000, 14.0, 200, 3, 50, 2, 4, 0, 8, 0, 20, 5, 160, 0x90CE01),
-        social!("Slashdot0811", 5200, 12.1, 140, 4, 40, 2, 4, 0, 8, 0, 6, 3, 80, 0x51A801),
-        social!("Slashdot0902", 5400, 12.3, 145, 4, 40, 2, 4, 0, 8, 0, 8, 4, 80, 0x51A902),
+        social!(
+            "Slashdot0811",
+            5200,
+            12.1,
+            140,
+            4,
+            40,
+            2,
+            4,
+            0,
+            8,
+            0,
+            6,
+            3,
+            80,
+            0x51A801
+        ),
+        social!(
+            "Slashdot0902",
+            5400,
+            12.3,
+            145,
+            4,
+            40,
+            2,
+            4,
+            0,
+            8,
+            0,
+            8,
+            4,
+            80,
+            0x51A902
+        ),
         social!("Stanford", 7500, 14.1, 260, 4, 70, 2, 5, 52, 8, 6, 18, 6, 130, 0x57A201),
         social!("WikiTalk", 9000, 3.9, 900, 8, 160, 3, 4, 0, 8, 0, 0, 3, 0, 0x3117A1),
         social!("wikivote", 3000, 14.0, 90, 6, 25, 2, 4, 0, 8, 0, 12, 30, 170, 0x313701),
         social!("Youtube", 9500, 5.3, 700, 6, 140, 3, 4, 0, 8, 0, 0, 3, 0, 0x900701),
         social!("Orkut", 14000, 16.0, 180, 3, 40, 2, 4, 0, 8, 0, 12, 4, 220, 0x09C001),
         social!("BuzzNet", 3600, 18.0, 100, 4, 25, 2, 4, 0, 8, 0, 45, 20, 110, 0xB55201),
-        social!("Delicious", 7500, 5.1, 520, 5, 120, 3, 4, 10, 8, 0, 18, 4, 60, 0xDE1101),
+        social!(
+            "Delicious",
+            7500,
+            5.1,
+            520,
+            5,
+            120,
+            3,
+            4,
+            10,
+            8,
+            0,
+            18,
+            4,
+            60,
+            0xDE1101
+        ),
         social!("Digg", 7800, 15.0, 220, 4, 60, 2, 4, 0, 8, 0, 0, 3, 0, 0xD16601),
         social!("Flixster", 11000, 6.3, 560, 6, 120, 3, 4, 0, 8, 0, 0, 3, 0, 0xF115A1),
-        social!("Foursquare", 7200, 10.1, 210, 4, 60, 2, 4, 0, 8, 0, 40, 12, 100, 0x40CA01),
-        social!("Friendster", 15000, 5.0, 620, 5, 140, 3, 4, 0, 8, 0, 0, 3, 0, 0xF21E01),
+        social!(
+            "Foursquare",
+            7200,
+            10.1,
+            210,
+            4,
+            60,
+            2,
+            4,
+            0,
+            8,
+            0,
+            40,
+            12,
+            100,
+            0x40CA01
+        ),
+        social!(
+            "Friendster",
+            15000,
+            5.0,
+            620,
+            5,
+            140,
+            3,
+            4,
+            0,
+            8,
+            0,
+            0,
+            3,
+            0,
+            0xF21E01
+        ),
         social!("Lastfm", 8000, 7.6, 260, 4, 70, 2, 4, 0, 8, 0, 0, 3, 0, 0x1A57F1),
     ]
 }

@@ -293,11 +293,8 @@ mod tests {
 
     #[test]
     fn without_work_limit_keeps_deadline_and_token() {
-        let strict = Budget::with_cancel(
-            Some(Duration::from_secs(3600)),
-            Some(1),
-            CancelToken::new(),
-        );
+        let strict =
+            Budget::with_cancel(Some(Duration::from_secs(3600)), Some(1), CancelToken::new());
         strict.spend(1).unwrap();
         assert!(strict.spend(1).is_err());
         let relaxed = strict.without_work_limit();

@@ -221,7 +221,10 @@ mod tests {
             3
         );
         assert_eq!(DviclError::Cancelled.exit_code(), 3);
-        assert_eq!(DviclError::witness("root_form", "edge mismatch").exit_code(), 4);
+        assert_eq!(
+            DviclError::witness("root_form", "edge mismatch").exit_code(),
+            4
+        );
     }
 
     #[test]

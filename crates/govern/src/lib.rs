@@ -83,7 +83,10 @@ mod tests {
         assert_eq!(parse_duration("1.5s").unwrap(), Duration::from_millis(1500));
         assert_eq!(parse_duration("2m").unwrap(), Duration::from_secs(120));
         assert_eq!(parse_duration("1h").unwrap(), Duration::from_secs(3600));
-        assert_eq!(parse_duration(" 250ms ").unwrap(), Duration::from_millis(250));
+        assert_eq!(
+            parse_duration(" 250ms ").unwrap(),
+            Duration::from_millis(250)
+        );
     }
 
     #[test]

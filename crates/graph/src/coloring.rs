@@ -174,11 +174,7 @@ impl Coloring {
                 continue;
             }
             for (i, &v) in cell.iter().enumerate() {
-                let store: &mut [usize] = if i == 0 {
-                    &mut reference
-                } else {
-                    &mut counts
-                };
+                let store: &mut [usize] = if i == 0 { &mut reference } else { &mut counts };
                 let mut touched = Vec::new();
                 for &w in g.neighbors(v) {
                     let c = self.color[w as usize] as usize;
@@ -328,8 +324,7 @@ mod tests {
     fn paper_equitability_examples() {
         let g = named::fig1_example();
         // π1 = [0,1,2,3,4,5,6|7] is equitable (paper, Section 2).
-        let pi1 =
-            Coloring::from_cells(vec![vec![0, 1, 2, 3, 4, 5, 6], vec![7]]).unwrap();
+        let pi1 = Coloring::from_cells(vec![vec![0, 1, 2, 3, 4, 5, 6], vec![7]]).unwrap();
         assert!(pi1.is_equitable(&g));
         // π2 = [0,1,2,3|4,5,6|7] is equitable.
         let pi2 = Coloring::from_cells(vec![vec![0, 1, 2, 3], vec![4, 5, 6], vec![7]]).unwrap();

@@ -157,8 +157,14 @@ mod tests {
         let f2 = CanonForm::new(&g, &[0, 1], &[0, 1]);
         assert_ne!(Fingerprint::of_form(&f1), Fingerprint::of_form(&f2));
         // Field boundaries: a (1,2) run must not alias a (2,1) run.
-        let r1 = CanonForm { colors: vec![(1, 2)], edges: vec![] };
-        let r2 = CanonForm { colors: vec![(2, 1)], edges: vec![] };
+        let r1 = CanonForm {
+            colors: vec![(1, 2)],
+            edges: vec![],
+        };
+        let r2 = CanonForm {
+            colors: vec![(2, 1)],
+            edges: vec![],
+        };
         assert_ne!(Fingerprint::of_form(&r1), Fingerprint::of_form(&r2));
     }
 

@@ -49,7 +49,10 @@ impl CanonForm {
             })
             .collect();
         edges.sort_unstable();
-        debug_assert!(edges.windows(2).all(|w| w[0] != w[1]), "labels not distinct");
+        debug_assert!(
+            edges.windows(2).all(|w| w[0] != w[1]),
+            "labels not distinct"
+        );
         CanonForm {
             colors: runs,
             edges,

@@ -36,12 +36,19 @@ impl Graph {
     /// here in debug builds.
     pub fn from_csr(offsets: Vec<usize>, adj: Vec<V>) -> Self {
         assert!(!offsets.is_empty(), "offsets must have n + 1 entries");
-        assert_eq!(*offsets.last().unwrap_or(&0), adj.len(), "offsets must cover adj");
+        assert_eq!(
+            *offsets.last().unwrap_or(&0),
+            adj.len(),
+            "offsets must cover adj"
+        );
         let g = Graph { offsets, adj };
         #[cfg(debug_assertions)]
         {
             let n = g.n();
-            assert!(g.offsets.windows(2).all(|w| w[0] <= w[1]), "offsets not monotone");
+            assert!(
+                g.offsets.windows(2).all(|w| w[0] <= w[1]),
+                "offsets not monotone"
+            );
             for v in 0..n as V {
                 let row = g.neighbors(v);
                 assert!(
@@ -52,7 +59,10 @@ impl Graph {
                     row.iter().all(|&w| (w as usize) < n && w != v),
                     "row {v} has an out-of-range vertex or self-loop"
                 );
-                assert!(row.iter().all(|&w| g.has_edge(w, v)), "row {v} not symmetric");
+                assert!(
+                    row.iter().all(|&w| g.has_edge(w, v)),
+                    "row {v} not symmetric"
+                );
             }
         }
         g
@@ -101,7 +111,10 @@ impl Graph {
 
     /// Maximum degree over all vertices; 0 for the empty graph.
     pub fn max_degree(&self) -> usize {
-        (0..self.n() as V).map(|v| self.degree(v)).max().unwrap_or(0)
+        (0..self.n() as V)
+            .map(|v| self.degree(v))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Average degree `2m / n`; 0.0 for the empty graph.
@@ -158,7 +171,10 @@ impl Graph {
         local.resize(n, V::MAX);
         for (i, &v) in verts.iter().enumerate() {
             assert!((v as usize) < n, "vertex out of range");
-            assert!(local[v as usize] == V::MAX, "duplicate vertex in induced set");
+            assert!(
+                local[v as usize] == V::MAX,
+                "duplicate vertex in induced set"
+            );
             local[v as usize] = i as V;
         }
         b.reset(verts.len());
@@ -451,7 +467,10 @@ mod tests {
         let mut local = Vec::new();
         let mut b = GraphBuilder::new(0);
         for verts in [&[4u32, 5, 6][..], &[0, 1, 2, 3][..], &[7, 0, 4][..]] {
-            assert_eq!(g.induced_reusing(verts, &mut local, &mut b), g.induced(verts));
+            assert_eq!(
+                g.induced_reusing(verts, &mut local, &mut b),
+                g.induced(verts)
+            );
         }
     }
 

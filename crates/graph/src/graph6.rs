@@ -114,7 +114,10 @@ pub fn from_graph6(s: &str) -> Result<Graph, DviclError> {
     if n_raw > V::MAX as u64 {
         return Err(g6_err(
             ParseErrorKind::TooLarge,
-            format!("declared vertex count {n_raw} exceeds the supported maximum {}", V::MAX),
+            format!(
+                "declared vertex count {n_raw} exceeds the supported maximum {}",
+                V::MAX
+            ),
         ));
     }
     // Before building anything sized by n, verify the payload actually
@@ -136,7 +139,10 @@ pub fn from_graph6(s: &str) -> Result<Graph, DviclError> {
     if available > required_bytes {
         return Err(g6_err(
             ParseErrorKind::TrailingData,
-            format!("{} bytes after the adjacency data", available - required_bytes),
+            format!(
+                "{} bytes after the adjacency data",
+                available - required_bytes
+            ),
         ));
     }
     let n = n_raw as usize;
@@ -198,11 +204,11 @@ mod tests {
 
     #[test]
     fn rejects_garbage_with_typed_errors() {
-        let check = |s: &str, want: fn(&ParseErrorKind) -> bool| {
-            match from_graph6(s) {
-                Err(DviclError::Parse(p)) => assert!(want(&p.kind), "wrong kind {:?} for {s:?}", p.kind),
-                other => panic!("expected parse error for {s:?}, got {other:?}"),
+        let check = |s: &str, want: fn(&ParseErrorKind) -> bool| match from_graph6(s) {
+            Err(DviclError::Parse(p)) => {
+                assert!(want(&p.kind), "wrong kind {:?} for {s:?}", p.kind)
             }
+            other => panic!("expected parse error for {s:?}, got {other:?}"),
         };
         check("", |k| matches!(k, ParseErrorKind::Empty));
         check("C", |k| matches!(k, ParseErrorKind::Truncated)); // K4 header without bits

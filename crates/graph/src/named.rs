@@ -326,7 +326,9 @@ pub fn johnson(n: usize, k: usize) -> Graph {
 
 fn k_subsets(n: usize, k: usize) -> Vec<u64> {
     assert!(n <= 63, "subset universe limited to 63 elements");
-    (0u64..1 << n).filter(|s| s.count_ones() as usize == k).collect()
+    (0u64..1 << n)
+        .filter(|s| s.count_ones() as usize == k)
+        .collect()
 }
 
 /// The Paley graph of prime order `q ≡ 1 (mod 4)`: vertices `GF(q)`,
@@ -335,7 +337,9 @@ fn k_subsets(n: usize, k: usize) -> Vec<u64> {
 pub fn paley(q: usize) -> Graph {
     assert!(q % 4 == 1, "Paley needs q ≡ 1 (mod 4)");
     assert!(
-        (2..q).take_while(|d| d * d <= q).all(|d| !q.is_multiple_of(d)),
+        (2..q)
+            .take_while(|d| d * d <= q)
+            .all(|d| !q.is_multiple_of(d)),
         "this construction implements prime q"
     );
     let mut is_square = vec![false; q];

@@ -2,9 +2,9 @@
 //! `Err` — never panic — on hostile or truncated input, and the error
 //! variant must say *what* went wrong.
 
+use dvicl_govern::{DviclError, ParseErrorKind};
 use dvicl_graph::graph6::from_graph6;
 use dvicl_graph::io::read_edge_list;
-use dvicl_govern::{DviclError, ParseErrorKind};
 
 #[expect(
     clippy::panic,
@@ -145,10 +145,7 @@ fn graph6_oversized_headers_fail_fast() {
     for bomb in bombs {
         let kind = parse_kind(from_graph6(bomb).unwrap_err());
         assert!(
-            matches!(
-                kind,
-                ParseErrorKind::TooLarge | ParseErrorKind::Truncated
-            ),
+            matches!(kind, ParseErrorKind::TooLarge | ParseErrorKind::Truncated),
             "input {bomb:?} gave {kind:?}"
         );
     }

@@ -46,7 +46,6 @@ pub const MAGIC: &[u8; 6] = b"DVIX1\n";
 
 /// Appends `x` as a LEB128-style varint (self-delimiting, so a varint
 /// sequence is a prefix code).
-// dvicl-lint: allow(budget-reachability) -- at most ten iterations for a u64
 fn push_varint(out: &mut Vec<u8>, mut x: u64) {
     loop {
         // dvicl-lint: allow(narrowing-cast) -- masked to seven bits first
@@ -73,7 +72,6 @@ impl<'a> Cursor<'a> {
 
     /// Decodes one varint; `Truncated` if the input ends first,
     /// `Overflow` past 64 bits.
-    // dvicl-lint: allow(budget-reachability) -- at most ten iterations for a u64
     fn varint(&mut self) -> Result<u64, ParseError> {
         let mut x: u64 = 0;
         let mut shift = 0u32;
@@ -115,7 +113,7 @@ impl<'a> Cursor<'a> {
                 ),
             ));
         }
-        // dvicl-lint: allow(narrowing-cast) -- declared <= remaining byte count, which is a usize
+        // Lossless cast: declared <= remaining byte count, which is a usize.
         Ok(declared as usize)
     }
 
@@ -377,8 +375,8 @@ mod tests {
         // with a typed parse error, never a panic or a silent partial
         // index.
         for cut in MAGIC.len()..bytes.len() {
-            let err = FingerprintIndex::load_from(&mut &bytes[..cut], false)
-                .expect_err("truncated load");
+            let err =
+                FingerprintIndex::load_from(&mut &bytes[..cut], false).expect_err("truncated load");
             assert!(
                 matches!(
                     err,

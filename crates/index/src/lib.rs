@@ -6,7 +6,7 @@
 //! [`FingerprintIndex`] stores one [`IsoClass`] per distinct canonical
 //! form, keyed by the form's 128-bit [`Fingerprint`]; testing a query
 //! against N indexed graphs is then **one canonicalization plus one
-//! hash probe** instead of N pairwise runs (ROADMAP item 2).
+//! hash probe** instead of N pairwise runs (DESIGN.md §13).
 //!
 //! Correctness does not rest on the hash: every probe that lands in a
 //! fingerprint bucket is confirmed against the **stored canonical
@@ -143,9 +143,7 @@ impl FingerprintIndex {
                 obs::bump(Counter::VerifyFailures);
                 return Err(DviclError::witness(
                     "index_insert",
-                    format!(
-                        "fingerprint {fingerprint} does not match the form's {recomputed}"
-                    ),
+                    format!("fingerprint {fingerprint} does not match the form's {recomputed}"),
                 ));
             }
         }

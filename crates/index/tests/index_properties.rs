@@ -93,8 +93,14 @@ fn cfi_pair_is_split_and_forced_collisions_are_refuted() {
         canon_delta.get(Counter::SearchNodes) > 0,
         "a CFI pair must drive the canonical DFS, not just refinement"
     );
-    assert_ne!(form_plain, form_twisted, "the twist changes the certificate");
-    assert_ne!(fp_plain, fp_twisted, "distinct certificates, distinct fingerprints");
+    assert_ne!(
+        form_plain, form_twisted,
+        "the twist changes the certificate"
+    );
+    assert_ne!(
+        fp_plain, fp_twisted,
+        "distinct certificates, distinct fingerprints"
+    );
 
     // Index the untwisted graph, then force the twisted query into its
     // bucket by probing with the *wrong* fingerprint. The stored-form

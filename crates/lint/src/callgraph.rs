@@ -1,4 +1,4 @@
-//! The intra-workspace call graph, built over the symbol table's `Fn`
+//! The intra-workspace call graph, built over the symbol table's `fn`
 //! nodes by scanning every function body for call-shaped token
 //! sequences: `name(` and `.name(`.
 //!
@@ -35,7 +35,9 @@ impl CallGraph {
         for (id, &r) in syms.fns.iter().enumerate() {
             let file = &files[r.file];
             let item = &file.items[r.item];
-            let Some((start, end)) = item.body else { continue };
+            let Some((start, end)) = item.body else {
+                continue;
+            };
             for cp in start..end {
                 let Some(&ti) = file.code.get(cp) else { break };
                 let tok = &file.toks[ti];
@@ -91,7 +93,6 @@ impl CallGraph {
         }
         out
     }
-
 }
 
 /// Whether `item`'s signature takes a `self` receiver (`self`, `&self`,
@@ -143,7 +144,10 @@ mod tests {
         assert_eq!(graph.callees[id("middle")], vec![method]);
         assert_eq!(graph.callees[id("top")], vec![id("middle"), free, method]);
         assert_eq!(graph.callees[id("qualified")], vec![free, method]);
-        assert!(graph.callees[id("island")].is_empty(), "macro is not a call");
+        assert!(
+            graph.callees[id("island")].is_empty(),
+            "macro is not a call"
+        );
         let mut seeds = vec![false; syms.fns.len()];
         seeds[free] = true;
         let reach = graph.can_reach(&seeds);

@@ -378,9 +378,7 @@ mod tests {
     fn code_texts(src: &str) -> Vec<String> {
         lex(src)
             .iter()
-            .filter(|t| {
-                !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment)
-            })
+            .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
             .map(|t| t.text(src).to_string())
             .collect()
     }
@@ -464,10 +462,7 @@ mod tests {
     fn byte_strings_and_byte_chars() {
         let src = "let a = b\"bytes\"; let b = b'0'; let c = br#\"raw\"#;";
         let toks = lex(src);
-        assert_eq!(
-            toks.iter().filter(|t| t.kind == TokKind::StrLit).count(),
-            2
-        );
+        assert_eq!(toks.iter().filter(|t| t.kind == TokKind::StrLit).count(), 2);
         assert_eq!(
             toks.iter().filter(|t| t.kind == TokKind::CharLit).count(),
             1

@@ -3,25 +3,25 @@
 //!
 //! It enforces the project invariants that neither rustc, clippy nor
 //! the type system can state: budget reachability through the call
-//! graph, the error taxonomy, the offline guard, CSR-only adjacency and
-//! audited narrowing casts. Panic-freedom and the unsafe audit are
+//! graph, the error taxonomy, CSR-only adjacency and audited narrowing
+//! casts. Panic-freedom, the unsafe audit and the offline guard are
 //! workspace clippy denials; arena stack discipline, checkpoint sites,
 //! span labels and the counter catalog are enforced by types; rustc
-//! itself rejects a non-`Sync` `static`. It is
-//! deliberately dependency-free (hand-rolled lexer, hand-rolled JSON)
-//! so the workspace keeps building offline.
+//! itself rejects a non-`Sync` `static`. It is deliberately
+//! dependency-free (hand-rolled lexer and `fn` parser) so the workspace
+//! keeps building offline.
 //!
-//! The pipeline: every file is lexed ([`lexer::lex`]) and item-parsed
-//! ([`parse::items`]) into a [`FileData`]; the [`Workspace`] then
-//! builds a symbol table ([`symbols::SymbolTable`]) and call graph
-//! ([`callgraph::CallGraph`]) over all files. Per-file rules from
-//! [`rules::catalog`] see one file; workspace rules from
+//! The pipeline: every file is lexed ([`lexer::lex`]) and its `fn`
+//! items parsed ([`parse::items`]) into a [`FileData`]; the
+//! [`Workspace`] then builds a symbol table ([`symbols::SymbolTable`])
+//! and call graph ([`callgraph::CallGraph`]) over all files. Per-file
+//! rules from [`rules::catalog`] see one file; workspace rules from
 //! [`rules::ws_catalog`] see the whole [`Workspace`] (call-graph
-//! reachability). Findings inside
-//! `#[cfg(test)]` items are dropped, then `// dvicl-lint: allow(...)
-//! -- reason` pragmas are applied per owning file. See DESIGN.md §8
-//! for the rule catalog and the suppression policy, §12 for the
-//! parser/call-graph architecture.
+//! reachability). Findings inside `#[cfg(test)]` items are dropped,
+//! then `// dvicl-lint: allow(...) -- reason` pragmas are applied per
+//! owning file, and a pragma that suppresses nothing is itself a
+//! finding. See DESIGN.md §8 for the rule catalog and the suppression
+//! policy, §12 for the parser/call-graph architecture.
 //!
 //! What gets scanned: non-test sources of every workspace crate
 //! (`crates/*/src/**` and the root `src/`). Test-class trees (`tests/`,
@@ -40,17 +40,33 @@ pub mod symbols;
 use lexer::{Tok, TokKind};
 use pragma::Pragma;
 use report::Report;
-use rules::{FileCtx, Finding, Severity};
-use std::collections::HashMap;
+use rules::{FileCtx, Finding};
 use std::path::{Path, PathBuf};
 
 /// Meta-rule id: a pragma without a non-empty `-- reason` tail.
 pub const PRAGMA_MISSING_REASON: &str = "pragma-missing-reason";
 /// Meta-rule id: a pragma naming a rule that does not exist.
 pub const PRAGMA_UNKNOWN_RULE: &str = "pragma-unknown-rule";
+/// Meta-rule id: a well-formed pragma that suppresses no finding of a
+/// rule it names.
+pub const PRAGMA_UNUSED: &str = "pragma-unused";
+
+/// The engine's own meta-rules with their catalog summaries. Their
+/// findings cannot be suppressed: a pragma could otherwise hide its own
+/// malformation.
+pub const META_RULES: [(&str, &str); 3] = [
+    (PRAGMA_MISSING_REASON, "pragma without a `-- reason` tail"),
+    (PRAGMA_UNKNOWN_RULE, "pragma naming an unknown rule"),
+    (
+        PRAGMA_UNUSED,
+        "pragma that suppresses no finding of a rule it names",
+    ),
+];
 
 /// Directory names never descended into when walking the workspace.
-const SKIP_DIRS: [&str; 6] = ["target", "tests", "benches", "examples", "fixtures", "shims"];
+const SKIP_DIRS: [&str; 6] = [
+    "target", "tests", "benches", "examples", "fixtures", "shims",
+];
 
 /// A failure of the lint *run* itself (not a finding).
 #[derive(Debug)]
@@ -92,7 +108,7 @@ pub fn crate_name_of(rel: &str) -> &str {
     }
 }
 
-/// One analyzed source file: lexed, test-span-mapped, item-parsed.
+/// One analyzed source file: lexed, test-span-mapped, `fn`-parsed.
 pub struct FileData {
     /// Workspace-relative path, `/`-separated.
     pub rel: String,
@@ -104,12 +120,12 @@ pub struct FileData {
     pub code: Vec<usize>,
     /// Byte spans of `#[cfg(test)]` / `#[test]` items.
     pub test_spans: Vec<(usize, usize)>,
-    /// Parsed items (see [`parse::items`]).
+    /// Parsed `fn` items (see [`parse::items`]).
     pub items: Vec<parse::Item>,
 }
 
 impl FileData {
-    /// Lexes and item-parses one source text.
+    /// Lexes one source text and parses its `fn` items.
     pub fn analyze(rel: String, src: String) -> FileData {
         let toks = lexer::lex(&src);
         let code: Vec<usize> = toks
@@ -136,12 +152,9 @@ impl FileData {
     pub fn ctx(&self) -> FileCtx<'_> {
         FileCtx {
             rel: &self.rel,
-            crate_name: &self.crate_name,
             src: &self.src,
             toks: &self.toks,
             code: &self.code,
-            test_spans: &self.test_spans,
-            items: &self.items,
         }
     }
 
@@ -182,43 +195,53 @@ impl Workspace {
 
     /// Runs every applicable per-file and workspace rule, drops
     /// findings in test items, applies suppression pragmas per owning
-    /// file, and returns the report.
+    /// file, and returns the report with the pragma meta-findings.
     pub fn lint(&self) -> Report {
         let mut findings: Vec<Finding> = Vec::new();
-        let mut pragmas_by_file: HashMap<&str, Vec<Pragma>> = HashMap::new();
+        let mut meta: Vec<Finding> = Vec::new();
+        let mut pragmas: Vec<(&FileData, &Tok, Pragma)> = Vec::new();
+        let known = rules::known_rule_ids();
         for file in &self.files {
-            let ctx = file.ctx();
-            let (pragmas, meta_findings) = collect_pragmas(&ctx);
-            findings.extend(meta_findings);
-            pragmas_by_file.insert(file.rel.as_str(), pragmas);
-            for meta in rules::catalog() {
-                if !(meta.applies)(&file.crate_name) {
-                    continue;
+            collect_pragmas(file, &known, &mut pragmas, &mut meta);
+            for rule in rules::catalog() {
+                if (rule.applies)(&file.crate_name) {
+                    findings.extend((rule.check)(&file.ctx()));
                 }
-                findings.extend((meta.check)(&ctx));
             }
         }
-        for meta in rules::ws_catalog() {
-            findings.extend((meta.check)(self));
+        for rule in rules::ws_catalog() {
+            findings.extend((rule.check)(self));
         }
 
-        // Drop findings inside test-only items of their owning file,
-        // then apply that file's suppressions.
+        // Drop findings inside test-only items of their owning file.
         findings.retain(|f| {
             self.file_by_rel(&f.file)
                 .is_none_or(|file| !file.in_test(f.byte))
         });
+        // A well-formed pragma must silence a finding of every rule it
+        // names; a stale one would hide the next violation on its line.
+        for (file, tok, p) in &pragmas {
+            for rule in p.rules.iter().filter(|r| known.contains(&r.as_str())) {
+                let used = findings
+                    .iter()
+                    .any(|f| f.rule == rule && f.file == file.rel && p.suppresses(rule, f.line));
+                if p.reason.is_some() && !used {
+                    meta.push(file.ctx().finding(
+                        PRAGMA_UNUSED,
+                        tok,
+                        format!("pragma allows `{rule}` but suppresses no `{rule}` finding"),
+                    ));
+                }
+            }
+        }
         let before = findings.len();
         findings.retain(|f| {
-            // The pragma meta-findings are not themselves suppressible —
-            // otherwise a malformed pragma could hide its own malformation.
-            f.rule == PRAGMA_MISSING_REASON
-                || f.rule == PRAGMA_UNKNOWN_RULE
-                || !pragmas_by_file
-                    .get(f.file.as_str())
-                    .is_some_and(|ps| ps.iter().any(|p| p.suppresses(f.rule, f.line)))
+            !pragmas
+                .iter()
+                .any(|(file, _, p)| file.rel == f.file && p.suppresses(f.rule, f.line))
         });
         let suppressed = before - findings.len();
+        findings.extend(meta);
         findings.sort_by_key(|f| (f.file.clone(), f.line, f.col));
         Report {
             findings,
@@ -239,59 +262,41 @@ pub fn lint_source(rel: &str, src: &str) -> (Vec<Finding>, usize) {
     (report.findings, report.suppressed)
 }
 
-/// Collects pragmas from the comment tokens and emits meta-findings for
-/// malformed ones (missing reason, unknown rule).
-fn collect_pragmas(ctx: &FileCtx) -> (Vec<Pragma>, Vec<Finding>) {
-    let known = rules::known_rule_ids();
-    let mut pragmas = Vec::new();
-    let mut findings = Vec::new();
-    for tok in ctx.toks {
-        if tok.kind != TokKind::LineComment {
-            continue;
-        }
+/// Collects the pragmas of one file with the comment token each sits
+/// on, and emits meta-findings for malformed ones (missing reason,
+/// unknown rule).
+fn collect_pragmas<'a>(
+    file: &'a FileData,
+    known: &[&str],
+    pragmas: &mut Vec<(&'a FileData, &'a Tok, Pragma)>,
+    meta: &mut Vec<Finding>,
+) {
+    let ctx = file.ctx();
+    for tok in file.toks.iter().filter(|t| t.kind == TokKind::LineComment) {
         let Some(p) = pragma::parse(ctx.text(tok), tok.line, tok.col) else {
             continue;
         };
         if p.reason.is_none() {
-            findings.push(Finding {
-                rule: PRAGMA_MISSING_REASON,
-                severity: Severity::Deny,
-                file: ctx.rel.to_string(),
-                line: tok.line,
-                col: tok.col,
-                byte: tok.start,
-                message: "suppression pragma is missing its `-- <reason>` tail; \
-                          it suppresses nothing until the invariant is stated"
-                    .to_string(),
-            });
+            let why = "suppression pragma is missing its `-- <reason>` tail; \
+                       it suppresses nothing until the invariant is stated";
+            meta.push(ctx.finding(PRAGMA_MISSING_REASON, tok, why.to_string()));
         }
         if p.rules.is_empty() {
-            findings.push(Finding {
-                rule: PRAGMA_UNKNOWN_RULE,
-                severity: Severity::Deny,
-                file: ctx.rel.to_string(),
-                line: tok.line,
-                col: tok.col,
-                byte: tok.start,
-                message: "suppression pragma has no `allow(<rule>)` clause".to_string(),
-            });
+            meta.push(ctx.finding(
+                PRAGMA_UNKNOWN_RULE,
+                tok,
+                "suppression pragma has no `allow(<rule>)` clause".to_string(),
+            ));
         }
-        for r in &p.rules {
-            if !known.iter().any(|k| k == r) {
-                findings.push(Finding {
-                    rule: PRAGMA_UNKNOWN_RULE,
-                    severity: Severity::Deny,
-                    file: ctx.rel.to_string(),
-                    line: tok.line,
-                    col: tok.col,
-                    byte: tok.start,
-                    message: format!("suppression pragma names unknown rule `{r}`"),
-                });
-            }
+        for r in p.rules.iter().filter(|r| !known.contains(&r.as_str())) {
+            meta.push(ctx.finding(
+                PRAGMA_UNKNOWN_RULE,
+                tok,
+                format!("suppression pragma names unknown rule `{r}`"),
+            ));
         }
-        pragmas.push(p);
+        pragmas.push((file, tok, p));
     }
-    (pragmas, findings)
 }
 
 /// Byte spans of items guarded by `#[cfg(test)]` (including `not(test)`
@@ -379,7 +384,10 @@ fn parse_attr(src: &str, toks: &[Tok], code: &[usize], cp: usize) -> Option<(usi
 /// of its first top-level brace, or the `;` of a bodyless item.
 fn item_end(toks: &[Tok], code: &[usize], mut cp: usize) -> Option<usize> {
     // Skip stacked attributes (`#[test] #[ignore] fn ...`).
-    while matches!(code.get(cp).map(|&i| toks[i].kind), Some(TokKind::Punct(b'#'))) {
+    while matches!(
+        code.get(cp).map(|&i| toks[i].kind),
+        Some(TokKind::Punct(b'#'))
+    ) {
         let mut depth = 0i32;
         loop {
             let &idx = code.get(cp)?;
@@ -486,7 +494,8 @@ pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
 /// Lints explicit files (together, as one workspace). `rel_override`,
 /// when given, is the workspace-relative path used for rule
 /// applicability (so a fixture can be linted *as if* it lived at a
-/// governed path).
+/// governed path); give it with one file only, since pragmas and test
+/// items are matched by path.
 pub fn lint_files(
     root: &Path,
     files: &[PathBuf],
@@ -589,11 +598,35 @@ mod tests {
     }
 
     #[test]
+    fn pragma_that_suppresses_nothing_is_an_unsuppressible_finding() {
+        // No cast on the line, a cast the rule cannot see, and a pragma
+        // inside a test module where no rule runs: each pragma is
+        // stale. A pragma cannot name the meta-rule to silence it.
+        let src = "fn f(x: usize) -> usize {\n    x + 1 // dvicl-lint: allow(narrowing-cast) -- no cast\n}\n\
+                   fn g(x: u64) -> usize {\n    // dvicl-lint: allow(narrowing-cast, pragma-unused) -- invisible\n    x as usize\n}\n\
+                   #[cfg(test)]\nmod tests {\n    // dvicl-lint: allow(narrowing-cast) -- test code\n    fn t(x: usize) -> u8 { x as u8 }\n}\n";
+        let (findings, suppressed) = lint_source("crates/core/src/x.rs", src);
+        assert_eq!(suppressed, 0);
+        let got: Vec<_> = findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(
+            got,
+            [
+                (PRAGMA_UNUSED, 2),
+                (PRAGMA_UNKNOWN_RULE, 5),
+                (PRAGMA_UNUSED, 5),
+                (PRAGMA_UNUSED, 10),
+            ],
+            "{findings:?}"
+        );
+    }
+
+    #[test]
     fn retired_rules_are_unknown_to_pragmas() {
-        // Panic-freedom is a clippy denial now, and the shared-state
-        // screen left with the intra-build threads: a pragma naming
-        // either is stale and must be flagged, not silently accepted.
-        for rule in ["panic-freedom", "shared-state-screen"] {
+        // Panic-freedom and the offline guard are clippy denials now,
+        // and the shared-state screen left with the intra-build threads:
+        // a pragma naming any of them is stale and must be flagged, not
+        // silently accepted.
+        for rule in ["panic-freedom", "offline-guard", "shared-state-screen"] {
             let src = format!("fn f() {{ // dvicl-lint: allow({rule}) -- stale\n}}\n");
             let (findings, _) = lint_source("crates/core/src/x.rs", &src);
             assert_eq!(findings.len(), 1, "{rule}");

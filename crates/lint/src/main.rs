@@ -5,7 +5,6 @@
 
 use dvicl_lint::{lint_files, lint_workspace, rules};
 use std::path::PathBuf;
-// dvicl-lint: allow(offline-guard) -- exit-code plumbing only; the linter never spawns processes
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -18,27 +17,20 @@ With no FILES, lints every non-test source in the workspace.
 
 OPTIONS:
     --root <DIR>    Workspace root (default: autodetected)
-    --as <REL>      Lint the given FILES as if they lived at this
+    --as <REL>      Lint the one given FILE as if it lived at this
                     workspace-relative path (fixture testing)
-    --format <FMT>  Report format: human (default), json, or github
+    --format <FMT>  Report format: human (default) or github
                     (GitHub Actions ::error annotations)
-    --json          Shorthand for --format json
     --list-rules    Print the rule catalog and exit
     -h, --help      Show this help
 ";
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Human,
-    Json,
-    Github,
-}
-
 struct Args {
     root: Option<PathBuf>,
     rel_override: Option<String>,
-    format: Format,
+    github: bool,
     list_rules: bool,
+    help: bool,
     files: Vec<PathBuf>,
 }
 
@@ -46,8 +38,9 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
         rel_override: None,
-        format: Format::Human,
+        github: false,
         list_rules: false,
+        help: false,
         files: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -62,26 +55,25 @@ fn parse_args() -> Result<Args, String> {
                 None => return Err("--as needs a workspace-relative path".to_string()),
             },
             "--format" => match it.next().as_deref() {
-                Some("human") => args.format = Format::Human,
-                Some("json") => args.format = Format::Json,
-                Some("github") => args.format = Format::Github,
+                Some("human") => args.github = false,
+                Some("github") => args.github = true,
                 Some(other) => {
                     return Err(format!(
-                        "unknown format `{other}` (expected human, json, or github)"
+                        "unknown format `{other}` (expected human or github)"
                     ))
                 }
-                None => return Err("--format needs human, json, or github".to_string()),
+                None => return Err("--format needs human or github".to_string()),
             },
-            "--json" => args.format = Format::Json,
             "--list-rules" => args.list_rules = true,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                // dvicl-lint: allow(offline-guard) -- exit-code plumbing only
-                std::process::exit(0);
-            }
+            "-h" | "--help" => args.help = true,
             f if !f.starts_with('-') => args.files.push(PathBuf::from(f)),
             other => return Err(format!("unknown flag `{other}` (see --help)")),
         }
+    }
+    // Pragmas and test items are matched by path, so two files under
+    // one path would suppress each other's findings.
+    if args.rel_override.is_some() && args.files.len() != 1 {
+        return Err("--as lints exactly one file".to_string());
     }
     Ok(args)
 }
@@ -121,21 +113,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if args.help {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     if args.list_rules {
-        for meta in rules::catalog() {
-            println!("{:<18} [{}] {}", meta.id, meta.severity.as_str(), meta.summary);
+        let file_rules = rules::catalog().iter().map(|m| (m.id, m.summary));
+        let ws_rules = rules::ws_catalog().iter().map(|m| (m.id, m.summary));
+        for (id, summary) in file_rules.chain(ws_rules).chain(dvicl_lint::META_RULES) {
+            println!("{id:<22} {summary}");
         }
-        for meta in rules::ws_catalog() {
-            println!("{:<18} [{}] {}", meta.id, meta.severity.as_str(), meta.summary);
-        }
-        println!(
-            "{:<18} [deny] pragma without a `-- reason` tail (emitted by the engine)",
-            dvicl_lint::PRAGMA_MISSING_REASON
-        );
-        println!(
-            "{:<18} [deny] pragma naming an unknown rule (emitted by the engine)",
-            dvicl_lint::PRAGMA_UNKNOWN_RULE
-        );
         return ExitCode::SUCCESS;
     }
     let Some(root) = find_root(args.root) else {
@@ -154,10 +141,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match args.format {
-        Format::Json => println!("{}", report.json()),
-        Format::Github => print!("{}", report.github()),
-        Format::Human => print!("{}", report.human()),
+    if args.github {
+        print!("{}", report.github());
+    } else {
+        print!("{}", report.human());
     }
     if report.is_clean() {
         ExitCode::SUCCESS

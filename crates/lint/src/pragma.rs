@@ -93,7 +93,7 @@ mod tests {
         assert!(p.suppresses("narrowing-cast", 7));
         assert!(p.suppresses("narrowing-cast", 8));
         assert!(!p.suppresses("narrowing-cast", 9));
-        assert!(!p.suppresses("offline-guard", 7));
+        assert!(!p.suppresses("error-taxonomy", 7));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! pragma stating who meters them — the audit trail stays in the
 //! source, as before.
 
-use super::{Finding, Severity};
+use super::Finding;
 use crate::lexer::TokKind;
 use crate::Workspace;
 
@@ -73,7 +73,9 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
         if item.is_test {
             continue;
         }
-        let Some((start, end)) = item.body else { continue };
+        let Some((start, end)) = item.body else {
+            continue;
+        };
         let ident_at = |cp: usize| -> Option<&str> {
             match file.code.get(cp) {
                 Some(&i) if file.toks[i].kind == TokKind::Ident => {
@@ -82,10 +84,9 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
                 _ => None,
             }
         };
-        let is_punct = |cp: usize, b: u8| {
-            matches!(file.code.get(cp), Some(&i) if file.toks[i].kind == TokKind::Punct(b))
-        };
-        let loops = (start..end).any(|cp| matches!(ident_at(cp), Some(t) if LOOP_KEYWORDS.contains(&t)));
+        let is_punct = |cp: usize, b: u8| matches!(file.code.get(cp), Some(&i) if file.toks[i].kind == TokKind::Punct(b));
+        let loops =
+            (start..end).any(|cp| matches!(ident_at(cp), Some(t) if LOOP_KEYWORDS.contains(&t)));
         // Self-recursion: a bare `name(…)` call, or a true
         // `self.name(…)` method call. `self.field.name(…)` is a call
         // on a *member* that happens to share the name (`len`,
@@ -106,7 +107,6 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
         let how = if recurses { "recursive" } else { "looping" };
         out.push(Finding {
             rule: ID,
-            severity: Severity::Deny,
             file: file.rel.clone(),
             line: name_tok.line,
             col: name_tok.col,
@@ -158,7 +158,11 @@ mod tests {
             }
         ";
         let (findings, _) = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(findings.iter().filter(|f| f.rule == ID).count(), 1, "{findings:?}");
+        assert_eq!(
+            findings.iter().filter(|f| f.rule == ID).count(),
+            1,
+            "{findings:?}"
+        );
         let (findings, _) = lint_source("crates/graph/src/x.rs", src);
         assert!(findings.iter().all(|f| f.rule != ID), "{findings:?}");
     }

@@ -11,7 +11,7 @@
 //! The `cli` binary and the `bench`/`lint` tooling crates are exempt
 //! (see `applies_to_library_crates` in the catalog).
 
-use super::{FileCtx, Finding, Severity, code_tok, is_ident, is_punct};
+use super::{code_tok, is_ident, is_punct, FileCtx, Finding};
 use crate::lexer::TokKind;
 
 pub const ID: &str = "error-taxonomy";
@@ -27,13 +27,13 @@ pub fn check(ctx: &FileCtx) -> Vec<Finding> {
         }
         match ctx.text(tok) {
             // `Box < dyn ... Error ... >`
-            "Box" if is_punct(ctx, pos, 1, b'<')
-                && is_ident(ctx, pos, 2, "dyn")
-                && generic_args_mention(ctx, pos + 1, "Error") =>
+            "Box"
+                if is_punct(ctx, pos, 1, b'<')
+                    && is_ident(ctx, pos, 2, "dyn")
+                    && generic_args_mention(ctx, pos + 1, "Error") =>
             {
                 out.push(ctx.finding(
                     ID,
-                    Severity::Deny,
                     tok,
                     "`Box<dyn Error>` erases the error class; use `DviclError`".to_string(),
                 ));
@@ -44,10 +44,8 @@ pub fn check(ctx: &FileCtx) -> Vec<Finding> {
                     if is_ident(ctx, err_pos, 0, "String") && is_punct(ctx, err_pos, 1, b'>') {
                         out.push(ctx.finding(
                             ID,
-                            Severity::Deny,
                             tok,
-                            "`Result<_, String>` is a stringly error; use `DviclError`"
-                                .to_string(),
+                            "`Result<_, String>` is a stringly error; use `DviclError`".to_string(),
                         ));
                     }
                 }
@@ -57,19 +55,18 @@ pub fn check(ctx: &FileCtx) -> Vec<Finding> {
                 if let Some(bad) = stringly_call_inside(ctx, pos + 1) {
                     out.push(ctx.finding(
                         ID,
-                        Severity::Deny,
                         tok,
                         format!("`Err({bad})` manufactures a stringly error; construct a `DviclError` variant"),
                     ));
                 }
             }
             // `.map_err ( ... to_string | format! ... )`
-            "map_err" if pos > 0 && is_punct(ctx, pos - 1, 0, b'.') && is_punct(ctx, pos, 1, b'(')
-            => {
+            "map_err"
+                if pos > 0 && is_punct(ctx, pos - 1, 0, b'.') && is_punct(ctx, pos, 1, b'(') =>
+            {
                 if let Some(bad) = stringly_call_inside(ctx, pos + 1) {
                     out.push(ctx.finding(
                         ID,
-                        Severity::Deny,
                         tok,
                         format!("`.map_err({bad})` converts the error to a string; map into a `DviclError` variant"),
                     ));

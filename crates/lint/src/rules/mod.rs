@@ -1,5 +1,5 @@
 //! The rule framework: every rule sees one lexed file at a time and
-//! emits findings with a rule id, severity, and `file:line:col` span.
+//! emits findings with a rule id and a `file:line:col` span.
 //!
 //! Applicability is decided here, not inside each rule: a rule declares
 //! which crates it covers via [`RuleMeta::applies`], and the engine
@@ -12,34 +12,12 @@ pub mod budget_reachability;
 pub mod error_taxonomy;
 pub mod narrowing_cast;
 pub mod nested_vec_adjacency;
-pub mod offline_guard;
 
-/// How severe a finding is. Every current rule is `Deny` (the binary
-/// exits non-zero); the field exists so future advisory rules can ship
-/// as `Warn` without changing the report format.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the lint run.
-    Deny,
-    /// Reported but does not fail the run.
-    Warn,
-}
-
-impl Severity {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        }
-    }
-}
-
-/// One reported violation.
+/// One reported violation. Every finding fails the run.
 #[derive(Clone, Debug)]
 pub struct Finding {
     /// Stable rule id (kebab-case), also the pragma key.
     pub rule: &'static str,
-    pub severity: Severity,
     /// Workspace-relative path, `/`-separated.
     pub file: String,
     /// 1-based line.
@@ -57,7 +35,6 @@ pub struct Finding {
 /// pragma validation.
 pub struct RuleMeta {
     pub id: &'static str,
-    pub severity: Severity,
     /// One-line summary for the catalog.
     pub summary: &'static str,
     /// Whether the rule runs on a file belonging to `crate_name`
@@ -72,9 +49,6 @@ pub struct FileCtx<'a> {
     /// Workspace-relative path, `/`-separated (also used by path-scoped
     /// rules such as nested-vec-adjacency).
     pub rel: &'a str,
-    /// Crate the file belongs to (directory under `crates/`, or
-    /// `"dvicl"` for the root `src/`).
-    pub crate_name: &'a str,
     pub src: &'a str,
     /// The full token stream, comments included.
     pub toks: &'a [Tok],
@@ -82,13 +56,6 @@ pub struct FileCtx<'a> {
     /// that match token sequences iterate this so interleaved comments
     /// cannot break a pattern.
     pub code: &'a [usize],
-    /// Byte spans of `#[cfg(test)]` / `#[test]` items; findings inside
-    /// are dropped by the engine, but rules may also consult this to
-    /// avoid analyzing test-only functions.
-    pub test_spans: &'a [(usize, usize)],
-    /// Parsed items (fns with body spans, impls, structs, …)
-    /// — see [`crate::parse::items`].
-    pub items: &'a [crate::parse::Item],
 }
 
 impl FileCtx<'_> {
@@ -97,16 +64,10 @@ impl FileCtx<'_> {
         tok.text(self.src)
     }
 
-    /// Whether a byte offset falls inside a test-only item.
-    pub fn in_test(&self, byte: usize) -> bool {
-        self.test_spans.iter().any(|&(s, e)| byte >= s && byte < e)
-    }
-
     /// Builds a finding anchored at `tok`.
-    pub fn finding(&self, meta_id: &'static str, severity: Severity, tok: &Tok, message: String) -> Finding {
+    pub fn finding(&self, meta_id: &'static str, tok: &Tok, message: String) -> Finding {
         Finding {
             rule: meta_id,
-            severity,
             file: self.rel.to_string(),
             line: tok.line,
             col: tok.col,
@@ -121,8 +82,8 @@ fn applies_everywhere(_crate_name: &str) -> bool {
 }
 
 /// Library crates only: the `cli` binary and the `bench`/`lint` tooling
-/// crates are allowed process/exit-code idioms and their own error
-/// types; everything else must speak `DviclError`.
+/// crates keep their own error types; everything else must speak
+/// `DviclError`.
 fn applies_to_library_crates(crate_name: &str) -> bool {
     !matches!(crate_name, "cli" | "bench" | "lint")
 }
@@ -131,7 +92,6 @@ fn applies_to_library_crates(crate_name: &str) -> bool {
 /// (symbol table, call graph, every file) instead of one file.
 pub struct WsRuleMeta {
     pub id: &'static str,
-    pub severity: Severity,
     pub summary: &'static str,
     pub check: fn(&crate::Workspace) -> Vec<Finding>,
 }
@@ -141,31 +101,21 @@ pub fn catalog() -> &'static [RuleMeta] {
     &[
         RuleMeta {
             id: error_taxonomy::ID,
-            severity: Severity::Deny,
             summary: "library crates must use DviclError: no Box<dyn Error>, Result<_, String>, or stringly Err values",
             applies: applies_to_library_crates,
             check: error_taxonomy::check,
         },
         RuleMeta {
             id: narrowing_cast::ID,
-            severity: Severity::Deny,
             summary: "narrowing `as u8/u16/u32` casts need a pragma or allowlist entry proving they cannot truncate",
             applies: applies_everywhere,
             check: narrowing_cast::check,
         },
         RuleMeta {
             id: nested_vec_adjacency::ID,
-            severity: Severity::Deny,
             summary: "no `Vec<Vec<_>>` adjacency on the build/refine hot path — CSR/arena storage only",
             applies: applies_everywhere, // path-scoped inside the rule
             check: nested_vec_adjacency::check,
-        },
-        RuleMeta {
-            id: offline_guard::ID,
-            severity: Severity::Deny,
-            summary: "no std::net / std::process outside the cli and bench crates",
-            applies: |c| !matches!(c, "cli" | "bench"),
-            check: offline_guard::check,
         },
     ]
 }
@@ -176,21 +126,17 @@ pub fn ws_catalog() -> &'static [WsRuleMeta] {
     &[
         WsRuleMeta {
             id: budget_reachability::ID,
-            severity: Severity::Deny,
             summary: "looping/recursive functions in refine/canon/core must reach the Budget machinery through the call graph",
             check: budget_reachability::check,
         },
     ]
 }
 
-/// Rule ids that pragmas may name: both catalogs plus the two pragma
-/// meta-rules emitted by the engine itself.
+/// Rule ids that pragmas may name: both catalogs. The pragma
+/// meta-rules cannot be suppressed, so a pragma naming one is unknown.
 pub fn known_rule_ids() -> Vec<&'static str> {
-    let mut ids: Vec<&'static str> = catalog().iter().map(|m| m.id).collect();
-    ids.extend(ws_catalog().iter().map(|m| m.id));
-    ids.push(crate::PRAGMA_MISSING_REASON);
-    ids.push(crate::PRAGMA_UNKNOWN_RULE);
-    ids
+    let ids = catalog().iter().map(|m| m.id);
+    ids.chain(ws_catalog().iter().map(|m| m.id)).collect()
 }
 
 /// Helper shared by sequence-matching rules: the code token at code

@@ -8,7 +8,7 @@
 //!
 //! Widening casts (`as u64`, `as usize`, `as f64`) are not flagged.
 
-use super::{FileCtx, Finding, Severity, code_tok, is_punct};
+use super::{code_tok, is_punct, FileCtx, Finding};
 use crate::lexer::TokKind;
 
 pub const ID: &str = "narrowing-cast";
@@ -55,7 +55,6 @@ pub fn check(ctx: &FileCtx) -> Vec<Finding> {
         }
         out.push(ctx.finding(
             ID,
-            Severity::Deny,
             tok,
             format!(
                 "narrowing `as {ty}` can truncate; prove the range in a pragma or \

@@ -14,7 +14,7 @@
 //! justified nested vector on a covered file takes a suppression
 //! pragma naming why it is not per-vertex adjacency.
 
-use super::{code_tok, is_ident, is_punct, FileCtx, Finding, Severity};
+use super::{code_tok, is_ident, is_punct, FileCtx, Finding};
 
 pub const ID: &str = "nested-vec-adjacency";
 
@@ -42,16 +42,19 @@ pub fn check(ctx: &FileCtx) -> Vec<Finding> {
         }
         // `Vec < Vec <` — the lexer splits generics into punct tokens,
         // so the nested type reads as four code tokens in a row.
-        if is_punct(ctx, pos, 1, b'<') && is_ident(ctx, pos, 2, "Vec") && is_punct(ctx, pos, 3, b'<')
+        if is_punct(ctx, pos, 1, b'<')
+            && is_ident(ctx, pos, 2, "Vec")
+            && is_punct(ctx, pos, 3, b'<')
         {
-            out.push(ctx.finding(
-                ID,
-                Severity::Deny,
-                tok,
-                "nested `Vec<Vec<_>>` on the build/refine hot path — use a CSR segment \
+            out.push(
+                ctx.finding(
+                    ID,
+                    tok,
+                    "nested `Vec<Vec<_>>` on the build/refine hot path — use a CSR segment \
                  (SubArena) or a flat offsets+members pair (Division) instead"
-                    .to_string(),
-            ));
+                        .to_string(),
+                ),
+            );
         }
     }
     out
@@ -81,7 +84,10 @@ mod tests {
     #[test]
     fn ignores_flat_vec_and_cold_files() {
         assert_eq!(
-            run("crates/core/src/build.rs", "fn f() -> Vec<u32> { Vec::new() }"),
+            run(
+                "crates/core/src/build.rs",
+                "fn f() -> Vec<u32> { Vec::new() }"
+            ),
             0
         );
         assert_eq!(

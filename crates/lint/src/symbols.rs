@@ -1,5 +1,6 @@
-//! The workspace symbol table: every parsed item of every analyzed
-//! file, indexed for the call graph and the workspace-level rules.
+//! The workspace symbol table: every parsed `fn` with a body in every
+//! analyzed file, indexed for the call graph and the workspace-level
+//! rules.
 //!
 //! Resolution is by *name*, deliberately over-approximated: `dvicl-lint`
 //! has no type information, so a call `x.refine()` resolves to every
@@ -8,7 +9,7 @@
 //! over-approximation in the edge set means *fewer* findings, never
 //! false ones from missing edges.
 
-use crate::parse::{Item, ItemKind};
+use crate::parse::Item;
 use crate::FileData;
 use std::collections::HashMap;
 
@@ -24,7 +25,7 @@ pub struct SymRef {
 /// Workspace-wide item index.
 #[derive(Debug, Default)]
 pub struct SymbolTable {
-    /// Every `Fn` item *with a body*, in file order. Positions in this
+    /// Every `fn` item *with a body*, in file order. Positions in this
     /// vector are the node ids of the call graph.
     pub fns: Vec<SymRef>,
     /// Function name → indices into [`SymbolTable::fns`].
@@ -37,7 +38,7 @@ impl SymbolTable {
         for (fi, file) in files.iter().enumerate() {
             for (ii, item) in file.items.iter().enumerate() {
                 let r = SymRef { file: fi, item: ii };
-                if item.kind == ItemKind::Fn && item.body.is_some() {
+                if item.body.is_some() {
                     let id = table.fns.len();
                     table.fns.push(r);
                     table

@@ -1,11 +1,15 @@
-//! End-to-end tests of the `dvicl-lint` binary: exit codes, JSON mode,
-//! and the zero-findings acceptance gate over the real workspace.
+//! End-to-end tests of the `dvicl-lint` binary: exit codes, the GitHub
+//! annotation format, and the zero-findings acceptance gate over the
+//! real workspace.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
-fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_dvicl-lint"))
+#[expect(
+    clippy::disallowed_types,
+    reason = "the binary's end-to-end tests run it as a subprocess"
+)]
+fn bin() -> std::process::Command {
+    std::process::Command::new(env!("CARGO_BIN_EXE_dvicl-lint"))
 }
 
 fn fixture(group: &str, name: &str) -> PathBuf {
@@ -47,7 +51,6 @@ fn tripping_fixture_exits_nonzero() {
         ("budget_reachability", "crates/refine/src/partition.rs"),
         ("error_taxonomy", "crates/core/src/fixture.rs"),
         ("narrowing_cast", "crates/core/src/fixture.rs"),
-        ("offline_guard", "crates/core/src/fixture.rs"),
     ] {
         let out = bin()
             .arg("--root")
@@ -80,29 +83,11 @@ fn clean_fixture_exits_zero() {
 }
 
 #[test]
-fn json_mode_emits_structured_findings() {
-    let out = bin()
-        .arg("--root")
-        .arg(workspace_root())
-        .arg("--as")
-        .arg("crates/core/src/fixture.rs")
-        .arg("--json")
-        .arg(fixture("narrowing_cast", "trip.rs"))
-        .output()
-        .expect("run dvicl-lint");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(stdout.trim_start().starts_with("{\"findings\":["), "{stdout}");
-    assert!(stdout.contains("\"rule\":\"narrowing-cast\""), "{stdout}");
-    assert!(stdout.contains("\"line\":"), "{stdout}");
-}
-
-#[test]
 fn list_rules_covers_the_catalog() {
     let out = bin().arg("--list-rules").output().expect("run dvicl-lint");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success());
-    // The five analyzer rules plus the two pragma meta-rules, and
+    // The four analyzer rules plus the three pragma meta-rules, and
     // nothing else: the retired rules are clippy denials, types or
     // rustc checks now.
     let listed: Vec<&str> = stdout
@@ -115,10 +100,10 @@ fn list_rules_covers_the_catalog() {
             "error-taxonomy",
             "narrowing-cast",
             "nested-vec-adjacency",
-            "offline-guard",
             "budget-reachability",
             "pragma-missing-reason",
             "pragma-unknown-rule",
+            "pragma-unused",
         ],
         "{stdout}"
     );
@@ -149,6 +134,22 @@ fn github_format_emits_error_annotations() {
 #[test]
 fn unknown_flag_exits_two() {
     let out = bin().arg("--frobnicate").output().expect("run dvicl-lint");
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn as_takes_exactly_one_file() {
+    // Two files under one `--as` path would share their pragmas: the
+    // first file's pragma would silence the second file's cast.
+    let out = bin()
+        .arg("--root")
+        .arg(workspace_root())
+        .arg("--as")
+        .arg("crates/core/src/fixture.rs")
+        .arg(fixture("pragmas", "suppressed.rs"))
+        .arg(fixture("narrowing_cast", "trip.rs"))
+        .output()
+        .expect("run dvicl-lint");
     assert_eq!(out.status.code(), Some(2));
 }
 

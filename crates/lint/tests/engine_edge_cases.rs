@@ -119,8 +119,12 @@ fn pragma_reason_is_required_for_suppression() {
     let with_reason = "pub fn f(x: usize) -> u32 {\n    x as u32 // dvicl-lint: allow(narrowing-cast) -- x < n <= V::MAX\n}\n";
     assert!(rules_of(with_reason).is_empty());
 
-    let without = "pub fn f(x: usize) -> u32 {\n    x as u32 // dvicl-lint: allow(narrowing-cast)\n}\n";
+    let without =
+        "pub fn f(x: usize) -> u32 {\n    x as u32 // dvicl-lint: allow(narrowing-cast)\n}\n";
     let rules = rules_of(without);
-    assert!(rules.contains(&dvicl_lint::PRAGMA_MISSING_REASON), "{rules:?}");
+    assert!(
+        rules.contains(&dvicl_lint::PRAGMA_MISSING_REASON),
+        "{rules:?}"
+    );
     assert!(rules.contains(&"narrowing-cast"), "{rules:?}");
 }

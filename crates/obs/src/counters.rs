@@ -195,7 +195,8 @@ mod tests {
         let names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
         for n in &names {
             assert!(
-                n.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
+                n.chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
                 "{n}"
             );
         }

@@ -210,13 +210,13 @@ mod tests {
         let s = JsonObj::new()
             .f64("ok", 1.5)
             .f64("bad", f64::NAN)
-            .arr("xs", JsonArr::new().push_obj(JsonObj::new().bool("b", true)))
+            .arr(
+                "xs",
+                JsonArr::new().push_obj(JsonObj::new().bool("b", true)),
+            )
             .null("none")
             .finish();
-        assert_eq!(
-            s,
-            r#"{"ok":1.5,"bad":null,"xs":[{"b":true}],"none":null}"#
-        );
+        assert_eq!(s, r#"{"ok":1.5,"bad":null,"xs":[{"b":true}],"none":null}"#);
     }
 
     #[test]

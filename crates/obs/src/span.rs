@@ -208,7 +208,10 @@ mod tests {
         {
             let _g = span(Phase::CoreVerify);
         }
-        assert!(phases().is_empty(), "a span opened with timing off records nothing");
+        assert!(
+            phases().is_empty(),
+            "a span opened with timing off records nothing"
+        );
 
         set_timing(true);
         {

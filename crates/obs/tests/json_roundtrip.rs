@@ -14,7 +14,10 @@ struct Shared(Arc<Mutex<Vec<u8>>>);
 
 impl Write for Shared {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().map_err(|_| std::io::ErrorKind::Other)?.extend_from_slice(buf);
+        self.0
+            .lock()
+            .map_err(|_| std::io::ErrorKind::Other)?
+            .extend_from_slice(buf);
         Ok(buf.len())
     }
     fn flush(&mut self) -> std::io::Result<()> {
@@ -162,11 +165,9 @@ impl<'a> P<'a> {
             _ => {
                 self.ws();
                 let start = self.i;
-                while self
-                    .s
-                    .get(self.i)
-                    .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-                {
+                while self.s.get(self.i).is_some_and(|b| {
+                    b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
+                }) {
                     self.i += 1;
                 }
                 std::str::from_utf8(&self.s[start..self.i])

@@ -184,7 +184,14 @@ impl BitsetKernel {
     /// neighborhood count uniformly zero and split nothing, so skipping
     /// the scatter-based discovery is trace-neutral).
     // dvicl-lint: allow(budget-reachability) -- Partition::run spends one unit per splitter before split_by dispatches here
-    fn split_by_popcount(&mut self, p: &mut Partition, g: &Graph, s: usize, len: usize, mut trace: u64) -> u64 {
+    fn split_by_popcount(
+        &mut self,
+        p: &mut Partition,
+        g: &Graph,
+        s: usize,
+        len: usize,
+        mut trace: u64,
+    ) -> u64 {
         if self.adj.is_empty() {
             // Lazy row build: only runs that see a popcount-eligible
             // splitter pay for it.
@@ -192,7 +199,7 @@ impl BitsetKernel {
             self.splitter_mask.resize(self.words, 0);
             self.adj.resize(self.n * self.words, 0);
             for u in 0..self.n {
-                // dvicl-lint: allow(narrowing-cast) -- u < n <= V::MAX
+                // Lossless cast: u < n <= V::MAX.
                 for &w in g.neighbors(u as V) {
                     self.adj[u * self.words + (w >> 6) as usize] |= 1u64 << (w & 63);
                 }

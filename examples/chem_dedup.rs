@@ -23,7 +23,23 @@ fn library() -> Vec<(&'static str, Graph)> {
         ("benzene-ring", named::cycle(6)),
         ("cyclopentane-ring", named::cycle(5)),
         ("star-center", named::star(5)),
-        ("prism", Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])),
+        (
+            "prism",
+            Graph::from_edges(
+                6,
+                &[
+                    (0, 1),
+                    (1, 2),
+                    (2, 0),
+                    (3, 4),
+                    (4, 5),
+                    (5, 3),
+                    (0, 3),
+                    (1, 4),
+                    (2, 5),
+                ],
+            ),
+        ),
         ("k33", named::complete_bipartite(3, 3)),
         ("cube", named::hypercube(3)),
         ("butane-chain", named::path(4)),
@@ -103,5 +119,8 @@ fn main() {
         "deduplication must recover exactly the library skeletons"
     );
     assert_eq!(index.members_total(), collection.len() as u64);
-    println!("deduplication recovered exactly the {} library skeletons", library().len());
+    println!(
+        "deduplication recovered exactly the {} library skeletons",
+        library().len()
+    );
 }

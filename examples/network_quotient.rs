@@ -10,7 +10,10 @@ use dvicl::data::social::{generate, SocialConfig};
 use dvicl::graph::{named, Coloring};
 
 fn main() -> Result<(), DviclError> {
-    println!("{:<24} {:>8} {:>8} {:>10} {:>10} {:>9}", "graph", "n", "m", "quotient n", "quotient m", "entropy");
+    println!(
+        "{:<24} {:>8} {:>8} {:>10} {:>10} {:>9}",
+        "graph", "n", "m", "quotient n", "quotient m", "entropy"
+    );
     let report = |name: &str, g: &dvicl::graph::Graph| {
         let opts = DviclOptions::default();
         let tree = try_build_autotree(g, &Coloring::unit(g.n()), &opts, &Budget::unlimited())?;

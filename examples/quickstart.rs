@@ -27,7 +27,17 @@ fn main() {
     );
     let prism = dvicl::graph::Graph::from_edges(
         6,
-        &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)],
+        &[
+            (0, 1),
+            (1, 2),
+            (2, 0),
+            (3, 4),
+            (4, 5),
+            (5, 3),
+            (0, 3),
+            (1, 4),
+            (2, 5),
+        ],
     );
     let k33 = named::complete_bipartite(3, 3);
     println!("K3,3 vs the 3-prism (both 3-regular on 6 vertices):");

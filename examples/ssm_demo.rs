@@ -39,7 +39,10 @@ fn main() -> Result<(), DviclError> {
         fan_size: 5,
         ..Default::default()
     });
-    println!("\nInfluence maximization on a social analog (n = {}):", g.n());
+    println!(
+        "\nInfluence maximization on a social analog (n = {}):",
+        g.n()
+    );
     let ic = IcConfig {
         prob: 0.05,
         rounds: 40,

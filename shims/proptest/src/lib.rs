@@ -383,7 +383,9 @@ macro_rules! prop_assert_ne {
         $crate::prop_assert!(
             l != r,
             "assertion failed: `{} != {}` (both: `{:?}`)",
-            stringify!($left), stringify!($right), l
+            stringify!($left),
+            stringify!($right),
+            l
         );
     }};
 }

@@ -85,17 +85,24 @@ fn wreath_product_structures() {
     // Known compound groups through the AutoTree path.
     let cases: Vec<(Graph, u64)> = vec![
         // 4 disjoint edges: S2 ≀ S4 = 2^4 · 4! = 384.
-        (
-            Graph::from_edges(8, &[(0, 1), (2, 3), (4, 5), (6, 7)]),
-            384,
-        ),
+        (Graph::from_edges(8, &[(0, 1), (2, 3), (4, 5), (6, 7)]), 384),
         // two disjoint triangles: (3!)² · 2 = 72.
         (named::cycle(3).disjoint_union(&named::cycle(3)), 72),
         // star of stars: center with 3 copies of K_{1,2}: (2!)³·3! = 48.
         (
             Graph::from_edges(
                 10,
-                &[(0, 1), (1, 2), (1, 3), (0, 4), (4, 5), (4, 6), (0, 7), (7, 8), (7, 9)],
+                &[
+                    (0, 1),
+                    (1, 2),
+                    (1, 3),
+                    (0, 4),
+                    (4, 5),
+                    (4, 6),
+                    (0, 7),
+                    (7, 8),
+                    (7, 9),
+                ],
             ),
             48,
         ),

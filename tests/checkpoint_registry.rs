@@ -33,10 +33,8 @@ fn registry_and_probe_agree() {
     // graph.edge_line + a graph with enough symmetry to exercise
     // refinement, individualization, and non-singleton leaves: K4 plus
     // a pendant path.
-    let loaded = io::read_edge_list(
-        "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n4 5\n".as_bytes(),
-    )
-    .expect("parse edge list");
+    let loaded = io::read_edge_list("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n4 5\n".as_bytes())
+        .expect("parse edge list");
     let g = loaded.graph;
 
     // graph.graph6 (round-trip through the encoder so the string is

@@ -113,7 +113,9 @@ fn sweep_injects_faults_at_every_checkpoint() {
         for (site, k, action) in plan_points {
             fault::install(FaultPlan::one(action, site, k));
             let outcome = catch_unwind(AssertUnwindSafe(|| build(g)));
-            let fired = fault::hit_counts().iter().any(|&(s, c)| s == site && c >= k);
+            let fired = fault::hit_counts()
+                .iter()
+                .any(|&(s, c)| s == site && c >= k);
             fault::clear();
             let outcome = outcome.unwrap_or_else(|_| {
                 panic!("{name}: {}@{site}:{k} made the build panic", action.name())

@@ -125,9 +125,19 @@ fn colored_isomorphism_distinguishes_colorings() {
     let g = named::cycle(8);
     let pin_adjacent = Coloring::from_cells(vec![vec![2, 3, 4, 5, 6, 7], vec![0, 1]]).unwrap();
     let pin_opposite = Coloring::from_cells(vec![vec![1, 2, 3, 5, 6, 7], vec![0, 4]]).unwrap();
-    assert!(!are_isomorphic_colored(&g, &pin_adjacent, &g, &pin_opposite));
+    assert!(!are_isomorphic_colored(
+        &g,
+        &pin_adjacent,
+        &g,
+        &pin_opposite
+    ));
     let pin_adjacent2 = Coloring::from_cells(vec![vec![0, 1, 2, 3, 4, 7], vec![5, 6]]).unwrap();
-    assert!(are_isomorphic_colored(&g, &pin_adjacent, &g, &pin_adjacent2));
+    assert!(are_isomorphic_colored(
+        &g,
+        &pin_adjacent,
+        &g,
+        &pin_adjacent2
+    ));
     // P3 + K1: [isolated | rest] and [rest | center] refine to the same
     // coloring [isolated | leaves | center], yet their cell sizes differ.
     let p3k1 = Graph::from_edges(4, &[(0, 1), (0, 2)]);
