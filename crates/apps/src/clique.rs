@@ -279,7 +279,7 @@ mod tests {
         assert_eq!(c.len(), 12);
         // Enumeration honors the budget too.
         let err = try_all_max_cliques(&g, 3, 1000, &Budget::with_max_work(3)).unwrap_err();
-        assert!(err.is_exhaustion());
+        assert_eq!(err.exit_code(), 3);
     }
 
     #[test]

@@ -125,7 +125,7 @@ mod tests {
             &Budget::with_max_work(2),
         )
         .unwrap_err();
-        assert!(err.is_exhaustion());
+        assert_eq!(err.exit_code(), 3);
         // With room to breathe the result matches the unlimited run.
         let ok = try_cluster_by_symmetry(
             &t,

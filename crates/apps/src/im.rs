@@ -224,7 +224,7 @@ mod tests {
             seed: 3,
         };
         let err = try_select_seeds(&g, 2, &cfg, &Budget::with_max_work(5)).unwrap_err();
-        assert!(err.is_exhaustion());
+        assert_eq!(err.exit_code(), 3);
         let seeds = try_select_seeds(&g, 1, &cfg, &Budget::with_max_work(10_000_000)).unwrap();
         assert_eq!(seeds, vec![0]);
     }

@@ -22,7 +22,7 @@
 use dvicl_bench::suite::{self, print_header, print_row, Recorder};
 use dvicl_canon::Config;
 use dvicl_core::iso::try_find_isomorphism_outcome;
-use dvicl_core::Budget;
+use dvicl_core::{Budget, DviclOptions};
 use dvicl_graph::{named, Graph, Perm, V};
 use dvicl_index::FingerprintIndex;
 use dvicl_obs::Counter;
@@ -208,7 +208,9 @@ fn main() {
         for q in &queries {
             let mut matches = 0u64;
             for g in &graphs {
-                let outcome = try_find_isomorphism_outcome(q, g, &unlimited).ok()?;
+                let outcome =
+                    try_find_isomorphism_outcome(q, g, &DviclOptions::default(), &unlimited)
+                        .ok()?;
                 if outcome.mapping.is_some() {
                     matches += 1;
                 }

@@ -30,66 +30,32 @@ impl SearchTree {
         self.nodes.len() - 1
     }
 
-    /// Number of recorded nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True iff nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The node with identifier `id` (visit order).
-    pub fn node(&self, id: usize) -> &NodeRecord {
-        &self.nodes[id]
-    }
-
-    /// All recorded nodes in visit order.
-    pub fn nodes(&self) -> &[NodeRecord] {
-        &self.nodes
-    }
-
-    /// Children of `id`, in visit order.
-    pub fn children(&self, id: usize) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.parent == Some(id))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Renders the tree as indented ASCII, one node per line:
-    /// `node-id [individualized-vertex] coloring`.
+    /// `node-id [individualized-vertex] coloring`. Nodes are stored in
+    /// visit (preorder) order, so every subtree follows its root and
+    /// indenting by depth draws the tree.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_rec(0, 0, &mut out);
-        out
-    }
-
-    fn render_rec(&self, id: usize, indent: usize, out: &mut String) {
         use fmt::Write;
-        let n = &self.nodes[id];
-        let edge = match n.individualized {
-            Some(v) => format!("--{v}--> "),
-            None => String::new(),
-        };
-        #[expect(
-            clippy::expect_used,
-            reason = "fmt::Write for String is infallible; the Err arm cannot occur"
-        )]
-        writeln!(
-            out,
-            "{:indent$}{edge}({id}) {}",
-            "",
-            n.coloring,
-            indent = indent
-        )
-        .expect("writing to String cannot fail");
-        for c in self.children(id) {
-            self.render_rec(c, indent + 2, out);
+        let mut out = String::new();
+        for (id, n) in self.nodes.iter().enumerate() {
+            let edge = match n.individualized {
+                Some(v) => format!("--{v}--> "),
+                None => String::new(),
+            };
+            #[expect(
+                clippy::expect_used,
+                reason = "fmt::Write for String is infallible; the Err arm cannot occur"
+            )]
+            writeln!(
+                out,
+                "{:indent$}{edge}({id}) {}",
+                "",
+                n.coloring,
+                indent = 2 * n.depth as usize
+            )
+            .expect("writing to String cannot fail");
         }
+        out
     }
 }
 
@@ -98,7 +64,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn push_and_query() {
+    fn push_and_render() {
         let mut t = SearchTree::default();
         let root = t.push(NodeRecord {
             coloring: "[0,1|2]".into(),
@@ -106,15 +72,12 @@ mod tests {
             parent: None,
             individualized: None,
         });
-        let c1 = t.push(NodeRecord {
+        t.push(NodeRecord {
             coloring: "[0|1|2]".into(),
             depth: 1,
             parent: Some(root),
             individualized: Some(0),
         });
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.children(root), vec![c1]);
-        let rendered = t.render();
-        assert!(rendered.contains("--0--> (1) [0|1|2]"));
+        assert_eq!(t.render(), "(0) [0,1|2]\n  --0--> (1) [0|1|2]\n");
     }
 }

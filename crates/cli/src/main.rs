@@ -465,7 +465,7 @@ fn isomorphic(
     opts: &RunOptions,
 ) -> Result<(), CliError> {
     let (ga, gb) = (ld.load(a)?, ld.load(b)?);
-    let outcome = iso::try_find_isomorphism_outcome(&ga, &gb, budget)?;
+    let outcome = iso::try_find_isomorphism_outcome(&ga, &gb, &opts.build, budget)?;
     if outcome.degraded {
         // Same marker contract as `build`: a degraded answer is still
         // correct but the caller must be able to see it happened.

@@ -80,6 +80,28 @@ fn ssm_counts() {
 }
 
 #[test]
+fn regular_plane_queries_finish_under_a_deadline() {
+    // AG(2, 11)'s point-line incidence graph (121 points, 132 lines), the
+    // smallest AG(2, q) that a bliss-like labeling cannot finish in 10 s.
+    // `iso` must label with the CLI's traces-like preset and `ssm` must
+    // answer from the leaf labeling the build stored; then each takes
+    // milliseconds.
+    use dvicl_graph::{graph6, Perm, V};
+    let g = dvicl_data::bench_graphs::ag2(11);
+    let n = g.n() as V;
+    // v -> 7v + 3 (mod 253) is a bijection: gcd(7, 253) = 1.
+    let gamma = Perm::from_image((0..n).map(|v| (7 * v + 3) % n).collect()).unwrap();
+    let a = format!("g6:{}", graph6::to_graph6(&g));
+    let b = format!("g6:{}", graph6::to_graph6(&g.permuted(&gamma)));
+    let (stdout, stderr, ok) = dvicl(&["--timeout", "10s", "iso", &a, &b]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("isomorphic: yes"), "{stdout}");
+    let (stdout, stderr, ok) = dvicl(&["--timeout", "10s", "ssm", &a, "0"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("images under Aut(G): 121"), "{stdout}");
+}
+
+#[test]
 fn reads_edge_list_from_stdin() {
     let mut child = bin()
         .args(["canon", "-"])

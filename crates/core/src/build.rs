@@ -270,8 +270,9 @@ type ClEntry = (Perm, Vec<Perm>);
 /// Soundness of cross-build memo reuse: a memo key encodes *exactly*
 /// the input the IR engine sees (injectively — see `combine_cl`), so a
 /// hit returns the same labeling the engine would recompute. The one
-/// implicit key component is the engine configuration; the session
-/// clears the memo when its `leaf_config` changes.
+/// implicit key component is the engine configuration, which cannot
+/// change: a `Scratch` serves one build, or one `core::Session`, whose
+/// options are fixed for its life.
 pub(crate) struct Scratch {
     /// Flat CSR storage for every working subgraph of a recursion.
     pub(crate) arena: SubArena,
@@ -299,7 +300,8 @@ impl Scratch {
         }
     }
 
-    /// Drops every memoized `CombineCL` labeling (configuration change).
+    /// Drops every memoized `CombineCL` labeling, to bound memory (the
+    /// memo stays sound across builds).
     pub(crate) fn clear_memo(&mut self) {
         self.cl_cache.clear();
     }
@@ -770,9 +772,9 @@ mod tests {
         assert_eq!(stats.avg_non_singleton_size, 4.0);
         assert_eq!(stats.depth, 2);
         // The triangle's three singleton children are one sibling class.
-        let tri = t.deepest_containing(&[4, 5, 6]);
-        assert_eq!(t.node(tri).children().len(), 3);
-        assert_eq!(t.node(tri).sibling_classes(), vec![(0, 3)]);
+        let tri = t.nodes().find(|n| n.verts() == [4, 5, 6]).unwrap();
+        assert_eq!(tri.children().len(), 3);
+        assert_eq!(tri.sibling_classes(), vec![(0, 3)]);
     }
 
     #[test]
@@ -1030,11 +1032,11 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_graphs() {
-        let t0 = tree_of(&Graph::empty(0));
+        let t0 = tree_of(&Graph::from_edges(0, &[]));
         assert_eq!(t0.len(), 1);
-        let t1 = tree_of(&Graph::empty(1));
+        let t1 = tree_of(&Graph::from_edges(1, &[]));
         assert_eq!(t1.stats().singleton_leaves, 1);
-        let t2 = tree_of(&Graph::empty(3));
+        let t2 = tree_of(&Graph::from_edges(3, &[]));
         // Three isolated same-color vertices: one class of three singleton
         // children.
         assert_eq!(t2.node(t2.root()).sibling_classes(), vec![(0, 3)]);

@@ -28,11 +28,12 @@ pub struct IsoOutcome {
 /// graceful degradation (see [`try_find_isomorphism_colored_outcome`]):
 /// a work-cap exhaustion degrades both sides to whole-graph IR labeling
 /// instead of failing, so the mapping — composed from two labelings
-/// produced in the *same* mode — stays valid. Pass
-/// [`Budget::unlimited`] for no limit.
+/// produced in the *same* mode — stays valid. Both trees are built
+/// with `opts`. Pass [`Budget::unlimited`] for no limit.
 pub fn try_find_isomorphism_outcome(
     g1: &Graph,
     g2: &Graph,
+    opts: &DviclOptions,
     budget: &Budget,
 ) -> Result<IsoOutcome, DviclError> {
     try_find_isomorphism_colored_outcome(
@@ -40,6 +41,7 @@ pub fn try_find_isomorphism_outcome(
         &Coloring::unit(g1.n()),
         g2,
         &Coloring::unit(g2.n()),
+        opts,
         budget,
     )
 }
@@ -56,6 +58,7 @@ pub fn try_find_isomorphism_colored_outcome(
     pi1: &Coloring,
     g2: &Graph,
     pi2: &Coloring,
+    opts: &DviclOptions,
     budget: &Budget,
 ) -> Result<IsoOutcome, DviclError> {
     if !same_shape(g1, pi1, g2, pi2) {
@@ -64,21 +67,20 @@ pub fn try_find_isomorphism_colored_outcome(
             degraded: false,
         });
     }
-    let opts = DviclOptions::default();
-    let mut t1 = build_autotree_resilient(g1, pi1, &opts, budget)?;
-    let mut t2 = build_autotree_resilient(g2, pi2, &opts, budget)?;
+    let mut t1 = build_autotree_resilient(g1, pi1, opts, budget)?;
+    let mut t2 = build_autotree_resilient(g2, pi2, opts, budget)?;
     if t1.degraded != t2.degraded {
         // Certificates from a divided tree and a whole-graph leaf are not
         // comparable; rebuild the non-degraded side in degraded mode.
         let relaxed = budget.without_work_limit();
         if t1.degraded {
             t2 = BuildOutcome {
-                tree: build_autotree_whole_leaf(g2, pi2, &opts, &relaxed)?,
+                tree: build_autotree_whole_leaf(g2, pi2, opts, &relaxed)?,
                 degraded: true,
             };
         } else {
             t1 = BuildOutcome {
-                tree: build_autotree_whole_leaf(g1, pi1, &opts, &relaxed)?,
+                tree: build_autotree_whole_leaf(g1, pi1, opts, &relaxed)?,
                 degraded: true,
             };
         }
@@ -131,7 +133,7 @@ mod tests {
 
     /// The mapping found under `budget`, which may degrade but not fail.
     fn mapping(g1: &Graph, g2: &Graph, budget: &Budget) -> Option<Perm> {
-        try_find_isomorphism_outcome(g1, g2, budget)
+        try_find_isomorphism_outcome(g1, g2, &DviclOptions::default(), budget)
             .expect("work exhaustion must degrade, not fail")
             .mapping
     }
@@ -173,9 +175,16 @@ mod tests {
         let pin_other_end = Coloring::from_cells(vec![vec![0, 1], vec![2]]).unwrap();
         let pin_mid = Coloring::from_cells(vec![vec![0, 2], vec![1]]).unwrap();
         let colored = |pi1, pi2| {
-            try_find_isomorphism_colored_outcome(&g, pi1, &g, pi2, &Budget::unlimited())
-                .unwrap()
-                .mapping
+            try_find_isomorphism_colored_outcome(
+                &g,
+                pi1,
+                &g,
+                pi2,
+                &DviclOptions::default(),
+                &Budget::unlimited(),
+            )
+            .unwrap()
+            .mapping
         };
         let gamma = colored(&pin_end, &pin_other_end).expect("ends are exchangeable");
         assert_eq!(gamma.apply(0), 2); // the pinned end must map to the pinned end
@@ -222,13 +231,15 @@ mod tests {
     fn outcome_exposes_the_degradation_flag() {
         let g = named::petersen();
         let h = g.permuted(&Perm::from_cycles(10, &[&[0, 7]]).unwrap());
-        let out = try_find_isomorphism_outcome(&g, &h, &Budget::with_max_work(2)).unwrap();
+        let opts = DviclOptions::default();
+        let out = try_find_isomorphism_outcome(&g, &h, &opts, &Budget::with_max_work(2)).unwrap();
         assert!(out.degraded);
         assert!(out.mapping.is_some());
-        let out = try_find_isomorphism_outcome(&g, &h, &Budget::unlimited()).unwrap();
+        let out = try_find_isomorphism_outcome(&g, &h, &opts, &Budget::unlimited()).unwrap();
         assert!(!out.degraded);
         // A size mismatch is answered without building anything.
-        let out = try_find_isomorphism_outcome(&g, &named::cycle(5), &Budget::unlimited()).unwrap();
+        let out = try_find_isomorphism_outcome(&g, &named::cycle(5), &opts, &Budget::unlimited())
+            .unwrap();
         assert!(!out.degraded);
         assert!(out.mapping.is_none());
     }

@@ -19,7 +19,7 @@ use crate::build::{try_build_autotree, DviclOptions};
 use crate::tree::AutoTree;
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{CanonForm, Coloring, Graph, V};
-use dvicl_group::{BigUint, Orbits};
+use dvicl_group::BigUint;
 use rustc_hash::FxHashMap;
 
 /// The structural-equivalence (false twin) classes of a colored graph.
@@ -172,24 +172,6 @@ pub fn try_dvicl_simplified(
 }
 
 impl SimplifiedDvicl {
-    /// Orbits of the *original* graph: twins join their representative's
-    /// orbit; representatives follow the simplified tree's orbits.
-    pub fn original_orbits(&self, n: usize) -> Orbits {
-        let mut o = Orbits::identity(n);
-        for class in &self.twins.non_singleton {
-            for w in class.windows(2) {
-                o.union(w[0], w[1]);
-            }
-        }
-        let mut simplified = aut::orbits(&self.tree);
-        for cell in simplified.cells() {
-            for w in cell.windows(2) {
-                o.union(self.reps[w[0] as usize], self.reps[w[1] as usize]);
-            }
-        }
-        o
-    }
-
     /// `|Aut(G, π)|` of the original graph:
     /// `|Aut(G_s, π_s)| · ∏ (class size)!`.
     pub fn original_group_order(&self) -> BigUint {
@@ -265,20 +247,6 @@ mod tests {
             let expected = brute::automorphism_count(&g, &pi);
             let s = simplified(&g);
             assert_eq!(s.original_group_order().to_u64(), Some(expected), "{g:?}");
-        }
-    }
-
-    #[test]
-    fn orbits_match_plain_path() {
-        for g in [
-            named::fig1_example(),
-            named::star(6),
-            named::rary_tree(2, 3),
-        ] {
-            let s = simplified(&g);
-            let mut simplified_orbits = s.original_orbits(g.n());
-            let mut plain = aut::orbits(&crate::build::tree_of(&g));
-            assert_eq!(simplified_orbits.cells(), plain.cells(), "{g:?}");
         }
     }
 

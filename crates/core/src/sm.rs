@@ -223,7 +223,7 @@ mod tests {
     fn disconnected_query() {
         // Two isolated vertices as query in P3: induced non-adjacent pairs.
         let g = named::path(3); // 0-1-2: non-adjacent pairs: {0,2}
-        let q = dvicl_graph::Graph::empty(2);
+        let q = dvicl_graph::Graph::from_edges(2, &[]);
         let m = enumerate_induced(&g, &q, 100);
         assert_eq!(m, vec![vec![0, 2]]);
     }

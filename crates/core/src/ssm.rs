@@ -20,13 +20,16 @@
 //! node's children; within a sibling class the per-child *patterns*
 //! (recursive keys) may be assigned to any distinct children of the class,
 //! because `Aut(g)` restricted to a class is the full wreath product
-//! `Aut(child) ≀ S_k` (see `crate::aut`).
+//! `Aut(child) ≀ S_k` (see `crate::aut`). A non-singleton leaf answers
+//! from what the build stored for it: the set's orbit under the leaf's
+//! automorphism generators gives the count, and the orbit's least image
+//! in the leaf's canonical labels gives the key, so no query runs an IR
+//! search.
 
-use crate::tree::{AutoTree, NodeId, NodeKind};
-use dvicl_canon::{try_canonical_form as ir_try_canonical_form, Config};
+use crate::tree::{AutoTree, NodeId, NodeKind, NodeRef};
 use dvicl_govern::fault::Site;
 use dvicl_govern::{Budget, DviclError};
-use dvicl_graph::{Coloring, GraphBuilder, V};
+use dvicl_graph::V;
 use dvicl_group::BigUint;
 use dvicl_obs::Phase;
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -140,15 +143,7 @@ pub fn try_symmetric_key(
     budget: &Budget,
 ) -> Result<Vec<u8>, DviclError> {
     let set = validate_set(tree, set)?;
-    Ok(analyze(
-        tree,
-        index,
-        tree.root(),
-        &set,
-        budget,
-        &mut GraphBuilder::new(0),
-    )?
-    .0)
+    Ok(analyze(tree, index, tree.root(), &set, budget)?.0)
 }
 
 /// Exact number of distinct images of `set` under `Aut(G, π)` (including
@@ -174,30 +169,18 @@ pub fn try_count_images(
 ) -> Result<BigUint, DviclError> {
     let _span = dvicl_obs::span(Phase::CoreSsm);
     let set = validate_set(tree, set)?;
-    Ok(analyze(
-        tree,
-        index,
-        tree.root(),
-        &set,
-        budget,
-        &mut GraphBuilder::new(0),
-    )?
-    .1)
+    Ok(analyze(tree, index, tree.root(), &set, budget)?.1)
 }
 
 /// Recursive analysis: (canonical pattern key, image count) of `set` within
 /// the subgraph of `node`. `set` is sorted and entirely inside the node.
 /// Spends one work unit per visited tree node.
-///
-/// `builder` is one query-wide [`GraphBuilder`]: every non-singleton leaf
-/// the query touches rebuilds its local graph through the same buffers.
 fn analyze(
     tree: &AutoTree,
     index: &SsmIndex,
     node: NodeId,
     set: &[V],
     gov: &Budget,
-    builder: &mut GraphBuilder,
 ) -> Result<(Vec<u8>, BigUint), DviclError> {
     dvicl_obs::bump(dvicl_obs::Counter::SsmStates);
     dvicl_govern::fault::checkpoint(Site::CoreSsm)?;
@@ -205,7 +188,7 @@ fn analyze(
     let n = tree.node(node);
     match n.kind() {
         NodeKind::SingletonLeaf => Ok((vec![0x01], BigUint::one())),
-        NodeKind::NonSingletonLeaf => analyze_leaf(tree, node, set, gov, builder),
+        NodeKind::NonSingletonLeaf => analyze_leaf(n, set, gov),
         NodeKind::Internal => {
             let parts = index.partition(tree, node, set);
             let mut key = Vec::new();
@@ -214,7 +197,7 @@ fn analyze(
             let analyzed: Vec<(u32, Vec<u8>, BigUint)> = parts
                 .into_iter()
                 .map(|(pos, child, subset)| {
-                    analyze(tree, index, child, &subset, gov, builder).map(|(k, c)| (pos, k, c))
+                    analyze(tree, index, child, &subset, gov).map(|(k, c)| (pos, k, c))
                 })
                 .collect::<Result<_, _>>()?;
             for (class_idx, &(start, end)) in n.sibling_classes().iter().enumerate() {
@@ -255,83 +238,65 @@ fn analyze(
                     remaining -= run;
                     i = j;
                 }
-                let _ = remaining;
                 for x in &in_class {
                     count *= &x.2;
                 }
-                let _ = t;
             }
             Ok((key, count))
         }
     }
 }
 
-/// Pattern analysis inside a non-singleton leaf: canonicalize the leaf's
-/// colored graph with set-membership folded into the colors; count the
-/// orbit of the set under the leaf's automorphism group by BFS.
-fn analyze_leaf(
-    tree: &AutoTree,
-    node: NodeId,
-    set: &[V],
-    gov: &Budget,
-    builder: &mut GraphBuilder,
-) -> Result<(Vec<u8>, BigUint), DviclError> {
-    let n = tree.node(node);
-    // Local graph + colors with the set distinguished.
-    let verts = n.verts();
-    let in_set: Vec<bool> = verts.iter().map(|v| set.binary_search(v).is_ok()).collect();
-    let vmap: FxHashMap<V, u32> = verts
+/// Pattern analysis inside a non-singleton leaf: the orbit of the set
+/// under the leaf's stored automorphism generators gives the count, and
+/// its least image written in the leaf's canonical labels gives the key.
+/// Symmetric sibling leaves share one certificate, so their labels carry
+/// one leaf's orbits onto the other's and equal keys mean symmetric sets.
+fn analyze_leaf(n: NodeRef<'_>, set: &[V], gov: &Budget) -> Result<(Vec<u8>, BigUint), DviclError> {
+    let (local_set, gens) = leaf_action(n, set);
+    #[expect(
+        clippy::expect_used,
+        reason = "orbit_of_set returns Ok(None) only when a cap is given, and cap is None here"
+    )]
+    let orbit = orbit_of_set(&local_set, &gens, None, gov)?
+        .expect("uncapped orbit enumeration cannot fail");
+    let labels = n.labels();
+    #[expect(
+        clippy::expect_used,
+        reason = "the orbit always holds the query set itself"
+    )]
+    let least = orbit
+        .iter()
+        .map(|image| {
+            let mut l: Vec<V> = image.iter().map(|&i| labels[i as usize]).collect();
+            l.sort_unstable();
+            l
+        })
+        .min()
+        .expect("the orbit contains the set");
+    let mut key = vec![0x5A];
+    for l in least {
+        push_u32(&mut key, l);
+    }
+    Ok((key, BigUint::from_u64(orbit.len() as u64)))
+}
+
+/// The set and the leaf's generators in the leaf's local indices (the
+/// positions in [`NodeRef::verts`]).
+fn leaf_action(n: NodeRef<'_>, set: &[V]) -> (Vec<u32>, Vec<FxHashMap<u32, u32>>) {
+    let vmap: FxHashMap<V, u32> = n
+        .verts()
         .iter()
         .enumerate()
         // dvicl-lint: allow(narrowing-cast) -- i indexes the leaf's vertices, at most n <= V::MAX
         .map(|(i, &v)| (v, i as u32))
         .collect();
-    // Recover the leaf's induced edges from the original graph structure
-    // stored in the tree: the leaf's certificate has them, relabeled; it is
-    // cheaper to rebuild from labels. `form.edges` are (γ(u), γ(v)); invert
-    // the labels to get local endpoints.
-    let mut label_to_local: FxHashMap<V, u32> = FxHashMap::default();
-    for (i, &l) in n.labels().iter().enumerate() {
-        // dvicl-lint: allow(narrowing-cast) -- i indexes the leaf's labels, at most n <= V::MAX
-        label_to_local.insert(l, i as u32);
-    }
-    builder.reset(verts.len());
-    for &(la, lb) in n.form().edges {
-        builder.add_edge(label_to_local[&la], label_to_local[&lb]);
-    }
-    let g = builder.build_reusing();
-    // Colors: (global color, in-set flag) — from_labels orders cells by
-    // value, so in-set halves follow out-set halves deterministically.
-    let labels: Vec<V> = verts
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| tree.pi.color_of(v) << 1 | in_set[i] as V)
-        .collect();
-    let pi = Coloring::from_labels(&labels);
-    let res = ir_try_canonical_form(&g, &pi, &Config::bliss_like(), gov)?;
-    let mut key = vec![0x5A];
-    for &(c, m) in &res.form.colors {
-        push_u32(&mut key, c);
-        push_u32(&mut key, m);
-    }
-    for &(a, b) in &res.form.edges {
-        push_u32(&mut key, a);
-        push_u32(&mut key, b);
-    }
-    // Orbit of the set under the leaf group (as local index sets).
-    let local_set: Vec<u32> = set.iter().map(|v| vmap[v]).collect();
-    let gens: Vec<FxHashMap<u32, u32>> = n
+    let local = set.iter().map(|v| vmap[v]).collect();
+    let gens = n
         .leaf_generators()
         .map(|sparse| sparse.iter().map(|&(a, b)| (vmap[&a], vmap[&b])).collect())
         .collect();
-    #[expect(
-        clippy::expect_used,
-        reason = "orbit_of_set returns Ok(None) only when a cap is given, and cap is None here"
-    )]
-    let count = orbit_of_set(&local_set, &gens, None, gov)?
-        .map(|orbit| BigUint::from_u64(orbit.len() as u64))
-        .expect("uncapped orbit enumeration cannot fail");
-    Ok((key, count))
+    (local, gens)
 }
 
 /// BFS over set images under sparse generators; `cap` bounds the orbit size
@@ -403,23 +368,11 @@ pub fn try_enumerate_images(
 ) -> Result<SsmMatches, DviclError> {
     let _span = dvicl_obs::span(Phase::CoreSsm);
     let set = validate_set(tree, set)?;
-    let mut builder = GraphBuilder::new(0);
     let mut slots = limit;
-    let matches = enum_at(
-        tree,
-        index,
-        tree.root(),
-        &set,
-        &mut slots,
-        budget,
-        &mut builder,
-    )?;
+    let matches = enum_at(tree, index, tree.root(), &set, &mut slots, budget)?;
     // The run is truncated iff the true image count exceeds what was
     // returned (the slot accounting inside the recursion is conservative).
-    let truncated = match analyze(tree, index, tree.root(), &set, budget, &mut builder)?
-        .1
-        .to_u64()
-    {
+    let truncated = match analyze(tree, index, tree.root(), &set, budget)?.1.to_u64() {
         Some(c) => c as usize != matches.len(),
         None => true,
     };
@@ -433,7 +386,6 @@ fn enum_at(
     set: &[V],
     slots: &mut usize,
     gov: &Budget,
-    builder: &mut GraphBuilder,
 ) -> Result<Vec<Vec<V>>, DviclError> {
     dvicl_obs::bump(dvicl_obs::Counter::SsmStates);
     dvicl_govern::fault::checkpoint(Site::CoreSsm)?;
@@ -448,18 +400,7 @@ fn enum_at(
             Ok(vec![set.to_vec()])
         }
         NodeKind::NonSingletonLeaf => {
-            let vmap: FxHashMap<V, u32> = n
-                .verts()
-                .iter()
-                .enumerate()
-                // dvicl-lint: allow(narrowing-cast) -- i indexes the leaf's vertices, at most n <= V::MAX
-                .map(|(i, &v)| (v, i as u32))
-                .collect();
-            let local: Vec<u32> = set.iter().map(|v| vmap[v]).collect();
-            let gens: Vec<FxHashMap<u32, u32>> = n
-                .leaf_generators()
-                .map(|s| s.iter().map(|&(a, b)| (vmap[&a], vmap[&b])).collect())
-                .collect();
+            let (local, gens) = leaf_action(n, set);
             let orbit = orbit_of_set(&local, &gens, Some(*slots), gov)?.unwrap_or_default();
             let out: Vec<Vec<V>> = orbit
                 .into_iter()
@@ -491,25 +432,15 @@ fn enum_at(
                 // Group instances by key to avoid duplicate assignments.
                 let mut keyed: Vec<KeyedInstance> = Vec::with_capacity(instances.len());
                 for inst in &instances {
-                    keyed.push((
-                        analyze(tree, index, inst.1, &inst.2, gov, builder)?.0,
-                        *inst,
-                    ));
+                    keyed.push((analyze(tree, index, inst.1, &inst.2, gov)?.0, *inst));
                 }
                 keyed.sort_by(|a, b| a.0.cmp(&b.0));
                 // For each run of equal keys, enumerate combinations of
                 // target children; accumulate class-level option lists.
                 let class_children: Vec<NodeId> =
                     n.children()[start as usize..end as usize].to_vec();
-                let class_options = assign_and_enumerate(
-                    tree,
-                    index,
-                    &keyed,
-                    &class_children,
-                    slots,
-                    gov,
-                    builder,
-                )?;
+                let class_options =
+                    assign_and_enumerate(tree, index, &keyed, &class_children, slots, gov)?;
                 per_class_options.push(class_options);
             }
             // Cartesian product across classes.
@@ -548,7 +479,6 @@ fn assign_and_enumerate(
     class_children: &[NodeId],
     slots: &mut usize,
     gov: &Budget,
-    builder: &mut GraphBuilder,
 ) -> Result<Vec<Vec<V>>, DviclError> {
     // Runs of equal keys.
     let mut runs: Vec<(usize, usize)> = Vec::new();
@@ -577,7 +507,6 @@ fn assign_and_enumerate(
         &mut results,
         slots,
         gov,
-        builder,
     )?;
     Ok(results)
 }
@@ -595,7 +524,6 @@ fn assign_rec(
     results: &mut Vec<Vec<V>>,
     slots: &mut usize,
     gov: &Budget,
-    builder: &mut GraphBuilder,
 ) -> Result<(), DviclError> {
     dvicl_obs::bump(dvicl_obs::Counter::SsmStates);
     gov.spend(1)?;
@@ -612,7 +540,7 @@ fn assign_rec(
             let home = inst.1;
             let target = class_children[slot];
             let mut local_slots = *slots;
-            let home_images = enum_at(tree, index, home, &inst.2, &mut local_slots, gov, builder)?;
+            let home_images = enum_at(tree, index, home, &inst.2, &mut local_slots, gov)?;
             // Transfer each image to the target child.
             let images: Vec<Vec<V>> = if home == target {
                 home_images
@@ -678,10 +606,9 @@ fn assign_rec(
     let mut options = Vec::new();
     combos(used, 0, count, &mut Vec::new(), &mut options);
     for picked in options {
-        for (k, &s) in picked.iter().enumerate() {
+        for &s in &picked {
             used[s] = true;
             chosen.push((run_idx, s));
-            let _ = k;
         }
         assign_rec(
             tree,
@@ -695,7 +622,6 @@ fn assign_rec(
             results,
             slots,
             gov,
-            builder,
         )?;
         for &s in &picked {
             used[s] = false;

@@ -116,10 +116,11 @@ mod tests {
     use crate::arena::SubArena;
     use dvicl_govern::Budget;
     use dvicl_graph::{named, Coloring, Graph};
-    use dvicl_refine::try_refine;
+    use dvicl_refine::Refiner;
 
     fn refined(g: &Graph) -> Coloring {
-        try_refine(g, &Coloring::unit(g.n()), &Budget::unlimited())
+        Refiner::new()
+            .try_refine(g, &Coloring::unit(g.n()), &Budget::unlimited())
             .expect("unlimited refinement cannot fail")
             .coloring
     }

@@ -190,14 +190,6 @@ impl<'a> NodeRef<'a> {
         (p != NO_PARENT).then_some(p as usize)
     }
 
-    /// The canonical label of global vertex `v` in this node, if present.
-    pub fn label_of(self, v: V) -> Option<V> {
-        self.verts()
-            .binary_search(&v)
-            .ok()
-            .map(|i| self.labels()[i])
-    }
-
     /// True iff `v ∈ V(g)`.
     pub fn contains(self, v: V) -> bool {
         self.verts().binary_search(&v).is_ok()
@@ -289,38 +281,6 @@ impl AutoTree {
         s
     }
 
-    /// The deepest node whose subgraph contains all of `set`
-    /// (SSM-AT line 1). `set` must be non-empty and within range.
-    // dvicl-lint: allow(budget-reachability) -- one root-to-leaf walk, O(tree size), over a tree the metered try_build_autotree produced
-    pub fn deepest_containing(&self, set: &[V]) -> NodeId {
-        assert!(!set.is_empty(), "empty vertex set");
-        let mut cur = self.root;
-        'descend: loop {
-            for &c in self.node(cur).children() {
-                if set.iter().all(|&v| self.node(c).contains(v)) {
-                    cur = c;
-                    continue 'descend;
-                }
-            }
-            return cur;
-        }
-    }
-
-    /// Leaf node containing vertex `v`.
-    // dvicl-lint: allow(budget-reachability) -- one root-to-leaf walk, O(tree size), over a tree the metered try_build_autotree produced
-    pub fn leaf_of(&self, v: V) -> NodeId {
-        let mut cur = self.root;
-        'descend: loop {
-            for &c in self.node(cur).children() {
-                if self.node(c).contains(v) {
-                    cur = c;
-                    continue 'descend;
-                }
-            }
-            return cur;
-        }
-    }
-
     /// The sibling class (parent id, class range) containing child `id`;
     /// `None` for the root.
     pub fn class_of(&self, id: NodeId) -> Option<(NodeId, usize, usize)> {
@@ -383,6 +343,7 @@ impl AutoTree {
         out
     }
 
+    // dvicl-lint: allow(budget-reachability) -- one line per node of a finished tree the metered try_build_autotree produced, for the figure examples
     fn render_rec(&self, id: NodeId, indent: usize, out: &mut String) {
         use fmt::Write;
         let n = self.node(id);

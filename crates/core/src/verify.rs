@@ -276,8 +276,8 @@ mod tests {
             named::rary_tree(3, 3),
             named::complete_bipartite(3, 5),
             named::frucht(),
-            Graph::empty(0),
-            Graph::empty(5),
+            Graph::from_edges(0, &[]),
+            Graph::from_edges(5, &[]),
         ] {
             let t = tree_of(&g);
             verify_tree(&g, &t).expect("healthy build must verify");
@@ -381,10 +381,11 @@ mod tests {
         let g = named::frucht();
         let gamma = Perm::from_cycles(12, &[&[0, 5], &[3, 8, 11]]).unwrap();
         let h = g.permuted(&gamma);
-        let found = try_find_isomorphism_outcome(&g, &h, &Budget::unlimited())
-            .unwrap()
-            .mapping
-            .unwrap();
+        let found =
+            try_find_isomorphism_outcome(&g, &h, &DviclOptions::default(), &Budget::unlimited())
+                .unwrap()
+                .mapping
+                .unwrap();
         verify_iso(&g, &h, &found).expect("a real mapping verifies");
         // The identity is NOT an isomorphism g → h here (Frucht is rigid
         // and γ ≠ id), so it must be rejected.

@@ -114,7 +114,7 @@ fn cliques(rng: &mut Rng) -> Graph {
 /// A disjoint union of random pieces, some of them repeated; pieces of
 /// 32 or more vertices become pool jobs in a 4-thread build.
 fn disconnected(rng: &mut Rng) -> Graph {
-    let mut g = Graph::empty(0);
+    let mut g = Graph::from_edges(0, &[]);
     for _ in 0..2 + rng.below(3) {
         let piece = match rng.below(3) {
             0 => {
@@ -184,7 +184,9 @@ fn check_nodes(g: &Graph, t: &AutoTree) -> Result<(), String> {
                 .iter()
                 .zip(child.labels())
                 .map(|(&v, &l)| {
-                    let parent = node.label_of(v).map_or(i64::MIN, i64::from);
+                    let parent = verts
+                        .binary_search(&v)
+                        .map_or(i64::MIN, |i| i64::from(node.labels()[i]));
                     (t.pi.color_of(v), parent - i64::from(l))
                 })
                 .collect();

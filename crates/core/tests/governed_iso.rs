@@ -3,14 +3,16 @@
 //! wrong or missing answer.
 
 use dvicl_core::iso::try_find_isomorphism_outcome;
-use dvicl_core::{Budget, DviclError};
+use dvicl_core::{Budget, DviclError, DviclOptions};
 use dvicl_graph::{named, Graph, Perm};
 
 /// The isomorphism decision under `budget`.
 fn are_isomorphic(g1: &Graph, g2: &Graph, budget: &Budget) -> Result<bool, DviclError> {
-    Ok(try_find_isomorphism_outcome(g1, g2, budget)?
-        .mapping
-        .is_some())
+    Ok(
+        try_find_isomorphism_outcome(g1, g2, &DviclOptions::default(), budget)?
+            .mapping
+            .is_some(),
+    )
 }
 
 #[expect(

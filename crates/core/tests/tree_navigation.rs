@@ -1,7 +1,7 @@
-//! AutoTree navigation API: leaf lookup, deepest containing node, sibling
-//! classes and sibling isomorphisms.
+//! AutoTree navigation API: sibling classes, sibling isomorphisms,
+//! rendering and the storage order of nodes.
 
-use dvicl_core::{try_build_autotree, AutoTree, Budget, DviclOptions, NodeKind};
+use dvicl_core::{try_build_autotree, AutoTree, Budget, DviclOptions};
 use dvicl_graph::{named, Coloring, Graph};
 
 #[expect(
@@ -15,37 +15,11 @@ fn tree_of(g: &Graph) -> AutoTree {
 }
 
 #[test]
-fn leaf_of_every_vertex() {
-    let g = named::fig1_example();
-    let t = tree_of(&g);
-    for v in 0..8 {
-        let leaf = t.leaf_of(v);
-        assert!(t.node(leaf).contains(v));
-        assert!(t.node(leaf).children().is_empty());
-    }
-    // 4, 5, 6 are in distinct singleton leaves; 0..3 share the cycle leaf.
-    assert_ne!(t.leaf_of(4), t.leaf_of(5));
-    assert_eq!(t.leaf_of(0), t.leaf_of(2));
-    assert_eq!(t.node(t.leaf_of(0)).kind(), NodeKind::NonSingletonLeaf);
-}
-
-#[test]
-fn deepest_containing_grows_with_spread() {
-    let g = named::fig1_example();
-    let t = tree_of(&g);
-    // {4,5} lives in the triangle's internal node, {4,0} only at the root.
-    let tri = t.deepest_containing(&[4, 5]);
-    assert_eq!(t.node(tri).verts(), vec![4, 5, 6]);
-    assert_eq!(t.deepest_containing(&[4, 0]), t.root());
-    // A single vertex descends to its leaf.
-    assert_eq!(t.deepest_containing(&[5]), t.leaf_of(5));
-}
-
-#[test]
 fn class_of_and_sibling_isomorphism() {
     let g = named::fig1_example();
     let t = tree_of(&g);
-    let (parent, start, end) = t.class_of(t.leaf_of(4)).expect("not the root");
+    let leaf = t.nodes().find(|n| n.verts() == [4]).expect("4 is a leaf");
+    let (parent, start, end) = t.class_of(leaf.id()).expect("not the root");
     assert_eq!(end - start, 3); // the three triangle singletons
     let kids = &t.node(parent).children()[start..end];
     let iso = t.sibling_isomorphism(kids[0], kids[1]);
@@ -55,18 +29,6 @@ fn class_of_and_sibling_isomorphism() {
     assert!((4..=6).contains(&a) && (4..=6).contains(&b) && a != b);
     // The root has no class.
     assert!(t.class_of(t.root()).is_none());
-}
-
-#[test]
-fn label_of_membership() {
-    let g = named::fig3_example();
-    let t = tree_of(&g);
-    let root = t.node(t.root());
-    for v in 0..g.n() as u32 {
-        assert!(root.label_of(v).is_some());
-    }
-    let leaf = t.leaf_of(0);
-    assert!(t.node(leaf).label_of(1).is_none() || t.node(leaf).contains(1));
 }
 
 #[test]

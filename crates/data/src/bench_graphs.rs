@@ -340,7 +340,7 @@ mod tests {
         let b = cfi(&base, true);
         assert_eq!(a.n(), b.n());
         assert_eq!(a.m(), b.m());
-        assert_eq!(a.degree_sequence(), b.degree_sequence());
+        assert!((0..a.n() as V).all(|v| a.degree(v) == 3 && b.degree(v) == 3));
         // The twisted pair is the classic 1-WL-indistinguishable pair;
         // dvicl-core's tests exercise the non-isomorphism.
         assert_ne!(a, b);

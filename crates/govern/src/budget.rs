@@ -133,12 +133,6 @@ impl Budget {
         self.inner.cancel.clone()
     }
 
-    /// True when neither a deadline nor a work cap is set (the token
-    /// may still cancel it).
-    pub fn is_unlimited(&self) -> bool {
-        self.inner.deadline.is_none() && self.inner.max_work.is_none()
-    }
-
     /// Total work units spent so far across all clones.
     pub fn work_spent(&self) -> u64 {
         self.inner.work.load(Ordering::Relaxed)
@@ -213,7 +207,6 @@ mod tests {
             b.spend(1).unwrap();
         }
         b.check().unwrap();
-        assert!(b.is_unlimited());
         assert_eq!(b.work_spent(), 10_000);
         assert_eq!(
             Budget::unlimited().work_spent(),
@@ -301,8 +294,21 @@ mod tests {
         for _ in 0..1000 {
             relaxed.spend(1).unwrap();
         }
-        assert!(!relaxed.is_unlimited(), "deadline must survive");
         strict.cancel_token().cancel();
         assert_eq!(relaxed.check(), Err(DviclError::Cancelled));
+        let expiring =
+            Budget::with_cancel(Some(Duration::from_millis(1)), Some(1), CancelToken::new())
+                .without_work_limit();
+        std::thread::sleep(Duration::from_millis(5));
+        assert!(
+            matches!(
+                expiring.check(),
+                Err(DviclError::BudgetExceeded {
+                    resource: Resource::WallClock,
+                    ..
+                })
+            ),
+            "deadline must survive"
+        );
     }
 }

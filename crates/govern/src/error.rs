@@ -158,15 +158,6 @@ impl DviclError {
             DviclError::WitnessFailure { .. } => 4,
         }
     }
-
-    /// True when the error means "ran out of budget", as opposed to a
-    /// problem with the request itself.
-    pub fn is_exhaustion(&self) -> bool {
-        matches!(
-            self,
-            DviclError::BudgetExceeded { .. } | DviclError::Cancelled
-        )
-    }
 }
 
 impl fmt::Display for DviclError {
@@ -246,18 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn exhaustion_classification() {
-        assert!(DviclError::Cancelled.is_exhaustion());
-        assert!(DviclError::BudgetExceeded {
-            resource: Resource::WorkUnits,
-            spent: 1
-        }
-        .is_exhaustion());
-        assert!(!DviclError::invalid("nope").is_exhaustion());
-        assert!(!DviclError::witness("generator", "not a bijection").is_exhaustion());
-    }
-
-    #[test]
     fn witness_and_memory_display_are_informative() {
         let w = DviclError::witness("iso_mapping", "edge (0,1) unmapped");
         let msg = w.to_string();
@@ -268,7 +247,6 @@ mod tests {
             spent: 4096,
         };
         assert!(m.to_string().contains("4096"));
-        assert!(m.is_exhaustion());
         assert_eq!(m.exit_code(), 3);
         assert_eq!(Resource::Memory.to_string(), "memory");
     }

@@ -305,12 +305,6 @@ pub fn clear() {
     PLAN.set(None);
 }
 
-/// Whether a plan is currently installed on the calling thread (probe
-/// or injecting).
-pub fn is_active() -> bool {
-    ACTIVE.get()
-}
-
 /// The calling thread's per-site checkpoint hit counts since the last
 /// [`install`], in site name order, for the sites hit at least once.
 /// Empty when no plan is installed.
@@ -408,7 +402,6 @@ mod tests {
     #[test]
     fn checkpoint_is_free_without_a_plan() {
         clear();
-        assert!(!is_active());
         for _ in 0..1000 {
             checkpoint(Site::GovernSpend).unwrap();
         }
@@ -480,14 +473,14 @@ mod tests {
     #[test]
     fn a_plan_acts_only_on_the_thread_that_installed_it() {
         install(FaultPlan::parse("cancel@*:1").unwrap());
-        let (other_err, other_counts, other_active) = std::thread::spawn(|| {
+        let (other_err, other_counts) = std::thread::spawn(|| {
             let err = checkpoint(Site::CanonDfs).err();
-            (err, hit_counts(), is_active())
+            (err, hit_counts())
         })
         .join()
         .unwrap();
         assert_eq!(other_err, None, "another thread's checkpoint was injected");
-        assert!(other_counts.is_empty() && !other_active);
+        assert!(other_counts.is_empty());
         assert!(hit_counts().is_empty(), "another thread's hit was counted");
         assert_eq!(checkpoint(Site::CanonDfs), Err(DviclError::Cancelled));
 
@@ -500,7 +493,6 @@ mod tests {
         })
         .join()
         .unwrap();
-        assert!(!is_active());
         checkpoint(Site::GovernSpend).unwrap();
     }
 

@@ -32,14 +32,6 @@ impl Coloring {
         }
     }
 
-    /// The discrete coloring `[0 | 1 | ... | n-1]` in identity order.
-    pub fn discrete(n: usize) -> Self {
-        Coloring {
-            color: (0..n as V).collect(),
-            cells: (0..n as V).map(|v| vec![v]).collect(),
-        }
-    }
-
     /// Builds a coloring from ordered cells. Returns `None` unless the cells
     /// form a disjoint partition of `0..n` for `n` = total size.
     pub fn from_cells(cells: Vec<Vec<V>>) -> Option<Self> {
@@ -93,49 +85,15 @@ impl Coloring {
         &self.cells
     }
 
-    /// Number of cells `k`.
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Number of singleton cells.
-    pub fn num_singletons(&self) -> usize {
-        self.cells.iter().filter(|c| c.len() == 1).count()
-    }
-
     /// The color `π(v)` (start offset of `v`'s cell).
     #[inline]
     pub fn color_of(&self, v: V) -> V {
         self.color[v as usize]
     }
 
-    /// The size of the cell containing `v`.
-    ///
-    /// Costs a binary search over the cell start offsets; colors *are* the
-    /// start offsets, so the search runs over a strictly increasing key.
-    pub fn cell_len_of(&self, v: V) -> usize {
-        let c = self.color[v as usize];
-        // A cell's start offset is the color of any of its members, so the
-        // search key is `color_of(cells[i][0])`, strictly increasing.
-        let idx = self
-            .cells
-            .partition_point(|cell| self.color[cell[0] as usize] <= c);
-        self.cells[idx - 1].len()
-    }
-
     /// The per-vertex color array.
     pub fn colors(&self) -> &[V] {
         &self.color
-    }
-
-    /// True iff every cell is a singleton (`k = n`).
-    pub fn is_discrete(&self) -> bool {
-        self.cells.len() == self.color.len()
-    }
-
-    /// True iff there is a single cell (`k = 1`, or `n = 0`).
-    pub fn is_unit(&self) -> bool {
-        self.cells.len() <= 1
     }
 
     /// True iff `self ⪯ other`: every cell of `self` is a subset of a cell
@@ -222,15 +180,6 @@ impl Coloring {
         Coloring::from_cells(cells).expect("permuted partition stays a partition")
     }
 
-    /// For a discrete coloring, the corresponding permutation
-    /// `π̄ : v ↦ π(v)`. Returns `None` if not discrete.
-    pub fn to_perm(&self) -> Option<Perm> {
-        if !self.is_discrete() {
-            return None;
-        }
-        Perm::from_image(self.color.clone())
-    }
-
     /// Projects the coloring onto the vertex subset `verts` (the paper's
     /// `π_g`), relabeling to local indices `0..verts.len()` in the order
     /// given. Cells keep their relative order; empty intersections vanish.
@@ -293,11 +242,10 @@ mod tests {
     #[test]
     fn unit_and_discrete() {
         let u = Coloring::unit(4);
-        assert!(u.is_unit());
-        assert!(!u.is_discrete());
+        assert_eq!(u.cells().len(), 1);
         assert_eq!(u.color_of(3), 0);
-        let d = Coloring::discrete(4);
-        assert!(d.is_discrete());
+        let d = Coloring::from_labels(&[0, 1, 2, 3]);
+        assert_eq!(d.cells().len(), 4);
         assert_eq!(d.color_of(3), 3);
         assert!(d.is_finer_or_equal(&u));
         assert!(!u.is_finer_or_equal(&d));
@@ -341,24 +289,6 @@ mod tests {
         let g3 = Perm::from_cycles(8, &[&[1, 3], &[5, 7]]).unwrap();
         let out = pi3.apply_perm(&g3);
         assert_eq!(out.to_string(), "[0,2,3|1,4,6,7|5]");
-    }
-
-    #[test]
-    fn discrete_coloring_to_perm_matches_paper() {
-        // [0|3|2|1|4|6|5|7] corresponds to (1,3)(5,6).
-        let pi = Coloring::from_cells(vec![
-            vec![0],
-            vec![3],
-            vec![2],
-            vec![1],
-            vec![4],
-            vec![6],
-            vec![5],
-            vec![7],
-        ])
-        .unwrap();
-        let p = pi.to_perm().unwrap();
-        assert_eq!(p, Perm::from_cycles(8, &[&[1, 3], &[5, 6]]).unwrap());
     }
 
     #[test]

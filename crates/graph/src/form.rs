@@ -1,6 +1,6 @@
 //! Canonical forms: the totally ordered certificates `(G, π)^γ`.
 
-use crate::{Coloring, Graph, V};
+use crate::{Graph, V};
 
 /// The certificate of a relabeled colored graph `(G, π)^γ`.
 ///
@@ -59,26 +59,6 @@ impl CanonForm {
         }
     }
 
-    /// Certificate of a whole colored graph under a discrete coloring given
-    /// as a permutation-like label array (`labels[v]` = canonical position).
-    pub fn of_colored_graph(g: &Graph, pi: &Coloring, labels: &[V]) -> Self {
-        CanonForm::new(g, pi.colors(), labels)
-    }
-
-    /// The single-vertex certificate used for singleton AutoTree leaves:
-    /// the paper defines `C(g, πg) = (π(v), π(v))` for `g = {v}`.
-    pub fn singleton(color: V) -> Self {
-        CanonForm {
-            colors: vec![(color, 1)],
-            edges: Vec::new(),
-        }
-    }
-
-    /// Total number of vertices described by the form.
-    pub fn n(&self) -> usize {
-        self.colors.iter().map(|&(_, c)| c as usize).sum()
-    }
-
     /// Number of edges in the form.
     pub fn m(&self) -> usize {
         self.edges.len()
@@ -118,11 +98,6 @@ impl FormRef<'_> {
         }
     }
 
-    /// Total number of vertices described by the form.
-    pub fn n(&self) -> usize {
-        self.colors.iter().map(|&(_, c)| c as usize).sum()
-    }
-
     /// Number of edges in the form.
     pub fn m(&self) -> usize {
         self.edges.len()
@@ -150,9 +125,8 @@ mod tests {
     #[test]
     fn isomorphic_labelings_give_equal_forms() {
         let g = named::cycle(5);
-        let pi = Coloring::unit(5);
         let id: Vec<V> = (0..5).collect();
-        let f1 = CanonForm::of_colored_graph(&g, &pi, &id);
+        let f1 = CanonForm::new(&g, &[0; 5], &id);
         // Relabel the cycle by rotation: the rotated graph with the rotated
         // labeling describes the same abstract colored graph.
         let rot = Perm::from_cycles(5, &[&[0, 1, 2, 3, 4]]).unwrap();
@@ -160,22 +134,21 @@ mod tests {
         // labels2[v] = position of v in the canonical order chosen for g2;
         // choosing labels2 = rot⁻¹ maps g2 back onto g's edge list.
         let labels2: Vec<V> = (0..5).map(|v| rot.inverse().apply(v)).collect();
-        let f2 = CanonForm::of_colored_graph(&g2, &pi, &labels2);
+        let f2 = CanonForm::new(&g2, &[0; 5], &labels2);
         assert_eq!(f1, f2);
     }
 
     #[test]
     fn different_graphs_differ() {
-        let pi = Coloring::unit(4);
         let id: Vec<V> = (0..4).collect();
-        let c4 = CanonForm::of_colored_graph(&named::cycle(4), &pi, &id);
-        let p4 = CanonForm::of_colored_graph(&named::path(4), &pi, &id);
+        let c4 = CanonForm::new(&named::cycle(4), &[0; 4], &id);
+        let p4 = CanonForm::new(&named::path(4), &[0; 4], &id);
         assert_ne!(c4, p4);
     }
 
     #[test]
     fn color_runs_participate_in_order() {
-        let g = Graph::empty(2);
+        let g = Graph::from_edges(2, &[]);
         let f1 = CanonForm::new(&g, &[0, 0], &[0, 1]);
         let f2 = CanonForm::new(&g, &[0, 1], &[0, 1]);
         assert_ne!(f1, f2);
@@ -184,18 +157,10 @@ mod tests {
     }
 
     #[test]
-    fn singleton_form() {
-        let f = CanonForm::singleton(7);
-        assert_eq!(f.n(), 1);
-        assert_eq!(f.m(), 0);
-        assert_eq!(f.colors, vec![(7, 1)]);
-    }
-
-    #[test]
     fn sparse_labels_allowed() {
         let g = named::path(3);
         let f = CanonForm::new(&g, &[0, 0, 0], &[10, 50, 90]);
         assert_eq!(f.edges, vec![(10, 50), (50, 90)]);
-        assert_eq!(f.n(), 3);
+        assert_eq!(f.colors, vec![(0, 3)]);
     }
 }

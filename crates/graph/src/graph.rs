@@ -1,7 +1,6 @@
 //! Immutable undirected simple graphs in CSR form, plus a mutable builder.
 
 use crate::{Perm, V};
-use rustc_hash::FxHashSet;
 use std::fmt;
 
 /// An immutable undirected simple graph stored in CSR (compressed sparse
@@ -75,14 +74,6 @@ impl Graph {
     #[inline]
     pub fn csr(&self) -> (&[usize], &[V]) {
         (&self.offsets, &self.adj)
-    }
-
-    /// The empty graph on `n` vertices.
-    pub fn empty(n: usize) -> Self {
-        Graph {
-            offsets: vec![0; n + 1],
-            adj: Vec::new(),
-        }
     }
 
     /// Number of vertices `n = |V|`.
@@ -189,75 +180,12 @@ impl Graph {
         b.build_reusing()
     }
 
-    /// Connected components; each component's vertex list is ascending, and
-    /// components are ordered by their minimum vertex.
-    ///
-    /// Diagnostic API (`is_connected`, tests) — the build hot path carves
-    /// components flat via `core::SubArena` instead.
-    // dvicl-lint: allow(nested-vec-adjacency) -- component vertex lists for cold callers, not per-vertex adjacency
-    pub fn components(&self) -> Vec<Vec<V>> {
-        let n = self.n();
-        let mut comp = vec![usize::MAX; n];
-        // dvicl-lint: allow(nested-vec-adjacency) -- same cold-path result container as the return type
-        let mut out: Vec<Vec<V>> = Vec::new();
-        let mut stack = Vec::new();
-        for s in 0..n {
-            if comp[s] != usize::MAX {
-                continue;
-            }
-            let id = out.len();
-            let mut verts = Vec::new();
-            comp[s] = id;
-            stack.push(s as V);
-            while let Some(v) = stack.pop() {
-                verts.push(v);
-                for &w in self.neighbors(v) {
-                    if comp[w as usize] == usize::MAX {
-                        comp[w as usize] = id;
-                        stack.push(w);
-                    }
-                }
-            }
-            verts.sort_unstable();
-            out.push(verts);
-        }
-        out
-    }
-
-    /// True iff the graph is connected (vacuously true for `n <= 1`).
-    pub fn is_connected(&self) -> bool {
-        self.n() <= 1 || self.components().len() == 1
-    }
-
-    /// The complement graph (no self-loops).
-    pub fn complement(&self) -> Graph {
-        let n = self.n();
-        let mut b = GraphBuilder::new(n);
-        for u in 0..n as V {
-            let nu: FxHashSet<V> = self.neighbors(u).iter().copied().collect();
-            for v in (u + 1)..n as V {
-                if !nu.contains(&v) {
-                    b.add_edge(u, v);
-                }
-            }
-        }
-        b.build()
-    }
-
     /// Disjoint union: `other`'s vertices are shifted by `self.n()`.
     pub fn disjoint_union(&self, other: &Graph) -> Graph {
         let shift = self.n() as V;
         let mut edges: Vec<(V, V)> = self.edges().collect();
         edges.extend(other.edges().map(|(u, v)| (u + shift, v + shift)));
         Graph::from_edges(self.n() + other.n(), &edges)
-    }
-
-    /// Degree sequence, descending. A cheap isomorphism invariant used by
-    /// tests and the dataset harness.
-    pub fn degree_sequence(&self) -> Vec<usize> {
-        let mut d: Vec<usize> = (0..self.n() as V).map(|v| self.degree(v)).collect();
-        d.sort_unstable_by(|a, b| b.cmp(a));
-        d
     }
 }
 
@@ -410,22 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn components_ordering() {
-        let g = Graph::from_edges(6, &[(0, 3), (1, 4)]);
-        let comps = g.components();
-        assert_eq!(comps, vec![vec![0, 3], vec![1, 4], vec![2], vec![5]]);
-        assert!(!g.is_connected());
-        assert!(fig1_graph().is_connected());
-    }
-
-    #[test]
-    fn complement_of_complete_is_empty() {
-        let k4 = crate::named::complete(4);
-        assert_eq!(k4.complement().m(), 0);
-        assert_eq!(Graph::empty(4).complement().m(), 6);
-    }
-
-    #[test]
     fn disjoint_union_shifts() {
         let a = crate::named::cycle(3);
         let b = crate::named::path(2);
@@ -452,7 +364,10 @@ mod tests {
         let (offsets, adj) = g.csr();
         let g2 = Graph::from_csr(offsets.to_vec(), adj.to_vec());
         assert_eq!(g, g2);
-        assert_eq!(Graph::from_csr(vec![0], Vec::new()), Graph::empty(0));
+        assert_eq!(
+            Graph::from_csr(vec![0], Vec::new()),
+            Graph::from_edges(0, &[])
+        );
     }
 
     #[test]
@@ -487,12 +402,5 @@ mod tests {
         // No stale edges leak across a reset.
         b.reset(4);
         assert_eq!(b.build_reusing().m(), 0);
-    }
-
-    #[test]
-    fn degree_sequence_is_descending_invariant() {
-        let g = fig1_graph();
-        let gamma = Perm::from_cycles(8, &[&[0, 7], &[2, 4]]).unwrap();
-        assert_eq!(g.degree_sequence(), g.permuted(&gamma).degree_sequence());
     }
 }

@@ -179,7 +179,7 @@ mod tests {
     fn known_strings() {
         // Canonical examples from McKay's formats.txt and common usage.
         assert_eq!(to_graph6(&named::complete(4)), "C~");
-        assert_eq!(to_graph6(&Graph::empty(5)), "D??");
+        assert_eq!(to_graph6(&Graph::from_edges(5, &[])), "D??");
         assert_eq!(from_graph6("C~").unwrap(), named::complete(4));
         let p4 = from_graph6("CF").unwrap(); // 0-1,1-2? decode & sanity
         assert_eq!(p4.n(), 4);
@@ -192,8 +192,8 @@ mod tests {
             named::fig1_example(),
             named::frucht(),
             named::complete_bipartite(3, 5),
-            Graph::empty(1),
-            Graph::empty(0),
+            Graph::from_edges(1, &[]),
+            Graph::from_edges(0, &[]),
             named::star(62), // n = 63: exercises the 3-byte size header
         ] {
             let enc = to_graph6(&g);
@@ -243,7 +243,7 @@ mod tests {
 
     #[test]
     fn large_header() {
-        let g = Graph::empty(100);
+        let g = Graph::from_edges(100, &[]);
         let enc = to_graph6(&g);
         assert!(enc.starts_with('~'));
         assert_eq!(from_graph6(&enc).unwrap().n(), 100);

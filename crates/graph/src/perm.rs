@@ -99,16 +99,6 @@ impl Perm {
         self.image.iter().enumerate().all(|(i, &v)| i as V == v)
     }
 
-    /// Vertices moved by the permutation (the support), ascending.
-    pub fn support(&self) -> Vec<V> {
-        self.image
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i as V != v)
-            .map(|(i, _)| i as V)
-            .collect()
-    }
-
     /// Decomposes into non-trivial disjoint cycles, each rotated to start at
     /// its minimum element, ordered by that minimum.
     pub fn cycles(&self) -> Vec<Vec<V>> {
@@ -129,21 +119,6 @@ impl Perm {
             out.push(cycle);
         }
         out
-    }
-
-    /// The order of the permutation (lcm of cycle lengths).
-    pub fn order(&self) -> u64 {
-        fn gcd(a: u64, b: u64) -> u64 {
-            if b == 0 {
-                a
-            } else {
-                gcd(b, a % b)
-            }
-        }
-        self.cycles()
-            .iter()
-            .map(|c| c.len() as u64)
-            .fold(1, |acc, l| acc / gcd(acc, l) * l)
     }
 }
 
@@ -185,7 +160,6 @@ mod tests {
         assert_eq!(id.inverse(), id);
         assert_eq!(id.then(&id), id);
         assert_eq!(id.to_string(), "()");
-        assert_eq!(id.order(), 1);
     }
 
     #[test]
@@ -197,7 +171,6 @@ mod tests {
         assert_eq!(g.apply(6), 4);
         assert_eq!(g.apply(0), 0);
         assert_eq!(g.to_string(), "(4,5,6)");
-        assert_eq!(g.order(), 3);
     }
 
     #[test]
@@ -225,11 +198,9 @@ mod tests {
     }
 
     #[test]
-    fn cycles_and_support() {
+    fn cycles_skip_fixed_points() {
         let g = Perm::from_cycles(8, &[&[0, 6], &[2, 3, 4]]).unwrap();
         assert_eq!(g.cycles(), vec![vec![0, 6], vec![2, 3, 4]]);
-        assert_eq!(g.support(), vec![0, 2, 3, 4, 6]);
-        assert_eq!(g.order(), 6);
     }
 
     #[test]

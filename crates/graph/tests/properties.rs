@@ -73,7 +73,6 @@ proptest! {
         for cell in pi.cells() {
             for &v in cell {
                 prop_assert_eq!(pi.color_of(v), offset);
-                prop_assert_eq!(pi.cell_len_of(v), cell.len());
             }
             offset += cell.len() as V;
         }
@@ -86,8 +85,6 @@ proptest! {
                 );
             }
         }
-        // Discreteness detection.
-        prop_assert_eq!(pi.is_discrete(), pi.num_cells() == n);
     }
 
     #[test]
@@ -133,23 +130,6 @@ proptest! {
                     prop_assert_eq!(sub.has_edge(i as V, j as V), g.has_edge(u, v));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn components_partition_the_graph(g in arb_graph()) {
-        let comps = g.components();
-        let total: usize = comps.iter().map(|c| c.len()).sum();
-        prop_assert_eq!(total, g.n());
-        // No edge crosses components.
-        let mut comp_of = vec![usize::MAX; g.n()];
-        for (i, c) in comps.iter().enumerate() {
-            for &v in c {
-                comp_of[v as usize] = i;
-            }
-        }
-        for (u, v) in g.edges() {
-            prop_assert_eq!(comp_of[u as usize], comp_of[v as usize]);
         }
     }
 }

@@ -51,14 +51,6 @@ impl BigUint {
         }
     }
 
-    /// The value as an `f64` (may lose precision or overflow to infinity).
-    pub fn to_f64(&self) -> f64 {
-        self.limbs
-            .iter()
-            .rev()
-            .fold(0.0_f64, |acc, &l| acc * 4294967296.0 + l as f64)
-    }
-
     /// `n!` as a big integer.
     ///
     /// ```
@@ -198,11 +190,6 @@ impl BigUint {
         let exp = dec.len() - 1;
         format!("{}.{}E{}", &dec[0..1], &dec[1..3], exp)
     }
-
-    /// Number of decimal digits.
-    pub fn digits(&self) -> usize {
-        self.to_decimal().len()
-    }
 }
 
 impl AddAssign<&BigUint> for BigUint {
@@ -335,7 +322,7 @@ mod tests {
             BigUint::factorial(25).to_decimal(),
             "15511210043330985984000000"
         );
-        assert_eq!(BigUint::factorial(100).digits(), 158);
+        assert_eq!(BigUint::factorial(100).to_decimal().len(), 158);
     }
 
     #[test]
@@ -369,11 +356,5 @@ mod tests {
             BigUint::from_u64(42).cmp(&BigUint::from_u64(42)),
             Ordering::Equal
         );
-    }
-
-    #[test]
-    fn to_f64_magnitude() {
-        let f = BigUint::factorial(30).to_f64();
-        assert!((f / 2.652528598e32 - 1.0).abs() < 1e-6);
     }
 }

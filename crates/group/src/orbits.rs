@@ -6,7 +6,7 @@
 //! the group. This yields the paper's *orbit coloring* (each cell = one
 //! orbit; Table 1's `cells` / `singleton` columns).
 
-use dvicl_graph::{Coloring, Perm, V};
+use dvicl_graph::{Perm, V};
 
 /// The orbit partition of `0..n` under a generated permutation group.
 #[derive(Clone, Debug)]
@@ -21,15 +21,6 @@ impl Orbits {
             // dvicl-lint: allow(narrowing-cast) -- orbits act on vertex sets, so n <= V::MAX
             parent: (0..n as u32).collect(),
         }
-    }
-
-    /// Orbits of the group generated by `gens` acting on `0..n`.
-    pub fn from_generators(n: usize, gens: &[Perm]) -> Self {
-        let mut o = Orbits::identity(n);
-        for g in gens {
-            o.absorb(g);
-        }
-        o
     }
 
     fn find(&mut self, v: u32) -> u32 {
@@ -73,19 +64,9 @@ impl Orbits {
         }
     }
 
-    /// The orbit representative (minimum member) of `v`.
-    pub fn rep(&mut self, v: V) -> V {
-        self.find(v)
-    }
-
     /// True iff `u` and `v` are in the same orbit.
     pub fn same(&mut self, u: V, v: V) -> bool {
         self.find(u) == self.find(v)
-    }
-
-    /// Number of vertices.
-    pub fn n(&self) -> usize {
-        self.parent.len()
     }
 
     /// Number of orbits.
@@ -117,15 +98,6 @@ impl Orbits {
         }
         by_rep.into_iter().filter(|c| !c.is_empty()).collect()
     }
-
-    /// The orbit partition as a [`Coloring`] (the paper's orbit coloring).
-    #[expect(
-        clippy::expect_used,
-        reason = "cells() emits every vertex exactly once, which is precisely what from_cells requires"
-    )]
-    pub fn to_coloring(&mut self) -> Coloring {
-        Coloring::from_cells(self.cells()).expect("orbits partition the vertex set")
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +106,7 @@ mod tests {
 
     #[test]
     fn no_generators_means_trivial_orbits() {
-        let mut o = Orbits::from_generators(5, &[]);
+        let mut o = Orbits::identity(5);
         assert_eq!(o.count(), 5);
         assert_eq!(o.count_singletons(), 5);
     }
@@ -142,7 +114,8 @@ mod tests {
     #[test]
     fn cycle_generator_fuses_its_support() {
         let g = Perm::from_cycles(6, &[&[0, 1, 2]]).unwrap();
-        let mut o = Orbits::from_generators(6, &[g]);
+        let mut o = Orbits::identity(6);
+        o.absorb(&g);
         assert_eq!(o.count(), 4);
         assert!(o.same(0, 2));
         assert!(!o.same(0, 3));
@@ -154,28 +127,19 @@ mod tests {
         // (0,1) and (1,2) generate S3 on {0,1,2}: one orbit.
         let a = Perm::from_cycles(4, &[&[0, 1]]).unwrap();
         let b = Perm::from_cycles(4, &[&[1, 2]]).unwrap();
-        let mut o = Orbits::from_generators(4, &[a, b]);
+        let mut o = Orbits::identity(4);
+        o.absorb(&a);
+        o.absorb(&b);
         assert!(o.same(0, 2));
         assert_eq!(o.count(), 2);
         assert_eq!(o.count_singletons(), 1);
     }
 
     #[test]
-    fn orbit_coloring_cells_are_sorted_by_min() {
+    fn orbit_cells_are_sorted_by_min() {
         let g = Perm::from_cycles(5, &[&[1, 4], &[2, 3]]).unwrap();
-        let mut o = Orbits::from_generators(5, &[g]);
-        let pi = o.to_coloring();
-        assert_eq!(pi.to_string(), "[0|1,4|2,3]");
-    }
-
-    #[test]
-    fn incremental_absorb_matches_batch() {
-        let a = Perm::from_cycles(6, &[&[0, 5]]).unwrap();
-        let b = Perm::from_cycles(6, &[&[5, 3]]).unwrap();
-        let mut inc = Orbits::identity(6);
-        inc.absorb(&a);
-        inc.absorb(&b);
-        let mut batch = Orbits::from_generators(6, &[a, b]);
-        assert_eq!(inc.cells(), batch.cells());
+        let mut o = Orbits::identity(5);
+        o.absorb(&g);
+        assert_eq!(o.cells(), vec![vec![0], vec![1, 4], vec![2, 3]]);
     }
 }

@@ -4,8 +4,8 @@
 //! under the vendored-shim policy), so the observability sinks and the
 //! bench `BENCH_*.json` records build their output through these two
 //! small append-only builders. They emit a *subset* of JSON — object
-//! and array literals with string / number / bool / null values — which
-//! is all the schemas in DESIGN.md §9 need.
+//! literals with string / number / bool / null values, and arrays of
+//! objects — which is all the schemas in DESIGN.md §9 need.
 
 fn esc(out: &mut String, s: &str) {
     for ch in s.chars() {
@@ -129,13 +129,12 @@ impl JsonObj {
     }
 }
 
-/// Builder for a JSON array literal; the element-wise counterpart of
-/// [`JsonObj`].
+/// Builder for a JSON array of [`JsonObj`] elements.
 ///
 /// ```
-/// use dvicl_obs::JsonArr;
-/// let s = JsonArr::new().push_u64(1).push_str("two").finish();
-/// assert_eq!(s, r#"[1,"two"]"#);
+/// use dvicl_obs::{JsonArr, JsonObj};
+/// let s = JsonArr::new().push_obj(JsonObj::new().u64("n", 1)).finish();
+/// assert_eq!(s, r#"[{"n":1}]"#);
 /// ```
 #[derive(Debug, Default)]
 pub struct JsonArr {
@@ -154,29 +153,6 @@ impl JsonArr {
             self.buf.push(',');
         }
         self.any = true;
-    }
-
-    /// Appends a string element (escaped).
-    pub fn push_str(mut self, v: &str) -> Self {
-        self.sep();
-        self.buf.push('"');
-        esc(&mut self.buf, v);
-        self.buf.push('"');
-        self
-    }
-
-    /// Appends an unsigned integer element.
-    pub fn push_u64(mut self, v: u64) -> Self {
-        self.sep();
-        self.buf.push_str(&v.to_string());
-        self
-    }
-
-    /// Appends a float element; non-finite values become `null`.
-    pub fn push_f64(mut self, v: f64) -> Self {
-        self.sep();
-        push_f64(&mut self.buf, v);
-        self
     }
 
     /// Appends a nested object element.

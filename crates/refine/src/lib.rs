@@ -83,7 +83,24 @@ impl Refiner {
             .expect("unlimited refinement cannot exceed its budget")
     }
 
-    /// Reusable-buffer [`try_refine`].
+    /// Refines `(g, pi)` to the coarsest equitable coloring finer than
+    /// `pi`, spending one work unit per splitter processed, so a
+    /// wall-clock deadline or cancellation interrupts the refinement loop
+    /// itself rather than waiting for it to finish. Loops that refine
+    /// repeatedly should reuse one `Refiner`: its buffers are recycled.
+    ///
+    /// ```
+    /// use dvicl_govern::Budget;
+    /// use dvicl_graph::{named, Coloring};
+    /// use dvicl_refine::Refiner;
+    /// // The Fig. 1(a) example refines from the unit coloring to the paper's
+    /// // [0,1,2,3,4,5,6|7]: the hub is forced into its own cell.
+    /// let g = named::fig1_example();
+    /// let r = Refiner::new().try_refine(&g, &Coloring::unit(8), &Budget::unlimited())?;
+    /// assert_eq!(r.coloring.to_string(), "[0,1,2,3,4,5,6|7]");
+    /// assert!(r.coloring.is_equitable(&g));
+    /// # Ok::<(), dvicl_govern::DviclError>(())
+    /// ```
     pub fn try_refine(
         &mut self,
         g: &Graph,
@@ -219,36 +236,15 @@ impl<'a> PartitionView<'a> {
     }
 }
 
-/// Refines `(g, pi)` to the coarsest equitable coloring finer than `pi`,
-/// spending one work unit per splitter processed, so a wall-clock
-/// deadline or cancellation interrupts the refinement loop itself rather
-/// than waiting for it to finish.
-///
-/// One-shot convenience over [`Refiner`] — loops that refine repeatedly
-/// should hold a `Refiner` instead.
-///
-/// ```
-/// use dvicl_govern::Budget;
-/// use dvicl_graph::{named, Coloring};
-/// // The Fig. 1(a) example refines from the unit coloring to the paper's
-/// // [0,1,2,3,4,5,6|7]: the hub is forced into its own cell.
-/// let g = named::fig1_example();
-/// let r = dvicl_refine::try_refine(&g, &Coloring::unit(8), &Budget::unlimited())?;
-/// assert_eq!(r.coloring.to_string(), "[0,1,2,3,4,5,6|7]");
-/// assert!(r.coloring.is_equitable(&g));
-/// # Ok::<(), dvicl_govern::DviclError>(())
-/// ```
-pub fn try_refine(g: &Graph, pi: &Coloring, budget: &Budget) -> Result<RefineResult, DviclError> {
-    Refiner::new().try_refine(g, pi, budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dvicl_graph::{named, Perm};
 
     fn refine(g: &Graph, pi: &Coloring) -> RefineResult {
-        try_refine(g, pi, &Budget::unlimited()).expect("unlimited refinement cannot fail")
+        Refiner::new()
+            .try_refine(g, pi, &Budget::unlimited())
+            .expect("unlimited refinement cannot fail")
     }
 
     #[test]
@@ -305,7 +301,7 @@ mod tests {
     fn regular_graphs_stay_unit() {
         for g in [named::petersen(), named::cycle(9), named::hypercube(3)] {
             let r = refine(&g, &Coloring::unit(g.n()));
-            assert!(r.coloring.is_unit());
+            assert_eq!(r.coloring.cells().len(), 1);
         }
     }
 
@@ -315,8 +311,9 @@ mod tests {
         // 1-WL (and no further).
         let g = named::rary_tree(2, 3);
         let r = refine(&g, &Coloring::unit(g.n()));
-        assert_eq!(r.coloring.num_cells(), 4);
-        assert_eq!(r.coloring.num_singletons(), 1);
+        let cells = r.coloring.cells();
+        assert_eq!(cells.len(), 4);
+        assert_eq!(cells.iter().filter(|c| c.len() == 1).count(), 1);
     }
 
     #[test]
@@ -401,7 +398,7 @@ mod tests {
     #[test]
     fn discrete_input_is_fixed_point() {
         let g = named::petersen();
-        let pi = Coloring::discrete(10);
+        let pi = Coloring::from_labels(&(0..10).collect::<Vec<V>>());
         let r = refine(&g, &pi);
         assert_eq!(r.coloring, pi);
     }

@@ -4,7 +4,7 @@
 
 use dvicl_govern::Budget;
 use dvicl_graph::{Coloring, Graph, Perm, V};
-use dvicl_refine::{try_refine, Refiner};
+use dvicl_refine::Refiner;
 use proptest::prelude::*;
 
 fn arb_colored_graph() -> impl Strategy<Value = (Graph, Coloring)> {
@@ -39,7 +39,7 @@ proptest! {
     /// Property (i): R(G, π) ⪯ π, and the result is equitable.
     #[test]
     fn finer_and_equitable((g, pi) in arb_colored_graph()) {
-        let r = try_refine(&g, &pi, &Budget::unlimited()).unwrap();
+        let r = Refiner::new().try_refine(&g, &pi, &Budget::unlimited()).unwrap();
         prop_assert!(r.coloring.is_finer_or_equal(&pi));
         prop_assert!(r.coloring.is_equitable(&g));
     }
@@ -49,8 +49,8 @@ proptest! {
     #[test]
     fn isomorphism_invariance((g, pi) in arb_colored_graph(), seed in any::<u64>()) {
         let gamma = shuffle(g.n(), seed);
-        let r1 = try_refine(&g, &pi, &Budget::unlimited()).unwrap();
-        let r2 = try_refine(
+        let r1 = Refiner::new().try_refine(&g, &pi, &Budget::unlimited()).unwrap();
+        let r2 = Refiner::new().try_refine(
             &g.permuted(&gamma),
             &pi.apply_perm(&gamma.inverse()),
             &Budget::unlimited(),
@@ -63,8 +63,8 @@ proptest! {
     /// Refinement is idempotent: refining an equitable coloring is a no-op.
     #[test]
     fn idempotent((g, pi) in arb_colored_graph()) {
-        let once = try_refine(&g, &pi, &Budget::unlimited()).unwrap();
-        let twice = try_refine(&g, &once.coloring, &Budget::unlimited()).unwrap();
+        let once = Refiner::new().try_refine(&g, &pi, &Budget::unlimited()).unwrap();
+        let twice = Refiner::new().try_refine(&g, &once.coloring, &Budget::unlimited()).unwrap();
         prop_assert_eq!(&twice.coloring, &once.coloring);
     }
 
@@ -83,7 +83,7 @@ proptest! {
         let child = r.partition().to_coloring();
         prop_assert!(child.is_finer_or_equal(&refined));
         prop_assert!(child.is_equitable(&g));
-        prop_assert_eq!(child.cell_len_of(v), 1);
+        prop_assert!(child.cells().contains(&vec![v]));
         r.undo();
         prop_assert_eq!(r.partition().to_coloring(), refined);
     }

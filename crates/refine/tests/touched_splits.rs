@@ -9,7 +9,7 @@
 
 use dvicl_govern::Budget;
 use dvicl_graph::{named, Coloring, Graph, V};
-use dvicl_refine::try_refine;
+use dvicl_refine::Refiner;
 use std::time::Duration;
 
 #[expect(
@@ -18,7 +18,8 @@ use std::time::Duration;
 )]
 fn refine_within_deadline(g: &Graph) -> Coloring {
     let budget = Budget::with_deadline(Duration::from_secs(5));
-    let r = try_refine(g, &Coloring::unit(g.n()), &budget)
+    let r = Refiner::new()
+        .try_refine(g, &Coloring::unit(g.n()), &budget)
         .expect("root refinement must finish well inside the deadline");
     assert!(r.coloring.is_equitable(g));
     r.coloring
@@ -29,8 +30,8 @@ fn long_path_refines_within_deadline() {
     let n = 100_000;
     let coloring = refine_within_deadline(&named::path(n));
     // Only the reflection survives: cells are the pairs {i, n-1-i}.
-    assert_eq!(coloring.num_cells(), n / 2);
-    assert_eq!(coloring.num_singletons(), 0);
+    assert_eq!(coloring.cells().len(), n / 2);
+    assert!(coloring.cells().iter().all(|c| c.len() == 2));
 }
 
 #[test]
@@ -42,6 +43,7 @@ fn broom_refines_within_deadline() {
     let center = handle as V - 1;
     edges.extend((handle..handle + leaves).map(|leaf| (center, leaf as V)));
     let coloring = refine_within_deadline(&Graph::from_edges(handle + leaves, &edges));
-    assert_eq!(coloring.num_cells(), handle + 1);
-    assert_eq!(coloring.num_singletons(), handle);
+    let cells = coloring.cells();
+    assert_eq!(cells.len(), handle + 1);
+    assert_eq!(cells.iter().filter(|c| c.len() == 1).count(), handle);
 }

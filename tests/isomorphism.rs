@@ -26,7 +26,8 @@ fn canonical_form(g: &Graph) -> CanonForm {
     reason = "test helper: a panic here fails the calling test, which is the intent"
 )]
 fn are_isomorphic_colored(g1: &Graph, pi1: &Coloring, g2: &Graph, pi2: &Coloring) -> bool {
-    try_find_isomorphism_colored_outcome(g1, pi1, g2, pi2, &Budget::unlimited())
+    let opts = DviclOptions::default();
+    try_find_isomorphism_colored_outcome(g1, pi1, g2, pi2, &opts, &Budget::unlimited())
         .expect("unlimited builds cannot fail")
         .mapping
         .is_some()

@@ -6,7 +6,7 @@ use dvicl::core::ssm::{
     try_count_images, try_enumerate_images, try_symmetric_key, SsmIndex, SsmMatches,
 };
 use dvicl::core::{sm, try_build_autotree, AutoTree, Budget, DviclOptions};
-use dvicl::graph::{Coloring, Graph, V};
+use dvicl::graph::{Coloring, Graph, Perm, V};
 use dvicl::group::{brute, BigUint};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -51,6 +51,23 @@ fn brute_images(g: &Graph, set: &[V]) -> BTreeSet<Vec<V>> {
         .collect()
 }
 
+/// A pseudo-random relabeling of `0..n` drawn from `seed`.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
+fn relabeling(n: usize, seed: u64) -> Perm {
+    let mut image: Vec<V> = (0..n as V).collect();
+    let mut state = seed | 1;
+    for i in (1..n).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        image.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    Perm::from_image(image).expect("a shuffle is a bijection")
+}
+
 fn arb_case(max_n: usize) -> impl Strategy<Value = (Graph, Vec<V>)> {
     (3..=max_n).prop_flat_map(|n| {
         (
@@ -68,6 +85,37 @@ fn arb_case(max_n: usize) -> impl Strategy<Value = (Graph, Vec<V>)> {
                 (Graph::from_edges(n, &edges), set)
             })
     })
+}
+
+/// Graphs whose AutoTrees have non-singleton leaves, often as symmetric
+/// siblings: 1-3 copies of one circulant on 4-7 vertices, joined to a
+/// hub vertex when `bits` asks for one, with a query set of 1-3 vertices.
+fn arb_circulant_case() -> impl Strategy<Value = (Graph, Vec<V>)> {
+    (
+        4usize..=7,
+        1usize..=3,
+        any::<u32>(),
+        proptest::collection::vec(any::<u32>(), 1..=3),
+    )
+        .prop_map(|(k, copies, bits, raw)| {
+            let hub = bits & 1 == 1;
+            let n = k * copies + usize::from(hub);
+            let mut edges: Vec<(V, V)> = Vec::new();
+            for c in 0..copies {
+                for i in 0..k {
+                    for jump in (1..=k / 2).filter(|j| bits >> j & 1 == 1) {
+                        edges.push(((c * k + i) as V, (c * k + (i + jump) % k) as V));
+                    }
+                }
+            }
+            if hub {
+                edges.extend((0..n - 1).map(|v| (v as V, (n - 1) as V)));
+            }
+            let mut set: Vec<V> = raw.iter().map(|&x| x % n as u32).collect();
+            set.sort_unstable();
+            set.dedup();
+            (Graph::from_edges(n, &edges), set)
+        })
 }
 
 proptest! {
@@ -105,6 +153,20 @@ proptest! {
         let truth = brute_images(&g, &s1).contains(&s2);
         let key = |s: &[V]| try_symmetric_key(&t, &i, s, &Budget::unlimited()).map_err(|e| e.to_string());
         prop_assert_eq!(key(&s1)? == key(&s2)?, truth);
+    }
+
+    /// Keys are canonical: the key of `S` in `G` equals, byte for byte,
+    /// the key of `γ(S)` in `G^γ`.
+    #[test]
+    fn key_is_invariant_under_relabeling((g, set) in arb_circulant_case(), seed in any::<u64>()) {
+        let gamma = relabeling(g.n(), seed);
+        let h = g.permuted(&gamma);
+        let image: Vec<V> = set.iter().map(|&v| gamma.apply(v)).collect();
+        let key = |g: &Graph, s: &[V]| {
+            let (t, i) = setup(g);
+            try_symmetric_key(&t, &i, s, &Budget::unlimited()).map_err(|e| e.to_string())
+        };
+        prop_assert_eq!(key(&g, &set)?, key(&h, &image)?);
     }
 }
 
