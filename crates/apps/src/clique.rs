@@ -31,10 +31,10 @@ pub fn try_max_clique(g: &Graph, budget: &Budget) -> Result<Vec<V>, DviclError> 
 /// Smallest-last (degeneracy) vertex order.
 fn degeneracy_order(g: &Graph) -> Vec<V> {
     let n = g.n();
-    let mut deg: Vec<usize> = (0..n as V).map(|v| g.degree(v)).collect();
+    let mut deg: Vec<usize> = g.vertices().map(|v| g.degree(v)).collect();
     let maxd = deg.iter().copied().max().unwrap_or(0);
     let mut buckets: Vec<Vec<V>> = vec![Vec::new(); maxd + 1];
-    for v in 0..n as V {
+    for v in g.vertices() {
         buckets[deg[v as usize]].push(v);
     }
     let mut removed = vec![false; n];

@@ -106,7 +106,7 @@ pub fn try_select_seeds(
         return Ok(Vec::new());
     }
     let k = k.min(n);
-    let mut candidates: Vec<V> = (0..n as V).collect();
+    let mut candidates: Vec<V> = g.vertices().collect();
     candidates.sort_unstable_by_key(|&v| std::cmp::Reverse(g.degree(v)));
     candidates.truncate(MAX_CANDIDATES.max(k));
     // Max-heap of (gain, vertex, round-evaluated).
@@ -117,6 +117,10 @@ pub fn try_select_seeds(
     let mut seeds: Vec<V> = Vec::new();
     let mut base_spread = 0.0;
     let mut iteration = 0u32;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a spread is at most n <= V::MAX, so its 20-bit fixed point fits in u64; dropping the fraction below 2^-20 is the rounding"
+    )]
     let to_fixed = |x: f64| (x * 1048576.0) as u64;
     while seeds.len() < k {
         #[expect(

@@ -10,7 +10,7 @@
 //! (heterogeneous) graph, 0.0 for a vertex-transitive one.
 
 use dvicl_core::{aut, AutoTree};
-use dvicl_graph::{Graph, GraphBuilder, V};
+use dvicl_graph::{as_vertex, Graph, GraphBuilder, V};
 use dvicl_obs::Phase;
 
 /// The quotient of a graph under its automorphism orbits.
@@ -32,12 +32,11 @@ pub fn quotient(g: &Graph, tree: &AutoTree) -> Quotient {
     let cells = orbits.cells();
     let mut orbit_of = vec![0 as V; n];
     let mut orbit_sizes = Vec::with_capacity(cells.len());
-    for (i, cell) in cells.iter().enumerate() {
+    for (i, cell) in (0..).zip(&cells) {
         for &v in cell {
-            orbit_of[v as usize] = i as V;
+            orbit_of[v as usize] = i;
         }
-        // dvicl-lint: allow(narrowing-cast) -- a cell holds at most n <= V::MAX vertices
-        orbit_sizes.push(cell.len() as u32);
+        orbit_sizes.push(as_vertex(cell.len()));
     }
     let mut b = GraphBuilder::new(cells.len());
     for (u, v) in g.edges() {
@@ -87,7 +86,7 @@ mod tests {
             let t = tree_of(&g);
             let q = quotient(&g, &t);
             assert_eq!(q.graph.n(), 1);
-            assert_eq!(q.orbit_sizes, vec![g.n() as u32]);
+            assert_eq!(q.orbit_sizes, vec![as_vertex(g.n())]);
             assert_eq!(structure_entropy(&g, &t), 0.0);
         }
     }

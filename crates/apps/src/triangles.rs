@@ -35,15 +35,15 @@ pub fn try_for_each_triangle(
     // Rank by (degree, id): orienting edges toward higher rank makes every
     // vertex's out-neighborhood small (O(sqrt(m)) amortized).
     let mut rank: Vec<u32> = vec![0; n];
-    let mut by_deg: Vec<V> = (0..n as V).collect();
+    let mut by_deg: Vec<V> = g.vertices().collect();
     by_deg.sort_unstable_by_key(|&v| (g.degree(v), v));
-    for (r, &v) in by_deg.iter().enumerate() {
-        // dvicl-lint: allow(narrowing-cast) -- r < n and n fits in V = u32 by Graph's construction invariant
-        rank[v as usize] = r as u32;
+    for (r, &v) in (0..).zip(&by_deg) {
+        rank[v as usize] = r;
     }
     let higher = |u: V, v: V| rank[v as usize] > rank[u as usize];
     // out[u] = neighbors with higher rank, sorted by vertex id.
-    let out: Vec<Vec<V>> = (0..n as V)
+    let out: Vec<Vec<V>> = g
+        .vertices()
         .map(|u| {
             g.neighbors(u)
                 .iter()
@@ -52,7 +52,7 @@ pub fn try_for_each_triangle(
                 .collect()
         })
         .collect();
-    for u in 0..n as V {
+    for u in g.vertices() {
         let ou = &out[u as usize];
         for &v in ou {
             budget.spend(1)?;

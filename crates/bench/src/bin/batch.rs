@@ -23,7 +23,7 @@ use dvicl_bench::suite::{self, print_header, print_row, Recorder};
 use dvicl_canon::Config;
 use dvicl_core::iso::try_find_isomorphism_outcome;
 use dvicl_core::{Budget, DviclOptions};
-use dvicl_graph::{named, Graph, Perm, V};
+use dvicl_graph::{as_vertex, named, Graph, Perm, V};
 use dvicl_index::FingerprintIndex;
 use dvicl_obs::Counter;
 
@@ -38,7 +38,7 @@ static ALLOC: dvicl_bench::alloc::Meter = dvicl_bench::alloc::Meter;
 )]
 fn shuffled(g: &Graph, salt: u64) -> Graph {
     let n = g.n();
-    let mut image: Vec<V> = (0..n as V).collect();
+    let mut image: Vec<V> = g.vertices().collect();
     let mut state = salt.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
     for i in (1..n).rev() {
         state = state
@@ -54,17 +54,13 @@ fn shuffled(g: &Graph, salt: u64) -> Graph {
 /// `b` on the other. Distinct `(a, b)` with `a <= b` give pairwise
 /// non-isomorphic trees on `n` vertices.
 fn double_broom(n: usize, a: usize, b: usize) -> Graph {
-    let p = n - a - b; // spine length, >= 2
+    // Spine 0..p (p >= 2), then the `a` leaves of 0, then the `b`
+    // leaves of p - 1.
+    let (p, b_start, end) = (as_vertex(n - a - b), as_vertex(n - b), as_vertex(n));
     let mut edges: Vec<(V, V)> = Vec::with_capacity(n - 1);
-    for i in 0..p - 1 {
-        edges.push((i as V, (i + 1) as V));
-    }
-    for l in 0..a {
-        edges.push((0, (p + l) as V));
-    }
-    for l in 0..b {
-        edges.push(((p - 1) as V, (p + a + l) as V));
-    }
+    edges.extend((1..p).map(|i| (i - 1, i)));
+    edges.extend((p..b_start).map(|l| (0, l)));
+    edges.extend((b_start..end).map(|l| (p - 1, l)));
     Graph::from_edges(n, &edges)
 }
 

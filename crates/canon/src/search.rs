@@ -3,7 +3,7 @@
 use crate::tree::{NodeRecord, SearchTree};
 use dvicl_govern::fault::Site;
 use dvicl_govern::{Budget, DviclError};
-use dvicl_graph::{CanonForm, Coloring, Graph, Perm, V};
+use dvicl_graph::{as_vertex, CanonForm, Coloring, Graph, Perm, V};
 use dvicl_group::Orbits;
 use dvicl_obs::{self as obs, Counter, Phase};
 use dvicl_refine::{PartitionView, Refiner};
@@ -199,7 +199,7 @@ fn edge_hash(a: V, b: V) -> u64 {
 #[cfg(test)]
 fn quotient_hash(g: &Graph, pi: &Coloring) -> u64 {
     let mut acc = QUOTIENT_BASE;
-    for u in 0..g.n() as V {
+    for u in g.vertices() {
         for &w in g.neighbors(u) {
             if w > u {
                 // Commutative combination: edge enumeration order is not
@@ -318,7 +318,7 @@ fn leaf_edges(g: &Graph, label: &[V], at: &[V]) -> Vec<(V, V)> {
 fn color_runs(pi: &Coloring) -> Vec<(V, V)> {
     pi.cells()
         .iter()
-        .map(|cell| (pi.color_of(cell[0]), cell.len() as V))
+        .map(|cell| (pi.color_of(cell[0]), as_vertex(cell.len())))
         .collect()
 }
 
@@ -626,8 +626,7 @@ impl<'a> Search<'a> {
                     debug_assert!(false, "a generator fixing the prefix left the target cell");
                     continue;
                 };
-                // Lossless cast: image indexes the target cell, which has at most n <= V::MAX members
-                orbits.union(r, image as V);
+                orbits.union(r, as_vertex(image));
             }
         }
         *gens_seen = self.generators.len();
@@ -746,6 +745,10 @@ impl<'a> Search<'a> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
 mod tests {
     use super::*;
     use dvicl_graph::named;

@@ -3,6 +3,11 @@
 //! find the full automorphism group, including on the refinement-defeating
 //! CFI instances.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
+
 use dvicl_canon::{try_canonical_form, Budget, CanonResult, Config, TargetCell};
 use dvicl_data::bench_graphs;
 use dvicl_graph::{Coloring, Graph, Perm, V};

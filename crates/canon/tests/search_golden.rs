@@ -15,6 +15,11 @@
 //! `mz-aug-50` under every selector (run it in release: `cargo test
 //! --release -p dvicl-canon --test search_golden -- --ignored`).
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
+
 use dvicl_canon::{try_canonical_form, Budget, CanonResult, Config, TargetCell};
 use dvicl_data::bench_graphs;
 use dvicl_graph::{named, Coloring, Graph, V};

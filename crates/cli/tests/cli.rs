@@ -86,9 +86,9 @@ fn regular_plane_queries_finish_under_a_deadline() {
     // `iso` must label with the CLI's traces-like preset and `ssm` must
     // answer from the leaf labeling the build stored; then each takes
     // milliseconds.
-    use dvicl_graph::{graph6, Perm, V};
+    use dvicl_graph::{graph6, Perm};
     let g = dvicl_data::bench_graphs::ag2(11);
-    let n = g.n() as V;
+    let n = g.vertices().end;
     // v -> 7v + 3 (mod 253) is a bijection: gcd(7, 253) = 1.
     let gamma = Perm::from_image((0..n).map(|v| (7 * v + 3) % n).collect()).unwrap();
     let a = format!("g6:{}", graph6::to_graph6(&g));

@@ -35,7 +35,7 @@
 //! only dereferenced through the arena that carved it.
 
 use crate::sub::{Division, Sub, SubCell};
-use dvicl_graph::{Coloring, Graph, V};
+use dvicl_graph::{as_vertex, vertex_range, Coloring, Graph, V};
 use dvicl_obs::{self as obs, Counter};
 
 /// The three pool tops at the time of [`SubArena::mark`]. Marks compare
@@ -87,10 +87,19 @@ impl SubArena {
     }
 
     /// The whole graph as a subgraph (the AutoTree root): one wholesale
-    /// copy of `g`'s CSR arrays into the pools.
+    /// copy of `g`'s CSR arrays into the pools. Panics if `g` has 2^31
+    /// edges or more, which the pools' `u32` offsets cannot address.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "every CSR offset is at most 2m <= u32::MAX, asserted first"
+    )]
     pub fn whole(&mut self, g: &Graph) -> Sub {
         let n = g.n();
         let (g_offs, g_adj) = g.csr();
+        assert!(
+            g_adj.len() <= u32::MAX as usize,
+            "2m exceeds the arena's u32 offsets"
+        );
         let sub = Sub {
             verts_start: self.verts.len(),
             offs_start: self.offs.len(),
@@ -98,9 +107,7 @@ impl SubArena {
             n,
             m: g.m(),
         };
-        // Lossless cast: v < n <= V::MAX.
-        self.verts.extend((0..n).map(|v| v as V));
-        // dvicl-lint: allow(narrowing-cast) -- a segment's adjacency holds 2m < u32::MAX entries (m <= n^2, n <= V::MAX)
+        self.verts.extend(g.vertices());
         self.offs.extend(g_offs.iter().map(|&o| o as u32));
         self.adj.extend_from_slice(g_adj);
         self.note_high_water();
@@ -264,9 +271,8 @@ impl SubArena {
         if self.remap.len() < parent.n {
             self.remap.resize(parent.n, u32::MAX);
         }
-        for (new, &old) in locals.iter().enumerate() {
-            // dvicl-lint: allow(narrowing-cast) -- new < locals.len() <= n <= V::MAX
-            self.remap[old as usize] = new as u32;
+        for (new, &old) in (0..).zip(locals) {
+            self.remap[old as usize] = new;
         }
         let verts_start = self.verts.len();
         let offs_start = self.offs.len();
@@ -306,12 +312,9 @@ impl SubArena {
 
     /// The cells of `π_g`, ordered by global color.
     pub fn cells(&self, s: &Sub, pi: &Coloring) -> Vec<SubCell> {
-        let mut pairs: Vec<(V, u32)> = self
-            .verts(s)
-            .iter()
-            .enumerate()
-            // dvicl-lint: allow(narrowing-cast) -- i indexes the subgraph's vertices, at most n <= V::MAX
-            .map(|(i, &v)| (pi.color_of(v), i as u32))
+        let mut pairs: Vec<(V, u32)> = (0..)
+            .zip(self.verts(s))
+            .map(|(i, &v)| (pi.color_of(v), i))
             .collect();
         pairs.sort_unstable();
         let mut out: Vec<SubCell> = Vec::new();
@@ -350,8 +353,7 @@ impl SubArena {
         stack.clear();
         sizes.clear();
         let mut ncomps = 0u32;
-        // dvicl-lint: allow(narrowing-cast) -- n = s.n() <= V::MAX by Graph's construction invariant
-        for start in 0..n as u32 {
+        for start in vertex_range(n) {
             if banned(start) || comp[start as usize] != u32::MAX {
                 continue;
             }
@@ -376,8 +378,7 @@ impl SubArena {
         }
         // Sizes → member-array write cursors (prefix sums over the new
         // parts only), then scatter the vertices in ascending local order.
-        // dvicl-lint: allow(narrowing-cast) -- members holds at most n <= V::MAX local indices
-        let base = div.members.len() as u32;
+        let base = as_vertex(div.members.len());
         let mut acc = base;
         for sz in sizes.iter_mut() {
             let start = acc;
@@ -386,8 +387,7 @@ impl SubArena {
             *sz = start;
         }
         div.members.resize(acc as usize, 0);
-        // dvicl-lint: allow(narrowing-cast) -- n = s.n() <= V::MAX by Graph's construction invariant
-        for v in 0..n as u32 {
+        for v in vertex_range(n) {
             let id = comp[v as usize];
             if id != u32::MAX {
                 let cursor = &mut sizes[id as usize];
@@ -457,10 +457,9 @@ impl SubArena {
         let ncells = cells.len();
         // cell_of[local] = index into `cells`.
         let mut cell_of = vec![0u32; s.n()];
-        for (ci, cell) in cells.iter().enumerate() {
+        for (ci, cell) in (0..).zip(&cells) {
             for &i in &cell.members {
-                // dvicl-lint: allow(narrowing-cast) -- ci < ncells <= n <= V::MAX
-                cell_of[i as usize] = ci as u32;
+                cell_of[i as usize] = ci;
             }
         }
         // For one probe vertex per cell, count neighbors per cell.
@@ -476,13 +475,8 @@ impl SubArena {
                 counts[cell_of[w as usize] as usize] += 1;
             }
             for cj in 0..ncells {
-                let need = if cj == ci {
-                    // dvicl-lint: allow(narrowing-cast) -- a cell holds at most n <= V::MAX vertices
-                    cells[cj].members.len() as u32 - 1
-                } else {
-                    // dvicl-lint: allow(narrowing-cast) -- a cell holds at most n <= V::MAX vertices
-                    cells[cj].members.len() as u32
-                };
+                // A clique cell's probe sees every member but itself.
+                let need = as_vertex(cells[cj].members.len()) - u32::from(cj == ci);
                 if need > 0 && counts[cj] == need {
                     full[ci * ncells + cj] = true;
                     any_removal = true;
@@ -518,8 +512,7 @@ impl SubArena {
         if nparts > 1 {
             obs::bump(Counter::DivideSApplied);
             let mut deleted: u64 = 0;
-            // dvicl-lint: allow(narrowing-cast) -- n = s.n() <= V::MAX by Graph's construction invariant
-            for i in 0..s.n() as u32 {
+            for i in vertex_range(s.n()) {
                 for &j in self.neighbors(s, i) {
                     if i < j {
                         let (ci, cj) = (cell_of[i as usize] as usize, cell_of[j as usize] as usize);
@@ -646,7 +639,7 @@ mod tests {
         let mut a = SubArena::new();
         let root = a.whole(&g);
         let child = a.induced_child(&root, &[0, 2, 3, 5, 6, 7]);
-        for i in 0..child.n() as u32 {
+        for i in vertex_range(child.n()) {
             let row = a.neighbors(&child, i);
             assert!(row.windows(2).all(|w| w[0] < w[1]), "row {i} not sorted");
         }

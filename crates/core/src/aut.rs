@@ -12,7 +12,7 @@
 //! `∏_classes |Aut(child)|^k · k!` used by [`group_order`].
 
 use crate::tree::{AutoTree, NodeId, NodeKind};
-use dvicl_graph::{Perm, V};
+use dvicl_graph::{as_vertex, vertex_range, Perm, V};
 use dvicl_group::{BigUint, Orbits, StabChain};
 
 /// A generating set of `Aut(G, π)` as dense permutations of the full
@@ -23,7 +23,7 @@ pub fn generators(tree: &AutoTree) -> Vec<Perm> {
     for node in tree.nodes() {
         // (a) automorphisms of non-singleton leaves, extended by identity.
         for sparse in node.leaf_generators() {
-            let mut image: Vec<V> = (0..n as V).collect();
+            let mut image: Vec<V> = vertex_range(n).collect();
             for &(v, w) in sparse {
                 image[v as usize] = w;
             }
@@ -39,7 +39,7 @@ pub fn generators(tree: &AutoTree) -> Vec<Perm> {
                 let a = node.children()[k];
                 let b = node.children()[k + 1];
                 let matched = tree.sibling_isomorphism(a, b);
-                let mut image: Vec<V> = (0..n as V).collect();
+                let mut image: Vec<V> = vertex_range(n).collect();
                 for (va, vb) in matched {
                     image[va as usize] = vb;
                     image[vb as usize] = va;
@@ -115,13 +115,14 @@ fn leaf_order(tree: &AutoTree, id: NodeId) -> BigUint {
     let nl = node.n();
     #[expect(
         clippy::expect_used,
-        reason = "leaf generators only move the leaf's own vertices, and the index is < node.n() <= V::MAX"
+        reason = "leaf generators only move the leaf's own vertices"
     )]
     let local_of = |v: V| -> u32 {
-        node.verts()
-            .binary_search(&v)
-            // dvicl-lint: allow(narrowing-cast) -- leaf generators only move the leaf's own vertices, and the index is < node.n() <= V::MAX
-            .expect("leaf generator stays inside the leaf") as u32
+        as_vertex(
+            node.verts()
+                .binary_search(&v)
+                .expect("leaf generator stays inside the leaf"),
+        )
     };
     #[expect(
         clippy::expect_used,
@@ -130,7 +131,7 @@ fn leaf_order(tree: &AutoTree, id: NodeId) -> BigUint {
     let gens: Vec<Perm> = node
         .leaf_generators()
         .map(|sparse| {
-            let mut image: Vec<V> = (0..nl as V).collect();
+            let mut image: Vec<V> = vertex_range(nl).collect();
             for &(v, w) in sparse {
                 image[local_of(v) as usize] = local_of(w);
             }
@@ -304,7 +305,7 @@ pub fn automorphism_witness(tree: &AutoTree, u: V, v: V) -> Option<Perm> {
         return None;
     }
     // Swap a↔b by label matching, identity elsewhere.
-    let mut image: Vec<V> = (0..n as V).collect();
+    let mut image: Vec<V> = vertex_range(n).collect();
     for (x, y) in tree.sibling_isomorphism(a, b) {
         image[x as usize] = y;
         image[y as usize] = x;
@@ -332,7 +333,7 @@ fn leaf_witness(tree: &AutoTree, leaf: NodeId, u: V, v: V) -> Option<Perm> {
     let gens: Vec<Perm> = node
         .leaf_generators()
         .map(|sparse| {
-            let mut image: Vec<V> = (0..n as V).collect();
+            let mut image: Vec<V> = vertex_range(n).collect();
             for &(a, b) in sparse {
                 image[a as usize] = b;
             }
@@ -379,8 +380,8 @@ mod witness_tests {
             let tree = tree_of(&g);
             let pi = Coloring::unit(g.n());
             let autos = brute::automorphisms(&g, &pi);
-            for u in 0..g.n() as V {
-                for v in 0..g.n() as V {
+            for u in g.vertices() {
+                for v in g.vertices() {
                     let truly = autos.iter().any(|a| a.apply(u) == v);
                     match automorphism_witness(&tree, u, v) {
                         Some(w) => {

@@ -8,7 +8,7 @@ use crate::tree::{AutoTree, Node, NodeId, NodeKind, PoolRange, EMPTY, NO_PARENT}
 use dvicl_canon::{try_canonical_form_with as ir_try_canonical_form_with, Config};
 use dvicl_govern::fault::Site;
 use dvicl_govern::{Budget, DviclError, Resource};
-use dvicl_graph::{CanonForm, Coloring, FormRef, Graph, Perm, V};
+use dvicl_graph::{vertex_range, CanonForm, Coloring, FormRef, Graph, Perm, V};
 use dvicl_obs::{self as obs, Counter, Phase};
 use dvicl_refine::Refiner;
 use rustc_hash::FxHashMap;
@@ -251,10 +251,20 @@ fn push_range<T: Copy>(pool: &mut Vec<T>, items: &[T]) -> PoolRange {
 /// The `(start, len)` range of everything appended to `pool` since its
 /// length was `start`.
 fn range_since<T>(pool: &[T], start: usize) -> PoolRange {
-    // dvicl-lint: allow(narrowing-cast) -- pool lengths are bounded by n·depth entries, far below u32::MAX for any graph this crate can hold (n <= V::MAX)
-    let start32 = start as u32;
-    // dvicl-lint: allow(narrowing-cast) -- one node's entries: at most max(n, m) for a graph this crate can hold
-    (start32, (pool.len() - start) as u32)
+    (pool_index(start), pool_index(pool.len() - start))
+}
+
+/// A pool position or length, or a node id, as the tree's `u32` index.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the tree has fewer than 2n nodes and its pools O(n * depth + m) entries, far below u32::MAX for any graph the arena's u32 offsets can hold"
+)]
+fn pool_index(i: usize) -> u32 {
+    debug_assert!(
+        u32::try_from(i).is_ok(),
+        "tree pool index {i} overflows u32"
+    );
+    i as u32
 }
 
 /// `CombineCL` memo value: the IR labeling and its generators.
@@ -350,7 +360,6 @@ impl CombineScratch {
 // dvicl-lint: allow(budget-reachability) -- at most ten iterations for a u64; callers meter per tree node
 fn push_varint(out: &mut Vec<u8>, mut x: u64) {
     loop {
-        // dvicl-lint: allow(narrowing-cast) -- masked to seven bits first
         let byte = (x & 0x7f) as u8;
         x >>= 7;
         if x == 0 {
@@ -491,8 +500,7 @@ impl Builder<'_> {
         match division {
             None => self.combine_cl(id, &sub)?,
             Some(d) => {
-                // dvicl-lint: allow(narrowing-cast) -- id < node count <= n·depth, far below u32::MAX
-                let parent_id = id as u32;
+                let parent_id = pool_index(id);
                 let children = self.build_children(&sub, &d, depth, parent_id)?;
                 self.combine_st(id, &sub, &d, &children);
             }
@@ -592,30 +600,26 @@ impl Builder<'_> {
         for cell in self.scratch.arena.cells(sub, self.pi) {
             let mut members = cell.members;
             members.sort_unstable_by_key(|&i| labeling.apply(i));
-            for (rank, &i) in members.iter().enumerate() {
-                labels[i as usize] = cell.color + rank as V;
+            for (rank, &i) in (0..).zip(&members) {
+                labels[i as usize] = cell.color + rank;
             }
         }
         let form = CanonForm::new(&local_g, &colors, &labels);
         let fcolors = push_range(&mut self.t.form_colors, &form.colors);
         let fedges = push_range(&mut self.t.form_edges, &form.edges);
         let verts = self.scratch.arena.verts(sub);
-        // dvicl-lint: allow(narrowing-cast) -- gen_ranges grows by one entry per generator, far below u32::MAX
-        let gstart = self.t.gen_ranges.len() as u32;
+        let gstart = self.t.gen_ranges.len();
         for gen in &generators {
-            // dvicl-lint: allow(narrowing-cast) -- gen_pairs holds at most n·|generators| entries, far below u32::MAX
-            let pstart = self.t.gen_pairs.len() as u32;
-            // dvicl-lint: allow(narrowing-cast) -- sub.n() <= g.n() <= V::MAX by Graph's construction invariant
-            for i in 0..sub.n() as u32 {
+            let pstart = self.t.gen_pairs.len();
+            for i in vertex_range(sub.n()) {
                 if gen.apply(i) != i {
                     self.t
                         .gen_pairs
                         .push((verts[i as usize], verts[gen.apply(i) as usize]));
                 }
             }
-            // dvicl-lint: allow(narrowing-cast) -- bounded as pstart above
-            let plen = self.t.gen_pairs.len() as u32 - pstart;
-            self.t.gen_ranges.push((pstart, plen));
+            let pairs = range_since(&self.t.gen_pairs, pstart);
+            self.t.gen_ranges.push(pairs);
         }
         let vrange = self.t.nodes[id].verts;
         self.t.labels[vrange.0 as usize..(vrange.0 + vrange.1) as usize].copy_from_slice(&labels);
@@ -623,8 +627,7 @@ impl Builder<'_> {
         node.kind = NodeKind::NonSingletonLeaf;
         node.fcolors = fcolors;
         node.fedges = fedges;
-        // dvicl-lint: allow(narrowing-cast) -- generator count per leaf is < n <= V::MAX
-        node.gens = (gstart, generators.len() as u32);
+        node.gens = range_since(&self.t.gen_ranges, gstart);
         Ok(())
     }
 
@@ -746,7 +749,7 @@ mod tests {
     use dvicl_graph::{named, Perm};
 
     fn pseudo_random_perm(n: usize, salt: u64) -> Perm {
-        let mut image: Vec<V> = (0..n as V).collect();
+        let mut image: Vec<V> = vertex_range(n).collect();
         let mut state = 0x9e3779b97f4a7c15u64 ^ salt ^ (n as u64) << 32;
         for i in (1..n).rev() {
             state = state

@@ -9,7 +9,7 @@ use crate::build::{
     DviclOptions,
 };
 use dvicl_govern::{Budget, DviclError};
-use dvicl_graph::{Coloring, Graph, Perm};
+use dvicl_graph::{as_vertex, Coloring, Graph, Perm};
 
 /// The result of a budgeted isomorphism extraction: the mapping (if the
 /// graphs are isomorphic) plus whether the answer came from degraded
@@ -150,7 +150,7 @@ mod tests {
             named::rary_tree(2, 3),
             named::frucht(),
         ] {
-            let gamma = Perm::from_cycles(g.n(), &[&[0, (g.n() - 1) as u32], &[1, 2]]).unwrap();
+            let gamma = Perm::from_cycles(g.n(), &[&[0, as_vertex(g.n() - 1)], &[1, 2]]).unwrap();
             let h = g.permuted(&gamma);
             let found = find_isomorphism(&g, &h).expect("isomorphic by construction");
             assert_eq!(g.permuted(&found), h);
@@ -277,9 +277,8 @@ pub fn try_are_isomorphic_joint(
     if n == 0 {
         return Ok(true);
     }
-    // dvicl-lint: allow(narrowing-cast) -- n = g1.n() <= V::MAX by Graph's construction invariant
-    let shift = n as u32;
-    let u = 2 * shift;
+    let shift = g1.vertices().end;
+    let u = as_vertex(2 * n);
     let mut edges: Vec<(u32, u32)> = g1.edges().collect();
     edges.extend(g2.edges().map(|(a, b)| (a + shift, b + shift)));
     for v in 0..u {

@@ -12,7 +12,7 @@
 
 use crate::tree::AutoTree;
 use dvicl_govern::{Budget, DviclError};
-use dvicl_graph::{Graph, GraphBuilder, V};
+use dvicl_graph::{as_vertex, Graph, GraphBuilder, V};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Statistics of a k-symmetry extension.
@@ -76,10 +76,9 @@ pub fn try_k_symmetric_extension(
 
     // Which root child each original vertex belongs to.
     let mut child_of = vec![u32::MAX; n0];
-    for (idx, &c) in root.children().iter().enumerate() {
+    for (idx, &c) in (0..).zip(root.children()) {
         for &v in tree.node(c).verts() {
-            // dvicl-lint: allow(narrowing-cast) -- idx indexes root.children, and the tree has at most n <= V::MAX root children
-            child_of[v as usize] = idx as u32;
+            child_of[v as usize] = idx;
         }
     }
     // The joined relation over cell colors: a cross-child edge certifies
@@ -117,23 +116,22 @@ pub fn try_k_symmetric_extension(
 
     // Allocate clone vertex ids and record every vertex's (cell, child).
     let mut clone_ids: Vec<Vec<V>> = Vec::new(); // per job, parallel to template verts
-    let mut next = n0 as V;
+    let mut next = g.vertices().end;
     let mut cell_members: FxHashMap<V, Vec<(V, u32)>> = FxHashMap::default();
-    for v in 0..n0 as V {
+    for v in g.vertices() {
         cell_members
             .entry(tree.pi.color_of(v))
             .or_default()
             .push((v, child_of[v as usize]));
     }
-    // dvicl-lint: allow(narrowing-cast) -- the root has at most n <= V::MAX children
-    let num_children = root.children().len() as u32;
-    for (j, &template) in jobs.iter().enumerate() {
+    // Clone `j` becomes root child `num_children + j`.
+    let num_children = as_vertex(root.children().len());
+    for (child_idx, &template) in (num_children..).zip(&jobs) {
         let t = tree.node(template);
         budget.spend(t.n() as u64)?;
-        // dvicl-lint: allow(narrowing-cast) -- j < jobs.len() <= (k - 1) * n clones, bounded well below u32::MAX by the budget
-        let child_idx = num_children + j as u32;
-        let ids: Vec<V> = (0..t.n()).map(|i| next + i as V).collect();
-        next += t.n() as V;
+        let end = as_vertex(next as usize + t.n());
+        let ids: Vec<V> = (next..end).collect();
+        next = end;
         for (i, &orig) in t.verts().iter().enumerate() {
             cell_members
                 .entry(tree.pi.color_of(orig))
@@ -145,18 +143,16 @@ pub fn try_k_symmetric_extension(
     let total = next as usize;
     // Cell color of every vertex (originals + clones).
     let mut color_of = vec![0 as V; total];
-    for v in 0..n0 as V {
+    for v in g.vertices() {
         color_of[v as usize] = tree.pi.color_of(v);
     }
     let mut child_of_all = vec![u32::MAX; total];
     child_of_all[..n0].copy_from_slice(&child_of[..n0]);
-    for (j, &template) in jobs.iter().enumerate() {
+    for ((child_idx, &template), ids) in (num_children..).zip(&jobs).zip(&clone_ids) {
         let t = tree.node(template);
-        for (i, &orig) in t.verts().iter().enumerate() {
-            let cv = clone_ids[j][i] as usize;
-            color_of[cv] = tree.pi.color_of(orig);
-            // dvicl-lint: allow(narrowing-cast) -- j < jobs.len() <= (k - 1) * n clones, bounded well below u32::MAX by the budget
-            child_of_all[cv] = num_children + j as u32;
+        for (&orig, &cv) in t.verts().iter().zip(ids) {
+            color_of[cv as usize] = tree.pi.color_of(orig);
+            child_of_all[cv as usize] = child_idx;
         }
     }
 

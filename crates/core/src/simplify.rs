@@ -18,7 +18,7 @@ use crate::aut;
 use crate::build::{try_build_autotree, DviclOptions};
 use crate::tree::AutoTree;
 use dvicl_govern::{Budget, DviclError};
-use dvicl_graph::{CanonForm, Coloring, Graph, V};
+use dvicl_graph::{as_vertex, CanonForm, Coloring, Graph, V};
 use dvicl_group::BigUint;
 use rustc_hash::FxHashMap;
 
@@ -35,16 +35,15 @@ pub struct TwinClasses {
 /// Groups vertices by `(color, N(v))`. Two vertices are twins iff they
 /// share the user color and the exact neighbor set.
 pub fn twin_classes(g: &Graph, pi0: &Coloring) -> TwinClasses {
-    let n = g.n();
     let mut buckets: FxHashMap<u64, Vec<V>> = FxHashMap::default();
-    for v in 0..n as V {
+    for v in g.vertices() {
         let mut h = 0xcbf2_9ce4_8422_2325u64 ^ pi0.color_of(v) as u64;
         for &w in g.neighbors(v) {
             h = (h ^ w as u64).wrapping_mul(0x1000_0000_01b3);
         }
         buckets.entry(h).or_default().push(v);
     }
-    let mut rep_of: Vec<V> = (0..n as V).collect();
+    let mut rep_of: Vec<V> = g.vertices().collect();
     let mut non_singleton: Vec<Vec<V>> = Vec::new();
     for (_, bucket) in buckets {
         if bucket.len() < 2 {
@@ -124,14 +123,13 @@ pub fn try_dvicl_simplified(
         twins.non_singleton.len() as u64,
     );
     // Representatives, ascending; class size per rep.
-    let n = g.n();
-    let reps: Vec<V> = (0..n as V)
+    let reps: Vec<V> = g
+        .vertices()
         .filter(|&v| twins.rep_of[v as usize] == v)
         .collect();
     let mut size_of_rep: FxHashMap<V, u32> = reps.iter().map(|&r| (r, 1)).collect();
     for class in &twins.non_singleton {
-        // dvicl-lint: allow(narrowing-cast) -- a twin class holds at most n <= V::MAX vertices
-        size_of_rep.insert(class[0], class.len() as u32);
+        size_of_rep.insert(class[0], as_vertex(class.len()));
     }
     let class_size: Vec<u32> = reps.iter().map(|&r| size_of_rep[&r]).collect();
     let gs = g.induced(&reps);
@@ -144,19 +142,15 @@ pub fn try_dvicl_simplified(
     let mut sorted = pairs.clone();
     sorted.sort_unstable();
     sorted.dedup();
-    let rank: FxHashMap<(V, u32), V> = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (p, i as V))
-        .collect();
+    let rank: FxHashMap<(V, u32), V> = (0..).zip(&sorted).map(|(i, &p)| (p, i)).collect();
     let labels: Vec<V> = pairs.drain(..).map(|p| rank[&p]).collect();
     let pis = Coloring::from_labels(&labels);
     let tree = try_build_autotree(&gs, &pis, opts, budget)?;
     // Multiplicities in canonical-label order.
     let labeling = tree.canonical_labeling();
     let mut multiplicities = vec![0u32; reps.len()];
-    for (local, &s) in class_size.iter().enumerate() {
-        multiplicities[labeling.apply(local as V) as usize] = s;
+    for (local, &s) in (0..).zip(&class_size) {
+        multiplicities[labeling.apply(local) as usize] = s;
     }
     let certificate = SimplifiedCertificate {
         form: tree.canonical_form().to_form(),
@@ -218,7 +212,8 @@ mod tests {
         ] {
             let n = g.n();
             let c1 = simplified(&g).certificate;
-            let gamma = Perm::from_cycles(n, &[&[0, (n - 1) as V], &[1, (n / 2) as V]]).unwrap();
+            let gamma =
+                Perm::from_cycles(n, &[&[0, as_vertex(n - 1)], &[1, as_vertex(n / 2)]]).unwrap();
             let c2 = simplified(&g.permuted(&gamma)).certificate;
             assert_eq!(c1, c2);
         }

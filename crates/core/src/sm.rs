@@ -30,7 +30,7 @@ pub fn try_enumerate_induced(
     }
     // Match query vertices in descending-degree order (classic VF2-ish
     // candidate reduction).
-    let mut order: Vec<V> = (0..q.n() as V).collect();
+    let mut order: Vec<V> = q.vertices().collect();
     order.sort_unstable_by_key(|&v| std::cmp::Reverse(q.degree(v)));
     // Prefer orders that keep the matched part connected.
     let order = connectivity_order(q, &order);
@@ -110,8 +110,7 @@ fn sm_rec(
             }
         }
         None => {
-            // Lossless cast: g.n() <= V::MAX by Graph's construction invariant.
-            for w in 0..g.n() as V {
+            for w in g.vertices() {
                 sm_try(g, q, order, k, w, image, used, out, limit, budget)?;
             }
         }

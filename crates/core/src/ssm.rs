@@ -29,7 +29,7 @@
 use crate::tree::{AutoTree, NodeId, NodeKind, NodeRef};
 use dvicl_govern::fault::Site;
 use dvicl_govern::{Budget, DviclError};
-use dvicl_graph::V;
+use dvicl_graph::{as_vertex, V};
 use dvicl_group::BigUint;
 use dvicl_obs::Phase;
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -53,9 +53,8 @@ impl SsmIndex {
         let mut leaf_of = vec![usize::MAX; n];
         let mut pos_in_parent = vec![0u32; tree.len()];
         for node in tree.nodes() {
-            for (pos, &c) in node.children().iter().enumerate() {
-                // dvicl-lint: allow(narrowing-cast) -- a node has at most n <= V::MAX children
-                pos_in_parent[c] = pos as u32;
+            for (pos, &c) in (0..).zip(node.children()) {
+                pos_in_parent[c] = pos;
             }
             if node.children().is_empty() {
                 for &v in node.verts() {
@@ -200,7 +199,7 @@ fn analyze(
                     analyze(tree, index, child, &subset, gov).map(|(k, c)| (pos, k, c))
                 })
                 .collect::<Result<_, _>>()?;
-            for (class_idx, &(start, end)) in n.sibling_classes().iter().enumerate() {
+            for (class_idx, &(start, end)) in (0u32..).zip(n.sibling_classes()) {
                 let in_class: Vec<&(u32, Vec<u8>, BigUint)> = analyzed
                     .iter()
                     .filter(|&&(pos, _, _)| start <= pos && pos < end)
@@ -209,19 +208,16 @@ fn analyze(
                     continue;
                 }
                 let c = (end - start) as u64; // class size
-                let t = in_class.len() as u64; // occupied children
-                                               // Sort the pattern keys; runs of equal keys are
-                                               // interchangeable assignments.
+
+                // Sort the pattern keys; runs of equal keys are
+                // interchangeable assignments.
                 let mut keys: Vec<&Vec<u8>> = in_class.iter().map(|x| &x.1).collect();
                 keys.sort();
                 // Key contribution.
-                // dvicl-lint: allow(narrowing-cast) -- class_idx counts sibling classes, at most n <= V::MAX
-                push_u32(&mut key, 0xA5A5_0000 | class_idx as u32);
-                // dvicl-lint: allow(narrowing-cast) -- t <= the class size c <= n <= V::MAX
-                push_u32(&mut key, t as u32);
+                push_u32(&mut key, 0xA5A5_0000 | class_idx);
+                push_u32(&mut key, as_vertex(in_class.len())); // occupied children
                 for k in &keys {
-                    // dvicl-lint: allow(narrowing-cast) -- a child key holds O(n) u32 words, far below u32::MAX bytes
-                    push_u32(&mut key, k.len() as u32);
+                    key.extend_from_slice(&(k.len() as u64).to_le_bytes());
                     key.extend_from_slice(k);
                 }
                 // Count contribution: assignments × within-child images.
@@ -284,13 +280,7 @@ fn analyze_leaf(n: NodeRef<'_>, set: &[V], gov: &Budget) -> Result<(Vec<u8>, Big
 /// The set and the leaf's generators in the leaf's local indices (the
 /// positions in [`NodeRef::verts`]).
 fn leaf_action(n: NodeRef<'_>, set: &[V]) -> (Vec<u32>, Vec<FxHashMap<u32, u32>>) {
-    let vmap: FxHashMap<V, u32> = n
-        .verts()
-        .iter()
-        .enumerate()
-        // dvicl-lint: allow(narrowing-cast) -- i indexes the leaf's vertices, at most n <= V::MAX
-        .map(|(i, &v)| (v, i as u32))
-        .collect();
+    let vmap: FxHashMap<V, u32> = (0..).zip(n.verts()).map(|(i, &v)| (v, i)).collect();
     let local = set.iter().map(|v| vmap[v]).collect();
     let gens = n
         .leaf_generators()
@@ -373,7 +363,7 @@ pub fn try_enumerate_images(
     // The run is truncated iff the true image count exceeds what was
     // returned (the slot accounting inside the recursion is conservative).
     let truncated = match analyze(tree, index, tree.root(), &set, budget)?.1.to_u64() {
-        Some(c) => c as usize != matches.len(),
+        Some(c) => c != matches.len() as u64,
         None => true,
     };
     Ok(SsmMatches { matches, truncated })

@@ -16,7 +16,7 @@
 //! access and the divide rules `DivideI`/`DivideS` are methods on the
 //! arena — see `crate::arena`.
 
-use dvicl_graph::V;
+use dvicl_graph::{as_vertex, V};
 
 /// A colored subgraph `(g, π_g)` with global vertex identities: a compact
 /// handle into a [`SubArena`](crate::SubArena).
@@ -106,8 +106,7 @@ impl Division {
     /// Appends a one-vertex part.
     pub(crate) fn push_singleton(&mut self, local: u32) {
         self.members.push(local);
-        // dvicl-lint: allow(narrowing-cast) -- members holds at most n <= V::MAX local indices
-        self.offs.push(self.members.len() as u32);
+        self.offs.push(as_vertex(self.members.len()));
     }
 }
 

@@ -257,6 +257,10 @@ pub fn verify_iso(g1: &Graph, g2: &Graph, gamma: &Perm) -> Result<(), DviclError
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
 mod tests {
     use super::*;
     use crate::build::{

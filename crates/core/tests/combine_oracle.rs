@@ -12,6 +12,11 @@
 //! around the hubs of a random core, and clique/biclique shapes that
 //! fire `DivideS`.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
+
 use dvicl_core::{try_build_autotree, AutoTree, Budget, DviclOptions, NodeKind};
 use dvicl_graph::{CanonForm, Coloring, Graph, Perm, V};
 use dvicl_obs::{self as obs, Counter};

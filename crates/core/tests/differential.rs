@@ -45,16 +45,14 @@ fn digest(g: &Graph) -> u64 {
         h = mix(h, (u as u64) << 32 | v as u64);
     }
     let lambda = tree.canonical_labeling();
-    for i in 0..lambda.len() {
-        // dvicl-lint: allow(narrowing-cast) -- i < n <= V::MAX
-        h = mix(h, lambda.apply(i as u32) as u64);
+    for &image in lambda.as_slice() {
+        h = mix(h, image as u64);
     }
     let gens = aut::generators(&tree);
     h = mix(h, 0x6e25_0000 ^ gens.len() as u64);
     for gen in &gens {
-        for i in 0..gen.len() {
-            // dvicl-lint: allow(narrowing-cast) -- i < n <= V::MAX
-            h = mix(h, gen.apply(i as u32) as u64);
+        for &image in gen.as_slice() {
+            h = mix(h, image as u64);
         }
     }
     h

@@ -16,6 +16,11 @@
 //! property that installs plans cannot reach the builds of any other
 //! test running beside it.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
+
 use dvicl_core::{
     build_autotree_resilient, try_build_autotree, verify, DviclOptions, Sub, SubArena,
 };

@@ -22,7 +22,7 @@ fn are_isomorphic(g1: &Graph, g2: &Graph, budget: &Budget) -> Result<bool, Dvicl
 fn shuffle(g: &Graph, salt: u64) -> Graph {
     let n = g.n();
     // Deterministic Fisher–Yates via an LCG.
-    let mut image: Vec<u32> = (0..n as u32).collect();
+    let mut image: Vec<u32> = dvicl_graph::vertex_range(n).collect();
     let mut state = salt | 1;
     for i in (1..n).rev() {
         state = state

@@ -3,7 +3,7 @@
 //! guarantee).
 
 use dvicl_core::{aut, ksym, try_build_autotree, Budget, DviclOptions};
-use dvicl_graph::{Coloring, Graph, V};
+use dvicl_graph::{vertex_range, Coloring, Graph, V};
 use proptest::prelude::*;
 
 proptest! {
@@ -15,10 +15,8 @@ proptest! {
         edges in proptest::collection::vec((0u32..12, 0u32..12), 0..30),
         k in 2usize..4,
     ) {
-        let edges: Vec<(V, V)> = edges
-            .into_iter()
-            .map(|(a, b)| (a % n as u32, b % n as u32))
-            .collect();
+        let m = vertex_range(n).end;
+        let edges: Vec<(V, V)> = edges.into_iter().map(|(a, b)| (a % m, b % m)).collect();
         let g = Graph::from_edges(n, &edges);
         let (opts, unlimited) = (DviclOptions::default(), Budget::unlimited());
         let tree = try_build_autotree(&g, &Coloring::unit(n), &opts, &unlimited).unwrap();

@@ -10,6 +10,11 @@
 //! child carving, CombineCL memoization, CombineST certificate sorting)
 //! on inputs the named-graph differential corpus cannot enumerate.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
+
 use dvicl_core::{aut, try_build_autotree, Budget, DviclOptions};
 use dvicl_graph::{Coloring, Graph, Perm, V};
 use proptest::prelude::*;

@@ -2,6 +2,11 @@
 //! exactly like the plain path, on random graphs, and must shrink a
 //! twin-dense graph by the counted amount.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
+
 use dvicl_core::{simplify, try_build_autotree, Budget, DviclOptions};
 use dvicl_graph::{Coloring, Graph, V};
 use proptest::prelude::*;

@@ -10,6 +10,11 @@
 //! original CNF instances are not available. All substitutions are logged
 //! in EXPERIMENTS.md.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "fixed-shape generators: every id is below the vertex count the builder was made for, and GraphBuilder::new asserts that count fits in V"
+)]
+
 use dvicl_graph::{Graph, GraphBuilder, V};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

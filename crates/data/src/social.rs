@@ -7,6 +7,11 @@
 //! and small regular pockets. The generator reproduces exactly that
 //! profile, which is what DviCL's divide rules exploit.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "generator arithmetic: every id is below the vertex count the builder was made for, and GraphBuilder::new asserts that count fits in V; the edge target is a float count of at most n^2"
+)]
+
 use dvicl_graph::{Graph, GraphBuilder, V};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

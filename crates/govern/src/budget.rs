@@ -177,7 +177,8 @@ impl Budget {
         if let Some(deadline) = self.inner.deadline {
             let now = Instant::now();
             if now > deadline {
-                let spent = now.duration_since(self.inner.started).as_millis() as u64;
+                let elapsed = now.duration_since(self.inner.started).as_millis();
+                let spent = u64::try_from(elapsed).unwrap_or(u64::MAX);
                 report_trip("wall_clock_ms", spent);
                 return Err(DviclError::BudgetExceeded {
                     resource: Resource::WallClock,

@@ -1,6 +1,6 @@
 //! Ordered partitions of the vertex set (the paper's colorings `π`).
 
-use crate::{Graph, Perm, V};
+use crate::{vertex_range, Graph, Perm, MAX_VERTICES, V};
 use std::fmt;
 
 /// A coloring `π = [V1 | V2 | ... | Vk]`: a disjoint ordered partition of
@@ -28,7 +28,7 @@ impl Coloring {
         }
         Coloring {
             color: vec![0; n],
-            cells: vec![(0..n as V).collect()],
+            cells: vec![vertex_range(n).collect()],
         }
     }
 
@@ -36,22 +36,28 @@ impl Coloring {
     /// form a disjoint partition of `0..n` for `n` = total size.
     pub fn from_cells(cells: Vec<Vec<V>>) -> Option<Self> {
         let n: usize = cells.iter().map(|c| c.len()).sum();
+        if n > MAX_VERTICES {
+            return None;
+        }
         let mut color = vec![V::MAX; n];
-        let mut offset = 0 as V;
+        // The position of the next vertex in cell order; a cell's color
+        // is the position of its first vertex.
+        let mut next: V = 0;
         let mut cells = cells;
         for cell in &mut cells {
             if cell.is_empty() {
                 return None;
             }
+            let offset = next;
             for &v in cell.iter() {
                 let v = v as usize;
                 if v >= n || color[v] != V::MAX {
                     return None;
                 }
                 color[v] = offset;
+                next += 1;
             }
             cell.sort_unstable();
-            offset += cell.len() as V;
         }
         Some(Coloring { color, cells })
     }
@@ -63,7 +69,7 @@ impl Coloring {
         reason = "`order` is a permutation of 0..n and the grouping only splits it, so the cells partition 0..n"
     )]
     pub fn from_labels(labels: &[V]) -> Self {
-        let mut order: Vec<V> = (0..labels.len() as V).collect();
+        let mut order: Vec<V> = vertex_range(labels.len()).collect();
         order.sort_unstable_by_key(|&v| (labels[v as usize], v));
         let mut cells: Vec<Vec<V>> = Vec::new();
         for &v in &order {
@@ -188,10 +194,9 @@ impl Coloring {
         reason = "the cells contain each local index 0..verts.len() exactly once, a partition by construction"
     )]
     pub fn project(&self, verts: &[V]) -> Coloring {
-        let mut local: Vec<(V, V)> = verts
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (self.color_of(v), i as V))
+        let mut local: Vec<(V, V)> = (0..)
+            .zip(verts)
+            .map(|(i, &v)| (self.color_of(v), i))
             .collect();
         local.sort_unstable();
         let mut cells: Vec<Vec<V>> = Vec::new();

@@ -108,7 +108,7 @@ mod tests {
     use crate::named;
 
     fn fp_of(g: &crate::Graph) -> Fingerprint {
-        let labels: Vec<V> = (0..g.n() as V).collect();
+        let labels: Vec<V> = g.vertices().collect();
         Fingerprint::of_form(&CanonForm::new(g, &vec![0; g.n()], &labels))
     }
 

@@ -1,7 +1,8 @@
 //! Immutable undirected simple graphs in CSR form, plus a mutable builder.
 
-use crate::{Perm, V};
+use crate::{as_vertex, vertex_range, Perm, MAX_VERTICES, V};
 use std::fmt;
+use std::ops::Range;
 
 /// An immutable undirected simple graph stored in CSR (compressed sparse
 /// row) form with sorted adjacency lists.
@@ -27,7 +28,8 @@ impl Graph {
         b.build()
     }
 
-    /// Adopts already-clean CSR arrays: `offsets` has `n + 1` entries,
+    /// Adopts already-clean CSR arrays: `offsets` has `n + 1 <=
+    /// MAX_VERTICES + 1` entries,
     /// every row of `adj` is strictly ascending (sorted, deduplicated, no
     /// self-loop) and symmetric (`v ∈ N(u)` iff `u ∈ N(v)`). This is the
     /// zero-rebuild path used by the arena-backed subgraph store, which
@@ -35,6 +37,7 @@ impl Graph {
     /// here in debug builds.
     pub fn from_csr(offsets: Vec<usize>, adj: Vec<V>) -> Self {
         assert!(!offsets.is_empty(), "offsets must have n + 1 entries");
+        assert!(offsets.len() - 1 <= MAX_VERTICES, "n exceeds MAX_VERTICES");
         assert_eq!(
             *offsets.last().unwrap_or(&0),
             adj.len(),
@@ -48,7 +51,7 @@ impl Graph {
                 g.offsets.windows(2).all(|w| w[0] <= w[1]),
                 "offsets not monotone"
             );
-            for v in 0..n as V {
+            for v in g.vertices() {
                 let row = g.neighbors(v);
                 assert!(
                     row.windows(2).all(|w| w[0] < w[1]),
@@ -74,6 +77,12 @@ impl Graph {
     #[inline]
     pub fn csr(&self) -> (&[usize], &[V]) {
         (&self.offsets, &self.adj)
+    }
+
+    /// The vertex ids `0..n`.
+    #[inline]
+    pub fn vertices(&self) -> Range<V> {
+        vertex_range(self.n())
     }
 
     /// Number of vertices `n = |V|`.
@@ -102,10 +111,7 @@ impl Graph {
 
     /// Maximum degree over all vertices; 0 for the empty graph.
     pub fn max_degree(&self) -> usize {
-        (0..self.n() as V)
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
+        self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
     /// Average degree `2m / n`; 0.0 for the empty graph.
@@ -125,7 +131,7 @@ impl Graph {
 
     /// Iterator over all edges, each reported once with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (V, V)> + '_ {
-        (0..self.n() as V)
+        self.vertices()
             .flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)))
             .filter(|&(u, v)| u < v)
     }
@@ -160,20 +166,20 @@ impl Graph {
         let n = self.n();
         local.clear();
         local.resize(n, V::MAX);
-        for (i, &v) in verts.iter().enumerate() {
+        b.reset(verts.len());
+        for (i, &v) in (0..).zip(verts) {
             assert!((v as usize) < n, "vertex out of range");
             assert!(
                 local[v as usize] == V::MAX,
                 "duplicate vertex in induced set"
             );
-            local[v as usize] = i as V;
+            local[v as usize] = i;
         }
-        b.reset(verts.len());
-        for (i, &v) in verts.iter().enumerate() {
+        for (i, &v) in (0..).zip(verts) {
             for &w in self.neighbors(v) {
                 let lw = local[w as usize];
-                if lw != V::MAX && (lw as usize) > i {
-                    b.add_edge(i as V, lw);
+                if lw != V::MAX && lw > i {
+                    b.add_edge(i, lw);
                 }
             }
         }
@@ -182,7 +188,7 @@ impl Graph {
 
     /// Disjoint union: `other`'s vertices are shifted by `self.n()`.
     pub fn disjoint_union(&self, other: &Graph) -> Graph {
-        let shift = self.n() as V;
+        let shift = as_vertex(self.n());
         let mut edges: Vec<(V, V)> = self.edges().collect();
         edges.extend(other.edges().map(|(u, v)| (u + shift, v + shift)));
         Graph::from_edges(self.n() + other.n(), &edges)
@@ -203,16 +209,15 @@ pub struct GraphBuilder {
 }
 
 impl GraphBuilder {
-    /// A builder for a graph on `n` vertices.
+    /// A builder for a graph on `n` vertices. Panics if `n >
+    /// MAX_VERTICES`.
     pub fn new(n: usize) -> Self {
-        GraphBuilder {
-            n,
-            edges: Vec::new(),
-        }
+        GraphBuilder::with_capacity(n, 0)
     }
 
-    /// Pre-allocates for `m` edges.
+    /// Pre-allocates for `m` edges. Panics if `n > MAX_VERTICES`.
     pub fn with_capacity(n: usize, m: usize) -> Self {
+        assert!(n <= MAX_VERTICES, "n exceeds MAX_VERTICES");
         GraphBuilder {
             n,
             edges: Vec::with_capacity(m),
@@ -271,8 +276,9 @@ impl GraphBuilder {
     }
 
     /// Clears the builder for a new graph on `n` vertices, keeping the
-    /// edge buffer's capacity.
+    /// edge buffer's capacity. Panics if `n > MAX_VERTICES`.
     pub fn reset(&mut self, n: usize) {
+        assert!(n <= MAX_VERTICES, "n exceeds MAX_VERTICES");
         self.n = n;
         self.edges.clear();
     }
@@ -387,6 +393,19 @@ mod tests {
                 g.induced(verts)
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "n exceeds MAX_VERTICES")]
+    fn builder_refuses_more_than_max_vertices() {
+        let _ = GraphBuilder::new(MAX_VERTICES + 1);
+    }
+
+    #[test]
+    fn vertex_conversions_stop_at_max_vertices() {
+        assert_eq!(as_vertex(MAX_VERTICES), V::MAX);
+        assert_eq!(vertex_range(3), 0..3);
+        assert!(std::panic::catch_unwind(|| as_vertex(MAX_VERTICES + 1)).is_err());
     }
 
     #[test]

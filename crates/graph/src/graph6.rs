@@ -23,33 +23,33 @@ fn g6_err(kind: ParseErrorKind, detail: impl Into<String>) -> DviclError {
 }
 
 /// Encodes a graph as a graph6 ASCII string.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "each header byte encodes n <= 62 or a value masked to six bits"
+)]
 pub fn to_graph6(g: &Graph) -> String {
     let n = g.n();
     let mut out: Vec<u8> = Vec::new();
     if n <= 62 {
-        // dvicl-lint: allow(narrowing-cast) -- guarded by n <= 62
         out.push(n as u8 + 63);
     } else if n <= 258_047 {
         out.push(126);
         for shift in [12, 6, 0] {
-            // dvicl-lint: allow(narrowing-cast) -- masked with 0x3f, so the value is at most 63
             out.push(((n >> shift) & 0x3f) as u8 + 63);
         }
     } else {
         out.push(126);
         out.push(126);
         for shift in [30, 24, 18, 12, 6, 0] {
-            // dvicl-lint: allow(narrowing-cast) -- masked with 0x3f, so the value is at most 63
             out.push(((n >> shift) & 0x3f) as u8 + 63);
         }
     }
     // Upper-triangle bits in column order, 6 per byte, zero-padded.
     let mut acc = 0u8;
     let mut bits = 0u8;
-    for j in 1..n as V {
+    for j in g.vertices() {
         for i in 0..j {
-            // dvicl-lint: allow(narrowing-cast) -- bool as u8 is 0 or 1
-            acc = acc << 1 | g.has_edge(i, j) as u8;
+            acc = acc << 1 | u8::from(g.has_edge(i, j));
             bits += 1;
             if bits == 6 {
                 out.push(acc + 63);
@@ -111,7 +111,7 @@ pub fn from_graph6(s: &str) -> Result<Graph, DviclError> {
             }
         }
     };
-    if n_raw > V::MAX as u64 {
+    let Ok(n) = V::try_from(n_raw) else {
         return Err(g6_err(
             ParseErrorKind::TooLarge,
             format!(
@@ -119,7 +119,7 @@ pub fn from_graph6(s: &str) -> Result<Graph, DviclError> {
                 V::MAX
             ),
         ));
-    }
+    };
     // Before building anything sized by n, verify the payload actually
     // carries the n(n-1)/2 adjacency bits the header promises. This is
     // the oversized-header guard: 36 bits of header can declare a graph
@@ -145,13 +145,12 @@ pub fn from_graph6(s: &str) -> Result<Graph, DviclError> {
             ),
         ));
     }
-    let n = n_raw as usize;
     let total_bits = total_bits as usize;
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::new(n as usize);
     let mut consumed = 0usize;
     let mut cur = 0u64;
     let mut avail = 0u8;
-    'outer: for j in 1..n as V {
+    'outer: for j in 1..n {
         for i in 0..j {
             if avail == 0 {
                 cur = take(&mut pos)?;

@@ -9,10 +9,11 @@
 //! failure kind and 1-based line number attached — malformed input is a
 //! recoverable condition, not a crash.
 
-use crate::{Graph, GraphBuilder, V};
+use crate::{Graph, GraphBuilder, MAX_VERTICES, V};
 use dvicl_govern::fault::Site;
 use dvicl_govern::{DviclError, ParseError, ParseErrorKind};
 use rustc_hash::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::io::{self, BufRead, BufWriter, Read, Write};
 use std::num::IntErrorKind;
 
@@ -37,12 +38,19 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<LoadedGraph, DviclError> {
     let mut ids: FxHashMap<u64, V> = FxHashMap::default();
     let mut original_ids: Vec<u64> = Vec::new();
     let mut edges: Vec<(V, V)> = Vec::new();
-    let mut intern = |raw: u64, original_ids: &mut Vec<u64>| -> V {
-        *ids.entry(raw).or_insert_with(|| {
-            let v = original_ids.len() as V;
-            original_ids.push(raw);
-            v
-        })
+    // The dense id of `raw`, or `None` once the ids would exceed
+    // `MAX_VERTICES` (`V::MAX` itself is never a vertex).
+    let mut intern = |raw: u64, original_ids: &mut Vec<u64>| -> Option<V> {
+        match ids.entry(raw) {
+            Entry::Occupied(e) => Some(*e.get()),
+            Entry::Vacant(e) => {
+                let v = V::try_from(original_ids.len())
+                    .ok()
+                    .filter(|&v| v != V::MAX)?;
+                original_ids.push(raw);
+                Some(*e.insert(v))
+            }
+        }
     };
     let buf = io::BufReader::new(reader);
     let mut saw_data = false;
@@ -57,16 +65,15 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<LoadedGraph, DviclError> {
         let mut it = line.split_whitespace();
         let a = parse_vertex(it.next(), line, lineno)?;
         let b = parse_vertex(it.next(), line, lineno)?;
-        let u = intern(a, &mut original_ids);
-        let v = intern(b, &mut original_ids);
-        if original_ids.len() > V::MAX as usize {
+        let (Some(u), Some(v)) = (intern(a, &mut original_ids), intern(b, &mut original_ids))
+        else {
             return Err(ParseError::new(
                 ParseErrorKind::TooLarge,
-                format!("more than {} distinct vertex ids", V::MAX),
+                format!("more than {MAX_VERTICES} distinct vertex ids"),
             )
             .at_line(lineno + 1)
             .into());
-        }
+        };
         edges.push((u, v));
     }
     if !saw_data {
@@ -188,7 +195,11 @@ mod tests {
         // so the roundtrip preserves the labeling exactly.
         assert_eq!(loaded.graph.m(), g.m());
         assert_eq!(loaded.graph.n(), g.n());
-        let relabel: Vec<V> = loaded.original_ids.iter().map(|&x| x as V).collect();
+        let relabel: Vec<V> = loaded
+            .original_ids
+            .iter()
+            .map(|&x| V::try_from(x).unwrap())
+            .collect();
         let perm = crate::Perm::from_image(relabel).unwrap();
         assert_eq!(loaded.graph.permuted(&perm), g);
     }

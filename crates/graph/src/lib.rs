@@ -39,5 +39,32 @@ pub use graph::{Graph, GraphBuilder};
 pub use perm::Perm;
 
 /// Vertex identifier. Graphs in this workspace address vertices as dense
-/// `u32` indices in `0..n`.
+/// `u32` indices in `0..n`, with `n <= V::MAX` ([`MAX_VERTICES`]): every
+/// vertex id and every position in a vertex-indexed array fits in a `V`,
+/// and `V::MAX` itself is never a vertex, so it can mark "none".
 pub type V = u32;
+
+/// The most vertices a graph may have. [`GraphBuilder`] and
+/// [`Graph::from_csr`] refuse more; the input parsers reject such a
+/// graph with a typed error before building it.
+pub const MAX_VERTICES: usize = V::MAX as usize;
+
+/// A vertex count, or a position among at most [`MAX_VERTICES`]
+/// vertices, as a [`V`]. Panics if `n > MAX_VERTICES`: every vertex count
+/// in the workspace is bounded by a built graph's, so this never
+/// truncates.
+#[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "n <= MAX_VERTICES = V::MAX is asserted first"
+)]
+pub fn as_vertex(n: usize) -> V {
+    assert!(n <= MAX_VERTICES, "{n} exceeds MAX_VERTICES");
+    n as V
+}
+
+/// The vertex ids `0..n` as [`V`]s. Panics if `n > MAX_VERTICES`.
+#[inline]
+pub fn vertex_range(n: usize) -> std::ops::Range<V> {
+    0..as_vertex(n)
+}

@@ -4,6 +4,11 @@
 //! automorphism groups) and by the dataset crate. The module also contains
 //! the worked example graphs from the paper's figures.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "fixed-shape generators: every id is below the vertex count the builder was made for, and GraphBuilder::new asserts that count fits in V"
+)]
+
 use crate::{Graph, GraphBuilder, V};
 
 /// The 8-vertex example graph of Fig. 1(a).

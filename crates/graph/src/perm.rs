@@ -1,6 +1,6 @@
 //! Dense vertex permutations (`γ` in the paper).
 
-use crate::V;
+use crate::{vertex_range, V};
 use std::fmt;
 
 /// A permutation of `0..n`, stored as its image array: `image[v] = v^γ`.
@@ -17,7 +17,7 @@ impl Perm {
     /// The identity permutation `ι` on `n` points.
     pub fn identity(n: usize) -> Self {
         Perm {
-            image: (0..n as V).collect(),
+            image: vertex_range(n).collect(),
         }
     }
 
@@ -40,7 +40,7 @@ impl Perm {
     /// mentioned are fixed. Returns `None` on out-of-range or repeated
     /// entries.
     pub fn from_cycles(n: usize, cycles: &[&[V]]) -> Option<Self> {
-        let mut image: Vec<V> = (0..n as V).collect();
+        let mut image: Vec<V> = vertex_range(n).collect();
         let mut seen = vec![false; n];
         for cycle in cycles {
             for (i, &v) in cycle.iter().enumerate() {
@@ -88,33 +88,32 @@ impl Perm {
     /// The inverse permutation `γ⁻¹`.
     pub fn inverse(&self) -> Perm {
         let mut inv = vec![0; self.len()];
-        for (v, &img) in self.image.iter().enumerate() {
-            inv[img as usize] = v as V;
+        for (v, &img) in (0..).zip(&self.image) {
+            inv[img as usize] = v;
         }
         Perm { image: inv }
     }
 
     /// True iff this is the identity.
     pub fn is_identity(&self) -> bool {
-        self.image.iter().enumerate().all(|(i, &v)| i as V == v)
+        (0..).zip(&self.image).all(|(i, &v)| i == v)
     }
 
     /// Decomposes into non-trivial disjoint cycles, each rotated to start at
     /// its minimum element, ordered by that minimum.
     pub fn cycles(&self) -> Vec<Vec<V>> {
-        let n = self.len();
-        let mut seen = vec![false; n];
+        let mut seen = vec![false; self.len()];
         let mut out = Vec::new();
-        for start in 0..n {
-            if seen[start] || self.image[start] as usize == start {
+        for start in vertex_range(self.len()) {
+            if seen[start as usize] || self.apply(start) == start {
                 continue;
             }
             let mut cycle = Vec::new();
             let mut v = start;
-            while !seen[v] {
-                seen[v] = true;
-                cycle.push(v as V);
-                v = self.image[v] as usize;
+            while !seen[v as usize] {
+                seen[v as usize] = true;
+                cycle.push(v);
+                v = self.apply(v);
             }
             out.push(cycle);
         }

@@ -2,6 +2,11 @@
 //! permutations, coloring invariants, builder normalization, and the
 //! graph6 roundtrip.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
+
 use dvicl_graph::{graph6, Coloring, Graph, Perm, V};
 use proptest::prelude::*;
 

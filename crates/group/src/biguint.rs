@@ -5,6 +5,11 @@
 //! Implemented from scratch (no external bignum crate) per the
 //! build-every-substrate rule; limbs are base-2³² little-endian.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "u32-limb arithmetic: every cast extracts a masked limb, a carry below 2^32 or a digit below 10"
+)]
+
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign};

@@ -21,13 +21,12 @@ pub fn automorphisms(g: &Graph, pi: &Coloring) -> Vec<Perm> {
 fn backtrack(
     g: &Graph,
     pi: &Coloring,
-    v: usize,
+    v: V,
     image: &mut Vec<V>,
     used: &mut Vec<bool>,
     out: &mut Vec<Perm>,
 ) {
-    let n = g.n();
-    if v == n {
+    if v == g.vertices().end {
         #[expect(
             clippy::expect_used,
             reason = "the backtracking search assigns each vertex a distinct unused image, so the full map is a bijection"
@@ -35,23 +34,20 @@ fn backtrack(
         out.push(Perm::from_image(image.clone()).expect("complete image is a bijection"));
         return;
     }
-    for w in 0..n as V {
-        if used[w as usize]
-            || pi.color_of(v as V) != pi.color_of(w)
-            || g.degree(v as V) != g.degree(w)
-        {
+    for w in g.vertices() {
+        if used[w as usize] || pi.color_of(v) != pi.color_of(w) || g.degree(v) != g.degree(w) {
             continue;
         }
         // Adjacency with already-mapped vertices must be preserved both ways.
-        let ok = (0..v).all(|u| g.has_edge(u as V, v as V) == g.has_edge(image[u], w));
+        let ok = (0..v).all(|u| g.has_edge(u, v) == g.has_edge(image[u as usize], w));
         if !ok {
             continue;
         }
-        image[v] = w;
+        image[v as usize] = w;
         used[w as usize] = true;
         backtrack(g, pi, v + 1, image, used, out);
         used[w as usize] = false;
-        image[v] = V::MAX;
+        image[v as usize] = V::MAX;
     }
 }
 
@@ -70,13 +66,15 @@ pub fn automorphism_count(g: &Graph, pi: &Coloring) -> u64 {
 pub fn min_canon_form(g: &Graph, pi: &Coloring) -> CanonForm {
     let n = g.n();
     assert!(n <= 9, "brute-force canonical form is exponential");
-    let mut perm: Vec<V> = (0..n as V).collect();
+    let mut perm: Vec<V> = g.vertices().collect();
     let mut best: Option<CanonForm> = None;
     permute_all(&mut perm, 0, &mut |p| {
         // Only color-preserving relabelings are candidates: the image of a
         // vertex must carry the same color for (G,π)^γ to have π's cells in
         // place (γ maps each cell onto a cell of equal color).
-        let ok = (0..n as V).all(|v| pi.color_of(v) == pi.color_of_position(p[v as usize]));
+        let ok = g
+            .vertices()
+            .all(|v| pi.color_of(v) == pi.color_of_position(p[v as usize]));
         if !ok {
             return;
         }
@@ -118,32 +116,28 @@ fn iso_backtrack(
     pi1: &Coloring,
     g2: &Graph,
     pi2: &Coloring,
-    v: usize,
+    v: V,
     image: &mut Vec<V>,
     used: &mut Vec<bool>,
 ) -> bool {
-    let n = g1.n();
-    if v == n {
+    if v == g1.vertices().end {
         return true;
     }
-    for w in 0..n as V {
-        if used[w as usize]
-            || pi1.color_of(v as V) != pi2.color_of(w)
-            || g1.degree(v as V) != g2.degree(w)
-        {
+    for w in g2.vertices() {
+        if used[w as usize] || pi1.color_of(v) != pi2.color_of(w) || g1.degree(v) != g2.degree(w) {
             continue;
         }
-        let ok = (0..v).all(|u| g1.has_edge(u as V, v as V) == g2.has_edge(image[u], w));
+        let ok = (0..v).all(|u| g1.has_edge(u, v) == g2.has_edge(image[u as usize], w));
         if !ok {
             continue;
         }
-        image[v] = w;
+        image[v as usize] = w;
         used[w as usize] = true;
         if iso_backtrack(g1, pi1, g2, pi2, v + 1, image, used) {
             return true;
         }
         used[w as usize] = false;
-        image[v] = V::MAX;
+        image[v as usize] = V::MAX;
     }
     false
 }
@@ -154,23 +148,17 @@ trait ColorOfPosition {
 }
 
 impl ColorOfPosition for Coloring {
-    #[expect(
-        clippy::unreachable,
-        reason = "the cells partition 0..n and p < n is checked by the caller, so some cell contains p"
-    )]
     fn color_of_position(&self, p: V) -> V {
         // Positions and colors coincide under the paper's color definition:
-        // position p lies in the cell whose start offset is the largest
-        // cell-start ≤ p.
-        let mut start = 0 as V;
-        for cell in self.cells() {
-            let end = start + cell.len() as V;
-            if p < end {
-                return start;
-            }
-            start = end;
-        }
-        unreachable!("position out of range")
+        // position p lies in the cell whose start offset (its color) is the
+        // largest cell start ≤ p.
+        assert!((p as usize) < self.n(), "position out of range");
+        self.cells()
+            .iter()
+            .map(|cell| self.color_of(cell[0]))
+            .take_while(|&start| start <= p)
+            .last()
+            .unwrap_or(0)
     }
 }
 

@@ -6,7 +6,7 @@
 //! the group. This yields the paper's *orbit coloring* (each cell = one
 //! orbit; Table 1's `cells` / `singleton` columns).
 
-use dvicl_graph::{Perm, V};
+use dvicl_graph::{vertex_range, Perm, V};
 
 /// The orbit partition of `0..n` under a generated permutation group.
 #[derive(Clone, Debug)]
@@ -18,8 +18,7 @@ impl Orbits {
     /// The trivial partition (every vertex its own orbit).
     pub fn identity(n: usize) -> Self {
         Orbits {
-            // dvicl-lint: allow(narrowing-cast) -- orbits act on vertex sets, so n <= V::MAX
-            parent: (0..n as u32).collect(),
+            parent: vertex_range(n).collect(),
         }
     }
 
@@ -41,8 +40,7 @@ impl Orbits {
     /// group incrementally.
     pub fn absorb(&mut self, g: &Perm) {
         assert_eq!(g.len(), self.parent.len(), "generator size mismatch");
-        // dvicl-lint: allow(narrowing-cast) -- parent has one entry per vertex, so len() <= V::MAX
-        for v in 0..self.parent.len() as u32 {
+        for v in vertex_range(self.parent.len()) {
             let a = self.find(v);
             let b = self.find(g.apply(v));
             if a != b {
@@ -71,8 +69,7 @@ impl Orbits {
 
     /// Number of orbits.
     pub fn count(&mut self) -> usize {
-        // dvicl-lint: allow(narrowing-cast) -- parent has one entry per vertex, so len() <= V::MAX
-        (0..self.parent.len() as u32)
+        vertex_range(self.parent.len())
             .filter(|&v| self.find(v) == v)
             .count()
     }
@@ -80,8 +77,7 @@ impl Orbits {
     /// Number of singleton orbits.
     pub fn count_singletons(&mut self) -> usize {
         let mut size = vec![0u32; self.parent.len()];
-        // dvicl-lint: allow(narrowing-cast) -- parent has one entry per vertex, so len() <= V::MAX
-        for v in 0..self.parent.len() as u32 {
+        for v in vertex_range(self.parent.len()) {
             size[self.find(v) as usize] += 1;
         }
         size.iter().filter(|&&s| s == 1).count()
@@ -91,8 +87,7 @@ impl Orbits {
     pub fn cells(&mut self) -> Vec<Vec<V>> {
         let n = self.parent.len();
         let mut by_rep: Vec<Vec<V>> = vec![Vec::new(); n];
-        // dvicl-lint: allow(narrowing-cast) -- parent has one entry per vertex, so n <= V::MAX
-        for v in 0..n as u32 {
+        for v in vertex_range(n) {
             let r = self.find(v);
             by_rep[r as usize].push(v);
         }

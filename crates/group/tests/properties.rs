@@ -2,6 +2,11 @@
 //! against u128 reference, Schreier–Sims against brute-force enumeration,
 //! and orbit closures.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
+
 use dvicl_graph::{Coloring, Graph, Perm, V};
 use dvicl_group::{brute, BigUint, Orbits, StabChain};
 use proptest::prelude::*;

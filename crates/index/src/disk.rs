@@ -33,7 +33,7 @@
 //! [`ParseErrorKind::TooLarge`] instead of reserving memory — the same
 //! header-bomb guard the graph6 reader uses.
 
-use crate::{FingerprintIndex, IsoClass};
+use crate::{bucket_id, FingerprintIndex, IsoClass};
 use dvicl_govern::fault::{self, Site};
 use dvicl_govern::{DviclError, ParseError, ParseErrorKind};
 use dvicl_graph::{CanonForm, Fingerprint, V};
@@ -48,7 +48,6 @@ pub const MAGIC: &[u8; 6] = b"DVIX1\n";
 /// sequence is a prefix code).
 fn push_varint(out: &mut Vec<u8>, mut x: u64) {
     loop {
-        // dvicl-lint: allow(narrowing-cast) -- masked to seven bits first
         let byte = (x & 0x7f) as u8;
         x >>= 7;
         if x == 0 {
@@ -103,18 +102,17 @@ impl<'a> Cursor<'a> {
     /// allocates anything.
     fn checked_count(&mut self, what: &str, min_bytes_each: usize) -> Result<usize, ParseError> {
         let declared = self.varint()?;
-        let cap = (self.remaining() / min_bytes_each.max(1)) as u64;
-        if declared > cap {
-            return Err(ParseError::new(
+        let cap = self.remaining() / min_bytes_each.max(1);
+        match usize::try_from(declared) {
+            Ok(count) if count <= cap => Ok(count),
+            _ => Err(ParseError::new(
                 ParseErrorKind::TooLarge,
                 format!(
                     "declared {declared} {what} but only {} bytes remain",
                     self.remaining()
                 ),
-            ));
+            )),
         }
-        // Lossless cast: declared <= remaining byte count, which is a usize.
-        Ok(declared as usize)
     }
 
     /// A vertex-sized field (`V` is u32 on every platform).
@@ -254,7 +252,7 @@ impl FingerprintIndex {
                 fingerprint,
                 form,
                 members,
-            });
+            })?;
         }
         if cur.remaining() > 0 {
             return Err(ParseError::new(
@@ -275,15 +273,12 @@ impl FingerprintIndex {
 
     /// Appends a deserialized class, rebuilding the probe bucket. Load
     /// path only — bypasses the insert counters and witness check.
-    fn push_loaded(&mut self, class: IsoClass) {
+    fn push_loaded(&mut self, class: IsoClass) -> Result<(), DviclError> {
         let fingerprint = class.fingerprint;
-        let id = self.classes.len();
+        let id = bucket_id(self.classes.len())?;
         self.classes.push(class);
-        self.buckets
-            .entry(fingerprint)
-            .or_default()
-            // dvicl-lint: allow(narrowing-cast) -- class count bounded by the checked_count guard against file size
-            .push(id as u32);
+        self.buckets.entry(fingerprint).or_default().push(id);
+        Ok(())
     }
 }
 

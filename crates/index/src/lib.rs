@@ -156,16 +156,13 @@ impl FingerprintIndex {
             });
         }
         let class = self.classes.len();
+        let id = bucket_id(class)?;
         self.classes.push(IsoClass {
             fingerprint,
             form,
             members: 1,
         });
-        self.buckets
-            .entry(fingerprint)
-            .or_default()
-            // dvicl-lint: allow(narrowing-cast) -- class count is bounded by inserts, far below u32::MAX before the Vec itself exhausts memory
-            .push(class as u32);
+        self.buckets.entry(fingerprint).or_default().push(id);
         Ok(InsertOutcome {
             class,
             members: 1,
@@ -210,9 +207,26 @@ impl FingerprintIndex {
     }
 }
 
+/// A class id as a bucket entry. Buckets hold `u32` ids to stay small;
+/// an index past `u32::MAX` classes refuses the next class instead of
+/// aliasing an old one.
+fn bucket_id(class: usize) -> Result<u32, DviclError> {
+    u32::try_from(class)
+        .map_err(|_| DviclError::invalid(format!("the index is full at {class} classes")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_full_index_refuses_the_next_class() {
+        assert_eq!(bucket_id(u32::MAX as usize).ok(), Some(u32::MAX));
+        assert!(matches!(
+            bucket_id(u32::MAX as usize + 1),
+            Err(DviclError::InvalidInput(_))
+        ));
+    }
     use dvicl_core::{Budget, Session};
     use dvicl_graph::named;
 

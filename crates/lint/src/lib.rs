@@ -3,9 +3,9 @@
 //!
 //! It enforces the project invariants that neither rustc, clippy nor
 //! the type system can state: budget reachability through the call
-//! graph, the error taxonomy, CSR-only adjacency and audited narrowing
-//! casts. Panic-freedom, the unsafe audit and the offline guard are
-//! workspace clippy denials; arena stack discipline, checkpoint sites,
+//! graph, the error taxonomy and CSR-only adjacency. Panic-freedom, the
+//! unsafe audit, the offline guard and truncating casts are workspace
+//! clippy denials; arena stack discipline, checkpoint sites,
 //! span labels and the counter catalog are enforced by types; rustc
 //! itself rejects a non-`Sync` `static`. It is deliberately
 //! dependency-free (hand-rolled lexer and `fn` parser) so the workspace
@@ -543,29 +543,29 @@ mod tests {
     #[test]
     fn findings_inside_cfg_test_are_dropped() {
         let src =
-            "pub fn ok() {}\n#[cfg(test)]\nmod tests {\n    fn f(x: usize) -> u8 { x as u8 }\n}\n";
+            "pub fn ok() {}\n#[cfg(test)]\nmod tests {\n    fn f() -> Result<u8, String> { Ok(0) }\n}\n";
         let (findings, _) = lint_source("crates/core/src/x.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn cfg_not_test_is_not_a_test_item() {
-        let src = "#[cfg(not(test))]\nfn f(x: usize) -> u8 { x as u8 }\n";
+        let src = "#[cfg(not(test))]\nfn f() -> Result<u8, String> { Ok(0) }\n";
         let (findings, _) = lint_source("crates/core/src/x.rs", src);
         assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "narrowing-cast");
+        assert_eq!(findings[0].rule, "error-taxonomy");
     }
 
     #[test]
     fn nested_test_submodules_are_covered() {
-        let src = "#[cfg(test)]\nmod tests {\n    mod inner {\n        fn f(x: usize) -> u8 { x as u8 }\n    }\n}\n";
+        let src = "#[cfg(test)]\nmod tests {\n    mod inner {\n        fn f() -> Result<u8, String> { Ok(0) }\n    }\n}\n";
         let (findings, _) = lint_source("crates/core/src/x.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn well_formed_pragma_suppresses_and_counts() {
-        let src = "fn f(x: usize) -> u8 {\n    x as u8 // dvicl-lint: allow(narrowing-cast) -- x < 8 checked above\n}\n";
+        let src = "fn f() -> Result<u8, String> { // dvicl-lint: allow(error-taxonomy) -- shown to users verbatim\n    Ok(0)\n}\n";
         let (findings, suppressed) = lint_source("crates/core/src/x.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(suppressed, 1);
@@ -573,7 +573,7 @@ mod tests {
 
     #[test]
     fn pragma_on_previous_line_suppresses() {
-        let src = "fn f(x: usize) -> u8 {\n    // dvicl-lint: allow(narrowing-cast) -- invariant: x < 8 by new()\n    x as u8\n}\n";
+        let src = "// dvicl-lint: allow(error-taxonomy) -- shown to users verbatim\nfn f() -> Result<u8, String> {\n    Ok(0)\n}\n";
         let (findings, suppressed) = lint_source("crates/core/src/x.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(suppressed, 1);
@@ -581,12 +581,13 @@ mod tests {
 
     #[test]
     fn missing_reason_pragma_is_a_finding_and_suppresses_nothing() {
-        let src = "fn f(x: usize) -> u8 {\n    x as u8 // dvicl-lint: allow(narrowing-cast)\n}\n";
+        let src =
+            "fn f() -> Result<u8, String> { // dvicl-lint: allow(error-taxonomy)\n    Ok(0)\n}\n";
         let (findings, suppressed) = lint_source("crates/core/src/x.rs", src);
         assert_eq!(suppressed, 0);
         let rules: Vec<_> = findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&PRAGMA_MISSING_REASON), "{rules:?}");
-        assert!(rules.contains(&"narrowing-cast"), "{rules:?}");
+        assert!(rules.contains(&"error-taxonomy"), "{rules:?}");
     }
 
     #[test]
@@ -599,12 +600,13 @@ mod tests {
 
     #[test]
     fn pragma_that_suppresses_nothing_is_an_unsuppressible_finding() {
-        // No cast on the line, a cast the rule cannot see, and a pragma
-        // inside a test module where no rule runs: each pragma is
-        // stale. A pragma cannot name the meta-rule to silence it.
-        let src = "fn f(x: usize) -> usize {\n    x + 1 // dvicl-lint: allow(narrowing-cast) -- no cast\n}\n\
-                   fn g(x: u64) -> usize {\n    // dvicl-lint: allow(narrowing-cast, pragma-unused) -- invisible\n    x as usize\n}\n\
-                   #[cfg(test)]\nmod tests {\n    // dvicl-lint: allow(narrowing-cast) -- test code\n    fn t(x: usize) -> u8 { x as u8 }\n}\n";
+        // No error type on the line, a stringly error the rule cannot
+        // see, and a pragma inside a test module where no rule runs: each
+        // pragma is stale. A pragma cannot name the meta-rule to silence
+        // it.
+        let src = "fn f(x: usize) -> usize {\n    x + 1 // dvicl-lint: allow(error-taxonomy) -- no error\n}\n\
+                   fn g() -> Result<u8, Box<str>> {\n    // dvicl-lint: allow(error-taxonomy, pragma-unused) -- invisible\n    Err(\"no\".into())\n}\n\
+                   #[cfg(test)]\nmod tests {\n    // dvicl-lint: allow(error-taxonomy) -- test code\n    fn t() -> Result<u8, String> { Ok(0) }\n}\n";
         let (findings, suppressed) = lint_source("crates/core/src/x.rs", src);
         assert_eq!(suppressed, 0);
         let got: Vec<_> = findings.iter().map(|f| (f.rule, f.line)).collect();
@@ -622,11 +624,16 @@ mod tests {
 
     #[test]
     fn retired_rules_are_unknown_to_pragmas() {
-        // Panic-freedom and the offline guard are clippy denials now,
-        // and the shared-state screen left with the intra-build threads:
-        // a pragma naming any of them is stale and must be flagged, not
-        // silently accepted.
-        for rule in ["panic-freedom", "offline-guard", "shared-state-screen"] {
+        // Panic-freedom, the offline guard and narrowing casts are
+        // clippy denials now, and the shared-state screen left with the
+        // intra-build threads: a pragma naming any of them is stale and
+        // must be flagged, not silently accepted.
+        for rule in [
+            "panic-freedom",
+            "offline-guard",
+            "narrowing-cast",
+            "shared-state-screen",
+        ] {
             let src = format!("fn f() {{ // dvicl-lint: allow({rule}) -- stale\n}}\n");
             let (findings, _) = lint_source("crates/core/src/x.rs", &src);
             assert_eq!(findings.len(), 1, "{rule}");

@@ -4,10 +4,10 @@
 //! the line immediately below it, so both styles work:
 //!
 //! ```text
-//! len as u32 // dvicl-lint: allow(narrowing-cast) -- len < n <= V::MAX
+//! for v in 0..n { // dvicl-lint: allow(budget-reachability) -- one pass over n
 //!
-//! // dvicl-lint: allow(narrowing-cast) -- len < n <= V::MAX
-//! len as u32
+//! // dvicl-lint: allow(budget-reachability) -- one pass over n
+//! for v in 0..n {
 //! ```
 //!
 //! The reason is mandatory: a pragma without a non-empty `-- reason`
@@ -83,41 +83,41 @@ mod tests {
     #[test]
     fn well_formed_pragma() {
         let p = parse(
-            "// dvicl-lint: allow(narrowing-cast) -- index bounded by loop",
+            "// dvicl-lint: allow(error-taxonomy) -- message shown verbatim",
             7,
             3,
         )
         .unwrap();
-        assert_eq!(p.rules, vec!["narrowing-cast"]);
-        assert_eq!(p.reason.as_deref(), Some("index bounded by loop"));
-        assert!(p.suppresses("narrowing-cast", 7));
-        assert!(p.suppresses("narrowing-cast", 8));
-        assert!(!p.suppresses("narrowing-cast", 9));
-        assert!(!p.suppresses("error-taxonomy", 7));
+        assert_eq!(p.rules, vec!["error-taxonomy"]);
+        assert_eq!(p.reason.as_deref(), Some("message shown verbatim"));
+        assert!(p.suppresses("error-taxonomy", 7));
+        assert!(p.suppresses("error-taxonomy", 8));
+        assert!(!p.suppresses("error-taxonomy", 9));
+        assert!(!p.suppresses("budget-reachability", 7));
     }
 
     #[test]
     fn multiple_rules_one_pragma() {
         let p = parse(
-            "// dvicl-lint: allow(budget-reachability, narrowing-cast) -- proven in from_cells",
+            "// dvicl-lint: allow(budget-reachability, error-taxonomy) -- proven in from_cells",
             1,
             1,
         )
         .unwrap();
         assert_eq!(p.rules.len(), 2);
-        assert!(p.suppresses("narrowing-cast", 2));
+        assert!(p.suppresses("error-taxonomy", 2));
     }
 
     #[test]
     fn missing_reason_does_not_suppress() {
-        let p = parse("// dvicl-lint: allow(narrowing-cast)", 4, 1).unwrap();
+        let p = parse("// dvicl-lint: allow(error-taxonomy)", 4, 1).unwrap();
         assert!(p.reason.is_none());
-        assert!(!p.suppresses("narrowing-cast", 4));
+        assert!(!p.suppresses("error-taxonomy", 4));
     }
 
     #[test]
     fn empty_reason_counts_as_missing() {
-        let p = parse("// dvicl-lint: allow(narrowing-cast) --   ", 4, 1).unwrap();
+        let p = parse("// dvicl-lint: allow(error-taxonomy) --   ", 4, 1).unwrap();
         assert!(p.reason.is_none());
     }
 
@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn malformed_clause_has_no_rules() {
-        let p = parse("// dvicl-lint: allowed(narrowing-cast) -- oops", 1, 1).unwrap();
+        let p = parse("// dvicl-lint: allowed(error-taxonomy) -- oops", 1, 1).unwrap();
         assert!(p.rules.is_empty());
     }
 }

@@ -80,7 +80,7 @@ mod tests {
 
     fn sample() -> Finding {
         Finding {
-            rule: "narrowing-cast",
+            rule: "error-taxonomy",
             file: "crates/x/src/lib.rs".into(),
             line: 3,
             col: 9,
@@ -97,7 +97,7 @@ mod tests {
             suppressed: 2,
         };
         let h = r.human();
-        assert!(h.contains("error[narrowing-cast] crates/x/src/lib.rs:3:9:"));
+        assert!(h.contains("error[error-taxonomy] crates/x/src/lib.rs:3:9:"));
         assert!(h.contains("1 finding(s), 2 suppressed, 1 file(s) scanned"));
     }
 
@@ -117,7 +117,7 @@ mod tests {
         };
         let g = r.github();
         assert!(
-            g.contains("::error file=crates/x/src/lib.rs,line=3,col=9,title=narrowing-cast::"),
+            g.contains("::error file=crates/x/src/lib.rs,line=3,col=9,title=error-taxonomy::"),
             "{g}"
         );
         assert!(g.contains("50%25 of%0Athe time"), "{g}");

@@ -10,7 +10,6 @@ use crate::lexer::{Tok, TokKind};
 
 pub mod budget_reachability;
 pub mod error_taxonomy;
-pub mod narrowing_cast;
 pub mod nested_vec_adjacency;
 
 /// One reported violation. Every finding fails the run.
@@ -104,12 +103,6 @@ pub fn catalog() -> &'static [RuleMeta] {
             summary: "library crates must use DviclError: no Box<dyn Error>, Result<_, String>, or stringly Err values",
             applies: applies_to_library_crates,
             check: error_taxonomy::check,
-        },
-        RuleMeta {
-            id: narrowing_cast::ID,
-            summary: "narrowing `as u8/u16/u32` casts need a pragma or allowlist entry proving they cannot truncate",
-            applies: applies_everywhere,
-            check: narrowing_cast::check,
         },
         RuleMeta {
             id: nested_vec_adjacency::ID,

@@ -50,7 +50,6 @@ fn tripping_fixture_exits_nonzero() {
     for (group, rel) in [
         ("budget_reachability", "crates/refine/src/partition.rs"),
         ("error_taxonomy", "crates/core/src/fixture.rs"),
-        ("narrowing_cast", "crates/core/src/fixture.rs"),
     ] {
         let out = bin()
             .arg("--root")
@@ -76,7 +75,7 @@ fn clean_fixture_exits_zero() {
         .arg(workspace_root())
         .arg("--as")
         .arg("crates/core/src/fixture.rs")
-        .arg(fixture("narrowing_cast", "clean.rs"))
+        .arg(fixture("error_taxonomy", "clean.rs"))
         .output()
         .expect("run dvicl-lint");
     assert_eq!(out.status.code(), Some(0));
@@ -87,7 +86,7 @@ fn list_rules_covers_the_catalog() {
     let out = bin().arg("--list-rules").output().expect("run dvicl-lint");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success());
-    // The four analyzer rules plus the three pragma meta-rules, and
+    // The three analyzer rules plus the three pragma meta-rules, and
     // nothing else: the retired rules are clippy denials, types or
     // rustc checks now.
     let listed: Vec<&str> = stdout
@@ -98,7 +97,6 @@ fn list_rules_covers_the_catalog() {
         listed,
         [
             "error-taxonomy",
-            "narrowing-cast",
             "nested-vec-adjacency",
             "budget-reachability",
             "pragma-missing-reason",
@@ -118,7 +116,7 @@ fn github_format_emits_error_annotations() {
         .arg("crates/core/src/fixture.rs")
         .arg("--format")
         .arg("github")
-        .arg(fixture("narrowing_cast", "trip.rs"))
+        .arg(fixture("error_taxonomy", "trip.rs"))
         .output()
         .expect("run dvicl-lint");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -127,7 +125,7 @@ fn github_format_emits_error_annotations() {
         stdout.contains("::error file=crates/core/src/fixture.rs,line="),
         "{stdout}"
     );
-    assert!(stdout.contains("title=narrowing-cast::"), "{stdout}");
+    assert!(stdout.contains("title=error-taxonomy::"), "{stdout}");
     assert!(stdout.contains("::notice title=dvicl-lint::"), "{stdout}");
 }
 
@@ -140,14 +138,14 @@ fn unknown_flag_exits_two() {
 #[test]
 fn as_takes_exactly_one_file() {
     // Two files under one `--as` path would share their pragmas: the
-    // first file's pragma would silence the second file's cast.
+    // first file's pragma would silence the second file's finding.
     let out = bin()
         .arg("--root")
         .arg(workspace_root())
         .arg("--as")
         .arg("crates/core/src/fixture.rs")
         .arg(fixture("pragmas", "suppressed.rs"))
-        .arg(fixture("narrowing_cast", "trip.rs"))
+        .arg(fixture("error_taxonomy", "trip.rs"))
         .output()
         .expect("run dvicl-lint");
     assert_eq!(out.status.code(), Some(2));

@@ -14,7 +14,7 @@ fn rules_of(src: &str) -> Vec<&'static str> {
 fn raw_strings_do_not_trip_rules() {
     let src = r####"
 pub fn f() -> &'static str {
-    r#"this "raw" body says 7usize as u8 and std::process::Command"#
+    r#"this "raw" body says Result<u8, String> and Err(format!("x"))"#
 }
 "####;
     assert!(rules_of(src).is_empty(), "{:?}", rules_of(src));
@@ -23,25 +23,26 @@ pub fn f() -> &'static str {
 #[test]
 fn text_after_a_raw_string_is_still_linted() {
     let src = r####"
-pub fn f(xs: &[u32]) -> u32 {
+pub fn f(xs: &[u32]) -> usize {
     let _s = r#"benign "quoted" text"#;
-    xs.len() as u32
+    let _r: Result<usize, String> = Ok(xs.len());
+    0
 }
 "####;
-    assert_eq!(rules_of(src), vec!["narrowing-cast"]);
+    assert_eq!(rules_of(src), vec!["error-taxonomy"]);
 }
 
 #[test]
 fn nested_block_comments_hide_violations_and_end_correctly() {
     let src = "
 pub fn f() -> u32 {
-    /* outer /* inner 7usize as u16 */ still outer */
+    /* outer /* inner Result<u16, String> */ still outer */
     let x = 1u32; // after the comment, code is linted again
-    x as u8;
+    let _r: Result<u32, String> = Ok(x);
     x
 }
 ";
-    assert_eq!(rules_of(src), vec!["narrowing-cast"]);
+    assert_eq!(rules_of(src), vec!["error-taxonomy"]);
 }
 
 #[test]
@@ -49,14 +50,15 @@ fn char_literals_and_lifetimes_do_not_confuse_the_lexer() {
     // A lifetime tick must not swallow the rest of the line; the
     // violation after it must still be found.
     let src = "
-pub fn f<'a>(xs: &'a [char]) -> u8 {
+pub fn f<'a>(xs: &'a [char]) -> usize {
     let tick = '\\'';
     let check = 'x';
     if tick == check { return 0; }
-    xs.len() as u8
+    let _r: Result<usize, String> = Ok(xs.len());
+    0
 }
 ";
-    assert_eq!(rules_of(src), vec!["narrowing-cast"]);
+    assert_eq!(rules_of(src), vec!["error-taxonomy"]);
 }
 
 #[test]
@@ -71,9 +73,8 @@ mod tests {
     mod deeper {
         #[test]
         fn inner() {
-            let xs: Vec<u32> = vec![1];
-            let _ = xs.len() as u32;
-            let _ = xs[0] as u8;
+            let _: Result<u32, String> = Ok(1);
+            let _: Result<u32, String> = Err(format!(\"{}\", 2));
         }
     }
 
@@ -91,40 +92,40 @@ fn code_after_a_test_module_is_linted_again() {
     let src = "
 #[cfg(test)]
 mod tests {
-    fn t(x: usize) -> u8 { x as u8 }
+    fn t() -> Result<u8, String> { Ok(0) }
 }
 
-pub fn shipped(xs: &[u32]) -> u32 {
-    xs.len() as u32
+pub fn shipped(xs: &[u32]) -> Result<usize, String> {
+    Ok(xs.len())
 }
 ";
-    assert_eq!(rules_of(src), vec!["narrowing-cast"]);
+    assert_eq!(rules_of(src), vec!["error-taxonomy"]);
 }
 
 #[test]
 fn test_fn_attribute_exempts_only_that_item() {
     let src = "
 #[test]
-fn a_test() { let _ = 7usize as u8; }
+fn a_test() { let _: Result<u8, String> = Ok(7); }
 
-pub fn shipped(xs: &[u32]) -> u32 {
-    xs.len() as u32
+pub fn shipped(xs: &[u32]) -> Result<usize, String> {
+    Ok(xs.len())
 }
 ";
-    assert_eq!(rules_of(src), vec!["narrowing-cast"]);
+    assert_eq!(rules_of(src), vec!["error-taxonomy"]);
 }
 
 #[test]
 fn pragma_reason_is_required_for_suppression() {
-    let with_reason = "pub fn f(x: usize) -> u32 {\n    x as u32 // dvicl-lint: allow(narrowing-cast) -- x < n <= V::MAX\n}\n";
+    let with_reason = "pub fn f() -> Result<u8, String> { // dvicl-lint: allow(error-taxonomy) -- shown verbatim\n    Ok(0)\n}\n";
     assert!(rules_of(with_reason).is_empty());
 
     let without =
-        "pub fn f(x: usize) -> u32 {\n    x as u32 // dvicl-lint: allow(narrowing-cast)\n}\n";
+        "pub fn f() -> Result<u8, String> { // dvicl-lint: allow(error-taxonomy)\n    Ok(0)\n}\n";
     let rules = rules_of(without);
     assert!(
         rules.contains(&dvicl_lint::PRAGMA_MISSING_REASON),
         "{rules:?}"
     );
-    assert!(rules.contains(&"narrowing-cast"), "{rules:?}");
+    assert!(rules.contains(&"error-taxonomy"), "{rules:?}");
 }

@@ -22,7 +22,7 @@ fn lint_fixture(group: &str, name: &str, rel: &str) -> (Vec<&'static str>, usize
 }
 
 /// (fixture dir, rule id, rel path to lint under, findings expected in trip.rs)
-const CASES: [(&str, &str, &str, usize); 3] = [
+const CASES: [(&str, &str, &str, usize); 2] = [
     (
         "budget_reachability",
         "budget-reachability",
@@ -34,12 +34,6 @@ const CASES: [(&str, &str, &str, usize); 3] = [
         "error-taxonomy",
         "crates/core/src/fixture.rs",
         5,
-    ),
-    (
-        "narrowing_cast",
-        "narrowing-cast",
-        "crates/core/src/fixture.rs",
-        3,
     ),
 ];
 
@@ -68,14 +62,16 @@ fn every_clean_fixture_is_fully_clean() {
 
 #[test]
 fn clean_fixtures_record_their_suppressions() {
-    // These clean fixtures each carry one well-formed pragma.
-    for (group, rel, want) in [
-        ("budget_reachability", "crates/refine/src/partition.rs", 1),
-        ("narrowing_cast", "crates/core/src/fixture.rs", 1),
-    ] {
-        let (_, suppressed) = lint_fixture(group, "clean.rs", rel);
-        assert_eq!(suppressed, want, "{group}/clean.rs suppression count");
-    }
+    // The budget fixture's clean sample carries one well-formed pragma.
+    let (_, suppressed) = lint_fixture(
+        "budget_reachability",
+        "clean.rs",
+        "crates/refine/src/partition.rs",
+    );
+    assert_eq!(
+        suppressed, 1,
+        "budget_reachability/clean.rs suppression count"
+    );
 }
 
 #[test]
@@ -87,7 +83,7 @@ fn missing_reason_pragma_is_a_finding_and_suppresses_nothing() {
         rules.contains(&dvicl_lint::PRAGMA_MISSING_REASON),
         "{rules:?}"
     );
-    assert!(rules.contains(&"narrowing-cast"), "{rules:?}");
+    assert!(rules.contains(&"error-taxonomy"), "{rules:?}");
 }
 
 #[test]
@@ -109,13 +105,4 @@ fn budget_fixture_is_inert_outside_governed_crates() {
     // The same tripping source is fine in an ungoverned crate.
     let (rules, _) = lint_fixture("budget_reachability", "trip.rs", "crates/apps/src/other.rs");
     assert!(!rules.contains(&"budget-reachability"), "{rules:?}");
-}
-
-#[test]
-fn narrowing_allowlist_covers_biguint() {
-    let src = "pub fn limb(x: u64) -> u32 { (x & 0xffff_ffff) as u32 }\n";
-    let (findings, _) = lint_source("crates/group/src/biguint.rs", src);
-    assert!(findings.is_empty(), "{findings:?}");
-    let (findings, _) = lint_source("crates/group/src/other.rs", src);
-    assert_eq!(findings.len(), 1);
 }

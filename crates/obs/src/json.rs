@@ -15,10 +15,8 @@ fn esc(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            // dvicl-lint: allow(narrowing-cast) -- char to u32 is lossless (chars are scalar values below 2^21)
             c if (c as u32) < 0x20 => {
                 out.push_str("\\u");
-                // dvicl-lint: allow(narrowing-cast) -- char to u32 is lossless (chars are scalar values below 2^21)
                 let code = c as u32;
                 for shift in [12u32, 8, 4, 0] {
                     let digit = (code >> shift) & 0xf;

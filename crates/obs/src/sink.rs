@@ -45,7 +45,7 @@ pub struct PhaseRow {
 pub struct Summary {
     /// Final counter values.
     pub counters: Snapshot,
-    /// Per-phase timing rows, in first-seen order (empty unless timing
+    /// Per-phase timing rows, in catalog order (empty unless timing
     /// was enabled via [`crate::set_timing`]).
     pub phases: Vec<PhaseRow>,
 }

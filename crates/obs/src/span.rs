@@ -1,24 +1,25 @@
 //! Scoped phase timers.
 //!
 //! A [`span`] is a guard that, while timing is enabled, measures the
-//! wall time of its scope and attributes it to a phase label. The
-//! calling thread's stack of open frames lets a parent phase subtract
-//! the time spent in its children, so the report can show both *total*
-//! (inclusive) and *self* (exclusive) time per phase — the breakdown
-//! the DviCL paper reports as refine / divide / combine / leaf-IR. The
-//! phase table lives beside that stack in the same thread-local, so
-//! closing a span takes no lock and [`phases`] reports only the calling
+//! wall time of its scope and attributes it to a [`Phase`]. Each open
+//! span collects the time of the spans nested in it, so a parent phase
+//! subtracts the time spent in its children and the report shows both
+//! *total* (inclusive) and *self* (exclusive) time per phase — the
+//! breakdown the DviCL paper reports as refine / divide / combine /
+//! leaf-IR. The phase table is a fixed thread-local array indexed by
+//! [`Phase`], the same shape as the counters, so closing a span takes no
+//! lock and allocates nothing, and [`phases`] reports only the calling
 //! thread's spans.
 //!
 //! Timing is off by default: an un-observed span costs one relaxed
 //! atomic load and nothing else. The switch is process-wide.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// Per-phase accumulated timing, keyed by span label.
+/// Per-phase accumulated timing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStat {
     /// How many spans completed under this label.
@@ -87,27 +88,21 @@ crate::catalog! {
 
 static TIMING: AtomicBool = AtomicBool::new(false);
 
-struct Frame {
-    label: &'static str,
-    start: Instant,
-    child_ns: u64,
-}
+const NUM_PHASES: usize = Phase::ALL.len();
 
-/// One thread's open spans and the phase table they fold into. The
-/// table is tiny (one entry per distinct label, ~a dozen in the whole
-/// pipeline), so a linear scan beats a map.
-struct ThreadPhases {
-    stack: Vec<Frame>,
-    table: Vec<(&'static str, PhaseStat)>,
-}
+const NO_TIME: PhaseStat = PhaseStat {
+    calls: 0,
+    total_ns: 0,
+    self_ns: 0,
+};
 
 thread_local! {
-    static PHASES: RefCell<ThreadPhases> = const {
-        RefCell::new(ThreadPhases {
-            stack: Vec::new(),
-            table: Vec::new(),
-        })
-    };
+    /// The calling thread's phase table, indexed by [`Phase`].
+    static TABLE: [Cell<PhaseStat>; NUM_PHASES] =
+        const { [const { Cell::new(NO_TIME) }; NUM_PHASES] };
+    /// The total time of the spans closed so far inside the innermost
+    /// open span: its child time.
+    static CHILD_NS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Turns span timing on or off process-wide.
@@ -126,8 +121,16 @@ pub fn timing_enabled() -> bool {
 /// it.
 #[must_use = "a span measures until it is dropped; binding it to _ drops it immediately"]
 pub struct Span {
-    active: bool,
+    /// `None` when timing was off at open.
+    open: Option<Open>,
     _thread: PhantomData<*const ()>,
+}
+
+struct Open {
+    phase: Phase,
+    start: Instant,
+    /// The enclosing span's child time so far, restored on drop.
+    outer_child_ns: u64,
 }
 
 /// Opens a timed span for `phase` (DESIGN.md §9). Returns an inert
@@ -144,55 +147,45 @@ pub struct Span {
 /// assert!(phases.iter().any(|(l, st)| *l == "refine.refine" && st.calls == 1));
 /// ```
 pub fn span(phase: Phase) -> Span {
-    let active = timing_enabled();
-    if active {
-        PHASES.with_borrow_mut(|t| {
-            t.stack.push(Frame {
-                label: phase.name(),
-                start: Instant::now(),
-                child_ns: 0,
-            });
-        });
-    }
+    let open = timing_enabled().then(|| Open {
+        phase,
+        outer_child_ns: CHILD_NS.replace(0),
+        start: Instant::now(),
+    });
     Span {
-        active,
+        open,
         _thread: PhantomData,
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        PHASES.with_borrow_mut(|t| {
-            let Some(frame) = t.stack.pop() else { return };
-            let total_ns = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let self_ns = total_ns.saturating_sub(frame.child_ns);
-            if let Some(parent) = t.stack.last_mut() {
-                parent.child_ns = parent.child_ns.saturating_add(total_ns);
-            }
-            if let Some((_, st)) = t.table.iter_mut().find(|(l, _)| *l == frame.label) {
-                st.calls += 1;
-                st.total_ns = st.total_ns.saturating_add(total_ns);
-                st.self_ns = st.self_ns.saturating_add(self_ns);
-            } else {
-                t.table.push((
-                    frame.label,
-                    PhaseStat {
-                        calls: 1,
-                        total_ns,
-                        self_ns,
-                    },
-                ));
-            }
+        let Some(open) = &self.open else { return };
+        let total_ns = u64::try_from(open.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let self_ns = total_ns.saturating_sub(CHILD_NS.get());
+        CHILD_NS.set(open.outer_child_ns.saturating_add(total_ns));
+        TABLE.with(|t| {
+            let cell = &t[open.phase as usize];
+            let st = cell.get();
+            cell.set(PhaseStat {
+                calls: st.calls + 1,
+                total_ns: st.total_ns.saturating_add(total_ns),
+                self_ns: st.self_ns.saturating_add(self_ns),
+            });
         });
     }
 }
 
-/// A copy of the calling thread's phase table, in first-seen order.
+/// The calling thread's phase table: every phase with at least one
+/// closed span, in catalog order.
 pub fn phases() -> Vec<(&'static str, PhaseStat)> {
-    PHASES.with_borrow(|t| t.table.clone())
+    TABLE.with(|t| {
+        Phase::ALL
+            .iter()
+            .map(|&p| (p.name(), t[p as usize].get()))
+            .filter(|(_, st)| st.calls > 0)
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -225,8 +218,8 @@ mod tests {
         set_timing(false);
         let table = phases();
         let labels: Vec<&str> = table.iter().map(|(l, _)| *l).collect();
-        assert_eq!(labels, ["core.combine", "core.build"]);
-        let (inner, outer) = (table[0].1, table[1].1);
+        assert_eq!(labels, ["core.build", "core.combine"], "catalog order");
+        let (outer, inner) = (table[0].1, table[1].1);
         assert_eq!((outer.calls, inner.calls), (1, 1));
         assert!(outer.total_ns >= inner.total_ns);
         assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);

@@ -198,10 +198,10 @@ impl BitsetKernel {
             self.splitter_mask.clear();
             self.splitter_mask.resize(self.words, 0);
             self.adj.resize(self.n * self.words, 0);
-            for u in 0..self.n {
-                // Lossless cast: u < n <= V::MAX.
-                for &w in g.neighbors(u as V) {
-                    self.adj[u * self.words + (w >> 6) as usize] |= 1u64 << (w & 63);
+            for u in g.vertices() {
+                let row = u as usize * self.words;
+                for &w in g.neighbors(u) {
+                    self.adj[row + (w >> 6) as usize] |= 1u64 << (w & 63);
                 }
             }
         }
@@ -217,12 +217,11 @@ impl BitsetKernel {
         // snapshot entries stay valid cell starts).
         self.affected.clear();
         let n = p.n();
-        let mut c = 0usize;
-        while c < n {
-            let clen = p.cell_len[c] as usize;
+        let mut c = 0u32;
+        while (c as usize) < n {
+            let clen = p.cell_len[c as usize];
             if clen > 1 {
-                // dvicl-lint: allow(narrowing-cast) -- c < n <= V::MAX
-                self.affected.push(c as u32);
+                self.affected.push(c);
             }
             c += clen;
         }
@@ -268,14 +267,14 @@ impl BitsetKernel {
         self.affected.clear();
         for i in 0..self.touched.len() {
             let w = self.touched[i];
-            let c = p.cell_start[w as usize] as usize;
+            let start = p.cell_start[w as usize];
+            let c = start as usize;
             if p.cell_len[c] <= 1 {
                 continue;
             }
             if !p.in_affected[c] {
                 p.in_affected[c] = true;
-                // dvicl-lint: allow(narrowing-cast) -- c < n <= V::MAX
-                self.affected.push(c as u32);
+                self.affected.push(start);
             }
             let cv = p.cnt[w as usize];
             self.touched_cnt[c] += 1;
@@ -391,7 +390,7 @@ mod tests {
     use crate::partition::Partition;
     use crate::{RefineResult, Refiner};
     use dvicl_govern::Budget;
-    use dvicl_graph::{named, Coloring, Graph, V};
+    use dvicl_graph::{named, vertex_range, Coloring, Graph, V};
     use proptest::prelude::*;
 
     /// The oracle kernel: scatter counts, then comparison-sort each *whole*
@@ -491,7 +490,7 @@ mod tests {
     fn arb_colored_graph() -> impl Strategy<Value = (Graph, Coloring)> {
         (2usize..40).prop_flat_map(|n| {
             (
-                proptest::collection::vec((0..n as u32, 0..n as u32), 0..120),
+                proptest::collection::vec((vertex_range(n), vertex_range(n)), 0..120),
                 proptest::collection::vec(0u32..4, n),
             )
                 .prop_map(move |(edges, labels)| {
@@ -505,7 +504,7 @@ mod tests {
         (8usize..48).prop_flat_map(|n| {
             let m = n * n / 4;
             (
-                proptest::collection::vec((0..n as u32, 0..n as u32), m..m + n),
+                proptest::collection::vec((vertex_range(n), vertex_range(n)), m..m + n),
                 proptest::collection::vec(0u32..3, n),
             )
                 .prop_map(move |(edges, labels)| {
@@ -519,7 +518,7 @@ mod tests {
     fn arb_big_cell_graph() -> impl Strategy<Value = (Graph, Coloring)> {
         (64usize..140).prop_flat_map(|n| {
             (
-                proptest::collection::vec((0..n as u32, 0..n as u32), n..4 * n),
+                proptest::collection::vec((vertex_range(n), vertex_range(n)), n..4 * n),
                 proptest::collection::vec(0u32..2, n),
             )
                 .prop_map(move |(edges, labels)| {
@@ -535,7 +534,7 @@ mod tests {
     fn arb_large_sparse_graph() -> impl Strategy<Value = (Graph, Coloring)> {
         (200usize..2000).prop_flat_map(|n| {
             (
-                proptest::collection::vec((0..n as u32, 0..n as u32), n - n / 8..n + n / 8),
+                proptest::collection::vec((vertex_range(n), vertex_range(n)), n - n / 8..n + n / 8),
                 proptest::collection::vec(0u32..2, n),
             )
                 .prop_map(move |(edges, labels)| {

@@ -25,6 +25,11 @@
 //! permutes members inside their own cell's span and nothing reads the
 //! order inside a cell.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "every position, cell start, cell length and trail offset here is at most n <= V::MAX"
+)]
+
 use crate::kernel::RefineKernel;
 use crate::{PartitionView, RefineResult};
 use dvicl_govern::{Budget, DviclError};
@@ -82,15 +87,13 @@ impl Partition {
         self.cell_len.clear();
         self.cell_len.resize(n, 0);
         for cell in pi.cells() {
-            // dvicl-lint: allow(narrowing-cast) -- a cell holds at most n <= V::MAX vertices
             self.cell_len[self.lab.len()] = cell.len() as u32;
             self.lab.extend_from_slice(cell);
         }
         self.pos.clear();
         self.pos.resize(n, 0);
-        for (i, &v) in self.lab.iter().enumerate() {
-            // dvicl-lint: allow(narrowing-cast) -- i indexes lab, which has n <= V::MAX entries
-            self.pos[v as usize] = i as u32;
+        for (i, &v) in (0..).zip(&self.lab) {
+            self.pos[v as usize] = i;
         }
         self.cell_start.clear();
         self.cell_start.resize(n, 0);
@@ -98,7 +101,6 @@ impl Partition {
         while s < n {
             let len = self.cell_len[s] as usize;
             for i in s..s + len {
-                // dvicl-lint: allow(narrowing-cast) -- s < n <= V::MAX
                 self.cell_start[self.lab[i] as usize] = s as u32;
             }
             s += len;
@@ -144,7 +146,6 @@ impl Partition {
         if old != start {
             if let Some(&from) = self.levels.last() {
                 if self.recolored_from(v).is_none() {
-                    // dvicl-lint: allow(narrowing-cast) -- a level logs each vertex once, so it holds at most n <= V::MAX entries
                     self.trail_at[v as usize] = (self.trail.len() - from) as u32;
                     self.trail.push((v, old));
                 }
@@ -209,11 +210,10 @@ impl Partition {
     // dvicl-lint: allow(budget-reachability) -- O(cells) worklist seeding; run() meters the refinement that follows
     fn enqueue_all_cells(&mut self) {
         let n = self.n();
-        let mut s = 0usize;
-        while s < n {
-            // dvicl-lint: allow(narrowing-cast) -- s < n <= V::MAX
-            self.enqueue(s as u32);
-            s += self.cell_len[s] as usize;
+        let mut s = 0u32;
+        while (s as usize) < n {
+            self.enqueue(s);
+            s += self.cell_len[s as usize];
         }
     }
 
@@ -351,17 +351,13 @@ impl Partition {
         if !self.in_queue[c] {
             let mut largest_len = 0u32;
             if untouched > 0 {
-                // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
                 (largest_len, largest_start) = (untouched as u32, c as u32);
             }
             let mut i = 0usize;
             while i < t {
                 let j = fragment_end(touched, i);
-                // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
                 if (j - i) as u32 > largest_len {
-                    // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
                     largest_len = (j - i) as u32;
-                    // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
                     largest_start = (tail + i) as u32;
                 }
                 i = j;
@@ -380,12 +376,10 @@ impl Partition {
                     }
                     let u = self.lab[j];
                     self.lab[pv] = u;
-                    // dvicl-lint: allow(narrowing-cast) -- pv < n <= V::MAX
                     self.pos[u as usize] = pv as u32;
                     j += 1;
                 }
             }
-            // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
             trace = self.finish_fragment(c as u32, untouched as u32, 0, largest_start, trace);
         }
         // Rewrite the tail and fix up bookkeeping per fragment.
@@ -393,16 +387,13 @@ impl Partition {
         while i < t {
             let count = touched[i].0;
             let j = fragment_end(touched, i);
-            // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
             let frag_start = (tail + i) as u32;
             for (k, &(_, v)) in touched[i..j].iter().enumerate() {
                 let p = tail + i + k;
                 self.lab[p] = v;
-                // dvicl-lint: allow(narrowing-cast) -- p < n <= V::MAX
                 self.pos[v as usize] = p as u32;
                 self.set_cell_start(v, frag_start);
             }
-            // dvicl-lint: allow(narrowing-cast) -- fragment length and start are < n <= V::MAX
             trace = self.finish_fragment(frag_start, (j - i) as u32, count, largest_start, trace);
             i = j;
         }

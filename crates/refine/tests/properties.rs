@@ -2,6 +2,11 @@
 //! Section 4 — finer-or-equal, equitable, isomorphism-invariant — on
 //! random graphs and colorings.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
+
 use dvicl_govern::Budget;
 use dvicl_graph::{Coloring, Graph, Perm, V};
 use dvicl_refine::Refiner;

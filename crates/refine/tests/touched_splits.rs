@@ -7,6 +7,11 @@
 //! generous for a debug build — is a regression gate for the default
 //! kernel at every graph size.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
+
 use dvicl_govern::Budget;
 use dvicl_graph::{named, Coloring, Graph, V};
 use dvicl_refine::Refiner;

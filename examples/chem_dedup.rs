@@ -53,7 +53,7 @@ fn library() -> Vec<(&'static str, Graph)> {
 )]
 fn shuffle(g: &Graph, salt: u64) -> Graph {
     let n = g.n();
-    let mut image: Vec<V> = (0..n as V).collect();
+    let mut image: Vec<V> = g.vertices().collect();
     let mut state = salt.wrapping_mul(0x9e3779b97f4a7c15) | 1;
     for i in (1..n).rev() {
         state = state

@@ -5,7 +5,7 @@
 use dvicl::canon::{try_canonical_form, CanonResult, Config};
 use dvicl::core::iso::try_find_isomorphism_outcome;
 use dvicl::core::{aut, simplify, try_build_autotree, AutoTree, Budget, DviclOptions};
-use dvicl::graph::{named, Coloring, Graph, V};
+use dvicl::graph::{named, vertex_range, Coloring, Graph, V};
 use dvicl::group::{brute, BigUint, StabChain};
 use proptest::prelude::*;
 
@@ -28,10 +28,8 @@ fn ir(g: &Graph, pi: &Coloring, config: &Config) -> CanonResult {
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (2..=max_n).prop_flat_map(|n| {
         proptest::collection::vec(any::<u32>(), 0..30).prop_map(move |raw| {
-            let edges: Vec<(V, V)> = raw
-                .iter()
-                .map(|&x| ((x % n as u32) as V, ((x / 7919) % n as u32) as V))
-                .collect();
+            let m = vertex_range(n).end;
+            let edges: Vec<(V, V)> = raw.iter().map(|&x| (x % m, (x / 7919) % m)).collect();
             Graph::from_edges(n, &edges)
         })
     })
@@ -189,7 +187,7 @@ fn algebraic_graph_families() {
 #[test]
 fn paley_is_self_complementary() {
     let p = named::paley(13);
-    let n = p.n() as V;
+    let n = p.vertices().end;
     let non_edges: Vec<(V, V)> = (0..n)
         .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
         .filter(|&(u, v)| !p.has_edge(u, v))

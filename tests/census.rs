@@ -20,6 +20,11 @@
 //! labelers. The ignored test runs n = 6, n = 7 and 2-colored n = 5; run
 //! it in release (`cargo test --release --test census -- --ignored`).
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
+
 use dvicl::canon::{try_canonical_form, Budget, Config, TargetCell};
 use dvicl::core::{aut, DviclOptions, Session};
 use dvicl::graph::{CanonForm, Coloring, Graph, Perm, V};

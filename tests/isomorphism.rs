@@ -2,6 +2,11 @@
 //! brute-force oracle and the IR baseline across random and structured
 //! graphs.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
+
 use dvicl::canon::{try_canonical_form, CanonResult, Config};
 use dvicl::core::iso::try_find_isomorphism_colored_outcome;
 use dvicl::core::{try_build_autotree, Budget, DviclOptions};

@@ -2,6 +2,11 @@
 //! keys against brute force, and the SM-baseline comparison, on random and
 //! structured graphs.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test graphs are small: every vertex id, index and count fits in V"
+)]
+
 use dvicl::core::ssm::{
     try_count_images, try_enumerate_images, try_symmetric_key, SsmIndex, SsmMatches,
 };
@@ -118,41 +123,98 @@ fn arb_circulant_case() -> impl Strategy<Value = (Graph, Vec<V>)> {
         })
 }
 
+/// Brute-force-sized graphs whose AutoTrees hold symmetric non-singleton
+/// sibling leaves: one or two copies of a circulant on 4-6 vertices with
+/// at least one jump, all joined to a hub, under a random relabeling (so
+/// a leaf's local vertex order differs from its canonical order), with a
+/// query set of 2-3 draws from one copy, so that it has the leaf's
+/// symmetric images. Two hexagons plus a hub is one such graph.
+/// Jumps never make a copy complete: two copies of K6 have 1 036 800
+/// automorphisms, too many for `brute` to list in a test.
+fn arb_hub_circulant_case() -> impl Strategy<Value = (Graph, Vec<V>)> {
+    (4usize..=6).prop_flat_map(|k| {
+        (
+            1usize..=2,
+            1u32..(1 << (k / 2)) - 1,
+            any::<u64>(),
+            proptest::collection::vec(any::<u32>(), 2..=3),
+        )
+            .prop_map(move |(copies, jumps, seed, raw)| {
+                let n = k * copies + 1;
+                let hub = (n - 1) as V;
+                let mut edges: Vec<(V, V)> = (0..hub).map(|v| (v, hub)).collect();
+                for c in 0..copies {
+                    for i in 0..k {
+                        for jump in (1..=k / 2).filter(|j| jumps >> (j - 1) & 1 == 1) {
+                            edges.push(((c * k + i) as V, (c * k + (i + jump) % k) as V));
+                        }
+                    }
+                }
+                let gamma = relabeling(n, seed);
+                let copy = raw[0] as usize % copies * k;
+                let mut set: Vec<V> = raw
+                    .iter()
+                    .map(|&x| gamma.apply((copy + x as usize % k) as V))
+                    .collect();
+                set.sort_unstable();
+                set.dedup();
+                (Graph::from_edges(n, &edges).permuted(&gamma), set)
+            })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// SSM-AT enumeration equals the brute-force image set.
     #[test]
-    fn enumeration_is_exact((g, set) in arb_case(8)) {
-        let (t, i) = setup(&g);
-        let truth = brute_images(&g, &set);
-        let res = enumerate_images(&t, &i, &set, 100_000);
-        prop_assert!(!res.truncated);
-        let got: BTreeSet<Vec<V>> = res.matches.into_iter().collect();
-        prop_assert_eq!(got, truth);
+    fn enumeration_is_exact(random in arb_case(8), symmetric in arb_hub_circulant_case()) {
+        for (g, set) in [random, symmetric] {
+            let (t, i) = setup(&g);
+            let truth = brute_images(&g, &set);
+            let res = enumerate_images(&t, &i, &set, 100_000);
+            prop_assert!(!res.truncated);
+            let got: BTreeSet<Vec<V>> = res.matches.into_iter().collect();
+            prop_assert_eq!(got, truth);
+        }
     }
 
     /// The exact count equals the brute-force orbit size.
     #[test]
-    fn counting_is_exact((g, set) in arb_case(8)) {
-        let (t, i) = setup(&g);
-        prop_assert_eq!(
-            count_images(&t, &i, &set).to_u64(),
-            Some(brute_images(&g, &set).len() as u64)
-        );
+    fn counting_is_exact(random in arb_case(8), symmetric in arb_hub_circulant_case()) {
+        for (g, set) in [random, symmetric] {
+            let (t, i) = setup(&g);
+            prop_assert_eq!(
+                count_images(&t, &i, &set).to_u64(),
+                Some(brute_images(&g, &set).len() as u64)
+            );
+        }
     }
 
     /// Key equality coincides with brute-force symmetry for pairs of sets.
+    /// The second set is random or, for odd `pick`, an image of the first,
+    /// so symmetric pairs in different sibling leaves are drawn too.
     #[test]
-    fn keys_are_sound_and_complete((g, s1) in arb_case(7), raw in proptest::collection::vec(any::<u32>(), 1..=3)) {
-        let n = g.n() as u32;
-        let mut s2: Vec<V> = raw.iter().map(|&x| x % n).collect();
-        s2.sort_unstable();
-        s2.dedup();
-        let (t, i) = setup(&g);
-        let truth = brute_images(&g, &s1).contains(&s2);
-        let key = |s: &[V]| try_symmetric_key(&t, &i, s, &Budget::unlimited()).map_err(|e| e.to_string());
-        prop_assert_eq!(key(&s1)? == key(&s2)?, truth);
+    fn keys_are_sound_and_complete(
+        random in arb_case(7),
+        symmetric in arb_hub_circulant_case(),
+        raw in proptest::collection::vec(any::<u32>(), 1..=3),
+        pick in any::<u32>(),
+    ) {
+        for (g, s1) in [random, symmetric] {
+            let n = g.n() as u32;
+            let images = brute_images(&g, &s1);
+            let mut s2: Vec<V> = raw.iter().map(|&x| x % n).collect();
+            s2.sort_unstable();
+            s2.dedup();
+            if pick & 1 == 1 {
+                s2.clone_from(images.iter().nth(pick as usize / 2 % images.len()).unwrap());
+            }
+            let (t, i) = setup(&g);
+            let truth = images.contains(&s2);
+            let key = |s: &[V]| try_symmetric_key(&t, &i, s, &Budget::unlimited()).map_err(|e| e.to_string());
+            prop_assert_eq!(key(&s1)? == key(&s2)?, truth);
+        }
     }
 
     /// Keys are canonical: the key of `S` in `G` equals, byte for byte,
