@@ -7,61 +7,60 @@ use dvicl_graph::{as_vertex, CanonForm, Coloring, Graph, Perm, V};
 use dvicl_group::Orbits;
 use dvicl_obs::{self as obs, Counter, Phase};
 use dvicl_refine::{PartitionView, Refiner};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 
 /// Target cell selector `T` (Section 4): which non-singleton cell of the
 /// node's coloring to individualize. All choices are functions of cell
 /// *positions and sizes* only, hence isomorphism-invariant as required by
-/// property (iii) of `T`.
+/// property (iii) of `T`. Ties are broken by position (the cell's start,
+/// its color), as each variant states.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TargetCell {
     /// The first (lowest-position) non-singleton cell — the choice of \[18\],
     /// used by bliss and in the paper's Fig. 1(b).
     FirstNonSingleton,
-    /// The first *smallest* non-singleton cell — nauty's classic choice
-    /// \[26\].
+    /// The first *smallest* non-singleton cell: least length, then least
+    /// start — nauty's classic choice \[26\].
     SmallestFirst,
-    /// The first *largest* non-singleton cell — stands in for traces'
-    /// preference for large cells in this reproduction.
+    /// The *last* largest non-singleton cell: greatest length, then
+    /// greatest start — stands in for traces' preference for large cells
+    /// in this reproduction.
     LargestFirst,
     /// The first most-constrained non-singleton cell: the one adjacent
-    /// to the largest number of *distinct* cells — a DSATUR-style
-    /// saturation choice. Individualizing inside a highly-saturated
-    /// cell tends to split the most cells in the next refinement. In an
-    /// equitable coloring every member of a cell sees the same multiset
-    /// of neighbor colors, so one member's neighborhood determines the
-    /// whole cell's saturation and the choice stays
+    /// to the largest number of *distinct* cells, then least start — a
+    /// DSATUR-style saturation choice. Individualizing inside a
+    /// highly-saturated cell tends to split the most cells in the next
+    /// refinement. In an equitable coloring every member of a cell sees
+    /// the same multiset of neighbor colors, so one member's neighborhood
+    /// determines the whole cell's saturation and the choice stays
     /// isomorphism-invariant.
     MostConstrained,
 }
 
 impl TargetCell {
-    /// Applies the selector to an equitable partition of `g`; `None` if
-    /// discrete. The returned cell lists its members in no particular
-    /// order.
+    /// Applies the selector to an equitable partition of `g` loaded for
+    /// a search ([`Refiner::try_refine_in_place`]); `None` if discrete.
+    /// Reads only the partition's non-singleton cells. The returned cell
+    /// lists its members in no particular order.
     pub fn select<'a>(&self, g: &Graph, pi: PartitionView<'a>) -> Option<&'a [V]> {
-        let mut non_singleton = pi.cells().filter(|c| c.len() > 1);
-        match self {
-            TargetCell::FirstNonSingleton => non_singleton.next(),
-            TargetCell::SmallestFirst => non_singleton.min_by_key(|c| c.len()),
-            TargetCell::LargestFirst => non_singleton.max_by_key(|c| c.len()),
+        let starts = pi.non_singleton().iter().copied();
+        let len = |c: V| pi.cell(c).len();
+        let start = match self {
+            TargetCell::FirstNonSingleton => starts.min(),
+            TargetCell::SmallestFirst => starts.min_by_key(|&c| (len(c), c)),
+            TargetCell::LargestFirst => starts.max_by_key(|&c| (len(c), c)),
             TargetCell::MostConstrained => {
-                let mut best: Option<(&'a [V], usize)> = None;
-                let mut cols: Vec<u32> = Vec::new();
-                for c in non_singleton {
+                let mut cols: Vec<V> = Vec::new();
+                starts.max_by_key(|&c| {
                     cols.clear();
-                    cols.extend(g.neighbors(c[0]).iter().map(|&w| pi.color_of(w)));
+                    cols.extend(g.neighbors(pi.cell(c)[0]).iter().map(|&w| pi.color_of(w)));
                     cols.sort_unstable();
                     cols.dedup();
-                    // Strict > keeps the first cell on ties, matching the
-                    // position-order tiebreak of the other selectors.
-                    if best.is_none_or(|(_, sat)| cols.len() > sat) {
-                        best = Some((c, cols.len()));
-                    }
-                }
-                best.map(|(c, _)| c)
+                    (cols.len(), Reverse(c))
+                })
             }
-        }
+        }?;
+        Some(pi.cell(start))
     }
 
     /// The selector's stable name
@@ -114,7 +113,8 @@ impl Config {
         }
     }
 
-    /// The traces-like configuration (largest cell first, invariants on).
+    /// The traces-like configuration (the last largest cell, invariants
+    /// on).
     pub fn traces_like() -> Self {
         Config {
             target_cell: TargetCell::LargestFirst,
@@ -238,19 +238,37 @@ fn quotient_hash_by_cells(g: &Graph, pi: PartitionView<'_>) -> u64 {
 }
 
 /// The [`quotient_hash`] of the refiner's partition right after an
-/// individualization, given the parent's hash. Chooses per node:
+/// individualization, given the parent's hash, and the child's leaf
+/// certificate when the hash was taken from it. Chooses per node:
 ///
-/// * when the recolored vertices' degrees sum to at most `m`,
+/// * when the child is discrete and the recolored vertices' degrees sum
+///   to more than `m / 2`, builds the child's certificate
+///   ([`leaf_edges`]), which its leaf visit reuses, and hashes it with
+///   [`leaf_quotient_hash`];
+/// * otherwise, when the degrees sum to at most `m`,
 ///   [`quotient_hash_delta`];
 /// * otherwise [`quotient_hash_by_cells`], which never reads more than
 ///   `2m` neighbor entries.
-fn child_quotient_hash(g: &Graph, refiner: &Refiner, parent: u64) -> u64 {
+fn child_quotient_hash(g: &Graph, refiner: &Refiner, parent: u64) -> (u64, Option<Vec<(V, V)>>) {
     let degrees: usize = refiner.recolored().iter().map(|&(v, _)| g.degree(v)).sum();
-    if degrees > g.m() {
-        quotient_hash_by_cells(g, refiner.partition())
+    let pi = refiner.partition();
+    if pi.non_singleton().is_empty() && 2 * degrees > g.m() {
+        let cert = leaf_edges(g, pi.colors(), pi.vertices());
+        (leaf_quotient_hash(&cert), Some(cert))
+    } else if degrees > g.m() {
+        (quotient_hash_by_cells(g, pi), None)
     } else {
-        quotient_hash_delta(g, refiner, parent)
+        (quotient_hash_delta(g, refiner, parent), None)
     }
+}
+
+/// The [`quotient_hash`] of a discrete coloring from its certificate
+/// edges ([`leaf_edges`]): at a discrete coloring every color is a label,
+/// so the certificate lists each edge as its endpoints' colors.
+fn leaf_quotient_hash(cert: &[(V, V)]) -> u64 {
+    cert.iter().fold(QUOTIENT_BASE, |acc, &(a, b)| {
+        acc.wrapping_add(edge_hash(a, b))
+    })
 }
 
 /// The [`quotient_hash`] of the refiner's partition from its parent's,
@@ -393,6 +411,7 @@ pub fn try_canonical_form_with(
             None
         },
         refiner,
+        rank: Vec::new(),
     };
     if g.n() == 0 {
         return Ok(CanonResult {
@@ -410,6 +429,7 @@ pub fn try_canonical_form_with(
     s.dfs(
         root_hash,
         mix(root_trace, root_hash),
+        None,
         0,
         true,
         Ordering::Equal,
@@ -464,6 +484,10 @@ struct Search<'a> {
     /// ([`try_canonical_form_with`]) so the buffers also survive across
     /// searches.
     refiner: &'a mut Refiner,
+    /// `rank[v]` is `v`'s index in the sorted target cell of the node
+    /// that last absorbed generators (P_C), valid for that cell's members
+    /// only; sized `n` by the first absorb.
+    rank: Vec<V>,
 }
 
 impl<'a> Search<'a> {
@@ -471,16 +495,19 @@ impl<'a> Search<'a> {
     /// partition.
     ///
     /// `quotient` is the node's [`quotient_hash`] and `inv` its node
-    /// invariant (the refinement trace mixed with `quotient`);
-    /// `on_first` says whether the path so far matches the leftmost path's
-    /// invariants; `best_cmp` is the lexicographic status of the current
-    /// path against the best path (`Equal` while tracking, `Less` once this
-    /// path has strictly beaten the recorded best prefix).
+    /// invariant (the refinement trace mixed with `quotient`); `leaf` is
+    /// the node's certificate when [`child_quotient_hash`] built it, and is
+    /// dropped if the node is pruned; `on_first` says whether the path so
+    /// far matches the leftmost path's invariants; `best_cmp` is the
+    /// lexicographic status of the current path against the best path
+    /// (`Equal` while tracking, `Less` once this path has strictly beaten
+    /// the recorded best prefix).
     #[allow(clippy::too_many_arguments)]
     fn dfs(
         &mut self,
         quotient: u64,
         inv: u64,
+        leaf: Option<Vec<(V, V)>>,
         depth: u32,
         mut on_first: bool,
         mut best_cmp: Ordering,
@@ -543,7 +570,7 @@ impl<'a> Search<'a> {
             .target_cell
             .select(self.g, self.refiner.partition())
         else {
-            return self.visit_leaf(d, on_first, best_cmp, fixed);
+            return self.visit_leaf(d, on_first, best_cmp, fixed, leaf);
         };
         // Candidates in ascending vertex id: the order decides the first
         // leaf, the jump-back and P_C, so it must not depend on how the
@@ -578,11 +605,12 @@ impl<'a> Search<'a> {
             }
             explored.push(i);
             let trace = self.refiner.try_individualize(self.g, v, self.budget)?;
-            let child_hash = child_quotient_hash(self.g, self.refiner, quotient);
+            let (child_hash, child_leaf) = child_quotient_hash(self.g, self.refiner, quotient);
             fixed.push(v);
             let r = self.dfs(
                 child_hash,
                 mix(trace, child_hash),
+                child_leaf,
                 depth + 1,
                 on_first,
                 best_cmp,
@@ -607,26 +635,38 @@ impl<'a> Search<'a> {
     /// Joins in `orbits`, which acts on indices into the sorted target
     /// cell `target`, every member with its image under each generator
     /// found since `gens_seen` that fixes `fixed` pointwise. Such a
-    /// generator maps the target cell onto itself, so each absorb costs
-    /// O(|cell| log |cell|), not O(n).
-    // dvicl-lint: allow(budget-reachability) -- O(new generators x |cell| log |cell|) per candidate; dfs() spends one unit per node it visits
+    /// generator maps the target cell onto itself, so an image's index is
+    /// its entry in the rank table, filled from `target` once per call
+    /// that absorbs: each absorb costs O(|cell|), not O(n).
+    // dvicl-lint: allow(budget-reachability) -- O(|cell| + new generators x |cell|) per candidate; dfs() spends one unit per node it visits
     fn absorb_new_generators(
-        &self,
+        &mut self,
         target: &[V],
         orbits: &mut Orbits,
         gens_seen: &mut usize,
         fixed: &[V],
     ) {
+        let mut ranked = false;
         for gen in &self.generators[*gens_seen..] {
             if !fixed.iter().all(|&x| gen.apply(x) == x) {
                 continue;
             }
+            if !ranked {
+                self.rank.resize(self.g.n(), 0);
+                for (r, &u) in (0..).zip(target) {
+                    self.rank[u as usize] = r;
+                }
+                ranked = true;
+            }
             for (r, &u) in (0..).zip(target) {
-                let Ok(image) = target.binary_search(&gen.apply(u)) else {
-                    debug_assert!(false, "a generator fixing the prefix left the target cell");
-                    continue;
-                };
-                orbits.union(r, as_vertex(image));
+                let w = gen.apply(u);
+                let image = self.rank[w as usize];
+                debug_assert_eq!(
+                    target.get(image as usize),
+                    Some(&w),
+                    "a generator fixing the prefix left the target cell"
+                );
+                orbits.union(r, image);
             }
         }
         *gens_seen = self.generators.len();
@@ -638,6 +678,7 @@ impl<'a> Search<'a> {
         on_first: bool,
         best_cmp: Ordering,
         fixed: &[V],
+        leaf: Option<Vec<(V, V)>>,
     ) -> Result<(), DviclError> {
         self.stats.leaves += 1;
         obs::bump(Counter::SearchLeaves);
@@ -648,7 +689,7 @@ impl<'a> Search<'a> {
         )]
         let lambda = Perm::from_image(pi.colors().to_vec())
             .expect("a node with no non-singleton cell is discrete");
-        let cert = leaf_edges(self.g, pi.colors(), pi.vertices());
+        let cert = leaf.unwrap_or_else(|| leaf_edges(self.g, pi.colors(), pi.vertices()));
 
         if self.first_leaf.is_none() {
             // The reference leaf; it also seeds the best.
@@ -978,6 +1019,36 @@ mod tests {
         (Graph::from_edges(n, &edges), perm)
     }
 
+    /// Each selector's tie-break on tied non-singleton cells of lengths
+    /// [3, 2, 3, 2] at starts 0, 3, 5 and 8: first takes the least start,
+    /// smallest the least (length, start), largest the greatest (length,
+    /// start) and most-constrained the highest saturation, then the least
+    /// start. Only the cells at 3 and 8 are joined (a complete bipartite
+    /// pair), so both have saturation 1 and the others 0.
+    #[test]
+    fn selectors_break_ties_by_position() {
+        let g = Graph::from_edges(10, &[(3, 8), (3, 9), (4, 8), (4, 9)]);
+        let pi = Coloring::from_cells(vec![vec![0, 1, 2], vec![3, 4], vec![5, 6, 7], vec![8, 9]])
+            .unwrap();
+        let mut refiner = Refiner::new();
+        refiner
+            .try_refine_in_place(&g, &pi, &Budget::unlimited())
+            .unwrap();
+        let view = refiner.partition();
+        let mut starts = view.non_singleton().to_vec();
+        starts.sort_unstable();
+        assert_eq!(starts, [0, 3, 5, 8]);
+        let chosen = |sel: TargetCell| {
+            let mut cell = sel.select(&g, view).expect("not discrete").to_vec();
+            cell.sort_unstable();
+            view.color_of(cell[0])
+        };
+        assert_eq!(chosen(TargetCell::FirstNonSingleton), 0);
+        assert_eq!(chosen(TargetCell::SmallestFirst), 3);
+        assert_eq!(chosen(TargetCell::LargestFirst), 5);
+        assert_eq!(chosen(TargetCell::MostConstrained), 3);
+    }
+
     #[test]
     fn row_ordered_leaf_certificate_edge_cases() {
         let graphs = [
@@ -1018,9 +1089,10 @@ mod tests {
             proptest::prop_assert_eq!(color_runs(&pi0), oracle.colors);
         }
 
-        /// Both node-hash methods equal the O(m) edge scan at every node
-        /// of a random individualization path, and so does their per-node
-        /// choice.
+        /// The three node-hash methods equal the O(m) edge scan at every
+        /// node of a random individualization path where they apply (the
+        /// certificate-derived one at discrete nodes), and so does their
+        /// per-node choice, whose certificate is the leaf's.
         #[test]
         fn node_hashes_match_the_edge_scan(
             n in 1usize..40,
@@ -1051,7 +1123,19 @@ mod tests {
                 let scan = quotient_hash(&g, &refiner.partition().to_coloring());
                 proptest::prop_assert_eq!(quotient_hash_by_cells(&g, refiner.partition()), scan);
                 proptest::prop_assert_eq!(quotient_hash_delta(&g, &refiner, hash), scan);
-                proptest::prop_assert_eq!(child_quotient_hash(&g, &refiner, hash), scan);
+                let pi = refiner.partition();
+                let leaf = pi
+                    .non_singleton()
+                    .is_empty()
+                    .then(|| leaf_edges(&g, pi.colors(), pi.vertices()));
+                if let Some(cert) = &leaf {
+                    proptest::prop_assert_eq!(leaf_quotient_hash(cert), scan);
+                }
+                let (chosen, chosen_leaf) = child_quotient_hash(&g, &refiner, hash);
+                proptest::prop_assert_eq!(chosen, scan);
+                if chosen_leaf.is_some() {
+                    proptest::prop_assert_eq!(chosen_leaf, leaf);
+                }
                 hash = scan;
             }
         }

@@ -5,8 +5,9 @@
 //! inside a refinement, or a fault injected at a child's
 //! individualization — leaves that partition mid-refinement with undo
 //! levels open. The next search must not see any of it: each abort is
-//! followed by searches on a warm refiner whose results must equal a
-//! fresh refiner's.
+//! followed by searches on a warm refiner whose results, and the
+//! non-singleton cell set its partition keeps, must equal a fresh
+//! refiner's.
 //!
 //! The fault plan is installed on this test's thread only, so no other
 //! test's search can see it.
@@ -47,13 +48,23 @@ fn search(
 }
 
 /// After an aborted search on `warm`, searches of both graphs on `warm`
-/// equal searches on a fresh refiner.
+/// equal searches on a fresh refiner, and leave the same non-singleton
+/// set (the root's: a finished search undoes every level).
 fn assert_clean(warm: &mut Refiner, graphs: &[&Graph], config: &Config) {
     for g in graphs {
-        let fresh = search(g, config, &Budget::unlimited(), &mut Refiner::new());
+        let mut fresh_refiner = Refiner::new();
+        let fresh = search(g, config, &Budget::unlimited(), &mut fresh_refiner);
         let reused = search(g, config, &Budget::unlimited(), warm);
         assert_eq!(reused, fresh);
+        assert_eq!(non_singleton(warm), non_singleton(&fresh_refiner));
     }
+}
+
+/// The non-singleton cell starts of `r`'s partition, ascending.
+fn non_singleton(r: &Refiner) -> Vec<V> {
+    let mut starts = r.partition().non_singleton().to_vec();
+    starts.sort_unstable();
+    starts
 }
 
 #[test]

@@ -206,12 +206,15 @@ fn second_stdin_read_is_a_clear_error() {
 fn timeout_exits_3_within_twice_the_deadline() {
     use std::time::{Duration, Instant};
     // A CFI instance over a cubic circulant: hard enough that the
-    // unbudgeted run takes about 3 s in release and longer in debug, so
-    // a 300 ms deadline fires mid-search under either profile.
-    let base = dvicl_data::bench_graphs::cubic_circulant(400);
+    // unbudgeted run takes 2.9-3.4 s in release (5.6-5.8 s before the
+    // search kept its non-singleton cells; a shared 2-vCPU x86-64 host)
+    // and longer in debug, so a 300 ms deadline fires mid-search under
+    // either profile. Written as an edge list: its graph6 is 12 MB.
+    let base = dvicl_data::bench_graphs::cubic_circulant(1200);
     let hard = dvicl_data::bench_graphs::cfi(&base, false);
-    let path = std::env::temp_dir().join(format!("dvicl-hard-{}.g6", std::process::id()));
-    std::fs::write(&path, dvicl_graph::graph6::to_graph6(&hard)).unwrap();
+    let path = std::env::temp_dir().join(format!("dvicl-hard-{}.edges", std::process::id()));
+    let file = std::fs::File::create(&path).unwrap();
+    dvicl_graph::io::write_edge_list(file, &hard).unwrap();
     let t0 = Instant::now();
     let out = bin()
         .args(["canon", "--timeout", "300ms", path.to_str().unwrap()])

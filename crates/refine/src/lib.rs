@@ -57,9 +57,10 @@ pub struct RefineResult {
 ///   the refiner's partition in place: [`Refiner::try_refine_in_place`]
 ///   loads and refines the root coloring, then each search-tree child is
 ///   one [`Refiner::try_individualize`] and, on backtrack, one
-///   [`Refiner::undo`]. [`Refiner::partition`] reads the current cells.
-///   No node copies or converts a coloring, and the kernel's per-graph
-///   setup runs once per search rather than once per node.
+///   [`Refiner::undo`]. [`Refiner::partition`] reads the current cells
+///   and the non-singleton ones the loaded partition keeps. No node
+///   copies or converts a coloring, and the kernel's per-graph setup
+///   runs once per search rather than once per node.
 #[derive(Default)]
 pub struct Refiner {
     p: Partition,
@@ -117,6 +118,11 @@ impl Refiner {
     /// only the trace hash. Any previously loaded partition and its undo
     /// levels are discarded, so a refiner whose last search aborted
     /// mid-refinement starts clean.
+    ///
+    /// The loaded partition also keeps the set of its non-singleton cells
+    /// ([`PartitionView::non_singleton`]), built here with one scan of the
+    /// cells and updated by every [`Refiner::try_individualize`] and
+    /// [`Refiner::undo`] at O(1) per fragment.
     pub fn try_refine_in_place(
         &mut self,
         g: &Graph,
@@ -124,7 +130,9 @@ impl Refiner {
         budget: &Budget,
     ) -> Result<u64, DviclError> {
         let _span = dvicl_obs::span(Phase::RefineRefine);
-        self.load(g, pi, budget)
+        let trace = self.load(g, pi, budget)?;
+        self.p.keep_non_singleton();
+        Ok(trace)
     }
 
     fn load(&mut self, g: &Graph, pi: &Coloring, budget: &Budget) -> Result<u64, DviclError> {
@@ -192,6 +200,7 @@ pub struct PartitionView<'a> {
     lab: &'a [V],
     cell_start: &'a [u32],
     cell_len: &'a [u32],
+    non_singleton: Option<&'a [u32]>,
 }
 
 impl<'a> PartitionView<'a> {
@@ -211,6 +220,24 @@ impl<'a> PartitionView<'a> {
     /// this is the vertex at every position.
     pub fn vertices(self) -> &'a [V] {
         self.lab
+    }
+
+    /// The colors (cell starts) of the non-singleton cells, in no
+    /// particular order; empty iff the partition is discrete. Only a
+    /// partition loaded by [`Refiner::try_refine_in_place`] keeps this set.
+    pub fn non_singleton(self) -> &'a [V] {
+        debug_assert!(
+            self.non_singleton.is_some(),
+            "the non-singleton set is kept only from try_refine_in_place on"
+        );
+        self.non_singleton.unwrap_or_default()
+    }
+
+    /// The cell of color `c` (starting at position `c`), as its members in
+    /// no particular order.
+    pub fn cell(self, c: V) -> &'a [V] {
+        let s = c as usize;
+        &self.lab[s..s + self.cell_len[s] as usize]
     }
 
     /// The cells in position order, each as its members in no particular

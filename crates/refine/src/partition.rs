@@ -24,6 +24,12 @@
 //! cell by one. `lab`/`pos` are left as they are, since refinement only
 //! permutes members inside their own cell's span and nothing reads the
 //! order inside a cell.
+//!
+//! A partition loaded for a search also keeps the starts of its
+//! non-singleton cells as a sparse set ([`Partition::keep_non_singleton`]):
+//! each split and each individualization updates it in O(1) per fragment,
+//! and an open level logs every insertion and removal so that undo can
+//! replay them backwards. A plain refinement never builds or keeps it.
 
 #![expect(
     clippy::cast_possible_truncation,
@@ -61,8 +67,30 @@ pub(crate) struct Partition {
     // innermost level's part of the trail, valid only if that entry names
     // `v` (a sparse set, never cleared).
     trail: Vec<(V, u32)>,
-    levels: Vec<usize>,
+    levels: Vec<Level>,
     trail_at: Vec<u32>,
+    // The starts of the non-singleton cells as a sparse set, kept only
+    // while `keeps_ns` is set: `ns` lists them in no particular order and
+    // `ns_at[s]` is `s`'s index in `ns`, valid only while `s` is a member.
+    // `ns_log` records each insertion and removal an open level made.
+    keeps_ns: bool,
+    ns: Vec<u32>,
+    ns_at: Vec<u32>,
+    ns_log: Vec<NsOp>,
+}
+
+/// Where an open undo level starts in the trail and in the set's log.
+#[derive(Clone, Copy)]
+struct Level {
+    trail: usize,
+    ns_log: usize,
+}
+
+/// One change an open level made to the non-singleton set.
+#[derive(Clone, Copy)]
+enum NsOp {
+    Inserted(u32),
+    Removed(u32),
 }
 
 #[inline]
@@ -114,6 +142,71 @@ impl Partition {
         self.in_affected.resize(n, false);
         self.trail.clear();
         self.levels.clear();
+        self.keeps_ns = false;
+        self.ns.clear();
+        self.ns_log.clear();
+    }
+
+    /// Builds the non-singleton set with one scan of the cells and keeps
+    /// it from now on, through every individualization and undo, until
+    /// the next [`Partition::reset_from_coloring`].
+    // dvicl-lint: allow(budget-reachability) -- O(cells) scan once per search load; the refinement before it spent the budget
+    pub fn keep_non_singleton(&mut self) {
+        let n = self.n();
+        self.ns.clear();
+        self.ns_at.resize(n, 0);
+        let mut s = 0usize;
+        while s < n {
+            let len = self.cell_len[s] as usize;
+            if len > 1 {
+                self.ns_at[s] = self.ns.len() as u32;
+                self.ns.push(s as u32);
+            }
+            s += len;
+        }
+        self.keeps_ns = true;
+    }
+
+    fn ns_insert(&mut self, s: u32) {
+        self.ns_at[s as usize] = self.ns.len() as u32;
+        self.ns.push(s);
+    }
+
+    fn ns_remove(&mut self, s: u32) {
+        let i = self.ns_at[s as usize];
+        if let Some(last) = self.ns.pop() {
+            if last != s {
+                self.ns[i as usize] = last;
+                self.ns_at[last as usize] = i;
+            }
+        }
+    }
+
+    /// Records that the cell at `start` now has length `len` after a split
+    /// of the cell at `parent` (the same start for the fragment that kept
+    /// it): a kept start leaves the set once its cell is a singleton, and
+    /// a new start joins it unless its cell is one.
+    #[inline]
+    fn ns_split(&mut self, parent: u32, start: u32, len: u32) {
+        if !self.keeps_ns {
+            return;
+        }
+        let op = if start == parent {
+            if len > 1 {
+                return;
+            }
+            self.ns_remove(start);
+            NsOp::Removed(start)
+        } else {
+            if len == 1 {
+                return;
+            }
+            self.ns_insert(start);
+            NsOp::Inserted(start)
+        };
+        if !self.levels.is_empty() {
+            self.ns_log.push(op);
+        }
     }
 
     /// Number of vertices.
@@ -135,6 +228,7 @@ impl Partition {
             lab: &self.lab,
             cell_start: &self.cell_start,
             cell_len: &self.cell_len,
+            non_singleton: self.keeps_ns.then_some(self.ns.as_slice()),
         }
     }
 
@@ -144,7 +238,7 @@ impl Partition {
     fn set_cell_start(&mut self, v: V, start: u32) {
         let old = self.cell_start[v as usize];
         if old != start {
-            if let Some(&from) = self.levels.last() {
+            if let Some(&Level { trail: from, .. }) = self.levels.last() {
                 if self.recolored_from(v).is_none() {
                     self.trail_at[v as usize] = (self.trail.len() - from) as u32;
                     self.trail.push((v, old));
@@ -158,7 +252,7 @@ impl Partition {
     /// recolored `v`.
     #[inline]
     pub fn recolored_from(&self, v: V) -> Option<u32> {
-        let from = *self.levels.last()?;
+        let from = self.levels.last()?.trail;
         match self.trail.get(from + self.trail_at[v as usize] as usize) {
             Some(&(u, old)) if u == v => Some(old),
             _ => None,
@@ -168,7 +262,7 @@ impl Partition {
     /// `(vertex, cell start before the level)` for every vertex the
     /// innermost open level has recolored, once each.
     pub fn recolored(&self) -> &[(V, u32)] {
-        let from = self.levels.last().copied().unwrap_or(self.trail.len());
+        let from = self.levels.last().map_or(self.trail.len(), |l| l.trail);
         &self.trail[from..]
     }
 
@@ -181,22 +275,35 @@ impl Partition {
     /// lengths left at the level's new starts, no longer cell starts,
     /// are never read.
     ///
-    /// Closing the outermost level also frees the trail's memory: it is
-    /// only needed while a level is open, and a refiner kept between
-    /// searches should not carry the longest trail it ever logged.
+    /// The non-singleton set is restored by replaying the level's log
+    /// backwards, each insertion as a removal and each removal as an
+    /// insertion.
+    ///
+    /// Closing the outermost level also frees the trail's and the log's
+    /// memory: they are only needed while a level is open, and a refiner
+    /// kept between searches should not carry the longest trail it ever
+    /// logged.
     pub fn undo(&mut self) {
-        let Some(from) = self.levels.pop() else {
+        let Some(level) = self.levels.pop() else {
             return;
         };
-        for &(v, old) in &self.trail[from..] {
+        for &(v, old) in &self.trail[level.trail..] {
             self.cell_start[v as usize] = old;
             self.cell_len[old as usize] += 1;
+        }
+        for i in (level.ns_log..self.ns_log.len()).rev() {
+            match self.ns_log[i] {
+                NsOp::Inserted(s) => self.ns_remove(s),
+                NsOp::Removed(s) => self.ns_insert(s),
+            }
         }
         if self.levels.is_empty() {
             self.trail = Vec::new();
             self.trail_at = Vec::new();
+            self.ns_log = Vec::new();
         } else {
-            self.trail.truncate(from);
+            self.trail.truncate(level.trail);
+            self.ns_log.truncate(level.ns_log);
         }
     }
 
@@ -248,7 +355,10 @@ impl Partition {
         budget: &Budget,
     ) -> Result<u64, DviclError> {
         self.trail_at.resize(self.n(), 0);
-        self.levels.push(self.trail.len());
+        self.levels.push(Level {
+            trail: self.trail.len(),
+            ns_log: self.ns_log.len(),
+        });
         let seed = self.seed_individualize(v);
         self.run(g, k, seed, budget)
     }
@@ -270,6 +380,8 @@ impl Partition {
         for i in (s + 1)..(s + len) {
             self.set_cell_start(self.lab[i as usize], s + 1);
         }
+        self.ns_split(s, s, 1);
+        self.ns_split(s, s + 1, len - 1);
         self.enqueue(s);
         self.enqueue(s + 1);
         mix(0x01d1_71da_71ba_5eed, s as u64)
@@ -380,7 +492,14 @@ impl Partition {
                     j += 1;
                 }
             }
-            trace = self.finish_fragment(c as u32, untouched as u32, 0, largest_start, trace);
+            trace = self.finish_fragment(
+                c as u32,
+                c as u32,
+                untouched as u32,
+                0,
+                largest_start,
+                trace,
+            );
         }
         // Rewrite the tail and fix up bookkeeping per fragment.
         let mut i = 0usize;
@@ -394,18 +513,27 @@ impl Partition {
                 self.pos[v as usize] = p as u32;
                 self.set_cell_start(v, frag_start);
             }
-            trace = self.finish_fragment(frag_start, (j - i) as u32, count, largest_start, trace);
+            trace = self.finish_fragment(
+                c as u32,
+                frag_start,
+                (j - i) as u32,
+                count,
+                largest_start,
+                trace,
+            );
             i = j;
         }
         trace
     }
 
     /// Per-fragment bookkeeping of [`Partition::split_touched`], once the
-    /// fragment's members sit in `[start, start + len)`: records its
-    /// length, mixes `(start, len, count)` into the trace and enqueues it
-    /// unless it is the Hopcroft-exempt largest fragment.
+    /// fragment's members sit in `[start, start + len)` of the split cell
+    /// at `parent`: records its length, updates the non-singleton set,
+    /// mixes `(start, len, count)` into the trace and enqueues it unless
+    /// it is the Hopcroft-exempt largest fragment.
     fn finish_fragment(
         &mut self,
+        parent: u32,
         start: u32,
         len: u32,
         count: u32,
@@ -413,6 +541,7 @@ impl Partition {
         trace: u64,
     ) -> u64 {
         self.cell_len[start as usize] = len;
+        self.ns_split(parent, start, len);
         if start != largest_start {
             self.enqueue(start);
         }

@@ -122,4 +122,55 @@ proptest! {
             prop_assert_eq!(r.recolored_from(u), want);
         }
     }
+
+    /// The non-singleton set a loaded partition keeps equals a scan of its
+    /// cells after the load and after every step of a random walk of
+    /// individualizations and undos, back to the root.
+    #[test]
+    fn non_singleton_set_matches_a_scan(
+        (g, pi) in arb_colored_graph(),
+        steps in proptest::collection::vec(any::<u64>(), 1..24),
+    ) {
+        let mut r = Refiner::new();
+        r.try_refine_in_place(&g, &pi, &Budget::unlimited()).unwrap();
+        prop_assert_eq!(kept(&r), scanned(&r));
+        let mut depth = 0;
+        for step in steps {
+            let targets: Vec<V> = r
+                .partition()
+                .cells()
+                .filter(|c| c.len() > 1)
+                .map(|c| c[step as usize % c.len()])
+                .collect();
+            if depth > 0 && (targets.is_empty() || step % 3 == 0) {
+                r.undo();
+                depth -= 1;
+            } else if let Some(&v) = targets.get((step >> 32) as usize % targets.len().max(1)) {
+                r.try_individualize(&g, v, &Budget::unlimited()).unwrap();
+                depth += 1;
+            }
+            prop_assert_eq!(kept(&r), scanned(&r));
+        }
+        for _ in 0..depth {
+            r.undo();
+            prop_assert_eq!(kept(&r), scanned(&r));
+        }
+    }
+}
+
+/// The loaded partition's non-singleton set, ascending.
+fn kept(r: &Refiner) -> Vec<V> {
+    let mut starts = r.partition().non_singleton().to_vec();
+    starts.sort_unstable();
+    starts
+}
+
+/// The colors of the partition's non-singleton cells, from a scan of
+/// every cell in position order.
+fn scanned(r: &Refiner) -> Vec<V> {
+    let view = r.partition();
+    view.cells()
+        .filter(|c| c.len() > 1)
+        .map(|c| view.color_of(c[0]))
+        .collect()
 }
