@@ -335,7 +335,6 @@ fn leaf_edges(g: &Graph, label: &[V], at: &[V]) -> Vec<(V, V)> {
 /// start offset, so the cells already list the runs in order.
 fn color_runs(pi: &Coloring) -> Vec<(V, V)> {
     pi.cells()
-        .iter()
         .map(|cell| (pi.color_of(cell[0]), as_vertex(cell.len())))
         .collect()
 }

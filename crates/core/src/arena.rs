@@ -29,12 +29,17 @@
 //! number of segment reuses are exported through the `sub_bytes_peak` /
 //! `arena_reuses` counters (DESIGN.md §9).
 //!
+//! The divide rules take the node's colors as its projection `π_g`, a
+//! flat [`Coloring`] over the segment's local indices that the builder
+//! groups once per node; the arena itself never groups vertices by
+//! color.
+//!
 //! Ownership rules: the arena is owned by the `Builder` in `core::build`
 //! and lives for one `DviCL` run. Handles never outlive the build (the
 //! AutoTree's `Node`s copy the vertex lists they need), and a handle is
 //! only dereferenced through the arena that carved it.
 
-use crate::sub::{Division, Sub, SubCell};
+use crate::sub::{Division, Sub};
 use dvicl_graph::{as_vertex, vertex_range, Coloring, Graph, V};
 use dvicl_obs::{self as obs, Counter};
 
@@ -310,26 +315,6 @@ impl SubArena {
         }
     }
 
-    /// The cells of `π_g`, ordered by global color.
-    pub fn cells(&self, s: &Sub, pi: &Coloring) -> Vec<SubCell> {
-        let mut pairs: Vec<(V, u32)> = (0..)
-            .zip(self.verts(s))
-            .map(|(i, &v)| (pi.color_of(v), i))
-            .collect();
-        pairs.sort_unstable();
-        let mut out: Vec<SubCell> = Vec::new();
-        for (color, i) in pairs {
-            match out.last_mut() {
-                Some(c) if c.color == color => c.members.push(i),
-                _ => out.push(SubCell {
-                    color,
-                    members: vec![i],
-                }),
-            }
-        }
-        out
-    }
-
     /// Appends the connected components of `s` — with `banned` vertices
     /// and dead edges excluded — to `div`, in one counting-sort pass:
     /// a DFS labels each vertex with a component id (ids ordered by the
@@ -418,12 +403,13 @@ impl SubArena {
     /// `DivideI` (Algorithm 2): isolate every singleton cell of `π_g` as a
     /// one-vertex child; the connected components of the remainder are the
     /// other children. Returns `None` if `π_g` has no singleton cell.
-    pub fn divide_i(&mut self, s: &Sub, pi: &Coloring) -> Option<Division> {
-        let cells = self.cells(s, pi);
-        let singles: Vec<u32> = cells
-            .iter()
-            .filter(|c| c.members.len() == 1)
-            .map(|c| c.members[0])
+    ///
+    /// `pi_g` is `π` projected onto `s`'s vertices, over local indices.
+    pub fn divide_i(&mut self, s: &Sub, pi_g: &Coloring) -> Option<Division> {
+        let singles: Vec<u32> = pi_g
+            .cells()
+            .filter(|c| c.len() == 1)
+            .map(|c| c[0])
             .collect();
         if singles.is_empty() || singles.len() == s.n() && s.n() == 1 {
             return None;
@@ -450,15 +436,17 @@ impl SubArena {
     /// bipartitely (Theorem 6.4 shows `Aut(g, π_g)` is unaffected); if the
     /// remainder is disconnected, its components are the children.
     ///
-    /// Relies on `π_g` being equitable with respect to `g` (Theorem 6.1):
-    /// one member per cell is probed, the rest are guaranteed to agree.
-    pub fn divide_s(&mut self, s: &Sub, pi: &Coloring) -> Option<Division> {
-        let cells = self.cells(s, pi);
+    /// Relies on `π_g` (over local indices, as for
+    /// [`SubArena::divide_i`]) being equitable with respect to `g`
+    /// (Theorem 6.1): one member per cell is probed, the rest are
+    /// guaranteed to agree.
+    pub fn divide_s(&mut self, s: &Sub, pi_g: &Coloring) -> Option<Division> {
+        let cells: Vec<&[u32]> = pi_g.cells().collect();
         let ncells = cells.len();
         // cell_of[local] = index into `cells`.
         let mut cell_of = vec![0u32; s.n()];
         for (ci, cell) in (0..).zip(&cells) {
-            for &i in &cell.members {
+            for &i in *cell {
                 cell_of[i as usize] = ci;
             }
         }
@@ -469,21 +457,21 @@ impl SubArena {
         let mut any_removal = false;
         let mut counts = vec![0u32; ncells];
         for (ci, cell) in cells.iter().enumerate() {
-            let probe = cell.members[0];
+            let probe = cell[0];
             counts.iter_mut().for_each(|c| *c = 0);
             for &w in self.neighbors(s, probe) {
                 counts[cell_of[w as usize] as usize] += 1;
             }
             for cj in 0..ncells {
                 // A clique cell's probe sees every member but itself.
-                let need = as_vertex(cells[cj].members.len()) - u32::from(cj == ci);
+                let need = as_vertex(cells[cj].len()) - u32::from(cj == ci);
                 if need > 0 && counts[cj] == need {
                     full[ci * ncells + cj] = true;
                     any_removal = true;
                 }
             }
             debug_assert!(
-                cell.members.iter().all(|&i| {
+                cell.iter().all(|&i| {
                     let mut c2 = vec![0u32; ncells];
                     for &w in self.neighbors(s, i) {
                         c2[cell_of[w as usize] as usize] += 1;
@@ -529,20 +517,18 @@ impl SubArena {
         }
     }
 
-    /// Builds a standalone [`Graph`] over the local indices, plus the
-    /// local projection of the coloring — the inputs `CombineCL` feeds to
-    /// the IR labeler. The segment already *is* clean CSR, so this is a
-    /// straight copy through [`Graph::from_csr`] — no edge-list rebuild.
-    pub fn to_local_graph(&self, s: &Sub, pi: &Coloring) -> (Graph, Coloring) {
+    /// Builds a standalone [`Graph`] over the local indices — the graph
+    /// `CombineCL` feeds to the IR labeler with the node's `π_g`. The
+    /// segment already *is* clean CSR, so this is a straight copy through
+    /// [`Graph::from_csr`] — no edge-list rebuild.
+    pub fn to_local_graph(&self, s: &Sub) -> Graph {
         let base = self.offs[s.offs_start] as usize;
         let offsets: Vec<usize> = self.offs[s.offs_start..s.offs_start + s.n + 1]
             .iter()
             .map(|&o| o as usize - base)
             .collect();
         let adj: Vec<V> = self.adj[s.adj_start..s.adj_start + 2 * s.m].to_vec();
-        let g = Graph::from_csr(offsets, adj);
-        let pi_local = pi.project(self.verts(s));
-        (g, pi_local)
+        Graph::from_csr(offsets, adj)
     }
 }
 

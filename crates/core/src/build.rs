@@ -75,28 +75,7 @@ pub fn try_build_autotree(
     opts: &DviclOptions,
     budget: &Budget,
 ) -> Result<AutoTree, DviclError> {
-    try_build_autotree_in(&mut Scratch::new(), g, pi0, opts, budget)
-}
-
-/// [`try_build_autotree`] against caller-owned [`Scratch`] — the entry
-/// point `core::Session` reuses arenas and the CombineCL memo through.
-pub(crate) fn try_build_autotree_in(
-    scratch: &mut Scratch,
-    g: &Graph,
-    pi0: &Coloring,
-    opts: &DviclOptions,
-    budget: &Budget,
-) -> Result<AutoTree, DviclError> {
-    if g.n() != pi0.n() {
-        return Err(DviclError::invalid(format!(
-            "graph has {} vertices but the coloring covers {}",
-            g.n(),
-            pi0.n()
-        )));
-    }
-    budget.check()?;
-    let pi = scratch.refiner.try_refine(g, pi0, budget)?.coloring;
-    run_build(scratch, g, pi, opts, budget, false)
+    run_build(&mut Scratch::new(), g, pi0, opts, budget, false)
 }
 
 /// A built AutoTree together with how it was obtained.
@@ -125,7 +104,7 @@ pub fn build_autotree_resilient(
     budget: &Budget,
 ) -> Result<BuildOutcome, DviclError> {
     let scratch = &mut Scratch::new();
-    match try_build_autotree_in(scratch, g, pi0, opts, budget) {
+    match run_build(scratch, g, pi0, opts, budget, false) {
         Ok(tree) => Ok(BuildOutcome {
             tree,
             degraded: false,
@@ -134,8 +113,7 @@ pub fn build_autotree_resilient(
             resource: Resource::WorkUnits,
             ..
         }) => {
-            let tree =
-                build_autotree_whole_leaf_in(scratch, g, pi0, opts, &budget.without_work_limit())?;
+            let tree = run_build(scratch, g, pi0, opts, &budget.without_work_limit(), true)?;
             Ok(BuildOutcome {
                 tree,
                 degraded: true,
@@ -157,16 +135,21 @@ pub fn build_autotree_whole_leaf(
     opts: &DviclOptions,
     budget: &Budget,
 ) -> Result<AutoTree, DviclError> {
-    build_autotree_whole_leaf_in(&mut Scratch::new(), g, pi0, opts, budget)
+    run_build(&mut Scratch::new(), g, pi0, opts, budget, true)
 }
 
-/// [`build_autotree_whole_leaf`] against caller-owned [`Scratch`].
-fn build_autotree_whole_leaf_in(
+/// The one build every entry point runs, against caller-owned
+/// [`Scratch`] (`core::Session` reuses arenas and the CombineCL memo
+/// through it): check the coloring's size, refine it to the equitable
+/// `π` (Algorithm 1, lines 1–2), then divide and conquer from the root,
+/// or label the whole graph as one IR leaf when `force_leaf` is set.
+pub(crate) fn run_build(
     scratch: &mut Scratch,
     g: &Graph,
     pi0: &Coloring,
     opts: &DviclOptions,
     budget: &Budget,
+    force_leaf: bool,
 ) -> Result<AutoTree, DviclError> {
     if g.n() != pi0.n() {
         return Err(DviclError::invalid(format!(
@@ -177,17 +160,6 @@ fn build_autotree_whole_leaf_in(
     }
     budget.check()?;
     let pi = scratch.refiner.try_refine(g, pi0, budget)?.coloring;
-    run_build(scratch, g, pi, opts, budget, true)
-}
-
-fn run_build(
-    scratch: &mut Scratch,
-    g: &Graph,
-    pi: Coloring,
-    opts: &DviclOptions,
-    budget: &Budget,
-    force_leaf: bool,
-) -> Result<AutoTree, DviclError> {
     let _span = obs::span(Phase::CoreBuild);
     // One build = one arena epoch: empty segments (buffers keep their
     // capacity from earlier builds) and fresh peak/reuse stats, so the
@@ -421,6 +393,15 @@ impl TreePools {
     }
 }
 
+/// What the divide phase made of a node.
+enum Divided {
+    /// A divide rule applied: the parts are the children's vertex sets.
+    Parts(Division),
+    /// No rule applied: the node is a non-singleton leaf, and this is its
+    /// projection `π_g` for `CombineCL`.
+    Leaf(Coloring),
+}
+
 struct Builder<'a> {
     /// The tree under construction: node records plus the
     /// pooled per-node payloads they point into (tree.rs module docs).
@@ -477,35 +458,41 @@ impl Builder<'_> {
             return Ok(id);
         }
 
-        // Divide phase: components (trivial divide), then DivideI, then
-        // DivideS (Algorithm 1 lines 11–12). Degraded mode skips the
-        // divide rules entirely — the node becomes a whole-graph IR leaf.
-        let division = if self.force_leaf {
-            None
-        } else {
-            let _span = obs::span(Phase::CoreDivide);
-            self.scratch
-                .arena
-                .divide_components(&sub)
-                .or_else(|| self.scratch.arena.divide_i(&sub, self.pi))
-                .or_else(|| {
-                    if self.opts.use_divide_s {
-                        self.scratch.arena.divide_s(&sub, self.pi)
-                    } else {
-                        None
-                    }
-                })
-        };
-
-        match division {
-            None => self.combine_cl(id, &sub)?,
-            Some(d) => {
+        match self.divide(&sub) {
+            Divided::Leaf(pi_g) => self.combine_cl(id, &sub, &pi_g)?,
+            Divided::Parts(d) => {
                 let parent_id = pool_index(id);
                 let children = self.build_children(&sub, &d, depth, parent_id)?;
                 self.combine_st(id, &sub, &d, &children);
             }
         }
         Ok(id)
+    }
+
+    /// The divide phase of a node with more than one vertex: components
+    /// (the trivial divide), then `DivideI`, then `DivideS` (Algorithm 1
+    /// lines 11–12). The node's projection `π_g` is grouped once, when
+    /// the component divide fails, and serves both rules and `CombineCL`.
+    /// Degraded mode skips every rule: the node becomes a whole-graph IR
+    /// leaf.
+    fn divide(&mut self, sub: &Sub) -> Divided {
+        let arena = &mut self.scratch.arena;
+        if self.force_leaf {
+            return Divided::Leaf(self.pi.project(arena.verts(sub)));
+        }
+        let _span = obs::span(Phase::CoreDivide);
+        if let Some(d) = arena.divide_components(sub) {
+            return Divided::Parts(d);
+        }
+        let pi_g = self.pi.project(arena.verts(sub));
+        let d = arena.divide_i(sub, &pi_g).or_else(|| {
+            if self.opts.use_divide_s {
+                arena.divide_s(sub, &pi_g)
+            } else {
+                None
+            }
+        });
+        d.map_or(Divided::Leaf(pi_g), Divided::Parts)
     }
 
     /// The child loop of Algorithm 1: carve each part on top of the
@@ -540,14 +527,14 @@ impl Builder<'_> {
         Ok(children)
     }
 
-    /// `CombineCL` (Algorithm 4): label a non-singleton leaf with the IR
-    /// engine, then re-rank the vertices of each (global) cell by the IR
-    /// order so symmetric leaves elsewhere in the tree get equal labels
-    /// (Lemma 6.7).
-    fn combine_cl(&mut self, id: NodeId, sub: &Sub) -> Result<(), DviclError> {
+    /// `CombineCL` (Algorithm 4): label a non-singleton leaf `(g, π_g)`
+    /// with the IR engine, then rank the vertices of each (global) cell by
+    /// the IR order so symmetric leaves elsewhere in the tree get equal
+    /// labels (Lemma 6.7).
+    fn combine_cl(&mut self, id: NodeId, sub: &Sub, pi_g: &Coloring) -> Result<(), DviclError> {
         let _span = obs::span(Phase::CoreLeafIr);
         dvicl_govern::fault::checkpoint(Site::CoreLeafIr)?;
-        let (local_g, local_pi) = self.scratch.arena.to_local_graph(sub, self.pi);
+        let local_g = self.scratch.arena.to_local_graph(sub);
         let colors: Vec<V> = self
             .scratch
             .arena
@@ -584,7 +571,7 @@ impl Builder<'_> {
                 obs::bump(Counter::CacheClMisses);
                 let res = ir_try_canonical_form_with(
                     &local_g,
-                    &local_pi,
+                    pi_g,
                     &self.opts.leaf_config,
                     self.budget,
                     &mut self.scratch.refiner,
@@ -596,14 +583,13 @@ impl Builder<'_> {
             }
         };
         self.scratch.key_scratch = key;
-        let mut labels = vec![0 as V; sub.n()];
-        for cell in self.scratch.arena.cells(sub, self.pi) {
-            let mut members = cell.members;
-            members.sort_unstable_by_key(|&i| labeling.apply(i));
-            for (rank, &i) in (0..).zip(&members) {
-                labels[i as usize] = cell.color + rank;
-            }
-        }
+        // The IR labeling λ keeps every vertex inside its cell of π_g, so
+        // λ(i) − π_g(i) is i's rank in that cell by λ, and its global cell
+        // starts at π(v_i).
+        let labels: Vec<V> = (0..)
+            .zip(&colors)
+            .map(|(i, &c)| c + labeling.apply(i) - pi_g.color_of(i))
+            .collect();
         let form = CanonForm::new(&local_g, &colors, &labels);
         let fcolors = push_range(&mut self.t.form_colors, &form.colors);
         let fedges = push_range(&mut self.t.form_edges, &form.edges);
@@ -869,6 +855,36 @@ mod tests {
             let perm = t.canonical_labeling();
             let direct = CanonForm::new(&g, t.pi.colors(), perm.as_slice());
             assert_eq!(direct.view(), t.canonical_form());
+        }
+    }
+
+    #[test]
+    fn leaf_labels_fill_their_cells() {
+        // Petersen with vertex 0 pre-colored: DivideI isolates 0, and the
+        // remaining 9 vertices stay one IR leaf whose π_g has two cells,
+        // 0's neighbors and the rest. CombineCL must label the members of
+        // each global cell c with c, c + 1, …
+        let g = named::petersen();
+        let pi0 = Coloring::from_cells(vec![vec![0], (1..10).collect()]).unwrap();
+        let t =
+            try_build_autotree(&g, &pi0, &DviclOptions::default(), &Budget::unlimited()).unwrap();
+        let leaf = t
+            .nodes()
+            .find(|n| n.kind() == NodeKind::NonSingletonLeaf)
+            .expect("the remainder is one leaf");
+        let mut labeled: Vec<(V, V)> = leaf
+            .verts()
+            .iter()
+            .zip(leaf.labels())
+            .map(|(&v, &label)| (t.pi.color_of(v), label))
+            .collect();
+        labeled.sort_unstable();
+        let cells: Vec<&[(V, V)]> = labeled.chunk_by(|a, b| a.0 == b.0).collect();
+        assert_eq!(cells.len(), 2);
+        for cell in cells {
+            for (rank, &(color, label)) in (0..).zip(cell) {
+                assert_eq!(label, color + rank);
+            }
         }
     }
 

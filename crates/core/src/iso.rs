@@ -9,7 +9,7 @@ use crate::build::{
     DviclOptions,
 };
 use dvicl_govern::{Budget, DviclError};
-use dvicl_graph::{as_vertex, Coloring, Graph, Perm};
+use dvicl_graph::{as_vertex, Coloring, Graph, Perm, V};
 
 /// The result of a budgeted isomorphism extraction: the mapping (if the
 /// graphs are isomorphic) plus whether the answer came from degraded
@@ -119,11 +119,7 @@ pub fn try_find_isomorphism_colored_outcome(
 fn same_shape(g1: &Graph, pi1: &Coloring, g2: &Graph, pi2: &Coloring) -> bool {
     g1.n() == g2.n()
         && g1.m() == g2.m()
-        && pi1
-            .cells()
-            .iter()
-            .map(Vec::len)
-            .eq(pi2.cells().iter().map(Vec::len))
+        && pi1.cells().map(<[V]>::len).eq(pi2.cells().map(<[V]>::len))
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub use build::{
     DviclOptions,
 };
 pub use session::Session;
-pub use sub::{Division, Sub, SubCell};
+pub use sub::{Division, Sub};
 pub use tree::{AutoTree, Node, NodeId, NodeKind, NodeRef, TreeStats};
 
 /// Execution governance (re-export of `dvicl-govern`): [`govern::Budget`],

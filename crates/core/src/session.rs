@@ -26,7 +26,7 @@
 //! the caller, one allowance per query, so one hostile request trips
 //! its own typed error instead of starving the whole service.
 
-use crate::build::{self, try_build_autotree_in, DviclOptions};
+use crate::build::{self, run_build, DviclOptions};
 use crate::tree::AutoTree;
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{CanonForm, Coloring, Fingerprint, Graph};
@@ -99,7 +99,7 @@ impl Session {
         budget: &Budget,
     ) -> Result<AutoTree, DviclError> {
         self.note_build();
-        try_build_autotree_in(&mut self.scratch, g, pi0, &self.opts, budget)
+        run_build(&mut self.scratch, g, pi0, &self.opts, budget, false)
     }
 
     /// [`Session::try_build`] under an unlimited budget. Panics where that

@@ -16,7 +16,7 @@
 //! access and the divide rules `DivideI`/`DivideS` are methods on the
 //! arena — see `crate::arena`.
 
-use dvicl_graph::{as_vertex, V};
+use dvicl_graph::as_vertex;
 
 /// A colored subgraph `(g, π_g)` with global vertex identities: a compact
 /// handle into a [`SubArena`](crate::SubArena).
@@ -51,15 +51,6 @@ impl Sub {
     pub fn m(&self) -> usize {
         self.m
     }
-}
-
-/// One color cell of `π_g`: the global color plus the local members.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SubCell {
-    /// The global color (cell-start offset in the root coloring).
-    pub color: V,
-    /// Local indices of members, ascending.
-    pub members: Vec<u32>,
 }
 
 /// Result of a divide attempt: the child vertex sets (as local index
@@ -135,8 +126,7 @@ mod tests {
         let s = a.whole(&g);
         assert_eq!(s.n(), 8);
         assert_eq!(s.m(), 14);
-        let (local, _) = a.to_local_graph(&s, &refined(&g));
-        assert_eq!(local, g);
+        assert_eq!(a.to_local_graph(&s), g);
     }
 
     #[test]
@@ -145,10 +135,11 @@ mod tests {
         let pi = refined(&g); // [0..6 | 7]
         let mut a = SubArena::new();
         let s = a.whole(&g);
-        let cells = a.cells(&s, &pi);
+        let pi_g = pi.project(a.verts(&s));
+        let cells: Vec<&[u32]> = pi_g.cells().collect();
         assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].members.len(), 7);
-        assert_eq!(cells[1].members, vec![7]);
+        assert_eq!(cells[0].len(), 7);
+        assert_eq!(cells[1], vec![7]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Ordered partitions of the vertex set (the paper's colorings `π`).
 
-use crate::{vertex_range, Graph, Perm, MAX_VERTICES, V};
+use crate::{as_vertex, vertex_range, Graph, Perm, MAX_VERTICES, V};
 use std::fmt;
 
 /// A coloring `π = [V1 | V2 | ... | Vk]`: a disjoint ordered partition of
@@ -8,77 +8,110 @@ use std::fmt;
 ///
 /// Following Section 2 of the paper, the *color* of a vertex in cell `Vi` is
 /// `Σ_{j<i} |Vj|`, i.e. the start offset of its cell — so a discrete
-/// coloring is exactly a permutation. Within each cell, vertices are kept in
-/// ascending order (the internal order never affects any algorithm; it only
-/// makes output deterministic).
+/// coloring is exactly a permutation. The cells are stored flat, the way
+/// the refiner's partition stores them (nauty's `lab`): the vertices in
+/// position order, so cell `Vi` is the span that starts at its color.
+/// Within each cell, vertices are kept in ascending order (the internal
+/// order never affects any algorithm; it only makes output deterministic).
 #[derive(Clone, PartialEq, Eq)]
 pub struct Coloring {
+    /// `color[v]`: the start position of `v`'s cell.
     color: Vec<V>,
-    cells: Vec<Vec<V>>,
+    /// The vertices in position order, ascending inside each cell.
+    order: Vec<V>,
 }
 
 impl Coloring {
     /// The unit coloring `[0..n]` (a single cell).
     pub fn unit(n: usize) -> Self {
-        if n == 0 {
-            return Coloring {
-                color: Vec::new(),
-                cells: Vec::new(),
-            };
-        }
         Coloring {
             color: vec![0; n],
-            cells: vec![vertex_range(n).collect()],
+            order: vertex_range(n).collect(),
         }
     }
 
     /// Builds a coloring from ordered cells. Returns `None` unless the cells
     /// form a disjoint partition of `0..n` for `n` = total size.
+    // dvicl-lint: allow(nested-vec-adjacency) -- callers build the cells; the coloring stores them flat
     pub fn from_cells(cells: Vec<Vec<V>>) -> Option<Self> {
-        let n: usize = cells.iter().map(|c| c.len()).sum();
+        let n: usize = cells.iter().map(Vec::len).sum();
         if n > MAX_VERTICES {
             return None;
         }
         let mut color = vec![V::MAX; n];
-        // The position of the next vertex in cell order; a cell's color
-        // is the position of its first vertex.
-        let mut next: V = 0;
-        let mut cells = cells;
-        for cell in &mut cells {
+        let mut offset = 0;
+        for cell in &cells {
             if cell.is_empty() {
                 return None;
             }
-            let offset = next;
-            for &v in cell.iter() {
-                let v = v as usize;
-                if v >= n || color[v] != V::MAX {
+            for &v in cell {
+                let c = color.get_mut(v as usize)?;
+                if *c != V::MAX {
                     return None;
                 }
-                color[v] = offset;
-                next += 1;
+                *c = offset;
             }
-            cell.sort_unstable();
+            offset += as_vertex(cell.len());
         }
-        Some(Coloring { color, cells })
+        Coloring::from_colors(color)
+    }
+
+    /// Builds the coloring whose per-vertex colors are `color`, laying the
+    /// cells out with one counting pass, so each comes out ascending with
+    /// no sort. Returns `None` unless every color is the start position of
+    /// its cell: the vertices of color `c` must number exactly the gap to
+    /// the next color in use, or to `n` after the last.
+    pub fn from_colors(color: Vec<V>) -> Option<Self> {
+        let n = color.len();
+        if n > MAX_VERTICES {
+            return None;
+        }
+        // `next[s]`: the size of the cell at `s`, then its next free slot.
+        let mut next: Vec<V> = vec![0; n];
+        for &c in &color {
+            *next.get_mut(c as usize)? += 1;
+        }
+        let mut s = 0;
+        while s < n {
+            let size = next[s] as usize;
+            if size == 0 {
+                return None;
+            }
+            next[s] = as_vertex(s);
+            s += size;
+        }
+        let mut order = vec![0; n];
+        for (v, &c) in (0..).zip(&color) {
+            let slot = &mut next[c as usize];
+            order[*slot as usize] = v;
+            *slot += 1;
+        }
+        Some(Coloring { color, order })
     }
 
     /// Builds a coloring from arbitrary per-vertex labels: cells are grouped
     /// by label and ordered by ascending label value.
-    #[expect(
-        clippy::expect_used,
-        reason = "`order` is a permutation of 0..n and the grouping only splits it, so the cells partition 0..n"
-    )]
     pub fn from_labels(labels: &[V]) -> Self {
-        let mut order: Vec<V> = vertex_range(labels.len()).collect();
-        order.sort_unstable_by_key(|&v| (labels[v as usize], v));
-        let mut cells: Vec<Vec<V>> = Vec::new();
-        for &v in &order {
-            match cells.last_mut() {
-                Some(cell) if labels[cell[0] as usize] == labels[v as usize] => cell.push(v),
-                _ => cells.push(vec![v]),
+        Coloring::grouped_by(labels.len(), |v| labels[v as usize])
+    }
+
+    /// The coloring of `0..n` that groups the vertices by `key`, cells in
+    /// ascending key order.
+    fn grouped_by(n: usize, key: impl Fn(V) -> V) -> Coloring {
+        let mut keyed: Vec<(V, V)> = vertex_range(n).map(|v| (key(v), v)).collect();
+        keyed.sort_unstable();
+        let mut color = vec![0; n];
+        let mut start = 0;
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, v) in run {
+                color[v as usize] = start;
             }
+            start += as_vertex(run.len());
         }
-        Coloring::from_cells(cells).expect("grouped labels always form a partition")
+        Coloring {
+            color,
+            order: keyed.iter().map(|&(_, v)| v).collect(),
+        }
     }
 
     /// Number of vertices.
@@ -86,9 +119,18 @@ impl Coloring {
         self.color.len()
     }
 
-    /// The ordered cells.
-    pub fn cells(&self) -> &[Vec<V>] {
-        &self.cells
+    /// The cells in order, each as the span of [`Coloring::vertices`] that
+    /// starts at its color.
+    pub fn cells(&self) -> impl Iterator<Item = &[V]> + '_ {
+        self.order
+            .chunk_by(|&a, &b| self.color[a as usize] == self.color[b as usize])
+    }
+
+    /// The vertices in position order: the cells one after the other, each
+    /// ascending. On a discrete coloring this is the vertex at every
+    /// position.
+    pub fn vertices(&self) -> &[V] {
+        &self.order
     }
 
     /// The color `π(v)` (start offset of `v`'s cell).
@@ -106,24 +148,15 @@ impl Coloring {
     /// of `other`, and the cell order is compatible (colors are
     /// non-decreasing refinements).
     pub fn is_finer_or_equal(&self, other: &Coloring) -> bool {
-        if self.n() != other.n() {
-            return false;
-        }
-        // Every cell of self must lie inside one cell of other...
-        for cell in &self.cells {
-            let c = other.color_of(cell[0]);
-            if cell.iter().any(|&v| other.color_of(v) != c) {
-                return false;
-            }
-        }
-        // ...and splitting must preserve the relative order of other's cells.
-        let mut pairs: Vec<(V, V)> = self
-            .cells
-            .iter()
-            .map(|cell| (self.color_of(cell[0]), other.color_of(cell[0])))
-            .collect();
-        pairs.sort_unstable();
-        pairs.windows(2).all(|w| w[0].1 <= w[1].1)
+        self.n() == other.n()
+            && self.cells().all(|cell| {
+                let c = other.color_of(cell[0]);
+                cell.iter().all(|&v| other.color_of(v) == c)
+            })
+            && self
+                .order
+                .windows(2)
+                .all(|w| other.color_of(w[0]) <= other.color_of(w[1]))
     }
 
     /// True iff `π` is equitable with respect to `g`: within every cell, all
@@ -133,7 +166,7 @@ impl Coloring {
         let n = self.n();
         let mut counts = vec![0usize; n];
         let mut reference = vec![0usize; n];
-        for cell in &self.cells {
+        for cell in self.cells() {
             if cell.len() == 1 {
                 continue;
             }
@@ -169,48 +202,19 @@ impl Coloring {
     /// `Vi^(γ⁻¹)`, in the same order.
     #[expect(
         clippy::expect_used,
-        reason = "applying a bijection to every member of a partition yields a partition"
+        reason = "relabeling the vertices by a bijection keeps every cell's size and start"
     )]
     pub fn apply_perm(&self, gamma: &Perm) -> Coloring {
         assert_eq!(gamma.len(), self.n());
-        let inv = gamma.inverse();
-        let cells = self
-            .cells
-            .iter()
-            .map(|cell| {
-                let mut c: Vec<V> = cell.iter().map(|&v| inv.apply(v)).collect();
-                c.sort_unstable();
-                c
-            })
-            .collect();
-        Coloring::from_cells(cells).expect("permuted partition stays a partition")
+        let color = gamma.as_slice().iter().map(|&w| self.color_of(w)).collect();
+        Coloring::from_colors(color).expect("permuted partition stays a partition")
     }
 
     /// Projects the coloring onto the vertex subset `verts` (the paper's
     /// `π_g`), relabeling to local indices `0..verts.len()` in the order
     /// given. Cells keep their relative order; empty intersections vanish.
-    #[expect(
-        clippy::expect_used,
-        reason = "the cells contain each local index 0..verts.len() exactly once, a partition by construction"
-    )]
     pub fn project(&self, verts: &[V]) -> Coloring {
-        let mut local: Vec<(V, V)> = (0..)
-            .zip(verts)
-            .map(|(i, &v)| (self.color_of(v), i))
-            .collect();
-        local.sort_unstable();
-        let mut cells: Vec<Vec<V>> = Vec::new();
-        let mut last = V::MAX;
-        for (c, i) in local {
-            match cells.last_mut() {
-                Some(cell) if c == last => cell.push(i),
-                _ => {
-                    cells.push(vec![i]);
-                    last = c;
-                }
-            }
-        }
-        Coloring::from_cells(cells).expect("projection forms a partition")
+        Coloring::grouped_by(verts.len(), |i| self.color_of(verts[i as usize]))
     }
 }
 
@@ -224,7 +228,7 @@ impl fmt::Display for Coloring {
     /// Paper notation, e.g. `[0,1,2,3|4,5,6|7]`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, cell) in self.cells.iter().enumerate() {
+        for (i, cell) in self.cells().enumerate() {
             if i > 0 {
                 write!(f, "|")?;
             }
@@ -247,10 +251,10 @@ mod tests {
     #[test]
     fn unit_and_discrete() {
         let u = Coloring::unit(4);
-        assert_eq!(u.cells().len(), 1);
+        assert_eq!(u.cells().count(), 1);
         assert_eq!(u.color_of(3), 0);
         let d = Coloring::from_labels(&[0, 1, 2, 3]);
-        assert_eq!(d.cells().len(), 4);
+        assert_eq!(d.cells().count(), 4);
         assert_eq!(d.color_of(3), 3);
         assert!(d.is_finer_or_equal(&u));
         assert!(!u.is_finer_or_equal(&d));
@@ -271,6 +275,12 @@ mod tests {
         assert!(Coloring::from_cells(vec![vec![0, 1], vec![1]]).is_none());
         assert!(Coloring::from_cells(vec![vec![0, 2]]).is_none());
         assert!(Coloring::from_cells(vec![vec![0], vec![]]).is_none());
+        // A color must be the start of its cell, and the cells must tile 0..n.
+        let pi = Coloring::from_colors(vec![0, 2, 0]).unwrap();
+        assert_eq!(pi.to_string(), "[0,2|1]");
+        assert!(Coloring::from_colors(vec![0, 0, 1]).is_none());
+        assert!(Coloring::from_colors(vec![1, 1, 1]).is_none());
+        assert!(Coloring::from_colors(vec![0, 3, 3]).is_none());
     }
 
     #[test]

@@ -9,12 +9,65 @@
 
 use dvicl_graph::{graph6, Coloring, Graph, Perm, V};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (1usize..40).prop_flat_map(|n| {
         proptest::collection::vec((0..n as u32, 0..n as u32), 0..120)
             .prop_map(move |edges| Graph::from_edges(n, &edges))
     })
+}
+
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
+fn shuffle(n: usize, seed: u64) -> Perm {
+    let mut image: Vec<V> = (0..n as V).collect();
+    let mut state = seed | 1;
+    for i in (1..n).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        image.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    Perm::from_image(image).expect("bijection")
+}
+
+/// The nested reference model of a coloring: its cells in color order,
+/// members ascending.
+type Cells = Vec<Vec<V>>;
+
+/// The model cells of `0..n` grouped by `key`, in ascending key order.
+fn cells_by_key(n: usize, key: impl Fn(V) -> V) -> Cells {
+    let mut by_key: BTreeMap<V, Vec<V>> = BTreeMap::new();
+    for v in 0..n as V {
+        by_key.entry(key(v)).or_default().push(v);
+    }
+    by_key.into_values().collect()
+}
+
+/// `pi` against the model `cells`: the same cells in the same order, each
+/// vertex colored with the start of its cell's span, and the paper
+/// notation `Display` printed from nested cells.
+fn matches_model(pi: &Coloring, cells: &Cells) -> Result<(), String> {
+    prop_assert_eq!(pi.n(), cells.iter().map(Vec::len).sum::<usize>());
+    let flat: Vec<&[V]> = pi.cells().collect();
+    prop_assert_eq!(&flat, &cells.iter().map(Vec::as_slice).collect::<Vec<_>>());
+    prop_assert_eq!(pi.vertices().to_vec(), cells.concat());
+    let mut start = 0;
+    for cell in cells {
+        for &v in cell {
+            prop_assert_eq!(pi.color_of(v), start);
+        }
+        start += cell.len() as V;
+    }
+    let text: Vec<String> = cells
+        .iter()
+        .map(|c| c.iter().map(V::to_string).collect::<Vec<_>>().join(","))
+        .collect();
+    prop_assert_eq!(pi.to_string(), format!("[{}]", text.join("|")));
+    Ok(())
 }
 
 proptest! {
@@ -111,6 +164,47 @@ proptest! {
         let lhs = pi.apply_perm(&p).apply_perm(&q);
         let rhs = pi.apply_perm(&q.then(&p));
         prop_assert_eq!(lhs, rhs);
+    }
+
+    /// The flat layout against the nested model: `from_labels`,
+    /// `from_cells` (members given in any order), `project` (onto a
+    /// shuffled subset) and `apply_perm` build the model's cells, colors
+    /// and `Display` text.
+    #[test]
+    fn flat_layout_matches_a_nested_model(
+        labels in proptest::collection::vec(0u32..6, 0..25),
+        mask in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let n = labels.len();
+        let label = |v: V| labels[v as usize];
+        let cells = cells_by_key(n, label);
+        let pi = Coloring::from_labels(&labels);
+        matches_model(&pi, &cells)?;
+        let descending: Cells = cells.iter().map(|c| c.iter().rev().copied().collect()).collect();
+        prop_assert_eq!(Coloring::from_cells(descending), Some(pi.clone()));
+        // Labels order the cells as their colors do, so grouping the
+        // locals by label is the model of the projection.
+        let gamma = shuffle(n, seed);
+        let verts: Vec<V> = gamma
+            .as_slice()
+            .iter()
+            .copied()
+            .filter(|&v| mask >> (v % 64) & 1 == 1)
+            .collect();
+        let projected = cells_by_key(verts.len(), |i| label(verts[i as usize]));
+        matches_model(&pi.project(&verts), &projected)?;
+        // π^γ: each cell Vi becomes Vi^(γ⁻¹), in the same order.
+        let inverse = gamma.inverse();
+        let permuted: Cells = cells
+            .iter()
+            .map(|c| {
+                let mut image: Vec<V> = c.iter().map(|&v| inverse.apply(v)).collect();
+                image.sort_unstable();
+                image
+            })
+            .collect();
+        matches_model(&pi.apply_perm(&gamma), &permuted)?;
     }
 
     #[test]

@@ -71,10 +71,12 @@ pub fn min_canon_form(g: &Graph, pi: &Coloring) -> CanonForm {
     permute_all(&mut perm, 0, &mut |p| {
         // Only color-preserving relabelings are candidates: the image of a
         // vertex must carry the same color for (G,π)^γ to have π's cells in
-        // place (γ maps each cell onto a cell of equal color).
+        // place (γ maps each cell onto a cell of equal color). A position's
+        // color is the color of the vertex π places there.
+        let at = pi.vertices();
         let ok = g
             .vertices()
-            .all(|v| pi.color_of(v) == pi.color_of_position(p[v as usize]));
+            .all(|v| pi.color_of(v) == pi.color_of(at[p[v as usize] as usize]));
         if !ok {
             return;
         }
@@ -140,26 +142,6 @@ fn iso_backtrack(
         image[v as usize] = V::MAX;
     }
     false
-}
-
-/// Helper trait extension: color of the cell that *position* `p` falls in.
-trait ColorOfPosition {
-    fn color_of_position(&self, p: V) -> V;
-}
-
-impl ColorOfPosition for Coloring {
-    fn color_of_position(&self, p: V) -> V {
-        // Positions and colors coincide under the paper's color definition:
-        // position p lies in the cell whose start offset (its color) is the
-        // largest cell start ≤ p.
-        assert!((p as usize) < self.n(), "position out of range");
-        self.cells()
-            .iter()
-            .map(|cell| self.color_of(cell[0]))
-            .take_while(|&start| start <= p)
-            .last()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

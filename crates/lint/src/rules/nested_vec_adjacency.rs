@@ -12,15 +12,25 @@
 //! Cold-path containers (orbit cells in `aut.rs`, result sets in the
 //! query API) live in modules this rule does not cover; a genuinely
 //! justified nested vector on a covered file takes a suppression
-//! pragma naming why it is not per-vertex adjacency.
+//! pragma naming why it is not per-vertex adjacency. The one such
+//! pragma is on `Coloring::from_cells`, whose cells callers build and
+//! the coloring stores flat.
+//!
+//! The match is on tokens, not types: a nested layout behind a named
+//! element type gets past it. `SubArena::cells` returned a
+//! `Vec<SubCell>` with one `members: Vec` per cell, the same per-cell
+//! allocation the rule exists to stop, and was never flagged; it is
+//! deleted, and the node projection that replaced it is flat
+//! (DESIGN.md §10.1).
 
 use super::{code_tok, is_ident, is_punct, FileCtx, Finding};
 
 pub const ID: &str = "nested-vec-adjacency";
 
 /// The hot-path modules that must keep flat (CSR / arena) storage.
-pub const FLAT_MODULES: [&str; 6] = [
+pub const FLAT_MODULES: [&str; 7] = [
     "crates/graph/src/graph.rs",
+    "crates/graph/src/coloring.rs",
     "crates/refine/src/partition.rs",
     "crates/core/src/arena.rs",
     "crates/core/src/sub.rs",
@@ -72,13 +82,9 @@ mod tests {
 
     #[test]
     fn flags_nested_vec_on_hot_path() {
-        assert_eq!(
-            run(
-                "crates/core/src/build.rs",
-                "fn f() -> Vec<Vec<u32>> { Vec::new() }"
-            ),
-            1
-        );
+        for rel in ["crates/core/src/build.rs", "crates/graph/src/coloring.rs"] {
+            assert_eq!(run(rel, "fn f() -> Vec<Vec<u32>> { Vec::new() }"), 1);
+        }
     }
 
     #[test]

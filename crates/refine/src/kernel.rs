@@ -561,7 +561,7 @@ mod tests {
         // layouts and the incremental splitter queue must agree with the
         // oracle, and undo must restore the refined cells exactly, so the
         // second child refines as if it were the first.
-        if let Some(cell) = a.coloring.cells().iter().find(|c| c.len() > 1) {
+        if let Some(cell) = a.coloring.cells().find(|c| c.len() > 1) {
             for v in [cell[0], cell[cell.len() - 1]] {
                 let ai = oracle_individualized(g, pi, v);
                 let bi = individualized(&mut refiner, g, v);

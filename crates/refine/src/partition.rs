@@ -104,34 +104,28 @@ fn mix(h: u64, x: u64) -> u64 {
 
 impl Partition {
     /// Re-initializes this partition from a [`Coloring`], reusing every
-    /// internal buffer. State after this call is identical to a fresh
-    /// partition's — only the allocations differ, which is what lets the
-    /// IR search refine thousands of nodes without a single per-node
+    /// internal buffer: `lab` and `cell_start` are copies of the
+    /// coloring's vertex order and colors, and each cell's length is
+    /// counted from the colors. State after this call is identical to a
+    /// fresh partition's — only the allocations differ, which is what lets
+    /// the IR search refine thousands of nodes without a single per-node
     /// `Vec` allocation.
+    // dvicl-lint: allow(budget-reachability) -- O(n) copy of one coloring per load; the refinement that follows spends the budget
     pub fn reset_from_coloring(&mut self, n: usize, pi: &Coloring) {
         assert_eq!(n, pi.n());
         self.lab.clear();
-        self.lab.reserve(n);
+        self.lab.extend_from_slice(pi.vertices());
+        self.cell_start.clear();
+        self.cell_start.extend_from_slice(pi.colors());
         self.cell_len.clear();
         self.cell_len.resize(n, 0);
-        for cell in pi.cells() {
-            self.cell_len[self.lab.len()] = cell.len() as u32;
-            self.lab.extend_from_slice(cell);
+        for &s in &self.cell_start {
+            self.cell_len[s as usize] += 1;
         }
         self.pos.clear();
         self.pos.resize(n, 0);
         for (i, &v) in (0..).zip(&self.lab) {
             self.pos[v as usize] = i;
-        }
-        self.cell_start.clear();
-        self.cell_start.resize(n, 0);
-        let mut s = 0usize;
-        while s < n {
-            let len = self.cell_len[s] as usize;
-            for i in s..s + len {
-                self.cell_start[self.lab[i] as usize] = s as u32;
-            }
-            s += len;
         }
         self.cnt.clear();
         self.cnt.resize(n, 0);
@@ -436,8 +430,8 @@ impl Partition {
     /// trace mix per fragment and fragment enqueueing, all in
     /// ascending-count order. They differ only in the vertex order
     /// *inside* a fragment's span, which nothing observes (`to_coloring`
-    /// sorts every cell, the search sorts its candidates, and a singleton
-    /// has one order). Returns the updated trace (unchanged when the
+    /// reads only the colors, the search sorts its candidates, and a
+    /// singleton has one order). Returns the updated trace (unchanged when the
     /// counts are uniform and nothing splits).
     ///
     /// Every [`RefineKernel`] funnels its splits through here, which is

@@ -152,7 +152,7 @@ fn census(labeler: &mut Labeler, n: usize, inputs: &[(u64, Option<u64>)]) -> Cen
         };
         let (form, gens) = labeler.label(&g, &pi);
         let next = classes.len() as u32;
-        let sizes = pi.cells().iter().map(Vec::len).collect();
+        let sizes = pi.cells().map(<[V]>::len).collect();
         let id = *classes.entry((sizes, form)).or_insert(next);
         if id == next {
             let order = StabChain::new(n, &gens)
