@@ -153,7 +153,6 @@ pub fn try_all_max_cliques(
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn enumerate(
     g: &Graph,
     cands: &[V],

@@ -216,6 +216,7 @@ fn quotient_hash(g: &Graph, pi: &Coloring) -> u64 {
 /// cell `j`, so `e_ij = |C_i|·d_ij` edges join the two cells (half that
 /// for `i = j`), and the edge sum is `Σ_{i ≤ j} e_ij · edge_hash(i, j)`.
 /// Reads one representative's neighbors per cell.
+// dvicl-lint: allow(budget-reachability) -- O(cells + m) hash of one refined partition; the refinement before it spends per splitter, and dfs() one unit per node
 fn quotient_hash_by_cells(g: &Graph, pi: PartitionView<'_>) -> u64 {
     let mut acc = QUOTIENT_BASE;
     for cell in pi.cells() {
@@ -275,6 +276,7 @@ fn leaf_quotient_hash(cert: &[(V, V)]) -> u64 {
 /// `parent`: an edge's hash moves only if an endpoint's color does, so the
 /// change is summed over the edges of the vertices the latest
 /// individualization recolored.
+// dvicl-lint: allow(budget-reachability) -- O(degrees of the recolored vertices) <= O(m) per search node; try_individualize spent per splitter just before, and dfs() spends one unit per node
 fn quotient_hash_delta(g: &Graph, refiner: &Refiner, parent: u64) -> u64 {
     let pi = refiner.partition();
     let mut acc = parent;
@@ -501,7 +503,10 @@ impl<'a> Search<'a> {
     /// lexicographic status of the current path against the best path
     /// (`Equal` while tracking, `Less` once this path has strictly beaten
     /// the recorded best prefix).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one search node's state: its hashes, its certificate, its depth, its status against the first and best paths, its parent edge and the individualized prefix"
+    )]
     fn dfs(
         &mut self,
         quotient: u64,
@@ -701,6 +706,7 @@ impl<'a> Search<'a> {
         }
 
         let mut found_auto = false;
+        let mut matched_first = false;
         // Automorphism against the reference leaf (γ' γ₀⁻¹ in the paper).
         if on_first {
             #[expect(
@@ -709,6 +715,7 @@ impl<'a> Search<'a> {
             )]
             let (first_cert, first_lambda) = self.first_leaf.as_ref().expect("set above");
             if cert == *first_cert {
+                matched_first = true;
                 let auto = lambda.then(&first_lambda.inverse());
                 found_auto |= self.add_automorphism(auto);
             }
@@ -731,11 +738,13 @@ impl<'a> Search<'a> {
                         self.best_leaf = Some((cert, lambda));
                         self.best_seq = fixed.to_vec();
                     }
-                    Ordering::Equal => {
+                    // While the best leaf is still the first leaf, the
+                    // comparison above already recorded this automorphism.
+                    Ordering::Equal if !(matched_first && self.best_seq == self.first_seq) => {
                         let auto = lambda.then(&best_lambda.inverse());
                         found_auto |= self.add_automorphism(auto);
                     }
-                    Ordering::Greater => {}
+                    Ordering::Equal | Ordering::Greater => {}
                 },
             },
             Ordering::Greater => {}

@@ -181,7 +181,7 @@ fn node_invariant_shrinks_the_search_tree() {
     // The invariant ablation on `mz_aug(12)` (n 240). The saving is not
     // P_A/P_B pruning: `pruned_invariant` is 0 both ways. The invariant
     // decides which leaf is best, and so which automorphisms the search
-    // finds for P_C (33 generators against 31). A change that moves
+    // finds for P_C (20 generators against 18). A change that moves
     // these counts must restate them here.
     let g = bench_graphs::mz_aug(12);
     let pi = Coloring::unit(g.n());

@@ -84,14 +84,18 @@ fn digest(r: &mut CanonResult) -> u64 {
     clippy::expect_used,
     reason = "test helper: a panic here fails the calling test, which is the intent"
 )]
-fn run(name: &'static str, g: &Graph, target_cell: TargetCell, use_invariant: bool) -> Row {
+fn search(g: &Graph, target_cell: TargetCell, use_invariant: bool) -> CanonResult {
     let config = Config {
         target_cell,
         use_invariant,
         record_tree: false,
     };
-    let mut r = try_canonical_form(g, &Coloring::unit(g.n()), &config, &Budget::unlimited())
-        .expect("unlimited search cannot fail");
+    try_canonical_form(g, &Coloring::unit(g.n()), &config, &Budget::unlimited())
+        .expect("unlimited search cannot fail")
+}
+
+fn run(name: &'static str, g: &Graph, target_cell: TargetCell, use_invariant: bool) -> Row {
+    let mut r = search(g, target_cell, use_invariant);
     let s = r.stats;
     (
         name,
@@ -147,86 +151,86 @@ fn small_instances() -> Vec<(&'static str, Graph)> {
 
 #[rustfmt::skip]
 const SMALL: &[Row] = &[
-    ("cfi-8", "first", true, 0x8e0717776a395b13, [28, 7, 2, 75, 12, 5]),
-    ("cfi-8", "first", false, 0x454af301d6688bb2, [51, 18, 0, 82, 13, 5]),
-    ("cfi-8", "smallest", true, 0x8e0717776a395b13, [28, 7, 2, 75, 12, 5]),
-    ("cfi-8", "smallest", false, 0xe7b2843428d24a62, [69, 26, 0, 78, 13, 6]),
-    ("cfi-8", "largest", true, 0x9c938193906b6a03, [19, 7, 2, 79, 12, 3]),
-    ("cfi-8", "largest", false, 0xcb172fda0a0af692, [27, 11, 0, 93, 13, 3]),
-    ("cfi-8", "most-constrained", true, 0xdb4052a230c25763, [23, 7, 2, 76, 12, 4]),
-    ("cfi-8", "most-constrained", false, 0x158f3e9b4a8e84a1, [37, 13, 0, 88, 14, 4]),
-    ("cfi-8-twisted", "first", true, 0xe81878cedd23e5b3, [28, 7, 2, 75, 12, 5]),
-    ("cfi-8-twisted", "first", false, 0x7fecd26b470af8a2, [51, 18, 0, 82, 13, 5]),
-    ("cfi-8-twisted", "smallest", true, 0xe81878cedd23e5b3, [28, 7, 2, 75, 12, 5]),
-    ("cfi-8-twisted", "smallest", false, 0x01774a68008d77b2, [54, 18, 0, 79, 13, 6]),
-    ("cfi-8-twisted", "largest", true, 0xe6e9cfb70f981493, [19, 7, 2, 79, 12, 3]),
-    ("cfi-8-twisted", "largest", false, 0xf3634e69d295d452, [27, 11, 0, 93, 13, 3]),
-    ("cfi-8-twisted", "most-constrained", true, 0x6784d88e4a26ea83, [23, 7, 2, 76, 12, 4]),
-    ("cfi-8-twisted", "most-constrained", false, 0x8666cbbcf96c0d51, [37, 13, 0, 88, 14, 4]),
-    ("cfi-12", "first", true, 0x30093df6803d5b20, [58, 14, 1, 119, 19, 7]),
-    ("cfi-12", "first", false, 0x30093df6803d5b20, [92, 22, 0, 141, 19, 8]),
-    ("cfi-12", "smallest", true, 0xa25108b2dced48e0, [66, 14, 1, 117, 19, 7]),
-    ("cfi-12", "smallest", false, 0xa25108b2dced48e0, [133, 30, 0, 154, 19, 9]),
-    ("cfi-12", "largest", true, 0xa31d6f772e7bc103, [35, 11, 1, 128, 16, 4]),
-    ("cfi-12", "largest", false, 0x070778671d989f51, [42, 14, 0, 139, 18, 4]),
-    ("cfi-12", "most-constrained", true, 0x39654bca0bf72911, [51, 13, 1, 121, 18, 6]),
-    ("cfi-12", "most-constrained", false, 0x39654bca0bf72911, [83, 21, 0, 145, 18, 7]),
-    ("mz-aug-10", "first", true, 0x2e1d84a2b6595ad8, [91, 13, 2, 195, 24, 11]),
-    ("mz-aug-10", "first", false, 0x81f2454d31a0031b, [190, 26, 0, 257, 27, 12]),
-    ("mz-aug-10", "smallest", true, 0x2e1d84a2b6595ad8, [91, 13, 2, 195, 24, 11]),
-    ("mz-aug-10", "smallest", false, 0xee520ba76e628acb, [198, 26, 0, 253, 27, 13]),
-    ("mz-aug-10", "largest", true, 0x8474a0246f284a88, [55, 13, 2, 202, 24, 6]),
-    ("mz-aug-10", "largest", false, 0x4e59e9b21f45bbfb, [79, 19, 0, 232, 27, 6]),
-    ("mz-aug-10", "most-constrained", true, 0xb833e5aa3361cc18, [86, 13, 2, 196, 24, 10]),
-    ("mz-aug-10", "most-constrained", false, 0xaf9ca69273cfad4a, [177, 25, 0, 261, 26, 11]),
-    ("had-32", "first", true, 0x2aa4af06ef849ecf, [54, 18, 0, 363, 34, 6]),
-    ("had-32", "first", false, 0x2aa4af06ef849ecf, [54, 18, 0, 363, 34, 6]),
-    ("had-32", "smallest", true, 0xbad906352faa17cf, [114, 18, 0, 214, 34, 11]),
-    ("had-32", "smallest", false, 0xbad906352faa17cf, [114, 18, 0, 214, 34, 11]),
-    ("had-32", "largest", true, 0x2aa4af06ef849ecf, [54, 18, 0, 363, 34, 6]),
-    ("had-32", "largest", false, 0x2aa4af06ef849ecf, [54, 18, 0, 363, 34, 6]),
-    ("had-32", "most-constrained", true, 0x2aa4af06ef849ecf, [54, 18, 0, 363, 34, 6]),
-    ("had-32", "most-constrained", false, 0x2aa4af06ef849ecf, [54, 18, 0, 363, 34, 6]),
-    ("pg2-5", "first", true, 0xb72e12159169ad65, [81, 10, 10, 409, 11, 7]),
-    ("pg2-5", "first", false, 0x1d4be7f26a2727d5, [82, 20, 0, 409, 11, 7]),
-    ("pg2-5", "smallest", true, 0xd7991c158c4e9c05, [347, 13, 136, 354, 10, 11]),
-    ("pg2-5", "smallest", false, 0x5bf434dc34a0fb85, [356, 167, 0, 306, 10, 11]),
-    ("pg2-5", "largest", true, 0x622d4905366cef71, [23, 8, 0, 122, 14, 4]),
-    ("pg2-5", "largest", false, 0x622d4905366cef71, [23, 8, 0, 122, 14, 4]),
-    ("pg2-5", "most-constrained", true, 0x38d1686c31b06ff1, [23, 8, 0, 122, 14, 4]),
-    ("pg2-5", "most-constrained", false, 0x38d1686c31b06ff1, [23, 8, 0, 122, 14, 4]),
-    ("ag2-5", "first", true, 0xef7d9fe8b1f4094f, [53, 9, 5, 242, 9, 6]),
-    ("ag2-5", "first", false, 0x58fb96689486527f, [59, 16, 0, 296, 9, 6]),
-    ("ag2-5", "smallest", true, 0x82d5709106447db7, [405, 11, 202, 306, 6, 9]),
-    ("ag2-5", "smallest", false, 0x914c24eebf4f2a07, [188, 62, 0, 259, 6, 9]),
-    ("ag2-5", "largest", true, 0x7b2c9c635076887d, [16, 7, 0, 62, 12, 3]),
-    ("ag2-5", "largest", false, 0x7b2c9c635076887d, [16, 7, 0, 62, 12, 3]),
-    ("ag2-5", "most-constrained", true, 0x7b2c9c635076887d, [16, 7, 0, 62, 12, 3]),
-    ("ag2-5", "most-constrained", false, 0x7b2c9c635076887d, [16, 7, 0, 62, 12, 3]),
-    ("grid-w-6-6-6", "first", true, 0x3ac9a0d916726419, [13, 6, 0, 224, 10, 3]),
-    ("grid-w-6-6-6", "first", false, 0x3ac9a0d916726419, [13, 6, 0, 224, 10, 3]),
-    ("grid-w-6-6-6", "smallest", true, 0x4e2560ae85a5461f, [28, 7, 0, 215, 12, 6]),
-    ("grid-w-6-6-6", "smallest", false, 0x4e2560ae85a5461f, [28, 7, 0, 215, 12, 6]),
-    ("grid-w-6-6-6", "largest", true, 0x758c8d9c6c313b49, [14, 6, 0, 234, 10, 3]),
-    ("grid-w-6-6-6", "largest", false, 0x758c8d9c6c313b49, [14, 6, 0, 234, 10, 3]),
-    ("grid-w-6-6-6", "most-constrained", true, 0xb1f76ea70402e53b, [12, 5, 0, 235, 8, 3]),
-    ("grid-w-6-6-6", "most-constrained", false, 0xb1f76ea70402e53b, [12, 5, 0, 235, 8, 3]),
-    ("petersen", "first", true, 0x1db1de4a63baed8d, [10, 4, 0, 12, 6, 3]),
-    ("petersen", "first", false, 0x1db1de4a63baed8d, [10, 4, 0, 12, 6, 3]),
-    ("petersen", "smallest", true, 0xb34075c3306d9493, [15, 5, 0, 9, 8, 4]),
-    ("petersen", "smallest", false, 0xb34075c3306d9493, [15, 5, 0, 9, 8, 4]),
-    ("petersen", "largest", true, 0x3afc262df4867a8d, [10, 4, 0, 12, 6, 3]),
-    ("petersen", "largest", false, 0x3afc262df4867a8d, [10, 4, 0, 12, 6, 3]),
-    ("petersen", "most-constrained", true, 0x1db1de4a63baed8d, [10, 4, 0, 12, 6, 3]),
-    ("petersen", "most-constrained", false, 0x1db1de4a63baed8d, [10, 4, 0, 12, 6, 3]),
-    ("torus-4-4", "first", true, 0x769a346a35430b2d, [11, 5, 0, 19, 8, 3]),
-    ("torus-4-4", "first", false, 0x769a346a35430b2d, [11, 5, 0, 19, 8, 3]),
-    ("torus-4-4", "smallest", true, 0x119a5390b05e724d, [15, 5, 0, 17, 8, 4]),
-    ("torus-4-4", "smallest", false, 0x119a5390b05e724d, [15, 5, 0, 17, 8, 4]),
-    ("torus-4-4", "largest", true, 0x769a346a35430b2d, [11, 5, 0, 19, 8, 3]),
-    ("torus-4-4", "largest", false, 0x769a346a35430b2d, [11, 5, 0, 19, 8, 3]),
-    ("torus-4-4", "most-constrained", true, 0x769a346a35430b2d, [11, 5, 0, 19, 8, 3]),
-    ("torus-4-4", "most-constrained", false, 0x769a346a35430b2d, [11, 5, 0, 19, 8, 3]),
+    ("cfi-8", "first", true, 0xd41d2143bfdbfa29, [28, 7, 2, 75, 6, 5]),
+    ("cfi-8", "first", false, 0x329c0d3ff2707737, [51, 18, 0, 82, 8, 5]),
+    ("cfi-8", "smallest", true, 0xd41d2143bfdbfa29, [28, 7, 2, 75, 6, 5]),
+    ("cfi-8", "smallest", false, 0x2a594bda64c2e7e7, [69, 26, 0, 78, 8, 6]),
+    ("cfi-8", "largest", true, 0x0e78b03c92003709, [19, 7, 2, 79, 6, 3]),
+    ("cfi-8", "largest", false, 0xc0d04174f13b3957, [27, 11, 0, 93, 8, 3]),
+    ("cfi-8", "most-constrained", true, 0xc883d4e3835bb219, [23, 7, 2, 76, 6, 4]),
+    ("cfi-8", "most-constrained", false, 0x806a63c2b2af81e6, [37, 13, 0, 88, 9, 4]),
+    ("cfi-8-twisted", "first", true, 0x1a813eda183ba449, [28, 7, 2, 75, 6, 5]),
+    ("cfi-8-twisted", "first", false, 0x0f4e46c6bd1f22a7, [51, 18, 0, 82, 8, 5]),
+    ("cfi-8-twisted", "smallest", true, 0x1a813eda183ba449, [28, 7, 2, 75, 6, 5]),
+    ("cfi-8-twisted", "smallest", false, 0x8b0c1b3ef3017db7, [54, 18, 0, 79, 8, 6]),
+    ("cfi-8-twisted", "largest", true, 0x8b6e9bdc557fe139, [19, 7, 2, 79, 6, 3]),
+    ("cfi-8-twisted", "largest", false, 0x924baebadf867697, [27, 11, 0, 93, 8, 3]),
+    ("cfi-8-twisted", "most-constrained", true, 0x0ffc35260dcaacb9, [23, 7, 2, 76, 6, 4]),
+    ("cfi-8-twisted", "most-constrained", false, 0x8871cd28d40d33d6, [37, 13, 0, 88, 9, 4]),
+    ("cfi-12", "first", true, 0xa2c3d21333bfb15f, [58, 14, 1, 119, 12, 7]),
+    ("cfi-12", "first", false, 0xa2c3d21333bfb15f, [92, 22, 0, 141, 12, 8]),
+    ("cfi-12", "smallest", true, 0x4d7c3dd3850ece1f, [66, 14, 1, 117, 12, 7]),
+    ("cfi-12", "smallest", false, 0x4d7c3dd3850ece1f, [133, 30, 0, 154, 12, 9]),
+    ("cfi-12", "largest", true, 0x24840fd691ae9b1a, [35, 11, 1, 128, 9, 4]),
+    ("cfi-12", "largest", false, 0x65d5b2e4663fea08, [42, 14, 0, 139, 11, 4]),
+    ("cfi-12", "most-constrained", true, 0x45d73b7b5d36efc8, [51, 13, 1, 121, 11, 6]),
+    ("cfi-12", "most-constrained", false, 0x45d73b7b5d36efc8, [83, 21, 0, 145, 11, 7]),
+    ("mz-aug-10", "first", true, 0x0a8f1e8d6d75babc, [91, 13, 2, 195, 12, 11]),
+    ("mz-aug-10", "first", false, 0xfb2bdcd443cef110, [190, 26, 0, 257, 16, 12]),
+    ("mz-aug-10", "smallest", true, 0x0a8f1e8d6d75babc, [91, 13, 2, 195, 12, 11]),
+    ("mz-aug-10", "smallest", false, 0x483be0a3cf4f1a40, [198, 26, 0, 253, 16, 13]),
+    ("mz-aug-10", "largest", true, 0x70b6239b2ec91dbc, [55, 13, 2, 202, 12, 6]),
+    ("mz-aug-10", "largest", false, 0x38774814f5d30df0, [79, 19, 0, 232, 16, 6]),
+    ("mz-aug-10", "most-constrained", true, 0xa9ca6d0d5a2db4bc, [86, 13, 2, 196, 12, 10]),
+    ("mz-aug-10", "most-constrained", false, 0x1f16ac42f310949f, [177, 25, 0, 261, 15, 11]),
+    ("had-32", "first", true, 0xa17e98c2bfbb080c, [54, 18, 0, 363, 17, 6]),
+    ("had-32", "first", false, 0xa17e98c2bfbb080c, [54, 18, 0, 363, 17, 6]),
+    ("had-32", "smallest", true, 0x1d2feef896674e0c, [114, 18, 0, 214, 17, 11]),
+    ("had-32", "smallest", false, 0x1d2feef896674e0c, [114, 18, 0, 214, 17, 11]),
+    ("had-32", "largest", true, 0xa17e98c2bfbb080c, [54, 18, 0, 363, 17, 6]),
+    ("had-32", "largest", false, 0xa17e98c2bfbb080c, [54, 18, 0, 363, 17, 6]),
+    ("had-32", "most-constrained", true, 0xa17e98c2bfbb080c, [54, 18, 0, 363, 17, 6]),
+    ("had-32", "most-constrained", false, 0xa17e98c2bfbb080c, [54, 18, 0, 363, 17, 6]),
+    ("pg2-5", "first", true, 0x51b2aedecd6303d7, [81, 10, 10, 409, 8, 7]),
+    ("pg2-5", "first", false, 0x04bae5419cdb9187, [82, 20, 0, 409, 8, 7]),
+    ("pg2-5", "smallest", true, 0x0ea2e0324dec2d97, [347, 13, 136, 354, 9, 11]),
+    ("pg2-5", "smallest", false, 0x41f7dec5ce498717, [356, 167, 0, 306, 9, 11]),
+    ("pg2-5", "largest", true, 0x68f2c2eeaad92999, [23, 8, 0, 122, 7, 4]),
+    ("pg2-5", "largest", false, 0x68f2c2eeaad92999, [23, 8, 0, 122, 7, 4]),
+    ("pg2-5", "most-constrained", true, 0x44c8854764f88679, [23, 8, 0, 122, 7, 4]),
+    ("pg2-5", "most-constrained", false, 0x44c8854764f88679, [23, 8, 0, 122, 7, 4]),
+    ("ag2-5", "first", true, 0xe39efedcbd7f8d87, [53, 9, 5, 242, 6, 6]),
+    ("ag2-5", "first", false, 0x182d0d4a51a9e657, [59, 16, 0, 296, 6, 6]),
+    ("ag2-5", "smallest", true, 0x6ead89a14b85b123, [405, 11, 202, 306, 5, 9]),
+    ("ag2-5", "smallest", false, 0x16a5cbc23d279853, [188, 62, 0, 259, 5, 9]),
+    ("ag2-5", "largest", true, 0x1afc6f275013a887, [16, 7, 0, 62, 6, 3]),
+    ("ag2-5", "largest", false, 0x1afc6f275013a887, [16, 7, 0, 62, 6, 3]),
+    ("ag2-5", "most-constrained", true, 0x1afc6f275013a887, [16, 7, 0, 62, 6, 3]),
+    ("ag2-5", "most-constrained", false, 0x1afc6f275013a887, [16, 7, 0, 62, 6, 3]),
+    ("grid-w-6-6-6", "first", true, 0xd46357904be4d186, [13, 6, 0, 224, 5, 3]),
+    ("grid-w-6-6-6", "first", false, 0xd46357904be4d186, [13, 6, 0, 224, 5, 3]),
+    ("grid-w-6-6-6", "smallest", true, 0xf511880013638555, [28, 7, 0, 215, 6, 6]),
+    ("grid-w-6-6-6", "smallest", false, 0xf511880013638555, [28, 7, 0, 215, 6, 6]),
+    ("grid-w-6-6-6", "largest", true, 0x6c07e86b1baa4dd6, [14, 6, 0, 234, 5, 3]),
+    ("grid-w-6-6-6", "largest", false, 0x6c07e86b1baa4dd6, [14, 6, 0, 234, 5, 3]),
+    ("grid-w-6-6-6", "most-constrained", true, 0x3e6122256eb51317, [12, 5, 0, 235, 4, 3]),
+    ("grid-w-6-6-6", "most-constrained", false, 0x3e6122256eb51317, [12, 5, 0, 235, 4, 3]),
+    ("petersen", "first", true, 0xb9feba757a1383f9, [10, 4, 0, 12, 3, 3]),
+    ("petersen", "first", false, 0xb9feba757a1383f9, [10, 4, 0, 12, 3, 3]),
+    ("petersen", "smallest", true, 0x53a5d6728f3f319f, [15, 5, 0, 9, 4, 4]),
+    ("petersen", "smallest", false, 0x53a5d6728f3f319f, [15, 5, 0, 9, 4, 4]),
+    ("petersen", "largest", true, 0x446e05441d4c03e9, [10, 4, 0, 12, 3, 3]),
+    ("petersen", "largest", false, 0x446e05441d4c03e9, [10, 4, 0, 12, 3, 3]),
+    ("petersen", "most-constrained", true, 0xb9feba757a1383f9, [10, 4, 0, 12, 3, 3]),
+    ("petersen", "most-constrained", false, 0xb9feba757a1383f9, [10, 4, 0, 12, 3, 3]),
+    ("torus-4-4", "first", true, 0xb2e0ff54a0dde0e1, [11, 5, 0, 19, 4, 3]),
+    ("torus-4-4", "first", false, 0xb2e0ff54a0dde0e1, [11, 5, 0, 19, 4, 3]),
+    ("torus-4-4", "smallest", true, 0xe33243126fc58681, [15, 5, 0, 17, 4, 4]),
+    ("torus-4-4", "smallest", false, 0xe33243126fc58681, [15, 5, 0, 17, 4, 4]),
+    ("torus-4-4", "largest", true, 0xb2e0ff54a0dde0e1, [11, 5, 0, 19, 4, 3]),
+    ("torus-4-4", "largest", false, 0xb2e0ff54a0dde0e1, [11, 5, 0, 19, 4, 3]),
+    ("torus-4-4", "most-constrained", true, 0xb2e0ff54a0dde0e1, [11, 5, 0, 19, 4, 3]),
+    ("torus-4-4", "most-constrained", false, 0xb2e0ff54a0dde0e1, [11, 5, 0, 19, 4, 3]),
 ];
 
 #[test]
@@ -242,20 +246,41 @@ fn small_instances_every_selector_and_invariant_setting() {
     check(&got, SMALL);
 }
 
+/// A leaf equivalent to the first leaf while the best leaf still is the
+/// first leaf yields one automorphism, not two: the search records each
+/// generator once.
+#[test]
+fn no_search_records_a_generator_twice() {
+    for (name, g) in small_instances() {
+        for sel in SELECTORS {
+            for inv in [true, false] {
+                let r = search(&g, sel, inv);
+                for (i, gen) in r.generators.iter().enumerate() {
+                    assert!(
+                        !r.generators[..i].contains(gen),
+                        "{name} {} invariant={inv}: generator {i} repeats an earlier one",
+                        sel.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[rustfmt::skip]
 const FULL: &[Row] = &[
-    ("ag2-47", "largest", true, 0xc34f8da0792bf0ce, [18, 9, 0, 6570, 16, 3]),
-    ("cfi-200", "largest", true, 0xfb339b097dad02e0, [2755, 103, 2, 2047, 204, 51]),
-    ("grid-w-3-20", "largest", true, 0x1346a1c75e74e712, [8, 5, 0, 8042, 8, 2]),
-    ("had-256", "largest", true, 0x85087a18ea862fdd, [148, 39, 0, 4563, 76, 9]),
-    ("mz-aug-50", "largest", true, 0x6590803e4de14cad, [949, 67, 1, 1088, 116, 26]),
-    ("pg2-47", "largest", true, 0x3a905f7f15bcf357, [25, 10, 0, 11082, 18, 4]),
-    ("cfi-200", "first", true, 0x914ac39d1c587a50, [5356, 103, 2, 1995, 204, 101]),
-    ("cfi-200", "smallest", true, 0x914ac39d1c587a50, [5356, 103, 2, 1995, 204, 101]),
-    ("cfi-200", "most-constrained", true, 0x72cb6bd79f69b364, [5351, 103, 2, 1996, 204, 100]),
-    ("mz-aug-50", "first", true, 0x339294265a1d1407, [1768, 57, 4, 1179, 106, 52]),
-    ("mz-aug-50", "smallest", true, 0xe1297550a4a6a613, [1723, 58, 2, 1134, 106, 53]),
-    ("mz-aug-50", "most-constrained", true, 0x298371ea66e52100, [1712, 56, 4, 1182, 105, 51]),
+    ("ag2-47", "largest", true, 0xc148c44d9d3fdfc2, [18, 9, 0, 6570, 8, 3]),
+    ("cfi-200", "largest", true, 0xee48797f3b9cd922, [2755, 103, 2, 2047, 102, 51]),
+    ("grid-w-3-20", "largest", true, 0x161b179f82ad5c66, [8, 5, 0, 8042, 4, 2]),
+    ("had-256", "largest", true, 0x05f90d12b0b08227, [148, 39, 0, 4563, 38, 9]),
+    ("mz-aug-50", "largest", true, 0x5e5816a641c7b0e4, [949, 67, 1, 1088, 65, 26]),
+    ("pg2-47", "largest", true, 0x2193b469cedbe555, [25, 10, 0, 11082, 9, 4]),
+    ("cfi-200", "first", true, 0x0f1425a8e5940576, [5356, 103, 2, 1995, 102, 101]),
+    ("cfi-200", "smallest", true, 0x0f1425a8e5940576, [5356, 103, 2, 1995, 102, 101]),
+    ("cfi-200", "most-constrained", true, 0x3711c98371c2306a, [5351, 103, 2, 1996, 102, 100]),
+    ("mz-aug-50", "first", true, 0xcd8ab5ef3be57532, [1768, 57, 4, 1179, 55, 52]),
+    ("mz-aug-50", "smallest", true, 0xb587b6e8a54ab046, [1723, 58, 2, 1134, 55, 53]),
+    ("mz-aug-50", "most-constrained", true, 0xd6798b4bba633faf, [1712, 56, 4, 1182, 54, 51]),
 ];
 
 #[test]

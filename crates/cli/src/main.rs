@@ -49,6 +49,10 @@
     clippy::disallowed_methods,
     reason = "the CLI owns its exit codes: a consumer closing stdout early ends the run quietly with status 0"
 )]
+// `print!`/`println!` panic when the consumer closes the pipe
+// (`dvicl aut G | head`): stdout goes through `outln!`/`out!` or a
+// handled `write!` only.
+#![deny(clippy::print_stdout)]
 
 mod batch;
 

@@ -405,6 +405,7 @@ impl SubArena {
     /// other children. Returns `None` if `π_g` has no singleton cell.
     ///
     /// `pi_g` is `π` projected onto `s`'s vertices, over local indices.
+    // dvicl-lint: allow(budget-reachability) -- one O(n + m) pass over a subgraph; Builder::build spends one unit per AutoTree node before it divides
     pub fn divide_i(&mut self, s: &Sub, pi_g: &Coloring) -> Option<Division> {
         let singles: Vec<u32> = pi_g
             .cells()
@@ -440,6 +441,7 @@ impl SubArena {
     /// [`SubArena::divide_i`]) being equitable with respect to `g`
     /// (Theorem 6.1): one member per cell is probed, the rest are
     /// guaranteed to agree.
+    // dvicl-lint: allow(budget-reachability) -- one O(n + m + cells^2) pass over a subgraph; Builder::build spends one unit per AutoTree node before it divides
     pub fn divide_s(&mut self, s: &Sub, pi_g: &Coloring) -> Option<Division> {
         let cells: Vec<&[u32]> = pi_g.cells().collect();
         let ncells = cells.len();

@@ -17,6 +17,7 @@ use dvicl_group::{BigUint, Orbits, StabChain};
 
 /// A generating set of `Aut(G, π)` as dense permutations of the full
 /// vertex set: leaf generators plus adjacent sibling swaps.
+// dvicl-lint: allow(budget-reachability) -- unmetered: one O(n) permutation per leaf generator and sibling swap of a finished tree
 pub fn generators(tree: &AutoTree) -> Vec<Perm> {
     let n = tree.pi.n();
     let mut out = Vec::new();
@@ -88,6 +89,7 @@ pub fn group_order(tree: &AutoTree) -> BigUint {
     order_of(tree, tree.root())
 }
 
+// dvicl-lint: allow(budget-reachability) -- unmetered: one call per node of a finished tree; its leaves run leaf_order, which is unmetered too
 fn order_of(tree: &AutoTree, id: NodeId) -> BigUint {
     let node = tree.node(id);
     match node.kind() {
@@ -110,6 +112,7 @@ fn order_of(tree: &AutoTree, id: NodeId) -> BigUint {
 
 /// Order of a non-singleton leaf's group: rebuild its generators over
 /// local indices and run Schreier–Sims.
+// dvicl-lint: allow(budget-reachability) -- UNMETERED: Schreier-Sims over a leaf's generators takes no budget and no deadline, and can run for seconds after the metered build (dvicl --timeout 1s aut on pg2-47); dvicl-group has no budget to thread
 fn leaf_order(tree: &AutoTree, id: NodeId) -> BigUint {
     let node = tree.node(id);
     let nl = node.n();
@@ -256,6 +259,7 @@ mod tests {
 /// the label-matching sibling swap maps `u` into `v`'s subtree; recurse
 /// until both sides meet inside one leaf, where a BFS over the leaf's
 /// generators (tracking group elements) finishes the job.
+// dvicl-lint: allow(budget-reachability) -- unmetered: one O(n) sibling swap per level of a finished tree, recursing at most its depth, then leaf_witness
 pub fn automorphism_witness(tree: &AutoTree, u: V, v: V) -> Option<Perm> {
     let n = tree.pi.n();
     if u == v {
@@ -323,6 +327,7 @@ pub fn automorphism_witness(tree: &AutoTree, u: V, v: V) -> Option<Perm> {
 
 /// Witness inside a single leaf: BFS over the leaf's generator group,
 /// tracking the composed element.
+// dvicl-lint: allow(budget-reachability) -- unmetered: BFS over the orbit of u under one finished leaf's generators, O(n) per orbit element and generator
 fn leaf_witness(tree: &AutoTree, leaf: NodeId, u: V, v: V) -> Option<Perm> {
     let n = tree.pi.n();
     let node = tree.node(leaf);

@@ -629,6 +629,7 @@ impl Builder<'_> {
     /// the edges between parts are the only ones still to relabel, and
     /// one run-adaptive sort merges it all (DESIGN.md §10.3).
     /// `children` are the built children in part order.
+    // dvicl-lint: allow(budget-reachability) -- O(n + m log m) combine of one internal node; Builder::build spent one unit on the node before dividing it
     fn combine_st(&mut self, id: NodeId, sub: &Sub, d: &Division, children: &[NodeId]) {
         let _span = obs::span(Phase::CoreCombine);
         let t = &mut self.t;

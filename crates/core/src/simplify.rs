@@ -34,6 +34,7 @@ pub struct TwinClasses {
 
 /// Groups vertices by `(color, N(v))`. Two vertices are twins iff they
 /// share the user color and the exact neighbor set.
+// dvicl-lint: allow(budget-reachability) -- unmetered O(n + m) hashing pass, with a pairwise check inside each hash bucket, before try_build_autotree meters the build of G_s
 pub fn twin_classes(g: &Graph, pi0: &Coloring) -> TwinClasses {
     let mut buckets: FxHashMap<u64, Vec<V>> = FxHashMap::default();
     for v in g.vertices() {
@@ -168,6 +169,7 @@ pub fn try_dvicl_simplified(
 impl SimplifiedDvicl {
     /// `|Aut(G, π)|` of the original graph:
     /// `|Aut(G_s, π_s)| · ∏ (class size)!`.
+    // dvicl-lint: allow(budget-reachability) -- unmetered: one factorial per twin class of a finished build, times group_order, whose leaf_order is unmetered
     pub fn original_group_order(&self) -> BigUint {
         let mut acc = aut::group_order(&self.tree);
         for class in &self.twins.non_singleton {

@@ -73,7 +73,10 @@ fn connectivity_order(q: &Graph, pref: &[V]) -> Vec<V> {
     order
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the matcher's state is threaded through the recursion instead of a struct its two functions would share"
+)]
 fn sm_rec(
     g: &Graph,
     q: &Graph,
@@ -119,7 +122,10 @@ fn sm_rec(
 }
 
 /// Tries `w` as the image of `order[k]` and recurses on consistency.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "sm_rec's state plus the candidate image, threaded through the recursion"
+)]
 fn sm_try(
     g: &Graph,
     q: &Graph,

@@ -256,6 +256,7 @@ impl AutoTree {
     }
 
     /// Structural statistics (Tables 3/4).
+    // dvicl-lint: allow(budget-reachability) -- unmetered: one pass over the nodes of a finished tree
     pub fn stats(&self) -> TreeStats {
         let mut s = TreeStats {
             total_nodes: self.nodes.len(),

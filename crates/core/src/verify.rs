@@ -55,6 +55,7 @@ fn check_done() {
 /// labels must form a permutation of `0..n`, and relabeling `(g, π)` by
 /// that permutation must reproduce the stored root certificate exactly
 /// (colors and edges). O(n + m log m).
+// dvicl-lint: allow(budget-reachability) -- unmetered O(n + m log m) witness check of a finished tree; it runs after the build (DESIGN.md §11)
 pub fn verify_root_form(g: &Graph, tree: &AutoTree) -> Result<(), DviclError> {
     let root = tree.node(tree.root());
     if root.n() != g.n() {
@@ -222,6 +223,7 @@ pub fn verify_tree(g: &Graph, tree: &AutoTree) -> Result<(), DviclError> {
 
 /// Verifies a claimed isomorphism mapping: `γ` must be a bijection on
 /// `0..n` with `g1^γ = g2` edge-for-edge. O(n + m log Δ).
+// dvicl-lint: allow(budget-reachability) -- unmetered O(n + m log deg) check of a claimed mapping; it runs after the labelings that produced it
 pub fn verify_iso(g1: &Graph, g2: &Graph, gamma: &Perm) -> Result<(), DviclError> {
     let _span = obs::span(Phase::CoreVerify);
     if g1.n() != g2.n() || gamma.len() != g1.n() {

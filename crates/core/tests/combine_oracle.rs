@@ -5,12 +5,15 @@
 //! its stored form must equal `CanonForm::new` on the node's induced
 //! subgraph under the node's stored labels. Every child's labels must
 //! differ from its parent's by one constant per cell of `π` — the shift
-//! identity `γ_g(v) = γ_c(v) + seen[π(v)]` the combine relies on.
+//! identity `γ_g(v) = γ_c(v) + seen[π(v)]` the combine relies on. Every
+//! non-singleton leaf's members in global cell `c` must carry exactly
+//! the labels `c..c+k` — `CombineCL`'s rank `π(v_i) + λ(i) − π_g(i)`.
 //!
 //! The inputs are random graphs under random relabelings: sparse random
 //! graphs, disconnected unions with repeated components, twin fans
-//! around the hubs of a random core, and clique/biclique shapes that
-//! fire `DivideS`.
+//! around the hubs of a random core, clique/biclique shapes that fire
+//! `DivideS`, and cycles with pendant paths, whose one leaf has several
+//! cells.
 
 #![expect(
     clippy::cast_possible_truncation,
@@ -116,6 +119,26 @@ fn cliques(rng: &mut Rng) -> Graph {
     }
 }
 
+/// A cycle `C_k` with a pendant path of `len` vertices on every cycle
+/// vertex: refinement stops at one cell per distance from the cycle, no
+/// cell is a clique or fully joined to another, and the graph is
+/// connected, so it is one non-singleton leaf whose `π_g` has `len + 1`
+/// cells.
+fn corona(rng: &mut Rng) -> Graph {
+    let (k, len) = (4 + rng.below(8), 1 + rng.below(3));
+    let mut edges: Vec<(V, V)> = (0..k).map(|i| (i as V, ((i + 1) % k) as V)).collect();
+    let mut n = k;
+    for u in 0..k {
+        let mut prev = u;
+        for _ in 0..len {
+            edges.push((prev as V, n as V));
+            prev = n;
+            n += 1;
+        }
+    }
+    Graph::from_edges(n, &edges)
+}
+
 /// A disjoint union of random pieces, some of them repeated; pieces of
 /// 32 or more vertices become pool jobs in a 4-thread build.
 fn disconnected(rng: &mut Rng) -> Graph {
@@ -142,13 +165,14 @@ fn disconnected(rng: &mut Rng) -> Graph {
 
 fn shape(seed: u64) -> Graph {
     let mut rng = Rng(seed);
-    match rng.below(4) {
+    match rng.below(5) {
         0 => {
             let (n, deg) = (1 + rng.below(40), 1 + rng.below(4));
             random(&mut rng, n, deg)
         }
         1 => twin_fans(&mut rng),
         2 => cliques(&mut rng),
+        3 => corona(&mut rng),
         _ => disconnected(&mut rng),
     }
 }
@@ -166,13 +190,33 @@ fn shuffled(n: usize, seed: u64) -> Perm {
     Perm::from_image(image).expect("a shuffle of 0..n is a permutation")
 }
 
-/// Checks every internal node of `t` (built from `g`) against the oracle.
+/// Checks every internal node of `t` (built from `g`) against the
+/// oracle, and every non-singleton leaf's labels against its cells.
 fn check_nodes(g: &Graph, t: &AutoTree) -> Result<(), String> {
     for node in t.nodes() {
+        let verts = node.verts();
+        if node.kind() == NodeKind::NonSingletonLeaf {
+            // Sorted by (cell, label), the labels of each cell's members
+            // must count up from the cell's start.
+            let mut by_cell: Vec<(V, V)> = verts
+                .iter()
+                .zip(node.labels())
+                .map(|(&v, &l)| (t.pi.color_of(v), l))
+                .collect();
+            by_cell.sort_unstable();
+            for run in by_cell.chunk_by(|a, b| a.0 == b.0) {
+                if run.iter().zip(run[0].0..).any(|(&(_, l), want)| l != want) {
+                    return Err(format!(
+                        "leaf {} over {verts:?}: cell {} labeled {run:?}",
+                        node.id(),
+                        run[0].0
+                    ));
+                }
+            }
+        }
         if node.kind() != NodeKind::Internal {
             continue;
         }
-        let verts = node.verts();
         let colors: Vec<V> = verts.iter().map(|&v| t.pi.color_of(v)).collect();
         let oracle = CanonForm::new(&g.induced(verts), &colors, node.labels());
         if oracle.view() != node.form() {
@@ -227,13 +271,23 @@ proptest! {
 fn the_shapes_reach_every_divide_rule() {
     // The oracle above only means something if the inputs exercise cut
     // edges of every kind: DivideS deletions, DivideI axes and component
-    // splits.
+    // splits; and leaves whose projection `π_g` has several cells, where
+    // a leaf's labels are not simply its cell's start plus `λ`.
     let before = obs::snapshot();
+    let mut multi_cell_leaves = 0;
     for seed in 0..64 {
         let g = shape(seed);
         let (opts, unit) = (DviclOptions::default(), Coloring::unit(g.n()));
         let t = try_build_autotree(&g, &unit, &opts, &Budget::unlimited()).unwrap();
         assert_eq!(check_nodes(&g, &t), Ok(()));
+        multi_cell_leaves += t
+            .nodes()
+            .filter(|node| node.kind() == NodeKind::NonSingletonLeaf)
+            .filter(|node| {
+                let first = t.pi.color_of(node.verts()[0]);
+                node.verts().iter().any(|&v| t.pi.color_of(v) != first)
+            })
+            .count();
     }
     let d = obs::snapshot().diff(&before);
     for c in [
@@ -243,4 +297,8 @@ fn the_shapes_reach_every_divide_rule() {
     ] {
         assert!(d.get(c) > 0, "no {} in the sampled shapes", c.name());
     }
+    assert!(
+        multi_cell_leaves > 0,
+        "no leaf with a multi-cell projection in the sampled shapes"
+    );
 }

@@ -2,26 +2,23 @@
 //! DviCL workspace.
 //!
 //! It enforces the project invariants that neither rustc, clippy nor
-//! the type system can state: budget reachability through the call
-//! graph, the error taxonomy and CSR-only adjacency. Panic-freedom, the
-//! unsafe audit, the offline guard and truncating casts are workspace
-//! clippy denials; arena stack discipline, checkpoint sites,
-//! span labels and the counter catalog are enforced by types; rustc
-//! itself rejects a non-`Sync` `static`. It is deliberately
-//! dependency-free (hand-rolled lexer and `fn` parser) so the workspace
-//! keeps building offline.
+//! the type system can state: that every loop of the governed pipeline
+//! names its budget, the error taxonomy and CSR-only adjacency.
+//! Panic-freedom, the unsafe audit, the offline guard and truncating
+//! casts are workspace clippy denials; arena stack discipline,
+//! checkpoint sites, span labels and the counter catalog are enforced
+//! by types; rustc itself rejects a non-`Sync` `static`. It is
+//! deliberately dependency-free (hand-rolled lexer and `fn` parser) so
+//! the workspace keeps building offline.
 //!
-//! The pipeline: every file is lexed ([`lexer::lex`]) and its `fn`
-//! items parsed ([`parse::items`]) into a [`FileData`]; the
-//! [`Workspace`] then builds a symbol table ([`symbols::SymbolTable`])
-//! and call graph ([`callgraph::CallGraph`]) over all files. Per-file
-//! rules from [`rules::catalog`] see one file; workspace rules from
-//! [`rules::ws_catalog`] see the whole [`Workspace`] (call-graph
-//! reachability). Findings inside `#[cfg(test)]` items are dropped,
-//! then `// dvicl-lint: allow(...) -- reason` pragmas are applied per
-//! owning file, and a pragma that suppresses nothing is itself a
-//! finding. See DESIGN.md §8 for the rule catalog and the suppression
-//! policy, §12 for the parser/call-graph architecture.
+//! The pipeline sees one file at a time: the file is lexed
+//! ([`lexer::lex`]) and its `fn` items parsed ([`parse::items`]), and
+//! every rule from [`rules::catalog`] that applies to its crate runs on
+//! it. Findings inside `#[cfg(test)]` items are dropped, then the
+//! file's `// dvicl-lint: allow(...) -- reason` pragmas are applied,
+//! and a pragma that suppresses nothing is itself a finding. See
+//! DESIGN.md §8 for the rule catalog and the suppression policy, §12
+//! for the parser.
 //!
 //! What gets scanned: non-test sources of every workspace crate
 //! (`crates/*/src/**` and the root `src/`). Test-class trees (`tests/`,
@@ -29,13 +26,11 @@
 //! skipped — test code is exempt by design, and the shims are stand-ins
 //! for third-party code the rules do not govern.
 
-pub mod callgraph;
 pub mod lexer;
 pub mod parse;
 pub mod pragma;
 pub mod report;
 pub mod rules;
-pub mod symbols;
 
 use lexer::{Tok, TokKind};
 use pragma::Pragma;
@@ -109,24 +104,24 @@ pub fn crate_name_of(rel: &str) -> &str {
 }
 
 /// One analyzed source file: lexed, test-span-mapped, `fn`-parsed.
-pub struct FileData {
+struct FileData {
     /// Workspace-relative path, `/`-separated.
-    pub rel: String,
+    rel: String,
     /// Crate the file belongs to (see [`crate_name_of`]).
-    pub crate_name: String,
-    pub src: String,
-    pub toks: Vec<Tok>,
+    crate_name: String,
+    src: String,
+    toks: Vec<Tok>,
     /// Indices into `toks` of the non-comment tokens, in order.
-    pub code: Vec<usize>,
+    code: Vec<usize>,
     /// Byte spans of `#[cfg(test)]` / `#[test]` items.
-    pub test_spans: Vec<(usize, usize)>,
+    test_spans: Vec<(usize, usize)>,
     /// Parsed `fn` items (see [`parse::items`]).
-    pub items: Vec<parse::Item>,
+    items: Vec<parse::Item>,
 }
 
 impl FileData {
     /// Lexes one source text and parses its `fn` items.
-    pub fn analyze(rel: String, src: String) -> FileData {
+    fn analyze(rel: String, src: String) -> FileData {
         let toks = lexer::lex(&src);
         let code: Vec<usize> = toks
             .iter()
@@ -149,84 +144,45 @@ impl FileData {
     }
 
     /// A rule-facing view of this file.
-    pub fn ctx(&self) -> FileCtx<'_> {
+    fn ctx(&self) -> FileCtx<'_> {
         FileCtx {
             rel: &self.rel,
             src: &self.src,
             toks: &self.toks,
             code: &self.code,
+            items: &self.items,
         }
     }
 
     /// Whether a byte offset falls inside a test-only item.
-    pub fn in_test(&self, byte: usize) -> bool {
+    fn in_test(&self, byte: usize) -> bool {
         self.test_spans.iter().any(|&(s, e)| byte >= s && byte < e)
     }
-}
 
-/// The whole analyzed workspace: every file plus the symbol table and
-/// call graph the workspace-level rules reason over.
-pub struct Workspace {
-    pub files: Vec<FileData>,
-    pub symbols: symbols::SymbolTable,
-    pub calls: callgraph::CallGraph,
-}
-
-impl Workspace {
-    /// Analyzes `(rel, source)` pairs into a linted workspace model.
-    pub fn analyze(sources: Vec<(String, String)>) -> Workspace {
-        let files: Vec<FileData> = sources
-            .into_iter()
-            .map(|(rel, src)| FileData::analyze(rel, src))
-            .collect();
-        let symbols = symbols::SymbolTable::build(&files);
-        let calls = callgraph::CallGraph::build(&files, &symbols);
-        Workspace {
-            files,
-            symbols,
-            calls,
-        }
-    }
-
-    /// The file with this workspace-relative path.
-    pub fn file_by_rel(&self, rel: &str) -> Option<&FileData> {
-        self.files.iter().find(|f| f.rel == rel)
-    }
-
-    /// Runs every applicable per-file and workspace rule, drops
-    /// findings in test items, applies suppression pragmas per owning
-    /// file, and returns the report with the pragma meta-findings.
-    pub fn lint(&self) -> Report {
-        let mut findings: Vec<Finding> = Vec::new();
-        let mut meta: Vec<Finding> = Vec::new();
-        let mut pragmas: Vec<(&FileData, &Tok, Pragma)> = Vec::new();
+    /// Runs every rule that applies to this file's crate, drops
+    /// findings in test items and applies the file's pragmas. Returns
+    /// the unsuppressed findings plus the pragma meta-findings, and how
+    /// many findings the pragmas silenced.
+    fn lint(&self) -> (Vec<Finding>, usize) {
+        let ctx = self.ctx();
         let known = rules::known_rule_ids();
-        for file in &self.files {
-            collect_pragmas(file, &known, &mut pragmas, &mut meta);
-            for rule in rules::catalog() {
-                if (rule.applies)(&file.crate_name) {
-                    findings.extend((rule.check)(&file.ctx()));
-                }
-            }
-        }
-        for rule in rules::ws_catalog() {
-            findings.extend((rule.check)(self));
-        }
-
-        // Drop findings inside test-only items of their owning file.
-        findings.retain(|f| {
-            self.file_by_rel(&f.file)
-                .is_none_or(|file| !file.in_test(f.byte))
-        });
+        let mut meta: Vec<Finding> = Vec::new();
+        let pragmas = collect_pragmas(&ctx, &known, &mut meta);
+        let mut findings: Vec<Finding> = rules::catalog()
+            .iter()
+            .filter(|rule| (rule.applies)(&self.crate_name))
+            .flat_map(|rule| (rule.check)(&ctx))
+            .filter(|f| !self.in_test(f.byte))
+            .collect();
         // A well-formed pragma must silence a finding of every rule it
         // names; a stale one would hide the next violation on its line.
-        for (file, tok, p) in &pragmas {
+        for (tok, p) in &pragmas {
             for rule in p.rules.iter().filter(|r| known.contains(&r.as_str())) {
                 let used = findings
                     .iter()
-                    .any(|f| f.rule == rule && f.file == file.rel && p.suppresses(rule, f.line));
+                    .any(|f| f.rule == rule && p.suppresses(rule, f.line));
                 if p.reason.is_some() && !used {
-                    meta.push(file.ctx().finding(
+                    meta.push(ctx.finding(
                         PRAGMA_UNUSED,
                         tok,
                         format!("pragma allows `{rule}` but suppresses no `{rule}` finding"),
@@ -235,30 +191,37 @@ impl Workspace {
             }
         }
         let before = findings.len();
-        findings.retain(|f| {
-            !pragmas
-                .iter()
-                .any(|(file, _, p)| file.rel == f.file && p.suppresses(f.rule, f.line))
-        });
+        findings.retain(|f| !pragmas.iter().any(|(_, p)| p.suppresses(f.rule, f.line)));
         let suppressed = before - findings.len();
         findings.extend(meta);
-        findings.sort_by_key(|f| (f.file.clone(), f.line, f.col));
-        Report {
-            findings,
-            files_scanned: self.files.len(),
-            suppressed,
-        }
+        (findings, suppressed)
     }
 }
 
+/// Lints `(rel, source)` pairs, each file by itself, into one report
+/// ordered by file, line and column.
+fn lint_sources(sources: Vec<(String, String)>) -> Report {
+    let mut report = Report {
+        files_scanned: sources.len(),
+        ..Report::default()
+    };
+    for (rel, src) in sources {
+        let (findings, suppressed) = FileData::analyze(rel, src).lint();
+        report.findings.extend(findings);
+        report.suppressed += suppressed;
+    }
+    report
+        .findings
+        .sort_by_key(|f| (f.file.clone(), f.line, f.col));
+    report
+}
+
 /// Lints one source text under its workspace-relative path (which
-/// drives rule applicability) as a single-file workspace. Returns
-/// *unsuppressed* findings plus pragma meta-findings, sorted by
-/// position; the second value is how many findings well-formed pragmas
-/// silenced.
+/// drives rule applicability). Returns *unsuppressed* findings plus
+/// pragma meta-findings, sorted by position; the second value is how
+/// many findings well-formed pragmas silenced.
 pub fn lint_source(rel: &str, src: &str) -> (Vec<Finding>, usize) {
-    let ws = Workspace::analyze(vec![(rel.to_string(), src.to_string())]);
-    let report = ws.lint();
+    let report = lint_sources(vec![(rel.to_string(), src.to_string())]);
     (report.findings, report.suppressed)
 }
 
@@ -266,13 +229,12 @@ pub fn lint_source(rel: &str, src: &str) -> (Vec<Finding>, usize) {
 /// on, and emits meta-findings for malformed ones (missing reason,
 /// unknown rule).
 fn collect_pragmas<'a>(
-    file: &'a FileData,
+    ctx: &FileCtx<'a>,
     known: &[&str],
-    pragmas: &mut Vec<(&'a FileData, &'a Tok, Pragma)>,
     meta: &mut Vec<Finding>,
-) {
-    let ctx = file.ctx();
-    for tok in file.toks.iter().filter(|t| t.kind == TokKind::LineComment) {
+) -> Vec<(&'a Tok, Pragma)> {
+    let mut pragmas = Vec::new();
+    for tok in ctx.toks.iter().filter(|t| t.kind == TokKind::LineComment) {
         let Some(p) = pragma::parse(ctx.text(tok), tok.line, tok.col) else {
             continue;
         };
@@ -295,8 +257,9 @@ fn collect_pragmas<'a>(
                 format!("suppression pragma names unknown rule `{r}`"),
             ));
         }
-        pragmas.push((file, tok, p));
+        pragmas.push((tok, p));
     }
+    pragmas
 }
 
 /// Byte spans of items guarded by `#[cfg(test)]` (including `not(test)`
@@ -379,61 +342,18 @@ fn parse_attr(src: &str, toks: &[Tok], code: &[usize], cp: usize) -> Option<(usi
     }
 }
 
-/// From code position `cp` (just past a test attribute), skips further
-/// attributes, then returns the end byte of the item: the matching `}`
-/// of its first top-level brace, or the `;` of a bodyless item.
-fn item_end(toks: &[Tok], code: &[usize], mut cp: usize) -> Option<usize> {
-    // Skip stacked attributes (`#[test] #[ignore] fn ...`).
-    while matches!(
-        code.get(cp).map(|&i| toks[i].kind),
-        Some(TokKind::Punct(b'#'))
-    ) {
-        let mut depth = 0i32;
-        loop {
-            let &idx = code.get(cp)?;
-            match toks[idx].kind {
-                TokKind::Punct(b'[') => depth += 1,
-                TokKind::Punct(b']') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            cp += 1;
-        }
-        cp += 1;
-    }
-    // Find `{` or `;` at zero grouping depth.
-    let mut depth = 0i32;
-    let open = loop {
-        let &idx = code.get(cp)?;
-        match toks[idx].kind {
-            TokKind::Punct(b'(') | TokKind::Punct(b'[') => depth += 1,
-            TokKind::Punct(b')') | TokKind::Punct(b']') => depth -= 1,
-            TokKind::Punct(b';') if depth == 0 => return Some(toks[idx].end),
-            TokKind::Punct(b'{') if depth == 0 => break cp,
-            _ => {}
-        }
-        cp += 1;
+/// From code position `cp` (just past a test attribute), the end byte
+/// of the item: the matching `}` of its first top-level brace, or the
+/// `;` of a bodyless item. Stacked attributes (`#[test] #[ignore] fn
+/// ...`) are bracket groups, which [`parse::body_open`] steps over.
+fn item_end(toks: &[Tok], code: &[usize], cp: usize) -> Option<usize> {
+    let (open, is_brace) = parse::body_open(toks, code, cp)?;
+    let end = if is_brace {
+        parse::matching_brace(toks, code, open)?
+    } else {
+        open
     };
-    let mut braces = 0i32;
-    let mut pos = open;
-    loop {
-        let &idx = code.get(pos)?;
-        match toks[idx].kind {
-            TokKind::Punct(b'{') => braces += 1,
-            TokKind::Punct(b'}') => {
-                braces -= 1;
-                if braces == 0 {
-                    return Some(toks[idx].end);
-                }
-            }
-            _ => {}
-        }
-        pos += 1;
-    }
+    Some(toks[code[end]].end)
 }
 
 fn tok_is(toks: &[Tok], code: &[usize], cp: usize, kind: TokKind) -> bool {
@@ -488,14 +408,13 @@ pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
     for path in &files {
         sources.push((rel_of(root, path), read_source(path)?));
     }
-    Ok(Workspace::analyze(sources).lint())
+    Ok(lint_sources(sources))
 }
 
-/// Lints explicit files (together, as one workspace). `rel_override`,
-/// when given, is the workspace-relative path used for rule
-/// applicability (so a fixture can be linted *as if* it lived at a
-/// governed path); give it with one file only, since pragmas and test
-/// items are matched by path.
+/// Lints explicit files. `rel_override`, when given, is the
+/// workspace-relative path used for rule applicability (so a fixture
+/// can be linted *as if* it lived at a governed path); give it with one
+/// file only, since the report names each finding's file by that path.
 pub fn lint_files(
     root: &Path,
     files: &[PathBuf],
@@ -509,7 +428,7 @@ pub fn lint_files(
         };
         sources.push((rel, read_source(path)?));
     }
-    Ok(Workspace::analyze(sources).lint())
+    Ok(lint_sources(sources))
 }
 
 fn read_source(path: &Path) -> Result<String, LintError> {

@@ -70,8 +70,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}` (see --help)")),
         }
     }
-    // Pragmas and test items are matched by path, so two files under
-    // one path would suppress each other's findings.
+    // Findings name their file by the `--as` path, so two files under
+    // one path could not be told apart in the report.
     if args.rel_override.is_some() && args.files.len() != 1 {
         return Err("--as lints exactly one file".to_string());
     }
@@ -119,8 +119,7 @@ fn main() -> ExitCode {
     }
     if args.list_rules {
         let file_rules = rules::catalog().iter().map(|m| (m.id, m.summary));
-        let ws_rules = rules::ws_catalog().iter().map(|m| (m.id, m.summary));
-        for (id, summary) in file_rules.chain(ws_rules).chain(dvicl_lint::META_RULES) {
+        for (id, summary) in file_rules.chain(dvicl_lint::META_RULES) {
             println!("{id:<22} {summary}");
         }
         return ExitCode::SUCCESS;

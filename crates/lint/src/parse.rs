@@ -1,7 +1,7 @@
 //! A lightweight `fn` item parser over the lexed token stream.
 //!
 //! `dvicl-lint` stays dependency-free (no `syn`), so this recognizes
-//! exactly what the call graph and the rules read: `fn` items, with
+//! exactly what `budget-reachability` reads: `fn` items, with
 //! code-token spans for the signature and the body. It is *not* a
 //! grammar: bodies are brace-matched token ranges and expressions are
 //! never interpreted. Two deliberate blind spots keep it honest on real
@@ -15,8 +15,9 @@
 //! - `macro_rules!` bodies are skipped wholesale — macro fragments are
 //!   pseudo-code no item parser should believe.
 //!
-//! Downstream consumers: `symbols` builds the workspace symbol table
-//! from these items, and `callgraph` resolves call edges between them.
+//! The engine hands each file's items to the rules through
+//! `FileCtx::items`, and finds the end of a test item with the same
+//! `body_open` and `matching_brace` the parser uses.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -70,40 +71,46 @@ impl<'a> Parser<'a> {
             .iter()
             .any(|&(s, e)| t.start >= s && t.start < e)
     }
+}
 
-    /// Matching `}` for the `{` at `open_cp`.
-    fn matching_brace(&self, open_cp: usize) -> Option<usize> {
-        let mut depth = 0i32;
-        let mut cp = open_cp;
-        loop {
-            match self.tok(cp)?.kind {
-                TokKind::Punct(b'{') => depth += 1,
-                TokKind::Punct(b'}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(cp);
-                    }
+/// The kind of the code token at code position `cp`.
+fn kind_at(toks: &[Tok], code: &[usize], cp: usize) -> Option<TokKind> {
+    code.get(cp).map(|&i| toks[i].kind)
+}
+
+/// Matching `}` for the `{` at code position `open_cp`.
+pub(crate) fn matching_brace(toks: &[Tok], code: &[usize], open_cp: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    let mut cp = open_cp;
+    loop {
+        match kind_at(toks, code, cp)? {
+            TokKind::Punct(b'{') => depth += 1,
+            TokKind::Punct(b'}') => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(cp);
                 }
-                _ => {}
             }
-            cp += 1;
+            _ => {}
         }
+        cp += 1;
     }
+}
 
-    /// From `cp`, the first `{` or `;` at zero paren/bracket depth.
-    /// Returns `(cp, true)` for a brace, `(cp, false)` for a semi.
-    fn body_open(&self, mut cp: usize) -> Option<(usize, bool)> {
-        let mut depth = 0i32;
-        loop {
-            match self.tok(cp)?.kind {
-                TokKind::Punct(b'(') | TokKind::Punct(b'[') => depth += 1,
-                TokKind::Punct(b')') | TokKind::Punct(b']') => depth -= 1,
-                TokKind::Punct(b'{') if depth == 0 => return Some((cp, true)),
-                TokKind::Punct(b';') if depth == 0 => return Some((cp, false)),
-                _ => {}
-            }
-            cp += 1;
+/// From code position `cp`, the first `{` or `;` at zero paren/bracket
+/// depth, so attributes (`#[...]`) and argument lists are stepped over.
+/// Returns `(cp, true)` for a brace, `(cp, false)` for a semi.
+pub(crate) fn body_open(toks: &[Tok], code: &[usize], mut cp: usize) -> Option<(usize, bool)> {
+    let mut depth = 0i32;
+    loop {
+        match kind_at(toks, code, cp)? {
+            TokKind::Punct(b'(') | TokKind::Punct(b'[') => depth += 1,
+            TokKind::Punct(b')') | TokKind::Punct(b']') => depth -= 1,
+            TokKind::Punct(b'{') if depth == 0 => return Some((cp, true)),
+            TokKind::Punct(b';') if depth == 0 => return Some((cp, false)),
+            _ => {}
         }
+        cp += 1;
     }
 }
 
@@ -134,12 +141,12 @@ fn parse_fn(p: &Parser, cp: usize, out: &mut Vec<Item>) -> usize {
         // `fn` in a type position (`fn(usize) -> bool` pointers).
         return cp + 1;
     }
-    let Some((open, is_brace)) = p.body_open(cp + 2) else {
+    let Some((open, is_brace)) = body_open(p.toks, p.code, cp + 2) else {
         return cp + 1;
     };
     // A bodyless trait method ends at its `;`.
     let body = if is_brace {
-        let Some(close) = p.matching_brace(open) else {
+        let Some(close) = matching_brace(p.toks, p.code, open) else {
             return cp + 1;
         };
         Some((open + 1, close))
@@ -160,7 +167,7 @@ fn parse_fn(p: &Parser, cp: usize, out: &mut Vec<Item>) -> usize {
 
 fn skip_macro_rules(p: &Parser, cp: usize) -> usize {
     if p.is_punct(cp + 1, b'!') && p.is_ident(cp + 2) && p.is_punct(cp + 3, b'{') {
-        if let Some(close) = p.matching_brace(cp + 3) {
+        if let Some(close) = matching_brace(p.toks, p.code, cp + 3) {
             return close + 1;
         }
     }

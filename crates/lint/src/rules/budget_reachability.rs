@@ -1,24 +1,18 @@
-//! budget-reachability: every looping or recursive function in the
-//! `refine`/`canon`/`core` crates must be able to *reach* the
-//! `govern::Budget` machinery through the call graph.
+//! budget-reachability: every looping or self-recursive function in the
+//! `refine`/`canon`/`core` crates must name the `govern::Budget`
+//! machinery in its own signature or body (taking `budget: &Budget`,
+//! calling `spend` or `checkpoint`, holding a `CancelToken`), or carry
+//! a pragma that states who meters it.
 //!
-//! This replaces the token-level budget-threading rule (which only
-//! looked at five named modules and each function in isolation) with a
-//! workspace property: a loop is metered if the function itself takes
-//! or spends a budget, **or** some function it (transitively) calls
-//! does. A refinement loop whose body calls `split_by` — which spends
-//! one unit per splitter — passes without ceremony; a new O(n) loop
-//! that cannot reach any `spend`/`checkpoint` is exactly the runaway
-//! the governor cannot see, and gets flagged.
-//!
-//! Bounded helpers (an O(k) hash mix, a one-shot readout) that neither
-//! take a budget nor call metered code still carry a suppression
-//! pragma stating who meters them — the audit trail stays in the
-//! source, as before.
+//! The rule judges each function by itself. Without types, a call can
+//! be resolved by name only, and a loop would then pass through any
+//! unrelated function of the same name (`SubArena::new()` through
+//! `Budget::new`, `FxHashMap::default()` through `Budget::default`).
+//! So a loop metered by its caller, or one that runs on a finished
+//! tree, says so in a pragma, and the audit trail stays in the source.
 
-use super::Finding;
+use super::{code_tok, is_ident, is_punct, FileCtx, Finding};
 use crate::lexer::TokKind;
-use crate::Workspace;
 
 pub const ID: &str = "budget-reachability";
 
@@ -39,87 +33,67 @@ const BUDGET_IDENTS: [&str; 7] = [
 /// Loop keywords.
 const LOOP_KEYWORDS: [&str; 3] = ["for", "while", "loop"];
 
-pub fn check(ws: &Workspace) -> Vec<Finding> {
-    let syms = &ws.symbols;
-    // Seeds: functions that directly mention the budget machinery in
-    // their signature or body (taking `budget: &Budget` counts — that
-    // is the threading pattern).
-    let seeds: Vec<bool> = (0..syms.fns.len())
-        .map(|id| {
-            let r = syms.fns[id];
-            let file = &ws.files[r.file];
-            let item = &file.items[r.item];
-            let end = item.body.map_or(item.sig.1, |b| b.1);
-            (item.sig.0..end).any(|cp| {
-                matches!(file.code.get(cp), Some(&i)
-                    if file.toks[i].kind == TokKind::Ident
-                        && BUDGET_IDENTS.contains(&file.toks[i].text(&file.src)))
-            })
-        })
-        .collect();
-    let certified = ws.calls.can_reach(&seeds);
+pub fn applies(crate_name: &str) -> bool {
+    GOVERNED_CRATES.contains(&crate_name)
+}
 
+pub fn check(ctx: &FileCtx) -> Vec<Finding> {
+    let ident_at = |cp: usize| match code_tok(ctx, cp, 0) {
+        Some(t) if t.kind == TokKind::Ident => Some(ctx.text(t)),
+        _ => None,
+    };
     let mut out = Vec::new();
-    for (id, &cert) in certified.iter().enumerate() {
-        if cert {
-            continue;
-        }
-        let r = syms.fns[id];
-        let file = &ws.files[r.file];
-        if !GOVERNED_CRATES.contains(&file.crate_name.as_str()) {
-            continue;
-        }
-        let item = &file.items[r.item];
-        if item.is_test {
-            continue;
-        }
+    for item in ctx.items.iter().filter(|item| !item.is_test) {
         let Some((start, end)) = item.body else {
             continue;
         };
-        let ident_at = |cp: usize| -> Option<&str> {
-            match file.code.get(cp) {
-                Some(&i) if file.toks[i].kind == TokKind::Ident => {
-                    Some(file.toks[i].text(&file.src))
-                }
-                _ => None,
-            }
-        };
-        let is_punct = |cp: usize, b: u8| matches!(file.code.get(cp), Some(&i) if file.toks[i].kind == TokKind::Punct(b));
+        let names_budget = (item.sig.0..end)
+            .any(|cp| matches!(ident_at(cp), Some(t) if BUDGET_IDENTS.contains(&t)));
+        if names_budget {
+            continue;
+        }
         let loops =
             (start..end).any(|cp| matches!(ident_at(cp), Some(t) if LOOP_KEYWORDS.contains(&t)));
-        // Self-recursion: a bare `name(…)` call, or a true
-        // `self.name(…)` method call. `self.field.name(…)` is a call
-        // on a *member* that happens to share the name (`len`,
-        // `push`, …), not recursion.
         let recurses = (start..end).any(|cp| {
-            if !matches!(ident_at(cp), Some(t) if t == item.name) || !is_punct(cp + 1, b'(') {
-                return false;
-            }
-            if cp == 0 || !is_punct(cp - 1, b'.') {
-                return true;
-            }
-            cp >= 2 && ident_at(cp - 2) == Some("self") && (cp == 2 || !is_punct(cp - 3, b'.'))
+            ident_at(cp) == Some(item.name.as_str())
+                && is_punct(ctx, cp, 1, b'(')
+                && calls_itself(ctx, cp)
         });
         if !loops && !recurses {
             continue;
         }
-        let name_tok = &file.toks[file.code[item.name_cp]];
         let how = if recurses { "recursive" } else { "looping" };
-        out.push(Finding {
-            rule: ID,
-            file: file.rel.clone(),
-            line: name_tok.line,
-            col: name_tok.col,
-            byte: name_tok.start,
-            message: format!(
-                "{how} function `{}` in a governed crate cannot reach the Budget machinery \
-                 through any call path; thread the budget through it or state who meters it \
-                 in a pragma",
+        out.push(ctx.finding(
+            ID,
+            &ctx.toks[ctx.code[item.name_cp]],
+            format!(
+                "{how} function `{}` in a governed crate does not name the Budget machinery; \
+                 thread the budget through it or state who meters it in a pragma",
                 item.name
             ),
-        });
+        ));
     }
     out
+}
+
+/// Whether the call `name(` at code position `cp`, inside the body of
+/// a function called `name`, calls that function itself: a bare
+/// `name(…)`, `Self::name(…)` or `self.name(…)`. `Other::name(…)` is
+/// another type's function (rustc's `unconditional_recursion` catches
+/// a `Type::name` that calls itself by its own path), and `x.name(…)`
+/// or `self.field.name(…)` is a call on a value whose method shares
+/// the name (`len`, `push`, …).
+fn calls_itself(ctx: &FileCtx, cp: usize) -> bool {
+    let before = |k: usize| cp.checked_sub(k);
+    let punct = |k: usize, b: u8| before(k).is_some_and(|p| is_punct(ctx, p, 0, b));
+    let ident = |k: usize, text: &str| before(k).is_some_and(|p| is_ident(ctx, p, 0, text));
+    if punct(1, b'.') {
+        return ident(2, "self") && !punct(3, b'.');
+    }
+    if punct(1, b':') && punct(2, b':') {
+        return ident(3, "Self");
+    }
+    true
 }
 
 #[cfg(test)]
@@ -127,23 +101,13 @@ mod tests {
     use super::ID;
     use crate::lint_source;
 
-    #[test]
-    fn loop_reaching_budget_through_a_callee_is_clean() {
-        // The old token rule flagged this: `walk` never mentions the
-        // budget, but its callee spends. The call graph certifies it.
-        let src = "
-            fn spend_one(budget: &Budget) -> Result<(), DviclError> {
-                budget.spend(1)
-            }
-            pub fn walk(xs: &[u8], b: &B) -> Result<(), DviclError> {
-                for _x in xs {
-                    spend_one(b)?;
-                }
-                Ok(())
-            }
-        ";
-        let (findings, _) = lint_source("crates/refine/src/x.rs", src);
-        assert!(findings.is_empty(), "{findings:?}");
+    fn flagged(rel: &str, src: &str) -> Vec<String> {
+        let (findings, _) = lint_source(rel, src);
+        findings
+            .iter()
+            .filter(|f| f.rule == ID)
+            .map(|f| f.message.clone())
+            .collect()
     }
 
     #[test]
@@ -157,14 +121,8 @@ mod tests {
                 n
             }
         ";
-        let (findings, _) = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(
-            findings.iter().filter(|f| f.rule == ID).count(),
-            1,
-            "{findings:?}"
-        );
-        let (findings, _) = lint_source("crates/graph/src/x.rs", src);
-        assert!(findings.iter().all(|f| f.rule != ID), "{findings:?}");
+        assert_eq!(flagged("crates/core/src/x.rs", src).len(), 1);
+        assert!(flagged("crates/graph/src/x.rs", src).is_empty());
     }
 
     #[test]
@@ -174,8 +132,44 @@ mod tests {
                 if n == 0 { 0 } else { descend(n - 1) }
             }
         ";
-        let (findings, _) = lint_source("crates/canon/src/x.rs", src);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("recursive"));
+        let found = flagged("crates/canon/src/x.rs", src);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("recursive"));
+    }
+
+    #[test]
+    fn an_unrelated_fn_of_the_same_name_certifies_nothing() {
+        // `Arena::new()` shares its name with `Budget::new`, which names
+        // the budget; a rule that resolved calls by name certified the
+        // loop through it.
+        let src = "
+            impl Budget {
+                pub fn new(limit: u64) -> Budget { Budget { limit } }
+            }
+            pub fn carve(xs: &[u32]) -> Arena {
+                let mut arena = Arena::new();
+                for &x in xs {
+                    arena.push(x);
+                }
+                arena
+            }
+        ";
+        let found = flagged("crates/core/src/x.rs", src);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("`carve`"), "{found:?}");
+    }
+
+    #[test]
+    fn only_self_paths_and_bare_calls_are_recursion() {
+        let other = "impl Session { pub fn new() -> Session { Session { s: Scratch::new() } } }";
+        assert!(flagged("crates/core/src/x.rs", other).is_empty());
+        for call in ["Self::new()", "new()", "self.new()"] {
+            let src = format!("impl S {{ pub fn new(&self) -> S {{ {call} }} }}");
+            let found = flagged("crates/core/src/x.rs", &src);
+            assert_eq!(found.len(), 1, "{call}: {found:?}");
+            assert!(found[0].contains("recursive"), "{call}: {found:?}");
+        }
+        let field = "impl S { pub fn len(&self) -> usize { self.items.len() + other.len() } }";
+        assert!(flagged("crates/core/src/x.rs", field).is_empty());
     }
 }

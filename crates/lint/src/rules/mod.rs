@@ -7,6 +7,7 @@
 //! after the rules run. Rules therefore only contain matching logic.
 
 use crate::lexer::{Tok, TokKind};
+use crate::parse::Item;
 
 pub mod budget_reachability;
 pub mod error_taxonomy;
@@ -55,6 +56,8 @@ pub struct FileCtx<'a> {
     /// that match token sequences iterate this so interleaved comments
     /// cannot break a pattern.
     pub code: &'a [usize],
+    /// The file's parsed `fn` items (see [`crate::parse::items`]).
+    pub items: &'a [Item],
 }
 
 impl FileCtx<'_> {
@@ -87,14 +90,6 @@ fn applies_to_library_crates(crate_name: &str) -> bool {
     !matches!(crate_name, "cli" | "bench" | "lint")
 }
 
-/// A workspace-level rule: sees the whole analyzed [`crate::Workspace`]
-/// (symbol table, call graph, every file) instead of one file.
-pub struct WsRuleMeta {
-    pub id: &'static str,
-    pub summary: &'static str,
-    pub check: fn(&crate::Workspace) -> Vec<Finding>,
-}
-
 /// The rule catalog, in reporting order.
 pub fn catalog() -> &'static [RuleMeta] {
     &[
@@ -110,26 +105,19 @@ pub fn catalog() -> &'static [RuleMeta] {
             applies: applies_everywhere, // path-scoped inside the rule
             check: nested_vec_adjacency::check,
         },
-    ]
-}
-
-/// The workspace-level rule catalog, in reporting order. These run
-/// once per lint run over the whole [`crate::Workspace`].
-pub fn ws_catalog() -> &'static [WsRuleMeta] {
-    &[
-        WsRuleMeta {
+        RuleMeta {
             id: budget_reachability::ID,
-            summary: "looping/recursive functions in refine/canon/core must reach the Budget machinery through the call graph",
+            summary: "looping/recursive functions in refine/canon/core must name the Budget machinery themselves",
+            applies: budget_reachability::applies,
             check: budget_reachability::check,
         },
     ]
 }
 
-/// Rule ids that pragmas may name: both catalogs. The pragma
-/// meta-rules cannot be suppressed, so a pragma naming one is unknown.
+/// Rule ids that pragmas may name. The pragma meta-rules cannot be
+/// suppressed, so a pragma naming one is unknown.
 pub fn known_rule_ids() -> Vec<&'static str> {
-    let ids = catalog().iter().map(|m| m.id);
-    ids.chain(ws_catalog().iter().map(|m| m.id)).collect()
+    catalog().iter().map(|m| m.id).collect()
 }
 
 /// Helper shared by sequence-matching rules: the code token at code

@@ -137,8 +137,8 @@ fn unknown_flag_exits_two() {
 
 #[test]
 fn as_takes_exactly_one_file() {
-    // Two files under one `--as` path would share their pragmas: the
-    // first file's pragma would silence the second file's finding.
+    // Findings name their file by the `--as` path: two files under it
+    // could not be told apart in the report.
     let out = bin()
         .arg("--root")
         .arg(workspace_root())

@@ -27,7 +27,7 @@ const CASES: [(&str, &str, &str, usize); 2] = [
         "budget_reachability",
         "budget-reachability",
         "crates/refine/src/partition.rs",
-        2,
+        3,
     ),
     (
         "error_taxonomy",

@@ -1,27 +1,10 @@
 //! Clean fixture (linted as a governed module): a loop that spends
-//! directly, a loop certified through a *callee* that spends (the
-//! call-graph capability the old token-level rule lacked), a bounded
-//! helper with a pragma, and a loop-free function.
+//! directly, a bounded helper with a pragma, and a loop-free function.
 
 pub fn metered_scan(xs: &[u32], budget: &Budget) -> Result<u32, DviclError> {
     let mut acc = 0;
     for &x in xs {
         budget.spend(1)?;
-        acc += x;
-    }
-    Ok(acc)
-}
-
-fn tick(m: &Meter) -> Result<(), DviclError> {
-    m.spend(1)
-}
-
-/// Never mentions the budget machinery itself; the call graph
-/// certifies it because `tick` spends one unit per element.
-pub fn walk(xs: &[u32], m: &Meter) -> Result<u32, DviclError> {
-    let mut acc = 0;
-    for &x in xs {
-        tick(m)?;
         acc += x;
     }
     Ok(acc)

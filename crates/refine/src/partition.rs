@@ -277,6 +277,7 @@ impl Partition {
     /// memory: they are only needed while a level is open, and a refiner
     /// kept between searches should not carry the longest trail it ever
     /// logged.
+    // dvicl-lint: allow(budget-reachability) -- replays the entries one level logged; the refinement that logged them spent one unit per splitter
     pub fn undo(&mut self) {
         let Some(level) = self.levels.pop() else {
             return;
