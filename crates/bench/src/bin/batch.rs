@@ -154,7 +154,7 @@ fn main() {
     );
 
     // Phase 2 — the amortized path: one canonicalization + one probe
-    // per query, arena pools and CombineCL memo warm across all M.
+    // per query, arena pools and refiner warm across all M.
     let mut query_session = suite::dvicl_session(&Config::traces_like());
     let mut hits = 0usize;
     // Per-query class sizes, for the exact cross-check against the

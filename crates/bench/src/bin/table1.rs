@@ -13,8 +13,8 @@ static ALLOC: dvicl_bench::alloc::Meter = dvicl_bench::alloc::Meter;
 fn main() {
     let opts = suite::init_obs();
     let mut rec = Recorder::new("table1");
-    // One session for the whole suite: arena pools and the CombineCL
-    // memo are reused across every graph below.
+    // One session for the whole suite: arena pools and refiner are
+    // reused across every graph below.
     let mut session = suite::dvicl_session(&dvicl_canon::Config::bliss_like());
     let widths = [16, 9, 10, 7, 7, 9, 10];
     println!("Table 1: summarization of real-graph analogs");

@@ -16,7 +16,7 @@ fn main() {
     let mut rec = Recorder::new("table2");
     // The traces-like engine is the robust one on the regular
     // benchmark families (cf. Table 8); one session reuses its
-    // arena pools and CombineCL memo across the whole suite.
+    // arena pools and refiner across the whole suite.
     let mut session = suite::dvicl_session(&Config::traces_like());
     let widths = [16, 9, 10, 7, 7, 9, 10];
     println!("Table 2: summarization of benchmark graphs");

@@ -15,8 +15,8 @@ static ALLOC: dvicl_bench::alloc::Meter = dvicl_bench::alloc::Meter;
 fn main() {
     let opts = suite::init_obs();
     let mut rec = Recorder::new("table3");
-    // One session for the whole suite: arena pools and the
-    // CombineCL memo are reused across every graph below.
+    // One session for the whole suite: arena pools and refiner are
+    // reused across every graph below.
     let mut session = Session::new(DviclOptions::default());
     let widths = [16, 10, 11, 14, 9, 6];
     println!("Table 3: AutoTree structure on real-graph analogs");

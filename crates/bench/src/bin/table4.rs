@@ -15,7 +15,7 @@ fn main() {
     let mut rec = Recorder::new("table4");
     // The traces-like engine is the robust one on the regular
     // benchmark families (cf. Table 8); one session reuses its
-    // arena pools and CombineCL memo across the whole suite.
+    // arena pools and refiner across the whole suite.
     let mut session = suite::dvicl_session(&Config::traces_like());
     let widths = [16, 10, 11, 14, 9, 6];
     println!("Table 4: AutoTree structure on benchmark graphs");

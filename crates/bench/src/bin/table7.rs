@@ -22,8 +22,8 @@ const TRIANGLE_LIMIT: usize = 200_000;
 fn main() {
     let opts = suite::init_obs();
     let mut rec = Recorder::new("table7");
-    // One session for the whole suite: arena pools and the
-    // CombineCL memo are reused across every graph below.
+    // One session for the whole suite: arena pools and refiner are
+    // reused across every graph below.
     let mut session = Session::new(DviclOptions::default());
     let widths = [16, 9, 9, 6, 10, 10, 8];
     println!("Table 7: subgraph clustering by SSM (maximum cliques | triangles)");

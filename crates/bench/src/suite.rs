@@ -9,7 +9,7 @@
 //!
 //! Builds go through a caller-owned [`Session`] ([`dvicl_session`] pins
 //! one to an engine config): a table binary that labels its whole suite
-//! reuses one session's arena pools and `CombineCL` memo across every
+//! reuses one session's arena pools and refiner across every
 //! graph, exactly like the `dvicl batch` service. Certificates are
 //! byte-identical to one-shot builds — reuse changes where the working
 //! memory comes from, never the result.
@@ -161,8 +161,8 @@ pub fn run_baseline(g: &Graph, config: &Config) -> Run {
 }
 
 /// A session for `DviCL+X` runs: AutoTree construction with `X` as the
-/// leaf labeler. Hold it across a whole suite so arena pools and the
-/// `CombineCL` memo amortize over every graph.
+/// leaf labeler. Hold it across a whole suite so its arena pools and
+/// refiner amortize over every graph.
 pub fn dvicl_session(config: &Config) -> Session {
     Session::new(DviclOptions {
         leaf_config: config.clone(),
@@ -340,7 +340,7 @@ mod tests {
     #[test]
     fn session_reuse_keeps_certificates_stable() {
         // The whole point of threading a Session through the tables:
-        // later builds reuse arenas/memo yet certify identically.
+        // later builds reuse arenas and refiner yet certify identically.
         let opts = RunOptions::default();
         let mut session = dvicl_session(&Config::traces_like());
         let graphs = [

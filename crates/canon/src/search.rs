@@ -79,8 +79,8 @@ impl TargetCell {
 /// Engine configuration: the knobs the paper attributes to the three
 /// baseline tools.
 ///
-/// A `core::Session` keeps one configuration for its life, so its
-/// CombineCL memo never mixes leaf labelings from two configurations.
+/// A certificate is canonical for one configuration only: two graphs
+/// labeled under different configurations are not comparable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Config {
     /// Target cell selector.
@@ -827,7 +827,8 @@ mod tests {
             // Group order matches brute force (small graphs only).
             if g.n() <= 10 {
                 let expected = brute::automorphism_count(g, &pi);
-                let chain = StabChain::new(g.n(), &r.generators);
+                let chain = StabChain::try_new(g.n(), &r.generators, &Budget::unlimited())
+                    .expect("an unlimited budget never trips");
                 assert_eq!(
                     chain.order(),
                     BigUint::from_u64(expected),
@@ -908,7 +909,7 @@ mod tests {
         let g = named::cycle(4);
         let pi = Coloring::from_cells(vec![vec![1, 2, 3], vec![0]]).unwrap();
         let r = canonical_form(&g, &pi, &Config::bliss_like());
-        let chain = StabChain::new(4, &r.generators);
+        let chain = StabChain::try_new(4, &r.generators, &Budget::unlimited()).unwrap();
         assert_eq!(chain.order().to_u64(), Some(2));
     }
 
@@ -985,7 +986,7 @@ mod tests {
         // the leftmost path dominates.
         assert!(r.stats.leaves < 720);
         assert!(r.stats.pruned_orbit > 0);
-        let chain = StabChain::new(6, &r.generators);
+        let chain = StabChain::try_new(6, &r.generators, &Budget::unlimited()).unwrap();
         assert_eq!(chain.order(), BigUint::factorial(6));
     }
 

@@ -11,7 +11,7 @@
 use dvicl_canon::{try_canonical_form, Budget, CanonResult, Config, TargetCell};
 use dvicl_data::bench_graphs;
 use dvicl_graph::{Coloring, Graph, Perm, V};
-use dvicl_group::StabChain;
+use dvicl_group::{BigUint, StabChain};
 
 #[expect(
     clippy::expect_used,
@@ -37,6 +37,16 @@ fn canonical_form(g: &Graph, pi: &Coloring, config: &Config) -> CanonResult {
     try_canonical_form(g, pi, config, &Budget::unlimited()).expect("unlimited search cannot fail")
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
+fn group_order(n: usize, gens: &[Perm]) -> BigUint {
+    StabChain::try_new(n, gens, &Budget::unlimited())
+        .expect("an unlimited budget never trips")
+        .order()
+}
+
 fn check_invariance(name: &str, g: &Graph, config: &Config) {
     let pi = Coloring::unit(g.n());
     let r1 = canonical_form(g, &pi, config);
@@ -46,8 +56,8 @@ fn check_invariance(name: &str, g: &Graph, config: &Config) {
         assert_eq!(r1.form, r2.form, "{name}: certificate not invariant");
         // Group order must be invariant too.
         assert_eq!(
-            StabChain::new(g.n(), &r1.generators).order(),
-            StabChain::new(g.n(), &r2.generators).order(),
+            group_order(g.n(), &r1.generators),
+            group_order(g.n(), &r2.generators),
             "{name}: group order not invariant"
         );
     }
@@ -140,10 +150,7 @@ fn ag2_group_order_is_the_affine_group() {
     let g = bench_graphs::ag2(q as usize);
     let r = canonical_form(&g, &Coloring::unit(g.n()), &Config::traces_like());
     let expected = q * q * (q * q - 1) * (q * q - q);
-    assert_eq!(
-        StabChain::new(g.n(), &r.generators).order().to_u64(),
-        Some(expected)
-    );
+    assert_eq!(group_order(g.n(), &r.generators).to_u64(), Some(expected));
 }
 
 #[test]
@@ -154,10 +161,7 @@ fn pg2_group_order_is_pgl_with_duality() {
     let g = bench_graphs::pg2(q as usize);
     let r = canonical_form(&g, &Coloring::unit(g.n()), &Config::traces_like());
     let pgl = q.pow(3) * (q.pow(3) - 1) * (q.pow(2) - 1);
-    assert_eq!(
-        StabChain::new(g.n(), &r.generators).order().to_u64(),
-        Some(2 * pgl)
-    );
+    assert_eq!(group_order(g.n(), &r.generators).to_u64(), Some(2 * pgl));
 }
 
 #[test]

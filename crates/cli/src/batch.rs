@@ -2,9 +2,9 @@
 //!
 //! Both subcommands run the same line protocol over a
 //! [`FingerprintIndex`], canonicalizing queries through one reusable
-//! [`Session`] so the arena pools and `CombineCL` memo amortize across
-//! the whole stream (each request costs exactly one canonicalization
-//! plus one hash probe — DESIGN.md §13):
+//! [`Session`] so its working buffers amortize across the whole stream
+//! (each request costs exactly one canonicalization plus one hash probe
+//! — DESIGN.md §13):
 //!
 //! ```text
 //! insert    <GRAPH>     add to the index; prints class, member count, fresh/known

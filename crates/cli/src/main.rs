@@ -443,7 +443,7 @@ fn automorphisms(
 ) -> Result<(), CliError> {
     let g = ld.load(spec)?;
     let tree = build(&g, budget, opts)?;
-    outln!("|Aut(G)| = {}", aut::group_order(&tree));
+    outln!("|Aut(G)| = {}", aut::try_group_order(&tree, budget)?);
     let mut orbits = aut::orbits(&tree);
     outln!(
         "orbits: {} ({} singletons)",

@@ -9,9 +9,10 @@
 //! automorphism-invariant), the group of a node is exactly the direct
 //! product over sibling classes of the wreath products
 //! `Aut(child) ≀ S_k` — giving the closed-form order
-//! `∏_classes |Aut(child)|^k · k!` used by [`group_order`].
+//! `∏_classes |Aut(child)|^k · k!` used by [`try_group_order`].
 
 use crate::tree::{AutoTree, NodeId, NodeKind};
+use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{as_vertex, vertex_range, Perm, V};
 use dvicl_group::{BigUint, Orbits, StabChain};
 
@@ -83,23 +84,24 @@ pub fn orbits(tree: &AutoTree) -> Orbits {
 
 /// The exact order `|Aut(G, π)|`, computed structurally:
 /// singleton leaves contribute 1; a non-singleton leaf contributes the
-/// order of its IR-discovered group (via Schreier–Sims); an internal node
-/// contributes `∏_classes |Aut(child)|^k · k!`.
-pub fn group_order(tree: &AutoTree) -> BigUint {
-    order_of(tree, tree.root())
+/// order of its IR-discovered group (via Schreier–Sims, which spends
+/// `budget`); an internal node contributes
+/// `∏_classes |Aut(child)|^k · k!`. Aborts with
+/// [`DviclError::BudgetExceeded`] or [`DviclError::Cancelled`].
+pub fn try_group_order(tree: &AutoTree, budget: &Budget) -> Result<BigUint, DviclError> {
+    order_of(tree, tree.root(), budget)
 }
 
-// dvicl-lint: allow(budget-reachability) -- unmetered: one call per node of a finished tree; its leaves run leaf_order, which is unmetered too
-fn order_of(tree: &AutoTree, id: NodeId) -> BigUint {
+fn order_of(tree: &AutoTree, id: NodeId, budget: &Budget) -> Result<BigUint, DviclError> {
     let node = tree.node(id);
-    match node.kind() {
+    Ok(match node.kind() {
         NodeKind::SingletonLeaf => BigUint::one(),
-        NodeKind::NonSingletonLeaf => leaf_order(tree, id),
+        NodeKind::NonSingletonLeaf => leaf_order(tree, id, budget)?,
         NodeKind::Internal => {
             let mut acc = BigUint::one();
             for &(start, end) in node.sibling_classes() {
                 let k = (end - start) as u64;
-                let child_order = order_of(tree, node.children()[start as usize]);
+                let child_order = order_of(tree, node.children()[start as usize], budget)?;
                 for _ in 0..k {
                     acc *= &child_order;
                 }
@@ -107,13 +109,12 @@ fn order_of(tree: &AutoTree, id: NodeId) -> BigUint {
             }
             acc
         }
-    }
+    })
 }
 
 /// Order of a non-singleton leaf's group: rebuild its generators over
 /// local indices and run Schreier–Sims.
-// dvicl-lint: allow(budget-reachability) -- UNMETERED: Schreier-Sims over a leaf's generators takes no budget and no deadline, and can run for seconds after the metered build (dvicl --timeout 1s aut on pg2-47); dvicl-group has no budget to thread
-fn leaf_order(tree: &AutoTree, id: NodeId) -> BigUint {
+fn leaf_order(tree: &AutoTree, id: NodeId, budget: &Budget) -> Result<BigUint, DviclError> {
     let node = tree.node(id);
     let nl = node.n();
     #[expect(
@@ -141,16 +142,21 @@ fn leaf_order(tree: &AutoTree, id: NodeId) -> BigUint {
             Perm::from_image(image).expect("local leaf generator is a bijection")
         })
         .collect();
-    StabChain::new(nl, &gens).order()
+    Ok(StabChain::try_new(nl, &gens, budget)?.order())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::tree_of;
-    use crate::{try_build_autotree, Budget, DviclOptions};
+    use crate::{try_build_autotree, DviclOptions};
+    use dvicl_govern::Resource;
     use dvicl_graph::{named, Coloring};
     use dvicl_group::brute;
+
+    fn order(tree: &AutoTree) -> BigUint {
+        try_group_order(tree, &Budget::unlimited()).expect("an unlimited budget never trips")
+    }
 
     #[test]
     fn group_orders_match_brute_force() {
@@ -171,7 +177,7 @@ mod tests {
             let expected = brute::automorphism_count(&g, &pi);
             let t = tree_of(&g);
             assert_eq!(
-                group_order(&t).to_u64(),
+                order(&t).to_u64(),
                 Some(expected),
                 "order mismatch for {g:?}"
             );
@@ -193,8 +199,8 @@ mod tests {
                 assert_eq!(g.permuted(gen), g);
             }
             // ...and they generate a group of the structural order.
-            let chain = StabChain::new(g.n(), &gens);
-            assert_eq!(chain.order(), group_order(&t));
+            let chain = StabChain::try_new(g.n(), &gens, &Budget::unlimited()).unwrap();
+            assert_eq!(chain.order(), order(&t));
         }
     }
 
@@ -234,7 +240,32 @@ mod tests {
         let star = named::star(2);
         let g = star.disjoint_union(&star).disjoint_union(&star);
         let t = tree_of(&g);
-        assert_eq!(group_order(&t).to_u64(), Some(48));
+        assert_eq!(order(&t).to_u64(), Some(48));
+    }
+
+    #[test]
+    fn work_cap_trips_inside_schreier_sims() {
+        // Petersen is one non-singleton leaf with |Aut| = 120; the build
+        // ran unmetered, so every unit the order spends is a Schreier
+        // generator sifted.
+        let t = tree_of(&named::petersen());
+        let unlimited = Budget::unlimited();
+        assert_eq!(try_group_order(&t, &unlimited).unwrap().to_u64(), Some(120));
+        let needed = unlimited.work_spent();
+        assert!(needed > 1, "Schreier-Sims sifted {needed} generators");
+        assert!(matches!(
+            try_group_order(&t, &Budget::with_max_work(needed - 1)),
+            Err(DviclError::BudgetExceeded {
+                resource: Resource::WorkUnits,
+                ..
+            })
+        ));
+        assert_eq!(
+            try_group_order(&t, &Budget::with_max_work(needed))
+                .unwrap()
+                .to_u64(),
+            Some(120)
+        );
     }
 
     #[test]
@@ -243,10 +274,7 @@ mod tests {
         let pi = Coloring::from_cells(vec![vec![1, 2, 3, 4, 5, 6, 7], vec![0]]).unwrap();
         let opts = DviclOptions::default();
         let t = try_build_autotree(&g, &pi, &opts, &Budget::unlimited()).unwrap();
-        assert_eq!(
-            group_order(&t).to_u64(),
-            Some(brute::automorphism_count(&g, &pi))
-        );
+        assert_eq!(order(&t).to_u64(), Some(brute::automorphism_count(&g, &pi)));
     }
 }
 

@@ -5,13 +5,12 @@
 use crate::arena::SubArena;
 use crate::sub::{Division, Sub};
 use crate::tree::{AutoTree, Node, NodeId, NodeKind, PoolRange, EMPTY, NO_PARENT};
-use dvicl_canon::{try_canonical_form_with as ir_try_canonical_form_with, Config};
+use dvicl_canon::{try_canonical_form_with as ir_try_canonical_form_with, CanonResult, Config};
 use dvicl_govern::fault::Site;
 use dvicl_govern::{Budget, DviclError, Resource};
-use dvicl_graph::{vertex_range, CanonForm, Coloring, FormRef, Graph, Perm, V};
+use dvicl_graph::{vertex_range, CanonForm, Coloring, FormRef, Graph, V};
 use dvicl_obs::{self as obs, Counter, Phase};
 use dvicl_refine::Refiner;
-use rustc_hash::FxHashMap;
 
 /// Options for the DviCL run. Resource limits are *not* options: they
 /// are carried by the [`Budget`] passed to [`try_build_autotree`], one
@@ -25,12 +24,6 @@ pub struct DviclOptions {
     /// Apply `DivideS` (clique / complete-bipartite edge removal). Turning
     /// this off is the ablation benchmarked in `dvicl-bench`.
     pub use_divide_s: bool,
-    /// Optional ceiling on the subgraph arena's pool bytes. When a carve
-    /// would push the pools past it, the build fails with
-    /// `BudgetExceeded { resource: Memory }` (arena rolled back) — this
-    /// does **not** trigger the work-cap degradation path, because the
-    /// whole-graph fallback needs *more* arena than the divided build.
-    pub arena_ceiling_bytes: Option<usize>,
 }
 
 impl Default for DviclOptions {
@@ -38,7 +31,6 @@ impl Default for DviclOptions {
         DviclOptions {
             leaf_config: Config::bliss_like(),
             use_divide_s: true,
-            arena_ceiling_bytes: None,
         }
     }
 }
@@ -66,7 +58,7 @@ impl Default for DviclOptions {
 /// let unlimited = Budget::unlimited();
 /// let tree = try_build_autotree(&g, &Coloring::unit(8), &DviclOptions::default(), &unlimited)?;
 /// assert_eq!(tree.stats().total_nodes, 7);
-/// assert_eq!(aut::group_order(&tree).to_u64(), Some(48));
+/// assert_eq!(aut::try_group_order(&tree, &unlimited)?.to_u64(), Some(48));
 /// # Ok::<(), dvicl_core::DviclError>(())
 /// ```
 pub fn try_build_autotree(
@@ -139,10 +131,10 @@ pub fn build_autotree_whole_leaf(
 }
 
 /// The one build every entry point runs, against caller-owned
-/// [`Scratch`] (`core::Session` reuses arenas and the CombineCL memo
-/// through it): check the coloring's size, refine it to the equitable
-/// `π` (Algorithm 1, lines 1–2), then divide and conquer from the root,
-/// or label the whole graph as one IR leaf when `force_leaf` is set.
+/// [`Scratch`] (`core::Session` reuses its buffers through it): check
+/// the coloring's size, refine it to the equitable `π` (Algorithm 1,
+/// lines 1–2), then divide and conquer from the root, or label the
+/// whole graph as one IR leaf when `force_leaf` is set.
 pub(crate) fn run_build(
     scratch: &mut Scratch,
     g: &Graph,
@@ -164,11 +156,8 @@ pub(crate) fn run_build(
     // One build = one arena epoch: empty segments (buffers keep their
     // capacity from earlier builds) and fresh peak/reuse stats, so the
     // `sub_bytes_peak` / `arena_reuses` counters below stay per-build
-    // even when one Scratch serves a whole session. The CombineCL memo
-    // deliberately survives — its keys are pure functions of the leaf
-    // input, so symmetric leaves *across graphs* hit it too.
+    // even when one Scratch serves a whole session.
     scratch.arena.reset();
-    scratch.arena.set_ceiling_bytes(opts.arena_ceiling_bytes);
     if g.n() == 0 {
         let mut t = TreePools::default();
         t.nodes.push(Node {
@@ -239,29 +228,16 @@ fn pool_index(i: usize) -> u32 {
     i as u32
 }
 
-/// `CombineCL` memo value: the IR labeling and its generators.
-type ClEntry = (Perm, Vec<Perm>);
-
 /// The reusable working state of a build, separable from the tree it
-/// produces: the subgraph arena, the `CombineCL` memo, and the memo's
-/// encode buffer. One-shot entry points ([`try_build_autotree`] and
-/// friends) create a transient `Scratch` per call; `core::Session` owns
-/// one across many builds so arena capacity and memoized leaf labelings
-/// amortize over a whole corpus.
-///
-/// Soundness of cross-build memo reuse: a memo key encodes *exactly*
-/// the input the IR engine sees (injectively — see `combine_cl`), so a
-/// hit returns the same labeling the engine would recompute. The one
-/// implicit key component is the engine configuration, which cannot
-/// change: a `Scratch` serves one build, or one `core::Session`, whose
-/// options are fixed for its life.
+/// produces: the subgraph arena, the refiner and the `CombineST`
+/// arrays. One-shot entry points ([`try_build_autotree`] and friends)
+/// create a transient `Scratch` per call; `core::Session` owns one
+/// across many builds so buffer capacity amortizes over a whole corpus.
+/// A `Scratch` carries no result from one build to the next, only
+/// buffer capacity.
 pub(crate) struct Scratch {
     /// Flat CSR storage for every working subgraph of a recursion.
     pub(crate) arena: SubArena,
-    /// `CombineCL` memo (see `Builder::combine_cl`).
-    pub(crate) cl_cache: FxHashMap<Vec<u8>, ClEntry>,
-    /// Reused encode buffer for memo probes: allocation-free on hits.
-    pub(crate) key_scratch: Vec<u8>,
     /// Refinement kernel state: the root refinement and every
     /// `CombineCL` leaf labeling of a build run through this refiner, so
     /// kernel scratch (partitions, bitset masks, radix buffers) is
@@ -275,22 +251,9 @@ impl Scratch {
     pub(crate) fn new() -> Scratch {
         Scratch {
             arena: SubArena::new(),
-            cl_cache: FxHashMap::default(),
-            key_scratch: Vec::new(),
             refiner: Refiner::new(),
             combine: CombineScratch::default(),
         }
-    }
-
-    /// Drops every memoized `CombineCL` labeling, to bound memory (the
-    /// memo stays sound across builds).
-    pub(crate) fn clear_memo(&mut self) {
-        self.cl_cache.clear();
-    }
-
-    /// Number of memoized `CombineCL` labelings currently held.
-    pub(crate) fn memo_len(&self) -> usize {
-        self.cl_cache.len()
     }
 }
 
@@ -323,22 +286,6 @@ impl CombineScratch {
         if self.part_of.len() < node_n {
             self.part_of.resize(node_n, 0);
         }
-    }
-}
-
-/// Appends `x` as a LEB128-style varint. Each field is self-delimiting,
-/// so a sequence of varints is a prefix code: two encoded keys are equal
-/// iff the encoded field sequences are equal.
-// dvicl-lint: allow(budget-reachability) -- at most ten iterations for a u64; callers meter per tree node
-fn push_varint(out: &mut Vec<u8>, mut x: u64) {
-    loop {
-        let byte = (x & 0x7f) as u8;
-        x >>= 7;
-        if x == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
     }
 }
 
@@ -415,13 +362,8 @@ struct Builder<'a> {
     force_leaf: bool,
     /// The borrowed working state: the stack-disciplined subgraph arena
     /// (a child's segment is released, and its buffer space reused, as
-    /// soon as its subtree has combined) and the `CombineCL` memo —
-    /// symmetric sibling leaves (equal local edges and global colors)
-    /// share one IR labeling instead of re-searching. The memo key is an
-    /// *injective* varint encoding of exactly the data the IR engine
-    /// sees — `(n, colors, m, edges)` — so equal keys mean equal inputs
-    /// (never a lossy hash), yet a leaf costs ~2 bytes per edge instead
-    /// of a cloned `(Vec<V>, Vec<(V, V)>)`.
+    /// soon as its subtree has combined), the refiner every leaf search
+    /// runs on, and the `CombineST` arrays.
     scratch: &'a mut Scratch,
 }
 
@@ -542,47 +484,20 @@ impl Builder<'_> {
             .iter()
             .map(|&v| self.pi.color_of(v))
             .collect();
-        // Memo lookup: the IR result is a pure function of the local graph
-        // and the projected coloring, and the colors vector determines the
-        // projection, so (colors, edges) is a sound exact key (Lemma 6.7's
-        // symmetric leaves hit this constantly). Encoding: varint(n), the
-        // colors, varint(m), then the edges in CSR order with the source
-        // delta-coded — injective (see `push_varint`), so key equality is
-        // input equality and a collision cannot corrupt certificates.
-        let mut key = std::mem::take(&mut self.scratch.key_scratch);
-        key.clear();
-        push_varint(&mut key, sub.n() as u64);
-        for &c in &colors {
-            push_varint(&mut key, c as u64);
-        }
-        push_varint(&mut key, sub.m() as u64);
-        let mut prev_u = 0u64;
-        for (u, v) in local_g.edges() {
-            push_varint(&mut key, u as u64 - prev_u);
-            push_varint(&mut key, v as u64);
-            prev_u = u as u64;
-        }
-        let (labeling, generators) = match self.scratch.cl_cache.get(key.as_slice()) {
-            Some((labeling, generators)) => {
-                obs::bump(Counter::CacheClHits);
-                (labeling.clone(), generators.clone())
-            }
-            None => {
-                obs::bump(Counter::CacheClMisses);
-                let res = ir_try_canonical_form_with(
-                    &local_g,
-                    pi_g,
-                    &self.opts.leaf_config,
-                    self.budget,
-                    &mut self.scratch.refiner,
-                )?;
-                self.scratch
-                    .cl_cache
-                    .insert(key.clone(), (res.labeling.clone(), res.generators.clone()));
-                (res.labeling, res.generators)
-            }
-        };
-        self.scratch.key_scratch = key;
+        // Only the labeling and generators are kept: the search's own
+        // certificate, orbits and stats are dropped here, before the
+        // leaf's certificate is built beside them.
+        let CanonResult {
+            labeling,
+            generators,
+            ..
+        } = ir_try_canonical_form_with(
+            &local_g,
+            pi_g,
+            &self.opts.leaf_config,
+            self.budget,
+            &mut self.scratch.refiner,
+        )?;
         // The IR labeling λ keeps every vertex inside its cell of π_g, so
         // λ(i) − π_g(i) is i's rank in that cell by λ, and its global cell
         // starts at π(v_i).

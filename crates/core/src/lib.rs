@@ -21,10 +21,9 @@
 //! * [`verify`] — witness checking: near-linear runtime proofs that the
 //!   labelings, generators and iso mappings above actually hold on the
 //!   input graph (the `--paranoid` machinery, DESIGN.md §11).
-//! * [`Session`] — a reusable build context (arena pools + `CombineCL`
-//!   memo) that amortizes working memory and memoized leaf labelings
-//!   across many graphs, the substrate of the `dvicl-index` batch
-//!   isomorphism service.
+//! * [`Session`] — a reusable build context (arena pools, refiner and
+//!   combine arrays) that amortizes working memory across many graphs,
+//!   the substrate of the `dvicl-index` batch isomorphism service.
 //!
 //! Every operation that can run long takes a [`Budget`] and returns a
 //! `Result`; [`Budget::unlimited`] is the argument for no limit.

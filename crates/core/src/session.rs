@@ -1,7 +1,7 @@
 //! Reusable build sessions: one [`Session`] serves many graphs.
 //!
 //! The one-shot entry points ([`crate::try_build_autotree`] and friends)
-//! allocate a fresh subgraph arena and a fresh `CombineCL` memo per
+//! allocate a fresh subgraph arena, refiner and combine arrays per
 //! call — fine for a single graph, wasteful for a corpus. A `Session`
 //! owns that working state (`build::Scratch`) across builds:
 //!
@@ -9,13 +9,13 @@
 //!   every buffer's capacity, so the second and every later build runs
 //!   allocation-free through the divide recursion (counted by the
 //!   `session_arena_reuses` counter);
-//! * **`CombineCL` memo** — leaf labelings are keyed injectively by
-//!   exactly the input the IR engine sees, so symmetric leaves recur
-//!   *across* graphs (chemical datasets are full of repeated fragments)
-//!   and hit the memo just like symmetric siblings within one graph;
+//! * **refiner and combine arrays** — the root refinement, every leaf
+//!   search and every `CombineST` run in buffers sized by earlier builds;
 //! * **options** — the session is pinned to one [`DviclOptions`] for
-//!   its whole life, so the memo, implicitly keyed to `leaf_config`,
-//!   never outlives the configuration that filled it.
+//!   its whole life.
+//!
+//! None of these holds a result: a session's memory is bounded by the
+//! largest graph it has built, however many builds it serves.
 //!
 //! What a session does *not* own: the obs sink is process-wide
 //! (install one with `obs::install`), and the counters and phase table
@@ -32,9 +32,9 @@ use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{CanonForm, Coloring, Fingerprint, Graph};
 use dvicl_obs::{self as obs, Counter};
 
-/// A reusable build context: [`DviclOptions`] plus the arena pools and
-/// `CombineCL` memo shared by every build it serves. See the module
-/// docs for what is reused and why that is sound.
+/// A reusable build context: [`DviclOptions`] plus the working buffers
+/// shared by every build it serves. See the module docs for what is
+/// reused.
 ///
 /// ```
 /// use dvicl_core::{Budget, DviclOptions, Session};
@@ -68,19 +68,8 @@ impl Session {
         self.builds
     }
 
-    /// Number of memoized `CombineCL` leaf labelings currently held.
-    pub fn memo_len(&self) -> usize {
-        self.scratch.memo_len()
-    }
-
-    /// Drops every memoized leaf labeling (the memo is sound across
-    /// builds, so this is for memory pressure, not correctness).
-    pub fn clear_memo(&mut self) {
-        self.scratch.clear_memo();
-    }
-
     /// Bookkeeping around every build: from the second build on, the
-    /// arena pools (and possibly the memo) are being reused.
+    /// arena pools are being reused.
     fn note_build(&mut self) {
         if self.builds > 0 {
             obs::bump(Counter::SessionArenaReuses);
@@ -103,11 +92,11 @@ impl Session {
     }
 
     /// [`Session::try_build`] under an unlimited budget. Panics where that
-    /// errs: on a coloring of another size, on the session's
-    /// `arena_ceiling_bytes`, or on a fault plan installed on this thread.
+    /// errs: on a coloring of another size, or on a fault plan installed
+    /// on this thread.
     #[expect(
         clippy::expect_used,
-        reason = "an unlimited budget never exhausts, so only a coloring of another size, the session's arena ceiling or a fault plan installed on the calling thread can reach the Err arm, as the doc comment states"
+        reason = "an unlimited budget never exhausts, so only a coloring of another size or a fault plan installed on the calling thread can reach the Err arm, as the doc comment states"
     )]
     pub fn build(&mut self, g: &Graph, pi0: &Coloring) -> AutoTree {
         self.try_build(g, pi0, &Budget::unlimited())
@@ -187,9 +176,10 @@ mod tests {
             let ot = crate::build::tree_of(&g);
             assert_eq!(st.canonical_form(), ot.canonical_form());
             assert_eq!(st.stats(), ot.stats());
+            let unlimited = Budget::unlimited();
             assert_eq!(
-                crate::aut::group_order(&st).to_u64(),
-                crate::aut::group_order(&ot).to_u64()
+                crate::aut::try_group_order(&st, &unlimited).unwrap(),
+                crate::aut::try_group_order(&ot, &unlimited).unwrap()
             );
         }
     }
@@ -204,21 +194,6 @@ mod tests {
         let d = obs::snapshot().diff(&before);
         assert_eq!(s.builds(), 3);
         assert_eq!(d.get(Counter::SessionArenaReuses), 2);
-    }
-
-    #[test]
-    fn memo_survives_builds() {
-        let mut s = Session::default();
-        // K4 plus a pendant path divides into leaves that hit the memo.
-        let g = named::fig1_example();
-        form(&mut s, &g);
-        let after_first = s.memo_len();
-        form(&mut s, &g);
-        assert_eq!(
-            s.memo_len(),
-            after_first,
-            "identical rebuild must be served from the memo"
-        );
     }
 
     #[test]

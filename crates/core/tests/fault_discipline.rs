@@ -1,5 +1,4 @@
-//! Arena stack discipline under injected faults (ISSUE: robustness
-//! satellite 3).
+//! Arena stack discipline under injected faults.
 //!
 //! Two properties, both driven by the vendored deterministic proptest:
 //!

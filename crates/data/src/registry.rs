@@ -57,8 +57,7 @@ macro_rules! social {
 /// leaf-size *spread* matches the paper's Table 3 averages (up to
 /// 163.59) instead of one repeated size — which also makes them the
 /// suite's analogs with the most distinct non-singleton leaves: each
-/// distinct pocket is its own subtree with its own `IR` run, which the
-/// `CombineCL` memo cannot share.
+/// distinct pocket is its own subtree with its own `IR` run.
 pub fn social_suite() -> Vec<Dataset> {
     vec![
         social!("Amazon", 9000, 12.0, 220, 3, 60, 2, 4, 0, 8, 0, 0, 3, 0, 0xA3A201),

@@ -46,8 +46,8 @@ pub struct SocialConfig {
     /// circumference `ring_size + k * ring_growth`. The paper's web
     /// graphs carry non-singleton leaves of widely *varied* sizes
     /// (Table 3: averages up to 163.59), not one repeated size — and
-    /// distinct sizes are structurally distinct leaves, so each costs
-    /// its own `IR` run instead of hitting the `CombineCL` memo.
+    /// distinct sizes are structurally distinct leaves, each labeled by
+    /// its own `IR` run.
     pub ring_growth: usize,
     /// Number of *mirror hub* classes: groups of structurally equivalent
     /// mid/high-influence vertices sharing an identical core neighborhood.

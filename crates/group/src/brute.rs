@@ -220,7 +220,8 @@ mod tests {
         let g = named::fig1_example();
         let pi = Coloring::unit(8);
         let gens = automorphisms(&g, &pi);
-        let chain = crate::StabChain::new(8, &gens);
+        let chain =
+            crate::StabChain::try_new(8, &gens, &dvicl_govern::Budget::unlimited()).unwrap();
         assert_eq!(chain.order().to_u64(), Some(gens.len() as u64));
     }
 }

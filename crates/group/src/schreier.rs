@@ -11,8 +11,14 @@
 //! (AutoTree leaf groups and test oracles). The order of the automorphism
 //! group of a *massive* graph is computed structurally from the AutoTree in
 //! `dvicl-core` instead.
+//!
+//! The fixpoint restarts after every new strong generator, so on a large
+//! leaf group (the 4 514-vertex `pg2-47` leaf) it runs for seconds. It is
+//! metered like the searches that produced the generators: one unit of
+//! the caller's [`Budget`] per Schreier generator sifted.
 
 use crate::BigUint;
+use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{vertex_range, Perm, V};
 use rustc_hash::FxHashMap;
 
@@ -50,8 +56,11 @@ pub struct StabChain {
 }
 
 impl StabChain {
-    /// Builds a stabilizer chain for the group generated by `gens`.
-    pub fn new(n: usize, gens: &[Perm]) -> Self {
+    /// Builds a stabilizer chain for the group generated by `gens`,
+    /// spending one unit of `budget` per Schreier generator it sifts.
+    /// Aborts with [`DviclError::BudgetExceeded`] or
+    /// [`DviclError::Cancelled`].
+    pub fn try_new(n: usize, gens: &[Perm], budget: &Budget) -> Result<Self, DviclError> {
         let mut chain = StabChain {
             n,
             levels: Vec::new(),
@@ -60,8 +69,8 @@ impl StabChain {
             chain.add_strong(g.clone());
         }
         // Fixpoint: keep adding Schreier-generator residues until closed.
-        while chain.close_once() {}
-        chain
+        while chain.close_once(budget)? {}
+        Ok(chain)
     }
 
     /// Exact group order: the product of the basic orbit lengths.
@@ -149,7 +158,7 @@ impl StabChain {
     /// Scans all Schreier generators of all levels; on the first one that
     /// does not sift to the identity, adds its residue as a strong
     /// generator and returns `true`. Returns `false` when fully closed.
-    fn close_once(&mut self) -> bool {
+    fn close_once(&mut self, budget: &Budget) -> Result<bool, DviclError> {
         for i in 0..self.levels.len() {
             let gens: Vec<Perm> = self.levels[i..]
                 .iter()
@@ -163,20 +172,27 @@ impl StabChain {
                     let tw = self.levels[i].transversal[&w].clone();
                     // Schreier generator t_u · s · t_{u^s}⁻¹ fixes point i.
                     let schreier = tu.then(s).then(&tw.inverse());
+                    budget.spend(1)?;
                     if self.sift(schreier.clone()).is_some() {
                         self.add_strong(schreier);
-                        return true;
+                        return Ok(true);
                     }
                 }
             }
         }
-        false
+        Ok(false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvicl_govern::Resource;
+
+    /// The chain of `gens` under an unlimited budget.
+    fn chain(n: usize, gens: &[Perm]) -> StabChain {
+        StabChain::try_new(n, gens, &Budget::unlimited()).expect("an unlimited budget never trips")
+    }
 
     /// Membership: `g` sifts to the identity iff it is in the group.
     fn contains(c: &StabChain, g: &Perm) -> bool {
@@ -193,7 +209,7 @@ mod tests {
 
     #[test]
     fn trivial_group() {
-        let c = StabChain::new(5, &[]);
+        let c = chain(5, &[]);
         assert_eq!(c.order().to_u64(), Some(1));
         assert!(contains(&c, &Perm::identity(5)));
         assert!(!contains(&c, &Perm::from_cycles(5, &[&[0, 1]]).unwrap()));
@@ -202,7 +218,7 @@ mod tests {
     #[test]
     fn symmetric_group_order() {
         for n in 2..=7 {
-            let c = StabChain::new(n, &sym_gens(n));
+            let c = chain(n, &sym_gens(n));
             assert_eq!(c.order(), BigUint::factorial(n as u64), "S_{n}");
         }
     }
@@ -211,7 +227,7 @@ mod tests {
     fn cyclic_group() {
         let cyc: Vec<V> = (0..6).collect();
         let rot = Perm::from_cycles(6, &[&cyc]).unwrap();
-        let c = StabChain::new(6, std::slice::from_ref(&rot));
+        let c = chain(6, std::slice::from_ref(&rot));
         assert_eq!(c.order().to_u64(), Some(6));
         assert!(contains(&c, &rot.then(&rot)));
         assert!(!contains(&c, &Perm::from_cycles(6, &[&[0, 1]]).unwrap()));
@@ -223,7 +239,7 @@ mod tests {
         let cyc: Vec<V> = (0..6).collect();
         let rot = Perm::from_cycles(6, &[&cyc]).unwrap();
         let refl = Perm::from_cycles(6, &[&[1, 5], &[2, 4]]).unwrap();
-        let c = StabChain::new(6, &[rot, refl]);
+        let c = chain(6, &[rot, refl]);
         assert_eq!(c.order().to_u64(), Some(12));
     }
 
@@ -231,7 +247,7 @@ mod tests {
     fn klein_four_group() {
         let a = Perm::from_cycles(4, &[&[0, 1], &[2, 3]]).unwrap();
         let b = Perm::from_cycles(4, &[&[0, 2], &[1, 3]]).unwrap();
-        let c = StabChain::new(4, &[a.clone(), b.clone()]);
+        let c = chain(4, &[a.clone(), b.clone()]);
         assert_eq!(c.order().to_u64(), Some(4));
         assert!(contains(&c, &a.then(&b)));
     }
@@ -241,7 +257,7 @@ mod tests {
         // A_4 = ⟨(0,1,2), (1,2,3)⟩: order 12; the transposition (0,1) ∉ A_4.
         let a = Perm::from_cycles(4, &[&[0, 1, 2]]).unwrap();
         let b = Perm::from_cycles(4, &[&[1, 2, 3]]).unwrap();
-        let c = StabChain::new(4, &[a, b]);
+        let c = chain(4, &[a, b]);
         assert_eq!(c.order().to_u64(), Some(12));
         assert!(!contains(&c, &Perm::from_cycles(4, &[&[0, 1]]).unwrap()));
         assert!(contains(
@@ -255,7 +271,33 @@ mod tests {
         // ⟨(0,1)⟩ × ⟨(2,3,4)⟩ has order 6.
         let a = Perm::from_cycles(5, &[&[0, 1]]).unwrap();
         let b = Perm::from_cycles(5, &[&[2, 3, 4]]).unwrap();
-        let c = StabChain::new(5, &[a, b]);
+        let c = chain(5, &[a, b]);
         assert_eq!(c.order().to_u64(), Some(6));
+    }
+
+    #[test]
+    fn work_cap_trips_inside_the_fixpoint() {
+        // S_7 from two generators: the fixpoint sifts hundreds of
+        // Schreier generators, one work unit each.
+        let unlimited = Budget::unlimited();
+        let c = StabChain::try_new(7, &sym_gens(7), &unlimited).expect("unlimited");
+        assert_eq!(c.order(), BigUint::factorial(7));
+        let needed = unlimited.work_spent();
+        assert!(needed > 100, "S_7 sifted only {needed} Schreier generators");
+        let capped = Budget::with_max_work(needed / 2);
+        assert!(matches!(
+            StabChain::try_new(7, &sym_gens(7), &capped),
+            Err(DviclError::BudgetExceeded {
+                resource: Resource::WorkUnits,
+                ..
+            })
+        ));
+        let exact = Budget::with_max_work(needed);
+        assert_eq!(
+            StabChain::try_new(7, &sym_gens(7), &exact)
+                .expect("the measured work suffices")
+                .order(),
+            BigUint::factorial(7)
+        );
     }
 }

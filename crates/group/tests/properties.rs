@@ -7,6 +7,7 @@
     reason = "test graphs are small: every vertex id, index and count fits in V"
 )]
 
+use dvicl_govern::Budget;
 use dvicl_graph::{Coloring, Graph, Perm, V};
 use dvicl_group::{brute, BigUint, Orbits, StabChain};
 use proptest::prelude::*;
@@ -55,7 +56,7 @@ proptest! {
         let edges: Vec<(V, V)> = edges.into_iter().map(|(a, b)| (a % n as u32, b % n as u32)).collect();
         let g = Graph::from_edges(n, &edges);
         let autos = brute::automorphisms(&g, &Coloring::unit(n));
-        let chain = StabChain::new(n, &autos);
+        let chain = StabChain::try_new(n, &autos, &Budget::unlimited()).unwrap();
         prop_assert_eq!(chain.order().to_u64(), Some(autos.len() as u64));
         // Adding a generator keeps the order of the full group iff it is
         // a member: an automorphism is, a non-automorphism isn't.
@@ -70,7 +71,7 @@ proptest! {
             let is_auto = g.permuted(&cand) == g;
             let mut with_cand = autos.clone();
             with_cand.push(cand);
-            prop_assert_eq!(StabChain::new(n, &with_cand).order() == chain.order(), is_auto);
+            prop_assert_eq!(StabChain::try_new(n, &with_cand, &Budget::unlimited()).unwrap().order() == chain.order(), is_auto);
         }
     }
 
@@ -103,7 +104,7 @@ fn factorial_cross_check() {
     for n in 2..7usize {
         let g = dvicl_graph::named::complete(n);
         let autos = brute::automorphisms(&g, &Coloring::unit(n));
-        let chain = StabChain::new(n, &autos);
+        let chain = StabChain::try_new(n, &autos, &Budget::unlimited()).unwrap();
         assert_eq!(chain.order(), BigUint::factorial(n as u64));
     }
 }

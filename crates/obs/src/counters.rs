@@ -52,10 +52,13 @@ crate::catalog! {
         /// Structural-equivalence twin classes collapsed
         /// (`core::simplify::try_dvicl_simplified`).
         TwinClassesCollapsed = "twin_classes_collapsed",
-        /// `CombineCL` leaf-labeling results served from the builder's
-        /// cache (`core::build`).
+        /// Retired, bumped by nothing: it counted hits of the deleted
+        /// `CombineCL` memo. It stays in the catalog only because the
+        /// benchmark's trace report (`benchmark/src/trace.rs`) names it.
         CacheClHits = "cache_cl_hits",
-        /// `CombineCL` leaf labelings computed fresh (`core::build`).
+        /// Retired, bumped by nothing: it counted misses of the deleted
+        /// `CombineCL` memo. It stays in the catalog only because the
+        /// benchmark's trace report (`benchmark/src/trace.rs`) names it.
         CacheClMisses = "cache_cl_misses",
         /// High-water mark of subgraph-arena pool bytes, summed over builds
         /// (`core::SubArena`): each DviCL run adds its own peak, so a
@@ -86,7 +89,7 @@ crate::catalog! {
         /// path, resolved by the exact check (`dvicl-index`).
         IndexCollisions = "index_collisions",
         /// Builds served by a `core::Session` that reused its arena pools
-        /// and CombineCL memo from an earlier build (`core::Session`).
+        /// from an earlier build (`core::Session`).
         SessionArenaReuses = "session_arena_reuses",
         /// Cell splits whose splitter-neighbor counts came from
         /// word-parallel `popcount(adjacency row & splitter mask)` instead

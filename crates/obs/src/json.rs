@@ -1,7 +1,7 @@
 //! A hand-rolled JSON writer.
 //!
-//! The workspace has no serialization dependency (PR 1 removed serde
-//! under the vendored-shim policy), so the observability sinks and the
+//! The workspace has no serialization dependency (it builds offline
+//! from vendored shims only), so the observability sinks and the
 //! bench `BENCH_*.json` records build their output through these two
 //! small append-only builders. They emit a *subset* of JSON — object
 //! literals with string / number / bool / null values, and arrays of

@@ -1,13 +1,12 @@
 //! `dvicl-obs` — zero-dependency observability for the DviCL pipeline.
 //!
-//! The ROADMAP's north star is a system that is "as fast as the hardware
-//! allows", which is unverifiable without a way to *see* where time and
-//! work go. This crate gives the whole workspace one shared vocabulary
-//! for that, in the house style (no `tracing` crate; everything offline
-//! and dependency-free):
+//! A speed claim is only as good as the breakdown behind it: where time
+//! and work went, phase by phase. This crate gives the whole workspace
+//! one shared vocabulary for that, in the house style (no `tracing`
+//! crate; everything offline and dependency-free):
 //!
 //! * [`Counter`] — a fixed catalog of cheap per-thread counters
-//!   (search-tree nodes, refinement rounds, divide decisions, cache
+//!   (search-tree nodes, refinement rounds, divide decisions, index
 //!   hits…). Bumping is a plain add to a thread-local cell.
 //! * [`span()`] — a scoped timer producing the per-phase wall-time
 //!   breakdown (refine / divide / combine / leaf-IR / ssm), labelled by

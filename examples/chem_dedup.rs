@@ -5,9 +5,8 @@
 //! the canonical-fingerprint index.
 //!
 //! One [`dvicl::core::Session`] canonicalizes the whole collection
-//! (arena pools and the `CombineCL` memo are reused across graphs — the
-//! repeated fragments of a molecule library are exactly what the memo
-//! feeds on), and a [`dvicl::index::FingerprintIndex`] groups the
+//! (its arena pools and refiner are reused across graphs), and a
+//! [`dvicl::index::FingerprintIndex`] groups the
 //! certificates: one insert per graph, isomorphic graphs land in one
 //! class, and the class member counts are the duplicate counts.
 //!

@@ -41,7 +41,7 @@ fn main() -> Result<(), DviclError> {
     print!("{}", s.tree.render());
     println!(
         "|Aut(G)| recovered through the simplification: {}",
-        s.original_group_order()
+        s.try_original_group_order(&unlimited)?
     );
     Ok(())
 }

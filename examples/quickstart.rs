@@ -63,7 +63,10 @@ fn main() {
     );
 
     // --- Automorphism group and orbits --------------------------------
-    println!("  |Aut(G)| = {}", aut::group_order(&tree));
+    println!(
+        "  |Aut(G)| = {}",
+        aut::try_group_order(&tree, &unlimited).unwrap()
+    );
     let mut orbits = aut::orbits(&tree);
     println!("  orbits: {:?}", orbits.cells());
     println!("  generators:");

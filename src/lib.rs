@@ -31,7 +31,7 @@
 //! let g = named::petersen();
 //! let opts = DviclOptions::default();
 //! let tree = try_build_autotree(&g, &Coloring::unit(g.n()), &opts, &unlimited)?;
-//! assert_eq!(aut::group_order(&tree).to_u64(), Some(120));
+//! assert_eq!(aut::try_group_order(&tree, &unlimited)?.to_u64(), Some(120));
 //!
 //! // Isomorphism testing: certificates are equal iff graphs are isomorphic.
 //! let relabeled = g.permuted(&dvicl::graph::Perm::from_cycles(10, &[&[0, 7, 3]]).unwrap());

@@ -25,6 +25,14 @@ fn ir(g: &Graph, pi: &Coloring, config: &Config) -> CanonResult {
     try_canonical_form(g, pi, config, &Budget::unlimited()).expect("unlimited search cannot fail")
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
+fn group_order(tree: &AutoTree) -> BigUint {
+    aut::try_group_order(tree, &Budget::unlimited()).expect("an unlimited order cannot fail")
+}
+
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (2..=max_n).prop_flat_map(|n| {
         proptest::collection::vec(any::<u32>(), 0..30).prop_map(move |raw| {
@@ -45,14 +53,15 @@ proptest! {
         let truth = BigUint::from_u64(brute::automorphism_count(&g, &pi));
 
         let tree = build_autotree(&g, &pi, &DviclOptions::default());
-        prop_assert_eq!(&aut::group_order(&tree), &truth);
+        prop_assert_eq!(&group_order(&tree), &truth);
 
         let opts = DviclOptions::default();
         let s = simplify::try_dvicl_simplified(&g, &pi, &opts, &Budget::unlimited()).unwrap();
-        prop_assert_eq!(&s.original_group_order(), &truth);
+        prop_assert_eq!(&s.try_original_group_order(&Budget::unlimited()).unwrap(), &truth);
 
         let base = ir(&g, &pi, &Config::bliss_like());
-        prop_assert_eq!(&StabChain::new(g.n(), &base.generators).order(), &truth);
+        let chain = StabChain::try_new(g.n(), &base.generators, &Budget::unlimited()).unwrap();
+        prop_assert_eq!(&chain.order(), &truth);
     }
 
     /// Orbits from the AutoTree equal orbits of the brute-force group.
@@ -112,7 +121,7 @@ fn wreath_product_structures() {
     for (g, expected) in cases {
         let tree = build_autotree(&g, &Coloring::unit(g.n()), &DviclOptions::default());
         assert_eq!(
-            aut::group_order(&tree).to_u64(),
+            group_order(&tree).to_u64(),
             Some(expected),
             "wrong order for {g:?}"
         );
@@ -132,7 +141,7 @@ fn benchmark_groups_are_large() {
         ("pg2-5", dvicl::data::bench_graphs::pg2(5)),
     ] {
         let tree = build_autotree(&g, &Coloring::unit(g.n()), &opts);
-        let order = aut::group_order(&tree);
+        let order = group_order(&tree);
         assert!(
             order >= BigUint::from_u64(g.n() as u64),
             "{name}: |Aut| = {order} < n = {}",
@@ -154,11 +163,11 @@ fn grid_group_order_exact() {
         ..DviclOptions::default()
     };
     let tree = build_autotree(&g, &Coloring::unit(g.n()), &opts);
-    assert_eq!(aut::group_order(&tree).to_u64(), Some(46080));
+    assert_eq!(group_order(&tree).to_u64(), Some(46080));
     // A q=5 torus has no such collapse: |Aut(C5□C5□C5)| = (2·5)³·3! = 6000.
     let g5 = dvicl::data::bench_graphs::wrapped_grid(&[5, 5, 5]);
     let tree5 = build_autotree(&g5, &Coloring::unit(g5.n()), &opts);
-    assert_eq!(aut::group_order(&tree5).to_u64(), Some(6000));
+    assert_eq!(group_order(&tree5).to_u64(), Some(6000));
 }
 
 #[test]
@@ -170,18 +179,18 @@ fn algebraic_graph_families() {
     // Paley(13): |Aut| = q(q−1)/2 = 78.
     let p13 = named::paley(13);
     let t = build_autotree(&p13, &Coloring::unit(13), &opts);
-    assert_eq!(aut::group_order(&t).to_u64(), Some(78));
+    assert_eq!(group_order(&t).to_u64(), Some(78));
     // Kneser K(5,2) = Petersen: |Aut| = 120; Johnson J(5,2): also S_5.
     let kn = named::kneser(5, 2);
     let t = build_autotree(&kn, &Coloring::unit(kn.n()), &opts);
-    assert_eq!(aut::group_order(&t).to_u64(), Some(120));
+    assert_eq!(group_order(&t).to_u64(), Some(120));
     let j = named::johnson(5, 2);
     let t = build_autotree(&j, &Coloring::unit(j.n()), &opts);
-    assert_eq!(aut::group_order(&t).to_u64(), Some(120));
+    assert_eq!(group_order(&t).to_u64(), Some(120));
     // Johnson J(4,2) is the octahedron K_{2,2,2}: |Aut| = 2^3·3! = 48.
     let oct = named::johnson(4, 2);
     let t = build_autotree(&oct, &Coloring::unit(6), &opts);
-    assert_eq!(aut::group_order(&t).to_u64(), Some(48));
+    assert_eq!(group_order(&t).to_u64(), Some(48));
 }
 
 #[test]
@@ -209,6 +218,6 @@ fn hypercube_group_orders() {
     for (d, expected) in [(2u32, 8u64), (3, 48), (4, 384), (5, 3840)] {
         let g = named::hypercube(d as usize);
         let t = build_autotree(&g, &Coloring::unit(g.n()), &opts);
-        assert_eq!(aut::group_order(&t).to_u64(), Some(expected), "Q_{d}");
+        assert_eq!(group_order(&t).to_u64(), Some(expected), "Q_{d}");
     }
 }

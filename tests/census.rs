@@ -53,9 +53,6 @@ impl Labeler {
                 (r.form, r.generators)
             }
             Labeler::Dvicl(session) => {
-                if session.memo_len() > 100_000 {
-                    session.clear_memo();
-                }
                 let tree = session.build(g, pi);
                 (tree.canonical_form().to_form(), aut::generators(&tree))
             }
@@ -155,7 +152,8 @@ fn census(labeler: &mut Labeler, n: usize, inputs: &[(u64, Option<u64>)]) -> Cen
         let sizes = pi.cells().map(<[V]>::len).collect();
         let id = *classes.entry((sizes, form)).or_insert(next);
         if id == next {
-            let order = StabChain::new(n, &gens)
+            let order = StabChain::try_new(n, &gens, &Budget::unlimited())
+                .expect("an unlimited budget never trips")
                 .order()
                 .to_u64()
                 .expect("|Aut| of a graph on at most 7 vertices fits in u64");

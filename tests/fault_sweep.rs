@@ -1,5 +1,4 @@
-//! Deterministic fault-injection sweep across the whole pipeline
-//! (ISSUE: robustness tentpole, pillar B).
+//! Deterministic fault-injection sweep across the whole pipeline.
 //!
 //! For a corpus of benchmark graphs, a clean *probe* run first counts how
 //! often every fault checkpoint fires. The sweep then enumerates
