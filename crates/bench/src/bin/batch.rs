@@ -21,7 +21,7 @@
 
 use dvicl_bench::suite::{self, print_header, print_row, Recorder};
 use dvicl_canon::Config;
-use dvicl_core::iso::try_find_isomorphism_outcome;
+use dvicl_core::iso::try_find_isomorphism;
 use dvicl_core::{Budget, DviclOptions};
 use dvicl_graph::{as_vertex, named, Graph, Perm, V};
 use dvicl_index::FingerprintIndex;
@@ -204,10 +204,10 @@ fn main() {
         for q in &queries {
             let mut matches = 0u64;
             for g in &graphs {
-                let outcome =
-                    try_find_isomorphism_outcome(q, g, &DviclOptions::default(), &unlimited)
-                        .ok()?;
-                if outcome.mapping.is_some() {
+                if try_find_isomorphism(q, g, &DviclOptions::default(), &unlimited)
+                    .ok()?
+                    .is_some()
+                {
                     matches += 1;
                 }
             }

@@ -20,11 +20,10 @@
 //!
 //! Every subcommand accepts `--timeout <DUR>` (e.g. `100ms`, `5s`, `2m`)
 //! and `--max-nodes <N>`, which govern the whole run under one shared
-//! budget. Any other flag, or an argument past those a subcommand takes,
+//! budget: when either runs out, the run ends with exit 3 and prints no
+//! result. Any other flag, or an argument past those a subcommand takes,
 //! is a usage error. Exit codes: 0 success, 2 bad input or usage, 3
-//! budget exceeded. When `--max-nodes` stops the divide-and-conquer
-//! build, the run degrades to whole-graph labeling (still correct, noted
-//! on stderr) instead of failing.
+//! budget exceeded.
 //!
 //! Observability (DESIGN.md §9): `--stats` prints the counter and
 //! phase-time report to stderr after the run; `--trace-json <path>`
@@ -57,7 +56,7 @@
 mod batch;
 
 use dvicl_core::ssm::{try_count_images, try_enumerate_images, SsmIndex};
-use dvicl_core::{aut, build_autotree_resilient, iso, ksym, AutoTree, DviclOptions};
+use dvicl_core::{aut, iso, ksym, try_build_autotree, AutoTree, DviclOptions};
 use dvicl_govern::{parse_duration, Budget, DviclError};
 use dvicl_graph::{graph6, io as gio, Coloring, Graph, V};
 use std::io::Read;
@@ -183,7 +182,7 @@ impl ObsConfig {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N] [QUERIES]\n  dvicl serve    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...)\n  --max-nodes <N>      work budget in search/build nodes\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  NDJSON events + summary to PATH\n  --paranoid           re-check every result against its witness\n  --fault-plan <SPEC>  deterministic fault injection (see DESIGN.md §11)\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
+    "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N] [QUERIES]\n  dvicl serve    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...)\n  --max-nodes <N>      work cap in search/build nodes (exit 3 when spent)\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  NDJSON events + summary to PATH\n  --paranoid           re-check every result against its witness\n  --fault-plan <SPEC>  deterministic fault injection (see DESIGN.md §11)\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
 }
 
 /// A CLI failure: either a usage mistake (print the help text, exit 2)
@@ -408,17 +407,12 @@ fn load_text(text: &str) -> Result<Graph, DviclError> {
 }
 
 fn build(g: &Graph, budget: &Budget, opts: &RunOptions) -> Result<AutoTree, DviclError> {
-    let outcome = build_autotree_resilient(g, &Coloring::unit(g.n()), &opts.build, budget)?;
-    if outcome.degraded {
-        eprintln!("note: node budget exhausted; degraded to whole-graph labeling");
-    }
+    let tree = try_build_autotree(g, &Coloring::unit(g.n()), &opts.build, budget)?;
     if opts.paranoid {
-        // Degraded trees go through the same checks as full ones: the
-        // witness contract does not weaken under degradation.
-        dvicl_core::verify::verify_tree(g, &outcome.tree)?;
+        dvicl_core::verify::verify_tree(g, &tree)?;
         eprintln!("paranoid: tree witness checks passed");
     }
-    Ok(outcome.tree)
+    Ok(tree)
 }
 
 fn canon(ld: &mut Loader, spec: &str, budget: &Budget, opts: &RunOptions) -> Result<(), CliError> {
@@ -469,13 +463,7 @@ fn isomorphic(
     opts: &RunOptions,
 ) -> Result<(), CliError> {
     let (ga, gb) = (ld.load(a)?, ld.load(b)?);
-    let outcome = iso::try_find_isomorphism_outcome(&ga, &gb, &opts.build, budget)?;
-    if outcome.degraded {
-        // Same marker contract as `build`: a degraded answer is still
-        // correct but the caller must be able to see it happened.
-        eprintln!("note: node budget exhausted; degraded to whole-graph labeling");
-    }
-    match outcome.mapping {
+    match iso::try_find_isomorphism(&ga, &gb, &opts.build, budget)? {
         Some(gamma) => {
             if opts.paranoid {
                 dvicl_core::verify::verify_iso(&ga, &gb, &gamma)?;

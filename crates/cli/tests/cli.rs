@@ -232,20 +232,31 @@ fn timeout_exits_3_within_twice_the_deadline() {
 }
 
 #[test]
-fn max_nodes_degrades_gracefully() {
-    // A node budget far too small for the divided build: the run must
-    // still succeed (whole-graph fallback), note the degradation on
-    // stderr, and print a certificate.
-    let out = bin()
-        .args(["canon", "--max-nodes", "2", "g6:IheA@GUAo"])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("degraded"), "got: {stderr}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("n: 10  m: 15"));
-    assert!(stdout.contains("certificate (canonical graph6):"));
+fn max_nodes_caps_every_subcommand() {
+    // A work cap far too small for Petersen's build: every one-shot
+    // subcommand that builds must stop with exit 3, name the exhausted
+    // resource, and print no result.
+    let petersen = "g6:IheA@GUAo";
+    let runs: [&[&str]; 7] = [
+        &["canon", petersen],
+        &["aut", petersen],
+        &["iso", petersen, petersen],
+        &["tree", petersen],
+        &["ssm", petersen, "0"],
+        &["ksym", petersen, "2"],
+        &["quotient", petersen],
+    ];
+    for args in runs {
+        let out = bin()
+            .args(["--max-nodes", "2"])
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{args:?}: {stderr}");
+        assert!(stderr.contains("work units"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+    }
 }
 
 #[test]
@@ -283,27 +294,9 @@ fn paranoid_verifies_results() {
 }
 
 #[test]
-fn paranoid_covers_degraded_results() {
-    // A degraded run must pass the same witness checks and carry both
-    // the degradation marker and the paranoid confirmation.
-    let out = bin()
-        .args(["canon", "--paranoid", "--max-nodes", "2", "g6:IheA@GUAo"])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("degraded"), "got: {stderr}");
-    assert!(
-        stderr.contains("paranoid: tree witness checks passed"),
-        "got: {stderr}"
-    );
-}
-
-#[test]
 fn fault_plan_flag_trips_deterministically() {
-    // Tripping the work budget at the first build checkpoint degrades
-    // the run (marker on stderr, exit 0) — the resilient path treats an
-    // injected WorkUnits trip exactly like a real one.
+    // Tripping the work budget at the first build checkpoint aborts the
+    // run exactly like a real work-cap trip: typed error, exit 3.
     let out = bin()
         .args([
             "canon",
@@ -315,14 +308,11 @@ fn fault_plan_flag_trips_deterministically() {
         .output()
         .expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "got: {stderr}");
-    assert!(stderr.contains("degraded"), "got: {stderr}");
-    assert!(
-        stderr.contains("paranoid: tree witness checks passed"),
-        "got: {stderr}"
-    );
+    assert_eq!(out.status.code(), Some(3), "got: {stderr}");
+    assert!(stderr.contains("work units"), "got: {stderr}");
+    assert!(out.stdout.is_empty());
 
-    // Cancellation is not degradable: typed error, exit 3.
+    // Cancellation: typed error, exit 3.
     let out = bin()
         .args([
             "canon",

@@ -80,9 +80,6 @@ pub struct SubArena {
     /// Segment releases that handed buffer space back for reuse
     /// (`arena_reuses`).
     reuses: u64,
-    /// Optional ceiling on pool bytes: [`SubArena::try_induced_child`]
-    /// fails (and rolls back) instead of carving past it.
-    ceiling_bytes: Option<usize>,
 }
 
 impl SubArena {
@@ -141,10 +138,10 @@ impl SubArena {
     /// let root = arena.whole(&g);
     /// let before = arena.mark();
     /// let n = SubArena::scoped(&mut arena, |a| a, |a| {
-    ///     let child = a.try_induced_child(&root, &[0, 1, 2])?;
-    ///     Ok::<_, dvicl_govern::DviclError>(child.n())
+    ///     let child = a.induced_child(&root, &[0, 1, 2]);
+    ///     child.n()
     /// });
-    /// assert_eq!(n.unwrap(), 3);
+    /// assert_eq!(n, 3);
     /// assert_eq!(arena.mark(), before, "the carve is gone");
     /// ```
     ///
@@ -197,39 +194,9 @@ impl SubArena {
         self.bytes_peak
     }
 
-    /// Sets (or clears) the allocation ceiling consulted by
-    /// [`SubArena::try_induced_child`].
-    pub fn set_ceiling_bytes(&mut self, ceiling: Option<usize>) {
-        self.ceiling_bytes = ceiling;
-    }
-
     /// Current pool bytes (not the peak).
     pub fn bytes_now(&self) -> usize {
         (self.verts.len() + self.offs.len() + self.adj.len()) * std::mem::size_of::<u32>()
-    }
-
-    /// Ceiling-checked [`SubArena::induced_child`]: carves the child,
-    /// then fails with `BudgetExceeded { resource: Memory }` — rolling
-    /// the carve back, pools exactly as before — if the pools now
-    /// exceed the configured ceiling. Infallible when no ceiling is set.
-    pub fn try_induced_child(
-        &mut self,
-        parent: &Sub,
-        locals: &[u32],
-    ) -> Result<Sub, dvicl_govern::DviclError> {
-        let mark = self.mark();
-        let sub = self.induced_child(parent, locals);
-        if let Some(ceil) = self.ceiling_bytes {
-            let bytes = self.bytes_now();
-            if bytes > ceil {
-                self.release(mark);
-                return Err(dvicl_govern::DviclError::BudgetExceeded {
-                    resource: dvicl_govern::Resource::Memory,
-                    spent: bytes as u64,
-                });
-            }
-        }
-        Ok(sub)
     }
 
     /// How many releases actually freed a segment.
@@ -241,8 +208,7 @@ impl SubArena {
     /// capacity — the reuse primitive behind `core::Session`. The
     /// high-water mark and reuse count restart at zero so the
     /// `sub_bytes_peak` / `arena_reuses` counters keep their per-build
-    /// meaning when one arena serves many builds; the ceiling is kept
-    /// (it is configured per build by the builder anyway).
+    /// meaning when one arena serves many builds.
     pub fn reset(&mut self) {
         self.verts.clear();
         self.offs.clear();
@@ -252,11 +218,7 @@ impl SubArena {
     }
 
     fn note_high_water(&mut self) {
-        let bytes =
-            (self.verts.len() + self.offs.len() + self.adj.len()) * std::mem::size_of::<u32>();
-        if bytes > self.bytes_peak {
-            self.bytes_peak = bytes;
-        }
+        self.bytes_peak = self.bytes_peak.max(self.bytes_now());
     }
 
     /// Carves the induced child of `parent` on the given local indices
@@ -562,29 +524,36 @@ mod tests {
     }
 
     #[test]
-    fn ceiling_rolls_back_and_marks_compare() {
+    fn scoped_restores_the_mark_on_every_exit() {
         let g = named::petersen();
         let mut a = SubArena::new();
         let root = a.whole(&g);
         let mark = a.mark();
         assert_eq!(mark, a.mark(), "marks of the same state are equal");
-        // A ceiling just under the current footprint: any carve must fail
-        // and leave the pools exactly where they were.
-        a.set_ceiling_bytes(Some(a.bytes_now()));
-        let err = a.try_induced_child(&root, &[0, 1, 2, 3, 4]).unwrap_err();
-        assert!(matches!(
-            err,
-            dvicl_govern::DviclError::BudgetExceeded {
-                resource: dvicl_govern::Resource::Memory,
-                ..
-            }
-        ));
-        assert_eq!(a.mark(), mark, "failed carve must roll back fully");
-        // With the ceiling lifted the same carve succeeds.
-        a.set_ceiling_bytes(None);
-        let c = a.try_induced_child(&root, &[0, 1, 2, 3, 4]).unwrap();
-        assert_eq!(a.verts(&c), &[0, 1, 2, 3, 4]);
-        assert_ne!(a.mark(), mark);
+        let n = SubArena::scoped(
+            &mut a,
+            |a| a,
+            |a| {
+                let c = a.induced_child(&root, &[0, 1, 2, 3, 4]);
+                assert_eq!(a.verts(&c), &[0, 1, 2, 3, 4]);
+                assert_ne!(a.mark(), mark, "the carve moved the pools");
+                c.n()
+            },
+        );
+        assert_eq!(n, 5);
+        assert_eq!(a.mark(), mark, "a finished carve is released");
+        // An early error return out of the closure releases its carve too.
+        let r: Result<(), &str> = SubArena::scoped(
+            &mut a,
+            |a| a,
+            |a| {
+                let c = a.induced_child(&root, &[5, 6, 7]);
+                let _nested = a.induced_child(&c, &[0, 1]);
+                Err("abort")
+            },
+        );
+        assert_eq!(r, Err("abort"));
+        assert_eq!(a.mark(), mark, "an aborted carve is released");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::sub::{Division, Sub};
 use crate::tree::{AutoTree, Node, NodeId, NodeKind, PoolRange, EMPTY, NO_PARENT};
 use dvicl_canon::{try_canonical_form_with as ir_try_canonical_form_with, CanonResult, Config};
 use dvicl_govern::fault::Site;
-use dvicl_govern::{Budget, DviclError, Resource};
+use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{vertex_range, CanonForm, Coloring, FormRef, Graph, V};
 use dvicl_obs::{self as obs, Counter, Phase};
 use dvicl_refine::Refiner;
@@ -45,10 +45,8 @@ impl Default for DviclOptions {
 /// `budget` is one *global* allowance covering the whole
 /// divide-and-conquer recursion, every leaf-labeler invocation inside
 /// it, and the refinement loops those run — not a per-leaf limit. Aborts
-/// with [`DviclError::BudgetExceeded`] or [`DviclError::Cancelled`].
-///
-/// For a build that survives work-budget exhaustion by degrading to
-/// whole-graph IR labeling, see [`build_autotree_resilient`].
+/// with [`DviclError::BudgetExceeded`] or [`DviclError::Cancelled`] when
+/// any limit runs out, a work cap included.
 ///
 /// ```
 /// use dvicl_graph::{named, Coloring};
@@ -67,81 +65,19 @@ pub fn try_build_autotree(
     opts: &DviclOptions,
     budget: &Budget,
 ) -> Result<AutoTree, DviclError> {
-    run_build(&mut Scratch::new(), g, pi0, opts, budget, false)
-}
-
-/// A built AutoTree together with how it was obtained.
-pub struct BuildOutcome {
-    /// The tree.
-    pub tree: AutoTree,
-    /// True when the divide-and-conquer build ran out of its *work*
-    /// budget and the tree is the whole-graph IR fallback: a single
-    /// leaf, still a correct canonical form, just computed without
-    /// divide-and-conquer savings. Degraded and non-degraded
-    /// certificates of the same graph are **not** comparable — compare
-    /// like with like (see `iso::try_find_isomorphism_colored_outcome`).
-    pub degraded: bool,
-}
-
-/// Budgeted build with graceful degradation: when the divide-and-conquer
-/// recursion exhausts the budget's *work cap*, the graph is re-labeled
-/// as one whole-graph IR leaf under the same deadline and cancel token
-/// (but no work cap) instead of failing. Wall-clock exhaustion and
-/// cancellation still abort — a deadline is a promise to the caller,
-/// while a work cap is a heuristic on divide effectiveness.
-pub fn build_autotree_resilient(
-    g: &Graph,
-    pi0: &Coloring,
-    opts: &DviclOptions,
-    budget: &Budget,
-) -> Result<BuildOutcome, DviclError> {
-    let scratch = &mut Scratch::new();
-    match run_build(scratch, g, pi0, opts, budget, false) {
-        Ok(tree) => Ok(BuildOutcome {
-            tree,
-            degraded: false,
-        }),
-        Err(DviclError::BudgetExceeded {
-            resource: Resource::WorkUnits,
-            ..
-        }) => {
-            let tree = run_build(scratch, g, pi0, opts, &budget.without_work_limit(), true)?;
-            Ok(BuildOutcome {
-                tree,
-                degraded: true,
-            })
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// Builds the degraded-mode tree directly: no divide rules, the whole
-/// graph labeled as one IR leaf. This is what
-/// [`build_autotree_resilient`] falls back to; it is public so callers
-/// that must compare certificates across runs (e.g. isomorphism checks
-/// where only one side degraded) can force both sides into the same
-/// labeling mode.
-pub fn build_autotree_whole_leaf(
-    g: &Graph,
-    pi0: &Coloring,
-    opts: &DviclOptions,
-    budget: &Budget,
-) -> Result<AutoTree, DviclError> {
-    run_build(&mut Scratch::new(), g, pi0, opts, budget, true)
+    run_build(&mut Scratch::new(), g, pi0, opts, budget)
 }
 
 /// The one build every entry point runs, against caller-owned
 /// [`Scratch`] (`core::Session` reuses its buffers through it): check
 /// the coloring's size, refine it to the equitable `π` (Algorithm 1,
-/// lines 1–2), then divide and conquer from the root, or label the
-/// whole graph as one IR leaf when `force_leaf` is set.
+/// lines 1–2), then divide and conquer from the root.
 pub(crate) fn run_build(
     scratch: &mut Scratch,
     g: &Graph,
     pi0: &Coloring,
     opts: &DviclOptions,
     budget: &Budget,
-    force_leaf: bool,
 ) -> Result<AutoTree, DviclError> {
     if g.n() != pi0.n() {
         return Err(DviclError::invalid(format!(
@@ -191,7 +127,6 @@ pub(crate) fn run_build(
         pi: &pi,
         opts,
         budget,
-        force_leaf,
         scratch,
     };
     let whole = b.scratch.arena.whole(g);
@@ -357,9 +292,6 @@ struct Builder<'a> {
     pi: &'a Coloring,
     opts: &'a DviclOptions,
     budget: &'a Budget,
-    /// Degraded mode: skip every divide rule so the root becomes a
-    /// single whole-graph IR leaf.
-    force_leaf: bool,
     /// The borrowed working state: the stack-disciplined subgraph arena
     /// (a child's segment is released, and its buffer space reused, as
     /// soon as its subtree has combined), the refiner every leaf search
@@ -415,13 +347,8 @@ impl Builder<'_> {
     /// (the trivial divide), then `DivideI`, then `DivideS` (Algorithm 1
     /// lines 11–12). The node's projection `π_g` is grouped once, when
     /// the component divide fails, and serves both rules and `CombineCL`.
-    /// Degraded mode skips every rule: the node becomes a whole-graph IR
-    /// leaf.
     fn divide(&mut self, sub: &Sub) -> Divided {
         let arena = &mut self.scratch.arena;
-        if self.force_leaf {
-            return Divided::Leaf(self.pi.project(arena.verts(sub)));
-        }
         let _span = obs::span(Phase::CoreDivide);
         if let Some(d) = arena.divide_components(sub) {
             return Divided::Parts(d);
@@ -461,7 +388,7 @@ impl Builder<'_> {
                 |b| &mut b.scratch.arena,
                 |b| {
                     dvicl_govern::fault::checkpoint(Site::CoreArenaCarve)?;
-                    let child = b.scratch.arena.try_induced_child(sub, part)?;
+                    let child = b.scratch.arena.induced_child(sub, part);
                     b.build(child, depth + 1, parent_id)
                 },
             )?);
@@ -900,69 +827,6 @@ mod tests {
         let gamma = pseudo_random_perm(20, 5);
         let t2 = tree_of(&g.permuted(&gamma));
         assert_eq!(t.canonical_form(), t2.canonical_form());
-    }
-
-    #[test]
-    fn resilient_build_degrades_under_tiny_work_budget() {
-        let g = named::fig1_example();
-        let pi = Coloring::unit(8);
-        let opts = DviclOptions::default();
-        // A 3-unit budget cannot cover root refinement plus the 7-node
-        // divided tree: the strict build must fail...
-        let strict = try_build_autotree(&g, &pi, &opts, &Budget::with_max_work(3));
-        assert!(matches!(
-            strict,
-            Err(DviclError::BudgetExceeded {
-                resource: Resource::WorkUnits,
-                ..
-            })
-        ));
-        // ...and the resilient build must fall back to one whole-graph
-        // IR leaf instead.
-        let out = build_autotree_resilient(&g, &pi, &opts, &Budget::with_max_work(3))
-            .expect("degradation absorbs work exhaustion");
-        assert!(out.degraded);
-        assert_eq!(out.tree.stats().total_nodes, 1);
-        assert_eq!(
-            out.tree.node(out.tree.root()).kind(),
-            NodeKind::NonSingletonLeaf
-        );
-        // The degraded certificate is still relabeling-invariant.
-        let gamma = pseudo_random_perm(8, 42);
-        let out2 =
-            build_autotree_resilient(&g.permuted(&gamma), &pi, &opts, &Budget::with_max_work(3))
-                .expect("degradation absorbs work exhaustion");
-        assert!(out2.degraded);
-        assert_eq!(out.tree.canonical_form(), out2.tree.canonical_form());
-    }
-
-    #[test]
-    fn resilient_build_is_transparent_when_budget_suffices() {
-        let g = named::fig1_example();
-        let pi = Coloring::unit(8);
-        let out = build_autotree_resilient(&g, &pi, &DviclOptions::default(), &Budget::unlimited())
-            .expect("unlimited build succeeds");
-        assert!(!out.degraded);
-        assert_eq!(out.tree.stats().total_nodes, 7);
-        assert_eq!(out.tree.canonical_form(), tree_of(&g).canonical_form());
-    }
-
-    #[test]
-    fn resilient_build_propagates_deadline_exhaustion() {
-        // Degradation is only for work caps: a passed deadline means the
-        // caller's time promise is already broken, so the error surfaces.
-        let g = named::petersen();
-        let budget = Budget::with_deadline(std::time::Duration::from_nanos(1));
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let r =
-            build_autotree_resilient(&g, &Coloring::unit(10), &DviclOptions::default(), &budget);
-        assert!(matches!(
-            r,
-            Err(DviclError::BudgetExceeded {
-                resource: Resource::WallClock,
-                ..
-            })
-        ));
     }
 
     #[test]

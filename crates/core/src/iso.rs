@@ -4,39 +4,22 @@
 //! (`γ₁ ∘ γ₂⁻¹`), the standard use of a canonical form the paper notes for
 //! database retrieval.
 
-use crate::build::{
-    build_autotree_resilient, build_autotree_whole_leaf, try_build_autotree, BuildOutcome,
-    DviclOptions,
-};
+use crate::build::{try_build_autotree, DviclOptions};
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{as_vertex, Coloring, Graph, Perm, V};
 
-/// The result of a budgeted isomorphism extraction: the mapping (if the
-/// graphs are isomorphic) plus whether the answer came from degraded
-/// (whole-graph fallback) builds — callers that surface degradation to
-/// users (the CLI's stderr marker) need the flag, not just the mapping.
-pub struct IsoOutcome {
-    /// An isomorphism `γ` with `g1^γ = g2`, or `None` if the graphs are
-    /// not isomorphic.
-    pub mapping: Option<Perm>,
-    /// True when a work-cap exhaustion forced whole-graph IR labeling
-    /// on both sides. The answer is still exact.
-    pub degraded: bool,
-}
-
-/// Finds an isomorphism `γ` with `g1^γ = g2` (unit colorings), with
-/// graceful degradation (see [`try_find_isomorphism_colored_outcome`]):
-/// a work-cap exhaustion degrades both sides to whole-graph IR labeling
-/// instead of failing, so the mapping — composed from two labelings
-/// produced in the *same* mode — stays valid. Both trees are built
-/// with `opts`. Pass [`Budget::unlimited`] for no limit.
-pub fn try_find_isomorphism_outcome(
+/// Finds an isomorphism `γ` with `g1^γ = g2` (unit colorings), or
+/// `None` if the graphs are not isomorphic. Both trees are built with
+/// `opts` under the one `budget`; any exhausted limit, a work cap
+/// included, aborts with a typed error. Pass [`Budget::unlimited`] for
+/// no limit.
+pub fn try_find_isomorphism(
     g1: &Graph,
     g2: &Graph,
     opts: &DviclOptions,
     budget: &Budget,
-) -> Result<IsoOutcome, DviclError> {
-    try_find_isomorphism_colored_outcome(
+) -> Result<Option<Perm>, DviclError> {
+    try_find_isomorphism_colored(
         g1,
         &Coloring::unit(g1.n()),
         g2,
@@ -46,65 +29,34 @@ pub fn try_find_isomorphism_outcome(
     )
 }
 
-/// Colored variant of [`try_find_isomorphism_outcome`]: the returned
-/// `γ` additionally maps each cell of `pi1` onto the equally colored
-/// cell of `pi2`.
-///
-/// A degraded (single-leaf) certificate is not comparable with a
-/// divided-tree certificate of the same graph, so if only one side
-/// degrades the other is rebuilt in degraded mode too.
-pub fn try_find_isomorphism_colored_outcome(
+/// Colored variant of [`try_find_isomorphism`]: the returned `γ`
+/// additionally maps each cell of `pi1` onto the equally colored cell
+/// of `pi2`.
+pub fn try_find_isomorphism_colored(
     g1: &Graph,
     pi1: &Coloring,
     g2: &Graph,
     pi2: &Coloring,
     opts: &DviclOptions,
     budget: &Budget,
-) -> Result<IsoOutcome, DviclError> {
+) -> Result<Option<Perm>, DviclError> {
     if !same_shape(g1, pi1, g2, pi2) {
-        return Ok(IsoOutcome {
-            mapping: None,
-            degraded: false,
-        });
+        return Ok(None);
     }
-    let mut t1 = build_autotree_resilient(g1, pi1, opts, budget)?;
-    let mut t2 = build_autotree_resilient(g2, pi2, opts, budget)?;
-    if t1.degraded != t2.degraded {
-        // Certificates from a divided tree and a whole-graph leaf are not
-        // comparable; rebuild the non-degraded side in degraded mode.
-        let relaxed = budget.without_work_limit();
-        if t1.degraded {
-            t2 = BuildOutcome {
-                tree: build_autotree_whole_leaf(g2, pi2, opts, &relaxed)?,
-                degraded: true,
-            };
-        } else {
-            t1 = BuildOutcome {
-                tree: build_autotree_whole_leaf(g1, pi1, opts, &relaxed)?,
-                degraded: true,
-            };
-        }
-    }
-    let degraded = t1.degraded;
-    if t1.tree.canonical_form() != t2.tree.canonical_form() {
-        return Ok(IsoOutcome {
-            mapping: None,
-            degraded,
-        });
+    let t1 = try_build_autotree(g1, pi1, opts, budget)?;
+    let t2 = try_build_autotree(g2, pi2, opts, budget)?;
+    if t1.canonical_form() != t2.canonical_form() {
+        return Ok(None);
     }
     let gamma = t1
-        .tree
         .canonical_labeling()
-        .then(&t2.tree.canonical_labeling().inverse());
+        .then(&t2.canonical_labeling().inverse());
     debug_assert_eq!(
         g1.permuted(&gamma),
         *g2,
         "composed labeling must realize the isomorphism"
     );
-    Ok(IsoOutcome {
-        mapping: Some(gamma),
-        degraded,
-    })
+    Ok(Some(gamma))
 }
 
 /// The checks that answer "not isomorphic" without building anything:
@@ -127,15 +79,9 @@ mod tests {
     use super::*;
     use dvicl_graph::named;
 
-    /// The mapping found under `budget`, which may degrade but not fail.
-    fn mapping(g1: &Graph, g2: &Graph, budget: &Budget) -> Option<Perm> {
-        try_find_isomorphism_outcome(g1, g2, &DviclOptions::default(), budget)
-            .expect("work exhaustion must degrade, not fail")
-            .mapping
-    }
-
     pub(super) fn find_isomorphism(g1: &Graph, g2: &Graph) -> Option<Perm> {
-        mapping(g1, g2, &Budget::unlimited())
+        try_find_isomorphism(g1, g2, &DviclOptions::default(), &Budget::unlimited())
+            .expect("unlimited build cannot fail")
     }
 
     #[test]
@@ -171,7 +117,7 @@ mod tests {
         let pin_other_end = Coloring::from_cells(vec![vec![0, 1], vec![2]]).unwrap();
         let pin_mid = Coloring::from_cells(vec![vec![0, 2], vec![1]]).unwrap();
         let colored = |pi1, pi2| {
-            try_find_isomorphism_colored_outcome(
+            try_find_isomorphism_colored(
                 &g,
                 pi1,
                 &g,
@@ -180,7 +126,6 @@ mod tests {
                 &Budget::unlimited(),
             )
             .unwrap()
-            .mapping
         };
         let gamma = colored(&pin_end, &pin_other_end).expect("ends are exchangeable");
         assert_eq!(gamma.apply(0), 2); // the pinned end must map to the pinned end
@@ -188,56 +133,27 @@ mod tests {
     }
 
     #[test]
-    fn degraded_mapping_is_still_an_isomorphism() {
-        // Under a work budget far too small for the divide-and-conquer
-        // build, the extracted mapping must still realize g1 ≅ g2.
+    fn a_work_cap_is_a_typed_error() {
+        // Petersen's build spends more than two units, so a cap of two
+        // aborts the answer instead of relabeling the graph some other way.
         let g = named::petersen();
-        let gamma = Perm::from_cycles(10, &[&[0, 7], &[2, 4, 9]]).unwrap();
-        let h = g.permuted(&gamma);
-        let tight = Budget::with_max_work(2);
-        let found = mapping(&g, &h, &tight).expect("isomorphic by construction");
-        assert_eq!(g.permuted(&found), h);
-        // A non-isomorphic pair with the same vertex and edge counts (the
-        // Möbius ladder M5 is 3-regular on 10 vertices like Petersen, but
-        // has girth 4) still comes back negative when degraded.
-        let ladder = dvicl_graph::Graph::from_edges(
-            10,
-            &[
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 7),
-                (7, 8),
-                (8, 9),
-                (9, 0),
-                (0, 5),
-                (1, 6),
-                (2, 7),
-                (3, 8),
-                (4, 9),
-            ],
-        );
-        assert_eq!(mapping(&g, &ladder, &Budget::with_max_work(2)), None);
-    }
-
-    #[test]
-    fn outcome_exposes_the_degradation_flag() {
-        let g = named::petersen();
-        let h = g.permuted(&Perm::from_cycles(10, &[&[0, 7]]).unwrap());
+        let h = g.permuted(&Perm::from_cycles(10, &[&[0, 7], &[2, 4, 9]]).unwrap());
         let opts = DviclOptions::default();
-        let out = try_find_isomorphism_outcome(&g, &h, &opts, &Budget::with_max_work(2)).unwrap();
-        assert!(out.degraded);
-        assert!(out.mapping.is_some());
-        let out = try_find_isomorphism_outcome(&g, &h, &opts, &Budget::unlimited()).unwrap();
-        assert!(!out.degraded);
-        // A size mismatch is answered without building anything.
-        let out = try_find_isomorphism_outcome(&g, &named::cycle(5), &opts, &Budget::unlimited())
-            .unwrap();
-        assert!(!out.degraded);
-        assert!(out.mapping.is_none());
+        assert!(matches!(
+            try_find_isomorphism(&g, &h, &opts, &Budget::with_max_work(2)),
+            Err(DviclError::BudgetExceeded {
+                resource: dvicl_govern::Resource::WorkUnits,
+                ..
+            })
+        ));
+        // A size mismatch is answered without building anything, so it
+        // spends nothing and fits any cap.
+        let capped = Budget::with_max_work(0);
+        assert_eq!(
+            try_find_isomorphism(&g, &named::cycle(5), &opts, &capped),
+            Ok(None)
+        );
+        assert_eq!(capped.work_spent(), 0);
     }
 
     #[test]
@@ -257,7 +173,7 @@ mod tests {
 /// graph makes the two sides symmetric siblings (equal certificates under
 /// the root).
 ///
-/// [`try_find_isomorphism_outcome`] (two independent canonical forms) is
+/// [`try_find_isomorphism`] (two independent canonical forms) is
 /// the practical API; this function exists to exercise the theorem's
 /// construction and is tested to agree with it. `budget` governs the
 /// build of the auxiliary graph.

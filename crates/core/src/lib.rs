@@ -44,10 +44,7 @@ mod tree;
 pub mod verify;
 
 pub use arena::{ArenaMark, SubArena};
-pub use build::{
-    build_autotree_resilient, build_autotree_whole_leaf, try_build_autotree, BuildOutcome,
-    DviclOptions,
-};
+pub use build::{try_build_autotree, DviclOptions};
 pub use session::Session;
 pub use sub::{Division, Sub};
 pub use tree::{AutoTree, Node, NodeId, NodeKind, NodeRef, TreeStats};

@@ -88,7 +88,7 @@ impl Session {
         budget: &Budget,
     ) -> Result<AutoTree, DviclError> {
         self.note_build();
-        run_build(&mut self.scratch, g, pi0, &self.opts, budget, false)
+        run_build(&mut self.scratch, g, pi0, &self.opts, budget)
     }
 
     /// [`Session::try_build`] under an unlimited budget. Panics where that

@@ -234,7 +234,7 @@ impl AutoTree {
     /// with different cell sizes onto one refined coloring, so colored
     /// inputs are isomorphic iff these certificates are equal and the
     /// input colorings' cell sizes agree
-    /// ([`crate::iso::try_find_isomorphism_colored_outcome`]).
+    /// ([`crate::iso::try_find_isomorphism_colored`]).
     pub fn canonical_form(&self) -> FormRef<'_> {
         self.node(self.root).form()
     }

@@ -14,9 +14,8 @@
 //! * [`verify_iso`] checks a claimed mapping `γ` actually satisfies
 //!   `g1^γ = g2`.
 //!
-//! Degraded results (whole-graph fallback, SSM truncation) carry the
-//! same witnesses and pass the same checks — degradation trades divide
-//! savings, never correctness.
+//! A build that runs out of budget returns a typed error, not a tree,
+//! so there is no partial result to check.
 //!
 //! A failed check is [`DviclError::WitnessFailure`] (CLI exit code 4):
 //! always a pipeline bug or an injected fault, never a property of the
@@ -214,7 +213,7 @@ pub fn verify_generators(g: &Graph, tree: &AutoTree) -> Result<(), DviclError> {
 
 /// Runs every tree-level witness check: [`verify_root_form`] then
 /// [`verify_generators`]. This is what `--paranoid` runs after each
-/// build, degraded or not.
+/// build.
 pub fn verify_tree(g: &Graph, tree: &AutoTree) -> Result<(), DviclError> {
     let _span = obs::span(Phase::CoreVerify);
     verify_root_form(g, tree)?;
@@ -265,10 +264,8 @@ pub fn verify_iso(g1: &Graph, g2: &Graph, gamma: &Perm) -> Result<(), DviclError
 )]
 mod tests {
     use super::*;
-    use crate::build::{
-        build_autotree_resilient, build_autotree_whole_leaf, tree_of, DviclOptions,
-    };
-    use crate::iso::try_find_isomorphism_outcome;
+    use crate::build::{tree_of, try_build_autotree, DviclOptions};
+    use crate::iso::try_find_isomorphism;
     use dvicl_govern::Budget;
     use dvicl_graph::{named, Coloring};
 
@@ -287,22 +284,6 @@ mod tests {
         ] {
             let t = tree_of(&g);
             verify_tree(&g, &t).expect("healthy build must verify");
-        }
-    }
-
-    #[test]
-    fn degraded_trees_verify_identically() {
-        for g in [named::fig1_example(), named::petersen(), named::frucht()] {
-            let pi = Coloring::unit(g.n());
-            let out = build_autotree_resilient(
-                &g,
-                &pi,
-                &DviclOptions::default(),
-                &Budget::with_max_work(3),
-            )
-            .expect("work exhaustion degrades");
-            assert!(out.degraded);
-            verify_tree(&g, &out.tree).expect("degraded build must verify");
         }
     }
 
@@ -359,27 +340,27 @@ mod tests {
 
     #[test]
     fn generators_reject_color_breaking_maps() {
-        // A star's tree: hub and leaves have different colors. Forge a
-        // generator pair mapping a leaf onto the hub.
-        let g = named::star(4);
-        let mut t = build_autotree_whole_leaf(
-            &g,
-            &Coloring::unit(g.n()),
-            &DviclOptions::default(),
-            &Budget::unlimited(),
-        )
-        .unwrap();
-        // The whole-leaf tree's root is one non-singleton leaf; append a
-        // forged generator mapping vertex 1 (spoke) to 0 (hub).
+        // Petersen with vertex 0 pre-colored refines to {0}, its three
+        // neighbors and the six others. DivideI splits off {0}; the other
+        // nine vertices form one leaf with two cells. Forge a generator
+        // on that leaf that swaps a neighbor of 0 with a non-neighbor.
+        let g = named::petersen();
+        let pi = Coloring::from_cells(vec![vec![0], (1..10).collect()]).unwrap();
+        let mut t =
+            try_build_autotree(&g, &pi, &DviclOptions::default(), &Budget::unlimited()).unwrap();
+        let leaf = (0..t.nodes.len())
+            .find(|&id| t.nodes[id].kind == NodeKind::NonSingletonLeaf)
+            .expect("the nine-vertex leaf");
+        assert_eq!(t.node(leaf).n(), 9);
+        let (near, far) = (g.neighbors(0)[0], 2);
+        assert!(!g.has_edge(0, far) && t.pi.color_of(near) != t.pi.color_of(far));
         let pstart = t.gen_pairs.len() as u32;
-        t.gen_pairs.push((1, 0));
-        t.gen_pairs.push((0, 1));
+        t.gen_pairs.push((near, far));
+        t.gen_pairs.push((far, near));
         t.gen_ranges.push((pstart, 2));
-        let root = t.root;
-        t.nodes[root].gens = (0, t.gen_ranges.len() as u32);
+        t.nodes[leaf].gens = (t.gen_ranges.len() as u32 - 1, 1);
         let err = verify_generators(&g, &t).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("color") || msg.contains("adjacency"), "{msg}");
+        assert!(err.to_string().contains("color"), "{err}");
     }
 
     #[test]
@@ -387,11 +368,9 @@ mod tests {
         let g = named::frucht();
         let gamma = Perm::from_cycles(12, &[&[0, 5], &[3, 8, 11]]).unwrap();
         let h = g.permuted(&gamma);
-        let found =
-            try_find_isomorphism_outcome(&g, &h, &DviclOptions::default(), &Budget::unlimited())
-                .unwrap()
-                .mapping
-                .unwrap();
+        let found = try_find_isomorphism(&g, &h, &DviclOptions::default(), &Budget::unlimited())
+            .unwrap()
+            .unwrap();
         verify_iso(&g, &h, &found).expect("a real mapping verifies");
         // The identity is NOT an isomorphism g → h here (Frucht is rigid
         // and γ ≠ id), so it must be rejected.

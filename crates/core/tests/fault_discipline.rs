@@ -3,13 +3,13 @@
 //! Two properties, both driven by the vendored deterministic proptest:
 //!
 //! 1. `SubArena` mark/release discipline survives *early returns*: when
-//!    a carve hits the allocation ceiling (or a deeper frame errors),
-//!    every enclosing frame still restores its mark, so the arena ends
-//!    each frame exactly where it started — bytes and mark both.
-//! 2. An installed fault plan may abort or degrade a build, but never
-//!    corrupts process state: the next clean build reproduces the
-//!    reference canonical form, and any tree that does come back is
-//!    witness-valid.
+//!    a frame errors after its carve (or a deeper frame does), every
+//!    enclosing frame still restores its mark, so the arena ends each
+//!    frame exactly where it started — bytes and mark both.
+//! 2. An injected fault that fires is never swallowed: the build
+//!    returns the injected typed error. A plan that does not fire leaves
+//!    a witness-valid tree. Either way process state is not corrupted:
+//!    the next clean build reproduces the reference canonical form.
 //!
 //! A fault plan is installed on the calling thread only, so the
 //! property that installs plans cannot reach the builds of any other
@@ -20,11 +20,9 @@
     reason = "test graphs are small: every vertex id, index and count fits in V"
 )]
 
-use dvicl_core::{
-    build_autotree_resilient, try_build_autotree, verify, DviclOptions, Sub, SubArena,
-};
+use dvicl_core::{try_build_autotree, verify, DviclOptions, Sub, SubArena};
 use dvicl_govern::fault::{self, FaultPlan, Site};
-use dvicl_govern::{Budget, DviclError, FaultAction};
+use dvicl_govern::{Budget, DviclError, FaultAction, Resource};
 use dvicl_graph::{Coloring, Graph, V};
 use proptest::prelude::*;
 
@@ -40,10 +38,18 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
-/// Recursively carves children like `Builder::build` does, asserting at
-/// every frame — on success *and* on early error return — that the
-/// frame's mark and byte level are restored before the frame exits.
-fn carve(arena: &mut SubArena, sub: &Sub, depth: usize, picks: &[u32]) -> Result<(), DviclError> {
+/// Recursively carves children like `Builder::build` does, failing
+/// inside the carve of the frame at depth `fail_at` (as a budget trip
+/// deep in a build does), and asserting at every frame — on success
+/// *and* on early error return — that the frame's mark and byte level
+/// are restored before the frame exits.
+fn carve(
+    arena: &mut SubArena,
+    sub: &Sub,
+    depth: usize,
+    fail_at: usize,
+    picks: &[u32],
+) -> Result<(), DviclError> {
     let n = arena.verts(sub).len();
     if depth == 0 || n <= 2 {
         return Ok(());
@@ -60,8 +66,11 @@ fn carve(arena: &mut SubArena, sub: &Sub, depth: usize, picks: &[u32]) -> Result
         arena,
         |a| a,
         |a| {
-            let child = a.try_induced_child(sub, &locals)?;
-            carve(a, &child, depth - 1, picks)
+            let child = a.induced_child(sub, &locals);
+            if depth == fail_at {
+                return Err(DviclError::Cancelled);
+            }
+            carve(a, &child, depth - 1, fail_at, picks)
         },
     );
     assert_eq!(arena.mark(), mark, "mark not restored at depth {depth}");
@@ -76,25 +85,23 @@ fn carve(arena: &mut SubArena, sub: &Sub, depth: usize, picks: &[u32]) -> Result
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Property 1: ceiling-induced early returns restore every frame.
+    /// Property 1: early returns from any depth restore every frame.
     #[test]
-    fn ceiling_early_returns_restore_every_frame(
+    fn early_returns_restore_every_frame(
         g in arb_graph(24),
         picks in proptest::collection::vec(any::<u32>(), 8..32),
-        slack in 0usize..4096,
+        fail_at in 0usize..=6,
     ) {
         let mut arena = SubArena::new();
         let whole = arena.whole(&g);
         let base = arena.bytes_now();
-        // A tight ceiling so deeper carves fail mid-recursion; zero
-        // slack fails on the first carve.
-        arena.set_ceiling_bytes(Some(base + slack));
         let outer_mark = arena.mark();
-        let r = carve(&mut arena, &whole, 6, &picks);
-        // The result may be Ok (all carves fit or were skipped) or a
-        // typed memory error — and either way the arena is level again.
+        // `fail_at` 0 never fails: the recursion stops at depth 1.
+        let r = carve(&mut arena, &whole, 6, fail_at, &picks);
+        // The result may be Ok (the failing frame was never reached) or
+        // the raised error — and either way the arena is level again.
         if let Err(e) = r {
-            prop_assert_eq!(e.exit_code(), 3, "ceiling must map to exhaustion");
+            prop_assert_eq!(e, DviclError::Cancelled);
         }
         prop_assert_eq!(arena.mark(), outer_mark);
         prop_assert_eq!(arena.bytes_now(), base);
@@ -123,16 +130,24 @@ proptest! {
             .canonical_labeling();
         let reference = g.permuted(&reference);
 
-        let action = if cancel { FaultAction::Cancel } else { FaultAction::Trip };
-        fault::install(FaultPlan::one(action, sites[site_idx], k));
-        let injected = build_autotree_resilient(&g, &pi, &opts, &budget);
+        let site = sites[site_idx];
+        let (action, injected_error) = if cancel {
+            (FaultAction::Cancel, DviclError::Cancelled)
+        } else {
+            let trip = DviclError::BudgetExceeded { resource: Resource::WorkUnits, spent: k };
+            (FaultAction::Trip, trip)
+        };
+        fault::install(FaultPlan::one(action, site, k));
+        let injected = try_build_autotree(&g, &pi, &opts, &budget);
+        let fired = fault::hit_counts().iter().any(|&(s, c)| s == site && c >= k);
         fault::clear();
         match injected {
-            Ok(o) => {
-                // Whatever came back — degraded or not — is witness-valid.
-                verify::verify_tree(&g, &o.tree).expect("witness-valid tree");
+            Ok(t) => {
+                let arm = format!("{}@{site}:{k}", action.name());
+                prop_assert!(!fired, "{arm} fired but the build returned a tree");
+                verify::verify_tree(&g, &t).expect("witness-valid tree");
             }
-            Err(e) => prop_assert_eq!(e.exit_code(), 3, "typed exhaustion expected"),
+            Err(e) => prop_assert_eq!(e, injected_error),
         }
 
         // No residue: the clean rebuild reproduces the reference form.

@@ -63,6 +63,11 @@ struct Inner {
 /// [`CancelToken`]. Clones share the same counters, so one budget can
 /// govern an entire pipeline (build + leaf searches + enumeration) as a
 /// single global allowance.
+///
+/// Every limit means the same thing: when it runs out, the computation
+/// holding the budget aborts with [`DviclError::BudgetExceeded`] or
+/// [`DviclError::Cancelled`]. Nothing retries under a relaxed limit, so
+/// a work cap bounds the work done, as a deadline bounds the time.
 #[derive(Clone, Debug)]
 pub struct Budget {
     inner: Arc<Inner>,
@@ -108,23 +113,6 @@ impl Budget {
     /// A budget with only a work cap.
     pub fn with_max_work(max_work: u64) -> Budget {
         Budget::new(None, Some(max_work))
-    }
-
-    /// A sibling budget that keeps this budget's deadline and cancel
-    /// token but drops the work cap (fresh counter). This is the
-    /// degraded-mode allowance: after the work cap stops the
-    /// divide-and-conquer build, the whole-graph fallback must still be
-    /// abortable by time and by cancellation.
-    pub fn without_work_limit(&self) -> Budget {
-        Budget {
-            inner: Arc::new(Inner {
-                started: self.inner.started,
-                deadline: self.inner.deadline,
-                max_work: None,
-                work: AtomicU64::new(0),
-                cancel: self.inner.cancel.clone(),
-            }),
-        }
     }
 
     /// A clone of the cancel token, for handing to whoever may abort
@@ -283,33 +271,5 @@ mod tests {
         token.cancel();
         assert_eq!(b.check(), Err(DviclError::Cancelled));
         assert_eq!(b.spend(STRIDE), Err(DviclError::Cancelled));
-    }
-
-    #[test]
-    fn without_work_limit_keeps_deadline_and_token() {
-        let strict =
-            Budget::with_cancel(Some(Duration::from_secs(3600)), Some(1), CancelToken::new());
-        strict.spend(1).unwrap();
-        assert!(strict.spend(1).is_err());
-        let relaxed = strict.without_work_limit();
-        for _ in 0..1000 {
-            relaxed.spend(1).unwrap();
-        }
-        strict.cancel_token().cancel();
-        assert_eq!(relaxed.check(), Err(DviclError::Cancelled));
-        let expiring =
-            Budget::with_cancel(Some(Duration::from_millis(1)), Some(1), CancelToken::new())
-                .without_work_limit();
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(
-            matches!(
-                expiring.check(),
-                Err(DviclError::BudgetExceeded {
-                    resource: Resource::WallClock,
-                    ..
-                })
-            ),
-            "deadline must survive"
-        );
     }
 }

@@ -88,8 +88,6 @@ pub enum Resource {
     WorkUnits,
     /// The wall-clock deadline passed.
     WallClock,
-    /// A memory ceiling (subgraph-arena pool bytes) was reached.
-    Memory,
 }
 
 impl fmt::Display for Resource {
@@ -97,7 +95,6 @@ impl fmt::Display for Resource {
         match self {
             Resource::WorkUnits => write!(f, "work units"),
             Resource::WallClock => write!(f, "wall clock"),
-            Resource::Memory => write!(f, "memory"),
         }
     }
 }
@@ -171,9 +168,6 @@ impl fmt::Display for DviclError {
                 Resource::WallClock => {
                     write!(f, "budget exceeded: deadline passed after {spent} ms")
                 }
-                Resource::Memory => {
-                    write!(f, "budget exceeded: memory ceiling hit at {spent} bytes")
-                }
             },
             DviclError::Cancelled => write!(f, "cancelled"),
             DviclError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
@@ -237,17 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn witness_and_memory_display_are_informative() {
+    fn witness_display_is_informative() {
         let w = DviclError::witness("iso_mapping", "edge (0,1) unmapped");
         let msg = w.to_string();
         assert!(msg.contains("iso_mapping"), "{msg}");
         assert!(msg.contains("(0,1)"), "{msg}");
-        let m = DviclError::BudgetExceeded {
-            resource: Resource::Memory,
-            spent: 4096,
-        };
-        assert!(m.to_string().contains("4096"));
-        assert_eq!(m.exit_code(), 3);
-        assert_eq!(Resource::Memory.to_string(), "memory");
     }
 }

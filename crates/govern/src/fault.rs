@@ -1,9 +1,9 @@
 //! Deterministic fault injection: the [`FaultPlan`] and its
 //! [`checkpoint`] hooks.
 //!
-//! Every recovery path in the pipeline — budget trips, the whole-graph
-//! fallback, arena unwinding, parser error returns — is code that only
-//! runs when something goes wrong, which means it is exactly the code
+//! Every recovery path in the pipeline — budget trips, cancellation,
+//! arena unwinding, parser error returns — is code that only runs when
+//! something goes wrong, which means it is exactly the code
 //! ordinary tests never execute. A `FaultPlan` makes "something goes
 //! wrong" reproducible: it names a checkpoint site and an ordinal, and
 //! the `k`-th time execution reaches that site the plan injects a typed
@@ -15,8 +15,7 @@
 //! `<action>@<site>:<k>` —
 //!
 //! * `action` — `trip` (work-cap exhaustion), `cancel` (cooperative
-//!   cancellation), `alloc` (arena memory-ceiling hit), or `parse`
-//!   (truncated-input parser failure);
+//!   cancellation), or `parse` (truncated-input parser failure);
 //! * `site` — a checkpoint name (`govern.spend`, `core.build_node`,
 //!   ...: a [`Site`], mapped in DESIGN.md §11) or `*` for "any
 //!   checkpoint"; an unknown name is an invalid-input error;
@@ -93,8 +92,6 @@ pub enum FaultAction {
     Trip,
     /// Cooperative cancellation: `Cancelled`.
     Cancel,
-    /// Arena memory-ceiling hit: `BudgetExceeded { resource: Memory }`.
-    Alloc,
     /// Parser failure: `Parse` with [`ParseErrorKind::Truncated`].
     Parse,
 }
@@ -105,7 +102,6 @@ impl FaultAction {
         match self {
             FaultAction::Trip => "trip",
             FaultAction::Cancel => "cancel",
-            FaultAction::Alloc => "alloc",
             FaultAction::Parse => "parse",
         }
     }
@@ -117,10 +113,6 @@ impl FaultAction {
                 spent: hit,
             },
             FaultAction::Cancel => DviclError::Cancelled,
-            FaultAction::Alloc => DviclError::BudgetExceeded {
-                resource: Resource::Memory,
-                spent: hit,
-            },
             FaultAction::Parse => DviclError::Parse(ParseError::new(
                 ParseErrorKind::Truncated,
                 format!("injected fault at {site}"),
@@ -153,11 +145,10 @@ impl FaultArm {
         let action = match action.trim() {
             "trip" => FaultAction::Trip,
             "cancel" => FaultAction::Cancel,
-            "alloc" => FaultAction::Alloc,
             "parse" => FaultAction::Parse,
             other => {
                 return Err(DviclError::invalid(format!(
-                    "invalid fault action '{other}' (expected trip, cancel, alloc, or parse)"
+                    "invalid fault action '{other}' (expected trip, cancel, or parse)"
                 )))
             }
         };
@@ -377,6 +368,7 @@ mod tests {
             "trip@:1",
             "trip@canon.dfs:0",
             "explode@canon.dfs:1",
+            "alloc@core.arena_carve:1",
             "trip@canon.dfs:1,,oops",
             "trip@index.insrt:1",
         ] {
@@ -446,16 +438,6 @@ mod tests {
         install(FaultPlan::parse("cancel@*:2").unwrap());
         checkpoint(Site::RefineRefine).unwrap();
         assert_eq!(checkpoint(Site::CanonDfs), Err(DviclError::Cancelled));
-        clear();
-
-        install(FaultPlan::one(FaultAction::Alloc, Site::CoreArenaCarve, 1));
-        assert!(matches!(
-            checkpoint(Site::CoreArenaCarve),
-            Err(DviclError::BudgetExceeded {
-                resource: Resource::Memory,
-                ..
-            })
-        ));
         clear();
 
         install(FaultPlan::one(FaultAction::Parse, Site::GraphEdgeLine, 1));

@@ -3,7 +3,7 @@
 //! baseline, Schreier–Sims) agree with each other and with brute force.
 
 use dvicl::canon::{try_canonical_form, CanonResult, Config};
-use dvicl::core::iso::try_find_isomorphism_outcome;
+use dvicl::core::iso::try_find_isomorphism;
 use dvicl::core::{aut, simplify, try_build_autotree, AutoTree, Budget, DviclOptions};
 use dvicl::graph::{named, vertex_range, Coloring, Graph, V};
 use dvicl::group::{brute, BigUint, StabChain};
@@ -203,8 +203,8 @@ fn paley_is_self_complementary() {
         .collect();
     let complement = Graph::from_edges(p.n(), &non_edges);
     let opts = DviclOptions::default();
-    let found = try_find_isomorphism_outcome(&p, &complement, &opts, &Budget::unlimited()).unwrap();
-    let gamma = found.mapping.expect("Paley graphs are self-complementary");
+    let found = try_find_isomorphism(&p, &complement, &opts, &Budget::unlimited()).unwrap();
+    let gamma = found.expect("Paley graphs are self-complementary");
     assert_eq!(p.permuted(&gamma), complement);
 }
 

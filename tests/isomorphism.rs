@@ -8,7 +8,7 @@
 )]
 
 use dvicl::canon::{try_canonical_form, CanonResult, Config};
-use dvicl::core::iso::try_find_isomorphism_colored_outcome;
+use dvicl::core::iso::try_find_isomorphism_colored;
 use dvicl::core::{try_build_autotree, Budget, DviclOptions};
 use dvicl::graph::{named, CanonForm, Coloring, Graph, Perm, V};
 use dvicl::group::brute;
@@ -32,9 +32,8 @@ fn canonical_form(g: &Graph) -> CanonForm {
 )]
 fn are_isomorphic_colored(g1: &Graph, pi1: &Coloring, g2: &Graph, pi2: &Coloring) -> bool {
     let opts = DviclOptions::default();
-    try_find_isomorphism_colored_outcome(g1, pi1, g2, pi2, &opts, &Budget::unlimited())
+    try_find_isomorphism_colored(g1, pi1, g2, pi2, &opts, &Budget::unlimited())
         .expect("unlimited builds cannot fail")
-        .mapping
         .is_some()
 }
 
