@@ -1,7 +1,6 @@
 //! The backtrack search over the individualization-refinement tree.
 
 use crate::tree::{NodeRecord, SearchTree};
-use dvicl_govern::fault::Site;
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{as_vertex, CanonForm, Coloring, Graph, Perm, V};
 use dvicl_group::Orbits;
@@ -521,7 +520,6 @@ impl<'a> Search<'a> {
         self.stats.nodes += 1;
         obs::bump(Counter::SearchNodes);
         self.stats.max_depth = self.stats.max_depth.max(depth);
-        dvicl_govern::fault::checkpoint(Site::CanonDfs)?;
         self.budget.spend(1)?;
         let node_id = self.record_node(depth, parent_edge);
         let d = depth as usize;

@@ -2,19 +2,14 @@
 //!
 //! The search individualizes and backtracks on the refiner's one
 //! partition, so a search that stops early — a work budget tripping
-//! inside a refinement, or a fault injected at a child's
-//! individualization — leaves that partition mid-refinement with undo
-//! levels open. The next search must not see any of it: each abort is
-//! followed by searches on a warm refiner whose results, and the
-//! non-singleton cell set its partition keeps, must equal a fresh
-//! refiner's.
-//!
-//! The fault plan is installed on this test's thread only, so no other
-//! test's search can see it.
+//! inside a refinement or at a child's node — leaves that partition
+//! mid-refinement with undo levels open. The next search must not see
+//! any of it: each abort is followed by searches on a warm refiner
+//! whose results, and the non-singleton cell set its partition keeps,
+//! must equal a fresh refiner's.
 
 use dvicl_canon::{try_canonical_form_with, Budget, CanonResult, Config, DviclError};
 use dvicl_data::bench_graphs;
-use dvicl_govern::fault::{self, FaultAction, FaultPlan, Site};
 use dvicl_graph::{named, Coloring, Graph, Perm, V};
 use dvicl_refine::Refiner;
 
@@ -87,21 +82,4 @@ fn refiner_reused_after_an_aborted_search_matches_a_fresh_one() {
         assert_clean(&mut warm, &graphs, &config);
     }
     assert!(trips > 100, "only {trips} caps tripped the search");
-
-    // A fault at the k-th child individualization aborts the search with
-    // the k - 1 children above it still open.
-    for k in 1..6 {
-        fault::install(FaultPlan::one(
-            FaultAction::Trip,
-            Site::RefineIndividualize,
-            k,
-        ));
-        let injected = search(&cfi, &config, &Budget::unlimited(), &mut warm);
-        fault::clear();
-        assert!(
-            matches!(injected, Err(DviclError::BudgetExceeded { .. })),
-            "k = {k}: {injected:?}"
-        );
-        assert_clean(&mut warm, &graphs, &config);
-    }
 }

@@ -16,8 +16,8 @@
 //! `<GRAPH>` is `g6:<graph6-literal>` or `el:u-v,u-v,...` (an inline
 //! edge list; vertex count inferred). Blank lines and `#` comments are
 //! skipped. One response line per request; a request that fails —
-//! malformed graph, tripped per-request budget, witness failure,
-//! injected fault — answers `error: ...` inline and the service keeps
+//! malformed graph, tripped per-request budget, witness failure —
+//! answers `error: ...` inline and the service keeps
 //! going with exit code 0. Only process-level failures (unusable index
 //! file, bad flags, failed save) terminate with a typed exit code.
 //!

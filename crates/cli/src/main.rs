@@ -33,9 +33,7 @@
 //! Robustness (DESIGN.md §11): `--paranoid` re-checks every result
 //! against its witness (canonical form against the root labeling, each
 //! generator against its subgraph, each iso answer against the explicit
-//! mapping) and exits 4 on a witness failure. `--fault-plan <SPEC>`
-//! installs a deterministic fault-injection plan, e.g.
-//! `trip@core.build_node:3`.
+//! mapping) and exits 4 on a witness failure.
 //!
 //! Corpus service ([`batch`]): `batch` and `serve` answer
 //! `insert`/`lookup`/`groupsize` queries against a canonical-fingerprint
@@ -182,7 +180,7 @@ impl ObsConfig {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N] [QUERIES]\n  dvicl serve    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...)\n  --max-nodes <N>      work cap in search/build nodes (exit 3 when spent)\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  NDJSON events + summary to PATH\n  --paranoid           re-check every result against its witness\n  --fault-plan <SPEC>  deterministic fault injection (see DESIGN.md §11)\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
+    "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N] [QUERIES]\n  dvicl serve    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...)\n  --max-nodes <N>      work cap in search/build nodes (exit 3 when spent)\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  NDJSON events + summary to PATH\n  --paranoid           re-check every result against its witness\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
 }
 
 /// A CLI failure: either a usage mistake (print the help text, exit 2)
@@ -228,12 +226,6 @@ fn global_flags(
             }
             "--stats" => obs_cfg.stats = true,
             "--paranoid" => opts.paranoid = true,
-            "--fault-plan" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| DviclError::invalid("--fault-plan needs a plan spec"))?;
-                dvicl_govern::fault::install(dvicl_govern::FaultPlan::parse(&v)?);
-            }
             "--trace-json" => {
                 let v = it
                     .next()
@@ -444,13 +436,14 @@ fn automorphisms(
         orbits.count(),
         orbits.count_singletons()
     );
-    let gens = aut::generators(&tree);
-    outln!("generators ({}):", gens.len());
-    for gen in gens.iter().take(50) {
+    // Only the printed generators are built; the rest are counted.
+    let count = aut::generator_count(&tree);
+    outln!("generators ({count}):");
+    for gen in aut::generators(&tree).take(50) {
         outln!("  {gen}");
     }
-    if gens.len() > 50 {
-        outln!("  ... {} more", gens.len() - 50);
+    if count > 50 {
+        outln!("  ... {} more", count - 50);
     }
     Ok(())
 }

@@ -45,7 +45,7 @@ use dvicl_obs::{self as obs, Counter};
 
 /// The three pool tops at the time of [`SubArena::mark`]. Marks compare
 /// equal iff they denote the same pool state, which is how the
-/// fault-sweep tests assert stack discipline (`arena.mark() ==
+/// fault-discipline tests assert stack discipline (`arena.mark() ==
 /// pre_call_mark` after an early return). Only this module can roll the
 /// pools back to a mark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

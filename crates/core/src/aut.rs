@@ -16,45 +16,60 @@ use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{as_vertex, vertex_range, Perm, V};
 use dvicl_group::{BigUint, Orbits, StabChain};
 
-/// A generating set of `Aut(G, π)` as dense permutations of the full
-/// vertex set: leaf generators plus adjacent sibling swaps.
-// dvicl-lint: allow(budget-reachability) -- unmetered: one O(n) permutation per leaf generator and sibling swap of a finished tree
-pub fn generators(tree: &AutoTree) -> Vec<Perm> {
+/// A generating set of `Aut(G, π)`: the automorphisms of non-singleton
+/// leaves, then the swaps of adjacent symmetric siblings, node by node.
+/// Each is built as a dense permutation of the full vertex set only when
+/// the iterator reaches it, so taking a prefix costs O(n) per generator
+/// taken; [`generator_count`] counts them all without building any.
+#[expect(
+    clippy::expect_used,
+    reason = "a stored automorphism patched into the identity, and a sibling swap over a perfect matching, are both bijections"
+)]
+// dvicl-lint: allow(budget-reachability) -- unmetered: one O(n) permutation per leaf generator and sibling swap of a finished tree, built only as the caller takes it
+pub fn generators(tree: &AutoTree) -> impl Iterator<Item = Perm> + '_ {
     let n = tree.pi.n();
-    let mut out = Vec::new();
-    for node in tree.nodes() {
+    tree.nodes().flat_map(move |node| {
         // (a) automorphisms of non-singleton leaves, extended by identity.
-        for sparse in node.leaf_generators() {
+        let leaf = node.leaf_generators().map(move |sparse| {
             let mut image: Vec<V> = vertex_range(n).collect();
             for &(v, w) in sparse {
                 image[v as usize] = w;
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "sparse entries come from a stored automorphism, so the patched identity stays a bijection"
-            )]
-            out.push(Perm::from_image(image).expect("leaf generator is a bijection"));
-        }
+            Perm::from_image(image).expect("leaf generator is a bijection")
+        });
         // (b) swaps of adjacent symmetric siblings.
-        for &(start, end) in node.sibling_classes() {
-            for k in start as usize..(end as usize).saturating_sub(1) {
-                let a = node.children()[k];
-                let b = node.children()[k + 1];
-                let matched = tree.sibling_isomorphism(a, b);
-                let mut image: Vec<V> = vertex_range(n).collect();
-                for (va, vb) in matched {
-                    image[va as usize] = vb;
-                    image[vb as usize] = va;
-                }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "sibling_isomorphism returns a perfect matching, so the pairwise swap is a bijection"
-                )]
-                out.push(Perm::from_image(image).expect("sibling swap is an involution"));
-            }
-        }
-    }
-    out
+        let swaps = node
+            .sibling_classes()
+            .iter()
+            .flat_map(move |&(start, end)| {
+                node.children()[start as usize..end as usize]
+                    .windows(2)
+                    .map(move |pair| {
+                        let mut image: Vec<V> = vertex_range(n).collect();
+                        for (va, vb) in tree.sibling_isomorphism(pair[0], pair[1]) {
+                            image[va as usize] = vb;
+                            image[vb as usize] = va;
+                        }
+                        Perm::from_image(image).expect("sibling swap is an involution")
+                    })
+            });
+        leaf.chain(swaps)
+    })
+}
+
+/// How many permutations [`generators`] yields, counted from the tree
+/// without building any: every leaf generator, plus one swap fewer than
+/// its size per sibling class.
+pub fn generator_count(tree: &AutoTree) -> usize {
+    tree.nodes()
+        .map(|node| {
+            let classes = node.sibling_classes().iter();
+            let swaps: usize = classes
+                .map(|&(start, end)| (end - start).saturating_sub(1) as usize)
+                .sum();
+            node.leaf_generators().len() + swaps
+        })
+        .sum()
 }
 
 /// The vertex orbits of `Aut(G, π)`, computed by union-find closure over
@@ -84,15 +99,18 @@ pub fn orbits(tree: &AutoTree) -> Orbits {
 
 /// The exact order `|Aut(G, π)|`, computed structurally:
 /// singleton leaves contribute 1; a non-singleton leaf contributes the
-/// order of its IR-discovered group (via Schreier–Sims, which spends
-/// `budget`); an internal node contributes
-/// `∏_classes |Aut(child)|^k · k!`. Aborts with
+/// order of its IR-discovered group (via Schreier–Sims); an internal
+/// node contributes `∏_classes |Aut(child)|^k · k!`. Spends one unit of
+/// `budget` per node visited, per factor multiplied in (`k` child
+/// orders and the `k − 1` factors of `k!` per class) and per Schreier
+/// generator sifted, and aborts with
 /// [`DviclError::BudgetExceeded`] or [`DviclError::Cancelled`].
 pub fn try_group_order(tree: &AutoTree, budget: &Budget) -> Result<BigUint, DviclError> {
     order_of(tree, tree.root(), budget)
 }
 
 fn order_of(tree: &AutoTree, id: NodeId, budget: &Budget) -> Result<BigUint, DviclError> {
+    budget.spend(1)?;
     let node = tree.node(id);
     Ok(match node.kind() {
         NodeKind::SingletonLeaf => BigUint::one(),
@@ -100,12 +118,17 @@ fn order_of(tree: &AutoTree, id: NodeId, budget: &Budget) -> Result<BigUint, Dvi
         NodeKind::Internal => {
             let mut acc = BigUint::one();
             for &(start, end) in node.sibling_classes() {
-                let k = (end - start) as u64;
+                let k = u64::from(end - start);
                 let child_order = order_of(tree, node.children()[start as usize], budget)?;
                 for _ in 0..k {
+                    budget.spend(1)?;
                     acc *= &child_order;
                 }
-                acc *= &BigUint::factorial(k);
+                // k!, one factor per sibling, so a large class is metered too.
+                for i in 2..=k {
+                    budget.spend(1)?;
+                    acc.mul_u64_assign(i);
+                }
             }
             acc
         }
@@ -193,7 +216,8 @@ mod tests {
             named::hypercube(3),
         ] {
             let t = tree_of(&g);
-            let gens = generators(&t);
+            let gens: Vec<Perm> = generators(&t).collect();
+            assert_eq!(gens.len(), generator_count(&t));
             // Every generator is a genuine automorphism...
             for gen in &gens {
                 assert_eq!(g.permuted(gen), g);

@@ -6,7 +6,6 @@ use crate::arena::SubArena;
 use crate::sub::{Division, Sub};
 use crate::tree::{AutoTree, Node, NodeId, NodeKind, PoolRange, EMPTY, NO_PARENT};
 use dvicl_canon::{try_canonical_form_with as ir_try_canonical_form_with, CanonResult, Config};
-use dvicl_govern::fault::Site;
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{vertex_range, CanonForm, Coloring, FormRef, Graph, V};
 use dvicl_obs::{self as obs, Counter, Phase};
@@ -302,7 +301,6 @@ struct Builder<'a> {
 impl Builder<'_> {
     /// Procedure `cl` of Algorithm 1.
     fn build(&mut self, sub: Sub, depth: u32, parent: u32) -> Result<NodeId, DviclError> {
-        dvicl_govern::fault::checkpoint(Site::CoreBuildNode)?;
         self.budget.spend(1)?;
         let id = self.t.nodes.len();
         let vrange = push_range(&mut self.t.verts, self.scratch.arena.verts(&sub));
@@ -372,8 +370,9 @@ impl Builder<'_> {
     /// before the next sibling is carved — peak residency is one
     /// root-to-leaf chain, and siblings reuse the same buffer space.
     /// The release happens on the error path too, so an abort (budget
-    /// trip, cancellation, injected fault) deep in the recursion
-    /// unwinds the arena all the way back to the caller's mark.
+    /// trip, cancellation) deep in the recursion unwinds the arena all
+    /// the way back to the caller's mark.
+    // dvicl-lint: allow(budget-reachability) -- one carve per division part; Builder::build spends one unit per child before anything else
     fn build_children(
         &mut self,
         sub: &Sub,
@@ -387,7 +386,6 @@ impl Builder<'_> {
                 self,
                 |b| &mut b.scratch.arena,
                 |b| {
-                    dvicl_govern::fault::checkpoint(Site::CoreArenaCarve)?;
                     let child = b.scratch.arena.induced_child(sub, part);
                     b.build(child, depth + 1, parent_id)
                 },
@@ -402,7 +400,6 @@ impl Builder<'_> {
     /// labels (Lemma 6.7).
     fn combine_cl(&mut self, id: NodeId, sub: &Sub, pi_g: &Coloring) -> Result<(), DviclError> {
         let _span = obs::span(Phase::CoreLeafIr);
-        dvicl_govern::fault::checkpoint(Site::CoreLeafIr)?;
         let local_g = self.scratch.arena.to_local_graph(sub);
         let colors: Vec<V> = self
             .scratch

@@ -92,11 +92,10 @@ impl Session {
     }
 
     /// [`Session::try_build`] under an unlimited budget. Panics where that
-    /// errs: on a coloring of another size, or on a fault plan installed
-    /// on this thread.
+    /// errs: on a coloring of another size.
     #[expect(
         clippy::expect_used,
-        reason = "an unlimited budget never exhausts, so only a coloring of another size or a fault plan installed on the calling thread can reach the Err arm, as the doc comment states"
+        reason = "an unlimited budget never exhausts, so only a coloring of another size can reach the Err arm, as the doc comment states"
     )]
     pub fn build(&mut self, g: &Graph, pi0: &Coloring) -> AutoTree {
         self.try_build(g, pi0, &Budget::unlimited())

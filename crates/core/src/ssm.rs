@@ -27,7 +27,6 @@
 //! search.
 
 use crate::tree::{AutoTree, NodeId, NodeKind, NodeRef};
-use dvicl_govern::fault::Site;
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{as_vertex, V};
 use dvicl_group::BigUint;
@@ -183,7 +182,6 @@ fn analyze(
     gov: &Budget,
 ) -> Result<(Vec<u8>, BigUint), DviclError> {
     dvicl_obs::bump(dvicl_obs::Counter::SsmStates);
-    dvicl_govern::fault::checkpoint(Site::CoreSsm)?;
     gov.spend(1)?;
     let n = tree.node(node);
     match n.kind() {
@@ -379,7 +377,6 @@ fn enum_at(
     gov: &Budget,
 ) -> Result<Vec<Vec<V>>, DviclError> {
     dvicl_obs::bump(dvicl_obs::Counter::SsmStates);
-    dvicl_govern::fault::checkpoint(Site::CoreSsm)?;
     gov.spend(1)?;
     if *slots == 0 {
         return Ok(Vec::new());

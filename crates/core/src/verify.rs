@@ -18,10 +18,10 @@
 //! so there is no partial result to check.
 //!
 //! A failed check is [`DviclError::WitnessFailure`] (CLI exit code 4):
-//! always a pipeline bug or an injected fault, never a property of the
-//! input. Checks and failures are counted through the `verify_checks` /
-//! `verify_failures` obs counters; the CLI and bench `--paranoid` flags
-//! run these after every build. See DESIGN.md §11.
+//! always a pipeline bug, never a property of the input. Checks and
+//! failures are counted through the `verify_checks` / `verify_failures`
+//! obs counters; the CLI and bench `--paranoid` flags run these after
+//! every build. See DESIGN.md §11.
 //!
 //! Soundness note for generators: a non-singleton leaf's working
 //! subgraph may have had edges deleted by `DivideS` on an ancestor, but

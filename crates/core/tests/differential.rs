@@ -48,7 +48,7 @@ fn digest(g: &Graph) -> u64 {
     for &image in lambda.as_slice() {
         h = mix(h, image as u64);
     }
-    let gens = aut::generators(&tree);
+    let gens: Vec<_> = aut::generators(&tree).collect();
     h = mix(h, 0x6e25_0000 ^ gens.len() as u64);
     for gen in &gens {
         for &image in gen.as_slice() {

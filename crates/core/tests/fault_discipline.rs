@@ -1,4 +1,4 @@
-//! Arena stack discipline under injected faults.
+//! Arena stack discipline and work caps as deterministic faults.
 //!
 //! Two properties, both driven by the vendored deterministic proptest:
 //!
@@ -6,24 +6,22 @@
 //!    a frame errors after its carve (or a deeper frame does), every
 //!    enclosing frame still restores its mark, so the arena ends each
 //!    frame exactly where it started — bytes and mark both.
-//! 2. An injected fault that fires is never swallowed: the build
-//!    returns the injected typed error. A plan that does not fire leaves
-//!    a witness-valid tree. Either way process state is not corrupted:
-//!    the next clean build reproduces the reference canonical form.
-//!
-//! A fault plan is installed on the calling thread only, so the
-//! property that installs plans cannot reach the builds of any other
-//! test running beside it.
+//! 2. A work cap is a deterministic fault that is never swallowed: a
+//!    cap `c` below the clean build's work `W` aborts the build with
+//!    exactly `BudgetExceeded { WorkUnits, spent: c + 1 }` through the
+//!    production trip path, and `c = W` yields the reference
+//!    certificate. Either way the session's state is not corrupted: its
+//!    next unlimited build reproduces the reference form and labeling.
 
 #![expect(
     clippy::cast_possible_truncation,
     reason = "test graphs are small: every vertex id, index and count fits in V"
 )]
 
-use dvicl_core::{try_build_autotree, verify, DviclOptions, Sub, SubArena};
-use dvicl_govern::fault::{self, FaultPlan, Site};
-use dvicl_govern::{Budget, DviclError, FaultAction, Resource};
+use dvicl_core::{DviclOptions, Session, Sub, SubArena};
+use dvicl_govern::{Budget, DviclError, Resource};
 use dvicl_graph::{Coloring, Graph, V};
+use dvicl_obs::Counter;
 use proptest::prelude::*;
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -107,51 +105,33 @@ proptest! {
         prop_assert_eq!(arena.bytes_now(), base);
     }
 
-    /// Property 2: injected faults never leak state across builds.
+    /// Property 2: a work cap trips exactly and leaves no residue.
     #[test]
-    fn injected_faults_leave_no_residue(
+    fn work_caps_trip_exactly_and_leave_no_residue(
         g in arb_graph(16),
-        site_idx in 0usize..5,
-        k in 1u64..6,
-        cancel in any::<bool>(),
+        seed in any::<u64>(),
     ) {
-        let sites = [
-            Site::CoreBuildNode,
-            Site::CoreArenaCarve,
-            Site::CoreLeafIr,
-            Site::RefineRefine,
-            Site::GovernSpend,
-        ];
-        let opts = DviclOptions::default();
         let pi = Coloring::unit(g.n());
-        let budget = Budget::unlimited();
-        let reference = try_build_autotree(&g, &pi, &opts, &budget)
-            .expect("clean build")
-            .canonical_labeling();
-        let reference = g.permuted(&reference);
+        let mut session = Session::new(DviclOptions::default());
+        let clean = Budget::unlimited();
+        let reference = session.try_build(&g, &pi, &clean).expect("clean build");
+        let work = clean.work_spent();
+        let cap = seed % (work + 1);
 
-        let site = sites[site_idx];
-        let (action, injected_error) = if cancel {
-            (FaultAction::Cancel, DviclError::Cancelled)
+        let trips = dvicl_obs::get(Counter::BudgetTrips);
+        let capped = session.try_build(&g, &pi, &Budget::with_max_work(cap));
+        if cap < work {
+            let trip = DviclError::BudgetExceeded { resource: Resource::WorkUnits, spent: cap + 1 };
+            prop_assert_eq!(capped.err(), Some(trip));
+            prop_assert_eq!(dvicl_obs::get(Counter::BudgetTrips), trips + 1);
         } else {
-            let trip = DviclError::BudgetExceeded { resource: Resource::WorkUnits, spent: k };
-            (FaultAction::Trip, trip)
-        };
-        fault::install(FaultPlan::one(action, site, k));
-        let injected = try_build_autotree(&g, &pi, &opts, &budget);
-        let fired = fault::hit_counts().iter().any(|&(s, c)| s == site && c >= k);
-        fault::clear();
-        match injected {
-            Ok(t) => {
-                let arm = format!("{}@{site}:{k}", action.name());
-                prop_assert!(!fired, "{arm} fired but the build returned a tree");
-                verify::verify_tree(&g, &t).expect("witness-valid tree");
-            }
-            Err(e) => prop_assert_eq!(e, injected_error),
+            let t = capped.expect("the cap covers the clean build's work");
+            prop_assert_eq!(t.canonical_form().to_form(), reference.canonical_form().to_form());
         }
 
-        // No residue: the clean rebuild reproduces the reference form.
-        let clean = try_build_autotree(&g, &pi, &opts, &budget).expect("post-fault build");
-        prop_assert_eq!(g.permuted(&clean.canonical_labeling()), reference);
+        // No residue: the next unlimited build reproduces the reference.
+        let rebuilt = session.try_build(&g, &pi, &Budget::unlimited()).expect("post-cap build");
+        prop_assert_eq!(rebuilt.canonical_form().to_form(), reference.canonical_form().to_form());
+        prop_assert_eq!(rebuilt.canonical_labeling(), reference.canonical_labeling());
     }
 }

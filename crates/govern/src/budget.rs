@@ -1,7 +1,6 @@
 //! The [`Budget`] handle and cooperative [`CancelToken`].
 
 use crate::error::{DviclError, Resource};
-use crate::fault::Site;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -133,7 +132,6 @@ impl Budget {
     /// atomic load.
     #[inline]
     pub fn spend(&self, n: u64) -> Result<(), DviclError> {
-        crate::fault::checkpoint(Site::GovernSpend)?;
         if self.inner.cancel.is_cancelled() {
             report_trip("cancelled", self.work_spent());
             return Err(DviclError::Cancelled);

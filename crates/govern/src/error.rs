@@ -120,8 +120,7 @@ pub enum DviclError {
     InvalidInput(String),
     /// A paranoid witness check rejected an output: the claimed
     /// labeling, generator, or iso mapping did not actually hold on the
-    /// graph. This is always a bug (or an injected fault), never a
-    /// property of the input.
+    /// graph. This is always a bug, never a property of the input.
     WitnessFailure {
         /// Which verification stage rejected the witness
         /// (`"root_form"`, `"generator"`, `"iso_mapping"`, ...).

@@ -23,22 +23,19 @@
 //! trip time), so a truncated run still records how far it got. See
 //! DESIGN.md §9.
 //!
-//! The [`fault`] module adds deterministic fault injection on top:
-//! named [`fault::checkpoint`]s throughout the pipeline are free until
-//! a [`FaultPlan`] is installed, after which the plan injects typed
-//! errors at exact checkpoint ordinals — the machinery behind the
-//! fault-sweep harness and the CLI's `--fault-plan` flag. See DESIGN.md
-//! §11.
+//! Spending is deterministic, so a work cap is also the fault injector:
+//! a build under `Budget::with_max_work(c)` aborts at exactly its
+//! `(c + 1)`-th unit, through the same trip path as any other limit.
+//! The cap sweep (DESIGN.md §11.2) builds under caps from 0 up to a
+//! build's total work.
 
 #![deny(missing_docs)]
 
 mod budget;
 mod error;
-pub mod fault;
 
 pub use budget::{Budget, CancelToken, STRIDE};
 pub use error::{DviclError, ParseError, ParseErrorKind, Resource};
-pub use fault::{FaultAction, FaultArm, FaultPlan};
 
 use std::time::Duration;
 

@@ -15,7 +15,6 @@
 //! seven-byte string cannot demand gigabytes.
 
 use crate::{Graph, GraphBuilder, V};
-use dvicl_govern::fault::Site;
 use dvicl_govern::{DviclError, ParseError, ParseErrorKind};
 
 fn g6_err(kind: ParseErrorKind, detail: impl Into<String>) -> DviclError {
@@ -67,7 +66,6 @@ pub fn to_graph6(g: &Graph) -> String {
 
 /// Decodes a graph6 ASCII string.
 pub fn from_graph6(s: &str) -> Result<Graph, DviclError> {
-    dvicl_govern::fault::checkpoint(Site::GraphGraph6)?;
     let bytes = s.trim_end().as_bytes();
     if bytes.is_empty() {
         return Err(g6_err(ParseErrorKind::Empty, "empty graph6 string"));

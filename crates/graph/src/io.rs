@@ -10,7 +10,6 @@
 //! recoverable condition, not a crash.
 
 use crate::{Graph, GraphBuilder, MAX_VERTICES, V};
-use dvicl_govern::fault::Site;
 use dvicl_govern::{DviclError, ParseError, ParseErrorKind};
 use rustc_hash::FxHashMap;
 use std::collections::hash_map::Entry;
@@ -61,7 +60,6 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<LoadedGraph, DviclError> {
             continue;
         }
         saw_data = true;
-        dvicl_govern::fault::checkpoint(Site::GraphEdgeLine)?;
         let mut it = line.split_whitespace();
         let a = parse_vertex(it.next(), line, lineno)?;
         let b = parse_vertex(it.next(), line, lineno)?;

@@ -133,39 +133,33 @@ impl BigUint {
 
     /// Exact division by a small divisor; panics if the division leaves a
     /// remainder (used only where exactness is guaranteed, e.g. binomials).
-    fn div_u32_exact(&self, d: u32) -> BigUint {
+    fn div_u32_exact(mut self, d: u32) -> BigUint {
+        assert_eq!(
+            self.div_rem_u32(d),
+            0,
+            "div_u32_exact called with inexact division"
+        );
+        self
+    }
+
+    /// Divides in place by a nonzero `d`, returning the remainder.
+    fn div_rem_u32(&mut self, d: u32) -> u32 {
         assert!(d != 0, "division by zero");
-        let mut out = vec![0u32; self.limbs.len()];
+        let d = u64::from(d);
         let mut rem: u64 = 0;
-        for i in (0..self.limbs.len()).rev() {
-            let cur = rem << 32 | self.limbs[i] as u64;
-            out[i] = (cur / d as u64) as u32;
-            rem = cur % d as u64;
+        for l in self.limbs.iter_mut().rev() {
+            let cur = rem << 32 | u64::from(*l);
+            *l = (cur / d) as u32;
+            rem = cur % d;
         }
-        assert_eq!(rem, 0, "div_u32_exact called with inexact division");
-        while out.last() == Some(&0) {
-            out.pop();
+        while self.limbs.last() == Some(&0) {
+            self.limbs.pop();
         }
-        BigUint { limbs: out }
+        rem as u32
     }
 
-    /// Divides by 10, returning (quotient, remainder-digit). Internal
-    /// helper for decimal formatting.
-    fn divmod10(&self) -> (BigUint, u8) {
-        let mut out = vec![0u32; self.limbs.len()];
-        let mut rem: u64 = 0;
-        for i in (0..self.limbs.len()).rev() {
-            let cur = rem << 32 | self.limbs[i] as u64;
-            out[i] = (cur / 10) as u32;
-            rem = cur % 10;
-        }
-        while out.last() == Some(&0) {
-            out.pop();
-        }
-        (BigUint { limbs: out }, rem as u8)
-    }
-
-    /// Decimal string.
+    /// Decimal string. Each pass divides by 10⁹ and emits nine digits,
+    /// so a value of `d` digits costs about `d / 9` passes over its limbs.
     #[expect(
         clippy::expect_used,
         reason = "every byte is b'0' + d with d < 10, so the buffer is valid ASCII"
@@ -177,9 +171,15 @@ impl BigUint {
         let mut digits = Vec::new();
         let mut cur = self.clone();
         while !cur.is_zero() {
-            let (q, d) = cur.divmod10();
-            digits.push(b'0' + d);
-            cur = q;
+            let mut chunk = cur.div_rem_u32(1_000_000_000);
+            for _ in 0..9 {
+                digits.push(b'0' + (chunk % 10) as u8);
+                chunk /= 10;
+            }
+        }
+        // The top chunk's leading zeros.
+        while digits.last() == Some(&b'0') {
+            digits.pop();
         }
         digits.reverse();
         String::from_utf8(digits).expect("digits are ASCII")
@@ -328,6 +328,52 @@ mod tests {
             "15511210043330985984000000"
         );
         assert_eq!(BigUint::factorial(100).to_decimal().len(), 158);
+    }
+
+    /// The per-digit reference: one division by 10 per digit.
+    fn decimal_by_digit(x: &BigUint) -> String {
+        let mut cur = x.clone();
+        let mut digits = Vec::new();
+        loop {
+            digits.push(char::from(b'0' + cur.div_rem_u32(10) as u8));
+            if cur.is_zero() {
+                return digits.iter().rev().collect();
+            }
+        }
+    }
+
+    #[test]
+    fn decimal_matches_the_per_digit_oracle() {
+        let mut values: Vec<BigUint> = (0..=400).step_by(7).map(BigUint::factorial).collect();
+        // Chunk boundaries: 10^(9k) and its neighbours, zeros inside chunks.
+        let mut power = BigUint::one();
+        for _ in 0..5 {
+            power.mul_u64_assign(1_000_000_000);
+            values.push(power.clone());
+            values.push(&power + &BigUint::one());
+            let mut below = power.clone();
+            below.mul_u64_assign(7);
+            values.push(below);
+        }
+        values.push(BigUint::from_u64(999_999_999));
+        // Random limbs (xorshift64), 1 to 40 limbs long.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for len in 1..=40 {
+            let mut limbs = Vec::new();
+            for _ in 0..len {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                limbs.push(state as u32);
+            }
+            while limbs.last() == Some(&0) {
+                limbs.pop();
+            }
+            values.push(BigUint { limbs });
+        }
+        for x in &values {
+            assert_eq!(x.to_decimal(), decimal_by_digit(x));
+        }
     }
 
     #[test]

@@ -34,7 +34,6 @@
 //! header-bomb guard the graph6 reader uses.
 
 use crate::{bucket_id, FingerprintIndex, IsoClass};
-use dvicl_govern::fault::{self, Site};
 use dvicl_govern::{DviclError, ParseError, ParseErrorKind};
 use dvicl_graph::{CanonForm, Fingerprint, V};
 use dvicl_obs::{self as obs, Counter, Phase};
@@ -170,7 +169,6 @@ impl FingerprintIndex {
     /// do not enter service.
     pub fn load_from(r: &mut impl Read, paranoid: bool) -> Result<FingerprintIndex, DviclError> {
         let _span = obs::span(Phase::IndexLoad);
-        fault::checkpoint(Site::IndexLoad)?;
         let mut buf = Vec::new();
         r.read_to_end(&mut buf)
             .map_err(|e| DviclError::invalid(format!("cannot read index: {e}")))?;

@@ -19,9 +19,7 @@
 //! count, color runs and delta-coded edges. Loads are hardened the same
 //! way the graph parsers are — typed [`DviclError::Parse`] errors,
 //! declared counts validated against the remaining input before any
-//! allocation — and both load and insert carry `govern::fault`
-//! checkpoints (`index.load`, `index.insert`) so the fault sweep can
-//! drive their error paths.
+//! allocation.
 //!
 //! Observability: `index_probes` counts every consulted probe,
 //! `index_hits` the probes confirmed by an exact form match, and
@@ -32,7 +30,6 @@
 
 pub mod disk;
 
-use dvicl_govern::fault::{self, Site};
 use dvicl_govern::DviclError;
 use dvicl_graph::{CanonForm, Fingerprint};
 use dvicl_obs::{self as obs, Counter};
@@ -127,15 +124,13 @@ impl FingerprintIndex {
     /// that the canonicalizing session computes it once per graph;
     /// `paranoid` re-derives it from `form` and rejects a mismatch with
     /// a typed [`DviclError::WitnessFailure`] — the witness check that
-    /// catches corruption (or an injected fault) between
-    /// canonicalization and insert.
+    /// catches corruption between canonicalization and insert.
     pub fn insert(
         &mut self,
         fingerprint: Fingerprint,
         form: CanonForm,
         paranoid: bool,
     ) -> Result<InsertOutcome, DviclError> {
-        fault::checkpoint(Site::IndexInsert)?;
         if paranoid {
             obs::bump(Counter::VerifyChecks);
             let recomputed = Fingerprint::of_form(&form);

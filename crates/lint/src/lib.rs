@@ -5,11 +5,11 @@
 //! the type system can state: that every loop of the governed pipeline
 //! names its budget, the error taxonomy and CSR-only adjacency.
 //! Panic-freedom, the unsafe audit, the offline guard and truncating
-//! casts are workspace clippy denials; arena stack discipline,
-//! checkpoint sites, span labels and the counter catalog are enforced
-//! by types; rustc itself rejects a non-`Sync` `static`. It is
-//! deliberately dependency-free (hand-rolled lexer and `fn` parser) so
-//! the workspace keeps building offline.
+//! casts are workspace clippy denials; arena stack discipline, span
+//! labels and the counter catalog are enforced by types; rustc itself
+//! rejects a non-`Sync` `static`. It is deliberately dependency-free
+//! (hand-rolled lexer and `fn` parser) so the workspace keeps building
+//! offline.
 //!
 //! The pipeline sees one file at a time: the file is lexed
 //! ([`lexer::lex`]) and its `fn` items parsed ([`parse::items`]), and

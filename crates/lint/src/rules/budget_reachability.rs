@@ -1,7 +1,7 @@
 //! budget-reachability: every looping or self-recursive function in the
 //! `refine`/`canon`/`core` crates must name the `govern::Budget`
 //! machinery in its own signature or body (taking `budget: &Budget`,
-//! calling `spend` or `checkpoint`, holding a `CancelToken`), or carry
+//! calling `spend`, holding a `CancelToken`), or carry
 //! a pragma that states who meters it.
 //!
 //! The rule judges each function by itself. Without types, a call can
@@ -20,15 +20,7 @@ pub const ID: &str = "budget-reachability";
 pub const GOVERNED_CRATES: [&str; 3] = ["refine", "canon", "core"];
 
 /// Identifiers that count as "references the budget machinery".
-const BUDGET_IDENTS: [&str; 7] = [
-    "Budget",
-    "budget",
-    "CancelToken",
-    "cancel",
-    "spend",
-    "gov",
-    "checkpoint",
-];
+const BUDGET_IDENTS: [&str; 6] = ["Budget", "budget", "CancelToken", "cancel", "spend", "gov"];
 
 /// Loop keywords.
 const LOOP_KEYWORDS: [&str; 3] = ["for", "while", "loop"];

@@ -1,10 +1,10 @@
 //! Closed name catalogs generated from one list each.
 //!
-//! The counters, the span phases and the fault checkpoint sites are each
-//! a fixed set of stable names. [`catalog!`](crate::catalog) turns one
-//! `Variant = "name"` list into the enum, its `ALL` array and its
-//! `name()` table, so the three cannot drift apart, a misspelled variant
-//! is a compile error, and a duplicated name fails constant evaluation.
+//! The counters and the span phases are each a fixed set of stable
+//! names. [`catalog!`](crate::catalog) turns one `Variant = "name"` list
+//! into the enum, its `ALL` array and its `name()` table, so the three
+//! cannot drift apart, a misspelled variant is a compile error, and a
+//! duplicated name fails constant evaluation.
 
 /// Declares a closed catalog: a fieldless enum whose every variant
 /// carries one stable name. The single list generates the enum,

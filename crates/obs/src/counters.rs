@@ -76,8 +76,6 @@ crate::catalog! {
         /// Witness checks that failed — always zero on a healthy build
         /// (`core::verify`).
         VerifyFailures = "verify_failures",
-        /// Faults injected by an installed `govern::FaultPlan`.
-        FaultInjections = "fault_injections",
         /// Fingerprint-index probes: every `insert`/`lookup`/`groupsize`
         /// that consulted the fingerprint map (`dvicl-index`).
         IndexProbes = "index_probes",

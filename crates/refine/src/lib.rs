@@ -21,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-use dvicl_govern::fault::Site;
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Coloring, Graph, V};
 use dvicl_obs::Phase;
@@ -73,11 +72,11 @@ impl Refiner {
         Refiner::default()
     }
 
-    /// [`Refiner::try_refine`] under an unlimited budget. Panics where that
-    /// errs: on a fault plan installed on this thread.
+    /// [`Refiner::try_refine`] under an unlimited budget, which never
+    /// errs: budget exhaustion is refinement's only error.
     #[expect(
         clippy::expect_used,
-        reason = "an unlimited budget never exhausts, so only a fault plan installed on the calling thread can reach the Err arm, as the doc comment states"
+        reason = "an unlimited budget never exhausts, and budget exhaustion is the only error try_refine returns"
     )]
     pub fn refine(&mut self, g: &Graph, pi: &Coloring) -> RefineResult {
         self.try_refine(g, pi, &Budget::unlimited())
@@ -136,7 +135,6 @@ impl Refiner {
     }
 
     fn load(&mut self, g: &Graph, pi: &Coloring, budget: &Budget) -> Result<u64, DviclError> {
-        dvicl_govern::fault::checkpoint(Site::RefineRefine)?;
         self.p.reset_from_coloring(g.n(), pi);
         self.p.try_refine(g, &mut self.kernel, budget)
     }
@@ -159,7 +157,6 @@ impl Refiner {
         budget: &Budget,
     ) -> Result<u64, DviclError> {
         let _span = dvicl_obs::span(Phase::RefineIndividualize);
-        dvicl_govern::fault::checkpoint(Site::RefineIndividualize)?;
         debug_assert_eq!(g.n(), self.p.n(), "individualizing on a different graph");
         self.p
             .try_individualize_and_refine(g, &mut self.kernel, v, budget)

@@ -54,7 +54,10 @@ impl Labeler {
             }
             Labeler::Dvicl(session) => {
                 let tree = session.build(g, pi);
-                (tree.canonical_form().to_form(), aut::generators(&tree))
+                (
+                    tree.canonical_form().to_form(),
+                    aut::generators(&tree).collect(),
+                )
             }
         }
     }
