@@ -65,7 +65,8 @@ fn main() {
                 try_count_images(&tree, &index, seeds, &limits).ok()
             });
             rec.record(d.name, &format!("ssm_count_k{k}"), &run);
-            cols.push(count.map_or_else(|| "-".to_string(), |c| c.to_scientific()));
+            let count = count.and_then(|c| c.try_to_scientific(&limits).ok());
+            cols.push(count.unwrap_or_else(|| "-".to_string()));
             cols.push(run.fmt_time());
         }
         print_row(&cols, &widths);

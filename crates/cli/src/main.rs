@@ -53,7 +53,7 @@
 
 mod batch;
 
-use dvicl_core::ssm::{try_count_images, try_enumerate_images, SsmIndex};
+use dvicl_core::ssm::{try_enumerate_images, SsmIndex};
 use dvicl_core::{aut, iso, ksym, try_build_autotree, AutoTree, DviclOptions};
 use dvicl_govern::{parse_duration, Budget, DviclError};
 use dvicl_graph::{graph6, io as gio, Coloring, Graph, V};
@@ -429,7 +429,8 @@ fn automorphisms(
 ) -> Result<(), CliError> {
     let g = ld.load(spec)?;
     let tree = build(&g, budget, opts)?;
-    outln!("|Aut(G)| = {}", aut::try_group_order(&tree, budget)?);
+    let order = aut::try_group_order(&tree, budget)?.try_to_decimal(budget)?;
+    outln!("|Aut(G)| = {order}");
     let mut orbits = aut::orbits(&tree);
     outln!(
         "orbits: {} ({} singletons)",
@@ -517,12 +518,9 @@ fn ssm(
         .collect::<Result<_, _>>()?;
     let tree = build(&g, budget, opts)?;
     let index = SsmIndex::new(&tree);
-    outln!(
-        "images under Aut(G): {}",
-        try_count_images(&tree, &index, &set, budget)?.to_scientific()
-    );
-    let limit = limit.unwrap_or(20);
-    let res = try_enumerate_images(&tree, &index, &set, limit, budget)?;
+    let res = try_enumerate_images(&tree, &index, &set, limit.unwrap_or(20), budget)?;
+    let count = res.count.try_to_scientific(budget)?;
+    outln!("images under Aut(G): {count}");
     outln!(
         "first {} matches{}:",
         res.matches.len(),

@@ -271,6 +271,38 @@ fn max_nodes_caps_every_subcommand() {
 }
 
 #[test]
+fn rendering_the_group_order_spends_the_budget() {
+    // A 2 000-leaf star: the build and the group order spend 6 007 work
+    // units, and printing |Aut| = 2000! (5 736 digits) spends 638 more,
+    // one per nine digits. A cap between the two must stop the render,
+    // with nothing printed.
+    let star = TempPath::new("star");
+    let edges: String = (1..=2000).map(|i| format!("0 {i}\n")).collect();
+    std::fs::write(&star.0, edges).unwrap();
+    let out = bin()
+        .args(["--max-nodes", "6300", "aut", star.as_str()])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("work units"), "{stderr}");
+    assert!(out.stdout.is_empty(), "printed a result");
+}
+
+#[test]
+fn ssm_limit_returns_a_prefix_of_a_leaf_orbit() {
+    // Petersen is one non-singleton leaf, and a non-edge has 30 images:
+    // the default limit returns the first 20 of them.
+    let (stdout, stderr, ok) = dvicl(&["ssm", "g6:IheA@GUAo", "0,2"]);
+    assert!(ok, "{stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines[0], "images under Aut(G): 30");
+    assert_eq!(lines[1], "first 20 matches:");
+    assert_eq!(lines.len(), 22, "{stdout}");
+    assert!(lines[2..].iter().all(|l| l.starts_with("  [")));
+}
+
+#[test]
 fn malformed_input_exits_2() {
     let (_, stderr, _) = dvicl(&["canon", "g6:C"]); // truncated graph6
     let out = bin().args(["canon", "g6:C"]).output().expect("binary runs");

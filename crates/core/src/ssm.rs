@@ -7,35 +7,33 @@
 //! * [`try_count_images`] — the exact number of distinct images of `S`
 //!   under `Aut(G, π)` (the seed-set counts of Table 6), as a [`BigUint`]
 //!   because real counts reach `10^88`.
-//! * [`try_enumerate_images`] — the actual matches (Algorithm 6), with a
-//!   result limit since counts are often astronomically large; truncated
-//!   runs are marked explicitly in [`SsmMatches::truncated`].
+//! * [`try_enumerate_images`] — the actual matches (Algorithm 6): the
+//!   first `limit` images of one fixed order, since counts are often
+//!   astronomically large, with [`SsmMatches::truncated`] marking a
+//!   prefix.
 //!
 //! Every primitive takes a [`Budget`], which meters the recursion (one
 //! work unit per tree node or orbit image) and aborts with a typed
 //! [`DviclError`] on exhaustion or cancellation, and rejects an empty or
 //! out-of-range query set as [`DviclError::InvalidInput`].
 //!
-//! All primitives walk the same recursion: a set is partitioned over a
+//! All three read one analysis of the set. It partitions the set over a
 //! node's children; within a sibling class the per-child *patterns*
-//! (recursive keys) may be assigned to any distinct children of the class,
-//! because `Aut(g)` restricted to a class is the full wreath product
-//! `Aut(child) ≀ S_k` (see `crate::aut`). A non-singleton leaf answers
-//! from what the build stored for it: the set's orbit under the leaf's
-//! automorphism generators gives the count, and the orbit's least image
-//! in the leaf's canonical labels gives the key, so no query runs an IR
-//! search.
+//! (recursive keys) may be assigned to any distinct children of the
+//! class, because `Aut(g)` restricted to a class is the full wreath
+//! product `Aut(child) ≀ S_k` (see `crate::aut`). A non-singleton leaf
+//! answers from what the build stored for it: the set's orbit under the
+//! leaf's automorphism generators gives the count and the images, and
+//! the orbit's least image in the leaf's canonical labels gives the key,
+//! so no query runs an IR search.
 
 use crate::tree::{AutoTree, NodeId, NodeKind, NodeRef};
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{as_vertex, V};
 use dvicl_group::BigUint;
-use dvicl_obs::Phase;
+use dvicl_obs::{Counter, Phase};
 use rustc_hash::{FxHashMap, FxHashSet};
-
-/// One pattern instance inside a sibling class: canonical key plus the
-/// (child position, child node, vertex subset) it came from.
-type KeyedInstance<'a> = (Vec<u8>, &'a (u32, NodeId, Vec<V>));
+use std::ops::ControlFlow;
 
 /// Precomputed navigation over an AutoTree: vertex → leaf, child → position
 /// in parent. Build once, share across many SSM queries.
@@ -69,7 +67,7 @@ impl SsmIndex {
 
     /// The child of `node` whose subtree contains `v` (`v` must be in the
     /// node's subgraph but `node` must not be `v`'s leaf).
-    // dvicl-lint: allow(budget-reachability) -- walks one leaf-to-node path, O(tree depth); partition calls it once per query vertex
+    // dvicl-lint: allow(budget-reachability) -- walks one leaf-to-node path, O(tree depth); analyze calls it once per query vertex at each node it spends a unit on
     fn child_under(&self, tree: &AutoTree, node: NodeId, v: V) -> NodeId {
         let mut cur = self.leaf_of[v as usize];
         loop {
@@ -83,26 +81,6 @@ impl SsmIndex {
             }
             cur = parent;
         }
-    }
-
-    /// Partitions `set` among the children of `node`; returns
-    /// `(child position, child id, subset)` sorted by position.
-    // dvicl-lint: allow(budget-reachability) -- O(|set| x tree depth) grouping of one query set; the SSM recursions spend one unit per tree node before partitioning its set
-    fn partition(&self, tree: &AutoTree, node: NodeId, set: &[V]) -> Vec<(u32, NodeId, Vec<V>)> {
-        let mut by_child: FxHashMap<NodeId, Vec<V>> = FxHashMap::default();
-        for &v in set {
-            let c = self.child_under(tree, node, v);
-            by_child.entry(c).or_default().push(v);
-        }
-        let mut out: Vec<(u32, NodeId, Vec<V>)> = by_child
-            .into_iter()
-            .map(|(c, mut vs)| {
-                vs.sort_unstable();
-                (self.pos_in_parent[c], c, vs)
-            })
-            .collect();
-        out.sort_unstable();
-        out
     }
 }
 
@@ -124,9 +102,20 @@ fn validate_set(tree: &AutoTree, set: &[V]) -> Result<Vec<V>, DviclError> {
     Ok(s)
 }
 
-// ---------------------------------------------------------------------
-// Keys and counts (one recursion computes both).
-// ---------------------------------------------------------------------
+/// The per-query record [`analyze`] makes of a set inside one node.
+struct Analysis {
+    node: NodeId,
+    /// The set, sorted.
+    set: Vec<V>,
+    /// Canonical pattern key: equal keys ⇔ sets symmetric inside `node`.
+    key: Vec<u8>,
+    /// Number of distinct images of the set inside `node`.
+    count: BigUint,
+    /// At an internal node, each occupied sibling class (its index in
+    /// [`NodeRef::sibling_classes`]) with its parts, one per occupied
+    /// child, stably sorted by key; empty at a leaf.
+    classes: Vec<(usize, Vec<Analysis>)>,
+}
 
 fn push_u32(buf: &mut Vec<u8>, x: u32) {
     buf.extend_from_slice(&x.to_le_bytes());
@@ -142,7 +131,7 @@ pub fn try_symmetric_key(
     budget: &Budget,
 ) -> Result<Vec<u8>, DviclError> {
     let set = validate_set(tree, set)?;
-    Ok(analyze(tree, index, tree.root(), &set, budget)?.0)
+    Ok(analyze(tree, index, tree.root(), set, budget)?.key)
 }
 
 /// Exact number of distinct images of `set` under `Aut(G, π)` (including
@@ -168,186 +157,176 @@ pub fn try_count_images(
 ) -> Result<BigUint, DviclError> {
     let _span = dvicl_obs::span(Phase::CoreSsm);
     let set = validate_set(tree, set)?;
-    Ok(analyze(tree, index, tree.root(), &set, budget)?.1)
+    Ok(analyze(tree, index, tree.root(), set, budget)?.count)
 }
 
-/// Recursive analysis: (canonical pattern key, image count) of `set` within
-/// the subgraph of `node`. `set` is sorted and entirely inside the node.
-/// Spends one work unit per visited tree node.
+/// The one recursion over the tree: the record of `set`, sorted and
+/// entirely inside `node`. Each part finds its sibling class by binary
+/// search, so the work follows the set, not the node's classes. Spends
+/// one work unit per visited tree node and orbit image.
 fn analyze(
     tree: &AutoTree,
     index: &SsmIndex,
     node: NodeId,
-    set: &[V],
+    set: Vec<V>,
     gov: &Budget,
-) -> Result<(Vec<u8>, BigUint), DviclError> {
-    dvicl_obs::bump(dvicl_obs::Counter::SsmStates);
+) -> Result<Analysis, DviclError> {
+    dvicl_obs::bump(Counter::SsmStates);
     gov.spend(1)?;
     let n = tree.node(node);
+    let mut key = Vec::new();
+    let mut count = BigUint::one();
+    let mut classes: Vec<(usize, Vec<Analysis>)> = Vec::new();
     match n.kind() {
-        NodeKind::SingletonLeaf => Ok((vec![0x01], BigUint::one())),
-        NodeKind::NonSingletonLeaf => analyze_leaf(n, set, gov),
+        NodeKind::SingletonLeaf => key.push(0x01),
+        NodeKind::NonSingletonLeaf => {
+            // The least orbit image in canonical labels: symmetric
+            // sibling leaves share one certificate, so their labels carry
+            // one leaf's orbits onto the other's.
+            let mut least: Option<Vec<V>> = None;
+            let mut size = 0u64;
+            // The visitor never breaks, so the BFS visits the whole orbit.
+            let _ = orbit_of_set(n, &set, gov, |image| {
+                let mut l: Vec<V> = image.iter().map(|&i| n.labels()[i as usize]).collect();
+                l.sort_unstable();
+                if least.as_ref().is_none_or(|m| l < *m) {
+                    least = Some(l);
+                }
+                size += 1;
+                Ok(ControlFlow::Continue(()))
+            })?;
+            key.push(0x5A);
+            for l in least.unwrap_or_default() {
+                push_u32(&mut key, l);
+            }
+            count = BigUint::from_u64(size);
+        }
         NodeKind::Internal => {
-            let parts = index.partition(tree, node, set);
-            let mut key = Vec::new();
-            let mut count = BigUint::one();
-            // Per-child analysis, then grouped per sibling class.
-            let analyzed: Vec<(u32, Vec<u8>, BigUint)> = parts
-                .into_iter()
-                .map(|(pos, child, subset)| {
-                    analyze(tree, index, child, &subset, gov).map(|(k, c)| (pos, k, c))
+            let mut located: Vec<(u32, NodeId, V)> = set
+                .iter()
+                .map(|&v| {
+                    let c = index.child_under(tree, node, v);
+                    (index.pos_in_parent[c], c, v)
                 })
-                .collect::<Result<_, _>>()?;
-            for (class_idx, &(start, end)) in (0u32..).zip(n.sibling_classes()) {
-                let in_class: Vec<&(u32, Vec<u8>, BigUint)> = analyzed
-                    .iter()
-                    .filter(|&&(pos, _, _)| start <= pos && pos < end)
-                    .collect();
-                if in_class.is_empty() {
-                    continue;
-                }
-                let c = (end - start) as u64; // class size
-
-                // Sort the pattern keys; runs of equal keys are
-                // interchangeable assignments.
-                let mut keys: Vec<&Vec<u8>> = in_class.iter().map(|x| &x.1).collect();
-                keys.sort();
-                // Key contribution.
-                push_u32(&mut key, 0xA5A5_0000 | class_idx);
-                push_u32(&mut key, as_vertex(in_class.len())); // occupied children
-                for k in &keys {
-                    key.extend_from_slice(&(k.len() as u64).to_le_bytes());
-                    key.extend_from_slice(k);
-                }
-                // Count contribution: assignments × within-child images.
-                // #assignments = C(c, k_1)·C(c-k_1, k_2)·…, over runs k_i.
-                let mut remaining = c;
-                let mut i = 0;
-                while i < keys.len() {
-                    let mut j = i;
-                    while j < keys.len() && keys[j] == keys[i] {
-                        j += 1;
-                    }
-                    let run = (j - i) as u64;
-                    count *= &BigUint::binomial(remaining, run);
-                    remaining -= run;
-                    i = j;
-                }
-                for x in &in_class {
-                    count *= &x.2;
+                .collect();
+            located.sort_unstable();
+            let sibling_classes = n.sibling_classes();
+            for in_child in located.chunk_by(|a, b| a.1 == b.1) {
+                let (pos, child, _) = in_child[0];
+                let class = sibling_classes.partition_point(|&(_, end)| end <= pos);
+                let subset = in_child.iter().map(|&(_, _, v)| v).collect();
+                let part = analyze(tree, index, child, subset, gov)?;
+                match classes.last_mut() {
+                    Some((last, parts)) if *last == class => parts.push(part),
+                    _ => classes.push((class, vec![part])),
                 }
             }
-            Ok((key, count))
+            for (class, parts) in &mut classes {
+                parts.sort_by(|a, b| a.key.cmp(&b.key));
+                push_u32(&mut key, 0xA5A5_0000 | as_vertex(*class));
+                push_u32(&mut key, as_vertex(parts.len())); // occupied children
+                for p in parts.iter() {
+                    key.extend_from_slice(&(p.key.len() as u64).to_le_bytes());
+                    key.extend_from_slice(&p.key);
+                }
+                // Assignments × within-child images, where #assignments
+                // = C(c, k_1)·C(c-k_1, k_2)·… over the runs k_i of equal
+                // keys in a class of c children.
+                let (start, end) = sibling_classes[*class];
+                let mut remaining = u64::from(end - start);
+                for run in parts.chunk_by(|a, b| a.key == b.key) {
+                    count *= &BigUint::binomial(remaining, run.len() as u64);
+                    remaining -= run.len() as u64;
+                }
+                for p in parts.iter() {
+                    count *= &p.count;
+                }
+            }
         }
     }
+    Ok(Analysis {
+        node,
+        set,
+        key,
+        count,
+        classes,
+    })
 }
 
-/// Pattern analysis inside a non-singleton leaf: the orbit of the set
-/// under the leaf's stored automorphism generators gives the count, and
-/// its least image written in the leaf's canonical labels gives the key.
-/// Symmetric sibling leaves share one certificate, so their labels carry
-/// one leaf's orbits onto the other's and equal keys mean symmetric sets.
-fn analyze_leaf(n: NodeRef<'_>, set: &[V], gov: &Budget) -> Result<(Vec<u8>, BigUint), DviclError> {
-    let (local_set, gens) = leaf_action(n, set);
-    #[expect(
-        clippy::expect_used,
-        reason = "orbit_of_set returns Ok(None) only when a cap is given, and cap is None here"
-    )]
-    let orbit = orbit_of_set(&local_set, &gens, None, gov)?
-        .expect("uncapped orbit enumeration cannot fail");
-    let labels = n.labels();
-    #[expect(
-        clippy::expect_used,
-        reason = "the orbit always holds the query set itself"
-    )]
-    let least = orbit
-        .iter()
-        .map(|image| {
-            let mut l: Vec<V> = image.iter().map(|&i| labels[i as usize]).collect();
-            l.sort_unstable();
-            l
-        })
-        .min()
-        .expect("the orbit contains the set");
-    let mut key = vec![0x5A];
-    for l in least {
-        push_u32(&mut key, l);
-    }
-    Ok((key, BigUint::from_u64(orbit.len() as u64)))
-}
+/// Whether a walk goes on, or stops because its consumer has enough.
+type Flow = Result<ControlFlow<()>, DviclError>;
 
-/// The set and the leaf's generators in the leaf's local indices (the
-/// positions in [`NodeRef::verts`]).
-fn leaf_action(n: NodeRef<'_>, set: &[V]) -> (Vec<u32>, Vec<FxHashMap<u32, u32>>) {
-    let vmap: FxHashMap<V, u32> = (0..).zip(n.verts()).map(|(i, &v)| (v, i)).collect();
-    let local = set.iter().map(|v| vmap[v]).collect();
-    let gens = n
-        .leaf_generators()
-        .map(|sparse| sparse.iter().map(|&(a, b)| (vmap[&a], vmap[&b])).collect())
-        .collect();
-    (local, gens)
-}
+/// A consumer of images, each a vertex list.
+type Emit<'e> = &'e mut dyn FnMut(&[V]) -> Flow;
 
-/// BFS over set images under sparse generators; `cap` bounds the orbit size
-/// (None = unbounded). Returns the orbit as sorted sets, or `Ok(None)` if
-/// the cap was hit. Spends one work unit per explored image.
+/// One BFS over the images of `set` under the generators a non-singleton
+/// leaf `n` stored: passes each image, in discovery order, to `visit` as
+/// sorted positions in [`NodeRef::verts`] until `visit` breaks. Spends
+/// one work unit per image visited.
 fn orbit_of_set(
-    start: &[u32],
-    gens: &[FxHashMap<u32, u32>],
-    cap: Option<usize>,
+    n: NodeRef<'_>,
+    set: &[V],
     gov: &Budget,
-) -> Result<Option<Vec<Vec<u32>>>, DviclError> {
-    let mut start = start.to_vec();
+    mut visit: impl FnMut(&[u32]) -> Flow,
+) -> Flow {
+    let local: FxHashMap<V, u32> = (0..).zip(n.verts()).map(|(i, &v)| (v, i)).collect();
+    let gens: Vec<FxHashMap<u32, u32>> = n
+        .leaf_generators()
+        .map(|sparse| {
+            sparse
+                .iter()
+                .map(|&(a, b)| (local[&a], local[&b]))
+                .collect()
+        })
+        .collect();
+    let mut start: Vec<u32> = set.iter().map(|v| local[v]).collect();
     start.sort_unstable();
     let mut seen: FxHashSet<Vec<u32>> = FxHashSet::default();
     seen.insert(start.clone());
     let mut queue = vec![start];
     let mut head = 0;
     while head < queue.len() {
-        dvicl_obs::bump(dvicl_obs::Counter::SsmStates);
+        dvicl_obs::bump(Counter::SsmStates);
         gov.spend(1)?;
-        let cur = queue[head].clone();
-        head += 1;
-        for gen in gens {
-            let mut img: Vec<u32> = cur
+        if visit(&queue[head])?.is_break() {
+            return Ok(ControlFlow::Break(()));
+        }
+        for gen in &gens {
+            let mut img: Vec<u32> = queue[head]
                 .iter()
                 .map(|v| gen.get(v).copied().unwrap_or(*v))
                 .collect();
             img.sort_unstable();
             if seen.insert(img.clone()) {
-                if let Some(c) = cap {
-                    if seen.len() > c {
-                        return Ok(None);
-                    }
-                }
                 queue.push(img);
             }
         }
+        head += 1;
     }
-    Ok(Some(queue))
+    Ok(ControlFlow::Continue(()))
 }
-
-// ---------------------------------------------------------------------
-// Enumeration (SSM-AT, Algorithm 6).
-// ---------------------------------------------------------------------
 
 /// Result of a [`try_enumerate_images`] run.
 #[derive(Clone, Debug)]
 pub struct SsmMatches {
-    /// Distinct images found (each sorted ascending); includes the query.
+    /// The first `limit` distinct images (each sorted ascending) in the
+    /// walk's order; the query itself comes first.
     pub matches: Vec<Vec<V>>,
-    /// True iff the result limit stopped the enumeration before every
-    /// image was produced. The matches returned are still genuine images;
-    /// the set is just not exhaustive.
+    /// True iff `count` exceeds the number of matches returned.
     pub truncated: bool,
+    /// Exact number of distinct images, as [`try_count_images`] gives it.
+    pub count: BigUint,
 }
 
 /// Enumerates the images of `set` under `Aut(G, π)` — the symmetric
-/// subgraphs of Algorithm 6 — up to `limit` results. The `limit` caps how
-/// many matches are returned (truncation is reported in the result, not
-/// as an error); the
-/// [`Budget`] meters the traversal itself and aborts with a typed error on
-/// exhaustion or cancellation.
+/// subgraphs of Algorithm 6 — and returns the first `limit` of them with
+/// their count. The order is fixed: sibling classes in order; within a
+/// class, every placement of its parts on distinct children (ascending
+/// within a run of equal keys), and for each placement every choice of
+/// the parts' images, earlier parts outermost. Reaching `limit` is
+/// reported in the result, not as an error; the [`Budget`] meters the
+/// walk itself and aborts with a typed error on exhaustion or
+/// cancellation.
 pub fn try_enumerate_images(
     tree: &AutoTree,
     index: &SsmIndex,
@@ -357,272 +336,145 @@ pub fn try_enumerate_images(
 ) -> Result<SsmMatches, DviclError> {
     let _span = dvicl_obs::span(Phase::CoreSsm);
     let set = validate_set(tree, set)?;
-    let mut slots = limit;
-    let matches = enum_at(tree, index, tree.root(), &set, &mut slots, budget)?;
-    // The run is truncated iff the true image count exceeds what was
-    // returned (the slot accounting inside the recursion is conservative).
-    let truncated = match analyze(tree, index, tree.root(), &set, budget)?.1.to_u64() {
-        Some(c) => c != matches.len() as u64,
-        None => true,
-    };
-    Ok(SsmMatches { matches, truncated })
+    let analysis = analyze(tree, index, tree.root(), set, budget)?;
+    let mut matches: Vec<Vec<V>> = Vec::new();
+    if limit > 0 {
+        // The walk stops at `limit` matches; whether it stopped early is
+        // `count > limit`.
+        let _ = Walk { tree, gov: budget }.images(&analysis, &mut |image| {
+            matches.push(image.to_vec());
+            Ok(if matches.len() < limit {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            })
+        })?;
+    }
+    Ok(SsmMatches {
+        truncated: analysis.count > BigUint::from_u64(matches.len() as u64),
+        matches,
+        count: analysis.count,
+    })
 }
 
-fn enum_at(
-    tree: &AutoTree,
-    index: &SsmIndex,
-    node: NodeId,
-    set: &[V],
-    slots: &mut usize,
-    gov: &Budget,
-) -> Result<Vec<Vec<V>>, DviclError> {
-    dvicl_obs::bump(dvicl_obs::Counter::SsmStates);
-    gov.spend(1)?;
-    if *slots == 0 {
-        return Ok(Vec::new());
-    }
-    let n = tree.node(node);
-    match n.kind() {
-        NodeKind::SingletonLeaf => {
-            *slots = slots.saturating_sub(1);
-            Ok(vec![set.to_vec()])
+/// The enumeration walk over an [`Analysis`]: depth-first, so it holds
+/// one partial image per level and stops as soon as its consumer does.
+struct Walk<'a> {
+    tree: &'a AutoTree,
+    gov: &'a Budget,
+}
+
+impl Walk<'_> {
+    /// Passes each image of the analyzed set, sorted, to `f`.
+    fn images(&self, a: &Analysis, f: Emit<'_>) -> Flow {
+        dvicl_obs::bump(Counter::SsmStates);
+        self.gov.spend(1)?;
+        let n = self.tree.node(a.node);
+        let mut sorted = |mut image: Vec<V>| {
+            image.sort_unstable();
+            f(&image)
+        };
+        match n.kind() {
+            NodeKind::SingletonLeaf => f(&a.set),
+            NodeKind::NonSingletonLeaf => orbit_of_set(n, &a.set, self.gov, |image| {
+                sorted(image.iter().map(|&i| n.verts()[i as usize]).collect())
+            }),
+            NodeKind::Internal => self.product(
+                &a.classes,
+                &|(class, parts), g| self.place(n, *class, parts, &mut Vec::new(), g),
+                &mut Vec::new(),
+                &mut |image| sorted(image.to_vec()),
+            ),
         }
-        NodeKind::NonSingletonLeaf => {
-            let (local, gens) = leaf_action(n, set);
-            let orbit = orbit_of_set(&local, &gens, Some(*slots), gov)?.unwrap_or_default();
-            let out: Vec<Vec<V>> = orbit
-                .into_iter()
-                .take(*slots)
-                .map(|s| {
-                    let mut g: Vec<V> = s.iter().map(|&i| n.verts()[i as usize]).collect();
-                    g.sort_unstable();
-                    g
+    }
+
+    /// Places the parts of one sibling class of `n`, in order, on unused
+    /// children of the class; a part that repeats its predecessor's key
+    /// takes a later child, so each run of equal keys fills its children
+    /// in ascending order. Once all are placed, passes that placement's
+    /// images to `f`: each part moves the images of its run's first part
+    /// to its child by the sibling isomorphism.
+    fn place(
+        &self,
+        n: NodeRef<'_>,
+        class: usize,
+        parts: &[Analysis],
+        placed: &mut Vec<usize>,
+        f: Emit<'_>,
+    ) -> Flow {
+        dvicl_obs::bump(Counter::SsmStates);
+        self.gov.spend(1)?;
+        let (start, end) = n.sibling_classes()[class];
+        let children = &n.children()[start as usize..end as usize];
+        let i = placed.len();
+        let Some(part) = parts.get(i) else {
+            let moves: Vec<(&Analysis, Option<FxHashMap<V, V>>)> = parts
+                .iter()
+                .zip(placed.iter())
+                .map(|(part, &slot)| {
+                    let home = &parts[parts.partition_point(|p| p.key < part.key)];
+                    let target = children[slot];
+                    let iso = (home.node != target).then(|| {
+                        self.tree
+                            .sibling_isomorphism(home.node, target)
+                            .into_iter()
+                            .collect()
+                    });
+                    (home, iso)
                 })
                 .collect();
-            *slots = slots.saturating_sub(out.len());
-            Ok(out)
-        }
-        NodeKind::Internal => {
-            let parts = index.partition(tree, node, set);
-            // Per class: the list of vertex-set options the class can
-            // contribute (one per combined assignment + image choice).
-            let mut per_class_options: Vec<Vec<Vec<V>>> = Vec::new();
-            for &(start, end) in n.sibling_classes() {
-                let instances: Vec<&(u32, NodeId, Vec<V>)> = parts
-                    .iter()
-                    .filter(|&&(pos, _, _)| start <= pos && pos < end)
-                    .collect();
-                if instances.is_empty() {
-                    continue;
-                }
-                // Images of each instance inside its own child, then
-                // transferred to every child of the class.
-                // Group instances by key to avoid duplicate assignments.
-                let mut keyed: Vec<KeyedInstance> = Vec::with_capacity(instances.len());
-                for inst in &instances {
-                    keyed.push((analyze(tree, index, inst.1, &inst.2, gov)?.0, *inst));
-                }
-                keyed.sort_by(|a, b| a.0.cmp(&b.0));
-                // For each run of equal keys, enumerate combinations of
-                // target children; accumulate class-level option lists.
-                let class_children: Vec<NodeId> =
-                    n.children()[start as usize..end as usize].to_vec();
-                let class_options =
-                    assign_and_enumerate(tree, index, &keyed, &class_children, slots, gov)?;
-                per_class_options.push(class_options);
-            }
-            // Cartesian product across classes.
-            let mut acc: Vec<Vec<V>> = vec![Vec::new()];
-            for options in per_class_options {
-                let mut next = Vec::new();
-                'outer: for base in &acc {
-                    for opt in &options {
-                        let mut merged = base.clone();
-                        merged.extend_from_slice(opt);
-                        next.push(merged);
-                        if next.len() >= *slots {
-                            break 'outer;
-                        }
-                    }
-                }
-                acc = next;
-            }
-            for s in &mut acc {
-                s.sort_unstable();
-            }
-            *slots = slots.saturating_sub(acc.len());
-            Ok(acc)
-        }
-    }
-}
-
-/// Enumerates, for one sibling class, every way to (a) assign the pattern
-/// instances (grouped into runs of equal keys) to distinct children of the
-/// class and (b) pick a concrete image inside each chosen child. Returns
-/// the flattened vertex sets (one per combined choice).
-fn assign_and_enumerate(
-    tree: &AutoTree,
-    index: &SsmIndex,
-    keyed: &[KeyedInstance],
-    class_children: &[NodeId],
-    slots: &mut usize,
-    gov: &Budget,
-) -> Result<Vec<Vec<V>>, DviclError> {
-    // Runs of equal keys.
-    let mut runs: Vec<(usize, usize)> = Vec::new();
-    let mut i = 0;
-    while i < keyed.len() {
-        let mut j = i;
-        while j < keyed.len() && keyed[j].0 == keyed[i].0 {
-            j += 1;
-        }
-        runs.push((i, j));
-        i = j;
-    }
-    // For each run, the representative instance's images inside its home
-    // child, then transfer maps to each class child (computed lazily).
-    let mut results: Vec<Vec<V>> = Vec::new();
-    let mut chosen: Vec<(usize, usize)> = Vec::new(); // (run idx, child slot)
-    assign_rec(
-        tree,
-        index,
-        keyed,
-        &runs,
-        0,
-        class_children,
-        &mut vec![false; class_children.len()],
-        &mut chosen,
-        &mut results,
-        slots,
-        gov,
-    )?;
-    Ok(results)
-}
-
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the assignment search's inputs and accumulators are threaded through the recursion instead of a struct"
-)]
-fn assign_rec(
-    tree: &AutoTree,
-    index: &SsmIndex,
-    keyed: &[KeyedInstance],
-    runs: &[(usize, usize)],
-    run_idx: usize,
-    class_children: &[NodeId],
-    used: &mut Vec<bool>,
-    chosen: &mut Vec<(usize, usize)>,
-    results: &mut Vec<Vec<V>>,
-    slots: &mut usize,
-    gov: &Budget,
-) -> Result<(), DviclError> {
-    dvicl_obs::bump(dvicl_obs::Counter::SsmStates);
-    gov.spend(1)?;
-    if results.len() >= *slots {
-        return Ok(());
-    }
-    if run_idx == runs.len() {
-        // All pattern instances placed: enumerate concrete images per
-        // placement (cartesian product over placements).
-        let mut acc: Vec<Vec<V>> = vec![Vec::new()];
-        for &(ri, slot) in chosen.iter() {
-            let (start, _) = runs[ri];
-            let (_, inst) = &keyed[start];
-            let home = inst.1;
-            let target = class_children[slot];
-            let mut local_slots = *slots;
-            let home_images = enum_at(tree, index, home, &inst.2, &mut local_slots, gov)?;
-            // Transfer each image to the target child.
-            let images: Vec<Vec<V>> = if home == target {
-                home_images
-            } else {
-                let iso: FxHashMap<V, V> =
-                    tree.sibling_isomorphism(home, target).into_iter().collect();
-                home_images
-                    .into_iter()
-                    .map(|img| {
-                        let mut t: Vec<V> = img.iter().map(|v| iso[v]).collect();
-                        t.sort_unstable();
-                        t
+            return self.product(
+                &moves,
+                &|(home, iso), g| {
+                    self.images(home, &mut |image| match iso {
+                        None => g(image),
+                        Some(iso) => g(&image.iter().map(|v| iso[v]).collect::<Vec<V>>()),
                     })
-                    .collect()
-            };
-            let mut next = Vec::new();
-            for base in &acc {
-                for img in &images {
-                    let mut merged = base.clone();
-                    merged.extend_from_slice(img);
-                    next.push(merged);
-                    if next.len() >= *slots {
-                        break;
-                    }
-                }
-                if next.len() >= *slots {
-                    break;
-                }
-            }
-            acc = next;
-        }
-        results.extend(acc);
-        return Ok(());
-    }
-    // Place every instance of this run into distinct unused child slots.
-    let (start, end) = runs[run_idx];
-    let count = end - start;
-    // Choose `count` unused slots (combinations, ascending, to avoid
-    // duplicate unordered assignments of equal-key instances).
-    // dvicl-lint: allow(budget-reachability) -- enumerates C(slots, count) combinations; the caller spends budget per assignment it consumes
-    fn combos(
-        used: &mut Vec<bool>,
-        from: usize,
-        remaining: usize,
-        picked: &mut Vec<usize>,
-        out: &mut Vec<Vec<usize>>,
-    ) {
-        if remaining == 0 {
-            out.push(picked.clone());
-            return;
-        }
-        for s in from..used.len() {
-            if used[s] {
+                },
+                &mut Vec::new(),
+                f,
+            );
+        };
+        let from = match i.checked_sub(1) {
+            Some(prev) if parts[prev].key == part.key => placed[prev] + 1,
+            _ => 0,
+        };
+        for slot in from..children.len() {
+            if placed.contains(&slot) {
                 continue;
             }
-            used[s] = true;
-            picked.push(s);
-            combos(used, s + 1, remaining - 1, picked, out);
-            picked.pop();
-            used[s] = false;
+            placed.push(slot);
+            let flow = self.place(n, class, parts, placed, f);
+            placed.pop();
+            if flow?.is_break() {
+                return Ok(ControlFlow::Break(()));
+            }
         }
+        Ok(ControlFlow::Continue(()))
     }
-    let mut options = Vec::new();
-    combos(used, 0, count, &mut Vec::new(), &mut options);
-    for picked in options {
-        for &s in &picked {
-            used[s] = true;
-            chosen.push((run_idx, s));
-        }
-        assign_rec(
-            tree,
-            index,
-            keyed,
-            runs,
-            run_idx + 1,
-            class_children,
-            used,
-            chosen,
-            results,
-            slots,
-            gov,
-        )?;
-        for &s in &picked {
-            used[s] = false;
-            chosen.pop();
-        }
-        if results.len() >= *slots {
-            return Ok(());
-        }
+
+    /// Calls `f` once per choice of one option from each factor, with the
+    /// options appended to `buf` in factor order; earlier factors are the
+    /// outer loops.
+    fn product<T>(
+        &self,
+        factors: &[T],
+        options: &dyn Fn(&T, Emit<'_>) -> Flow,
+        buf: &mut Vec<V>,
+        f: Emit<'_>,
+    ) -> Flow {
+        self.gov.spend(1)?;
+        let Some((first, rest)) = factors.split_first() else {
+            return f(buf);
+        };
+        options(first, &mut |option| {
+            let len = buf.len();
+            buf.extend_from_slice(option);
+            let flow = self.product(rest, options, buf, f);
+            buf.truncate(len);
+            flow
+        })
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -760,19 +612,42 @@ mod tests {
         );
     }
 
+    /// Every limit returns a prefix of the unlimited walk: exactly
+    /// min(L, count) distinct genuine images, truncated iff count > L.
     #[test]
-    fn result_limit_truncates() {
-        let g = named::star(8);
-        let (t, i) = setup(&g);
-        // C(8,3) = 56 images of a 3-leaf subset.
-        let res = enumerate_images(&t, &i, &[1, 2, 3], 10);
-        assert!(res.truncated);
-        assert!(res.matches.len() <= 10);
-        assert!(!res.matches.is_empty());
-        let full = enumerate_images(&t, &i, &[1, 2, 3], 100);
-        assert!(!full.truncated);
-        assert_eq!(full.matches.len(), 56);
-        assert_eq!(count_images(&t, &i, &[1, 2, 3]).to_u64(), Some(56));
+    fn limit_returns_a_prefix_of_the_walk() {
+        let cases: Vec<(Graph, Vec<V>)> = vec![
+            (named::fig1_example(), vec![4]),
+            (named::fig1_example(), vec![0, 4]),
+            (named::fig1_example(), vec![0, 1, 4]),
+            (named::star(5), vec![1, 2]),
+            (named::rary_tree(2, 2), vec![3, 5]),
+            (named::petersen(), vec![0, 1, 2]),
+            // One non-singleton leaf: 10 and 30 images.
+            (named::petersen(), vec![0]),
+            (named::petersen(), vec![0, 2]),
+        ];
+        for (g, set) in cases {
+            let (t, i) = setup(&g);
+            let truth = brute_images(&g, &set);
+            let count = truth.len();
+            let full = enumerate_images(&t, &i, &set, count);
+            assert_eq!(full.count.to_u64(), Some(count as u64));
+            for limit in 0..=count + 1 {
+                let res = enumerate_images(&t, &i, &set, limit);
+                let want = limit.min(count);
+                assert_eq!(
+                    res.matches,
+                    full.matches[..want],
+                    "{g:?} {set:?} at limit {limit}"
+                );
+                let distinct: FxHashSet<&Vec<V>> = res.matches.iter().collect();
+                assert_eq!(distinct.len(), want, "{g:?} {set:?} at limit {limit}");
+                assert!(res.matches.iter().all(|m| truth.binary_search(m).is_ok()));
+                assert_eq!(res.truncated, count > limit);
+                assert_eq!(res.count, full.count);
+            }
+        }
     }
 
     #[test]
@@ -801,7 +676,7 @@ mod tests {
         let (t, i) = setup(&g);
         let set: Vec<V> = (1..=35).collect();
         let c = count_images(&t, &i, &set);
-        assert_eq!(c.to_decimal(), BigUint::binomial(70, 35).to_decimal());
+        assert_eq!(c, BigUint::binomial(70, 35));
         assert!(c.to_u64().is_none());
     }
 

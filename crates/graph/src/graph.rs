@@ -152,21 +152,9 @@ impl Graph {
     ///
     /// Panics if `verts` contains duplicates or out-of-range vertices.
     pub fn induced(&self, verts: &[V]) -> Graph {
-        let mut local = Vec::new();
-        let mut b = GraphBuilder::new(verts.len());
-        self.induced_reusing(verts, &mut local, &mut b)
-    }
-
-    /// Buffer-reusing variant of [`Graph::induced`] for callers that
-    /// extract many subgraphs: `local` is the local-id scratch map
-    /// (resized and reset here, so it may be dirty) and `b` supplies the
-    /// edge buffer, whose capacity survives across calls via
-    /// [`GraphBuilder::build_reusing`].
-    pub fn induced_reusing(&self, verts: &[V], local: &mut Vec<V>, b: &mut GraphBuilder) -> Graph {
         let n = self.n();
-        local.clear();
-        local.resize(n, V::MAX);
-        b.reset(verts.len());
+        let mut local = vec![V::MAX; n];
+        let mut b = GraphBuilder::new(verts.len());
         for (i, &v) in (0..).zip(verts) {
             assert!((v as usize) < n, "vertex out of range");
             assert!(
@@ -183,7 +171,7 @@ impl Graph {
                 }
             }
         }
-        b.build_reusing()
+        b.build()
     }
 
     /// Disjoint union: `other`'s vertices are shifted by `self.n()`.
@@ -240,14 +228,6 @@ impl GraphBuilder {
 
     /// Finalizes into a CSR graph, deduplicating edges.
     pub fn build(mut self) -> Graph {
-        self.build_reusing()
-    }
-
-    /// Non-consuming [`GraphBuilder::build`]: the recorded edges are
-    /// drained into the graph but the builder (and its edge-buffer
-    /// capacity) stays usable after a [`GraphBuilder::reset`], so loops
-    /// that extract many subgraphs allocate the edge buffer once.
-    pub fn build_reusing(&mut self) -> Graph {
         self.edges.sort_unstable();
         self.edges.dedup();
         let mut offsets = vec![0usize; self.n + 1];
@@ -271,16 +251,7 @@ impl GraphBuilder {
         for v in 0..self.n {
             adj[offsets[v]..offsets[v + 1]].sort_unstable();
         }
-        self.edges.clear();
         Graph { offsets, adj }
-    }
-
-    /// Clears the builder for a new graph on `n` vertices, keeping the
-    /// edge buffer's capacity. Panics if `n > MAX_VERTICES`.
-    pub fn reset(&mut self, n: usize) {
-        assert!(n <= MAX_VERTICES, "n exceeds MAX_VERTICES");
-        self.n = n;
-        self.edges.clear();
     }
 }
 
@@ -383,19 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn induced_reusing_matches_induced_across_calls() {
-        let g = fig1_graph();
-        let mut local = Vec::new();
-        let mut b = GraphBuilder::new(0);
-        for verts in [&[4u32, 5, 6][..], &[0, 1, 2, 3][..], &[7, 0, 4][..]] {
-            assert_eq!(
-                g.induced_reusing(verts, &mut local, &mut b),
-                g.induced(verts)
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "n exceeds MAX_VERTICES")]
     fn builder_refuses_more_than_max_vertices() {
         let _ = GraphBuilder::new(MAX_VERTICES + 1);
@@ -406,20 +364,5 @@ mod tests {
         assert_eq!(as_vertex(MAX_VERTICES), V::MAX);
         assert_eq!(vertex_range(3), 0..3);
         assert!(std::panic::catch_unwind(|| as_vertex(MAX_VERTICES + 1)).is_err());
-    }
-
-    #[test]
-    fn builder_reset_reuses_cleanly() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1);
-        let g1 = b.build_reusing();
-        assert_eq!(g1.m(), 1);
-        b.reset(2);
-        b.add_edge(0, 1);
-        let g2 = b.build_reusing();
-        assert_eq!((g2.n(), g2.m()), (2, 1));
-        // No stale edges leak across a reset.
-        b.reset(4);
-        assert_eq!(b.build_reusing().m(), 0);
     }
 }

@@ -10,6 +10,7 @@
     reason = "u32-limb arithmetic: every cast extracts a masked limb, a carry below 2^32 or a digit below 10"
 )]
 
+use dvicl_govern::{Budget, DviclError};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign};
@@ -59,9 +60,12 @@ impl BigUint {
     /// `n!` as a big integer.
     ///
     /// ```
+    /// use dvicl_govern::Budget;
     /// use dvicl_group::BigUint;
     /// assert_eq!(BigUint::factorial(20).to_u64(), Some(2432902008176640000));
-    /// assert_eq!(BigUint::factorial(64).to_scientific(), "1.26E89");
+    /// let sci = BigUint::factorial(64).try_to_scientific(&Budget::unlimited())?;
+    /// assert_eq!(sci, "1.26E89");
+    /// # Ok::<(), dvicl_govern::DviclError>(())
     /// ```
     pub fn factorial(n: u64) -> Self {
         let mut acc = BigUint::one();
@@ -159,18 +163,21 @@ impl BigUint {
     }
 
     /// Decimal string. Each pass divides by 10⁹ and emits nine digits,
-    /// so a value of `d` digits costs about `d / 9` passes over its limbs.
+    /// so a value of `d` digits costs about `d / 9` passes over its
+    /// limbs; each pass spends one work unit of `budget`, because a
+    /// 200 000-digit group order takes about a second to render.
     #[expect(
         clippy::expect_used,
         reason = "every byte is b'0' + d with d < 10, so the buffer is valid ASCII"
     )]
-    pub fn to_decimal(&self) -> String {
+    pub fn try_to_decimal(&self, budget: &Budget) -> Result<String, DviclError> {
         if self.is_zero() {
-            return "0".to_string();
+            return Ok("0".to_string());
         }
         let mut digits = Vec::new();
         let mut cur = self.clone();
         while !cur.is_zero() {
+            budget.spend(1)?;
             let mut chunk = cur.div_rem_u32(1_000_000_000);
             for _ in 0..9 {
                 digits.push(b'0' + (chunk % 10) as u8);
@@ -182,18 +189,19 @@ impl BigUint {
             digits.pop();
         }
         digits.reverse();
-        String::from_utf8(digits).expect("digits are ASCII")
+        Ok(String::from_utf8(digits).expect("digits are ASCII"))
     }
 
     /// The paper's table style: plain decimal when short, otherwise
-    /// `d.ddE+ee` (e.g. `8.82E15`, `7.36E88`).
-    pub fn to_scientific(&self) -> String {
-        let dec = self.to_decimal();
+    /// `d.ddE+ee` (e.g. `8.82E15`, `7.36E88`). Renders the whole decimal
+    /// first, metered as [`BigUint::try_to_decimal`].
+    pub fn try_to_scientific(&self, budget: &Budget) -> Result<String, DviclError> {
+        let dec = self.try_to_decimal(budget)?;
         if dec.len() <= 7 {
-            return dec;
+            return Ok(dec);
         }
         let exp = dec.len() - 1;
-        format!("{}.{}E{}", &dec[0..1], &dec[1..3], exp)
+        Ok(format!("{}.{}E{}", &dec[0..1], &dec[1..3], exp))
     }
 }
 
@@ -278,15 +286,20 @@ impl From<u64> for BigUint {
     }
 }
 
+// Unmetered: an unlimited budget never trips, so the `fmt::Error` arm is
+// unreachable.
 impl fmt::Display for BigUint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_decimal())
+        let dec = self
+            .try_to_decimal(&Budget::unlimited())
+            .map_err(|_| fmt::Error)?;
+        write!(f, "{dec}")
     }
 }
 
 impl fmt::Debug for BigUint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "BigUint({})", self.to_decimal())
+        write!(f, "BigUint({self})")
     }
 }
 
@@ -298,7 +311,7 @@ mod tests {
     fn small_roundtrip() {
         for x in [0u64, 1, 9, 10, 4294967295, 4294967296, u64::MAX] {
             assert_eq!(BigUint::from_u64(x).to_u64(), Some(x));
-            assert_eq!(BigUint::from_u64(x).to_decimal(), x.to_string());
+            assert_eq!(BigUint::from_u64(x).to_string(), x.to_string());
         }
     }
 
@@ -306,7 +319,7 @@ mod tests {
     fn add_with_carry() {
         let mut a = BigUint::from_u64(u64::MAX);
         a += &BigUint::one();
-        assert_eq!(a.to_decimal(), "18446744073709551616");
+        assert_eq!(a.to_string(), "18446744073709551616");
         assert_eq!(a.to_u64(), None);
     }
 
@@ -315,7 +328,7 @@ mod tests {
         let a = 123_456_789_012_345u64;
         let b = 987_654_321_098u64;
         let big = &BigUint::from_u64(a) * &BigUint::from_u64(b);
-        assert_eq!(big.to_decimal(), (a as u128 * b as u128).to_string());
+        assert_eq!(big.to_string(), (a as u128 * b as u128).to_string());
     }
 
     #[test]
@@ -324,10 +337,10 @@ mod tests {
         assert_eq!(BigUint::factorial(5).to_u64(), Some(120));
         assert_eq!(BigUint::factorial(20).to_u64(), Some(2432902008176640000));
         assert_eq!(
-            BigUint::factorial(25).to_decimal(),
+            BigUint::factorial(25).to_string(),
             "15511210043330985984000000"
         );
-        assert_eq!(BigUint::factorial(100).to_decimal().len(), 158);
+        assert_eq!(BigUint::factorial(100).to_string().len(), 158);
     }
 
     /// The per-digit reference: one division by 10 per digit.
@@ -372,8 +385,36 @@ mod tests {
             values.push(BigUint { limbs });
         }
         for x in &values {
-            assert_eq!(x.to_decimal(), decimal_by_digit(x));
+            assert_eq!(x.to_string(), decimal_by_digit(x));
         }
+    }
+
+    #[test]
+    fn rendering_is_metered() {
+        use dvicl_govern::Resource;
+        // 50 000!, the order of a 50 000-leaf star, takes about 23 700
+        // division passes.
+        let x = BigUint::factorial(50_000);
+        for render in [BigUint::try_to_decimal, BigUint::try_to_scientific] {
+            assert!(matches!(
+                render(&x, &Budget::with_max_work(10)),
+                Err(DviclError::BudgetExceeded {
+                    resource: Resource::WorkUnits,
+                    ..
+                })
+            ));
+        }
+        // Its 213 237 digits, checked at both ends: the per-digit oracle
+        // needs about 35 s on it in a debug build, so it runs on 5 000!.
+        let dec = x.try_to_decimal(&Budget::unlimited()).unwrap();
+        assert_eq!(dec.len(), 213_237);
+        assert!(dec.starts_with("33473205095971448369"));
+        assert_eq!(dec.len() - dec.trim_end_matches('0').len(), 12_499);
+        let y = BigUint::factorial(5_000);
+        assert_eq!(
+            y.try_to_decimal(&Budget::unlimited()).unwrap(),
+            decimal_by_digit(&y)
+        );
     }
 
     #[test]
@@ -384,19 +425,17 @@ mod tests {
         assert_eq!(BigUint::binomial(7, 0).to_u64(), Some(1));
         // C(100, 50) has a known value.
         assert_eq!(
-            BigUint::binomial(100, 50).to_decimal(),
+            BigUint::binomial(100, 50).to_string(),
             "100891344545564193334812497256"
         );
     }
 
     #[test]
     fn scientific_formatting() {
-        assert_eq!(BigUint::from_u64(8_820_000).to_scientific(), "8820000");
-        assert_eq!(
-            BigUint::from_u64(8_820_000_000_000_000).to_scientific(),
-            "8.82E15"
-        );
-        assert_eq!(BigUint::factorial(64).to_scientific(), "1.26E89");
+        let sci = |x: BigUint| x.try_to_scientific(&Budget::unlimited()).unwrap();
+        assert_eq!(sci(BigUint::from_u64(8_820_000)), "8820000");
+        assert_eq!(sci(BigUint::from_u64(8_820_000_000_000_000)), "8.82E15");
+        assert_eq!(sci(BigUint::factorial(64)), "1.26E89");
     }
 
     #[test]

@@ -16,8 +16,8 @@ proptest! {
     #[test]
     fn biguint_matches_u128(a in any::<u64>(), b in any::<u64>()) {
         let (ba, bb) = (BigUint::from_u64(a), BigUint::from_u64(b));
-        prop_assert_eq!((&ba + &bb).to_decimal(), (a as u128 + b as u128).to_string());
-        prop_assert_eq!((&ba * &bb).to_decimal(), (a as u128 * b as u128).to_string());
+        prop_assert_eq!((&ba + &bb).to_string(), (a as u128 + b as u128).to_string());
+        prop_assert_eq!((&ba * &bb).to_string(), (a as u128 * b as u128).to_string());
         prop_assert_eq!(ba.cmp(&bb), a.cmp(&b));
     }
 
@@ -36,9 +36,9 @@ proptest! {
         for _ in 0..k {
             x.mul_u64_assign(1_000_000_007);
         }
-        // to_scientific agrees with to_decimal's leading digits.
-        let dec = x.to_decimal();
-        let sci = x.to_scientific();
+        // try_to_scientific agrees with try_to_decimal's leading digits.
+        let dec = x.try_to_decimal(&Budget::unlimited()).unwrap();
+        let sci = x.try_to_scientific(&Budget::unlimited()).unwrap();
         if dec.len() > 7 {
             prop_assert!(sci.starts_with(&dec[0..1]));
             let suffix = format!("E{}", dec.len() - 1);

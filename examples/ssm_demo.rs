@@ -55,7 +55,7 @@ fn main() -> Result<(), DviclError> {
     let count = try_count_images(&tree, &index, &seeds, &unlimited)?;
     println!(
         "  seed sets with identical influence (by symmetry): {}",
-        count.to_scientific()
+        count.try_to_scientific(&unlimited)?
     );
     Ok(())
 }
