@@ -242,7 +242,7 @@ fn main() {
         pairwise_secs * 1e3,
         batch_secs * 1e3
     );
-    rec.write();
+    rec.write(opts.report);
     if speedup < 10.0 {
         eprintln!("error: amortized lookup is only {speedup:.1}x faster (needs >= 10x)");
         std::process::exit(1);

@@ -51,5 +51,5 @@ fn main() {
             &widths,
         );
     }
-    rec.write();
+    rec.write(opts.report);
 }

@@ -54,5 +54,5 @@ fn main() {
         };
         print_row(&cols, &widths);
     }
-    rec.write();
+    rec.write(opts.report);
 }

@@ -77,5 +77,5 @@ fn main() {
             &widths,
         );
     }
-    rec.write();
+    rec.write(opts.report);
 }

@@ -43,5 +43,5 @@ fn main() {
         }
         print_row(&cols, &widths);
     }
-    rec.write();
+    rec.write(opts.report);
 }

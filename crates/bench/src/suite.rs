@@ -18,16 +18,19 @@ use dvicl_canon::{try_canonical_form, Config};
 use dvicl_core::{AutoTree, DviclOptions, Session};
 use dvicl_govern::Budget;
 use dvicl_graph::{Coloring, Graph};
-use dvicl_obs::{self as obs, JsonArr, JsonObj, Snapshot, Value};
+use dvicl_obs::{self as obs, JsonArr, JsonObj, Report, Snapshot};
 use std::time::{Duration, Instant};
 
 /// The flags shared by every table binary, parsed once by [`init_obs`]
 /// and passed to every helper that needs them.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct RunOptions {
     /// `--paranoid`: every AutoTree a table binary builds is re-checked
     /// against its witness before its row is recorded (DESIGN.md §11).
     pub paranoid: bool,
+    /// The run's report (`--stats`, `--trace-json <path>`), written by
+    /// [`Recorder::write`].
+    pub report: Report,
 }
 
 /// The three baseline engines of the paper's evaluation and their
@@ -53,19 +56,19 @@ pub fn budget() -> Duration {
 }
 
 /// Parses the flags shared by every table binary (`--stats`,
-/// `--paranoid`, `--trace-json <path>`), installs the matching sink and
+/// `--paranoid`, `--trace-json <path>`), opens the run's report and
 /// returns the run options. Call first in `main`; [`Recorder::write`]
-/// flushes the sink at the end via `dvicl_obs::finish`.
+/// writes the report at the end.
 pub fn init_obs() -> RunOptions {
     let args: Vec<String> = std::env::args().collect();
     let mut stats = false;
     let mut trace: Option<String> = None;
-    let mut opts = RunOptions::default();
+    let mut paranoid = false;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--stats" => stats = true,
-            "--paranoid" => opts.paranoid = true,
+            "--paranoid" => paranoid = true,
             "--trace-json" => {
                 let Some(p) = args.get(i + 1) else {
                     eprintln!("--trace-json requires a path");
@@ -83,23 +86,13 @@ pub fn init_obs() -> RunOptions {
         }
         i += 1;
     }
-    if let Some(path) = &trace {
-        match obs::JsonSink::to_file(std::path::Path::new(path)) {
-            Ok(sink) => {
-                obs::install(Box::new(sink));
-            }
-            Err(e) => {
-                eprintln!("--trace-json {path}: {e}");
-                std::process::exit(2);
-            }
+    match Report::open(stats, trace.as_deref().map(std::path::Path::new)) {
+        Ok(report) => RunOptions { paranoid, report },
+        Err(e) => {
+            eprintln!("--trace-json {}: {e}", trace.unwrap_or_default());
+            std::process::exit(2);
         }
-    } else if stats {
-        obs::install(Box::new(obs::TextSink));
     }
-    if stats || trace.is_some() {
-        obs::set_timing(true);
-    }
-    opts
 }
 
 /// Outcome of one measured run.
@@ -220,8 +213,7 @@ impl Recorder {
     }
 
     /// Appends one `{graph, algo, completed, wall_ms, peak_bytes,
-    /// counters}` record and mirrors it as a `bench_record` event, so a
-    /// `--trace-json` sink captures the rows as they are produced.
+    /// counters}` record.
     pub fn record(&mut self, graph: &str, algo: &str, run: &Run) {
         let wall_ms = run.secs.map(|s| s * 1e3);
         let peak = u64::try_from(run.peak_bytes).unwrap_or(u64::MAX);
@@ -239,24 +231,12 @@ impl Recorder {
         };
         obj = obj.u64("peak_bytes", peak).obj("counters", counters);
         self.records = std::mem::take(&mut self.records).push_obj(obj);
-        obs::emit(
-            "bench_record",
-            &[
-                ("table", Value::Str(self.table.to_string())),
-                ("graph", Value::Str(graph.to_string())),
-                ("algo", Value::Str(algo.to_string())),
-                ("completed", Value::Bool(run.secs.is_some())),
-                // NaN serializes as null, matching the record's wall_ms.
-                ("wall_ms", Value::F64(wall_ms.unwrap_or(f64::NAN))),
-                ("peak_bytes", Value::U64(peak)),
-            ],
-        );
     }
 
-    /// Writes `BENCH_<table>.json` into the current directory and
-    /// flushes the installed observability sink. Returns the path
-    /// written (best effort: an unwritable directory only warns).
-    pub fn write(self) -> String {
+    /// Writes `BENCH_<table>.json` into the current directory, then the
+    /// run's `report`. Returns the path written (best effort: an
+    /// unwritable directory only warns).
+    pub fn write(self, report: Report) -> String {
         let path = format!("BENCH_{}.json", self.table);
         let doc = JsonObj::new()
             .str("schema", "dvicl-bench-v1")
@@ -266,7 +246,7 @@ impl Recorder {
         if let Err(e) = std::fs::write(&path, doc + "\n") {
             eprintln!("warning: could not write {path}: {e}");
         }
-        obs::finish();
+        report.write(None);
         path
     }
 }

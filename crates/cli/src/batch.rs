@@ -15,9 +15,11 @@
 //!
 //! `<GRAPH>` is `g6:<graph6-literal>` or `el:u-v,u-v,...` (an inline
 //! edge list; vertex count inferred). Blank lines and `#` comments are
-//! skipped. One response line per request; a request that fails —
-//! malformed graph, tripped per-request budget, witness failure —
-//! answers `error: ...` inline and the service keeps
+//! skipped. One response line per request. Each request runs under its
+//! own budget with the global `--timeout` and `--max-nodes` limits, so a
+//! hostile query trips its own typed error without starving the rest of
+//! the stream. A request that fails — malformed graph, tripped budget,
+//! witness failure — answers `error: ...` inline and the service keeps
 //! going with exit code 0. Only process-level failures (unusable index
 //! file, bad flags, failed save) terminate with a typed exit code.
 //!
@@ -27,13 +29,12 @@
 
 use crate::{is_flag, reject, CliError, RunOptions};
 use dvicl_core::Session;
-use dvicl_govern::{parse_duration, Budget, DviclError};
+use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{graph6, io as gio, CanonForm, Fingerprint, Graph};
 use dvicl_index::FingerprintIndex;
 use dvicl_obs::{self as obs, Phase};
 use std::io::{BufRead, Write};
 use std::path::Path;
-use std::time::Duration;
 
 /// Flags shared by `batch` and `serve`.
 struct ServiceOpts {
@@ -41,10 +42,6 @@ struct ServiceOpts {
     index: Option<String>,
     /// `--save PATH`: write the final index here on clean exit.
     save: Option<String>,
-    /// `--req-timeout DUR`: wall-clock allowance per request.
-    req_timeout: Option<Duration>,
-    /// `--req-max-nodes N`: work allowance per request.
-    req_max_nodes: Option<u64>,
     /// Positional query file (`batch` only; stdin when absent).
     input: Option<String>,
 }
@@ -54,8 +51,6 @@ impl ServiceOpts {
         let mut opts = ServiceOpts {
             index: None,
             save: None,
-            req_timeout: None,
-            req_max_nodes: None,
             input: None,
         };
         let mut it = args.iter();
@@ -68,15 +63,6 @@ impl ServiceOpts {
             match a.as_str() {
                 "--index" => opts.index = Some(value(&mut it, "--index")?),
                 "--save" => opts.save = Some(value(&mut it, "--save")?),
-                "--req-timeout" => {
-                    opts.req_timeout = Some(parse_duration(&value(&mut it, "--req-timeout")?)?)
-                }
-                "--req-max-nodes" => {
-                    let v = value(&mut it, "--req-max-nodes")?;
-                    opts.req_max_nodes = Some(v.parse::<u64>().map_err(|_| {
-                        CliError::Usage(format!("--req-max-nodes: not a count: {v:?}"))
-                    })?);
-                }
                 other if positional_input && opts.input.is_none() && !is_flag(other) => {
                     opts.input = Some(a.clone());
                 }
@@ -84,12 +70,6 @@ impl ServiceOpts {
             }
         }
         Ok(opts)
-    }
-
-    /// One fresh allowance per request: a hostile query trips its own
-    /// typed error without starving the rest of the stream.
-    fn request_budget(&self) -> Budget {
-        Budget::new(self.req_timeout, self.req_max_nodes)
     }
 }
 
@@ -216,12 +196,10 @@ impl Service {
     }
 }
 
-/// Writes one response line, treating a closed pipe as a normal end of
-/// service (same contract as the `outln!` macro).
-fn respond_line(out: &mut impl Write, line: &str) {
-    if writeln!(out, "{line}").is_err() {
-        std::process::exit(0);
-    }
+/// Writes one response line. A closed pipe is a normal end of service
+/// (same contract as the `outln!` macro).
+fn respond_line(out: &mut impl Write, line: &str) -> Result<(), CliError> {
+    writeln!(out, "{line}").map_err(|_| CliError::Closed)
 }
 
 /// `dvicl batch [FLAGS] [QUERIES]` — drain a query file (stdin when
@@ -243,13 +221,11 @@ pub(crate) fn batch(args: &[String], run: &RunOptions) -> Result<(), CliError> {
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
     for line in text.lines() {
-        if let Some(answer) = service.respond(line, &opts.request_budget()) {
-            respond_line(&mut out, &answer);
+        if let Some(answer) = service.respond(line, &run.budget()) {
+            respond_line(&mut out, &answer)?;
         }
     }
-    if out.flush().is_err() {
-        std::process::exit(0);
-    }
+    out.flush().map_err(|_| CliError::Closed)?;
     drop(out);
     service.finish(&opts)?;
     Ok(())
@@ -269,11 +245,9 @@ pub(crate) fn serve(args: &[String], run: &RunOptions) -> Result<(), CliError> {
         if line.trim() == "quit" {
             break;
         }
-        if let Some(answer) = service.respond(&line, &opts.request_budget()) {
-            respond_line(&mut out, &answer);
-            if out.flush().is_err() {
-                std::process::exit(0);
-            }
+        if let Some(answer) = service.respond(&line, &run.budget()) {
+            respond_line(&mut out, &answer)?;
+            out.flush().map_err(|_| CliError::Closed)?;
         }
     }
     service.finish(&opts)?;

@@ -19,16 +19,18 @@
 //! once per invocation), or `g6:<string>` for an inline graph6 literal.
 //!
 //! Every subcommand accepts `--timeout <DUR>` (e.g. `100ms`, `5s`, `2m`)
-//! and `--max-nodes <N>`, which govern the whole run under one shared
-//! budget: when either runs out, the run ends with exit 3 and prints no
-//! result. Any other flag, or an argument past those a subcommand takes,
-//! is a usage error. Exit codes: 0 success, 2 bad input or usage, 3
-//! budget exceeded.
+//! and `--max-nodes <N>`: a one-shot subcommand runs under one budget
+//! with those limits, and `batch`/`serve` give each request its own.
+//! When a one-shot run's budget runs out, it ends with exit 3 and
+//! prints no result. Any other flag, or an argument past those a
+//! subcommand takes, is a usage error. Exit codes: 0 success, 2 bad
+//! input or usage, 3 budget exceeded.
 //!
-//! Observability (DESIGN.md §9): `--stats` prints the counter and
-//! phase-time report to stderr after the run; `--trace-json <path>`
-//! streams newline-delimited JSON events plus a final summary object to
-//! `path`. Either flag also enables span timing.
+//! Observability (DESIGN.md §9): after the run, whether it succeeded or
+//! failed, `--stats` prints the counter and phase-time report to stderr
+//! and `--trace-json <path>` writes it to `path` as one JSON summary
+//! line, with an `error` field when the run failed. Either flag also
+//! enables span timing.
 //!
 //! Robustness (DESIGN.md §11): `--paranoid` re-checks every result
 //! against its witness (canonical form against the root labeling, each
@@ -38,14 +40,10 @@
 //! Corpus service ([`batch`]): `batch` and `serve` answer
 //! `insert`/`lookup`/`groupsize` queries against a canonical-fingerprint
 //! index (`--index`/`--save` persist it as `DVIX1`), canonicalizing each
-//! query once through a reusable session; `--req-timeout` and
-//! `--req-max-nodes` cap every request with its own budget, and a failed
-//! request answers `error: ...` inline instead of ending the service.
+//! query once through a reusable session; `--timeout` and `--max-nodes`
+//! cap every request with its own budget, and a failed request answers
+//! `error: ...` inline instead of ending the service.
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "the CLI owns its exit codes: a consumer closing stdout early ends the run quietly with status 0"
-)]
 // `print!`/`println!` panic when the consumer closes the pipe
 // (`dvicl aut G | head`): stdout goes through `outln!`/`out!` or a
 // handled `write!` only.
@@ -57,8 +55,11 @@ use dvicl_core::ssm::{try_enumerate_images, SsmIndex};
 use dvicl_core::{aut, iso, ksym, try_build_autotree, AutoTree, DviclOptions};
 use dvicl_govern::{parse_duration, Budget, DviclError};
 use dvicl_graph::{graph6, io as gio, Coloring, Graph, V};
+use dvicl_obs::Report;
 use std::io::Read;
+use std::path::Path;
 use std::process::ExitCode;
+use std::time::Duration;
 
 /// The options every subcommand runs with, parsed once from the global
 /// flags and passed down explicitly.
@@ -69,6 +70,10 @@ pub(crate) struct RunOptions {
     /// `--paranoid`: every result is re-checked against its witness
     /// before being reported.
     pub(crate) paranoid: bool,
+    /// `--timeout`: the wall-clock allowance of a run or request.
+    timeout: Option<Duration>,
+    /// `--max-nodes`: the work allowance of a run or request.
+    max_nodes: Option<u64>,
 }
 
 impl Default for RunOptions {
@@ -79,19 +84,27 @@ impl Default for RunOptions {
                 ..DviclOptions::default()
             },
             paranoid: false,
+            timeout: None,
+            max_nodes: None,
         }
     }
 }
 
-/// Writes a line to stdout, exiting quietly with status 0 when the
-/// consumer closed the pipe early — `dvicl aut G | head` is a normal
-/// way to use the tool, not a panic.
+impl RunOptions {
+    /// A fresh allowance under the global limits, for one one-shot run
+    /// or one `batch`/`serve` request.
+    pub(crate) fn budget(&self) -> Budget {
+        Budget::new(self.timeout, self.max_nodes)
+    }
+}
+
+/// Writes a line to stdout. A consumer that closed the pipe early ends
+/// the run quietly with status 0 ([`CliError::Closed`]) — `dvicl aut G |
+/// head` is a normal way to use the tool, not a panic.
 macro_rules! outln {
     ($($arg:tt)*) => {{
         use std::io::Write as _;
-        if writeln!(std::io::stdout(), $($arg)*).is_err() {
-            std::process::exit(0);
-        }
+        writeln!(std::io::stdout(), $($arg)*).map_err(|_| CliError::Closed)?;
     }};
 }
 
@@ -99,88 +112,51 @@ macro_rules! outln {
 macro_rules! out {
     ($($arg:tt)*) => {{
         use std::io::Write as _;
-        if write!(std::io::stdout(), $($arg)*).is_err() {
-            std::process::exit(0);
-        }
+        write!(std::io::stdout(), $($arg)*).map_err(|_| CliError::Closed)?;
     }};
 }
 
 /// Streams `g` as an edge list to stdout. A consumer closing the pipe
-/// early ends the program quietly (status 0); other I/O errors map into
-/// the typed taxonomy.
-fn emit_edge_list(g: &Graph) -> Result<(), DviclError> {
+/// early ends the run quietly ([`CliError::Closed`]); other I/O errors
+/// map into the typed taxonomy.
+fn emit_edge_list(g: &Graph) -> Result<(), CliError> {
     match gio::write_edge_list(std::io::stdout(), g) {
         Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
-        Err(e) => Err(DviclError::invalid(format!("writing edge list: {e}"))),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Err(CliError::Closed),
+        Err(e) => Err(DviclError::invalid(format!("writing edge list: {e}")).into()),
     }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (args, budget, obs_cfg, opts) = match global_flags(args) {
+    let (args, report, opts) = match global_flags(args) {
         Ok(split) => split,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(e.exit_code());
         }
     };
-    if let Err(e) = obs_cfg.activate() {
-        eprintln!("error: {e}");
-        return ExitCode::from(e.exit_code());
-    }
-    let code = match run(&args, &budget, &opts) {
-        Ok(()) => ExitCode::SUCCESS,
+    let (code, error) = match run(&args, &opts) {
+        Ok(()) | Err(CliError::Closed) => (ExitCode::SUCCESS, None),
         Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{}", usage());
-            ExitCode::from(2)
+            (ExitCode::from(2), Some(msg))
         }
         Err(CliError::Lib(e)) => {
             eprintln!("error: {e}");
-            ExitCode::from(e.exit_code())
+            (ExitCode::from(e.exit_code()), Some(e.to_string()))
         }
     };
-    // Deliver the final summary to the installed sink even when the run
-    // failed — a budget-tripped run's counters are exactly the
-    // interesting ones.
-    dvicl_obs::finish();
-    if obs_cfg.stats && obs_cfg.trace_json.is_some() {
-        // The JSON sink owns finish(); print the human report too.
-        eprint!("{}", dvicl_obs::render_text(&dvicl_obs::summary()));
-    }
+    // A failed run reports too: a budget-tripped run's counters are
+    // exactly the interesting ones.
+    report.write(error.as_deref());
     code
 }
 
-/// The observability selection parsed from the global flags.
-#[derive(Default)]
-struct ObsConfig {
-    stats: bool,
-    trace_json: Option<String>,
-}
-
-impl ObsConfig {
-    /// Installs the selected sink and enables span timing. `--trace-json`
-    /// wins the sink slot when both flags are given; `--stats` then
-    /// prints its report directly at exit.
-    fn activate(&self) -> Result<(), DviclError> {
-        if let Some(path) = &self.trace_json {
-            let sink = dvicl_obs::JsonSink::to_file(std::path::Path::new(path))
-                .map_err(|e| DviclError::invalid(format!("--trace-json {path}: {e}")))?;
-            dvicl_obs::install(Box::new(sink));
-        } else if self.stats {
-            dvicl_obs::install(Box::new(dvicl_obs::TextSink));
-        }
-        if self.stats || self.trace_json.is_some() {
-            dvicl_obs::set_timing(true);
-        }
-        Ok(())
-    }
-}
-
 fn usage() -> &'static str {
-    "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N] [QUERIES]\n  dvicl serve    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...)\n  --max-nodes <N>      work cap in search/build nodes (exit 3 when spent)\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  NDJSON events + summary to PATH\n  --paranoid           re-check every result against its witness\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
+    "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [QUERIES]\n  dvicl serve    [--index P] [--save P]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...), per request in batch/serve\n  --max-nodes <N>      work cap in search/build nodes, per request in batch/serve\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  the same report as one JSON summary line in PATH\n  --paranoid           re-check every result against its witness\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
 }
 
 /// A CLI failure: either a usage mistake (print the help text, exit 2)
@@ -188,6 +164,9 @@ fn usage() -> &'static str {
 enum CliError {
     Usage(String),
     Lib(DviclError),
+    /// The consumer closed stdout early: the run ends quietly with
+    /// status 0, and still reports.
+    Closed,
 }
 
 impl From<DviclError> for CliError {
@@ -196,16 +175,12 @@ impl From<DviclError> for CliError {
     }
 }
 
-/// Strips the global flags (valid anywhere on the line) and builds the
-/// run's shared budget, observability selection and run options from
-/// them.
-fn global_flags(
-    args: Vec<String>,
-) -> Result<(Vec<String>, Budget, ObsConfig, RunOptions), DviclError> {
+/// Strips the global flags (valid anywhere on the line), builds the run
+/// options from them and opens the run's report.
+fn global_flags(args: Vec<String>) -> Result<(Vec<String>, Report, RunOptions), DviclError> {
     let mut rest = Vec::with_capacity(args.len());
-    let mut timeout = None;
-    let mut max_nodes = None;
-    let mut obs_cfg = ObsConfig::default();
+    let mut stats = false;
+    let mut trace_json = None;
     let mut opts = RunOptions::default();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -214,36 +189,41 @@ fn global_flags(
                 let v = it
                     .next()
                     .ok_or_else(|| DviclError::invalid("--timeout needs a duration"))?;
-                timeout = Some(parse_duration(&v)?);
+                opts.timeout = Some(parse_duration(&v)?);
             }
             "--max-nodes" => {
                 let v = it
                     .next()
                     .ok_or_else(|| DviclError::invalid("--max-nodes needs a count"))?;
-                max_nodes = Some(v.parse::<u64>().map_err(|_| {
+                opts.max_nodes = Some(v.parse::<u64>().map_err(|_| {
                     DviclError::invalid(format!("--max-nodes: not a count: {v:?}"))
                 })?);
             }
-            "--stats" => obs_cfg.stats = true,
+            "--stats" => stats = true,
             "--paranoid" => opts.paranoid = true,
             "--trace-json" => {
                 let v = it
                     .next()
                     .ok_or_else(|| DviclError::invalid("--trace-json needs a file path"))?;
-                obs_cfg.trace_json = Some(v);
+                trace_json = Some(v);
             }
             _ => rest.push(a),
         }
     }
-    Ok((rest, Budget::new(timeout, max_nodes), obs_cfg, opts))
+    let report = Report::open(stats, trace_json.as_deref().map(Path::new)).map_err(|e| {
+        let path = trace_json.unwrap_or_default();
+        DviclError::invalid(format!("--trace-json {path}: {e}"))
+    })?;
+    Ok((rest, report, opts))
 }
 
-fn run(args: &[String], budget: &Budget, opts: &RunOptions) -> Result<(), CliError> {
+fn run(args: &[String], opts: &RunOptions) -> Result<(), CliError> {
     let cmd = args
         .first()
         .ok_or_else(|| CliError::Usage("missing subcommand".into()))?;
     let mut loader = Loader::default();
     let ld = &mut loader;
+    let budget = &opts.budget();
     let mut sub = SubArgs(args[1..].iter().map(String::as_str).collect());
     match cmd.as_str() {
         "canon" => {
@@ -580,7 +560,7 @@ fn dataset(name: &str) -> Result<(), CliError> {
     for d in all {
         if d.name.eq_ignore_ascii_case(name) {
             let g = (d.build)();
-            return emit_edge_list(&g).map_err(CliError::from);
+            return emit_edge_list(&g);
         }
     }
     Err(DviclError::invalid(format!(

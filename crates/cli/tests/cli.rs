@@ -1,5 +1,9 @@
 //! End-to-end tests of the `dvicl` binary.
 
+#[path = "../../obs/tests/support/json_reader.rs"]
+mod json_reader;
+
+use json_reader::{obj, parse, J};
 use std::io::Write;
 use std::process::Stdio;
 
@@ -131,7 +135,7 @@ fn unknown_subcommand_fails_with_usage() {
 fn one_shot_subcommands_reject_stray_tokens() {
     // A mistyped flag, a bad flag value or a surplus argument is a usage
     // error naming the token, never a silent run.
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["canon", "g6:IheA@GUAo", "--paranoia"], "`--paranoia`"),
         (&["tree", "g6:IheA@GUAo", "--rendr"], "`--rendr`"),
         (&["ssm", "g6:IheA@GUAo", "0", "--limit", "abc"], "\"abc\""),
@@ -155,6 +159,10 @@ fn one_shot_subcommands_reject_stray_tokens() {
             &["batch", "--index", "a.dvix", "--target-cell", "smallest"],
             "`--target-cell`",
         ),
+        // The global limits are each request's budget; there are no
+        // per-request flags.
+        (&["batch", "--req-max-nodes", "40"], "`--req-max-nodes`"),
+        (&["serve", "--req-timeout", "1s"], "`--req-timeout`"),
     ];
     for (args, token) in cases {
         let out = bin().args(args).output().expect("binary runs");
@@ -454,14 +462,14 @@ lookup g6:C~
 
 #[test]
 fn batch_per_request_budget_trips_inline() {
-    // Three work units cannot canonicalize Petersen, but the tripped
+    // Forty work units cannot canonicalize Petersen, but the tripped
     // request must not take the service down: the pentagon after it
-    // still gets a real answer.
+    // gets a fresh forty and a real answer.
     let queries = "\
 insert g6:IheA@GUAo
 insert el:0-1,1-2,2-3,3-4,4-0
 ";
-    let (stdout, stderr, code) = dvicl_stdin(&["batch", "--req-max-nodes", "40"], queries);
+    let (stdout, stderr, code) = dvicl_stdin(&["--max-nodes", "40", "batch"], queries);
     assert_eq!(code, Some(0), "stderr: {stderr}");
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), 2, "stdout: {stdout}");
@@ -471,6 +479,24 @@ insert el:0-1,1-2,2-3,3-4,4-0
         lines[0]
     );
     assert_eq!(lines[1], "insert: class=0 members=1 fresh");
+}
+
+#[test]
+fn batch_and_serve_run_each_request_under_the_global_limits() {
+    // The global work cap is every request's own budget: Petersen trips
+    // it inline, and the service still exits 0.
+    for (cmd, input) in [
+        ("batch", "insert g6:IheA@GUAo\n"),
+        ("serve", "insert g6:IheA@GUAo\nquit\n"),
+    ] {
+        let (stdout, stderr, code) = dvicl_stdin(&["--max-nodes", "2", cmd], input);
+        assert_eq!(code, Some(0), "{cmd}: {stderr}");
+        assert!(
+            stdout.starts_with("error: budget exceeded"),
+            "{cmd}: {stdout}"
+        );
+        assert!(stderr.contains("(1 errors)"), "{cmd}: {stderr}");
+    }
 }
 
 #[test]
@@ -503,4 +529,121 @@ fn batch_rejects_a_corrupt_index_file() {
     let (_, stderr, code) = dvicl_stdin(&["batch", "--index", path.as_str()], "lookup g6:C~\n");
     assert_eq!(code, Some(2), "stderr: {stderr}");
     assert!(stderr.contains("error:"), "stderr: {stderr}");
+}
+
+/// The one line of a `--trace-json` file, parsed: it must hold exactly
+/// one JSON object of type `summary`.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
+fn trace_line(path: &TempPath) -> J {
+    let text = std::fs::read_to_string(&path.0).expect("trace file written");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 1, "one summary line: {text:?}");
+    let line = parse(lines[0]).expect("the line parses");
+    assert_eq!(obj(&line).get("type"), Some(&J::Str("summary".into())));
+    line
+}
+
+/// A counter of a parsed summary line.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a panic here fails the calling test, which is the intent"
+)]
+fn trace_counter<'a>(line: &'a J, name: &str) -> &'a J {
+    let summary = obj(obj(line).get("summary").expect("summary"));
+    obj(summary.get("counters").expect("counters"))
+        .get(name)
+        .expect("a catalog counter")
+}
+
+#[test]
+fn stats_and_trace_json_report_the_same_run() {
+    let trace = TempPath::new("trace-both");
+    let out = bin()
+        .args(["--stats", "--trace-json", trace.as_str()])
+        .args(["canon", "g6:IheA@GUAo"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.starts_with("== dvicl stats =="), "{stderr}");
+    let line = trace_line(&trace);
+    assert!(
+        !obj(&line).contains_key("error"),
+        "a clean run has no error"
+    );
+    let stats_nodes: f64 = stderr
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("search_nodes"))
+        .expect("the stats report lists search_nodes")
+        .trim()
+        .parse()
+        .expect("a count");
+    assert!(stats_nodes > 0.0);
+    assert_eq!(trace_counter(&line, "search_nodes"), &J::Num(stats_nodes));
+}
+
+#[test]
+fn a_tripped_run_still_writes_its_summary() {
+    let trace = TempPath::new("trace-trip");
+    let out = bin()
+        .args(["--max-nodes", "2", "--trace-json", trace.as_str()])
+        .args(["canon", "g6:IheA@GUAo"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(3));
+    assert!(out.stdout.is_empty(), "printed a result");
+    let line = trace_line(&trace);
+    assert_eq!(trace_counter(&line, "budget_trips"), &J::Num(1.0));
+    match obj(&line).get("error") {
+        Some(J::Str(e)) => assert!(e.contains("work units"), "{e}"),
+        other => panic!("expected an error string, got {other:?}"),
+    }
+}
+
+#[test]
+fn an_unwritable_trace_path_exits_2_before_any_work() {
+    let dir = TempPath::new("no-such-dir");
+    let path = dir.0.join("t.json");
+    let out = bin()
+        .args(["--trace-json", path.to_str().expect("utf-8 temp path")])
+        .args(["canon", "g6:C~"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "ran anyway");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--trace-json"),
+        "the error names the flag"
+    );
+}
+
+#[test]
+fn a_closed_stdout_ends_quietly_and_still_reports() {
+    // A 754 kB edge list overflows the pipe, so closing the read end
+    // after one line makes the next write fail: the run ends with
+    // status 0 and still writes its summary line.
+    use std::io::BufRead;
+    let trace = TempPath::new("trace-closed");
+    let mut child = bin()
+        .args(["--trace-json", trace.as_str(), "dataset", "wikivote"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("one line");
+    assert!(first.starts_with("# nodes:"), "{first}");
+    let out = child.wait_with_output().expect("binary ends");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    trace_line(&trace);
 }

@@ -17,11 +17,11 @@
 //! None of these holds a result: a session's memory is bounded by the
 //! largest graph it has built, however many builds it serves.
 //!
-//! What a session does *not* own: the obs sink is process-wide
-//! (install one with `obs::install`), and the counters and phase table
-//! belong to the thread that runs the build, so one `Session` per
-//! thread also gets its own counts (a serving loop diffs
-//! `obs::snapshot()` around each request). Resource limits
+//! What a session does *not* own: the counters and phase table belong
+//! to the thread that runs the build, so one `Session` per thread also
+//! gets its own counts (a serving loop diffs `obs::snapshot()` around
+//! each request), and reporting them is the caller's job: a build
+//! writes no observability output. Resource limits
 //! arrive as a per-request [`Budget`] — admission control belongs to
 //! the caller, one allowance per query, so one hostile request trips
 //! its own typed error instead of starving the whole service.

@@ -32,7 +32,8 @@ use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{as_vertex, V};
 use dvicl_group::BigUint;
 use dvicl_obs::{Counter, Phase};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::{FxBuildHasher, FxHashMap};
+use std::hash::BuildHasher;
 use std::ops::ControlFlow;
 
 /// Precomputed navigation over an AutoTree: vertex → leaf, child → position
@@ -263,6 +264,11 @@ type Emit<'e> = &'e mut dyn FnMut(&[V]) -> Flow;
 /// leaf `n` stored: passes each image, in discovery order, to `visit` as
 /// sorted positions in [`NodeRef::verts`] until `visit` breaks. Spends
 /// one work unit per image visited.
+///
+/// Each image is stored once: `found` holds the images found so far in
+/// discovery order, `k` positions apiece, so it is both the BFS queue
+/// and the seen set. `last` maps an image's hash to the latest image
+/// with that hash, and `prior[i]` chains image `i` to the one before.
 fn orbit_of_set(
     n: NodeRef<'_>,
     set: &[V],
@@ -279,26 +285,41 @@ fn orbit_of_set(
                 .collect()
         })
         .collect();
-    let mut start: Vec<u32> = set.iter().map(|v| local[v]).collect();
-    start.sort_unstable();
-    let mut seen: FxHashSet<Vec<u32>> = FxHashSet::default();
-    seen.insert(start.clone());
-    let mut queue = vec![start];
+    let mut found: Vec<u32> = set.iter().map(|v| local[v]).collect();
+    found.sort_unstable();
+    let k = found.len();
+    let hash = |image: &[u32]| FxBuildHasher::default().hash_one(image);
+    let mut last: FxHashMap<u64, usize> = FxHashMap::default();
+    last.insert(hash(&found), 0);
+    let mut prior: Vec<Option<usize>> = vec![None];
+    let mut img: Vec<u32> = Vec::with_capacity(k);
     let mut head = 0;
-    while head < queue.len() {
+    while head < prior.len() {
         dvicl_obs::bump(Counter::SsmStates);
         gov.spend(1)?;
-        if visit(&queue[head])?.is_break() {
+        let image = head * k..(head + 1) * k;
+        if visit(&found[image.clone()])?.is_break() {
             return Ok(ControlFlow::Break(()));
         }
         for gen in &gens {
-            let mut img: Vec<u32> = queue[head]
-                .iter()
-                .map(|v| gen.get(v).copied().unwrap_or(*v))
-                .collect();
+            img.clear();
+            img.extend(
+                found[image.clone()]
+                    .iter()
+                    .map(|v| gen.get(v).copied().unwrap_or(*v)),
+            );
             img.sort_unstable();
-            if seen.insert(img.clone()) {
-                queue.push(img);
+            let h = hash(&img);
+            let mut at = last.get(&h).copied();
+            while let Some(i) = at {
+                if found[i * k..(i + 1) * k] == img[..] {
+                    break;
+                }
+                at = prior[i];
+            }
+            if at.is_none() {
+                prior.push(last.insert(h, prior.len()));
+                found.extend_from_slice(&img);
             }
         }
         head += 1;
@@ -483,6 +504,7 @@ mod tests {
     use crate::build::tree_of;
     use dvicl_graph::{named, Coloring, Graph};
     use dvicl_group::brute;
+    use rustc_hash::FxHashSet;
 
     fn setup(g: &Graph) -> (AutoTree, SsmIndex) {
         let t = tree_of(g);

@@ -1,6 +1,7 @@
 //! The [`Budget`] handle and cooperative [`CancelToken`].
 
 use crate::error::{DviclError, Resource};
+use dvicl_obs::Counter;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -13,14 +14,14 @@ use std::time::{Duration, Instant};
 /// microseconds, so deadline overshoot stays well under a millisecond.
 pub const STRIDE: u64 = 256;
 
-/// Reports a budget trip to the observability layer: bumps the
-/// `budget_trips` counter and emits a `budget_trip` event carrying the
-/// counter snapshot at trip time. Off the hot path by construction —
-/// this only runs when the computation is already being aborted.
+/// Counts a budget trip in the thread's `budget_trips` counter; the
+/// unit's owner reports it with the rest of its counters. Off the hot
+/// path by construction: this only runs when the computation is already
+/// being aborted.
 #[cold]
 #[inline(never)]
-fn report_trip(resource: &str, spent: u64) {
-    dvicl_obs::emit_budget_trip(resource, spent);
+fn count_trip() {
+    dvicl_obs::bump(Counter::BudgetTrips);
 }
 
 /// Cooperative cancellation flag, cheaply cloneable and shareable
@@ -133,14 +134,14 @@ impl Budget {
     #[inline]
     pub fn spend(&self, n: u64) -> Result<(), DviclError> {
         if self.inner.cancel.is_cancelled() {
-            report_trip("cancelled", self.work_spent());
+            count_trip();
             return Err(DviclError::Cancelled);
         }
         let before = self.inner.work.fetch_add(n, Ordering::Relaxed);
         let spent = before + n;
         if let Some(max) = self.inner.max_work {
             if spent > max {
-                report_trip("work_units", spent);
+                count_trip();
                 return Err(DviclError::BudgetExceeded {
                     resource: Resource::WorkUnits,
                     spent,
@@ -157,7 +158,7 @@ impl Budget {
     /// work cap — spending is what moves that counter).
     pub fn check(&self) -> Result<(), DviclError> {
         if self.inner.cancel.is_cancelled() {
-            report_trip("cancelled", self.work_spent());
+            count_trip();
             return Err(DviclError::Cancelled);
         }
         if let Some(deadline) = self.inner.deadline {
@@ -165,7 +166,7 @@ impl Budget {
             if now > deadline {
                 let elapsed = now.duration_since(self.inner.started).as_millis();
                 let spent = u64::try_from(elapsed).unwrap_or(u64::MAX);
-                report_trip("wall_clock_ms", spent);
+                count_trip();
                 return Err(DviclError::BudgetExceeded {
                     resource: Resource::WallClock,
                     spent,

@@ -17,11 +17,10 @@
 //!   point returns, with a stable [`DviclError::exit_code`] mapping for
 //!   the CLI (2 = bad input, 3 = budget exceeded / cancelled).
 //!
-//! Budget trips are observable: the error paths of [`Budget::spend`]
-//! and [`Budget::check`] report through `dvicl-obs` (the `budget_trips`
-//! counter and a `budget_trip` event carrying the counter snapshot at
-//! trip time), so a truncated run still records how far it got. See
-//! DESIGN.md §9.
+//! Budget trips are counted: the error paths of [`Budget::spend`] and
+//! [`Budget::check`] bump the thread's `budget_trips` counter in
+//! `dvicl-obs` and nothing else, and the owner of the unit of work
+//! reports it with the unit's other counters (DESIGN.md §9.4).
 //!
 //! Spending is deterministic, so a work cap is also the fault injector:
 //! a build under `Budget::with_max_work(c)` aborts at exactly its

@@ -1,11 +1,11 @@
 //! A hand-rolled JSON writer.
 //!
 //! The workspace has no serialization dependency (it builds offline
-//! from vendored shims only), so the observability sinks and the
-//! bench `BENCH_*.json` records build their output through these two
-//! small append-only builders. They emit a *subset* of JSON — object
-//! literals with string / number / bool / null values, and arrays of
-//! objects — which is all the schemas in DESIGN.md §9 need.
+//! from vendored shims only), so the run report's `--trace-json` line
+//! and the bench `BENCH_*.json` records build their output through
+//! these two small append-only builders. They emit a *subset* of JSON —
+//! object literals with string / number / bool / null values, and
+//! arrays of objects — which is all the schemas in DESIGN.md §9 need.
 
 fn esc(out: &mut String, s: &str) {
     for ch in s.chars() {

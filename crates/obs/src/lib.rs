@@ -13,18 +13,18 @@
 //!   a closed [`Phase`] catalog, into a per-thread phase table. Timing
 //!   is off until [`set_timing`] enables it process-wide, so un-observed
 //!   runs pay one atomic load per span.
-//! * [`Sink`] — where events and the final summary go: [`NullSink`]
-//!   (default), [`TextSink`] (the CLI's human `--stats` report on
-//!   stderr), or [`JsonSink`] (newline-delimited JSON events plus a
-//!   final summary object, the CLI's `--trace-json`).
+//! * [`Report`] — one run's end-of-run report, opened and written by
+//!   the binary that runs the work: the human `--stats` text on stderr
+//!   and one JSON summary line in the `--trace-json` file.
 //!
 //! Counters and the phase table belong to the thread that does the
 //! work, so a unit of work (a CLI call, a bench cell, one `batch`
 //! request) is measured by a [`snapshot`] diff on its own thread, and
 //! two units on two threads never mix. The counter and phase catalogs
 //! are each generated from one list by [`catalog!`], so an unknown
-//! counter or phase does not compile. The catalogs, the `crate.phase`
-//! span naming convention, sink selection and overhead policy are
+//! counter or phase does not compile. Library code only counts and
+//! times; it writes no output. The catalogs, the `crate.phase` span
+//! naming convention, the report and the overhead policy are
 //! documented in DESIGN.md §9.
 //!
 //! # Quick start
@@ -52,13 +52,10 @@
 pub mod catalog;
 mod counters;
 mod json;
-mod sink;
+mod report;
 mod span;
 
 pub use counters::{add, bump, get, snapshot, Counter, Snapshot, NUM_COUNTERS};
 pub use json::{JsonArr, JsonObj};
-pub use sink::{
-    emit, emit_budget_trip, finish, install, render_text, summary, summary_json, JsonSink,
-    NullSink, PhaseRow, Sink, Summary, TextSink, Value,
-};
+pub use report::Report;
 pub use span::{phases, set_timing, span, timing_enabled, Phase, PhaseStat, Span};

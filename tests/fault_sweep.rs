@@ -3,9 +3,8 @@
 //! Every limit aborts a build in one place, `Budget::spend`, and a build
 //! spends deterministically. So a build under `Budget::with_max_work(c)`
 //! stops at exactly its `(c + 1)`-th unit, and it stops through the
-//! production trip path (`report_trip`, the `budget_trips` counter and
-//! the `budget_trip` event): a cap needs no injection machinery to
-//! reach any point of a build.
+//! production trip path, which bumps the `budget_trips` counter: a cap
+//! needs no injection machinery to reach any point of a build.
 //!
 //! For a corpus of benchmark graphs the sweep reads a clean build's work
 //! `W` from an unlimited budget, then builds on the same reused
